@@ -13,11 +13,21 @@ a different convention:
       "nodes": [{"id", "type"?, "label"?, "partner"?, "position"?, "extra"?}],
       "flows": [{"id", "source", "target", "type"?, "label"?, "partner"?, "extra"?}]
     }
+
+`emit_json` writes this layout directly, element by element, escaping
+strings with the `json` module's C string encoder. Its reference is
+`to_canonical_dict` passed through
+`json.dumps(..., indent=2, sort_keys=True, ensure_ascii=False)` plus a
+newline, and the tests hold the two byte-identical. Coordinates must be
+finite: NaN and the infinities are not JSON, so the writers refuse them
+and `parse_json` rejects the `NaN`/`Infinity`/`-Infinity` literals.
 """
 
 from __future__ import annotations
 
 import json
+import math
+from json.encoder import encode_basestring as _quote
 
 from .errors import SchemaError
 from .graph import Diagram, Flow, Node
@@ -25,8 +35,14 @@ from .model import FlowType, NodeType, Stage
 
 SCHEMA_ID = "padfd-canonical/1"
 
+_DOC_KEYS = frozenset({"schema", "stage", "nodes", "flows"})
 _NODE_KEYS = frozenset({"id", "type", "label", "partner", "position", "extra"})
 _FLOW_KEYS = frozenset({"id", "source", "target", "type", "label", "partner", "extra"})
+
+_STAGES = {stage.value: stage for stage in Stage}
+_NODE_TYPES = {node_type.value: node_type for node_type in NodeType}
+_FLOW_TYPES = {flow_type.value: flow_type for flow_type in FlowType}
+_OPTIONAL_STR = (str, type(None))
 
 
 def canonical_number(value: float) -> int | float:
@@ -36,9 +52,16 @@ def canonical_number(value: float) -> int | float:
     return value
 
 
-def format_coord(value: float) -> str:
-    """Shortest stable text for a coordinate (draw.io geometry attributes)."""
-    return str(canonical_number(value))
+def format_position(node: Node) -> tuple[str, str]:
+    """Shortest stable text of a node's coordinates, for JSON and draw.io.
+
+    NaN and the infinities have no JSON spelling and no draw.io reading,
+    so they are refused rather than written.
+    """
+    x, y = node.position
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise SchemaError(f"node {node.id!r}: position {node.position!r} is not finite")
+    return str(canonical_number(x)), str(canonical_number(y))
 
 
 def _node_entry(node: Node) -> dict:
@@ -79,137 +102,195 @@ def to_canonical_dict(diagram: Diagram) -> dict:
     }
 
 
+# The writers below emit each entry's keys in sorted order: extra, id,
+# label, partner, then position or source and target, then type. Entries
+# sit at indent 4, their keys at 6, extra entries and coordinates at 8.
+
+
+def _extra_text(extra: dict[str, str]) -> str:
+    items = ",\n".join(
+        ["        " + _quote(key) + ": " + _quote(value) for key, value in sorted(extra.items())]
+    )
+    return '      "extra": {\n' + items + "\n      }"
+
+
+def _entry_text(element: Node | Flow, element_type, middle: list[str]) -> str:
+    """One node or flow entry; `middle` holds the keys that sort between
+    partner and type: position, or source and target."""
+    fields = [_extra_text(element.extra)] if element.extra else []
+    fields.append('      "id": ' + _quote(element.id))
+    if element.label is not None:
+        fields.append('      "label": ' + _quote(element.label))
+    if element.partner is not None:
+        fields.append('      "partner": ' + _quote(element.partner))
+    fields += middle
+    if element_type is not None:
+        fields.append('      "type": ' + _quote(element_type.value))
+    return "    {\n" + ",\n".join(fields) + "\n    }"
+
+
+def _node_text(node: Node) -> str:
+    middle = []
+    if node.position is not None:
+        x, y = format_position(node)
+        middle.append('      "position": [\n        ' + x + ",\n        " + y + "\n      ]")
+    return _entry_text(node, node.node_type, middle)
+
+
+def _flow_text(flow: Flow) -> str:
+    middle = ['      "source": ' + _quote(flow.source), '      "target": ' + _quote(flow.target)]
+    return _entry_text(flow, flow.flow_type, middle)
+
+
+def _list_text(entries: list[str]) -> str:
+    return "[\n" + ",\n".join(entries) + "\n  ]" if entries else "[]"
+
+
 def emit_json(diagram: Diagram) -> bytes:
     """Canonical JSON bytes: sorted keys, two-space indent, LF, newline at end."""
-    text = json.dumps(
-        to_canonical_dict(diagram), ensure_ascii=False, indent=2, sort_keys=True
+    nodes, flows = diagram.nodes, diagram.flows
+    text = (
+        '{\n  "flows": '
+        + _list_text([_flow_text(flows[k]) for k in sorted(flows)])
+        + ',\n  "nodes": '
+        + _list_text([_node_text(nodes[k]) for k in sorted(nodes)])
+        + ',\n  "schema": '
+        + _quote(SCHEMA_ID)
+        + ',\n  "stage": '
+        + _quote(diagram.stage.value)
+        + "\n}\n"
     )
-    return (text + "\n").encode("utf-8")
+    return text.encode("utf-8")
 
 
-def _expect(condition: bool, message: str) -> None:
-    if not condition:
-        raise SchemaError(message)
+def _reject_constant(name: str):
+    raise SchemaError(f"not valid JSON: non-finite number {name}")
 
 
-def _read_string(entry: dict, key: str, where: str) -> str | None:
-    value = entry.get(key)
-    if value is None:
-        return None
-    _expect(isinstance(value, str), f"{where}: {key} must be a string")
-    return value
+def _element_error(kind: str, element_id: str, problem: str) -> SchemaError:
+    return SchemaError(f"{kind} {element_id!r}: {problem}")
 
 
-def _read_extra(entry: dict, where: str) -> dict[str, str]:
-    extra = entry.get("extra", {})
-    _expect(isinstance(extra, dict), f"{where}: extra must be an object")
-    for key, value in extra.items():
-        _expect(
-            isinstance(key, str) and isinstance(value, str),
-            f"{where}: extra entries must map strings to strings",
-        )
-    return dict(extra)
-
-
-def _read_type(entry: dict, enum_type, where: str):
-    value = entry.get("type")
-    if value is None:
-        return None
-    _expect(isinstance(value, str), f"{where}: type must be a string")
+def _read_position(value, node_id: str) -> tuple[float, float]:
+    if not (
+        isinstance(value, list)
+        and len(value) == 2
+        and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
+    ):
+        raise _element_error("node", node_id, "position must be a pair of numbers")
     try:
-        return enum_type(value)
-    except ValueError:
-        raise SchemaError(f"{where}: unknown type {value!r}") from None
+        x, y = float(value[0]), float(value[1])
+    except OverflowError:
+        x = y = math.inf
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise _element_error("node", node_id, "position coordinates must be finite")
+    return x, y
+
+
+def _shared_fields(entry: dict, types: dict, kind: str, element_id: str) -> tuple:
+    """Type, label, partner and extra of a node or flow entry, checked in
+    that order; error messages are formatted only on failure."""
+    value = entry.get("type")
+    element_type = None
+    if value is not None:
+        element_type = types.get(value) if isinstance(value, str) else None
+        if element_type is None:
+            if not isinstance(value, str):
+                raise _element_error(kind, element_id, "type must be a string")
+            raise _element_error(kind, element_id, f"unknown type {value!r}")
+    label = entry.get("label")
+    if not isinstance(label, _OPTIONAL_STR):
+        raise _element_error(kind, element_id, "label must be a string")
+    partner = entry.get("partner")
+    if not isinstance(partner, _OPTIONAL_STR):
+        raise _element_error(kind, element_id, "partner must be a string")
+    if "extra" not in entry:
+        return element_type, label, partner, {}
+    extra = entry["extra"]
+    if not isinstance(extra, dict):
+        raise _element_error(kind, element_id, "extra must be an object")
+    for key, value in extra.items():
+        if not (isinstance(key, str) and isinstance(value, str)):
+            raise _element_error(kind, element_id, "extra entries must map strings to strings")
+    # json.loads built this dict for this entry alone, so it is kept as is.
+    return element_type, label, partner, extra
 
 
 def parse_json(data: bytes | str) -> Diagram:
     """Read a canonical JSON document back into a diagram.
 
-    The schema id, stage, element shapes, id uniqueness, and endpoint
-    existence are all enforced; violations raise SchemaError.
+    The schema id, stage, element shapes, id uniqueness across nodes and
+    flows, finite coordinates, and endpoint existence are all enforced;
+    violations raise SchemaError.
     """
-    text = data.decode("utf-8") if isinstance(data, bytes) else data
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+        text = data.decode("utf-8") if isinstance(data, bytes) else data
+        doc = json.loads(text, parse_constant=_reject_constant)
+    except ValueError as exc:  # bad UTF-8, bad syntax, or an over-long integer
         raise SchemaError(f"not valid JSON: {exc}") from None
-    _expect(isinstance(doc, dict), "top level must be an object")
+    if not isinstance(doc, dict):
+        raise SchemaError("top level must be an object")
     schema = doc.get("schema")
-    _expect(
-        schema == SCHEMA_ID,
-        f"schema must be {SCHEMA_ID!r}, found {schema!r}",
-    )
-    unknown = set(doc) - {"schema", "stage", "nodes", "flows"}
-    _expect(not unknown, f"unknown document keys {sorted(unknown)}")
-    try:
-        stage = Stage(doc.get("stage"))
-    except ValueError:
-        raise SchemaError(f"unknown stage {doc.get('stage')!r}") from None
+    if schema != SCHEMA_ID:
+        raise SchemaError(f"schema must be {SCHEMA_ID!r}, found {schema!r}")
+    if not doc.keys() <= _DOC_KEYS:
+        raise SchemaError(f"unknown document keys {sorted(doc.keys() - _DOC_KEYS)}")
+    stage = doc.get("stage")
+    stage = _STAGES.get(stage) if isinstance(stage, str) else None
+    if stage is None:
+        raise SchemaError(f"unknown stage {doc.get('stage')!r}")
 
     raw_nodes = doc.get("nodes", [])
     raw_flows = doc.get("flows", [])
-    _expect(isinstance(raw_nodes, list), "nodes must be a list")
-    _expect(isinstance(raw_flows, list), "flows must be a list")
+    if not isinstance(raw_nodes, list):
+        raise SchemaError("nodes must be a list")
+    if not isinstance(raw_flows, list):
+        raise SchemaError("flows must be a list")
 
     nodes: dict[str, Node] = {}
     for entry in raw_nodes:
-        _expect(isinstance(entry, dict), "each node must be an object")
-        unknown = set(entry) - _NODE_KEYS
-        _expect(not unknown, f"node has unknown keys {sorted(unknown)}")
+        if not isinstance(entry, dict):
+            raise SchemaError("each node must be an object")
+        if not entry.keys() <= _NODE_KEYS:
+            raise SchemaError(f"node has unknown keys {sorted(entry.keys() - _NODE_KEYS)}")
         node_id = entry.get("id")
-        _expect(
-            isinstance(node_id, str) and node_id != "", "node id must be a non-empty string"
-        )
-        _expect(node_id not in nodes, f"duplicate node id {node_id!r}")
-        where = f"node {node_id!r}"
+        if not isinstance(node_id, str) or not node_id:
+            raise SchemaError("node id must be a non-empty string")
+        if node_id in nodes:
+            raise SchemaError(f"duplicate node id {node_id!r}")
         position = entry.get("position")
         if position is not None:
-            _expect(
-                isinstance(position, list)
-                and len(position) == 2
-                and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in position),
-                f"{where}: position must be a pair of numbers",
-            )
-            position = (float(position[0]), float(position[1]))
-        nodes[node_id] = Node(
-            id=node_id,
-            node_type=_read_type(entry, NodeType, where),
-            label=_read_string(entry, "label", where),
-            partner=_read_string(entry, "partner", where),
-            position=position,
-            extra=_read_extra(entry, where),
-        )
+            position = _read_position(position, node_id)
+        node_type, label, partner, extra = _shared_fields(entry, _NODE_TYPES, "node", node_id)
+        nodes[node_id] = Node(node_id, node_type, label, partner, position, extra)
 
     flows: dict[str, Flow] = {}
     for entry in raw_flows:
-        _expect(isinstance(entry, dict), "each flow must be an object")
-        unknown = set(entry) - _FLOW_KEYS
-        _expect(not unknown, f"flow has unknown keys {sorted(unknown)}")
+        if not isinstance(entry, dict):
+            raise SchemaError("each flow must be an object")
+        if not entry.keys() <= _FLOW_KEYS:
+            raise SchemaError(f"flow has unknown keys {sorted(entry.keys() - _FLOW_KEYS)}")
         flow_id = entry.get("id")
-        _expect(
-            isinstance(flow_id, str) and flow_id != "", "flow id must be a non-empty string"
-        )
-        _expect(flow_id not in flows, f"duplicate flow id {flow_id!r}")
-        where = f"flow {flow_id!r}"
-        source = _read_string(entry, "source", where)
-        target = _read_string(entry, "target", where)
-        _expect(
-            source is not None and target is not None,
-            f"{where}: source and target are required",
-        )
+        if not isinstance(flow_id, str) or not flow_id:
+            raise SchemaError("flow id must be a non-empty string")
+        if flow_id in flows:
+            raise SchemaError(f"duplicate flow id {flow_id!r}")
+        # draw.io keeps nodes and flows in one id space; so does this form.
+        if flow_id in nodes:
+            raise SchemaError(f"flow id {flow_id!r} is also a node id")
+        source = entry.get("source")
+        if not isinstance(source, _OPTIONAL_STR):
+            raise _element_error("flow", flow_id, "source must be a string")
+        target = entry.get("target")
+        if not isinstance(target, _OPTIONAL_STR):
+            raise _element_error("flow", flow_id, "target must be a string")
+        if source is None or target is None:
+            raise _element_error("flow", flow_id, "source and target are required")
         for endpoint in (source, target):
-            _expect(
-                endpoint in nodes,
-                f"{where}: references missing node {endpoint!r}",
-            )
+            if endpoint not in nodes:
+                raise _element_error("flow", flow_id, f"references missing node {endpoint!r}")
         flows[flow_id] = Flow(
-            id=flow_id,
-            source=source,
-            target=target,
-            flow_type=_read_type(entry, FlowType, where),
-            label=_read_string(entry, "label", where),
-            partner=_read_string(entry, "partner", where),
-            extra=_read_extra(entry, where),
+            flow_id, source, target, *_shared_fields(entry, _FLOW_TYPES, "flow", flow_id)
         )
 
     return Diagram(stage=stage, nodes=nodes, flows=flows)

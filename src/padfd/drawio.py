@@ -13,6 +13,7 @@ byte-deterministic: elements are written in sorted id order and nothing
 from __future__ import annotations
 
 import base64
+import math
 import urllib.parse
 import xml.etree.ElementTree as ET
 import zlib
@@ -20,7 +21,7 @@ import zlib
 from dataclasses import replace
 
 from . import model
-from .canonical import format_coord
+from .canonical import format_position
 from .errors import (
     MissingEndpointError,
     MultiPageError,
@@ -115,11 +116,13 @@ def _vertex_position(cell: ET.Element) -> tuple[float, float] | None:
     if "x" not in geometry.attrib and "y" not in geometry.attrib:
         return None
     try:
-        return float(geometry.get("x", "0")), float(geometry.get("y", "0"))
+        x, y = float(geometry.get("x", "0")), float(geometry.get("y", "0"))
     except ValueError:
-        raise ParseError(
-            f"cell {cell.get('id')!r}: geometry coordinates are not numbers"
-        ) from None
+        x = y = math.nan
+    # float() also reads "nan" and "inf", which no writer can put back.
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise ParseError(f"cell {cell.get('id')!r}: geometry coordinates are not numbers")
+    return x, y
 
 
 def _infer_stage(nodes: dict[str, Node], flows: dict[str, Flow]) -> Stage:
@@ -272,11 +275,8 @@ def emit_drawio(diagram: Diagram, styles: StyleMap | None = None) -> bytes:
         width, height = _NODE_SIZES[node.node_type]
         geometry = {"width": str(width), "height": str(height)}
         if node.position is not None:
-            geometry = {
-                "x": format_coord(node.position[0]),
-                "y": format_coord(node.position[1]),
-                **geometry,
-            }
+            x, y = format_position(node)
+            geometry = {"x": x, "y": y, **geometry}
         geometry["as"] = "geometry"
         ET.SubElement(cell, "mxGeometry", geometry)
 

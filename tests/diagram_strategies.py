@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 from datetime import date, timedelta
 
 from hypothesis import strategies as st
@@ -204,6 +205,46 @@ def any_stage_diagrams(draw) -> Diagram:
     else:
         diagram = transform(draw(wellformed_diagrams()))
     return draw(_decorated(diagram))
+
+
+# Text that is legal in JSON but outside the XML-safe alphabet above:
+# quotes, backslashes, C0 controls, line and paragraph separators, and
+# astral (non-BMP) characters, which the JSON writer must escape or pass
+# through exactly as the stdlib encoder does.
+_json_text = st.text(
+    st.one_of(
+        st.characters(exclude_categories=("Cs",)),
+        st.sampled_from('"\\\x01\x1f\x7f\u2028\u2029\U0001f512'),
+    ),
+    max_size=12,
+)
+_any_coord = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def json_text_diagrams(draw) -> Diagram:
+    """Diagrams at every stage whose labels, extra attributes and positions
+    use the full range JSON can carry; draw.io cannot hold all of them."""
+    diagram = draw(any_stage_diagrams())
+    # A small pool keeps generation fast on transform outputs of many elements.
+    pool = draw(st.lists(_json_text, min_size=1, max_size=6))
+    texts = st.sampled_from(pool)
+    labels = st.none() | texts
+    extras = st.dictionaries(texts, texts, max_size=2)
+    nodes = {
+        node_id: replace(
+            node,
+            label=draw(labels),
+            position=draw(st.none() | st.tuples(_any_coord, _any_coord)),
+            extra=draw(extras),
+        )
+        for node_id, node in diagram.nodes.items()
+    }
+    flows = {
+        flow_id: replace(flow, label=draw(labels), extra=draw(extras))
+        for flow_id, flow in diagram.flows.items()
+    }
+    return Diagram(stage=diagram.stage, nodes=nodes, flows=flows)
 
 
 dates = st.dates(min_value=date(2019, 1, 1), max_value=date(2023, 12, 31))

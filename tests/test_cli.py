@@ -228,6 +228,27 @@ def test_export_json_to_drawio_and_back(fixtures_dir, tmp_path):
     assert back.read_bytes() == as_json.read_bytes()
 
 
+def test_export_rejects_flow_id_shared_with_node(tmp_path, capsys):
+    # draw.io keeps nodes and flows in one id space, so such a file could
+    # be written but never read back.
+    source = tmp_path / "dup.json"
+    source.write_text(
+        json.dumps(
+            {
+                "schema": "padfd-canonical/1",
+                "stage": "raw-bdfd",
+                "nodes": [{"id": "x", "type": "ext"}, {"id": "p", "type": "proc"}],
+                "flows": [{"id": "x", "source": "x", "target": "p", "type": "pf"}],
+            }
+        ),
+        encoding="utf-8",
+    )
+    out = tmp_path / "dup.drawio.xml"
+    assert main(["export", str(source), "-o", str(out), "--out-format", "drawio"]) == 2
+    assert "flow id 'x' is also a node id" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["dup.json"]
+
+
 def test_export_dot(fixtures_dir, tmp_path):
     out = tmp_path / "estore.dot"
     assert main(

@@ -5,6 +5,7 @@ import json
 import random
 import urllib.parse
 import zlib
+from pathlib import Path
 
 import pytest
 
@@ -43,6 +44,8 @@ from helpers import (
     random_any_stage,
     scatter_positions,
 )
+
+DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
 
 # --- draw.io parsing ---------------------------------------------------------
@@ -132,6 +135,18 @@ def test_parse_compressed_page():
     d = parse_drawio(doc)
     assert d.nodes["n"].node_type is NodeType.PROC
     assert d.nodes["n"].position == (10.0, 20.0)
+
+
+@pytest.mark.parametrize("x", ["abc", "NaN", "nan", "inf", "-Infinity", "1e400"])
+def test_parse_rejects_non_numeric_geometry(x):
+    doc = (
+        '<mxGraphModel><root><mxCell id="0"/><mxCell id="1" parent="0"/>'
+        '<mxCell id="n" value="N" style="ellipse;" vertex="1" parent="1">'
+        f'<mxGeometry x="{x}" y="20" width="120" height="60" as="geometry"/>'
+        "</mxCell></root></mxGraphModel>"
+    )
+    with pytest.raises(ParseError, match="cell 'n': geometry coordinates are not numbers"):
+        parse_drawio(doc)
 
 
 def test_parse_duplicate_cell_id():
@@ -377,23 +392,77 @@ def test_json_integral_positions_collapse():
     assert parse_json(emit_json(d)).nodes["n"].position == (100.0, -80.0)
 
 
-@pytest.mark.parametrize(
-    "mutate",
-    [
+# Positional ids, as pytest names lambdas, keep each case's name stable as
+# cases are appended.
+_MALFORMED = [
+    (
         lambda doc: doc.update(schema="other/1"),
-        lambda doc: doc.pop("schema"),
-        lambda doc: doc.update(stage="nope"),
-        lambda doc: doc.update(surprise=1),
-        lambda doc: doc["nodes"].append({"id": "a", "type": "ext"}),
-        lambda doc: doc["nodes"][0].update(colour="red"),
+        "schema must be 'padfd-canonical/1', found 'other/1'",
+    ),
+    (lambda doc: doc.pop("schema"), "schema must be 'padfd-canonical/1', found None"),
+    (lambda doc: doc.update(stage="nope"), "unknown stage 'nope'"),
+    (lambda doc: doc.update(surprise=1), r"unknown document keys \['surprise'\]"),
+    (lambda doc: doc["nodes"].append({"id": "a", "type": "ext"}), "duplicate node id 'a'"),
+    (lambda doc: doc["nodes"][0].update(colour="red"), r"node has unknown keys \['colour'\]"),
+    (
         lambda doc: doc["flows"][0].update(source="ghost"),
-        lambda doc: doc["flows"][0].pop("target"),
+        "flow 'f': references missing node 'ghost'",
+    ),
+    (lambda doc: doc["flows"][0].pop("target"), "flow 'f': source and target are required"),
+    (
         lambda doc: doc["nodes"][0].update(position=[1, 2, 3]),
+        "node 'a': position must be a pair of numbers",
+    ),
+    (
         lambda doc: doc["nodes"][0].update(position=[True, False]),
+        "node 'a': position must be a pair of numbers",
+    ),
+    (
         lambda doc: doc["nodes"][0].update(extra={"k": 5}),
-    ],
+        "node 'a': extra entries must map strings to strings",
+    ),
+    (
+        lambda doc: doc["nodes"][0].update(position=[float("nan"), 0]),
+        "not valid JSON: non-finite number NaN",
+    ),
+    (
+        lambda doc: doc["nodes"][0].update(position=[float("inf"), 0]),
+        "not valid JSON: non-finite number Infinity",
+    ),
+    (
+        lambda doc: doc["nodes"][0].update(position=[0, float("-inf")]),
+        "not valid JSON: non-finite number -Infinity",
+    ),
+    (
+        lambda doc: doc["nodes"][0].update(position=[10**400, 0]),
+        "node 'a': position coordinates must be finite",
+    ),
+    (lambda doc: doc["flows"][0].update(id="a"), "flow id 'a' is also a node id"),
+    (lambda doc: doc.update(stage=["raw-bdfd"]), r"unknown stage \['raw-bdfd'\]"),
+    (lambda doc: doc.update(nodes={}), "nodes must be a list"),
+    (lambda doc: doc.update(flows=None), "flows must be a list"),
+    (lambda doc: doc["nodes"].append("a"), "each node must be an object"),
+    (lambda doc: doc["nodes"][0].update(id=""), "node id must be a non-empty string"),
+    (lambda doc: doc["nodes"][0].update(type=7), "node 'a': type must be a string"),
+    (lambda doc: doc["nodes"][0].update(type="limpro"), "node 'a': unknown type 'limpro'"),
+    (lambda doc: doc["nodes"][0].update(label=["x"]), "node 'a': label must be a string"),
+    (lambda doc: doc["nodes"][0].update(partner=1), "node 'a': partner must be a string"),
+    (lambda doc: doc["nodes"][0].update(extra=None), "node 'a': extra must be an object"),
+    (lambda doc: doc["flows"].append(["f"]), "each flow must be an object"),
+    (lambda doc: doc["flows"][0].update(via="b"), r"flow has unknown keys \['via'\]"),
+    (lambda doc: doc["flows"][0].update(id=3), "flow id must be a non-empty string"),
+    (lambda doc: doc["flows"].append(dict(doc["flows"][0])), "duplicate flow id 'f'"),
+    (lambda doc: doc["flows"][0].update(source=0), "flow 'f': source must be a string"),
+    (lambda doc: doc["flows"][0].update(target=None), "flow 'f': source and target are required"),
+    (lambda doc: doc["flows"][0].update(type="ext"), "flow 'f': unknown type 'ext'"),
+    (lambda doc: doc["flows"][0].update(extra=[]), "flow 'f': extra must be an object"),
+]
+
+
+@pytest.mark.parametrize(
+    "mutate, match", _MALFORMED, ids=[f"<lambda>{i}" for i in range(len(_MALFORMED))]
 )
-def test_parse_json_rejects_malformed(mutate):
+def test_parse_json_rejects_malformed(mutate, match):
     d = build_diagram(
         Stage.RAW,
         [Node("a", NodeType.EXT), Node("b", NodeType.PROC)],
@@ -401,13 +470,68 @@ def test_parse_json_rejects_malformed(mutate):
     )
     doc = json.loads(emit_json(d))
     mutate(doc)
-    with pytest.raises(SchemaError):
+    with pytest.raises(SchemaError, match=match):
         parse_json(json.dumps(doc))
 
 
 def test_parse_json_rejects_non_json():
-    with pytest.raises(SchemaError):
+    with pytest.raises(SchemaError, match="not valid JSON: Expecting value"):
         parse_json(b"<xml/>")
+
+
+@pytest.mark.parametrize(
+    "data, match",
+    [
+        (b'\xff{"schema": 1}', "not valid JSON: 'utf-8' codec can't decode"),
+        (b'{"n": 1' + b"0" * 5000 + b"}", "not valid JSON: Exceeds the limit"),
+        (b"[1]", "top level must be an object"),
+        (
+            b'{"schema": "padfd-canonical/1", "stage": "raw-bdfd",'
+            b' "nodes": [{"id": "n", "position": [1e400, 0]}]}',
+            "node 'n': position coordinates must be finite",
+        ),
+    ],
+    ids=["bad-utf8", "long-integer", "top-level-list", "float-overflow"],
+)
+def test_parse_json_rejects_bad_text(data, match):
+    with pytest.raises(SchemaError, match=match):
+        parse_json(data)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_writers_refuse_non_finite_positions(bad):
+    d = build_diagram(Stage.RAW, [Node("n", NodeType.EXT, position=(0.0, bad))], [])
+    with pytest.raises(SchemaError, match="node 'n': position .* is not finite"):
+        emit_json(d)
+    with pytest.raises(SchemaError, match="node 'n': position .* is not finite"):
+        emit_drawio(d)
+
+
+def test_emit_json_escapes_like_the_reference_encoder():
+    hostile = 'q"uote\\back\x01ctl\u2028sep\U0001f512astral\u00e9'
+    d = build_diagram(
+        Stage.RAW,
+        [Node(hostile, NodeType.EXT, label=hostile, position=(-0.0, 1e16))],
+        [Flow("f", hostile, hostile, FlowType.PF, label=hostile, extra={hostile: hostile})],
+    )
+    reference = json.dumps(to_canonical_dict(d), indent=2, sort_keys=True, ensure_ascii=False)
+    assert emit_json(d) == (reference + "\n").encode("utf-8")
+    assert parse_json(emit_json(d)) == d
+
+
+# --- acceptance corpus -------------------------------------------------------
+
+
+def test_transform_shop_demo_outputs_reproduce_byte_for_byte():
+    """The demos/transform_shop.py pipeline rewrites the committed outputs exactly."""
+    raw = parse_drawio((DEMOS / "data" / "estore.drawio.xml").read_bytes())
+    wellformed, diagnostics = typecheck(raw)
+    assert wellformed is not None, [d.render() for d in diagnostics]
+    pa = transform(wellformed)
+    out = DEMOS / "out"
+    assert emit_json(pa) == (out / "estore_pa.json").read_bytes()
+    assert emit_drawio(layout_generated(pa)) == (out / "estore_pa.drawio.xml").read_bytes()
+    assert emit_dot(pa) == (out / "estore_pa.dot").read_bytes()
 
 
 # --- cross-format agreement --------------------------------------------------

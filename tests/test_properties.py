@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import json
 from dataclasses import replace
 from datetime import date
 
@@ -32,6 +33,7 @@ from diagram_strategies import (
     data_records,
     dates,
     flow_metas,
+    json_text_diagrams,
     raw_diagrams,
     simulation_scenarios,
     store_states,
@@ -167,6 +169,33 @@ def test_formats_share_one_canonical_form(diagram):
     via_drawio = to_canonical_dict(parse_drawio(emit_drawio(diagram)))
     via_json = to_canonical_dict(parse_json(emit_json(diagram)))
     assert via_drawio == via_json == to_canonical_dict(diagram)
+
+
+def _reference_json(diagram) -> bytes:
+    """What emit_json must write: the canonical dict through the stdlib encoder."""
+    text = json.dumps(to_canonical_dict(diagram), indent=2, sort_keys=True, ensure_ascii=False)
+    return (text + "\n").encode("utf-8")
+
+
+@PROPERTY_SETTINGS
+@given(any_stage_diagrams())
+def test_emit_json_is_the_reference_encoding(diagram):
+    assert emit_json(diagram) == _reference_json(diagram)
+
+
+@PROPERTY_SETTINGS
+@given(wellformed_diagrams())
+def test_emit_json_is_the_reference_encoding_of_transform_output(diagram):
+    pa = transform(diagram)
+    assert emit_json(pa) == _reference_json(pa)
+
+
+@PROPERTY_SETTINGS
+@given(json_text_diagrams())
+def test_emit_json_writes_json_only_text_like_the_reference(diagram):
+    data = emit_json(diagram)
+    assert data == _reference_json(diagram)
+    assert parse_json(data) == diagram
 
 
 # --- the decision rule --------------------------------------------------------------
