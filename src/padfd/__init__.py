@@ -15,11 +15,9 @@ from .errors import (
     DuplicateIdError,
     GraphError,
     MissingEndpointError,
-    MissingPartnerError,
     MultiPageError,
     PadfdError,
     ParseError,
-    PartnerError,
     SchemaError,
     SimulationError,
     StageError,
@@ -39,21 +37,11 @@ from .graph import (
     NodeId,
     add_flow,
     add_node,
-    link_partners,
     sources,
     targets,
 )
 from .layout import GRID_STEP, layout_generated
-from .model import (
-    FlowType,
-    NodeType,
-    Stage,
-    is_pa_admin,
-    is_pa_data,
-    is_pa_policy,
-    is_raw,
-    is_wellformed,
-)
+from .model import FlowType, NodeType, Stage
 from .simulate import (
     CleanEvent,
     DataRecord,
@@ -76,29 +64,10 @@ from .simulate import (
     report_to_dict,
     run_clean,
     run_simulation,
-    simulate_bdfd,
 )
 from .styles import DEFAULT_STYLE_MAP, StyleMap, load_style_map
-from .transform import (
-    GadgetAllocation,
-    add_common_elems,
-    add_partners,
-    merge_log_stores,
-    transform,
-    transform_comp_flow,
-    transform_delete_flow,
-    transform_in_flow,
-    transform_out_flow,
-    transform_read_flow,
-    transform_store_flow,
-)
-from .typecheck import (
-    Diagnostic,
-    DiagnosticKind,
-    check_activator,
-    infer_flow_type,
-    typecheck,
-)
+from .transform import merge_log_stores, transform
+from .typecheck import Diagnostic, DiagnosticKind, infer_flow_type, typecheck
 from .validate import (
     StageValidity,
     Violation,
@@ -122,19 +91,16 @@ __all__ = [
     "FlowId",
     "FlowMeta",
     "FlowType",
-    "GadgetAllocation",
     "GraphError",
     "GRID_STEP",
     "LogEntry",
     "MissingEndpointError",
-    "MissingPartnerError",
     "MultiPageError",
     "Node",
     "NodeId",
     "NodeType",
     "PadfdError",
     "ParseError",
-    "PartnerError",
     "PolicySnapshot",
     "SCHEMA_ID",
     "SchemaError",
@@ -154,11 +120,8 @@ __all__ = [
     "WellFormednessError",
     "WrongFlowTypeError",
     "XmlSyntaxError",
-    "add_common_elems",
     "add_flow",
     "add_node",
-    "add_partners",
-    "check_activator",
     "compatibility_with_equivalences",
     "emit_dot",
     "emit_drawio",
@@ -166,13 +129,7 @@ __all__ = [
     "evaluate_limit",
     "exact_compatibility",
     "infer_flow_type",
-    "is_pa_admin",
-    "is_pa_data",
-    "is_pa_policy",
-    "is_raw",
-    "is_wellformed",
     "layout_generated",
-    "link_partners",
     "load_data_records",
     "load_equivalences",
     "load_flow_metas",
@@ -186,17 +143,10 @@ __all__ = [
     "report_to_dict",
     "run_clean",
     "run_simulation",
-    "simulate_bdfd",
     "sources",
     "targets",
     "to_canonical_dict",
     "transform",
-    "transform_comp_flow",
-    "transform_delete_flow",
-    "transform_in_flow",
-    "transform_out_flow",
-    "transform_read_flow",
-    "transform_store_flow",
     "typecheck",
     "validate_pa",
     "validate_raw",

@@ -19,7 +19,6 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import replace
 from datetime import date
 from pathlib import Path
 
@@ -41,13 +40,12 @@ from .simulate import (
 )
 from .styles import DEFAULT_STYLE_MAP, StyleMap, load_style_map
 from .transform import transform
-from .typecheck import DiagnosticKind, infer_flow_type, typecheck
-from .validate import validate_pa, validate_raw, validate_wellformed
-
-# Connectivity findings the --allow-ill-formed escape hatch tolerates;
-# typing problems are never waved through.
-_TOLERABLE_CLAUSES = frozenset(
-    {"proc-source-target", "ext-connected", "db-connected"}
+from .typecheck import typecheck
+from .validate import (
+    CONNECTIVITY_CLAUSES,
+    validate_pa,
+    validate_raw,
+    validate_wellformed,
 )
 
 
@@ -148,46 +146,30 @@ def cmd_check(args) -> int:
     return 1 if findings else 0
 
 
-def _force_wellformed(diagram: Diagram) -> Diagram:
-    """Retype flows while ignoring connectivity findings (escape hatch for
-    diagram excerpts). Flow-level typing must still succeed."""
-    flows = {}
-    for flow in diagram.flows.values():
-        inferred = infer_flow_type(
-            diagram.nodes[flow.source].node_type,
-            diagram.nodes[flow.target].node_type,
-            flow.flow_type,
-            flow.source == flow.target,
-        )
-        flows[flow.id] = replace(flow, flow_type=inferred)
-    return replace(diagram, stage=Stage.WELLFORMED, flows=flows)
-
-
 def _to_wellformed(diagram: Diagram, allow_ill_formed: bool) -> Diagram | None:
     """Bring a raw or well-formed diagram to the rewrite's doorstep,
-    printing findings and returning None when it cannot be done."""
+    printing findings and returning None when it cannot be done. With
+    ``allow_ill_formed`` connectivity findings alone are waved through;
+    typing problems never are."""
     if diagram.stage is Stage.RAW:
         validity = validate_raw(diagram)
         if not validity.valid:
             for violation in validity.violations:
                 print(violation.render(), file=sys.stderr)
             return None
-        wellformed, diagnostics = typecheck(diagram)
-        if not diagnostics:
-            return wellformed
-        flow_problems = [d for d in diagnostics if d.kind is DiagnosticKind.FLOW]
-        if allow_ill_formed and not flow_problems:
-            return _force_wellformed(diagram)
-        for diagnostic in diagnostics:
-            print(diagnostic.render(), file=sys.stderr)
-        return None
-    validity = validate_wellformed(diagram)
-    if validity.valid:
+        wellformed, diagnostics = typecheck(
+            diagram, tolerate_connectivity=allow_ill_formed
+        )
+        if wellformed is None:
+            for diagnostic in diagnostics:
+                print(diagnostic.render(), file=sys.stderr)
+        return wellformed
+    violations = validate_wellformed(diagram).violations
+    if not violations or (
+        allow_ill_formed and all(v.clause in CONNECTIVITY_CLAUSES for v in violations)
+    ):
         return diagram
-    tolerable = all(v.clause in _TOLERABLE_CLAUSES for v in validity.violations)
-    if allow_ill_formed and tolerable:
-        return diagram
-    for violation in validity.violations:
+    for violation in violations:
         print(violation.render(), file=sys.stderr)
     return None
 

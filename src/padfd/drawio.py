@@ -53,12 +53,23 @@ _NODE_SIZES: dict[NodeType, tuple[int, int]] = {
 }
 
 
+# Largest inflated page body read; real pages stay far below it. A page
+# that inflates beyond it is refused before it can exhaust memory.
+MAX_INFLATED_PAGE = 64 * 1024 * 1024
+
+
 def _inflate_page(text: str) -> ET.Element:
     """Decode a compressed page body (base64, raw deflate, URI encoding)."""
     try:
-        deflated = base64.b64decode(text, validate=True)
-        xml = urllib.parse.unquote(zlib.decompress(deflated, -15).decode("utf-8"))
-        return ET.fromstring(xml)
+        inflater = zlib.decompressobj(-15)
+        inflated = inflater.decompress(
+            base64.b64decode(text, validate=True), MAX_INFLATED_PAGE + 1
+        )
+        if len(inflated) > MAX_INFLATED_PAGE:
+            raise ValueError(f"page inflates beyond {MAX_INFLATED_PAGE} bytes")
+        if not inflater.eof:
+            raise ValueError("incomplete or truncated stream")
+        return ET.fromstring(urllib.parse.unquote(inflated.decode("utf-8")))
     except Exception as exc:
         raise XmlSyntaxError(f"cannot decode compressed diagram page: {exc}") from None
 

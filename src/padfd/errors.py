@@ -28,10 +28,6 @@ class UnknownEndpointError(GraphError):
     pass
 
 
-class PartnerError(GraphError):
-    pass
-
-
 class StageError(PadfdError):
     """Operation applied to a diagram at the wrong lifecycle stage."""
 
@@ -49,10 +45,6 @@ class TransformError(PadfdError):
 
 
 class WrongFlowTypeError(TransformError):
-    pass
-
-
-class MissingPartnerError(TransformError):
     pass
 
 

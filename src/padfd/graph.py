@@ -10,14 +10,8 @@ return a new Diagram and never touch their argument.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Literal
 
-from .errors import (
-    DuplicateIdError,
-    PartnerError,
-    UnknownElementError,
-    UnknownEndpointError,
-)
+from .errors import DuplicateIdError, UnknownElementError, UnknownEndpointError
 from .model import FlowType, NodeType, Stage
 
 NodeId = str
@@ -114,48 +108,3 @@ def sources(diagram: Diagram) -> set[NodeId]:
 def targets(diagram: Diagram) -> set[NodeId]:
     """Ids of nodes with at least one incoming flow."""
     return {flow.target for flow in diagram.flows.values()}
-
-
-def link_partners(
-    diagram: Diagram,
-    first: str,
-    second: str,
-    kind: Literal["node", "flow"] | None = None,
-) -> Diagram:
-    """Couple two nodes or two flows as mutual partners.
-
-    Both elements must exist, be of the same kind, be distinct, and be
-    unpartnered. When an id names both a node and a flow, pass ``kind``
-    to disambiguate.
-    """
-    if first == second:
-        raise PartnerError(f"cannot partner {first!r} with itself")
-    if kind is None:
-        as_nodes = first in diagram.nodes and second in diagram.nodes
-        as_flows = first in diagram.flows and second in diagram.flows
-        if as_nodes and as_flows:
-            raise PartnerError(
-                f"ids {first!r}, {second!r} are ambiguous; pass kind="
-            )
-        if as_nodes:
-            kind = "node"
-        elif as_flows:
-            kind = "flow"
-        else:
-            raise UnknownElementError(
-                f"no node or flow pair named {first!r}, {second!r}"
-            )
-    table = diagram.nodes if kind == "node" else diagram.flows
-    for element_id in (first, second):
-        if element_id not in table:
-            raise UnknownElementError(f"no {kind} with id {element_id!r}")
-        if table[element_id].partner is not None:
-            raise PartnerError(f"{kind} {element_id!r} is already partnered")
-    updated = {
-        **table,
-        first: replace(table[first], partner=second),
-        second: replace(table[second], partner=first),
-    }
-    if kind == "node":
-        return replace(diagram, nodes=updated)
-    return replace(diagram, flows=updated)

@@ -17,6 +17,7 @@ from dataclasses import replace
 from . import model
 from .graph import Diagram, NodeId
 from .model import FlowType, NodeType
+from .transform import gadget_index
 
 GRID_STEP = 80.0
 
@@ -52,27 +53,21 @@ def layout_generated(diagram: Diagram) -> Diagram:
             place(node_id, column * 2 * GRID_STEP, 0.0)
             column += 1
 
-    # Wiring indexes: which hop each limit guards, and the log chains.
-    feeds_limit: dict[NodeId, NodeId] = {}
-    guarded_target: dict[NodeId, NodeId] = {}
-    log_source: dict[NodeId, NodeId] = {}
-    log_db_source: dict[NodeId, NodeId] = {}
-    clean_target: dict[NodeId, NodeId] = {}
-    for flow in diagram.flows.values():
-        if flow.flow_type in (FlowType.EXTLIM, FlowType.PROLIM, FlowType.DBLIM):
-            feeds_limit[flow.target] = flow.source
-        elif flow.flow_type in model.GUARDED_FLOW_TYPES:
-            guarded_target[flow.source] = flow.target
-        elif flow.flow_type is FlowType.LIMLOG:
-            log_source[flow.target] = flow.source
-        elif flow.flow_type is FlowType.LOGGING:
-            log_db_source[flow.target] = flow.source
-        elif flow.flow_type is FlowType.CLEDB_DEL:
-            clean_target[flow.source] = flow.target
+    # Wiring: the hop each limit guards, the log chains, the cleaners.
+    gadgets = gadget_index(diagram).values()
+    hop_ends = {g.limit: (g.source, diagram.flows[g.flow].target) for g in gadgets}
+    log_anchor = {g.log: g.limit for g in gadgets}
+    log_db_anchor = {g.log_db: g.log for g in gadgets}
+    clean_target = {
+        f.source: f.target
+        for f in diagram.flows.values()
+        if f.flow_type is FlowType.CLEDB_DEL
+    }
 
     def hop(limit_id: NodeId) -> tuple | None:
-        start = position(feeds_limit.get(limit_id))
-        end = position(guarded_target.get(limit_id))
+        source, target = hop_ends.get(limit_id, (None, None))
+        start = position(source)
+        end = position(target)
         if start is None or end is None:
             return None
         return start, end
@@ -105,14 +100,14 @@ def layout_generated(diagram: Diagram) -> Diagram:
         )
 
     for log_id in unpositioned(NodeType.LOG):
-        anchor = position(log_source.get(log_id))
+        anchor = position(log_anchor.get(log_id))
         if anchor is None:
             place(log_id, 0.0, 0.0)
         else:
             place(log_id, anchor[0], anchor[1] + GRID_STEP)
 
     for log_db_id in unpositioned(NodeType.LOG_DB):
-        anchor = position(log_db_source.get(log_db_id))
+        anchor = position(log_db_anchor.get(log_db_id))
         if anchor is None:
             place(log_db_id, 0.0, 0.0)
         else:

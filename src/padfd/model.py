@@ -126,26 +126,6 @@ GUARDED_FLOW_TYPES = frozenset(
 )
 
 
-def is_raw(flow_type: FlowType) -> bool:
-    return flow_type in RAW_FLOW_TYPES
-
-
-def is_wellformed(flow_type: FlowType) -> bool:
-    return flow_type in WELLFORMED_FLOW_TYPES
-
-
-def is_pa_data(flow_type: FlowType) -> bool:
-    return flow_type in PA_DATA_FLOW_TYPES
-
-
-def is_pa_policy(flow_type: FlowType) -> bool:
-    return flow_type in PA_POLICY_FLOW_TYPES
-
-
-def is_pa_admin(flow_type: FlowType) -> bool:
-    return flow_type in PA_ADMIN_FLOW_TYPES
-
-
 # Endpoint compatibility for typed flows. Each privacy-aware flow type
 # names its endpoints: the first syllable is the source kind, the second
 # the target kind (limdb_del / cledb_del are the deletion variants).

@@ -25,10 +25,10 @@ from datetime import date
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
-from . import model
 from .errors import SchemaError, SimulationError, StageError
 from .graph import Diagram, NodeId
 from .model import FlowType, NodeType, Stage
+from .transform import gadget_index
 
 STATIC_COLUMNS = ("F_id", "Label", "Purpose", "PD", "Data_type")
 DYNAMIC_COLUMNS = ("D_id", "F_id", "Dsub", "Consent", "Expiry", "Content")
@@ -198,54 +198,6 @@ def evaluate_limit(
     return forwarded, entry
 
 
-def simulate_bdfd(meta: FlowMeta, record: DataRecord) -> bool:
-    """Business-diagram semantics: everything is forwarded unconditionally."""
-    _check_binding(meta, record)
-    return True
-
-
-@dataclass(frozen=True)
-class _Gadget:
-    """Resolved wiring of one guarded flow."""
-
-    flow_id: str
-    limit: NodeId
-    log_db: NodeId
-    original_source: NodeId | None
-
-
-def _index_gadgets(diagram: Diagram) -> dict[str, _Gadget]:
-    feeds_limit: dict[NodeId, NodeId] = {}
-    log_of_limit: dict[NodeId, NodeId] = {}
-    log_db_of_log: dict[NodeId, NodeId] = {}
-    for flow in diagram.flows.values():
-        if flow.flow_type in (FlowType.EXTLIM, FlowType.PROLIM, FlowType.DBLIM):
-            feeds_limit[flow.target] = flow.source
-        elif flow.flow_type is FlowType.LIMLOG:
-            log_of_limit[flow.source] = flow.target
-        elif flow.flow_type is FlowType.LOGGING:
-            log_db_of_log[flow.source] = flow.target
-
-    gadgets = {}
-    for flow in diagram.flows.values():
-        if flow.flow_type not in model.GUARDED_FLOW_TYPES:
-            continue
-        limit = flow.source
-        log = log_of_limit.get(limit)
-        log_db = log_db_of_log.get(log) if log is not None else None
-        if log_db is None:
-            raise SimulationError(
-                f"guarded flow {flow.id!r} has no log chain behind its limit"
-            )
-        gadgets[flow.id] = _Gadget(
-            flow_id=flow.id,
-            limit=limit,
-            log_db=log_db,
-            original_source=feeds_limit.get(limit),
-        )
-    return gadgets
-
-
 def _initial_state(diagram: Diagram) -> StoreState:
     state = StoreState()
     for node in diagram.nodes.values():
@@ -285,10 +237,15 @@ def run_simulation(
             raise SimulationError(f"duplicate policy row for flow {meta.flow_id!r}")
         meta_by_flow[meta.flow_id] = meta
 
-    gadgets = _index_gadgets(diagram)
+    gadgets = gadget_index(diagram)
+    for gadget in gadgets.values():
+        if gadget.log_db is None:
+            raise SimulationError(
+                f"guarded flow {gadget.flow!r} has no log chain behind its limit"
+            )
     outgoing: dict[NodeId, list[str]] = {}
     for flow_id in sorted(gadgets):
-        source = gadgets[flow_id].original_source
+        source = gadgets[flow_id].source
         if source is not None:
             outgoing.setdefault(source, []).append(flow_id)
 
@@ -317,7 +274,7 @@ def run_simulation(
             Decision(
                 d_id=record.d_id,
                 flow_id=record.flow_id,
-                forwarded_bdfd=simulate_bdfd(meta, record),
+                forwarded_bdfd=True,
                 forwarded_padfd=forwarded,
                 entry=entry,
                 propagated=propagated,

@@ -10,36 +10,20 @@ ever dangles and callers can still address it.
 
 Generated elements take ids "gen-0", "gen-1", ... skipping ids already in
 use; allocation order is fixed (nodes in sorted id order, then flows in
-sorted id order), so the rewrite is deterministic.
+sorted id order), so the rewrite is deterministic. ``gadget_index`` reads
+the wiring back from a privacy-aware diagram for the simulator and the
+layout.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .errors import (
-    MissingPartnerError,
-    StageError,
-    UnknownElementError,
-    WellFormednessError,
-    WrongFlowTypeError,
-)
+from . import model
+from .errors import StageError, WellFormednessError, WrongFlowTypeError
 from .graph import Diagram, Flow, FlowId, Node, NodeId
 from .model import FlowType, NodeType, Stage
 from .validate import validate_wellformed
-
-
-@dataclass(frozen=True)
-class GadgetAllocation:
-    """Ids of the shared elements added for one flow's gadget."""
-
-    limit: NodeId
-    request: NodeId
-    log: NodeId
-    log_db: NodeId
-    reqlim: FlowId
-    limlog: FlowId
-    logging: FlowId
 
 
 class _FreshIds:
@@ -96,23 +80,8 @@ _GENERATED_LABELS: dict[NodeType, str] = {
 }
 
 
-def _fresh_ids(diagram: Diagram) -> _FreshIds:
-    return _FreshIds(set(diagram.nodes) | set(diagram.flows))
-
-
 def _make_node(node_id: NodeId, node_type: NodeType, partner: NodeId | None = None) -> Node:
     return Node(node_id, node_type, label=_GENERATED_LABELS[node_type], partner=partner)
-
-
-def _guard_stage(diagram: Diagram, check: bool) -> None:
-    if diagram.stage is Stage.PA:
-        raise StageError("diagram is already privacy-aware; the rewrite is not idempotent")
-    if check:
-        validity = validate_wellformed(diagram)
-        if not validity.valid:
-            raise WellFormednessError(
-                "diagram is not well-formed; rewrite refused", validity.violations
-            )
 
 
 def _add_partner_elems(nodes: dict, flows: dict, ids: _FreshIds, node_id: NodeId) -> None:
@@ -122,10 +91,7 @@ def _add_partner_elems(nodes: dict, flows: dict, ids: _FreshIds, node_id: NodeId
         nodes[reason_id] = _make_node(reason_id, NodeType.REASON, partner=node_id)
         nodes[node_id] = replace(node, partner=reason_id)
     elif node.node_type is NodeType.DB:
-        policy_id = ids.take()
-        clean_id = ids.take()
-        to_clean = ids.take()
-        clean_delete = ids.take()
+        policy_id, clean_id, to_clean, clean_delete = (ids.take() for _ in range(4))
         nodes[policy_id] = _make_node(policy_id, NodeType.POLICY_DB, partner=node_id)
         nodes[clean_id] = _make_node(clean_id, NodeType.CLEAN)
         nodes[node_id] = replace(node, partner=policy_id)
@@ -133,161 +99,57 @@ def _add_partner_elems(nodes: dict, flows: dict, ids: _FreshIds, node_id: NodeId
         flows[clean_delete] = Flow(clean_delete, clean_id, node_id, FlowType.CLEDB_DEL)
 
 
-def add_partners(diagram: Diagram, *, check: bool = True) -> Diagram:
-    """Phase one: attach a reason node to every process and a policy store
-    plus cleaning process to every data store. Partner links are mutual."""
-    _guard_stage(diagram, check)
-    nodes = dict(diagram.nodes)
-    flows = dict(diagram.flows)
-    ids = _fresh_ids(diagram)
-    for node_id in sorted(diagram.nodes):
-        if nodes[node_id].partner is not None:
-            raise MissingPartnerError(
-                f"node {node_id!r} is already partnered; refusing to re-partner"
-            )
-        _add_partner_elems(nodes, flows, ids, node_id)
-    return replace(diagram, nodes=nodes, flows=flows)
-
-
-def _add_common(
-    nodes: dict, flows: dict, ids: _FreshIds, flow_id: FlowId
-) -> GadgetAllocation:
-    flow = flows[flow_id]
-    limit_id = ids.take()
-    request_id = ids.take()
-    log_id = ids.take()
-    log_db_id = ids.take()
-    nodes[limit_id] = _make_node(limit_id, NodeType.LIMIT, partner=request_id)
-    nodes[request_id] = _make_node(request_id, NodeType.REQUEST, partner=limit_id)
-    nodes[log_id] = _make_node(log_id, NodeType.LOG)
-    nodes[log_db_id] = _make_node(log_db_id, NodeType.LOG_DB)
-    reqlim_id = ids.take()
-    limlog_id = ids.take()
-    logging_id = ids.take()
-    flows[reqlim_id] = Flow(reqlim_id, request_id, limit_id, FlowType.REQLIM)
-    flows[limlog_id] = Flow(limlog_id, limit_id, log_id, FlowType.LIMLOG)
-    flows[logging_id] = Flow(logging_id, log_id, log_db_id, FlowType.LOGGING)
-    return GadgetAllocation(
-        limit=limit_id,
-        request=request_id,
-        log=log_id,
-        log_db=log_db_id,
-        reqlim=reqlim_id,
-        limlog=limlog_id,
-        logging=logging_id,
-    )
-
-
-def add_common_elems(
-    diagram: Diagram, flow_id: FlowId
-) -> tuple[Diagram, GadgetAllocation]:
-    """Add the elements every gadget shares: limit and request (mutual
-    partners), the log chain, and the request -> limit steering flow."""
-    if flow_id not in diagram.flows:
-        raise UnknownElementError(f"no flow with id {flow_id!r}")
-    nodes = dict(diagram.nodes)
-    flows = dict(diagram.flows)
-    allocation = _add_common(nodes, flows, _fresh_ids(diagram), flow_id)
-    return replace(diagram, nodes=nodes, flows=flows), allocation
-
-
-def _policy_anchor(nodes: dict, node_id: NodeId, flow_id: FlowId) -> NodeId:
+def _policy_anchor(nodes: dict, node_id: NodeId) -> NodeId:
     """Where consent evidence for a business node lives: external entities
     speak for themselves, processes via their reason, stores via their
-    policy store."""
-    node = nodes[node_id]
-    if node.node_type is NodeType.EXT:
+    policy store (all partnered in phase one)."""
+    if nodes[node_id].node_type is NodeType.EXT:
         return node_id
-    if node.partner is None or node.partner not in nodes:
-        raise MissingPartnerError(
-            f"node {node_id!r} has no partner; run the partner phase before "
-            f"rewriting flow {flow_id!r}"
-        )
-    return node.partner
+    return nodes[node_id].partner
 
 
 def _rewrite_flow(nodes: dict, flows: dict, ids: _FreshIds, flow_id: FlowId) -> None:
     flow = flows[flow_id]
     source = nodes[flow.source]
     target = nodes[flow.target]
-    allocation = _add_common(nodes, flows, ids, flow_id)
+    limit_id, request_id, log_id, log_db_id = (ids.take() for _ in range(4))
+    nodes[limit_id] = _make_node(limit_id, NodeType.LIMIT, partner=request_id)
+    nodes[request_id] = _make_node(request_id, NodeType.REQUEST, partner=limit_id)
+    nodes[log_id] = _make_node(log_id, NodeType.LOG)
+    nodes[log_db_id] = _make_node(log_db_id, NodeType.LOG_DB)
+    reqlim_id, limlog_id, logging_id = (ids.take() for _ in range(3))
+    flows[reqlim_id] = Flow(reqlim_id, request_id, limit_id, FlowType.REQLIM)
+    flows[limlog_id] = Flow(limlog_id, limit_id, log_id, FlowType.LIMLOG)
+    flows[logging_id] = Flow(logging_id, log_id, log_db_id, FlowType.LOGGING)
 
-    data_in_id = ids.take()
-    source_policy_id = ids.take()
-    target_policy_id = ids.take()
+    data_in_id, source_policy_id, target_policy_id = (ids.take() for _ in range(3))
     flows[data_in_id] = Flow(
         data_in_id,
         flow.source,
-        allocation.limit,
+        limit_id,
         _DATA_IN[source.node_type],
         partner=source_policy_id,
     )
     flows[source_policy_id] = Flow(
         source_policy_id,
-        _policy_anchor(nodes, flow.source, flow_id),
-        allocation.request,
+        _policy_anchor(nodes, flow.source),
+        request_id,
         _SOURCE_POLICY[source.node_type],
         partner=data_in_id,
     )
     flows[target_policy_id] = Flow(
         target_policy_id,
-        allocation.request,
-        _policy_anchor(nodes, flow.target, flow_id),
+        request_id,
+        _policy_anchor(nodes, flow.target),
         _TARGET_POLICY[target.node_type],
         partner=flow_id,
     )
     flows[flow_id] = replace(
         flow,
         flow_type=_RETYPE[flow.flow_type],
-        source=allocation.limit,
+        source=limit_id,
         partner=target_policy_id,
     )
-
-
-def _rewrite_one(diagram: Diagram, flow_id: FlowId, expected: FlowType) -> Diagram:
-    if flow_id not in diagram.flows:
-        raise UnknownElementError(f"no flow with id {flow_id!r}")
-    flow = diagram.flows[flow_id]
-    if flow.flow_type is not expected:
-        raise WrongFlowTypeError(
-            f"flow {flow_id!r} has type "
-            f"{flow.flow_type.value if flow.flow_type else None!r}, "
-            f"expected {expected.value!r}"
-        )
-    nodes = dict(diagram.nodes)
-    flows = dict(diagram.flows)
-    _rewrite_flow(nodes, flows, _fresh_ids(diagram), flow_id)
-    return replace(diagram, nodes=nodes, flows=flows)
-
-
-def transform_in_flow(diagram: Diagram, flow_id: FlowId) -> Diagram:
-    """Rewrite one entity -> process flow into its gadget."""
-    return _rewrite_one(diagram, flow_id, FlowType.IN)
-
-
-def transform_out_flow(diagram: Diagram, flow_id: FlowId) -> Diagram:
-    """Rewrite one process -> entity flow into its gadget."""
-    return _rewrite_one(diagram, flow_id, FlowType.OUT)
-
-
-def transform_comp_flow(diagram: Diagram, flow_id: FlowId) -> Diagram:
-    """Rewrite one inter-process flow into its gadget."""
-    return _rewrite_one(diagram, flow_id, FlowType.COMP)
-
-
-def transform_store_flow(diagram: Diagram, flow_id: FlowId) -> Diagram:
-    """Rewrite one process -> store flow into its gadget."""
-    return _rewrite_one(diagram, flow_id, FlowType.STORE)
-
-
-def transform_read_flow(diagram: Diagram, flow_id: FlowId) -> Diagram:
-    """Rewrite one store -> process flow into its gadget."""
-    return _rewrite_one(diagram, flow_id, FlowType.READ)
-
-
-def transform_delete_flow(diagram: Diagram, flow_id: FlowId) -> Diagram:
-    """Rewrite one deletion flow into its gadget."""
-    return _rewrite_one(diagram, flow_id, FlowType.DELETE)
 
 
 def transform(
@@ -302,10 +164,17 @@ def transform(
     larger diagrams. ``shared_log_store=True`` merges the per-flow log
     stores into one afterwards.
     """
-    _guard_stage(diagram, check)
+    if diagram.stage is Stage.PA:
+        raise StageError("diagram is already privacy-aware; the rewrite is not idempotent")
+    if check:
+        validity = validate_wellformed(diagram)
+        if not validity.valid:
+            raise WellFormednessError(
+                "diagram is not well-formed; rewrite refused", validity.violations
+            )
     nodes = dict(diagram.nodes)
     flows = dict(diagram.flows)
-    ids = _fresh_ids(diagram)
+    ids = _FreshIds(diagram.nodes.keys() | diagram.flows.keys())
     original_flows = sorted(diagram.flows)
     for node_id in sorted(diagram.nodes):
         _add_partner_elems(nodes, flows, ids, node_id)
@@ -337,3 +206,49 @@ def merge_log_stores(diagram: Diagram) -> Diagram:
         for fid, f in diagram.flows.items()
     }
     return replace(diagram, nodes=nodes, flows=flows)
+
+
+@dataclass(frozen=True)
+class Gadget:
+    """The wiring around one guarded flow of a privacy-aware diagram.
+    Parts the diagram lacks are None."""
+
+    flow: FlowId
+    limit: NodeId
+    source: NodeId | None  # the original source, feeding the limit
+    log: NodeId | None
+    log_db: NodeId | None
+
+
+_DATA_IN_TYPES = frozenset(_DATA_IN.values())
+
+
+def gadget_index(diagram: Diagram) -> dict[FlowId, Gadget]:
+    """Read back the gadget of every guarded flow, keyed by flow id.
+
+    Gadgets are listed in the diagram order of their logging flows, those
+    without a log chain last. A caller keeping the last gadget per log
+    store thus keeps the one whose logging flow comes last.
+    """
+    source_of: dict[NodeId, NodeId] = {}
+    log_of: dict[NodeId, NodeId] = {}
+    log_db_of: dict[NodeId, NodeId] = {}
+    guarded = []
+    for flow in diagram.flows.values():
+        if flow.flow_type in _DATA_IN_TYPES:
+            source_of[flow.target] = flow.source
+        elif flow.flow_type is FlowType.LIMLOG:
+            log_of[flow.source] = flow.target
+        elif flow.flow_type is FlowType.LOGGING:
+            log_db_of[flow.source] = flow.target
+        elif flow.flow_type in model.GUARDED_FLOW_TYPES:
+            guarded.append(flow)
+    rank = {log: position for position, log in enumerate(log_db_of)}
+    guarded.sort(key=lambda flow: rank.get(log_of.get(flow.source), len(rank)))
+    gadgets = {}
+    for flow in guarded:
+        log = log_of.get(flow.source)
+        gadgets[flow.id] = Gadget(
+            flow.id, flow.source, source_of.get(flow.source), log, log_db_of.get(log)
+        )
+    return gadgets

@@ -19,10 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum, unique
 
+from . import model
 from .errors import StageError, WellFormednessError
-from .graph import Diagram, Node, sources, targets
+from .graph import Diagram
 from .model import FlowType, NodeType, Stage
-from .validate import validate_raw
+from .validate import connectivity, validate_raw
 
 
 @unique
@@ -42,13 +43,15 @@ class Diagnostic:
         return f"error {self.element} {self.rule}: {self.message}"
 
 
+# Plain flows take the one well-formed kind whose endpoints they match.
+# Deletion shares its endpoints with store, so only deletion flows read as
+# deletions.
 _PF_READINGS: dict[tuple[NodeType, NodeType], FlowType] = {
-    (NodeType.EXT, NodeType.PROC): FlowType.IN,
-    (NodeType.PROC, NodeType.EXT): FlowType.OUT,
-    (NodeType.PROC, NodeType.PROC): FlowType.COMP,
-    (NodeType.PROC, NodeType.DB): FlowType.STORE,
-    (NodeType.DB, NodeType.PROC): FlowType.READ,
+    ends: kind
+    for kind, ends in model.WELLFORMED_FLOW_ENDPOINTS.items()
+    if kind is not FlowType.DELETE
 }
+_DF_ENDS = model.WELLFORMED_FLOW_ENDPOINTS[FlowType.DELETE]
 
 
 def infer_flow_type(
@@ -68,50 +71,14 @@ def infer_flow_type(
             return None
         return inferred
     if raw_type is FlowType.DF:
-        if (source_type, target_type) == (NodeType.PROC, NodeType.DB):
-            return FlowType.DELETE
-        return None
+        return FlowType.DELETE if (source_type, target_type) == _DF_ENDS else None
     raise ValueError(f"not a raw flow type: {raw_type!r}")
-
-
-def check_activator(
-    node: Node, is_source: bool, is_target: bool
-) -> Diagnostic | None:
-    """Connectivity rule for one node: processes must relay data, external
-    entities and data stores must attach to at least one flow."""
-    if node.node_type is NodeType.PROC and not (is_source and is_target):
-        missing = []
-        if not is_target:
-            missing.append("incoming")
-        if not is_source:
-            missing.append("outgoing")
-        return Diagnostic(
-            DiagnosticKind.ACTIVATOR,
-            node.id,
-            "proc-source-target",
-            f"process {node.id!r} has no {' or '.join(missing)} flow",
-        )
-    if node.node_type is NodeType.EXT and not (is_source or is_target):
-        return Diagnostic(
-            DiagnosticKind.ACTIVATOR,
-            node.id,
-            "ext-connected",
-            f"external entity {node.id!r} has no flows",
-        )
-    if node.node_type is NodeType.DB and not (is_source or is_target):
-        return Diagnostic(
-            DiagnosticKind.ACTIVATOR,
-            node.id,
-            "db-connected",
-            f"data store {node.id!r} has no flows",
-        )
-    return None
 
 
 def _flow_diagnostic(flow, source_type: NodeType, target_type: NodeType) -> Diagnostic:
     pair = f"{source_type.value} -> {target_type.value}"
     if flow.flow_type is FlowType.PF:
-        if (source_type, target_type) == (NodeType.PROC, NodeType.PROC):
+        if _PF_READINGS.get((source_type, target_type)) is FlowType.COMP:
             return Diagnostic(
                 DiagnosticKind.FLOW,
                 flow.id,
@@ -133,13 +100,18 @@ def _flow_diagnostic(flow, source_type: NodeType, target_type: NodeType) -> Diag
     )
 
 
-def typecheck(diagram: Diagram) -> tuple[Diagram | None, list[Diagnostic]]:
+def typecheck(
+    diagram: Diagram, *, tolerate_connectivity: bool = False
+) -> tuple[Diagram | None, list[Diagnostic]]:
     """Type every flow and check connectivity.
 
     Returns the well-formed diagram and an empty list on success, or
     (None, diagnostics) when anything is ill-formed. Diagnostics are
-    sorted by element id, then rule. The input must be a valid raw
-    diagram; anything else raises.
+    sorted by element id, then rule. With ``tolerate_connectivity``
+    connectivity findings no longer block (for diagram excerpts): the
+    typed diagram comes back alongside them, and only flow findings
+    yield None. The input must be a valid raw diagram; anything else
+    raises.
     """
     if diagram.stage is not Stage.RAW:
         raise StageError(f"typecheck expects a raw diagram, got {diagram.stage.value}")
@@ -159,17 +131,13 @@ def typecheck(diagram: Diagram) -> tuple[Diagram | None, list[Diagnostic]]:
             diagnostics.append(_flow_diagnostic(flow, source_type, target_type))
         else:
             typed_flows[flow.id] = replace(flow, flow_type=inferred)
+    flow_problems = bool(diagnostics)
 
-    is_source = sources(diagram)
-    is_target = targets(diagram)
-    for node in diagram.nodes.values():
-        diagnostic = check_activator(
-            node, node.id in is_source, node.id in is_target
-        )
-        if diagnostic is not None:
-            diagnostics.append(diagnostic)
-
+    diagnostics += [
+        Diagnostic(DiagnosticKind.ACTIVATOR, v.element, v.clause, v.message)
+        for v in connectivity(diagram)
+    ]
     diagnostics.sort(key=lambda d: (d.element, d.rule))
-    if diagnostics:
+    if flow_problems or (diagnostics and not tolerate_connectivity):
         return None, diagnostics
-    return replace(diagram, stage=Stage.WELLFORMED, flows=typed_flows), []
+    return replace(diagram, stage=Stage.WELLFORMED, flows=typed_flows), diagnostics

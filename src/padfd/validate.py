@@ -144,36 +144,42 @@ def _endpoint_checks(
     return found
 
 
-def _connectivity(diagram: Diagram) -> list[Violation]:
+# Clause ids of the connectivity rule, which diagram excerpts may waive.
+CONNECTIVITY_CLAUSES = frozenset({"proc-source-target", "ext-connected", "db-connected"})
+
+
+def connectivity(diagram: Diagram) -> list[Violation]:
+    """Connectivity rule: processes relay data (an incoming and an outgoing
+    flow); external entities and data stores attach to at least one flow."""
     found = []
     is_source = sources(diagram)
     is_target = targets(diagram)
     for node in diagram.nodes.values():
-        if node.node_type is NodeType.PROC:
-            if node.id not in is_source or node.id not in is_target:
-                found.append(
-                    Violation(
-                        "proc-source-target",
-                        node.id,
-                        f"process {node.id!r} needs both incoming and outgoing flows",
-                    )
+        incoming = node.id in is_target
+        outgoing = node.id in is_source
+        if node.node_type is NodeType.PROC and not (incoming and outgoing):
+            missing = " or ".join(
+                side
+                for side, present in (("incoming", incoming), ("outgoing", outgoing))
+                if not present
+            )
+            found.append(
+                Violation(
+                    "proc-source-target",
+                    node.id,
+                    f"process {node.id!r} has no {missing} flow",
                 )
-        elif node.node_type is NodeType.EXT:
-            if node.id not in is_source and node.id not in is_target:
-                found.append(
-                    Violation(
-                        "ext-connected",
-                        node.id,
-                        f"external entity {node.id!r} has no flows",
-                    )
+            )
+        elif node.node_type is NodeType.EXT and not (incoming or outgoing):
+            found.append(
+                Violation(
+                    "ext-connected", node.id, f"external entity {node.id!r} has no flows"
                 )
-        elif node.node_type is NodeType.DB:
-            if node.id not in is_source and node.id not in is_target:
-                found.append(
-                    Violation(
-                        "db-connected", node.id, f"data store {node.id!r} has no flows"
-                    )
-                )
+            )
+        elif node.node_type is NodeType.DB and not (incoming or outgoing):
+            found.append(
+                Violation("db-connected", node.id, f"data store {node.id!r} has no flows")
+            )
     return found
 
 
@@ -244,7 +250,7 @@ def validate_wellformed(diagram: Diagram) -> StageValidity:
     found += _no_partners(diagram)
     found += _endpoint_checks(diagram, model.WELLFORMED_FLOW_ENDPOINTS)
     found += _comp_loops(diagram)
-    found += _connectivity(diagram)
+    found += connectivity(diagram)
     return StageValidity(Stage.WELLFORMED, _sorted(found))
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from datetime import date, timedelta
 
 from padfd import (
@@ -87,6 +88,19 @@ def build_excerpt() -> Diagram:
             Flow("f_info", "customer", "p_info", FlowType.IN, label="Customer Info"),
             Flow("f_account", "p_info", "p_account", FlowType.COMP, label="Create Account"),
         ],
+    )
+
+
+def build_excerpt_raw() -> Diagram:
+    """The excerpt before typing: the same nodes and labels, plain flows."""
+    excerpt = build_excerpt()
+    return Diagram(
+        stage=Stage.RAW,
+        nodes=excerpt.nodes,
+        flows={
+            flow_id: replace(flow, flow_type=FlowType.PF)
+            for flow_id, flow in excerpt.flows.items()
+        },
     )
 
 

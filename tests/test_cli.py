@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
@@ -22,7 +23,7 @@ from padfd import (
 )
 from padfd.cli import main
 
-from helpers import build_excerpt, build_payment_raw
+from helpers import build_excerpt, build_excerpt_raw, build_payment_raw
 
 CLOCK = "2020-06-01"
 
@@ -149,6 +150,60 @@ def test_transform_excerpt_requires_escape_hatch(tmp_path, capsys):
     assert (len(pa.nodes), len(pa.flows)) == (13, 14)
     for flow in pa.flows.values():
         assert flow.source in pa.nodes and flow.target in pa.nodes
+
+
+def test_transform_raw_excerpt_requires_escape_hatch(tmp_path, capsys):
+    model = write_json(tmp_path, "raw-excerpt.json", build_excerpt_raw())
+    out = tmp_path / "pa.json"
+    assert main(["transform", str(model), "-o", str(out)]) == 1
+    assert "proc-source-target" in capsys.readouterr().err
+    assert not out.exists()
+
+    assert main(["check", str(model), "--report", "json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["stage"] == "raw-bdfd"
+    assert [(d["rule"], d["kind"]) for d in payload["diagnostics"]] == [
+        ("proc-source-target", "ill-formed-activator")
+    ]
+
+    assert main(
+        ["transform", str(model), "-o", str(out), "--allow-ill-formed"]
+    ) == 0
+    pa = parse_json(out.read_bytes())
+    assert (len(pa.nodes), len(pa.flows)) == (13, 14)
+
+    # Typing the raw excerpt yields exactly the well-formed excerpt's rewrite.
+    wellformed = write_json(tmp_path, "excerpt.json", build_excerpt())
+    expected = tmp_path / "expected.json"
+    assert main(
+        ["transform", str(wellformed), "-o", str(expected), "--allow-ill-formed"]
+    ) == 0
+    assert out.read_bytes() == expected.read_bytes()
+
+
+def test_transform_shared_log_store_layout_is_pinned(fixtures_dir, tmp_path):
+    # Edges in reversed document order: the one log store still hangs
+    # below the log of the last logging flow (the gadget of f6).
+    document = ET.fromstring((fixtures_dir / "estore.drawio.xml").read_bytes())
+    cells = document.find(".//root")
+    edges = [cell for cell in cells if cell.get("edge") == "1"]
+    for edge in edges:
+        cells.remove(edge)
+    cells.extend(reversed(edges))
+    model = tmp_path / "reversed.drawio.xml"
+    model.write_bytes(ET.tostring(document))
+    assert list(parse_drawio(model.read_bytes()).flows) == [
+        "f6", "f5", "f4", "f3", "f2", "f1"
+    ]
+    out = tmp_path / "pa.drawio.xml"
+    assert main(
+        ["transform", str(model), "-o", str(out), "--shared-log-store"]
+    ) == 0
+    golden = fixtures_dir / "estore_reversed_shared_pa.drawio.xml"
+    assert out.read_bytes() == golden.read_bytes()
+    pa = parse_drawio(out.read_bytes())
+    (log_db,) = [n for n in pa.nodes.values() if n.node_type is NodeType.LOG_DB]
+    assert log_db.position == (280.0, 460.0)
 
 
 def test_transform_never_tolerates_flow_problems(fixtures_dir, tmp_path, capsys):

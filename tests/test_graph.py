@@ -9,12 +9,10 @@ from padfd import (
     FlowType,
     Node,
     NodeType,
-    PartnerError,
     UnknownElementError,
     UnknownEndpointError,
     add_flow,
     add_node,
-    link_partners,
     sources,
     targets,
 )
@@ -76,47 +74,6 @@ def test_absent_attributes_are_distinct_from_values():
     node = Node("a", None)
     assert node.node_type is None and node.label is None and node.position is None
     assert node != Node("a", None, label="")
-
-
-def test_link_partners_nodes_mutual():
-    d = _pair()
-    d = link_partners(d, "a", "b")
-    assert d.nodes["a"].partner == "b"
-    assert d.nodes["b"].partner == "a"
-
-
-def test_link_partners_flows_mutual():
-    d = _pair()
-    d = add_flow(d, Flow("f1", "a", "b", FlowType.PF))
-    d = add_flow(d, Flow("f2", "b", "a", FlowType.PF))
-    d = link_partners(d, "f1", "f2")
-    assert d.flows["f1"].partner == "f2"
-    assert d.flows["f2"].partner == "f1"
-
-
-def test_link_partners_is_an_involution_guard():
-    d = link_partners(_pair(), "a", "b")
-    with pytest.raises(PartnerError):
-        link_partners(d, "a", "b")
-
-
-def test_link_partners_rejects_self_and_unknown():
-    d = _pair()
-    with pytest.raises(PartnerError):
-        link_partners(d, "a", "a")
-    with pytest.raises(UnknownElementError):
-        link_partners(d, "a", "zzz")
-
-
-def test_link_partners_ambiguous_ids_need_kind():
-    d = _pair()
-    d = add_flow(d, Flow("a", "a", "b", FlowType.PF))
-    d = add_flow(d, Flow("b", "b", "a", FlowType.PF))
-    with pytest.raises(PartnerError):
-        link_partners(d, "a", "b")
-    linked = link_partners(d, "a", "b", kind="flow")
-    assert linked.flows["a"].partner == "b"
-    assert linked.nodes["a"].partner is None
 
 
 def test_node_and_flow_lookups():

@@ -36,6 +36,8 @@ from padfd import (
     transform,
     typecheck,
 )
+from padfd.cli import main
+from padfd.drawio import MAX_INFLATED_PAGE
 
 from helpers import (
     build_all_kinds,
@@ -135,6 +137,35 @@ def test_parse_compressed_page():
     d = parse_drawio(doc)
     assert d.nodes["n"].node_type is NodeType.PROC
     assert d.nodes["n"].position == (10.0, 20.0)
+
+
+def _compressed_page(chunks) -> str:
+    compressor = zlib.compressobj(9, zlib.DEFLATED, -15)
+    body = b"".join(compressor.compress(chunk) for chunk in chunks)
+    payload = base64.b64encode(body + compressor.flush()).decode("ascii")
+    return f'<mxfile host="x"><diagram id="c" name="P">{payload}</diagram></mxfile>'
+
+
+def test_parse_refuses_deflate_bomb(tmp_path, capsys):
+    # About 100 kB of base64 that would inflate past the page limit.
+    megabyte = b"0" * (1 << 20)
+    chunks = [megabyte] * (MAX_INFLATED_PAGE // len(megabyte) + 1)
+    doc = _compressed_page(chunks)
+    assert len(doc) < 200_000
+    with pytest.raises(XmlSyntaxError, match="inflates beyond"):
+        parse_drawio(doc)
+    bomb = tmp_path / "bomb.drawio.xml"
+    bomb.write_text(doc, encoding="ascii")
+    assert main(["check", str(bomb)]) == 2
+    assert "inflates beyond" in capsys.readouterr().err
+
+
+def test_parse_rejects_truncated_compressed_page():
+    doc = _compressed_page([urllib.parse.quote("<mxGraphModel/>" * 50).encode()])
+    payload = doc.split('name="P">')[1].split("<")[0]
+    truncated = base64.b64encode(base64.b64decode(payload)[:-8]).decode("ascii")
+    with pytest.raises(XmlSyntaxError, match="truncated"):
+        parse_drawio(doc.replace(payload, truncated))
 
 
 @pytest.mark.parametrize("x", ["abc", "NaN", "nan", "inf", "-Infinity", "1e400"])

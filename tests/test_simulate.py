@@ -32,7 +32,6 @@ from padfd import (
     report_to_dict,
     run_clean,
     run_simulation,
-    simulate_bdfd,
     transform,
     typecheck,
 )
@@ -42,6 +41,7 @@ from helpers import (
     build_all_kinds,
     build_diagram,
     build_payment_raw,
+    build_store_chain,
     payment_equivalences,
     payment_metas,
     payment_records,
@@ -125,13 +125,14 @@ def test_limit_consent_match_is_case_insensitive():
 def test_limit_rejects_mismatched_record():
     with pytest.raises(SimulationError):
         evaluate_limit(meta("f1"), record("f2"), CLOCK)
-    with pytest.raises(SimulationError):
-        simulate_bdfd(meta("f1"), record("f2"))
 
 
 def test_business_semantics_forward_everything():
-    stale = record("f1", consent=frozenset({"nothing"}), expiry=date(2000, 1, 1))
-    assert simulate_bdfd(meta("f1"), stale) is True
+    stale = record("f_in", consent=frozenset({"nothing"}), expiry=date(2000, 1, 1))
+    report = run_simulation(transform(build_store_chain()), [meta("f_in")], [stale], CLOCK)
+    (decision,) = report.decisions
+    assert decision.forwarded_bdfd is True
+    assert decision.forwarded_padfd is False
 
 
 # --- purpose compatibility -----------------------------------------------------
@@ -306,7 +307,7 @@ def test_run_rejects_broken_log_chain():
         [Node("lim", NodeType.LIMIT), Node("p", NodeType.PROC)],
         [Flow("f", "lim", "p", FlowType.LIMPRO)],
     )
-    with pytest.raises(SimulationError):
+    with pytest.raises(SimulationError, match="'f' has no log chain behind its limit"):
         run_simulation(broken, [meta("f")], [record("f")], CLOCK)
 
 

@@ -1,33 +1,27 @@
 from __future__ import annotations
 
+from collections import Counter
+from dataclasses import replace
+
 import pytest
 
 from padfd import (
     Diagram,
     Flow,
     FlowType,
-    MissingPartnerError,
     Node,
     NodeType,
     Stage,
     StageError,
-    UnknownElementError,
     WellFormednessError,
     WrongFlowTypeError,
-    add_common_elems,
-    add_partners,
     merge_log_stores,
     transform,
-    transform_comp_flow,
-    transform_delete_flow,
-    transform_in_flow,
-    transform_out_flow,
-    transform_read_flow,
-    transform_store_flow,
     typecheck,
     validate_pa,
 )
 from padfd.model import PA_FLOW_TYPES
+from padfd.transform import gadget_index
 
 from helpers import (
     build_all_kinds,
@@ -51,23 +45,31 @@ def count_kinds(d: Diagram) -> tuple[int, int, int]:
 
 
 # --- phase one -------------------------------------------------------------
+# transform runs the partner phase first, so its elements are the first
+# generated ones: nodes in sorted id order, each with its admin flows.
 
 
 def test_add_partners_counts_and_links():
     d = estore_wellformed()
-    procs, dbs, flows = count_kinds(d)
-    partnered = add_partners(d)
-    assert len(partnered.nodes) == len(d.nodes) + procs + 2 * dbs
-    assert len(partnered.flows) == flows + 2 * dbs
+    procs, dbs, _ = count_kinds(d)
+    pa = transform(d)
+    kinds = Counter(n.node_type for n in pa.nodes.values())
+    assert (kinds[NodeType.REASON], kinds[NodeType.POLICY_DB], kinds[NodeType.CLEAN]) == (
+        procs,
+        dbs,
+        dbs,
+    )
+    flow_kinds = Counter(f.flow_type for f in pa.flows.values())
+    assert flow_kinds[FlowType.PDBCLE] == flow_kinds[FlowType.CLEDB_DEL] == dbs
 
     for node_id, node in d.nodes.items():
-        mate_id = partnered.nodes[node_id].partner
+        mate_id = pa.nodes[node_id].partner
         if node.node_type is NodeType.PROC:
-            mate = partnered.nodes[mate_id]
+            mate = pa.nodes[mate_id]
             assert mate.node_type is NodeType.REASON
             assert mate.partner == node_id
         elif node.node_type is NodeType.DB:
-            mate = partnered.nodes[mate_id]
+            mate = pa.nodes[mate_id]
             assert mate.node_type is NodeType.POLICY_DB
             assert mate.partner == node_id
         else:
@@ -75,180 +77,154 @@ def test_add_partners_counts_and_links():
 
 
 def test_add_partners_cleaning_wiring():
-    partnered = add_partners(estore_wellformed())
-    policy = next(
-        n for n in partnered.nodes.values() if n.node_type is NodeType.POLICY_DB
-    )
-    clean = next(n for n in partnered.nodes.values() if n.node_type is NodeType.CLEAN)
+    pa = transform(estore_wellformed())
+    policy = next(n for n in pa.nodes.values() if n.node_type is NodeType.POLICY_DB)
+    clean = next(n for n in pa.nodes.values() if n.node_type is NodeType.CLEAN)
     assert clean.partner is None
-    to_clean = [f for f in partnered.flows.values() if f.flow_type is FlowType.PDBCLE]
-    from_clean = [
-        f for f in partnered.flows.values() if f.flow_type is FlowType.CLEDB_DEL
-    ]
+    to_clean = [f for f in pa.flows.values() if f.flow_type is FlowType.PDBCLE]
+    from_clean = [f for f in pa.flows.values() if f.flow_type is FlowType.CLEDB_DEL]
     assert [(f.source, f.target) for f in to_clean] == [(policy.id, clean.id)]
     assert [(f.source, f.target) for f in from_clean] == [(clean.id, policy.partner)]
 
 
 def test_add_partners_refuses_partnered_input():
-    partnered = add_partners(estore_wellformed())
-    downgraded = Diagram(Stage.WELLFORMED, partnered.nodes, partnered.flows)
-    with pytest.raises(MissingPartnerError):
-        add_partners(downgraded, check=False)
+    pa = transform(estore_wellformed())
+    partnered = replace(
+        estore_wellformed(),
+        nodes={node_id: pa.nodes[node_id] for node_id in estore_wellformed().nodes},
+    )
+    with pytest.raises(WellFormednessError) as exc:
+        transform(partnered)
+    assert {v.clause for v in exc.value.violations} == {"partner-unexpected"}
 
 
 def test_add_partners_deterministic_ids():
-    partnered = add_partners(estore_wellformed())
+    pa = transform(estore_wellformed())
     # Nodes processed in sorted id order: db_customer first (policy store,
     # cleaner, two admin flows), then the three processes.
-    assert partnered.nodes["gen-0"].node_type is NodeType.POLICY_DB
-    assert partnered.nodes["gen-0"].partner == "db_customer"
-    assert partnered.nodes["gen-1"].node_type is NodeType.CLEAN
-    assert partnered.flows["gen-2"].flow_type is FlowType.PDBCLE
-    assert partnered.flows["gen-3"].flow_type is FlowType.CLEDB_DEL
-    assert partnered.nodes["gen-4"].partner == "p_account"
-    assert partnered.nodes["gen-5"].partner == "p_cart"
-    assert partnered.nodes["gen-6"].partner == "p_info"
+    assert pa.nodes["gen-0"].node_type is NodeType.POLICY_DB
+    assert pa.nodes["gen-0"].partner == "db_customer"
+    assert pa.nodes["gen-1"].node_type is NodeType.CLEAN
+    assert pa.flows["gen-2"].flow_type is FlowType.PDBCLE
+    assert pa.flows["gen-3"].flow_type is FlowType.CLEDB_DEL
+    assert pa.nodes["gen-4"].partner == "p_account"
+    assert pa.nodes["gen-5"].partner == "p_cart"
+    assert pa.nodes["gen-6"].partner == "p_info"
 
 
 # --- shared gadget elements -------------------------------------------------
 
 
 def test_add_common_elems_allocation():
-    d = estore_wellformed()
-    out, allocation = add_common_elems(d, "f1")
-    assert len(out.nodes) == len(d.nodes) + 4
-    assert len(out.flows) == len(d.flows) + 3
-
-    limit = out.nodes[allocation.limit]
-    request = out.nodes[allocation.request]
-    assert limit.node_type is NodeType.LIMIT and limit.partner == request.id
+    pa = transform(estore_wellformed())
+    gadget = gadget_index(pa)["f1"]
+    limit = pa.nodes[gadget.limit]
+    request = pa.nodes[limit.partner]
+    assert limit.node_type is NodeType.LIMIT
     assert request.node_type is NodeType.REQUEST and request.partner == limit.id
-    assert out.nodes[allocation.log].node_type is NodeType.LOG
-    assert out.nodes[allocation.log_db].node_type is NodeType.LOG_DB
+    assert pa.nodes[gadget.log].node_type is NodeType.LOG
+    assert pa.nodes[gadget.log_db].node_type is NodeType.LOG_DB
+    assert gadget.source == "customer"
 
-    reqlim = out.flows[allocation.reqlim]
-    limlog = out.flows[allocation.limlog]
-    logging = out.flows[allocation.logging]
-    assert (reqlim.flow_type, reqlim.source, reqlim.target) == (
-        FlowType.REQLIM,
-        request.id,
-        limit.id,
-    )
-    assert (limlog.flow_type, limlog.source, limlog.target) == (
-        FlowType.LIMLOG,
-        limit.id,
-        allocation.log,
-    )
-    assert (logging.flow_type, logging.source, logging.target) == (
-        FlowType.LOGGING,
-        allocation.log,
-        allocation.log_db,
-    )
-    # The flow itself is untouched by this step.
-    assert out.flows["f1"] == d.flows["f1"]
+    def wiring(flow_type):
+        return [(f.source, f.target) for f in pa.flows.values() if f.flow_type is flow_type]
+
+    assert (request.id, limit.id) in wiring(FlowType.REQLIM)
+    assert (limit.id, gadget.log) in wiring(FlowType.LIMLOG)
+    assert (gadget.log, gadget.log_db) in wiring(FlowType.LOGGING)
 
 
-def test_add_common_elems_unknown_flow():
-    with pytest.raises(UnknownElementError):
-        add_common_elems(estore_wellformed(), "nope")
+def test_gadget_index_reports_missing_parts():
+    pa = transform(build_all_kinds())
+    limlog = next(
+        f.id
+        for f in pa.flows.values()
+        if f.flow_type is FlowType.LIMLOG and f.source == pa.flows["f_in"].source
+    )
+    flows = {k: f for k, f in pa.flows.items() if k != limlog}
+    gadget = gadget_index(replace(pa, flows=flows))["f_in"]
+    assert gadget.limit == pa.flows["f_in"].source
+    assert gadget.source == "vendor"
+    assert (gadget.log, gadget.log_db) == (None, None)
 
 
 # --- per-kind rewrites -------------------------------------------------------
 
-# For each flow kind: (builder flow id, wrapper, retyped kind,
-# data-in kind, source-policy kind, target-policy kind).
+# For each flow kind: (fixture flow id, retyped kind, data-in kind,
+# source-policy kind, target-policy kind).
 KIND_TABLE = [
-    ("f_in", transform_in_flow, FlowType.LIMPRO, FlowType.EXTLIM, FlowType.EXTREQ, FlowType.REQREA),
-    ("f_out", transform_out_flow, FlowType.LIMEXT, FlowType.PROLIM, FlowType.REAREQ, FlowType.REQEXT),
-    ("f_comp", transform_comp_flow, FlowType.LIMPRO, FlowType.PROLIM, FlowType.REAREQ, FlowType.REQREA),
-    ("f_store", transform_store_flow, FlowType.LIMDB, FlowType.PROLIM, FlowType.REAREQ, FlowType.REQPDB),
-    ("f_read", transform_read_flow, FlowType.LIMPRO, FlowType.DBLIM, FlowType.PDBREQ, FlowType.REQREA),
-    ("f_del", transform_delete_flow, FlowType.LIMDB_DEL, FlowType.PROLIM, FlowType.REAREQ, FlowType.REQPDB),
+    ("f_in", FlowType.LIMPRO, FlowType.EXTLIM, FlowType.EXTREQ, FlowType.REQREA),
+    ("f_out", FlowType.LIMEXT, FlowType.PROLIM, FlowType.REAREQ, FlowType.REQEXT),
+    ("f_comp", FlowType.LIMPRO, FlowType.PROLIM, FlowType.REAREQ, FlowType.REQREA),
+    ("f_store", FlowType.LIMDB, FlowType.PROLIM, FlowType.REAREQ, FlowType.REQPDB),
+    ("f_read", FlowType.LIMPRO, FlowType.DBLIM, FlowType.PDBREQ, FlowType.REQREA),
+    ("f_del", FlowType.LIMDB_DEL, FlowType.PROLIM, FlowType.REAREQ, FlowType.REQPDB),
 ]
 
 
 @pytest.mark.parametrize(
-    "flow_id,wrapper,retyped,data_in,source_policy,target_policy",
+    "flow_id,retyped,data_in,source_policy,target_policy",
     KIND_TABLE,
     ids=[row[0] for row in KIND_TABLE],
 )
-def test_per_kind_rewrite(flow_id, wrapper, retyped, data_in, source_policy, target_policy):
-    base = add_partners(build_all_kinds())
+def test_per_kind_rewrite(flow_id, retyped, data_in, source_policy, target_policy):
+    base = build_all_kinds()
     before = base.flows[flow_id]
-    out = wrapper(base, flow_id)
-
-    assert len(out.nodes) == len(base.nodes) + 4
-    assert len(out.flows) == len(base.flows) + 6
+    out = transform(base)
+    gadget = gadget_index(out)[flow_id]
 
     rewritten = out.flows[flow_id]
     assert rewritten.flow_type is retyped
     assert rewritten.label == before.label
     assert rewritten.target == before.target
-    limit = out.nodes[rewritten.source]
+    assert rewritten.source == gadget.limit
+    limit = out.nodes[gadget.limit]
     assert limit.node_type is NodeType.LIMIT
-
-    new_flows = {f.id: f for f in out.flows.values() if f.id not in base.flows}
-    by_type = {f.flow_type: f for f in new_flows.values()}
-    assert set(by_type) == {
-        data_in,
-        source_policy,
-        target_policy,
-        FlowType.REQLIM,
-        FlowType.LIMLOG,
-        FlowType.LOGGING,
-    }
-
-    # Data enters the limit from the original source.
-    assert by_type[data_in].source == before.source
-    assert by_type[data_in].target == limit.id
-    # Consent evidence comes from the source's anchor and reaches the
-    # target's anchor through the request node.
     request = out.nodes[limit.partner]
 
+    # Data enters the limit from the original source.
+    assert gadget.source == before.source
+    (feed,) = [
+        f
+        for f in out.flows.values()
+        if f.target == limit.id and f.flow_type is not FlowType.REQLIM
+    ]
+    assert (feed.flow_type, feed.source) == (data_in, before.source)
+
+    # Consent evidence comes from the source's anchor and reaches the
+    # target's anchor through the request node; partner links pair data
+    # with policy, and the rewritten flow with the grant that allows it.
     def anchor(node_id):
-        node = base.nodes[node_id]
+        node = out.nodes[node_id]
         return node_id if node.node_type is NodeType.EXT else node.partner
 
-    assert by_type[source_policy].source == anchor(before.source)
-    assert by_type[source_policy].target == request.id
-    assert by_type[target_policy].source == request.id
-    assert by_type[target_policy].target == anchor(before.target)
+    evidence = out.flows[feed.partner]
+    grant = out.flows[rewritten.partner]
+    assert (evidence.flow_type, evidence.source, evidence.target) == (
+        source_policy,
+        anchor(before.source),
+        request.id,
+    )
+    assert (grant.flow_type, grant.source, grant.target) == (
+        target_policy,
+        request.id,
+        anchor(before.target),
+    )
+    assert evidence.partner == feed.id
+    assert grant.partner == flow_id
 
-    # Partner links pair data with policy, and the rewritten flow with the
-    # grant that allows it.
-    assert by_type[data_in].partner == by_type[source_policy].id
-    assert by_type[source_policy].partner == by_type[data_in].id
-    assert by_type[target_policy].partner == flow_id
-    assert rewritten.partner == by_type[target_policy].id
-
-
-@pytest.mark.parametrize(
-    "wrapper,wrong_flow",
-    [
-        (transform_in_flow, "f_out"),
-        (transform_out_flow, "f_in"),
-        (transform_comp_flow, "f_store"),
-        (transform_store_flow, "f_read"),
-        (transform_read_flow, "f_del"),
-        (transform_delete_flow, "f_comp"),
-    ],
-)
-def test_per_kind_rewrite_rejects_wrong_kind(wrapper, wrong_flow):
-    base = add_partners(build_all_kinds())
-    with pytest.raises(WrongFlowTypeError):
-        wrapper(base, wrong_flow)
+    # The request steers the limit, and the limit's decision is logged.
+    wiring = {(f.flow_type, f.source, f.target) for f in out.flows.values()}
+    assert (FlowType.REQLIM, request.id, limit.id) in wiring
+    assert (FlowType.LIMLOG, limit.id, gadget.log) in wiring
+    assert (FlowType.LOGGING, gadget.log, gadget.log_db) in wiring
 
 
-def test_per_kind_rewrite_unknown_flow():
-    with pytest.raises(UnknownElementError):
-        transform_in_flow(add_partners(build_all_kinds()), "missing")
-
-
-def test_rewrite_requires_partners():
-    # Without the partner phase, anchoring consent evidence at a process
-    # has nowhere to go.
-    with pytest.raises(MissingPartnerError):
-        transform_in_flow(build_all_kinds(), "f_in")
+def test_transform_rejects_flows_without_a_gadget():
+    raw = replace(build_all_kinds(), stage=Stage.RAW)
+    pf = replace(raw.flows["f_in"], flow_type=FlowType.PF)
+    with pytest.raises(WrongFlowTypeError, match="'f_in' is not a well-formed data flow"):
+        transform(replace(raw, flows={**raw.flows, "f_in": pf}), check=False)
 
 
 # --- whole-diagram rewrite ---------------------------------------------------

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from padfd import (
@@ -12,7 +14,6 @@ from padfd import (
     Stage,
     StageError,
     WellFormednessError,
-    check_activator,
     infer_flow_type,
     typecheck,
     validate_wellformed,
@@ -54,15 +55,65 @@ def test_infer_flow_type_rejects_non_raw_kinds():
 
 
 def test_check_activator():
-    proc = Node("p", NodeType.PROC)
-    assert check_activator(proc, True, True) is None
-    diag = check_activator(proc, True, False)
-    assert diag is not None and diag.rule == "proc-source-target"
-    assert check_activator(Node("e", NodeType.EXT), False, True) is None
-    diag = check_activator(Node("e", NodeType.EXT), False, False)
-    assert diag is not None and diag.rule == "ext-connected"
-    diag = check_activator(Node("s", NodeType.DB), False, False)
-    assert diag is not None and diag.rule == "db-connected"
+    # Processes relay; entities and stores attach. The rule is shared
+    # with the well-formed-stage validator, message for message.
+    d = build_diagram(
+        Stage.RAW,
+        [
+            Node("e", NodeType.EXT),
+            Node("p", NodeType.PROC),
+            Node("sink", NodeType.PROC),
+            Node("idle", NodeType.PROC),
+            Node("lone", NodeType.EXT),
+            Node("s", NodeType.DB),
+        ],
+        [Flow("f1", "e", "p", FlowType.PF), Flow("f2", "p", "sink", FlowType.PF)],
+    )
+    result, diagnostics = typecheck(d)
+    assert result is None
+    assert {g.kind for g in diagnostics} == {DiagnosticKind.ACTIVATOR}
+    assert [(g.element, g.rule, g.message) for g in diagnostics] == [
+        ("idle", "proc-source-target", "process 'idle' has no incoming or outgoing flow"),
+        ("lone", "ext-connected", "external entity 'lone' has no flows"),
+        ("s", "db-connected", "data store 's' has no flows"),
+        ("sink", "proc-source-target", "process 'sink' has no outgoing flow"),
+    ]
+    typed = replace(
+        d,
+        stage=Stage.WELLFORMED,
+        flows={
+            "f1": replace(d.flows["f1"], flow_type=FlowType.IN),
+            "f2": replace(d.flows["f2"], flow_type=FlowType.COMP),
+        },
+    )
+    violations = validate_wellformed(typed).violations
+    assert [(v.element, v.clause, v.message) for v in violations] == [
+        (g.element, g.rule, g.message) for g in diagnostics
+    ]
+
+
+def test_typecheck_can_tolerate_connectivity():
+    d = build_diagram(
+        Stage.RAW,
+        [Node("e", NodeType.EXT), Node("p", NodeType.PROC), Node("q", NodeType.PROC)],
+        [Flow("f1", "e", "p", FlowType.PF), Flow("f2", "p", "q", FlowType.PF)],
+    )
+    result, diagnostics = typecheck(d, tolerate_connectivity=True)
+    assert result is not None and result.stage is Stage.WELLFORMED
+    assert {f.id: f.flow_type for f in result.flows.values()} == {
+        "f1": FlowType.IN,
+        "f2": FlowType.COMP,
+    }
+    assert [(g.element, g.rule) for g in diagnostics] == [("q", "proc-source-target")]
+
+    # Flow findings still block, and every finding is reported.
+    bad = replace(d, flows={**d.flows, "f3": Flow("f3", "e", "e", FlowType.PF)})
+    result, diagnostics = typecheck(bad, tolerate_connectivity=True)
+    assert result is None
+    assert [(g.element, g.rule) for g in diagnostics] == [
+        ("f3", "pf-no-rule"),
+        ("q", "proc-source-target"),
+    ]
 
 
 def test_typecheck_estore_types_every_flow():
