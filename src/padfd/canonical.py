@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from json.encoder import encode_basestring as _quote
 
 from .errors import SchemaError
@@ -43,6 +44,12 @@ _STAGES = {stage.value: stage for stage in Stage}
 _NODE_TYPES = {node_type.value: node_type for node_type in NodeType}
 _FLOW_TYPES = {flow_type.value: flow_type for flow_type in FlowType}
 _OPTIONAL_STR = (str, type(None))
+
+# A lone surrogate is not a Unicode character, so no writer can encode it.
+# JSON text carries one only as a \udXXX escape (or verbatim in a str
+# argument), so only documents that could hold one are searched, and only
+# they compile the pattern.
+_SURROGATE = "[\ud800-\udfff]"
 
 
 def canonical_number(value: float) -> int | float:
@@ -216,12 +223,21 @@ def _shared_fields(entry: dict, types: dict, kind: str, element_id: str) -> tupl
     return element_type, label, partner, extra
 
 
+def _reject_lone_surrogates(nodes: dict[str, Node], flows: dict[str, Flow]) -> None:
+    for kind, elements in (("node", nodes), ("flow", flows)):
+        for element in elements.values():
+            extra = element.extra
+            for text in (element.id, element.label, element.partner, *extra, *extra.values()):
+                if text is not None and re.search(_SURROGATE, text):
+                    raise _element_error(kind, element.id, f"{text!r} holds a lone surrogate")
+
+
 def parse_json(data: bytes | str) -> Diagram:
     """Read a canonical JSON document back into a diagram.
 
     The schema id, stage, element shapes, id uniqueness across nodes and
-    flows, finite coordinates, and endpoint existence are all enforced;
-    violations raise SchemaError.
+    flows, finite coordinates, endpoint existence, and text free of lone
+    surrogates are all enforced; violations raise SchemaError.
     """
     try:
         text = data.decode("utf-8") if isinstance(data, bytes) else data
@@ -293,4 +309,6 @@ def parse_json(data: bytes | str) -> Diagram:
             flow_id, source, target, *_shared_fields(entry, _FLOW_TYPES, "flow", flow_id)
         )
 
+    if "\\ud" in text or "\\uD" in text or (isinstance(data, str) and not text.isascii()):
+        _reject_lone_surrogates(nodes, flows)
     return Diagram(stage=stage, nodes=nodes, flows=flows)

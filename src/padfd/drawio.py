@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import base64
 import math
+import re
 import urllib.parse
 import xml.etree.ElementTree as ET
 import zlib
-
-from dataclasses import replace
 
 from . import model
 from .canonical import format_position
@@ -31,7 +30,7 @@ from .errors import (
     XmlSyntaxError,
 )
 from .graph import Diagram, Flow, Node
-from .model import NodeType, Stage
+from .model import FlowType, NodeType, Stage
 from .styles import DEFAULT_STYLE_MAP, StyleMap
 
 # Cell attributes with a modelled meaning; everything else is opaque extra.
@@ -51,6 +50,14 @@ _NODE_SIZES: dict[NodeType, tuple[int, int]] = {
     NodeType.LOG_DB: (80, 80),
     NodeType.CLEAN: (120, 60),
 }
+
+# How each cell ends, after its attributes, in the two-space indented
+# layout ET.indent gives the mxfile: the geometry line and the closing tag.
+_GEOMETRY = {
+    node_type: f'width="{width}" height="{height}" as="geometry" />\n        </mxCell>'
+    for node_type, (width, height) in _NODE_SIZES.items()
+}
+_EDGE_GEOMETRY = '>\n          <mxGeometry relative="1" as="geometry" />\n        </mxCell>'
 
 
 # Largest inflated page body read; real pages stay far below it. A page
@@ -169,6 +176,10 @@ def parse_drawio(data: bytes | str, styles: StyleMap | None = None) -> Diagram:
         except ValueError:
             raise SchemaError(f"unknown dfdStage {stage_attr!r}") from None
 
+    # Drawings reuse a handful of styles across all their cells, so each
+    # distinct style string is typed once.
+    node_types: dict[str | None, NodeType | None] = {}
+    flow_types: dict[str | None, FlowType] = {}
     nodes: dict[str, Node] = {}
     edges = []
     for cell, attrs in _cells(model_elem):
@@ -179,7 +190,10 @@ def parse_drawio(data: bytes | str, styles: StyleMap | None = None) -> Diagram:
             if cell_id in nodes:
                 raise ParseError(f"duplicate cell id {cell_id!r}")
             style = attrs.get("style")
-            node_type = styles.node_type_for(style)
+            try:
+                node_type = node_types[style]
+            except KeyError:
+                node_type = node_types[style] = styles.node_type_for(style)
             if node_type is None:
                 raise UnknownStyleError(
                     f"cell {cell_id!r}: no rule matches vertex style {style!r}"
@@ -215,11 +229,16 @@ def parse_drawio(data: bytes | str, styles: StyleMap | None = None) -> Diagram:
                 raise MissingEndpointError(
                     f"edge {cell_id!r} references missing node {endpoint!r}"
                 )
+        style = attrs.get("style")
+        try:
+            flow_type = flow_types[style]
+        except KeyError:
+            flow_type = flow_types[style] = styles.flow_type_for(style)
         flows[cell_id] = Flow(
             id=cell_id,
             source=source,
             target=target,
-            flow_type=styles.flow_type_for(attrs.get("style")),
+            flow_type=flow_type,
             label=attrs.get("value") or None,
             partner=attrs.get("partner"),
             extra={k: v for k, v in attrs.items() if k not in _CONSUMED_ATTRS},
@@ -241,79 +260,179 @@ def _structural_id(want: str, taken: set[str]) -> str:
     return f"bg-{want}-{suffix}"
 
 
+# Characters XML 1.0 cannot carry, escaped or not. The pattern is left to
+# re's cache, so that only a process that meets such text compiles it.
+_NOT_XML_CHAR = "[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]"
+
+
+def _escape(text: str) -> str:
+    """Attribute text escaped exactly as ElementTree escapes it. Text
+    holding a character XML cannot carry is refused."""
+    if not text.isprintable():  # printable text is all XML characters
+        illegal = re.search(_NOT_XML_CHAR, text)
+        if illegal:
+            raise SchemaError(
+                f"cannot write {text!r} in XML: U+{ord(illegal.group()):04X} is not an XML character"
+            )
+    if "&" in text:
+        text = text.replace("&", "&amp;")
+    if "<" in text:
+        text = text.replace("<", "&lt;")
+    if ">" in text:
+        text = text.replace(">", "&gt;")
+    if '"' in text:
+        text = text.replace('"', "&quot;")
+    if "\r" in text:
+        text = text.replace("\r", "&#13;")
+    if "\n" in text:
+        text = text.replace("\n", "&#10;")
+    if "\t" in text:
+        text = text.replace("\t", "&#09;")
+    return text
+
+
+# Prefixes ElementTree gives well-known namespaces; any other namespace
+# URI gets ns0, ns1, ... numbered by how many URIs were declared before it.
+# The XML namespace is predeclared, so it is used but never declared.
+_KNOWN_PREFIXES = {
+    "http://www.w3.org/XML/1998/namespace": "xml",
+    "http://www.w3.org/1999/xhtml": "html",
+    "http://www.w3.org/1999/02/22-rdf-syntax-ns#": "rdf",
+    "http://schemas.xmlsoap.org/wsdl/": "wsdl",
+    "http://www.w3.org/2001/XMLSchema": "xs",
+    "http://www.w3.org/2001/XMLSchema-instance": "xsi",
+    "http://purl.org/dc/elements/1.1/": "dc",
+}
+
+
+def _attribute_name(key: str, prefixes: dict[str, str], kind: str, element_id: str) -> str:
+    """The name an extra key is written under. A Clark-notation key
+    ``{uri}local`` becomes ``prefix:local``, and a URI seen for the first
+    time gets its prefix recorded in `prefixes`. A key whose written name
+    would not read back as the same key is refused."""
+    if key in _CONSUMED_ATTRS:
+        raise SchemaError(
+            f"{kind} {element_id!r}: extra key {key!r} is a cell attribute padfd writes itself"
+        )
+    name, declaration = key, ""
+    if key[:1] == "{" and "}" in key:
+        uri, local = key[1:].rsplit("}", 1)
+        prefix = prefixes.get(uri) or _KNOWN_PREFIXES.get(uri) or f"ns{len(prefixes)}"
+        if prefix != "xml":
+            declaration = f' xmlns:{prefix}="{_escape(uri)}"'
+        name = f"{prefix}:{local}"
+    try:
+        readable = ET.fromstring(f'<a{declaration} {name}="" />').attrib == {key: ""}
+    except (ET.ParseError, ValueError):  # ValueError: text UTF-8 cannot encode
+        readable = False
+    if not readable:
+        raise SchemaError(f"{kind} {element_id!r}: extra key {key!r} is not an XML attribute name")
+    if declaration:
+        prefixes[uri] = prefix
+    return name
+
+
+def _extra_attributes(element: Node | Flow, kind: str, names: dict, prefixes: dict) -> str:
+    text = ""
+    for key in sorted(element.extra):
+        name = names.get(key)
+        if name is None:
+            name = names[key] = _attribute_name(key, prefixes, kind, element.id)
+        text += " " + name + '="' + _escape(element.extra[key]) + '"'
+    return text
+
+
+def _common_attributes(element: Node | Flow, kind: str, escaped_id: str) -> str:
+    """The id and, if present, value attribute opening a cell."""
+    text = '        <mxCell id="' + escaped_id + '"'
+    if element.label is not None:
+        if not element.label:
+            raise SchemaError(f"{kind} {element.id!r}: an empty label reads back as no label")
+        text += ' value="' + _escape(element.label) + '"'
+    return text
+
+
 def emit_drawio(diagram: Diagram, styles: StyleMap | None = None) -> bytes:
     """Write a diagram as a single-page draw.io file.
 
     Every element must be typed. Positions are written only for nodes
     that have one; pair with layout if fully placed output is wanted.
+    The document is written directly, byte-identical to ElementTree
+    serialising the same cells after ``ET.indent``. Extra keys that would
+    not read back as themselves, empty labels, and text holding characters
+    XML cannot carry are refused with SchemaError.
     """
     styles = styles or DEFAULT_STYLE_MAP
     taken = set(diagram.nodes) | set(diagram.flows)
-    root_id = _structural_id("0", taken)
-    layer_id = _structural_id("1", taken)
-
-    model_elem = ET.Element(
-        "mxGraphModel",
-        {
-            "dfdStage": diagram.stage.value,
-            "grid": "1",
-            "gridSize": "10",
-            "page": "1",
-            "pageWidth": "1169",
-            "pageHeight": "826",
-        },
-    )
-    container = ET.SubElement(model_elem, "root")
-    ET.SubElement(container, "mxCell", {"id": root_id})
-    ET.SubElement(container, "mxCell", {"id": layer_id, "parent": root_id})
+    root_id = _escape(_structural_id("0", taken))
+    layer_id = _escape(_structural_id("1", taken))
+    names: dict[str, str] = {}
+    prefixes: dict[str, str] = {}
+    node_styles: dict[NodeType, str] = {}
+    flow_styles: dict[FlowType, str] = {}
+    # Node ids recur as flow endpoints and partners; each is escaped once.
+    node_ids: dict[str, str] = {}
+    cells = [
+        '        <mxCell id="' + root_id + '" />',
+        '        <mxCell id="' + layer_id + '" parent="' + root_id + '" />',
+    ]
 
     for node_id in sorted(diagram.nodes):
         node = diagram.nodes[node_id]
-        if node.node_type is None:
-            raise ParseError(f"node {node_id!r} is untyped; cannot emit")
-        attrs = {"id": node_id}
-        if node.label is not None:
-            attrs["value"] = node.label
-        attrs["style"] = styles.style_for_node(node.node_type)
-        attrs["vertex"] = "1"
-        attrs["parent"] = layer_id
+        node_type = node.node_type
+        if node_type is None:
+            raise SchemaError(f"node {node_id!r} is untyped; cannot emit")
+        style = node_styles.get(node_type)
+        if style is None:
+            style = node_styles[node_type] = (
+                ' style="' + _escape(styles.style_for_node(node_type))
+                + '" vertex="1" parent="' + layer_id + '"'
+            )
+        node_ids[node_id] = escaped_id = _escape(node_id)
+        cell = _common_attributes(node, "node", escaped_id) + style
         if node.partner is not None:
-            attrs["partner"] = node.partner
-        for key in sorted(node.extra):
-            if key not in _CONSUMED_ATTRS:
-                attrs[key] = node.extra[key]
-        cell = ET.SubElement(container, "mxCell", attrs)
-        width, height = _NODE_SIZES[node.node_type]
-        geometry = {"width": str(width), "height": str(height)}
+            cell += ' partner="' + (node_ids.get(node.partner) or _escape(node.partner)) + '"'
+        if node.extra:
+            cell += _extra_attributes(node, "node", names, prefixes)
+        cell += ">\n          <mxGeometry "
         if node.position is not None:
             x, y = format_position(node)
-            geometry = {"x": x, "y": y, **geometry}
-        geometry["as"] = "geometry"
-        ET.SubElement(cell, "mxGeometry", geometry)
+            cell += 'x="' + x + '" y="' + y + '" '
+        cells.append(cell + _GEOMETRY[node_type])
 
     for flow_id in sorted(diagram.flows):
         flow = diagram.flows[flow_id]
-        if flow.flow_type is None:
-            raise ParseError(f"flow {flow_id!r} is untyped; cannot emit")
-        attrs = {"id": flow_id}
-        if flow.label is not None:
-            attrs["value"] = flow.label
-        attrs["style"] = styles.style_for_flow(flow.flow_type)
-        attrs["edge"] = "1"
-        attrs["parent"] = layer_id
-        attrs["source"] = flow.source
-        attrs["target"] = flow.target
+        flow_type = flow.flow_type
+        if flow_type is None:
+            raise SchemaError(f"flow {flow_id!r} is untyped; cannot emit")
+        style = flow_styles.get(flow_type)
+        if style is None:
+            style = flow_styles[flow_type] = (
+                ' style="' + _escape(styles.style_for_flow(flow_type))
+                + '" edge="1" parent="' + layer_id + '"'
+            )
+        source = node_ids.get(flow.source) or _escape(flow.source)
+        target = node_ids.get(flow.target) or _escape(flow.target)
+        cell = (
+            _common_attributes(flow, "flow", _escape(flow_id)) + style
+            + ' source="' + source + '" target="' + target + '"'
+        )
         if flow.partner is not None:
-            attrs["partner"] = flow.partner
-        for key in sorted(flow.extra):
-            if key not in _CONSUMED_ATTRS:
-                attrs[key] = flow.extra[key]
-        cell = ET.SubElement(container, "mxCell", attrs)
-        ET.SubElement(cell, "mxGeometry", {"relative": "1", "as": "geometry"})
+            cell += ' partner="' + _escape(flow.partner) + '"'
+        if flow.extra:
+            cell += _extra_attributes(flow, "flow", names, prefixes)
+        cells.append(cell + _EDGE_GEOMETRY)
 
-    file_elem = ET.Element("mxfile", {"host": "padfd"})
-    page = ET.SubElement(file_elem, "diagram", {"id": "page-0", "name": "Page-1"})
-    page.append(model_elem)
-    ET.indent(file_elem, space="  ")
-    text = ET.tostring(file_elem, encoding="unicode")
-    return ('<?xml version="1.0" encoding="UTF-8"?>\n' + text + "\n").encode("utf-8")
+    declarations = "".join(
+        f' xmlns:{prefix}="{_escape(uri)}"'
+        for uri, prefix in sorted(prefixes.items(), key=lambda item: item[1])
+    )
+    text = (
+        '<?xml version="1.0" encoding="UTF-8"?>\n<mxfile' + declarations + ' host="padfd">\n'
+        '  <diagram id="page-0" name="Page-1">\n'
+        '    <mxGraphModel dfdStage="' + diagram.stage.value + '" grid="1" gridSize="10"'
+        ' page="1" pageWidth="1169" pageHeight="826">\n      <root>\n'
+        + "\n".join(cells)
+        + "\n      </root>\n    </mxGraphModel>\n  </diagram>\n</mxfile>\n"
+    )
+    return text.encode("utf-8")

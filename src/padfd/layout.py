@@ -6,7 +6,8 @@ the drawing: each limit sits at the midpoint of the hop it guards, its
 request sits one grid step to the side (perpendicular to the data
 direction), the log chain hangs below the limit, and the partner nodes
 sit beside the element they serve. Nodes that already have a position
-are never moved; occupied spots are resolved by stepping downward.
+are never moved; a node whose spot is taken goes to the first free spot
+below it, one grid step at a time.
 """
 
 from __future__ import annotations
@@ -24,12 +25,24 @@ GRID_STEP = 80.0
 
 def layout_generated(diagram: Diagram) -> Diagram:
     nodes = dict(diagram.nodes)
-    occupied = {n.position for n in nodes.values() if n.position is not None}
+    # Each occupied spot maps to the y worth trying next in its column:
+    # every spot from it down to there is taken. A crowded column is thus
+    # walked once, not once per node placed in it.
+    below = {
+        n.position: n.position[1] + GRID_STEP
+        for n in nodes.values()
+        if n.position is not None
+    }
 
     def place(node_id: NodeId, x: float, y: float) -> None:
-        while (x, y) in occupied:
-            y += GRID_STEP
-        occupied.add((x, y))
+        passed = []
+        while (x, y) in below:
+            passed.append(y)
+            y = below[x, y]
+        next_y = y + GRID_STEP
+        below[x, y] = next_y
+        for skipped in passed:
+            below[x, skipped] = next_y
         nodes[node_id] = replace(nodes[node_id], position=(x, y))
 
     def position(node_id: NodeId | None) -> tuple[float, float] | None:
@@ -37,21 +50,22 @@ def layout_generated(diagram: Diagram) -> Diagram:
             return None
         return nodes[node_id].position
 
-    def unpositioned(node_type: NodeType) -> list[NodeId]:
-        return sorted(
-            n.id
-            for n in nodes.values()
-            if n.position is None and n.node_type is node_type
-        )
-
     # Business nodes first, on a baseline row, so gadget geometry has
-    # something to anchor to.
+    # something to anchor to; the others wait, by type, in id order.
     column = 0
+    waiting: dict[NodeType | None, list[NodeId]] = {}
     for node_id in sorted(nodes):
         node = nodes[node_id]
-        if node.position is None and node.node_type in model.BDFD_NODE_TYPES:
+        if node.position is not None:
+            continue
+        if node.node_type in model.BDFD_NODE_TYPES:
             place(node_id, column * 2 * GRID_STEP, 0.0)
             column += 1
+        else:
+            waiting.setdefault(node.node_type, []).append(node_id)
+
+    def unpositioned(node_type: NodeType | None) -> list[NodeId]:
+        return waiting.get(node_type, [])
 
     # Wiring: the hop each limit guards, the log chains, the cleaners.
     gadgets = gadget_index(diagram).values()
@@ -134,9 +148,8 @@ def layout_generated(diagram: Diagram) -> Diagram:
         else:
             place(clean_id, anchor[0] + 2 * GRID_STEP, anchor[1] + GRID_STEP)
 
-    # Anything left (untyped or unusual wiring) parks at the origin column.
-    for node_id in sorted(nodes):
-        if nodes[node_id].position is None:
-            place(node_id, 0.0, 0.0)
+    # Untyped nodes park at the origin column.
+    for node_id in unpositioned(None):
+        place(node_id, 0.0, 0.0)
 
     return replace(diagram, nodes=nodes)

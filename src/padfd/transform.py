@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from . import model
-from .errors import StageError, WellFormednessError, WrongFlowTypeError
+from .errors import StageError, TransformError, WellFormednessError, WrongFlowTypeError
 from .graph import Diagram, Flow, FlowId, Node, NodeId
 from .model import FlowType, NodeType, Stage
 from .validate import validate_wellformed
@@ -179,10 +179,19 @@ def transform(
     for node_id in sorted(diagram.nodes):
         _add_partner_elems(nodes, flows, ids, node_id)
     for flow_id in original_flows:
-        if flows[flow_id].flow_type not in _RETYPE:
+        flow = flows[flow_id]
+        if flow.flow_type not in _RETYPE:
             raise WrongFlowTypeError(
                 f"flow {flow_id!r} is not a well-formed data flow"
             )
+        for end in (flow.source, flow.target):
+            end_type = nodes[end].node_type
+            if end_type not in _DATA_IN:
+                type_name = end_type.value if end_type else None
+                raise TransformError(
+                    f"flow {flow_id!r} touches node {end!r} of type {type_name!r}; "
+                    "only flows between entities, processes and stores can be guarded"
+                )
         _rewrite_flow(nodes, flows, ids, flow_id)
     result = replace(diagram, stage=Stage.PA, nodes=nodes, flows=flows)
     if shared_log_store:

@@ -220,6 +220,20 @@ _json_text = st.text(
 )
 _any_coord = st.floats(allow_nan=False, allow_infinity=False)
 
+# Clark-notation ``{uri}local`` keys as XML parsers report namespaced
+# attributes: the predeclared XML namespace, one of ElementTree's
+# well-known URIs, and a dozen others, so that the writer's ns10 and ns11
+# prefixes sort before ns2.
+_URIS = (
+    "http://www.w3.org/XML/1998/namespace",
+    "http://purl.org/dc/elements/1.1/",
+    *(f"urn:padfd:{index}" for index in range(12)),
+    'urn:odd:"&<>',
+)
+clark_keys = st.builds(
+    "{{{}}}{}".format, st.sampled_from(_URIS), st.sampled_from(("lang", "space", "note", "v-1"))
+)
+
 
 @st.composite
 def json_text_diagrams(draw) -> Diagram:
@@ -230,7 +244,7 @@ def json_text_diagrams(draw) -> Diagram:
     pool = draw(st.lists(_json_text, min_size=1, max_size=6))
     texts = st.sampled_from(pool)
     labels = st.none() | texts
-    extras = st.dictionaries(texts, texts, max_size=2)
+    extras = st.dictionaries(texts | clark_keys, texts, max_size=2)
     nodes = {
         node_id: replace(
             node,
@@ -245,6 +259,63 @@ def json_text_diagrams(draw) -> Diagram:
         for flow_id, flow in diagram.flows.items()
     }
     return Diagram(stage=diagram.stage, nodes=nodes, flows=flows)
+
+
+@st.composite
+def namespaced_diagrams(draw) -> Diagram:
+    """Diagrams at every stage whose extra attributes mix plain keys with
+    Clark-notation keys from many namespaces; all of it draw.io can hold."""
+    diagram = draw(any_stage_diagrams())
+    extras = st.dictionaries(
+        st.sampled_from(_EXTRA_KEYS) | clark_keys, st.sampled_from(LABELS[1:]), max_size=3
+    )
+    return Diagram(
+        stage=diagram.stage,
+        nodes={k: replace(n, extra=draw(extras)) for k, n in diagram.nodes.items()},
+        flows={k: replace(f, extra=draw(extras)) for k, f in diagram.flows.items()},
+    )
+
+
+@st.composite
+def crowded_drawings(draw) -> Diagram:
+    """Privacy-aware diagrams of several positioned shops whose business
+    nodes share one 80 px grid, so the gadgets of neighbouring shops
+    compete for the same spots; some generated nodes are pinned to the
+    grid as well, and some business nodes are left for layout to place."""
+    spot = st.tuples(
+        st.integers(min_value=0, max_value=6).map(lambda i: i * 80.0),
+        st.integers(min_value=-2, max_value=2).map(lambda j: j * 80.0),
+    )
+    nodes, flows = [], []
+    for shop in range(draw(st.integers(min_value=1, max_value=6))):
+        ext, first, second, store = (f"s{shop}-{part}" for part in ("ext", "p1", "p2", "db"))
+        for node_id, node_type in (
+            (ext, NodeType.EXT),
+            (first, NodeType.PROC),
+            (second, NodeType.PROC),
+            (store, NodeType.DB),
+        ):
+            nodes.append(Node(node_id, node_type, position=draw(st.none() | spot)))
+        for name, source, target, flow_type in (
+            ("in", ext, first, FlowType.IN),
+            ("comp", first, second, FlowType.COMP),
+            ("store", second, store, FlowType.STORE),
+            ("read", store, second, FlowType.READ),
+            ("out", second, ext, FlowType.OUT),
+            ("del", first, store, FlowType.DELETE),
+        ):
+            flows.append(Flow(f"s{shop}-{name}", source, target, flow_type))
+    diagram = Diagram(stage=Stage.WELLFORMED)
+    for node in nodes:
+        diagram = add_node(diagram, node)
+    for flow in flows:
+        diagram = add_flow(diagram, flow)
+    pa = transform(diagram, shared_log_store=draw(st.booleans()))
+    generated = sorted(n for n in pa.nodes if n.startswith("gen-"))
+    pinned = draw(st.lists(st.sampled_from(generated), max_size=len(generated) // 4))
+    return replace(
+        pa, nodes={**pa.nodes, **{n: replace(pa.nodes[n], position=draw(spot)) for n in pinned}}
+    )
 
 
 dates = st.dates(min_value=date(2019, 1, 1), max_value=date(2023, 12, 31))

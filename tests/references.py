@@ -1,0 +1,207 @@
+"""Straightforward implementations that the library's fast paths are held to.
+
+`emit_drawio` writes its document string by string and `layout_generated`
+resolves occupied spots through a skip map; the versions here build an
+ElementTree and step down one grid cell at a time, as the library did
+before, and the tests require identical results.
+"""
+
+from __future__ import annotations
+
+import math
+import xml.etree.ElementTree as ET
+from dataclasses import replace
+
+from padfd import DEFAULT_STYLE_MAP, Diagram, FlowType, NodeType, ParseError
+from padfd import model
+from padfd.canonical import format_position
+from padfd.drawio import _CONSUMED_ATTRS, _NODE_SIZES, _structural_id
+from padfd.layout import GRID_STEP
+from padfd.transform import gadget_index
+
+
+def reference_emit_drawio(diagram: Diagram, styles=None) -> bytes:
+    """The draw.io document as ElementTree serialises it after ET.indent."""
+    styles = styles or DEFAULT_STYLE_MAP
+    taken = set(diagram.nodes) | set(diagram.flows)
+    root_id = _structural_id("0", taken)
+    layer_id = _structural_id("1", taken)
+
+    model_elem = ET.Element(
+        "mxGraphModel",
+        {
+            "dfdStage": diagram.stage.value,
+            "grid": "1",
+            "gridSize": "10",
+            "page": "1",
+            "pageWidth": "1169",
+            "pageHeight": "826",
+        },
+    )
+    container = ET.SubElement(model_elem, "root")
+    ET.SubElement(container, "mxCell", {"id": root_id})
+    ET.SubElement(container, "mxCell", {"id": layer_id, "parent": root_id})
+
+    for node_id in sorted(diagram.nodes):
+        node = diagram.nodes[node_id]
+        if node.node_type is None:
+            raise ParseError(f"node {node_id!r} is untyped; cannot emit")
+        attrs = {"id": node_id}
+        if node.label is not None:
+            attrs["value"] = node.label
+        attrs["style"] = styles.style_for_node(node.node_type)
+        attrs["vertex"] = "1"
+        attrs["parent"] = layer_id
+        if node.partner is not None:
+            attrs["partner"] = node.partner
+        for key in sorted(node.extra):
+            if key not in _CONSUMED_ATTRS:
+                attrs[key] = node.extra[key]
+        cell = ET.SubElement(container, "mxCell", attrs)
+        width, height = _NODE_SIZES[node.node_type]
+        geometry = {"width": str(width), "height": str(height)}
+        if node.position is not None:
+            x, y = format_position(node)
+            geometry = {"x": x, "y": y, **geometry}
+        geometry["as"] = "geometry"
+        ET.SubElement(cell, "mxGeometry", geometry)
+
+    for flow_id in sorted(diagram.flows):
+        flow = diagram.flows[flow_id]
+        if flow.flow_type is None:
+            raise ParseError(f"flow {flow_id!r} is untyped; cannot emit")
+        attrs = {"id": flow_id}
+        if flow.label is not None:
+            attrs["value"] = flow.label
+        attrs["style"] = styles.style_for_flow(flow.flow_type)
+        attrs["edge"] = "1"
+        attrs["parent"] = layer_id
+        attrs["source"] = flow.source
+        attrs["target"] = flow.target
+        if flow.partner is not None:
+            attrs["partner"] = flow.partner
+        for key in sorted(flow.extra):
+            if key not in _CONSUMED_ATTRS:
+                attrs[key] = flow.extra[key]
+        cell = ET.SubElement(container, "mxCell", attrs)
+        ET.SubElement(cell, "mxGeometry", {"relative": "1", "as": "geometry"})
+
+    file_elem = ET.Element("mxfile", {"host": "padfd"})
+    page = ET.SubElement(file_elem, "diagram", {"id": "page-0", "name": "Page-1"})
+    page.append(model_elem)
+    ET.indent(file_elem, space="  ")
+    text = ET.tostring(file_elem, encoding="unicode")
+    return ('<?xml version="1.0" encoding="UTF-8"?>\n' + text + "\n").encode("utf-8")
+
+
+def reference_layout_generated(diagram: Diagram) -> Diagram:
+    """Placement with occupied spots resolved by stepping down one grid
+    cell at a time, and one sorted scan per generated node type."""
+    nodes = dict(diagram.nodes)
+    occupied = {n.position for n in nodes.values() if n.position is not None}
+
+    def place(node_id, x, y):
+        while (x, y) in occupied:
+            y += GRID_STEP
+        occupied.add((x, y))
+        nodes[node_id] = replace(nodes[node_id], position=(x, y))
+
+    def position(node_id):
+        if node_id is None or node_id not in nodes:
+            return None
+        return nodes[node_id].position
+
+    def unpositioned(node_type):
+        return sorted(
+            n.id for n in nodes.values() if n.position is None and n.node_type is node_type
+        )
+
+    column = 0
+    for node_id in sorted(nodes):
+        node = nodes[node_id]
+        if node.position is None and node.node_type in model.BDFD_NODE_TYPES:
+            place(node_id, column * 2 * GRID_STEP, 0.0)
+            column += 1
+
+    gadgets = gadget_index(diagram).values()
+    hop_ends = {g.limit: (g.source, diagram.flows[g.flow].target) for g in gadgets}
+    log_anchor = {g.log: g.limit for g in gadgets}
+    log_db_anchor = {g.log_db: g.log for g in gadgets}
+    clean_target = {
+        f.source: f.target for f in diagram.flows.values() if f.flow_type is FlowType.CLEDB_DEL
+    }
+
+    def hop(limit_id):
+        source, target = hop_ends.get(limit_id, (None, None))
+        start, end = position(source), position(target)
+        if start is None or end is None:
+            return None
+        return start, end
+
+    for limit_id in unpositioned(NodeType.LIMIT):
+        ends = hop(limit_id)
+        if ends is None:
+            place(limit_id, 0.0, 0.0)
+            continue
+        (ax, ay), (bx, by) = ends
+        place(limit_id, (ax + bx) / 2, (ay + by) / 2)
+
+    for request_id in unpositioned(NodeType.REQUEST):
+        limit_id = nodes[request_id].partner
+        anchor = position(limit_id)
+        if anchor is None:
+            place(request_id, 0.0, 0.0)
+            continue
+        ends = hop(limit_id)
+        if ends is None:
+            place(request_id, anchor[0], anchor[1] - GRID_STEP)
+            continue
+        (ax, ay), (bx, by) = ends
+        dx, dy = bx - ax, by - ay
+        norm = math.hypot(dx, dy) or 1.0
+        place(
+            request_id,
+            anchor[0] + dy / norm * GRID_STEP,
+            anchor[1] - dx / norm * GRID_STEP,
+        )
+
+    for log_id in unpositioned(NodeType.LOG):
+        anchor = position(log_anchor.get(log_id))
+        if anchor is None:
+            place(log_id, 0.0, 0.0)
+        else:
+            place(log_id, anchor[0], anchor[1] + GRID_STEP)
+
+    for log_db_id in unpositioned(NodeType.LOG_DB):
+        anchor = position(log_db_anchor.get(log_db_id))
+        if anchor is None:
+            place(log_db_id, 0.0, 0.0)
+        else:
+            place(log_db_id, anchor[0], anchor[1] + GRID_STEP)
+
+    for reason_id in unpositioned(NodeType.REASON):
+        anchor = position(nodes[reason_id].partner)
+        if anchor is None:
+            place(reason_id, 0.0, 0.0)
+        else:
+            place(reason_id, anchor[0] + GRID_STEP, anchor[1] - GRID_STEP)
+
+    for policy_db_id in unpositioned(NodeType.POLICY_DB):
+        anchor = position(nodes[policy_db_id].partner)
+        if anchor is None:
+            place(policy_db_id, 0.0, 0.0)
+        else:
+            place(policy_db_id, anchor[0] + GRID_STEP, anchor[1] + GRID_STEP)
+
+    for clean_id in unpositioned(NodeType.CLEAN):
+        anchor = position(clean_target.get(clean_id))
+        if anchor is None:
+            place(clean_id, 0.0, 0.0)
+        else:
+            place(clean_id, anchor[0] + 2 * GRID_STEP, anchor[1] + GRID_STEP)
+
+    for node_id in sorted(nodes):
+        if nodes[node_id].position is None:
+            place(node_id, 0.0, 0.0)
+
+    return replace(diagram, nodes=nodes)

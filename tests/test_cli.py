@@ -304,6 +304,30 @@ def test_export_rejects_flow_id_shared_with_node(tmp_path, capsys):
     assert [p.name for p in tmp_path.iterdir()] == ["dup.json"]
 
 
+def _single_node_document(node: dict) -> str:
+    return json.dumps(
+        {"schema": "padfd-canonical/1", "stage": "raw-bdfd", "nodes": [node], "flows": []}
+    )
+
+
+@pytest.mark.parametrize(
+    "node, match",
+    [
+        ({"id": "a", "type": "ext", "extra": {"bad key": "v"}}, "extra key 'bad key' is not an XML"),
+        ({"id": "a", "type": "ext", "label": "x\u0001y"}, "U+0001 is not an XML character"),
+        ({"id": "a", "type": "ext", "label": "x\ud800"}, "node 'a': 'x\\ud800' holds a lone surrogate"),
+    ],
+    ids=["bad-key", "control-character", "lone-surrogate"],
+)
+def test_export_refuses_what_drawio_cannot_read_back(tmp_path, capsys, node, match):
+    source = tmp_path / "in.json"
+    source.write_text(_single_node_document(node), encoding="utf-8")
+    out = tmp_path / "out.drawio.xml"
+    assert main(["export", str(source), "-o", str(out), "--out-format", "drawio"]) == 2
+    assert match in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["in.json"]
+
+
 def test_export_dot(fixtures_dir, tmp_path):
     out = tmp_path / "estore.dot"
     assert main(

@@ -39,6 +39,8 @@ from padfd import (
 from padfd.cli import main
 from padfd.drawio import MAX_INFLATED_PAGE
 
+from references import reference_emit_drawio
+
 from helpers import (
     build_all_kinds,
     build_diagram,
@@ -225,6 +227,71 @@ def test_emit_requires_typed_elements():
     d = build_diagram(Stage.RAW, [Node("n")], [])
     with pytest.raises(ParseError):
         emit_drawio(d)
+
+
+@pytest.mark.parametrize(
+    "element, match",
+    [
+        (Node("a", NodeType.EXT, label="x\x01y"), r"cannot write 'x\\x01y' in XML: U\+0001"),
+        (Node("a\x0b", NodeType.EXT), r"U\+000B is not an XML character"),
+        (Node("a", NodeType.EXT, partner="\ufffe"), r"U\+FFFE is not an XML character"),
+        (Node("a", NodeType.EXT, extra={"k": "\ud800"}), r"U\+D800 is not an XML character"),
+        (Node("a", NodeType.EXT, label=""), "node 'a': an empty label reads back as no label"),
+        (Node("a", NodeType.EXT, extra={"style": "x"}), "'style' is a cell attribute padfd writes"),
+        (Node("a", NodeType.EXT, extra={"bad key": "x"}), "node 'a': extra key 'bad key' is not an XML"),
+        (Node("a", NodeType.EXT, extra={"xml:lang": "en"}), "'xml:lang' is not an XML"),
+        (Node("a", NodeType.EXT, extra={"p:k": "x"}), "'p:k' is not an XML"),
+        (Node("a", NodeType.EXT, extra={"xmlns": "urn:x"}), "'xmlns' is not an XML"),
+        (Node("a", NodeType.EXT, extra={"{}k": "x"}), r"'\{\}k' is not an XML"),
+        (Node("a", NodeType.EXT, extra={"{urn:x}": "x"}), r"'\{urn:x\}' is not an XML"),
+        (Node("a", NodeType.EXT, extra={"{urn:x": "x"}), r"'\{urn:x' is not an XML"),
+        (Node("a", NodeType.EXT, extra={"{http://www.w3.org/2000/xmlns/}p": "x"}), "is not an XML"),
+        (Flow("f", "a", "a", FlowType.PF, label=""), "flow 'f': an empty label"),
+        (Flow("f", "a", "a", FlowType.PF, extra={"source": "b"}), "flow 'f': extra key 'source'"),
+    ],
+)
+def test_emit_refuses_what_would_not_read_back(element, match):
+    if isinstance(element, Flow):
+        d = build_diagram(Stage.RAW, [Node("a", NodeType.EXT)], [element])
+    else:
+        d = build_diagram(Stage.RAW, [element], [])
+    with pytest.raises(SchemaError, match=match):
+        emit_drawio(d)
+
+
+def test_emit_declares_namespaces_in_prefix_order():
+    extra = {f"{{urn:n{index}}}k": str(index) for index in range(12)}
+    extra["{http://www.w3.org/XML/1998/namespace}lang"] = "en"
+    d = build_diagram(
+        Stage.RAW,
+        [Node("a", NodeType.EXT, extra=extra), Node("b", NodeType.PROC)],
+        [Flow("f", "a", "b", FlowType.PF, extra={"{urn:late}k": "v", "{urn:n3}k": "w"})],
+    )
+    data = emit_drawio(d)
+    assert data == reference_emit_drawio(d)
+    header = data.decode("utf-8").splitlines()[1]
+    prefixes = [part.split("=")[0] for part in header.split(" xmlns:")[1:]]
+    assert prefixes == sorted(prefixes) and len(prefixes) == 13
+    assert prefixes.index("ns10") < prefixes.index("ns2")
+    assert header.endswith(' host="padfd">')
+    text = data.decode("utf-8")
+    assert ' xml:lang="en"' in text and "xmlns:xml" not in text
+    assert parse_drawio(data) == d
+
+
+def test_emit_escapes_custom_styles_like_the_reference():
+    styles = StyleMap(
+        node_rules=DEFAULT_STYLE_MAP.node_rules,
+        edge_rules=DEFAULT_STYLE_MAP.edge_rules,
+        node_styles={**DEFAULT_STYLE_MAP.node_styles, NodeType.EXT: 'label="a&b"<\t>;'},
+        edge_styles={**DEFAULT_STYLE_MAP.edge_styles, FlowType.PF: "line\r\none;"},
+    )
+    d = build_diagram(
+        Stage.RAW,
+        [Node("a", NodeType.EXT, label="A\tB"), Node("b", NodeType.PROC)],
+        [Flow("f", "a", "b", FlowType.PF)],
+    )
+    assert emit_drawio(d, styles) == reference_emit_drawio(d, styles)
 
 
 def test_emit_is_byte_deterministic():
@@ -527,6 +594,32 @@ def test_parse_json_rejects_non_json():
 def test_parse_json_rejects_bad_text(data, match):
     with pytest.raises(SchemaError, match=match):
         parse_json(data)
+
+
+@pytest.mark.parametrize(
+    "node",
+    [
+        {"id": "\ud800", "type": "ext"},
+        {"id": "a", "type": "ext", "label": "x\udfffy"},
+        {"id": "a", "type": "ext", "partner": "\udc00"},
+        {"id": "a", "type": "ext", "extra": {"k\ud83d": "v"}},
+        {"id": "a", "type": "ext", "extra": {"k": "\ude00\ud83d"}},
+    ],
+)
+def test_parse_json_rejects_lone_surrogates(node):
+    doc = {"schema": SCHEMA_ID, "stage": "raw-bdfd", "nodes": [node], "flows": []}
+    # As \udXXX escapes in a file, and verbatim in a str argument.
+    with pytest.raises(SchemaError, match="holds a lone surrogate"):
+        parse_json(json.dumps(doc).encode("utf-8"))
+    with pytest.raises(SchemaError, match="holds a lone surrogate"):
+        parse_json(json.dumps(doc, ensure_ascii=False))
+
+
+def test_parse_json_accepts_surrogate_pairs():
+    doc = {"schema": SCHEMA_ID, "stage": "raw-bdfd", "flows": []}
+    doc["nodes"] = [{"id": "a", "type": "ext", "label": "\U0001f512\ud7ff"}]
+    d = parse_json(json.dumps(doc))  # written as the escapes \ud83d\udd12 and \ud7ff
+    assert d.nodes["a"].label == "\U0001f512\ud7ff"
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])

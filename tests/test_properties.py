@@ -11,10 +11,13 @@ from hypothesis import strategies as st
 from padfd import (
     FlowType,
     NodeType,
+    ParseError,
+    SchemaError,
     Stage,
     emit_drawio,
     emit_json,
     evaluate_limit,
+    layout_generated,
     parse_drawio,
     parse_json,
     run_clean,
@@ -29,15 +32,18 @@ from padfd.model import WELLFORMED_FLOW_ENDPOINTS
 
 from diagram_strategies import (
     any_stage_diagrams,
+    crowded_drawings,
     data_records,
     dates,
     flow_metas,
     json_text_diagrams,
+    namespaced_diagrams,
     raw_diagrams,
     simulation_scenarios,
     store_states,
     wellformed_diagrams,
 )
+from references import reference_emit_drawio, reference_layout_generated
 
 PROPERTY_SETTINGS = settings(
     max_examples=60,
@@ -195,6 +201,73 @@ def test_emit_json_writes_json_only_text_like_the_reference(diagram):
     data = emit_json(diagram)
     assert data == _reference_json(diagram)
     assert parse_json(data) == diagram
+
+
+@PROPERTY_SETTINGS
+@given(any_stage_diagrams())
+def test_emit_drawio_is_the_reference_writer(diagram):
+    assert emit_drawio(diagram) == reference_emit_drawio(diagram)
+
+
+@PROPERTY_SETTINGS
+@given(wellformed_diagrams(), st.booleans())
+def test_emit_drawio_is_the_reference_writer_of_transform_output(diagram, shared):
+    pa = layout_generated(transform(diagram, shared_log_store=shared))
+    assert emit_drawio(pa) == reference_emit_drawio(pa)
+
+
+@PROPERTY_SETTINGS
+@given(namespaced_diagrams())
+def test_emit_drawio_declares_namespaces_like_the_reference(diagram):
+    data = emit_drawio(diagram)
+    assert data == reference_emit_drawio(diagram)
+    assert parse_drawio(data) == diagram
+
+
+def _reads_back(data: bytes, diagram) -> bool:
+    try:
+        return parse_drawio(data) == diagram
+    except ParseError:
+        return False
+
+
+@PROPERTY_SETTINGS
+@given(json_text_diagrams())
+def test_emit_drawio_refuses_only_what_would_not_read_back(diagram):
+    """Text the draw.io writer accepts is written as the reference writes
+    it; what it refuses, the reference writes unreadably or lossily."""
+    try:
+        reference = reference_emit_drawio(diagram)
+    except ValueError:  # an unbalanced "{" key, or text UTF-8 cannot encode
+        reference = None
+    try:
+        data = emit_drawio(diagram)
+    except SchemaError:
+        assert reference is None or not _reads_back(reference, diagram)
+    else:
+        assert data == reference
+
+
+@PROPERTY_SETTINGS
+@given(json_text_diagrams())
+def test_json_documents_round_trip_through_drawio_or_are_refused(diagram):
+    accepted = parse_json(emit_json(diagram))
+    try:
+        data = emit_drawio(accepted)
+    except SchemaError:
+        return
+    assert parse_drawio(data) == accepted
+
+
+# --- layout ---------------------------------------------------------------------------
+
+
+@PROPERTY_SETTINGS
+@given(crowded_drawings())
+def test_layout_places_like_the_stepping_reference(diagram):
+    placed = layout_generated(diagram)
+    assert placed == reference_layout_generated(diagram)
+    assert all(node.position is not None for node in placed.nodes.values())
 
 
 # --- the decision rule --------------------------------------------------------------

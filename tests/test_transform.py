@@ -13,6 +13,7 @@ from padfd import (
     NodeType,
     Stage,
     StageError,
+    TransformError,
     WellFormednessError,
     WrongFlowTypeError,
     merge_log_stores,
@@ -225,6 +226,26 @@ def test_transform_rejects_flows_without_a_gadget():
     pf = replace(raw.flows["f_in"], flow_type=FlowType.PF)
     with pytest.raises(WrongFlowTypeError, match="'f_in' is not a well-formed data flow"):
         transform(replace(raw, flows={**raw.flows, "f_in": pf}), check=False)
+
+
+@pytest.mark.parametrize(
+    "node, direction",
+    [
+        (Node("a", NodeType.LIMIT), "in"),
+        (Node("a", NodeType.LOG_DB), "out"),
+        (Node("a"), "in"),
+    ],
+)
+def test_transform_refuses_flows_touching_non_business_nodes(node, direction):
+    # Only reachable with check=False: validation rejects such endpoints first.
+    ends = ("a", "p") if direction == "in" else ("p", "a")
+    flow_type = FlowType.IN if direction == "in" else FlowType.OUT
+    d = build_diagram(
+        Stage.WELLFORMED, [node, Node("p", NodeType.PROC)], [Flow("f", *ends, flow_type)]
+    )
+    type_name = node.node_type.value if node.node_type else None
+    with pytest.raises(TransformError, match=f"flow 'f' touches node 'a' of type {type_name!r}"):
+        transform(d, check=False)
 
 
 # --- whole-diagram rewrite ---------------------------------------------------
