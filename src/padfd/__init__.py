@@ -22,7 +22,6 @@ from .errors import (
     SimulationError,
     StageError,
     TransformError,
-    UnknownElementError,
     UnknownEndpointError,
     UnknownStyleError,
     WellFormednessError,
@@ -61,6 +60,7 @@ from .simulate import (
     parse_data_records,
     parse_flow_metas,
     render_report,
+    report_json,
     report_to_dict,
     run_clean,
     run_simulation,
@@ -113,7 +113,6 @@ __all__ = [
     "StoreState",
     "StyleMap",
     "TransformError",
-    "UnknownElementError",
     "UnknownEndpointError",
     "UnknownStyleError",
     "Violation",
@@ -140,6 +139,7 @@ __all__ = [
     "parse_flow_metas",
     "parse_json",
     "render_report",
+    "report_json",
     "report_to_dict",
     "run_clean",
     "run_simulation",

@@ -154,7 +154,8 @@ def _list_text(entries: list[str]) -> str:
 
 
 def emit_json(diagram: Diagram) -> bytes:
-    """Canonical JSON bytes: sorted keys, two-space indent, LF, newline at end."""
+    """Canonical JSON bytes: sorted keys, two-space indent, LF, newline at
+    end. Text holding a lone surrogate is refused with SchemaError."""
     nodes, flows = diagram.nodes, diagram.flows
     text = (
         '{\n  "flows": '
@@ -167,7 +168,7 @@ def emit_json(diagram: Diagram) -> bytes:
         + _quote(diagram.stage.value)
         + "\n}\n"
     )
-    return text.encode("utf-8")
+    return encode_output(text, diagram, "JSON")
 
 
 def _reject_constant(name: str):
@@ -223,13 +224,33 @@ def _shared_fields(entry: dict, types: dict, kind: str, element_id: str) -> tupl
     return element_type, label, partner, extra
 
 
-def _reject_lone_surrogates(nodes: dict[str, Node], flows: dict[str, Flow]) -> None:
-    for kind, elements in (("node", nodes), ("flow", flows)):
+def _first_lone_surrogate(diagram: Diagram) -> tuple[str, str, str] | None:
+    """(kind, element id, text) of the first text holding a lone surrogate."""
+    for kind, elements in (("node", diagram.nodes), ("flow", diagram.flows)):
         for element in elements.values():
             extra = element.extra
             for text in (element.id, element.label, element.partner, *extra, *extra.values()):
                 if text is not None and re.search(_SURROGATE, text):
-                    raise _element_error(kind, element.id, f"{text!r} holds a lone surrogate")
+                    return kind, element.id, text
+    return None
+
+
+def encode_output(text: str, diagram: Diagram, language: str) -> bytes:
+    """A writer's text as UTF-8 bytes. Only a lone surrogate fails to
+    encode, and only then is the diagram searched for the element holding
+    it, so valid text costs nothing extra. Refused with SchemaError."""
+    try:
+        return text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        found = _first_lone_surrogate(diagram)
+        if found is None:
+            code = ord(exc.object[exc.start])
+            raise SchemaError(f"cannot write {language}: U+{code:04X} is a lone surrogate") from None
+        kind, element_id, held = found
+        code = ord(re.search(_SURROGATE, held).group())
+        raise _element_error(
+            kind, element_id, f"cannot write {held!r} in {language}: U+{code:04X} is a lone surrogate"
+        ) from None
 
 
 def parse_json(data: bytes | str) -> Diagram:
@@ -309,6 +330,10 @@ def parse_json(data: bytes | str) -> Diagram:
             flow_id, source, target, *_shared_fields(entry, _FLOW_TYPES, "flow", flow_id)
         )
 
+    diagram = Diagram(stage=stage, nodes=nodes, flows=flows)
     if "\\ud" in text or "\\uD" in text or (isinstance(data, str) and not text.isascii()):
-        _reject_lone_surrogates(nodes, flows)
-    return Diagram(stage=stage, nodes=nodes, flows=flows)
+        found = _first_lone_surrogate(diagram)
+        if found is not None:
+            kind, element_id, held = found
+            raise _element_error(kind, element_id, f"{held!r} holds a lone surrogate")
+    return diagram

@@ -35,7 +35,7 @@ from .simulate import (
     load_equivalences,
     load_flow_metas,
     render_report,
-    report_to_dict,
+    report_json,
     run_simulation,
 )
 from .styles import DEFAULT_STYLE_MAP, StyleMap, load_style_map
@@ -215,7 +215,7 @@ def cmd_simulate(args) -> int:
         multi_hop=args.multi_hop,
     )
     if args.report == "json":
-        print(json.dumps(report_to_dict(report), indent=2, sort_keys=True))
+        print(report_json(report))
     else:
         print(render_report(report), end="")
     if args.fail_on_violation and report.violations:

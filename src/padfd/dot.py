@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from .canonical import encode_output
 from .graph import Diagram
 from .model import NodeType
 
@@ -26,7 +27,8 @@ def _quote(text: str) -> str:
 
 def emit_dot(diagram: Diagram) -> bytes:
     """Render the diagram as DOT: node shape by type, edge labelled with
-    the flow type plus the original label. Deterministic (sorted ids)."""
+    the flow type plus the original label. Deterministic (sorted ids).
+    Text holding a lone surrogate is refused with SchemaError."""
     lines = [
         "digraph dfd {",
         "  rankdir=LR;",
@@ -51,4 +53,4 @@ def emit_dot(diagram: Diagram) -> bytes:
             f"[label={_quote(label)}];"
         )
     lines.append("}")
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    return encode_output("\n".join(lines) + "\n", diagram, "DOT")

@@ -20,10 +20,6 @@ class DuplicateIdError(GraphError):
     pass
 
 
-class UnknownElementError(GraphError):
-    pass
-
-
 class UnknownEndpointError(GraphError):
     pass
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from .errors import DuplicateIdError, UnknownElementError, UnknownEndpointError
+from .errors import DuplicateIdError, UnknownEndpointError
 from .model import FlowType, NodeType, Stage
 
 NodeId = str
@@ -64,18 +64,6 @@ class Diagram:
     stage: Stage = Stage.RAW
     nodes: dict[NodeId, Node] = field(default_factory=dict)
     flows: dict[FlowId, Flow] = field(default_factory=dict)
-
-    def node(self, node_id: NodeId) -> Node:
-        try:
-            return self.nodes[node_id]
-        except KeyError:
-            raise UnknownElementError(f"no node with id {node_id!r}") from None
-
-    def flow(self, flow_id: FlowId) -> Flow:
-        try:
-            return self.flows[flow_id]
-        except KeyError:
-            raise UnknownElementError(f"no flow with id {flow_id!r}") from None
 
 
 def add_node(diagram: Diagram, node: Node) -> Diagram:

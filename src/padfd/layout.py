@@ -7,7 +7,9 @@ request sits one grid step to the side (perpendicular to the data
 direction), the log chain hangs below the limit, and the partner nodes
 sit beside the element they serve. Nodes that already have a position
 are never moved; a node whose spot is taken goes to the first free spot
-below it, one grid step at a time.
+below it, one grid step at a time. Where a coordinate is so large that a
+grid step does not change it, there is no spot below, and the layout is
+refused with SchemaError.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import math
 from dataclasses import replace
 
 from . import model
+from .errors import SchemaError
 from .graph import Diagram, NodeId
 from .model import FlowType, NodeType
 from .transform import gadget_index
@@ -38,6 +41,11 @@ def layout_generated(diagram: Diagram) -> Diagram:
         passed = []
         while (x, y) in below:
             passed.append(y)
+            if y + GRID_STEP == y:
+                raise SchemaError(
+                    f"node {node_id!r}: no free spot below ({x:g}, {y:g}); "
+                    f"at this y a {GRID_STEP:g} px grid step does not move"
+                )
             y = below[x, y]
         next_y = y + GRID_STEP
         below[x, y] = next_y

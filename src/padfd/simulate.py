@@ -20,13 +20,15 @@ import csv
 import io
 import json
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from datetime import date
+from json.encoder import encode_basestring_ascii as _ascii
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 from .errors import SchemaError, SimulationError, StageError
-from .graph import Diagram, NodeId
+from .graph import Diagram, Flow, NodeId
 from .model import FlowType, NodeType, Stage
 from .transform import gadget_index
 
@@ -136,10 +138,33 @@ def _norm(text: str) -> str:
     return text.strip().casefold()
 
 
+class _Coverage:
+    """Purpose compatibility as a table: each normalised purpose maps to
+    the normalised consented purposes that cover it, itself included; a
+    purpose no pair names is covered by itself alone. A consent set is
+    compatible with a purpose exactly when its normalised purposes meet
+    that purpose's cover."""
+
+    def __init__(self, pairs: Iterable[tuple[str, str]] = ()) -> None:
+        self.covers: dict[str, set[str]] = {}
+        for consented, covered in pairs:
+            purpose = _norm(covered)
+            self.covers.setdefault(purpose, {purpose}).add(_norm(consented))
+
+    def __call__(self, purpose: str, consent: frozenset) -> bool:
+        wanted = _norm(purpose)
+        held = map(str.casefold, map(str.strip, consent))  # _norm of each, without a Python call
+        cover = self.covers.get(wanted)
+        return wanted in held if cover is None else not cover.isdisjoint(held)
+
+
+_EXACT = _Coverage()
+
+
 def exact_compatibility(purpose: str, consent: frozenset) -> bool:
     """Default purpose check: the flow's purpose must literally appear in
     the record's consented purposes (case-insensitive)."""
-    return _norm(purpose) in {_norm(c) for c in consent}
+    return _EXACT(purpose, consent)
 
 
 def compatibility_with_equivalences(
@@ -147,23 +172,7 @@ def compatibility_with_equivalences(
 ) -> Compatibility:
     """Exact matching extended with (consented, covered) purpose pairs for
     deployments whose consent wording differs from flow purposes."""
-    table = {(_norm(consented), _norm(covered)) for consented, covered in pairs}
-
-    def compatible(purpose: str, consent: frozenset) -> bool:
-        if exact_compatibility(purpose, consent):
-            return True
-        covered = _norm(purpose)
-        return any((_norm(c), covered) in table for c in consent)
-
-    return compatible
-
-
-def _check_binding(meta: FlowMeta, record: DataRecord) -> None:
-    if meta.flow_id != record.flow_id:
-        raise SimulationError(
-            f"record {record.d_id!r} is bound to flow {record.flow_id!r} "
-            f"but was evaluated against flow {meta.flow_id!r}"
-        )
+    return _Coverage(pairs)
 
 
 def evaluate_limit(
@@ -180,22 +189,19 @@ def evaluate_limit(
     expiry day itself still forwards); withheld personal data raises the
     violation flag. A log entry is produced either way.
     """
-    _check_binding(meta, record)
-    compatible = compatible or exact_compatibility
+    if meta.flow_id != record.flow_id:
+        raise SimulationError(
+            f"record {record.d_id!r} is bound to flow {record.flow_id!r} "
+            f"but was evaluated against flow {meta.flow_id!r}"
+        )
     if meta.pd:
+        compatible = compatible or exact_compatibility
         forwarded = compatible(meta.purpose, record.consent) and clock <= record.expiry
-        violation = not forwarded
     else:
         forwarded = True
-        violation = False
-    entry = LogEntry(
-        d_id=record.d_id,
-        flow_id=record.flow_id,
-        policy=PolicySnapshot(meta.purpose, record.consent, record.expiry),
-        v=violation,
-        clock=clock,
-    )
-    return forwarded, entry
+    policy = PolicySnapshot(meta.purpose, record.consent, record.expiry)
+    # Withheld personal data, and only that, is a violation.
+    return forwarded, LogEntry(record.d_id, record.flow_id, policy, not forwarded, clock)
 
 
 def _initial_state(diagram: Diagram) -> StoreState:
@@ -254,8 +260,11 @@ def run_simulation(
         n.id: [] for n in diagram.nodes.values() if n.node_type is NodeType.LOG_DB
     }
     decisions: list[Decision] = []
+    # Each flow id is resolved once, at its first record, to its flow,
+    # policy row and log; an unusable flow fails at that record.
+    routes: dict[str, tuple[Flow, FlowMeta, list[LogEntry]]] = {}
 
-    def evaluate(record: DataRecord, propagated: bool) -> bool:
+    def route(record: DataRecord) -> tuple[Flow, FlowMeta, list[LogEntry]]:
         flow = diagram.flows.get(record.flow_id)
         if flow is None:
             raise SimulationError(f"record {record.d_id!r} names unknown flow {record.flow_id!r}")
@@ -268,17 +277,15 @@ def run_simulation(
         meta = meta_by_flow.get(record.flow_id)
         if meta is None:
             raise SimulationError(f"no policy row for flow {record.flow_id!r}")
+        routes[record.flow_id] = resolved = (flow, meta, logs[gadget.log_db])
+        return resolved
+
+    def evaluate(record: DataRecord, propagated: bool) -> bool:
+        flow, meta, log = routes.get(record.flow_id) or route(record)
         forwarded, entry = evaluate_limit(meta, record, clock, compatible=compatible)
-        logs[gadget.log_db].append(entry)
+        log.append(entry)
         decisions.append(
-            Decision(
-                d_id=record.d_id,
-                flow_id=record.flow_id,
-                forwarded_bdfd=True,
-                forwarded_padfd=forwarded,
-                entry=entry,
-                propagated=propagated,
-            )
+            Decision(record.d_id, record.flow_id, True, forwarded, entry, propagated)
         )
         if not forwarded:
             return False
@@ -306,7 +313,7 @@ def run_simulation(
         queue = deque([record])
         while queue:
             current = queue.popleft()
-            flow = diagram.flows[current.flow_id]
+            flow = routes[current.flow_id][0]
             if flow.flow_type is not FlowType.LIMPRO:
                 continue
             for next_flow in outgoing.get(flow.target, ()):
@@ -314,7 +321,10 @@ def run_simulation(
                 if key in visited or next_flow not in meta_by_flow:
                     continue
                 visited.add(key)
-                hop = replace(current, flow_id=next_flow)
+                hop = DataRecord(
+                    current.d_id, next_flow, current.dsub, current.consent,
+                    current.expiry, current.content,
+                )
                 if evaluate(hop, propagated=True):
                     queue.append(hop)
 
@@ -376,11 +386,14 @@ def _parse_consent(value, where: str) -> frozenset[str]:
     return frozenset(purposes)
 
 
-def _text_field(row: dict, key: str, where: str) -> str:
-    value = row[key]
+def _text(value, key: str, where: str) -> str:
     if not isinstance(value, str):
         raise SimulationError(f"{where}: {key} must be a string, found {value!r}")
     return value.strip()
+
+
+def _text_field(row: dict, key: str, where: str) -> str:
+    return _text(row[key], key, where)
 
 
 def _make_meta(row: dict, where: str) -> FlowMeta:
@@ -401,32 +414,54 @@ def _make_meta(row: dict, where: str) -> FlowMeta:
     )
 
 
-def _make_record(row: dict, where: str) -> DataRecord:
-    d_id = _text_field(row, "D_id", where)
-    flow_id = _text_field(row, "F_id", where)
-    if not d_id or not flow_id:
-        raise SimulationError(f"{where}: D_id and F_id must not be empty")
-    return DataRecord(
-        d_id=d_id,
-        flow_id=flow_id,
-        dsub=_text_field(row, "Dsub", where),
-        consent=_parse_consent(row["Consent"], where),
-        expiry=_parse_date(_text_field(row, "Expiry", where), where),
-        content=_text_field(row, "Content", where),
-    )
+class _RecordMaker:
+    """Builds records from a row's fields, in DYNAMIC_COLUMNS order,
+    parsing each distinct consent and expiry text once."""
+
+    def __init__(self) -> None:
+        self.consents: dict[str, frozenset[str]] = {}
+        self.expiries: dict[str, date] = {}
+
+    def __call__(self, where, d_id, flow_id, dsub, consent, expiry, content) -> DataRecord:
+        d_id = _text(d_id, "D_id", where)
+        flow_id = _text(flow_id, "F_id", where)
+        if not d_id or not flow_id:
+            raise SimulationError(f"{where}: D_id and F_id must not be empty")
+        dsub = _text(dsub, "Dsub", where)
+        if isinstance(consent, str):
+            parsed = self.consents.get(consent)
+            if parsed is None:
+                parsed = self.consents[consent] = _parse_consent(consent, where)
+        else:
+            parsed = _parse_consent(consent, where)
+        expiry = _text(expiry, "Expiry", where)
+        expires = self.expiries.get(expiry)
+        if expires is None:
+            expires = self.expiries[expiry] = _parse_date(expiry, where)
+        return DataRecord(d_id, flow_id, dsub, parsed, expires, _text(content, "Content", where))
 
 
 def _rows_from_csv(text: str, columns: tuple[str, ...], what: str):
-    reader = csv.DictReader(io.StringIO(text))
-    header = reader.fieldnames or []
+    """(row number, the row's `columns`) for every row after the header,
+    read as csv.DictReader reads them: blank lines are skipped and not
+    numbered, a short row reads "" for its missing fields, extra fields
+    are ignored, and a repeated header name takes its last column."""
+    reader = csv.reader(io.StringIO(text))
+    header = next(reader, None) or []
     missing = [c for c in columns if c not in header]
     if missing:
         raise SimulationError(
             f"{what} table is missing columns {missing}; expected header "
             f"{','.join(columns)}"
         )
-    for index, row in enumerate(reader, start=2):
-        yield f"{what} row {index}", {c: (row[c] or "") for c in columns}
+    last = {name: index for index, name in enumerate(header)}
+    picks = [last[c] for c in columns]
+    pick = itemgetter(*picks)
+    width = max(picks) + 1
+    for number, row in enumerate(filter(None, reader), start=2):
+        if len(row) < width:
+            row += [""] * (width - len(row))
+        yield number, pick(row)
 
 
 def _rows_from_json(text: str, columns: tuple[str, ...], what: str):
@@ -447,21 +482,27 @@ def _rows_from_json(text: str, columns: tuple[str, ...], what: str):
 
 
 def parse_flow_metas(text: str, *, json_format: bool = False) -> list[FlowMeta]:
-    rows = (
-        _rows_from_json(text, STATIC_COLUMNS, "static")
-        if json_format
-        else _rows_from_csv(text, STATIC_COLUMNS, "static")
-    )
+    if json_format:
+        rows = _rows_from_json(text, STATIC_COLUMNS, "static")
+    else:
+        rows = (
+            (f"static row {number}", dict(zip(STATIC_COLUMNS, values)))
+            for number, values in _rows_from_csv(text, STATIC_COLUMNS, "static")
+        )
     return [_make_meta(row, where) for where, row in rows]
 
 
 def parse_data_records(text: str, *, json_format: bool = False) -> list[DataRecord]:
-    rows = (
-        _rows_from_json(text, DYNAMIC_COLUMNS, "dynamic")
-        if json_format
-        else _rows_from_csv(text, DYNAMIC_COLUMNS, "dynamic")
-    )
-    return [_make_record(row, where) for where, row in rows]
+    make = _RecordMaker()
+    if json_format:
+        return [
+            make(where, *[row[key] for key in DYNAMIC_COLUMNS])
+            for where, row in _rows_from_json(text, DYNAMIC_COLUMNS, "dynamic")
+        ]
+    return [
+        make(f"dynamic row {number}", *fields)
+        for number, fields in _rows_from_csv(text, DYNAMIC_COLUMNS, "dynamic")
+    ]
 
 
 def load_flow_metas(path: str | Path) -> list[FlowMeta]:
@@ -550,6 +591,102 @@ def report_to_dict(report: SimulationReport) -> dict:
             for store, snaps in sorted(report.state.policies.items())
         },
     }
+
+
+# report_json writes the layout that json.dumps(report_to_dict(report),
+# indent=2, sort_keys=True) gives, its keys already in sorted order:
+# decisions and log stores sit at indent 4, log entries and stored records
+# at 6, and every consent list's items at 10.
+
+
+def _block(items: list[str], indent: str, brackets: str) -> str:
+    """A JSON array or object ("[]" or "{}") of items written already, one
+    level deeper than `indent`."""
+    if not items:
+        return brackets
+    return brackets[0] + "\n" + ",\n".join(items) + "\n" + indent + brackets[1]
+
+
+def _consent_text(consent: frozenset) -> str:
+    return _block(["          " + _ascii(purpose) for purpose in sorted(consent)], "        ", "[]")
+
+
+def _log_text(entries: list[LogEntry]) -> str:
+    return _block(
+        [
+            f'      {{\n        "clock": "{e.clock.isoformat()}",\n'
+            f'        "consent": {_consent_text(e.policy.consent)},\n'
+            f'        "d_id": {_ascii(e.d_id)},\n'
+            f'        "expiry": "{e.policy.expiry.isoformat()}",\n'
+            f'        "flow_id": {_ascii(e.flow_id)},\n'
+            f'        "purpose": {_ascii(e.policy.purpose)},\n'
+            f'        "v": {"true" if e.v else "false"}\n      }}'
+            for e in entries
+        ],
+        "    ",
+        "[]",
+    )
+
+
+def _snapshot_text(snap: PolicySnapshot) -> str:
+    return (
+        f'{{\n        "consent": {_consent_text(snap.consent)},\n'
+        f'        "expiry": "{snap.expiry.isoformat()}",\n'
+        f'        "purpose": {_ascii(snap.purpose)}\n      }}'
+    )
+
+
+def _stored_text(stored: StoredRecord) -> str:
+    return f'{{\n        "stored_at": "{stored.stored_at.isoformat()}"\n      }}'
+
+
+def _stores_text(stores: dict, value_text: Callable) -> str:
+    """Stores by id, each holding its values by record id."""
+    return _block(
+        [
+            f"    {_ascii(store)}: "
+            + _block(
+                [f"      {_ascii(d_id)}: {value_text(value)}" for d_id, value in sorted(held.items())],
+                "    ",
+                "{}",
+            )
+            for store, held in sorted(stores.items())
+        ],
+        "  ",
+        "{}",
+    )
+
+
+def report_json(report: SimulationReport) -> str:
+    """The report as JSON text, byte-identical to
+    ``json.dumps(report_to_dict(report), indent=2, sort_keys=True)``: keys
+    sorted, two-space indent, ASCII only, no trailing newline. It is
+    written directly, without building that dict."""
+    decisions = _block(
+        [
+            f'    {{\n      "d_id": {_ascii(d.d_id)},\n'
+            f'      "flow_id": {_ascii(d.flow_id)},\n'
+            f'      "forwarded_bdfd": {"true" if d.forwarded_bdfd else "false"},\n'
+            f'      "forwarded_padfd": {"true" if d.forwarded_padfd else "false"},\n'
+            f'      "propagated": {"true" if d.propagated else "false"},\n'
+            f'      "violation": {"true" if d.entry.v else "false"}\n    }}'
+            for d in report.decisions
+        ],
+        "  ",
+        "[]",
+    )
+    logs = _block(
+        [f"    {_ascii(store)}: {_log_text(entries)}" for store, entries in sorted(report.logs.items())],
+        "  ",
+        "{}",
+    )
+    return (
+        f'{{\n  "clock": "{report.clock.isoformat()}",\n'
+        f'  "decisions": {decisions},\n'
+        f'  "logs": {logs},\n'
+        f'  "policies": {_stores_text(report.state.policies, _snapshot_text)},\n'
+        f'  "stores": {_stores_text(report.state.data, _stored_text)}\n}}'
+    )
 
 
 def render_report(report: SimulationReport) -> str:

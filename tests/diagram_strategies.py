@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+import io
 from dataclasses import replace
 from datetime import date, timedelta
 
@@ -9,13 +11,19 @@ from hypothesis import strategies as st
 
 from padfd import (
     DataRecord,
+    Decision,
     Diagram,
     Flow,
     FlowMeta,
     FlowType,
+    LogEntry,
     Node,
     NodeType,
+    PolicySnapshot,
+    SimulationReport,
     Stage,
+    StoredRecord,
+    StoreState,
     add_flow,
     add_node,
     transform,
@@ -390,3 +398,97 @@ def store_states(draw):
                 expiry=record.expiry,
             )
     return state
+
+
+# Report text: anything a str can hold, including what the ASCII-only JSON
+# encoder must escape (non-ASCII, C0 controls, U+2028/2029, astral
+# characters) and the lone surrogates it writes as \udXXX escapes.
+_report_text = st.text(
+    st.one_of(
+        st.characters(),
+        st.sampled_from('"\\\x00\x1f\x7f\xe9\u2028\u2029\ud800\udfff\U0001f512'),
+    ),
+    max_size=6,
+)
+_report_consent = st.frozensets(_report_text, max_size=3)
+
+
+@st.composite
+def _log_entries(draw) -> LogEntry:
+    policy = PolicySnapshot(draw(_report_text), draw(_report_consent), draw(dates))
+    return LogEntry(draw(_report_text), draw(_report_text), policy, draw(st.booleans()), draw(dates))
+
+
+@st.composite
+def simulation_reports(draw) -> SimulationReport:
+    """Reports built through the API, with arbitrary text and every
+    container possibly empty: decisions, logs, a log, stores, a store's
+    records, policy stores and a consent set."""
+    decisions = [
+        Decision(
+            draw(_report_text), draw(_report_text), draw(st.booleans()),
+            draw(st.booleans()), draw(_log_entries()), draw(st.booleans()),
+        )
+        for _ in range(draw(st.integers(min_value=0, max_value=3)))
+    ]
+    logs = draw(st.dictionaries(_report_text, st.lists(_log_entries(), max_size=3), max_size=3))
+    record = DataRecord("d", "f", "s", frozenset({"p"}), date(2020, 1, 1), "c")
+    stored = st.builds(StoredRecord, st.just(record), dates)
+    snapshots = st.builds(PolicySnapshot, _report_text, _report_consent, dates)
+    state = StoreState(
+        data=draw(st.dictionaries(_report_text, st.dictionaries(_report_text, stored, max_size=3), max_size=3)),
+        policies=draw(
+            st.dictionaries(_report_text, st.dictionaries(_report_text, snapshots, max_size=3), max_size=3)
+        ),
+    )
+    return SimulationReport(draw(dates), decisions, logs, state)
+
+
+# CSV fields that exercise the table loaders: padding, empty and
+# separator-only values, bad booleans and dates, and text that needs
+# quoting (commas, quotes, a newline inside a field).
+_CSV_FIELDS = (
+    "", " ", "d1", " d2 ", "f1", "f 1", "billing", "Billing; support ", " ; ", "x;;y",
+    "2020-01-01", " 2021-12-31 ", "2020-13-01", "soon", "True", " false", "maybe",
+    "a,b", 'say "hi"', "two\nlines", "\xfc", "\u2028",
+)
+# Values each column reads without complaint, drawn most of the time so
+# that many tables load.
+_CSV_GOOD = {
+    "D_id": ("d1", " d2 ", "d,3"),
+    "F_id": ("f1", " f2", "f 1"),
+    "Consent": ("billing", "Billing; support ", "x;;y"),
+    "Expiry": ("2020-01-01", " 2021-12-31 "),
+    "PD": ("True", " false"),
+    "Purpose": ("billing", " support"),
+}
+
+
+@st.composite
+def csv_tables(draw, columns: tuple[str, ...]) -> str:
+    """CSV text for a table of `columns`: the header may reorder, repeat or
+    miss columns and carry unknown ones; rows may be short, long or blank,
+    and lines end in LF or CRLF. Now and then the body is raw text."""
+    header = list(draw(st.permutations(columns)))
+    for name in draw(st.lists(st.sampled_from((*columns, "Extra")), max_size=2)):
+        header.insert(draw(st.integers(min_value=0, max_value=len(header))), name)
+    if draw(st.integers(min_value=0, max_value=9)) == 0:
+        del header[draw(st.integers(min_value=0, max_value=len(header) - 1))]
+
+    def field(name: str) -> str:
+        good = _CSV_GOOD.get(name, _CSV_FIELDS)
+        if draw(st.integers(min_value=0, max_value=9)) == 0:
+            good = _CSV_FIELDS
+        return draw(st.sampled_from(good))
+
+    rows = []
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        row = [field(name) for name in header]
+        length = draw(st.sampled_from((len(row), len(row), len(row), 0, len(row) - 1, len(row) + 2)))
+        rows.append((row + [field("Extra"), field("Extra")])[:length])
+    out = io.StringIO()
+    csv.writer(out, lineterminator=draw(st.sampled_from(("\n", "\r\n")))).writerows([header, *rows])
+    text = out.getvalue()
+    if draw(st.integers(min_value=0, max_value=4)) == 0:
+        text = text.split("\n", 1)[0] + "\n" + draw(st.text(st.sampled_from('ab1 ,;"\n\r-'), max_size=40))
+    return text

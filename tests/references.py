@@ -3,20 +3,42 @@
 `emit_drawio` writes its document string by string and `layout_generated`
 resolves occupied spots through a skip map; the versions here build an
 ElementTree and step down one grid cell at a time, as the library did
-before, and the tests require identical results.
+before. `report_json` writes the simulation report directly and the
+table loaders read CSV with `csv.reader`; the versions here go through
+`json.dumps` and `csv.DictReader`. The tests require identical results.
 """
 
 from __future__ import annotations
 
+import csv
+import io
+import json
 import math
 import xml.etree.ElementTree as ET
 from dataclasses import replace
 
-from padfd import DEFAULT_STYLE_MAP, Diagram, FlowType, NodeType, ParseError
+from padfd import (
+    DEFAULT_STYLE_MAP,
+    DataRecord,
+    Diagram,
+    FlowMeta,
+    FlowType,
+    NodeType,
+    ParseError,
+    SimulationError,
+    report_to_dict,
+)
 from padfd import model
 from padfd.canonical import format_position
 from padfd.drawio import _CONSUMED_ATTRS, _NODE_SIZES, _structural_id
 from padfd.layout import GRID_STEP
+from padfd.simulate import (
+    DYNAMIC_COLUMNS,
+    STATIC_COLUMNS,
+    _parse_bool,
+    _parse_consent,
+    _parse_date,
+)
 from padfd.transform import gadget_index
 
 
@@ -205,3 +227,70 @@ def reference_layout_generated(diagram: Diagram) -> Diagram:
             place(node_id, 0.0, 0.0)
 
     return replace(diagram, nodes=nodes)
+
+
+def reference_report_json(report) -> str:
+    """What `simulate --report json` prints, less the final newline."""
+    return json.dumps(report_to_dict(report), indent=2, sort_keys=True)
+
+
+def _dict_rows(text: str, columns: tuple[str, ...], what: str):
+    reader = csv.DictReader(io.StringIO(text))
+    header = reader.fieldnames or []
+    missing = [c for c in columns if c not in header]
+    if missing:
+        raise SimulationError(
+            f"{what} table is missing columns {missing}; expected header "
+            f"{','.join(columns)}"
+        )
+    for index, row in enumerate(reader, start=2):
+        yield f"{what} row {index}", {c: (row[c] or "") for c in columns}
+
+
+def reference_parse_flow_metas(text: str) -> list[FlowMeta]:
+    """The static CSV table read row by row through csv.DictReader."""
+    metas = []
+    for where, row in _dict_rows(text, STATIC_COLUMNS, "static"):
+        flow_id = row["F_id"].strip()
+        if not flow_id:
+            raise SimulationError(f"{where}: F_id must not be empty")
+        pd = _parse_bool(row["PD"], where)
+        purpose = row["Purpose"].strip()
+        if pd and not purpose:
+            raise SimulationError(f"{where}: personal-data flows need a purpose")
+        metas.append(
+            FlowMeta(flow_id, row["Label"].strip(), purpose, pd, row["Data_type"].strip())
+        )
+    return metas
+
+
+def reference_parse_data_records(text: str) -> list[DataRecord]:
+    """The dynamic CSV table read row by row through csv.DictReader,
+    every field parsed afresh."""
+    records = []
+    for where, row in _dict_rows(text, DYNAMIC_COLUMNS, "dynamic"):
+        d_id = row["D_id"].strip()
+        flow_id = row["F_id"].strip()
+        if not d_id or not flow_id:
+            raise SimulationError(f"{where}: D_id and F_id must not be empty")
+        dsub = row["Dsub"].strip()
+        consent = _parse_consent(row["Consent"], where)
+        expiry = _parse_date(row["Expiry"].strip(), where)
+        records.append(DataRecord(d_id, flow_id, dsub, consent, expiry, row["Content"].strip()))
+    return records
+
+
+def reference_compatibility(pairs):
+    """Purpose compatibility as a literal lookup: exact (case-insensitive)
+    membership, or a (consented, covered) pair naming the purpose."""
+
+    def norm(text: str) -> str:
+        return text.strip().casefold()
+
+    table = {(norm(consented), norm(covered)) for consented, covered in pairs}
+
+    def compatible(purpose: str, consent: frozenset) -> bool:
+        wanted = norm(purpose)
+        return any(norm(c) == wanted or (norm(c), wanted) in table for c in consent)
+
+    return compatible

@@ -7,23 +7,36 @@ import shutil
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from datetime import date
 from pathlib import Path
 
 import pytest
 
 from padfd import (
+    Diagram,
+    Node,
     NodeType,
     Stage,
+    add_node,
+    compatibility_with_equivalences,
     emit_drawio,
     emit_json,
+    load_data_records,
+    load_equivalences,
+    load_flow_metas,
     parse_drawio,
     parse_json,
+    run_simulation,
     to_canonical_dict,
+    transform,
     typecheck,
 )
 from padfd.cli import main
 
 from helpers import build_excerpt, build_excerpt_raw, build_payment_raw
+from references import reference_report_json
+
+DEMO_DATA = Path(__file__).resolve().parents[1] / "demos" / "data"
 
 CLOCK = "2020-06-01"
 
@@ -206,6 +219,25 @@ def test_transform_shared_log_store_layout_is_pinned(fixtures_dir, tmp_path):
     assert log_db.position == (280.0, 460.0)
 
 
+def test_transform_refuses_coordinates_too_large_to_step(fixtures_dir, tmp_path):
+    """Two parallel flows between nodes at y = 1e19, where adding a grid
+    step leaves y unchanged: the second limit's spot is taken and there is
+    no spot below it. The draw.io output, which needs the layout, is
+    refused with exit 2 and nothing written; JSON output needs no layout.
+    Run in a child process under a timeout, as the layout once looped
+    forever here."""
+    def transform_to(name):
+        argv = ["transform", str(fixtures_dir / "far_away.json"), "--allow-ill-formed", "-o", name]
+        return run_launcher("padfd.cli", "main", argv, tmp_path, timeout=60)
+
+    drawio = transform_to("out.drawio.xml")
+    assert drawio.returncode == 2, drawio.stderr
+    assert "no free spot below (80, 1e+19)" in drawio.stderr
+    assert list(tmp_path.iterdir()) == []
+    assert transform_to("out.json").returncode == 0
+    assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+
+
 def test_transform_never_tolerates_flow_problems(fixtures_dir, tmp_path, capsys):
     out = tmp_path / "pa.json"
     code = main(
@@ -325,6 +357,24 @@ def test_export_refuses_what_drawio_cannot_read_back(tmp_path, capsys, node, mat
     out = tmp_path / "out.drawio.xml"
     assert main(["export", str(source), "-o", str(out), "--out-format", "drawio"]) == 2
     assert match in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["in.json"]
+
+
+@pytest.mark.parametrize("out_format", ["json", "dot"])
+def test_export_refuses_lone_surrogates(tmp_path, capsys, monkeypatch, out_format):
+    """Neither reader lets a lone surrogate in, so the diagram is built
+    through the API; the writer refuses it, naming the node."""
+    diagram = add_node(Diagram(), Node("a", NodeType.EXT, label="x\ud800"))
+    monkeypatch.setattr("padfd.cli._read_diagram", lambda *args: diagram)
+    source = tmp_path / "in.json"
+    source.write_bytes(b"{}")
+    out = tmp_path / f"out.{out_format}"
+    assert main(["export", str(source), "-o", str(out), "--out-format", out_format]) == 2
+    language = out_format.upper()
+    assert (
+        f"node 'a': cannot write 'x\\ud800' in {language}: U+D800 is a lone surrogate"
+        in capsys.readouterr().err
+    )
     assert [p.name for p in tmp_path.iterdir()] == ["in.json"]
 
 
@@ -454,6 +504,36 @@ def test_simulate_json_report(fixtures_dir, tmp_path, capsys):
     assert forwarded == {"d1": True, "d2": True, "d3": True, "d4": True, "d5": False}
 
 
+@pytest.mark.parametrize("extra", [[], ["--multi-hop"]], ids=["single-hop", "multi-hop"])
+@pytest.mark.parametrize("rename", [{}, {"d1": "d1-\u00e9", "d3": "d3-\u2028\U0001f512"}], ids=["demo", "non-ascii"])
+def test_simulate_json_report_is_the_reference(tmp_path, capsys, extra, rename):
+    """The printed report is json.dumps(report_to_dict(r), indent=2,
+    sort_keys=True) plus a newline, for the demo tables and for a copy
+    whose record ids need escaping."""
+    tables = tmp_path / "tables"
+    shutil.copytree(DEMO_DATA, tables)
+    dynamic = tables / "payment_dynamic.csv"
+    text = dynamic.read_text(encoding="utf-8")
+    for old, new in rename.items():
+        text = text.replace(f"\n{old},", f"\n{new},")
+    dynamic.write_text(text, encoding="utf-8")
+    model = payment_model(tmp_path)
+    assert main(simulate_argv(tables, model, "--report", "json", *extra)) == 0
+    wellformed, _ = typecheck(build_payment_raw())
+    report = run_simulation(
+        transform(wellformed),
+        load_flow_metas(tables / "payment_static.csv"),
+        load_data_records(dynamic),
+        date.fromisoformat(CLOCK),
+        compatible=compatibility_with_equivalences(load_equivalences(tables / "compat.json")),
+        multi_hop=bool(extra),
+    )
+    assert {d.d_id for d in report.decisions} >= set(rename.values())
+    out = capsys.readouterr().out
+    assert out == reference_report_json(report) + "\n"
+    assert out.isascii()
+
+
 def test_simulate_fail_on_violation(fixtures_dir, tmp_path, capsys):
     model = payment_model(tmp_path)
     assert main(simulate_argv(fixtures_dir, model, "--fail-on-violation")) == 1
@@ -552,7 +632,7 @@ def test_simulate_bad_clock(fixtures_dir, tmp_path, capsys):
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 
 
-def run_launcher(module, attr, argv, cwd):
+def run_launcher(module, attr, argv, cwd, timeout=None):
     """Run `module:attr` the way a setuptools console-script launcher does."""
     package_root = Path(
         importlib.import_module(module.split(".")[0]).__file__
@@ -568,6 +648,7 @@ def run_launcher(module, attr, argv, cwd):
         text=True,
         cwd=cwd,
         env=env,
+        timeout=timeout,
     )
 
 

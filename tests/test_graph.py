@@ -9,7 +9,6 @@ from padfd import (
     FlowType,
     Node,
     NodeType,
-    UnknownElementError,
     UnknownEndpointError,
     add_flow,
     add_node,
@@ -75,12 +74,3 @@ def test_absent_attributes_are_distinct_from_values():
     assert node.node_type is None and node.label is None and node.position is None
     assert node != Node("a", None, label="")
 
-
-def test_node_and_flow_lookups():
-    d = add_flow(_pair(), Flow("f", "a", "b", FlowType.PF))
-    assert d.node("a").id == "a"
-    assert d.flow("f").target == "b"
-    with pytest.raises(UnknownElementError):
-        d.node("zzz")
-    with pytest.raises(UnknownElementError):
-        d.flow("zzz")

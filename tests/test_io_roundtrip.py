@@ -631,6 +631,38 @@ def test_writers_refuse_non_finite_positions(bad):
         emit_drawio(d)
 
 
+@pytest.mark.parametrize(
+    "node,flow,message",
+    [
+        (Node("a", NodeType.EXT, label="x\ud800"), None, "node 'a': cannot write 'x\\ud800' in {}: U+D800"),
+        (Node("a\udfff", NodeType.EXT), None, "node 'a\\udfff': cannot write 'a\\udfff' in {}: U+DFFF"),
+        (None, Flow("f", "a", "a", FlowType.PF, label="\ud83d"), "flow 'f': cannot write '\\ud83d' in {}: U+D83D"),
+    ],
+    ids=["node-label", "node-id", "flow-label"],
+)
+def test_json_and_dot_writers_refuse_lone_surrogates(node, flow, message):
+    d = build_diagram(Stage.RAW, [node or Node("a", NodeType.EXT)], [flow] if flow else [])
+    for writer, language in ((emit_json, "JSON"), (emit_dot, "DOT")):
+        with pytest.raises(SchemaError) as exc:
+            writer(d)
+        assert str(exc.value) == message.format(language) + " is a lone surrogate"
+
+
+def test_only_the_json_writer_refuses_surrogates_in_extras():
+    """DOT does not write extra attributes, so only JSON meets the text."""
+    d = build_diagram(Stage.RAW, [Node("a", NodeType.EXT, extra={"note": "\udc00"})], [])
+    with pytest.raises(SchemaError, match="node 'a': cannot write '.+' in JSON: U\\+DC00"):
+        emit_json(d)
+    assert emit_dot(d).startswith(b"digraph")
+
+
+def test_json_and_dot_writers_pass_surrogate_pairs():
+    astral = "x\U0001f512"
+    d = build_diagram(Stage.RAW, [Node("a", NodeType.EXT, label=astral)], [])
+    assert parse_json(emit_json(d)) == d
+    assert astral.encode("utf-8") in emit_dot(d)
+
+
 def test_emit_json_escapes_like_the_reference_encoder():
     hostile = 'q"uote\\back\x01ctl\u2028sep\U0001f512astral\u00e9'
     d = build_diagram(
@@ -732,6 +764,13 @@ def test_layout_positions_every_node_and_keeps_existing():
     # No two nodes share a spot.
     spots = [n.position for n in placed.nodes.values()]
     assert len(set(spots)) == len(spots)
+
+
+def test_layout_refuses_spots_a_grid_step_cannot_leave(fixtures_dir):
+    raw = parse_json((fixtures_dir / "far_away.json").read_bytes())
+    wellformed, _ = typecheck(raw, tolerate_connectivity=True)
+    with pytest.raises(SchemaError, match=r"no free spot below \(80, 1e\+19\)"):
+        layout_generated(transform(wellformed, check=False))
 
 
 def test_layout_is_deterministic():

@@ -5,11 +5,12 @@ import json
 from dataclasses import replace
 from datetime import date
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from padfd import (
     FlowType,
+    compatibility_with_equivalences,
     NodeType,
     ParseError,
     SchemaError,
@@ -17,9 +18,13 @@ from padfd import (
     emit_drawio,
     emit_json,
     evaluate_limit,
+    exact_compatibility,
     layout_generated,
+    parse_data_records,
     parse_drawio,
+    parse_flow_metas,
     parse_json,
+    report_json,
     run_clean,
     run_simulation,
     to_canonical_dict,
@@ -29,21 +34,32 @@ from padfd import (
     validate_wellformed,
 )
 from padfd.model import WELLFORMED_FLOW_ENDPOINTS
+from padfd.simulate import DYNAMIC_COLUMNS, STATIC_COLUMNS
 
 from diagram_strategies import (
     any_stage_diagrams,
     crowded_drawings,
+    csv_tables,
     data_records,
     dates,
     flow_metas,
     json_text_diagrams,
     namespaced_diagrams,
     raw_diagrams,
+    simulation_reports,
     simulation_scenarios,
     store_states,
     wellformed_diagrams,
 )
-from references import reference_emit_drawio, reference_layout_generated
+from helpers import PURPOSES
+from references import (
+    reference_compatibility,
+    reference_emit_drawio,
+    reference_layout_generated,
+    reference_parse_data_records,
+    reference_parse_flow_metas,
+    reference_report_json,
+)
 
 PROPERTY_SETTINGS = settings(
     max_examples=60,
@@ -362,6 +378,98 @@ def test_blocked_everywhere_records_leave_no_trace(scenario):
             continue
         for held in report.state.data.values():
             assert decision.d_id not in held
+
+
+# Purposes as tables spell them: the flow purposes in any case, padded.
+_worded_purposes = st.builds(
+    lambda purpose, upper, pad: (purpose.upper() if upper else purpose) + pad,
+    st.sampled_from(PURPOSES),
+    st.booleans(),
+    st.sampled_from(("", " ")),
+)
+_equivalences = st.lists(st.tuples(_worded_purposes, _worded_purposes), max_size=4)
+
+
+@PROPERTY_SETTINGS
+@given(_equivalences, _worded_purposes, st.frozensets(_worded_purposes, max_size=3))
+@example(pairs=[("billing", "SUPPORT ")], purpose="support", consent=frozenset({"Support"}))
+def test_compatibility_is_the_lookup_reference(pairs, purpose, consent):
+    expected = reference_compatibility(pairs)(purpose, consent)
+    assert compatibility_with_equivalences(pairs)(purpose, consent) is expected
+    if not pairs:
+        assert exact_compatibility(purpose, consent) is expected
+
+
+_respellings = st.lists(
+    st.tuples(st.booleans(), st.sampled_from(("", " "))),
+    min_size=len(PURPOSES),
+    max_size=len(PURPOSES),
+)
+
+
+@PROPERTY_SETTINGS
+@given(simulation_scenarios(), _equivalences, st.booleans(), _respellings)
+def test_runs_decide_like_the_lookup_reference(scenario, pairs, multi_hop, respellings):
+    """A run with padfd's own purpose tables equals one with the plain
+    lookup reference as its predicate, with consents spelled in any case
+    and padding."""
+    pa, metas, records, clock = scenario
+    spelling = {
+        purpose: (purpose.upper() if upper else purpose) + pad
+        for purpose, (upper, pad) in zip(PURPOSES, respellings)
+    }
+    records = [
+        replace(record, consent=frozenset(spelling[c] for c in record.consent))
+        for record in records
+    ]
+    ours = run_simulation(
+        pa, metas, records, clock,
+        compatible=compatibility_with_equivalences(pairs), multi_hop=multi_hop,
+    )
+    reference = run_simulation(
+        pa, metas, records, clock,
+        compatible=reference_compatibility(pairs), multi_hop=multi_hop,
+    )
+    assert ours == reference
+    if not pairs:
+        assert run_simulation(pa, metas, records, clock, multi_hop=multi_hop) == reference
+
+
+# --- reports and tables -----------------------------------------------------------------
+
+
+@PROPERTY_SETTINGS
+@given(simulation_reports())
+def test_report_json_is_the_reference_writer(report):
+    assert report_json(report) == reference_report_json(report)
+
+
+@PROPERTY_SETTINGS
+@given(simulation_scenarios(), st.booleans())
+def test_report_json_of_runs_is_the_reference_writer(scenario, multi_hop):
+    pa, metas, records, clock = scenario
+    report = run_simulation(pa, metas, records, clock, multi_hop=multi_hop)
+    assert report_json(report) == reference_report_json(report)
+
+
+def _outcome(parse, text: str):
+    """What a loader returns, or the type and message of what it raises."""
+    try:
+        return parse(text)
+    except Exception as exc:  # compared, not hidden: both sides must agree
+        return type(exc), str(exc)
+
+
+@PROPERTY_SETTINGS
+@given(csv_tables(DYNAMIC_COLUMNS))
+def test_record_loader_reads_like_dict_reader(text):
+    assert _outcome(parse_data_records, text) == _outcome(reference_parse_data_records, text)
+
+
+@PROPERTY_SETTINGS
+@given(csv_tables(STATIC_COLUMNS))
+def test_policy_loader_reads_like_dict_reader(text):
+    assert _outcome(parse_flow_metas, text) == _outcome(reference_parse_flow_metas, text)
 
 
 # --- the cleaning pass ----------------------------------------------------------------

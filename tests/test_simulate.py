@@ -148,6 +148,8 @@ def test_equivalence_compatibility_covers_listed_pairs():
     compatible = compatibility_with_equivalences([("old wording", "new purpose")])
     assert compatible("new purpose", frozenset({"old wording"}))
     assert compatible("billing", frozenset({"billing"}))
+    # A purpose that a pair covers is still covered by itself.
+    assert compatible(" New Purpose", frozenset({"new purpose ", "other"}))
     # Pairs are directional: consenting to the covered purpose does not
     # grant the consented wording.
     assert not compatible("old wording", frozenset({"new purpose"}))
@@ -574,6 +576,136 @@ def test_table_errors_name_the_row():
     with pytest.raises(SimulationError) as exc:
         parse_data_records(text)
     assert "row 3" in str(exc.value)
+
+
+_DYNAMIC_HEADER = "D_id,F_id,Dsub,Consent,Expiry,Content\n"
+
+
+@pytest.mark.parametrize(
+    "body,message",
+    [
+        # Blank lines are skipped and not counted.
+        (
+            "\nd1,f1,S,billing,2020-01-01,x\n\n\nd2,f1,S,billing,soon,x\n",
+            "dynamic row 3: expected an ISO date (YYYY-MM-DD), found 'soon'",
+        ),
+        # A short row reads "" for the fields it lacks.
+        ("d1,f1,S\n", "dynamic row 2: consent must list at least one purpose"),
+        (
+            "d1,f1,S,billing\n",
+            "dynamic row 2: expected an ISO date (YYYY-MM-DD), found ''",
+        ),
+        ("d1\n", "dynamic row 2: D_id and F_id must not be empty"),
+        # Extra fields are ignored.
+        (
+            "d1,f1,S,billing, soon ,x,more,fields\n",
+            "dynamic row 2: expected an ISO date (YYYY-MM-DD), found 'soon'",
+        ),
+        # A quoted newline stays inside its field and its row.
+        (
+            'd1,f1,S,billing,2020-01-01,"two\nlines"\nd2,f1,S,billing,2020-02-30,x\n',
+            "dynamic row 3: expected an ISO date (YYYY-MM-DD), found '2020-02-30'",
+        ),
+        ("d1,f1,S,; ;,2020-01-01,x\n", "dynamic row 2: consent must list at least one purpose"),
+        (" ,f1,S,billing,2020-01-01,x\n", "dynamic row 2: D_id and F_id must not be empty"),
+        ("d1, ,S,billing,2020-01-01,x\n", "dynamic row 2: D_id and F_id must not be empty"),
+    ],
+    ids=[
+        "blank-lines", "short-row-consent", "short-row-expiry", "short-row-ids",
+        "long-row", "quoted-newline", "empty-consent", "empty-d_id", "empty-f_id",
+    ],
+)
+def test_dynamic_table_messages(body, message):
+    with pytest.raises(SimulationError) as exc:
+        parse_data_records(_DYNAMIC_HEADER + body)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        (
+            "D_id,F_id,Dsub,Expiry,Content\n",
+            "dynamic table is missing columns ['Consent']; expected header "
+            "D_id,F_id,Dsub,Consent,Expiry,Content",
+        ),
+        (
+            "",
+            "dynamic table is missing columns ['D_id', 'F_id', 'Dsub', 'Consent', "
+            "'Expiry', 'Content']; expected header D_id,F_id,Dsub,Consent,Expiry,Content",
+        ),
+        # A blank first line is an empty header.
+        (
+            "\n" + _DYNAMIC_HEADER,
+            "dynamic table is missing columns ['D_id', 'F_id', 'Dsub', 'Consent', "
+            "'Expiry', 'Content']; expected header D_id,F_id,Dsub,Consent,Expiry,Content",
+        ),
+        # A repeated header name takes its last column, "" where a row stops short.
+        (
+            "Expiry,D_id,F_id,Dsub,Consent,Expiry,Content\n2020-01-01,d1,f1,S,billing,soon\n",
+            "dynamic row 2: expected an ISO date (YYYY-MM-DD), found 'soon'",
+        ),
+        (
+            "D_id,F_id,Dsub,Consent,Expiry,Content,D_id\nd1,f1,S,billing,2020-01-01,x\n",
+            "dynamic row 2: D_id and F_id must not be empty",
+        ),
+    ],
+    ids=["missing-column", "empty-text", "blank-header", "repeated-column", "repeated-column-short-row"],
+)
+def test_dynamic_table_header_messages(text, message):
+    with pytest.raises(SimulationError) as exc:
+        parse_data_records(text)
+    assert str(exc.value) == message
+
+
+def test_dynamic_table_reads_rows_as_dict_reader_does():
+    text = (
+        "Extra,D_id,F_id,Dsub,Consent,Expiry,Content,Dsub\n"
+        "\n"
+        "?, d1 ,f1,lost, billing ;support,2020-01-01 ,\"a, \"\"b\"\"\nc\",SubA\n"
+        "?,d2,f2,lost,billing,2020-01-02\n"
+        "?,d3,f3,lost,billing,2020-01-03,x,SubC,more\n"
+    )
+    assert parse_data_records(text) == [
+        DataRecord("d1", "f1", "SubA", frozenset({"billing", "support"}), date(2020, 1, 1), 'a, "b"\nc'),
+        DataRecord("d2", "f2", "", frozenset({"billing"}), date(2020, 1, 2), ""),
+        DataRecord("d3", "f3", "SubC", frozenset({"billing"}), date(2020, 1, 3), "x"),
+    ]
+
+
+@pytest.mark.parametrize(
+    "body,message",
+    [
+        ("f1,L,p,maybe,s\n", "static row 2: PD must be 'True' or 'False', found 'maybe'"),
+        ("\n\nf1,L,p,True,s\n,L,p,True,s\n", "static row 3: F_id must not be empty"),
+        ("f1,L,,True,s\n", "static row 2: personal-data flows need a purpose"),
+        ("f1,L,p\n", "static row 2: PD must be 'True' or 'False', found ''"),
+    ],
+    ids=["bad-pd", "blank-lines", "no-purpose", "short-row"],
+)
+def test_static_table_messages(body, message):
+    with pytest.raises(SimulationError) as exc:
+        parse_flow_metas("F_id,Label,Purpose,PD,Data_type\n" + body)
+    assert str(exc.value) == message
+
+
+def test_json_tables_report_the_first_problem_of_a_row():
+    """Fields are checked in column order, each problem named exactly."""
+    row = {"D_id": "", "F_id": "f1", "Dsub": 3, "Consent": "", "Expiry": 5, "Content": None}
+    cases = [
+        ({}, "dynamic row 0: D_id and F_id must not be empty"),
+        ({"D_id": "d1"}, "dynamic row 0: Dsub must be a string, found 3"),
+        ({"D_id": "d1", "Dsub": "S"}, "dynamic row 0: consent must list at least one purpose"),
+        ({"D_id": "d1", "Dsub": "S", "Consent": ["a"]}, "dynamic row 0: Expiry must be a string, found 5"),
+        (
+            {"D_id": "d1", "Dsub": "S", "Consent": ["a"], "Expiry": "2020-01-01"},
+            "dynamic row 0: Content must be a string, found None",
+        ),
+    ]
+    for change, message in cases:
+        with pytest.raises(SimulationError) as exc:
+            parse_data_records(json.dumps([{**row, **change}]), json_format=True)
+        assert str(exc.value) == message
 
 
 @pytest.mark.parametrize(
