@@ -4,151 +4,125 @@ Validate business data flow diagrams, rewrite every data flow into a
 policy-checking gadget (limit, request, reason, logging, cleaning), and
 simulate the rewritten diagram against purpose/consent/retention tables.
 Reads and writes draw.io XML, a canonical JSON form, and Graphviz DOT.
+
+The package imports lazily (PEP 562): ``import padfd`` loads no
+submodule, and each public name imports its home module on first use,
+so a short-lived process pays only for the layers it touches.
 """
 
 from __future__ import annotations
 
-from .canonical import SCHEMA_ID, emit_json, parse_json, to_canonical_dict
-from .dot import emit_dot
-from .drawio import emit_drawio, parse_drawio
-from .errors import (
-    DuplicateIdError,
-    GraphError,
-    MissingEndpointError,
-    MultiPageError,
-    PadfdError,
-    ParseError,
-    SchemaError,
-    SimulationError,
-    StageError,
-    TransformError,
-    UnknownEndpointError,
-    UnknownStyleError,
-    WellFormednessError,
-    WrongFlowTypeError,
-    XmlSyntaxError,
-)
-from .graph import (
-    Diagram,
-    Flow,
-    FlowId,
-    Node,
-    NodeId,
-    add_flow,
-    add_node,
-    sources,
-    targets,
-)
-from .layout import GRID_STEP, layout_generated
-from .model import FlowType, NodeType, Stage
-from .simulate import (
-    CleanEvent,
-    DataRecord,
-    Decision,
-    FlowMeta,
-    LogEntry,
-    PolicySnapshot,
-    SimulationReport,
-    StoredRecord,
-    StoreState,
-    compatibility_with_equivalences,
-    evaluate_limit,
-    exact_compatibility,
-    load_data_records,
-    load_equivalences,
-    load_flow_metas,
-    parse_data_records,
-    parse_flow_metas,
-    render_report,
-    report_json,
-    report_to_dict,
-    run_clean,
-    run_simulation,
-)
-from .styles import DEFAULT_STYLE_MAP, StyleMap, load_style_map
-from .transform import merge_log_stores, transform
-from .typecheck import Diagnostic, DiagnosticKind, infer_flow_type, typecheck
-from .validate import (
-    StageValidity,
-    Violation,
-    validate_pa,
-    validate_raw,
-    validate_wellformed,
-)
+import importlib
+import sys
+import types
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CleanEvent",
-    "DataRecord",
-    "Decision",
-    "DEFAULT_STYLE_MAP",
-    "Diagnostic",
-    "DiagnosticKind",
-    "Diagram",
-    "DuplicateIdError",
-    "Flow",
-    "FlowId",
-    "FlowMeta",
-    "FlowType",
-    "GraphError",
-    "GRID_STEP",
-    "LogEntry",
-    "MissingEndpointError",
-    "MultiPageError",
-    "Node",
-    "NodeId",
-    "NodeType",
-    "PadfdError",
-    "ParseError",
-    "PolicySnapshot",
-    "SCHEMA_ID",
-    "SchemaError",
-    "SimulationError",
-    "SimulationReport",
-    "Stage",
-    "StageError",
-    "StageValidity",
-    "StoredRecord",
-    "StoreState",
-    "StyleMap",
-    "TransformError",
-    "UnknownEndpointError",
-    "UnknownStyleError",
-    "Violation",
-    "WellFormednessError",
-    "WrongFlowTypeError",
-    "XmlSyntaxError",
-    "add_flow",
-    "add_node",
-    "compatibility_with_equivalences",
-    "emit_dot",
-    "emit_drawio",
-    "emit_json",
-    "evaluate_limit",
-    "exact_compatibility",
-    "infer_flow_type",
-    "layout_generated",
-    "load_data_records",
-    "load_equivalences",
-    "load_flow_metas",
-    "load_style_map",
-    "merge_log_stores",
-    "parse_data_records",
-    "parse_drawio",
-    "parse_flow_metas",
-    "parse_json",
-    "render_report",
-    "report_json",
-    "report_to_dict",
-    "run_clean",
-    "run_simulation",
-    "sources",
-    "targets",
-    "to_canonical_dict",
-    "transform",
-    "typecheck",
-    "validate_pa",
-    "validate_raw",
-    "validate_wellformed",
-]
+# Each public name, in `__all__` order, and the submodule that defines it.
+_HOME = {
+    "CleanEvent": "simulate",
+    "DataRecord": "simulate",
+    "Decision": "simulate",
+    "DEFAULT_STYLE_MAP": "styles",
+    "Diagnostic": "typecheck",
+    "DiagnosticKind": "typecheck",
+    "Diagram": "graph",
+    "DuplicateIdError": "errors",
+    "Flow": "graph",
+    "FlowId": "graph",
+    "FlowMeta": "simulate",
+    "FlowType": "model",
+    "GraphError": "errors",
+    "GRID_STEP": "layout",
+    "LogEntry": "simulate",
+    "MissingEndpointError": "errors",
+    "MultiPageError": "errors",
+    "Node": "graph",
+    "NodeId": "graph",
+    "NodeType": "model",
+    "PadfdError": "errors",
+    "ParseError": "errors",
+    "PolicySnapshot": "simulate",
+    "SCHEMA_ID": "canonical",
+    "SchemaError": "errors",
+    "SimulationError": "errors",
+    "SimulationReport": "simulate",
+    "Stage": "model",
+    "StageError": "errors",
+    "StageValidity": "validate",
+    "StoredRecord": "simulate",
+    "StoreState": "simulate",
+    "StyleMap": "styles",
+    "TransformError": "errors",
+    "UnknownEndpointError": "errors",
+    "UnknownStyleError": "errors",
+    "Violation": "validate",
+    "WellFormednessError": "errors",
+    "WrongFlowTypeError": "errors",
+    "XmlSyntaxError": "errors",
+    "add_flow": "graph",
+    "add_node": "graph",
+    "compatibility_with_equivalences": "simulate",
+    "emit_dot": "dot",
+    "emit_drawio": "drawio",
+    "emit_json": "canonical",
+    "evaluate_limit": "simulate",
+    "exact_compatibility": "simulate",
+    "infer_flow_type": "typecheck",
+    "layout_generated": "layout",
+    "load_data_records": "simulate",
+    "load_equivalences": "simulate",
+    "load_flow_metas": "simulate",
+    "load_style_map": "styles",
+    "merge_log_stores": "transform",
+    "parse_data_records": "simulate",
+    "parse_drawio": "drawio",
+    "parse_flow_metas": "simulate",
+    "parse_json": "canonical",
+    "render_report": "simulate",
+    "report_json": "simulate",
+    "report_to_dict": "simulate",
+    "run_clean": "simulate",
+    "run_simulation": "simulate",
+    "sources": "graph",
+    "targets": "graph",
+    "transform": "transform",
+    "typecheck": "typecheck",
+    "validate_pa": "validate",
+    "validate_raw": "validate",
+    "validate_wellformed": "validate",
+}
+
+__all__ = list(_HOME)
+
+# The library's submodules, reachable as attributes as when the package
+# imported them all up front.
+_SUBMODULES = frozenset(_HOME.values())
+
+
+def __getattr__(name: str):
+    if name in _HOME:
+        value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+        globals()[name] = value
+        return value
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__) | _SUBMODULES)
+
+
+class _Package(types.ModuleType):
+    """The import system binds each loaded submodule on its package.
+    `transform` and `typecheck` name both a submodule and the public
+    function it defines; the function keeps the name."""
+
+    def __setattr__(self, name: str, value) -> None:
+        if _HOME.get(name) == name and isinstance(value, types.ModuleType):
+            return
+        super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package

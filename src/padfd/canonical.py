@@ -15,10 +15,10 @@ a different convention:
     }
 
 `emit_json` writes this layout directly, element by element, escaping
-strings with the `json` module's C string encoder. Its reference is
-`to_canonical_dict` passed through
+strings with the `json` module's C string encoder. Its reference, in the
+tests, builds the document as a dict and passes it through
 `json.dumps(..., indent=2, sort_keys=True, ensure_ascii=False)` plus a
-newline, and the tests hold the two byte-identical. Coordinates must be
+newline; the tests hold the two byte-identical. Coordinates must be
 finite: NaN and the infinities are not JSON, so the writers refuse them
 and `parse_json` rejects the `NaN`/`Infinity`/`-Infinity` literals.
 """
@@ -69,44 +69,6 @@ def format_position(node: Node) -> tuple[str, str]:
     if not (math.isfinite(x) and math.isfinite(y)):
         raise SchemaError(f"node {node.id!r}: position {node.position!r} is not finite")
     return str(canonical_number(x)), str(canonical_number(y))
-
-
-def _node_entry(node: Node) -> dict:
-    entry: dict = {"id": node.id}
-    if node.node_type is not None:
-        entry["type"] = node.node_type.value
-    if node.label is not None:
-        entry["label"] = node.label
-    if node.partner is not None:
-        entry["partner"] = node.partner
-    if node.position is not None:
-        entry["position"] = [canonical_number(v) for v in node.position]
-    if node.extra:
-        entry["extra"] = dict(node.extra)
-    return entry
-
-
-def _flow_entry(flow: Flow) -> dict:
-    entry: dict = {"id": flow.id, "source": flow.source, "target": flow.target}
-    if flow.flow_type is not None:
-        entry["type"] = flow.flow_type.value
-    if flow.label is not None:
-        entry["label"] = flow.label
-    if flow.partner is not None:
-        entry["partner"] = flow.partner
-    if flow.extra:
-        entry["extra"] = dict(flow.extra)
-    return entry
-
-
-def to_canonical_dict(diagram: Diagram) -> dict:
-    """Canonical document for a diagram; equal documents mean equal models."""
-    return {
-        "schema": SCHEMA_ID,
-        "stage": diagram.stage.value,
-        "nodes": [_node_entry(diagram.nodes[k]) for k in sorted(diagram.nodes)],
-        "flows": [_flow_entry(diagram.flows[k]) for k in sorted(diagram.flows)],
-    }
 
 
 # The writers below emit each entry's keys in sorted order: extra, id,

@@ -15,45 +15,34 @@ environment variable supplies a default --styles file.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-import tempfile
-from datetime import date
 from pathlib import Path
 
-from .canonical import emit_json, parse_json
-from .dot import emit_dot
-from .drawio import emit_drawio, parse_drawio
 from .errors import PadfdError, ParseError
-from .graph import Diagram
-from .layout import layout_generated
 from .model import Stage
-from .simulate import (
-    compatibility_with_equivalences,
-    load_data_records,
-    load_equivalences,
-    load_flow_metas,
-    render_report,
-    report_json,
-    run_simulation,
-)
-from .styles import DEFAULT_STYLE_MAP, StyleMap, load_style_map
-from .transform import transform
-from .typecheck import typecheck
-from .validate import (
-    CONNECTIVITY_CLAUSES,
-    validate_pa,
-    validate_raw,
-    validate_wellformed,
-)
+
+# Each subcommand imports the layers it uses inside the functions below,
+# so a process loads only what its command and input formats need. The
+# names here serve annotations only (type checkers read any
+# `TYPE_CHECKING` as true), so not even `typing` is imported for them.
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from datetime import date
+
+    from .graph import Diagram
+    from .styles import StyleMap
 
 
-def _style_map(args) -> StyleMap:
+def _style_map(args) -> StyleMap | None:
+    """The map named by --styles or PADFD_STYLES, read on every command so
+    a bad one always fails alike; None stands for the draw.io default."""
     path = getattr(args, "styles", None) or os.environ.get("PADFD_STYLES")
-    if path:
-        return load_style_map(path)
-    return DEFAULT_STYLE_MAP
+    if not path:
+        return None
+    from .styles import load_style_map
+
+    return load_style_map(path)
 
 
 def _sniff_format(path: Path, data: bytes) -> str:
@@ -65,16 +54,22 @@ def _sniff_format(path: Path, data: bytes) -> str:
     return "json" if head == b"{" else "drawio"
 
 
-def _read_diagram(path_text: str, fmt: str | None, styles: StyleMap) -> Diagram:
+def _read_diagram(path_text: str, fmt: str | None, styles: StyleMap | None) -> Diagram:
     path = Path(path_text)
     data = path.read_bytes()
     fmt = fmt or _sniff_format(path, data)
     if fmt == "json":
+        from .canonical import parse_json
+
         return parse_json(data)
+    from .drawio import parse_drawio
+
     return parse_drawio(data, styles)
 
 
 def _write_atomic(path_text: str, data: bytes) -> None:
+    import tempfile
+
     path = Path(path_text)
     handle = tempfile.NamedTemporaryFile(
         dir=path.parent or Path("."), prefix=f".{path.name}.", delete=False
@@ -89,11 +84,18 @@ def _write_atomic(path_text: str, data: bytes) -> None:
         raise
 
 
-def _emit(diagram: Diagram, fmt: str, styles: StyleMap) -> bytes:
+def _emit(diagram: Diagram, fmt: str, styles: StyleMap | None) -> bytes:
     if fmt == "json":
+        from .canonical import emit_json
+
         return emit_json(diagram)
     if fmt == "dot":
+        from .dot import emit_dot
+
         return emit_dot(diagram)
+    from .drawio import emit_drawio
+    from .layout import layout_generated
+
     # draw.io files should open fully placed; fill in missing positions.
     return emit_drawio(layout_generated(diagram), styles)
 
@@ -109,10 +111,14 @@ def _sniff_out_format(path_text: str) -> str:
 
 def _findings(diagram: Diagram) -> list:
     """Diagnostics (raw stage) or violations (later stages), render-ables."""
+    from .validate import validate_pa, validate_raw, validate_wellformed
+
     if diagram.stage is Stage.RAW:
         validity = validate_raw(diagram)
         if not validity.valid:
             return list(validity.violations)
+        from .typecheck import typecheck
+
         _, diagnostics = typecheck(diagram)
         return diagnostics
     if diagram.stage is Stage.WELLFORMED:
@@ -139,6 +145,8 @@ def cmd_check(args) -> int:
                 for f in findings
             ],
         }
+        import json
+
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         for finding in findings:
@@ -151,12 +159,16 @@ def _to_wellformed(diagram: Diagram, allow_ill_formed: bool) -> Diagram | None:
     printing findings and returning None when it cannot be done. With
     ``allow_ill_formed`` connectivity findings alone are waved through;
     typing problems never are."""
+    from .validate import CONNECTIVITY_CLAUSES, validate_raw, validate_wellformed
+
     if diagram.stage is Stage.RAW:
         validity = validate_raw(diagram)
         if not validity.valid:
             for violation in validity.violations:
                 print(violation.render(), file=sys.stderr)
             return None
+        from .typecheck import typecheck
+
         wellformed, diagnostics = typecheck(
             diagram, tolerate_connectivity=allow_ill_formed
         )
@@ -183,6 +195,8 @@ def cmd_transform(args) -> int:
     wellformed = _to_wellformed(diagram, args.allow_ill_formed)
     if wellformed is None:
         return 1
+    from .transform import transform
+
     result = transform(
         wellformed,
         shared_log_store=args.shared_log_store,
@@ -194,12 +208,24 @@ def cmd_transform(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .simulate import (
+        compatibility_with_equivalences,
+        load_data_records,
+        load_equivalences,
+        load_flow_metas,
+        render_report,
+        report_json,
+        run_simulation,
+    )
+
     styles = _style_map(args)
     diagram = _read_diagram(args.model, args.in_format, styles)
     if diagram.stage is not Stage.PA:
         wellformed = _to_wellformed(diagram, allow_ill_formed=False)
         if wellformed is None:
             return 1
+        from .transform import transform
+
         diagram = transform(wellformed)
     metas = load_flow_metas(args.static)
     records = load_data_records(args.dynamic)
@@ -231,6 +257,8 @@ def cmd_export(args) -> int:
 
 
 def _iso_date(text: str) -> date:
+    from datetime import date
+
     try:
         return date.fromisoformat(text)
     except ValueError:

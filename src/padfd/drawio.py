@@ -161,9 +161,11 @@ def parse_drawio(data: bytes | str, styles: StyleMap | None = None) -> Diagram:
     means plain flow, dashed means deletion, markers override both).
     """
     styles = styles or DEFAULT_STYLE_MAP
-    text = data.decode("utf-8") if isinstance(data, bytes) else data
     try:
+        text = data.decode("utf-8") if isinstance(data, bytes) else data
         root = ET.fromstring(text)
+    except UnicodeDecodeError as exc:
+        raise XmlSyntaxError(f"not valid UTF-8 at byte {exc.start} ({exc.reason})") from None
     except ET.ParseError as exc:
         raise XmlSyntaxError(f"not well-formed XML: {exc}") from None
     model_elem = _locate_model(root)

@@ -27,7 +27,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
-from .errors import SchemaError, SimulationError, StageError
+from .errors import SchemaError, SimulationError, StageError, read_utf8
 from .graph import Diagram, Flow, NodeId
 from .model import FlowType, NodeType, Stage
 from .transform import gadget_index
@@ -509,7 +509,7 @@ def load_flow_metas(path: str | Path) -> list[FlowMeta]:
     """Read the static policy table from a .csv or .json file."""
     path = Path(path)
     return parse_flow_metas(
-        path.read_text(encoding="utf-8"), json_format=path.suffix.lower() == ".json"
+        read_utf8(path, "static table"), json_format=path.suffix.lower() == ".json"
     )
 
 
@@ -517,14 +517,14 @@ def load_data_records(path: str | Path) -> list[DataRecord]:
     """Read the dynamic record table from a .csv or .json file."""
     path = Path(path)
     return parse_data_records(
-        path.read_text(encoding="utf-8"), json_format=path.suffix.lower() == ".json"
+        read_utf8(path, "dynamic table"), json_format=path.suffix.lower() == ".json"
     )
 
 
 def load_equivalences(path: str | Path) -> list[tuple[str, str]]:
     """Read purpose equivalences: a JSON list of [consented, covered] pairs."""
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        doc = json.loads(read_utf8(path, "equivalence file"))
     except json.JSONDecodeError as exc:
         raise SchemaError(f"equivalence file: not valid JSON ({exc})") from None
     if not isinstance(doc, list):

@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import SchemaError
+from .errors import SchemaError, read_utf8
 from .model import FlowType, NodeType
 
 
@@ -190,7 +190,7 @@ def load_style_map(path: str | Path) -> StyleMap:
     the defaults). Omitted keys keep their defaults.
     """
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        doc = json.loads(read_utf8(path, "style config"))
     except json.JSONDecodeError as exc:
         raise SchemaError(f"style config {path}: not valid JSON ({exc})") from None
     if not isinstance(doc, dict):

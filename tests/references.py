@@ -5,7 +5,10 @@ resolves occupied spots through a skip map; the versions here build an
 ElementTree and step down one grid cell at a time, as the library did
 before. `report_json` writes the simulation report directly and the
 table loaders read CSV with `csv.reader`; the versions here go through
-`json.dumps` and `csv.DictReader`. The tests require identical results.
+`json.dumps` and `csv.DictReader`. `emit_json` writes the canonical
+layout directly; `to_canonical_dict` is that document as a dict, for
+`json.dumps` and for comparing diagrams. The tests require identical
+results.
 """
 
 from __future__ import annotations
@@ -25,11 +28,12 @@ from padfd import (
     FlowType,
     NodeType,
     ParseError,
+    SCHEMA_ID,
     SimulationError,
     report_to_dict,
 )
 from padfd import model
-from padfd.canonical import format_position
+from padfd.canonical import canonical_number, format_position
 from padfd.drawio import _CONSUMED_ATTRS, _NODE_SIZES, _structural_id
 from padfd.layout import GRID_STEP
 from padfd.simulate import (
@@ -40,6 +44,44 @@ from padfd.simulate import (
     _parse_date,
 )
 from padfd.transform import gadget_index
+
+
+def _node_entry(node) -> dict:
+    entry: dict = {"id": node.id}
+    if node.node_type is not None:
+        entry["type"] = node.node_type.value
+    if node.label is not None:
+        entry["label"] = node.label
+    if node.partner is not None:
+        entry["partner"] = node.partner
+    if node.position is not None:
+        entry["position"] = [canonical_number(v) for v in node.position]
+    if node.extra:
+        entry["extra"] = dict(node.extra)
+    return entry
+
+
+def _flow_entry(flow) -> dict:
+    entry: dict = {"id": flow.id, "source": flow.source, "target": flow.target}
+    if flow.flow_type is not None:
+        entry["type"] = flow.flow_type.value
+    if flow.label is not None:
+        entry["label"] = flow.label
+    if flow.partner is not None:
+        entry["partner"] = flow.partner
+    if flow.extra:
+        entry["extra"] = dict(flow.extra)
+    return entry
+
+
+def to_canonical_dict(diagram: Diagram) -> dict:
+    """Canonical document for a diagram; equal documents mean equal models."""
+    return {
+        "schema": SCHEMA_ID,
+        "stage": diagram.stage.value,
+        "nodes": [_node_entry(diagram.nodes[k]) for k in sorted(diagram.nodes)],
+        "flows": [_flow_entry(diagram.flows[k]) for k in sorted(diagram.flows)],
+    }
 
 
 def reference_emit_drawio(diagram: Diagram, styles=None) -> bytes:

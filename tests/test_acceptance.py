@@ -36,7 +36,6 @@ from padfd import (
     parse_json,
     run_clean,
     run_simulation,
-    to_canonical_dict,
     transform,
     typecheck,
     validate_pa,
@@ -56,6 +55,7 @@ from helpers import (
     random_record,
     random_wellformed,
 )
+from references import to_canonical_dict
 
 
 @dataclass

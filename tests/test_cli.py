@@ -27,14 +27,13 @@ from padfd import (
     parse_drawio,
     parse_json,
     run_simulation,
-    to_canonical_dict,
     transform,
     typecheck,
 )
 from padfd.cli import main
 
 from helpers import build_excerpt, build_excerpt_raw, build_payment_raw
-from references import reference_report_json
+from references import reference_report_json, to_canonical_dict
 
 DEMO_DATA = Path(__file__).resolve().parents[1] / "demos" / "data"
 
@@ -624,6 +623,51 @@ def test_simulate_bad_clock(fixtures_dir, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+
+
+# --- unreadable inputs ------------------------------------------------------------
+
+
+NOT_UTF8 = {
+    "--static": ("static table", b"F_id,Label,Purpose,PD,Data_type\n\xff,x,y,true,z\n", 32),
+    "--dynamic": ("dynamic table", b"D_id,F_id,Consent,Expiry\nd1,f\xe9,,\n", 29),
+    "--compat": ("equivalence file", b"\xff[]", 0),
+    "--styles": ("style config", b"\xff{}", 0),
+    "PADFD_STYLES": ("style config", b"\xff{}", 0),
+}
+
+
+@pytest.mark.parametrize("option", list(NOT_UTF8))
+def test_simulate_refuses_inputs_that_are_not_utf8(fixtures_dir, tmp_path, capsys, monkeypatch, option):
+    what, data, offset = NOT_UTF8[option]
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(data)
+    argv = simulate_argv(fixtures_dir, payment_model(tmp_path))
+    if option == "PADFD_STYLES":
+        monkeypatch.setenv(option, str(bad))
+    elif option in argv:
+        argv[argv.index(option) + 1] = str(bad)
+    else:
+        argv += [option, str(bad)]
+    assert main(argv) == 2
+    reason = "invalid continuation byte" if option == "--dynamic" else "invalid start byte"
+    assert capsys.readouterr().err == f"error: {what} {bad}: not valid UTF-8 at byte {offset} ({reason})\n"
+
+
+def test_check_refuses_a_drawing_that_is_not_utf8(tmp_path, capsys):
+    bad = tmp_path / "bad.drawio.xml"
+    bad.write_bytes(b"<mxfile>\xff</mxfile>")
+    assert main(["check", str(bad)]) == 2
+    assert capsys.readouterr().err == "error: not valid UTF-8 at byte 8 (invalid start byte)\n"
+
+
+def test_json_commands_still_read_a_named_style_map(tmp_path, capsys):
+    """A JSON diagram needs no style map, but one that is named must read."""
+    model = write_json(tmp_path, "payment.json", build_payment_raw())
+    config = tmp_path / "house.json"
+    config.write_text(json.dumps({"bogus": []}), encoding="utf-8")
+    assert main(["check", str(model), "--styles", str(config)]) == 2
+    assert capsys.readouterr().err == f"error: style config {config}: unknown keys ['bogus']\n"
 
 
 # --- entry point -------------------------------------------------------------------

@@ -32,14 +32,13 @@ from padfd import (
     load_style_map,
     parse_drawio,
     parse_json,
-    to_canonical_dict,
     transform,
     typecheck,
 )
 from padfd.cli import main
 from padfd.drawio import MAX_INFLATED_PAGE
 
-from references import reference_emit_drawio
+from references import reference_emit_drawio, to_canonical_dict
 
 from helpers import (
     build_all_kinds,

@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import copy
 import json
+import tempfile
 from dataclasses import replace
 from datetime import date
+from pathlib import Path
 
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -27,12 +29,12 @@ from padfd import (
     report_json,
     run_clean,
     run_simulation,
-    to_canonical_dict,
     transform,
     typecheck,
     validate_pa,
     validate_wellformed,
 )
+from padfd.errors import read_utf8
 from padfd.model import WELLFORMED_FLOW_ENDPOINTS
 from padfd.simulate import DYNAMIC_COLUMNS, STATIC_COLUMNS
 
@@ -59,6 +61,7 @@ from references import (
     reference_parse_data_records,
     reference_parse_flow_metas,
     reference_report_json,
+    to_canonical_dict,
 )
 
 PROPERTY_SETTINGS = settings(
@@ -458,6 +461,16 @@ def _outcome(parse, text: str):
         return parse(text)
     except Exception as exc:  # compared, not hidden: both sides must agree
         return type(exc), str(exc)
+
+
+@PROPERTY_SETTINGS
+@given(st.text(alphabet=st.sampled_from(["a", ",", "\u00e9", "\ufeff", "\r", "\n", "\u2028"])))
+def test_utf8_reader_reads_as_read_text(text):
+    """The loaders' reader keeps `Path.read_text`'s universal newlines."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert read_utf8(path, "table") == path.read_text(encoding="utf-8")
 
 
 @PROPERTY_SETTINGS
