@@ -25,12 +25,11 @@ and `parse_json` rejects the `NaN`/`Infinity`/`-Infinity` literals.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from json.encoder import encode_basestring as _quote
 
-from .errors import SchemaError
+from .errors import SchemaError, decode_json
 from .graph import Diagram, Flow, Node
 from .model import FlowType, NodeType, Stage
 
@@ -224,9 +223,9 @@ def parse_json(data: bytes | str) -> Diagram:
     """
     try:
         text = data.decode("utf-8") if isinstance(data, bytes) else data
-        doc = json.loads(text, parse_constant=_reject_constant)
-    except ValueError as exc:  # bad UTF-8, bad syntax, or an over-long integer
+    except UnicodeDecodeError as exc:
         raise SchemaError(f"not valid JSON: {exc}") from None
+    doc = decode_json(text, parse_constant=_reject_constant)
     if not isinstance(doc, dict):
         raise SchemaError("top level must be an object")
     schema = doc.get("schema")

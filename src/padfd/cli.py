@@ -10,11 +10,16 @@ violation with --fail-on-violation, unknown flow ids), 2 unreadable
 input (XML/JSON syntax, unknown styles, missing files). Output files are
 written atomically (temp file, then rename). The PADFD_STYLES
 environment variable supplies a default --styles file.
+
+`run` is the process entry (the ``padfd`` console script and
+``python -m padfd.cli``); `main` is the same command line as a function
+for callers inside a Python process.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from pathlib import Path
@@ -334,6 +339,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command line and return its exit code. The caller's
+    collector state is left as it was."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
@@ -345,5 +352,21 @@ def main(argv=None) -> int:
         return 1
 
 
+def run() -> int:
+    """Entry of a ``padfd`` process: `main` on ``sys.argv`` without the
+    cyclic garbage collector.
+
+    A command builds no reference cycles that grow with its input, so in
+    a short-lived process the collector would only rescan the live
+    diagram, elements and decisions as they are built. The heap is frozen
+    on the way out, which leaves the full collection CPython makes at
+    shutdown, disabled collector or not, nothing to scan."""
+    gc.disable()
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

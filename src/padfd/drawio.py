@@ -166,6 +166,11 @@ def parse_drawio(data: bytes | str, styles: StyleMap | None = None) -> Diagram:
         root = ET.fromstring(text)
     except UnicodeDecodeError as exc:
         raise XmlSyntaxError(f"not valid UTF-8 at byte {exc.start} ({exc.reason})") from None
+    except UnicodeEncodeError as exc:  # ET.fromstring encodes str input as UTF-8
+        code = ord(exc.object[exc.start])
+        raise XmlSyntaxError(
+            f"not valid XML text: U+{code:04X} at index {exc.start} is a lone surrogate"
+        ) from None
     except ET.ParseError as exc:
         raise XmlSyntaxError(f"not well-formed XML: {exc}") from None
     model_elem = _locate_model(root)

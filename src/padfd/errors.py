@@ -4,7 +4,9 @@ Everything raised on purpose by this package derives from PadfdError, so
 callers can catch one class at the boundary. Parse-level problems carry the
 offending element id where one exists. `read_utf8` is the one reader of
 the text files padfd loads beside diagrams (tables, equivalences, style
-maps), so undecodable bytes end as a SchemaError like any other bad input.
+maps), so undecodable bytes end as a SchemaError like any other bad input;
+`decode_json` is the one JSON decoder of everything padfd reads, so bad
+syntax, over-long integers and deep nesting end the same way.
 """
 
 from __future__ import annotations
@@ -87,3 +89,17 @@ def read_utf8(path, what: str) -> str:
             f"{what} {path}: not valid UTF-8 at byte {exc.start} ({exc.reason})"
         ) from None
     return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+def decode_json(text: str, what: str = "", parse_constant=None):
+    """``json.loads(text)`` for text from outside the program. Bad syntax,
+    an integer longer than the interpreter converts, and nesting deeper
+    than the decoder's recursion limit all raise SchemaError, prefixed
+    with `what` (the file the text came from) when one is given."""
+    import json
+
+    try:
+        return json.loads(text, parse_constant=parse_constant)
+    except (ValueError, RecursionError) as exc:
+        where = f"{what}: " if what else ""
+        raise SchemaError(f"{where}not valid JSON: {exc}") from None

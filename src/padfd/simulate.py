@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from collections import deque
 from dataclasses import dataclass, field
 from datetime import date
@@ -27,7 +26,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
-from .errors import SchemaError, SimulationError, StageError, read_utf8
+from .errors import SchemaError, SimulationError, StageError, decode_json, read_utf8
 from .graph import Diagram, Flow, NodeId
 from .model import FlowType, NodeType, Stage
 from .transform import gadget_index
@@ -464,11 +463,8 @@ def _rows_from_csv(text: str, columns: tuple[str, ...], what: str):
         yield number, pick(row)
 
 
-def _rows_from_json(text: str, columns: tuple[str, ...], what: str):
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{what} table: not valid JSON ({exc})") from None
+def _rows_from_json(text: str, columns: tuple[str, ...], what: str, source: str):
+    doc = decode_json(text, source)
     if not isinstance(doc, list):
         raise SchemaError(f"{what} table: top level must be a list of rows")
     for index, row in enumerate(doc):
@@ -481,9 +477,12 @@ def _rows_from_json(text: str, columns: tuple[str, ...], what: str):
         yield where, row
 
 
-def parse_flow_metas(text: str, *, json_format: bool = False) -> list[FlowMeta]:
+def parse_flow_metas(
+    text: str, *, json_format: bool = False, source: str = "static table"
+) -> list[FlowMeta]:
+    """The static policy table in `text`; `source` names it in errors."""
     if json_format:
-        rows = _rows_from_json(text, STATIC_COLUMNS, "static")
+        rows = _rows_from_json(text, STATIC_COLUMNS, "static", source)
     else:
         rows = (
             (f"static row {number}", dict(zip(STATIC_COLUMNS, values)))
@@ -492,12 +491,15 @@ def parse_flow_metas(text: str, *, json_format: bool = False) -> list[FlowMeta]:
     return [_make_meta(row, where) for where, row in rows]
 
 
-def parse_data_records(text: str, *, json_format: bool = False) -> list[DataRecord]:
+def parse_data_records(
+    text: str, *, json_format: bool = False, source: str = "dynamic table"
+) -> list[DataRecord]:
+    """The dynamic record table in `text`; `source` names it in errors."""
     make = _RecordMaker()
     if json_format:
         return [
             make(where, *[row[key] for key in DYNAMIC_COLUMNS])
-            for where, row in _rows_from_json(text, DYNAMIC_COLUMNS, "dynamic")
+            for where, row in _rows_from_json(text, DYNAMIC_COLUMNS, "dynamic", source)
         ]
     return [
         make(f"dynamic row {number}", *fields)
@@ -509,7 +511,9 @@ def load_flow_metas(path: str | Path) -> list[FlowMeta]:
     """Read the static policy table from a .csv or .json file."""
     path = Path(path)
     return parse_flow_metas(
-        read_utf8(path, "static table"), json_format=path.suffix.lower() == ".json"
+        read_utf8(path, "static table"),
+        json_format=path.suffix.lower() == ".json",
+        source=f"static table {path}",
     )
 
 
@@ -517,16 +521,15 @@ def load_data_records(path: str | Path) -> list[DataRecord]:
     """Read the dynamic record table from a .csv or .json file."""
     path = Path(path)
     return parse_data_records(
-        read_utf8(path, "dynamic table"), json_format=path.suffix.lower() == ".json"
+        read_utf8(path, "dynamic table"),
+        json_format=path.suffix.lower() == ".json",
+        source=f"dynamic table {path}",
     )
 
 
 def load_equivalences(path: str | Path) -> list[tuple[str, str]]:
     """Read purpose equivalences: a JSON list of [consented, covered] pairs."""
-    try:
-        doc = json.loads(read_utf8(path, "equivalence file"))
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"equivalence file: not valid JSON ({exc})") from None
+    doc = decode_json(read_utf8(path, "equivalence file"), f"equivalence file {path}")
     if not isinstance(doc, list):
         raise SchemaError("equivalence file: top level must be a list of pairs")
     pairs = []

@@ -10,11 +10,10 @@ drawings that use other conventions.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import SchemaError, read_utf8
+from .errors import SchemaError, decode_json, read_utf8
 from .model import FlowType, NodeType
 
 
@@ -189,10 +188,7 @@ def load_style_map(path: str | Path) -> StyleMap:
     ``node_styles`` / ``edge_styles`` (per-type emit styles, merged over
     the defaults). Omitted keys keep their defaults.
     """
-    try:
-        doc = json.loads(read_utf8(path, "style config"))
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"style config {path}: not valid JSON ({exc})") from None
+    doc = decode_json(read_utf8(path, "style config"), f"style config {path}")
     if not isinstance(doc, dict):
         raise SchemaError(f"style config {path}: top level must be an object")
     unknown = set(doc) - {"node_rules", "edge_rules", "node_styles", "edge_styles"}

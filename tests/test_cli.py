@@ -654,6 +654,50 @@ def test_simulate_refuses_inputs_that_are_not_utf8(fixtures_dir, tmp_path, capsy
     assert capsys.readouterr().err == f"error: {what} {bad}: not valid UTF-8 at byte {offset} ({reason})\n"
 
 
+# JSON text every reader must refuse with exit 2, not a traceback: nesting
+# deeper than the decoder's recursion limit, and an integer longer than the
+# interpreter converts (CPython 3.10.7 on; an older one reads it as a
+# number, which every reader's top-level check refuses).
+HOSTILE_JSON = {"deep-nesting": b"[" * 200_000, "long-integer": b"1" + b"0" * 5000}
+JSON_READERS = {
+    "--static": "static table",
+    "--dynamic": "dynamic table",
+    "--compat": "equivalence file",
+    "--styles": "style config",
+    "PADFD_STYLES": "style config",
+}
+
+
+@pytest.mark.parametrize("kind", list(HOSTILE_JSON))
+@pytest.mark.parametrize("option", list(JSON_READERS))
+def test_simulate_refuses_hostile_json_inputs(fixtures_dir, tmp_path, capsys, monkeypatch, option, kind):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(HOSTILE_JSON[kind])
+    argv = simulate_argv(fixtures_dir, payment_model(tmp_path))
+    if option == "PADFD_STYLES":
+        monkeypatch.setenv(option, str(bad))
+    elif option in argv:
+        argv[argv.index(option) + 1] = str(bad)
+    else:
+        argv += [option, str(bad)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    if kind == "deep-nesting" or hasattr(sys, "get_int_max_str_digits"):
+        assert err.startswith(f"error: {JSON_READERS[option]} {bad}: not valid JSON: ")
+
+
+@pytest.mark.parametrize("kind", list(HOSTILE_JSON))
+def test_check_refuses_a_hostile_json_diagram(tmp_path, capsys, kind):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(HOSTILE_JSON[kind])
+    assert main(["check", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    if kind == "deep-nesting" or hasattr(sys, "get_int_max_str_digits"):
+        assert err.startswith("error: not valid JSON: ")
+
+
 def test_check_refuses_a_drawing_that_is_not_utf8(tmp_path, capsys):
     bad = tmp_path / "bad.drawio.xml"
     bad.write_bytes(b"<mxfile>\xff</mxfile>")

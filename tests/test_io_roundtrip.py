@@ -96,6 +96,17 @@ def test_parse_truncated_file(fixtures_dir):
         parse_drawio((fixtures_dir / "truncated.drawio.xml").read_bytes())
 
 
+@pytest.mark.parametrize(
+    "text, index",
+    [("<mxfile>\ud800</mxfile>", 8), ('<mxfile host="a\udfff"/>', 15)],
+    ids=["in-text", "in-attribute"],
+)
+def test_parse_drawio_refuses_lone_surrogates_in_a_str(text, index):
+    code = ord(text[index])
+    with pytest.raises(XmlSyntaxError, match=f"U\\+{code:04X} at index {index} is a lone surrogate"):
+        parse_drawio(text)
+
+
 def test_parse_missing_endpoint(fixtures_dir):
     with pytest.raises(MissingEndpointError):
         parse_drawio((fixtures_dir / "missing_endpoint.drawio.xml").read_bytes())
@@ -581,6 +592,7 @@ def test_parse_json_rejects_non_json():
     [
         (b'\xff{"schema": 1}', "not valid JSON: 'utf-8' codec can't decode"),
         (b'{"n": 1' + b"0" * 5000 + b"}", "not valid JSON: Exceeds the limit"),
+        (b"[" * 200_000, "not valid JSON: maximum recursion depth exceeded"),
         (b"[1]", "top level must be an object"),
         (
             b'{"schema": "padfd-canonical/1", "stage": "raw-bdfd",'
@@ -588,7 +600,7 @@ def test_parse_json_rejects_non_json():
             "node 'n': position coordinates must be finite",
         ),
     ],
-    ids=["bad-utf8", "long-integer", "top-level-list", "float-overflow"],
+    ids=["bad-utf8", "long-integer", "deep-nesting", "top-level-list", "float-overflow"],
 )
 def test_parse_json_rejects_bad_text(data, match):
     with pytest.raises(SchemaError, match=match):

@@ -1,12 +1,16 @@
-"""The lazy package and the modules each CLI command loads.
+"""The lazy package, the modules each CLI command loads, and the process
+entry that runs without the cyclic garbage collector.
 
 Every padfd command is one short-lived process, so each should import
-only the layers its subcommand and input formats use. These tests run
-commands in fresh interpreters and read `sys.modules`, not the clock.
+only the layers its subcommand and input formats use, and pay for no
+collection of cycles it does not build. These tests run commands in fresh
+interpreters and read `sys.modules` and the collector's state, not the
+clock.
 """
 
 from __future__ import annotations
 
+import gc
 import importlib
 import os
 import subprocess
@@ -16,9 +20,10 @@ from pathlib import Path
 import pytest
 
 import padfd
-from padfd import emit_json, transform, typecheck
+from padfd import Flow, FlowType, Node, NodeType, Stage, emit_drawio, emit_json, transform, typecheck
+from padfd.cli import main
 
-from helpers import build_payment_raw
+from helpers import build_diagram, build_payment_raw
 
 PACKAGE_ROOT = Path(padfd.__file__).resolve().parent.parent
 CLOCK = "2020-06-01"
@@ -37,13 +42,19 @@ sys.exit(code)
 """
 
 
-def run_python(code: str, *argv: str, cwd: Path) -> subprocess.CompletedProcess:
+def run_child(args: list[str], cwd: Path, path: tuple[Path, ...] = ()) -> subprocess.CompletedProcess:
+    """`python args...` with the package, and the directories in `path`
+    before it, importable."""
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE_ROOT), env.get("PYTHONPATH")]))
-    env.pop("PADFD_STYLES", None)
-    return subprocess.run(
-        [sys.executable, "-c", code, *argv], capture_output=True, text=True, cwd=cwd, env=env
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [*map(str, path), str(PACKAGE_ROOT), env.get("PYTHONPATH")])
     )
+    env.pop("PADFD_STYLES", None)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, cwd=cwd, env=env)
+
+
+def run_python(code: str, *argv: str, cwd: Path) -> subprocess.CompletedProcess:
+    return run_child(["-c", code, *argv], cwd)
 
 
 def modules_loaded_by(tmp_path: Path, *argv: str) -> set[str]:
@@ -154,6 +165,159 @@ def test_importing_the_cli_loads_no_layer(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["padfd", "padfd.cli", "padfd.errors", "padfd.model"]
+
+
+# --- the process entry and the cyclic collector ------------------------------------
+
+
+def shops(count: int) -> padfd.Diagram:
+    """A raw diagram of `count` positioned shops: an entity, two processes
+    and a store, joined by five plain flows and one deletion flow."""
+    nodes, flows = [], []
+    for i in range(count):
+        x, y = 480.0 * (i % 4), 240.0 * (i // 4)
+        customer, order, fulfil, store = f"c{i}", f"o{i}", f"u{i}", f"s{i}"
+        nodes += [
+            Node(customer, NodeType.EXT, label=f"Customer {i}", position=(x, y + 80)),
+            Node(order, NodeType.PROC, label=f"Take Order {i}", position=(x + 160, y)),
+            Node(fulfil, NodeType.PROC, label=f"Fulfil Order {i}", position=(x + 320, y + 80)),
+            Node(store, NodeType.DB, label=f"Orders DB {i}", position=(x + 160, y + 160)),
+        ]
+        pairs = [(customer, order), (order, fulfil), (fulfil, customer), (order, store), (store, fulfil)]
+        flows += [Flow(f"f{i}_{j}", a, b, FlowType.PF, label=f"flow {j}") for j, (a, b) in enumerate(pairs)]
+        flows.append(Flow(f"f{i}_5", fulfil, store, FlowType.DF))
+    return build_diagram(Stage.RAW, nodes, flows)
+
+
+SHOP_COUNTS = (1, 120)
+
+
+@pytest.fixture(scope="module")
+def shop_inputs(tmp_path_factory) -> list[Path]:
+    """One directory per entry of SHOP_COUNTS, each holding the raw diagram
+    as JSON and draw.io, its PA model as JSON, and the simulate tables."""
+    directories = []
+    for count in SHOP_COUNTS:
+        directory = tmp_path_factory.mktemp(f"shops{count}")
+        raw = shops(count)
+        (directory / "raw.json").write_bytes(emit_json(raw))
+        (directory / "raw.drawio.xml").write_bytes(emit_drawio(raw))
+        (directory / "pa.json").write_bytes(emit_json(transform(typecheck(raw)[0])))
+        flow_ids = [f"f{i}_{j}" for i in range(count) for j in range(6)]
+        (directory / "static.csv").write_text(
+            "F_id,Label,Purpose,PD,Data_type\n"
+            + "".join(f"{f},flow,purpose {n % 3},{n % 2 == 1},string\n" for n, f in enumerate(flow_ids)),
+            encoding="utf-8",
+        )
+        (directory / "dynamic.csv").write_text(
+            "D_id,F_id,Dsub,Consent,Expiry,Content\n"
+            + "".join(
+                f"d{n}_{r},{f},subject {r},purpose {r},2024-0{4 + r}-01,x\n"
+                for n, f in enumerate(flow_ids)
+                for r in range(3)
+            ),
+            encoding="utf-8",
+        )
+        directories.append(directory)
+    return directories
+
+
+# Runs `padfd.cli.main(argv)` with the collector disabled, then writes the
+# number of unreachable objects a full collection finds to the file named first.
+GARBAGE_PROBE = """\
+import gc, sys
+gc.disable()
+from padfd.cli import main
+code = main(sys.argv[2:])
+with open(sys.argv[1], "w", encoding="utf-8") as handle:
+    handle.write(str(gc.collect()))
+sys.exit(code)
+"""
+
+GARBAGE_COMMANDS = {
+    "transform-drawio": ["transform", "raw.drawio.xml", "-o", "pa.drawio.xml"],
+    "transform-json": ["transform", "raw.json", "-o", "out.json"],
+    "check-drawio": ["check", "raw.drawio.xml"],
+    "check-json": ["check", "pa.json", "--report", "json"],
+    "export-dot": ["export", "pa.json", "-o", "pa.dot", "--out-format", "dot"],
+    "simulate": [
+        "simulate", "pa.json", "--static", "static.csv", "--dynamic", "dynamic.csv",
+        "--clock", CLOCK, "--multi-hop", "--report", "json",
+    ],
+}
+
+
+@pytest.mark.parametrize("command", list(GARBAGE_COMMANDS))
+def test_commands_build_no_garbage_that_grows_with_the_input(shop_inputs, command):
+    """Why a padfd process can run without the cyclic collector: what it
+    would find at the end of a command does not depend on the input's size."""
+    counts = []
+    for directory in shop_inputs:
+        proc = run_python(GARBAGE_PROBE, "unreachable.txt", *GARBAGE_COMMANDS[command], cwd=directory)
+        assert proc.returncode == 0, proc.stderr
+        counts.append(int((directory / "unreachable.txt").read_text(encoding="utf-8")))
+    assert counts[0] == counts[1], dict(zip(SHOP_COUNTS, counts))
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_main_leaves_the_callers_collector_state(fixtures_dir, tmp_path, capsys, enabled):
+    was_enabled, frozen = gc.isenabled(), gc.get_freeze_count()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        out = tmp_path / "out.drawio.xml"
+        assert main(["transform", str(fixtures_dir / "estore.drawio.xml"), "-o", str(out)]) == 0
+        assert main(["check", str(tmp_path / "absent.json")]) == 2
+        with pytest.raises(SystemExit):
+            main(["check"])
+        assert gc.isenabled() is enabled
+        assert gc.get_freeze_count() == frozen
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+# Put on a child's path as `sitecustomize`, so it loads before the entry
+# under test; at exit it writes the collector's state to the file given.
+EXIT_STATE = """\
+import atexit, gc
+
+
+def record():
+    with open({report!r}, "w", encoding="utf-8") as handle:
+        handle.write(f"{{gc.isenabled()}} {{gc.get_freeze_count()}}")
+
+
+atexit.register(record)
+"""
+
+
+def entry_args(entry: str) -> list[str]:
+    if entry == "python -m":
+        return ["-m", "padfd.cli"]
+    tomllib = pytest.importorskip("tomllib")  # stdlib from Python 3.11 on
+    with (PACKAGE_ROOT.parent / "pyproject.toml").open("rb") as handle:
+        module, attr = tomllib.load(handle)["project"]["scripts"]["padfd"].split(":")
+    return ["-c", f"import sys; from {module} import {attr}; sys.exit({attr}())"]
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["check", "DRAWIO"], 0), (["check", "absent.json"], 2), (["check"], 2)],
+    ids=["clean", "missing-file", "usage-error"],
+)
+@pytest.mark.parametrize("entry", ["python -m", "console script"])
+def test_a_padfd_process_ends_with_the_collector_off_and_the_heap_frozen(
+    fixtures_dir, tmp_path, entry, argv, code
+):
+    site = tmp_path / "site"
+    site.mkdir()
+    report = tmp_path / "collector.txt"
+    (site / "sitecustomize.py").write_text(EXIT_STATE.format(report=str(report)), encoding="utf-8")
+    argv = [str(fixtures_dir / "estore.drawio.xml") if arg == "DRAWIO" else arg for arg in argv]
+    proc = run_child([*entry_args(entry), *argv], cwd=tmp_path, path=(site,))
+    assert proc.returncode == code, proc.stderr
+    enabled, frozen = report.read_text(encoding="utf-8").split()
+    assert enabled == "False"
+    assert int(frozen) > 0
 
 
 # --- the lazy package ----------------------------------------------------------------
