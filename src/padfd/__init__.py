@@ -66,26 +66,18 @@ _HOME = {
     "emit_dot": "dot",
     "emit_drawio": "drawio",
     "emit_json": "canonical",
-    "evaluate_limit": "simulate",
-    "exact_compatibility": "simulate",
-    "infer_flow_type": "typecheck",
     "layout_generated": "layout",
     "load_data_records": "simulate",
     "load_equivalences": "simulate",
     "load_flow_metas": "simulate",
     "load_style_map": "styles",
-    "merge_log_stores": "transform",
-    "parse_data_records": "simulate",
     "parse_drawio": "drawio",
-    "parse_flow_metas": "simulate",
     "parse_json": "canonical",
     "render_report": "simulate",
     "report_json": "simulate",
     "report_to_dict": "simulate",
     "run_clean": "simulate",
     "run_simulation": "simulate",
-    "sources": "graph",
-    "targets": "graph",
     "transform": "transform",
     "typecheck": "typecheck",
     "validate_pa": "validate",

@@ -29,7 +29,7 @@ import math
 import re
 from json.encoder import encode_basestring as _quote
 
-from .errors import SchemaError, decode_json
+from .errors import SURROGATE, SchemaError, decode_json
 from .graph import Diagram, Flow, Node
 from .model import FlowType, NodeType, Stage
 
@@ -43,12 +43,6 @@ _STAGES = {stage.value: stage for stage in Stage}
 _NODE_TYPES = {node_type.value: node_type for node_type in NodeType}
 _FLOW_TYPES = {flow_type.value: flow_type for flow_type in FlowType}
 _OPTIONAL_STR = (str, type(None))
-
-# A lone surrogate is not a Unicode character, so no writer can encode it.
-# JSON text carries one only as a \udXXX escape (or verbatim in a str
-# argument), so only documents that could hold one are searched, and only
-# they compile the pattern.
-_SURROGATE = "[\ud800-\udfff]"
 
 
 def canonical_number(value: float) -> int | float:
@@ -191,7 +185,7 @@ def _first_lone_surrogate(diagram: Diagram) -> tuple[str, str, str] | None:
         for element in elements.values():
             extra = element.extra
             for text in (element.id, element.label, element.partner, *extra, *extra.values()):
-                if text is not None and re.search(_SURROGATE, text):
+                if text is not None and re.search(SURROGATE, text):
                     return kind, element.id, text
     return None
 
@@ -208,7 +202,7 @@ def encode_output(text: str, diagram: Diagram, language: str) -> bytes:
             code = ord(exc.object[exc.start])
             raise SchemaError(f"cannot write {language}: U+{code:04X} is a lone surrogate") from None
         kind, element_id, held = found
-        code = ord(re.search(_SURROGATE, held).group())
+        code = ord(re.search(SURROGATE, held).group())
         raise _element_error(
             kind, element_id, f"cannot write {held!r} in {language}: U+{code:04X} is a lone surrogate"
         ) from None
@@ -292,6 +286,9 @@ def parse_json(data: bytes | str) -> Diagram:
         )
 
     diagram = Diagram(stage=stage, nodes=nodes, flows=flows)
+    # JSON text carries a lone surrogate only as a \udXXX escape (or verbatim
+    # in a str argument), so only documents that could hold one are searched,
+    # and only they compile the pattern.
     if "\\ud" in text or "\\uD" in text or (isinstance(data, str) and not text.isascii()):
         found = _first_lone_surrogate(diagram)
         if found is not None:

@@ -76,6 +76,10 @@ class SimulationError(PadfdError):
     """Invalid policy/data inputs or a model the simulator cannot bind to."""
 
 
+# A lone surrogate is not a Unicode character, so no writer can encode it.
+SURROGATE = "[\ud800-\udfff]"
+
+
 def read_utf8(path, what: str) -> str:
     """The text of a UTF-8 file with universal newlines, as
     ``Path.read_text(encoding="utf-8")`` reads it; bytes that are not UTF-8

@@ -87,12 +87,3 @@ def add_flow(diagram: Diagram, flow: Flow) -> Diagram:
             )
     return replace(diagram, flows={**diagram.flows, flow.id: flow})
 
-
-def sources(diagram: Diagram) -> set[NodeId]:
-    """Ids of nodes with at least one outgoing flow."""
-    return {flow.source for flow in diagram.flows.values()}
-
-
-def targets(diagram: Diagram) -> set[NodeId]:
-    """Ids of nodes with at least one incoming flow."""
-    return {flow.target for flow in diagram.flows.values()}

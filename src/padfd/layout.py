@@ -121,43 +121,22 @@ def layout_generated(diagram: Diagram) -> Diagram:
             anchor[1] - dx / norm * GRID_STEP,
         )
 
-    for log_id in unpositioned(NodeType.LOG):
-        anchor = position(log_anchor.get(log_id))
-        if anchor is None:
-            place(log_id, 0.0, 0.0)
-        else:
-            place(log_id, anchor[0], anchor[1] + GRID_STEP)
-
-    for log_db_id in unpositioned(NodeType.LOG_DB):
-        anchor = position(log_db_anchor.get(log_db_id))
-        if anchor is None:
-            place(log_db_id, 0.0, 0.0)
-        else:
-            place(log_db_id, anchor[0], anchor[1] + GRID_STEP)
-
-    for reason_id in unpositioned(NodeType.REASON):
-        anchor = position(nodes[reason_id].partner)
-        if anchor is None:
-            place(reason_id, 0.0, 0.0)
-        else:
-            place(reason_id, anchor[0] + GRID_STEP, anchor[1] - GRID_STEP)
-
-    for policy_db_id in unpositioned(NodeType.POLICY_DB):
-        anchor = position(nodes[policy_db_id].partner)
-        if anchor is None:
-            place(policy_db_id, 0.0, 0.0)
-        else:
-            place(policy_db_id, anchor[0] + GRID_STEP, anchor[1] + GRID_STEP)
-
-    for clean_id in unpositioned(NodeType.CLEAN):
-        anchor = position(clean_target.get(clean_id))
-        if anchor is None:
-            place(clean_id, 0.0, 0.0)
-        else:
-            place(clean_id, anchor[0] + 2 * GRID_STEP, anchor[1] + GRID_STEP)
-
-    # Untyped nodes park at the origin column.
-    for node_id in unpositioned(None):
-        place(node_id, 0.0, 0.0)
+    # The rest, type by type, sit (dx, dy) grid steps from their anchor,
+    # or at the origin without one; untyped nodes park at the origin.
+    partner = {n.id: n.partner for n in diagram.nodes.values()}
+    for node_type, anchor_of, dx, dy in (
+        (NodeType.LOG, log_anchor, 0, 1),
+        (NodeType.LOG_DB, log_db_anchor, 0, 1),
+        (NodeType.REASON, partner, 1, -1),
+        (NodeType.POLICY_DB, partner, 1, 1),
+        (NodeType.CLEAN, clean_target, 2, 1),
+        (None, {}, 0, 0),
+    ):
+        for node_id in unpositioned(node_type):
+            anchor = position(anchor_of.get(node_id))
+            if anchor is None:
+                place(node_id, 0.0, 0.0)
+            else:
+                place(node_id, anchor[0] + dx * GRID_STEP, anchor[1] + dy * GRID_STEP)
 
     return replace(diagram, nodes=nodes)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import io
+import re
 from collections import deque
 from dataclasses import dataclass, field
 from datetime import date
@@ -26,7 +27,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
-from .errors import SchemaError, SimulationError, StageError, decode_json, read_utf8
+from .errors import SURROGATE, SchemaError, SimulationError, StageError, decode_json, read_utf8
 from .graph import Diagram, Flow, NodeId
 from .model import FlowType, NodeType, Stage
 from .transform import gadget_index
@@ -160,47 +161,12 @@ class _Coverage:
 _EXACT = _Coverage()
 
 
-def exact_compatibility(purpose: str, consent: frozenset) -> bool:
-    """Default purpose check: the flow's purpose must literally appear in
-    the record's consented purposes (case-insensitive)."""
-    return _EXACT(purpose, consent)
-
-
 def compatibility_with_equivalences(
     pairs: Iterable[tuple[str, str]]
 ) -> Compatibility:
     """Exact matching extended with (consented, covered) purpose pairs for
     deployments whose consent wording differs from flow purposes."""
     return _Coverage(pairs)
-
-
-def evaluate_limit(
-    meta: FlowMeta,
-    record: DataRecord,
-    clock: date,
-    *,
-    compatible: Compatibility | None = None,
-) -> tuple[bool, LogEntry]:
-    """Decide one record at one limit.
-
-    Non-personal flows always forward and never violate. Personal flows
-    forward only with compatible consent and an unexpired record (the
-    expiry day itself still forwards); withheld personal data raises the
-    violation flag. A log entry is produced either way.
-    """
-    if meta.flow_id != record.flow_id:
-        raise SimulationError(
-            f"record {record.d_id!r} is bound to flow {record.flow_id!r} "
-            f"but was evaluated against flow {meta.flow_id!r}"
-        )
-    if meta.pd:
-        compatible = compatible or exact_compatibility
-        forwarded = compatible(meta.purpose, record.consent) and clock <= record.expiry
-    else:
-        forwarded = True
-    policy = PolicySnapshot(meta.purpose, record.consent, record.expiry)
-    # Withheld personal data, and only that, is a violation.
-    return forwarded, LogEntry(record.d_id, record.flow_id, policy, not forwarded, clock)
 
 
 def _initial_state(diagram: Diagram) -> StoreState:
@@ -226,6 +192,9 @@ def run_simulation(
 ) -> SimulationReport:
     """Evaluate every record against the diagram's gadgets.
 
+    ``compatible`` tells whether a record's consent covers a flow's
+    purpose; by default the purpose must appear among the consented ones,
+    case-insensitively, as with ``compatibility_with_equivalences([])``.
     Records are processed in input order. With ``multi_hop`` a record
     forwarded into a process re-enters each of that process's outgoing
     guarded flows under the same policy data; flows without a policy row
@@ -236,6 +205,7 @@ def run_simulation(
         raise StageError(
             f"simulation needs a privacy-aware diagram, got {diagram.stage.value}"
         )
+    compatible = compatible or _EXACT
     meta_by_flow: dict[str, FlowMeta] = {}
     for meta in metas:
         if meta.flow_id in meta_by_flow:
@@ -281,7 +251,13 @@ def run_simulation(
 
     def evaluate(record: DataRecord, propagated: bool) -> bool:
         flow, meta, log = routes.get(record.flow_id) or route(record)
-        forwarded, entry = evaluate_limit(meta, record, clock, compatible=compatible)
+        # The expiry day itself still forwards; withheld personal data, and
+        # only that, is a violation.
+        forwarded = not meta.pd or (
+            compatible(meta.purpose, record.consent) and clock <= record.expiry
+        )
+        policy = PolicySnapshot(meta.purpose, record.consent, record.expiry)
+        entry = LogEntry(record.d_id, record.flow_id, policy, not forwarded, clock)
         log.append(entry)
         decisions.append(
             Decision(record.d_id, record.flow_id, True, forwarded, entry, propagated)
@@ -463,10 +439,14 @@ def _rows_from_csv(text: str, columns: tuple[str, ...], what: str):
         yield number, pick(row)
 
 
-def _rows_from_json(text: str, columns: tuple[str, ...], what: str, source: str):
+def _rows_from_json(text: str, columns: tuple[str, ...], what: str, path: Path):
+    source = f"{what} table {path}"
     doc = decode_json(text, source)
     if not isinstance(doc, list):
-        raise SchemaError(f"{what} table: top level must be a list of rows")
+        raise SchemaError(f"{source}: top level must be a list of rows")
+    # read_utf8 decodes strictly, so only a \udXXX escape can put a lone
+    # surrogate, which no output can carry, into a field.
+    escaped = "\\ud" in text or "\\uD" in text
     for index, row in enumerate(doc):
         where = f"{what} row {index}"
         if not isinstance(row, dict):
@@ -474,15 +454,21 @@ def _rows_from_json(text: str, columns: tuple[str, ...], what: str, source: str)
         missing = [c for c in columns if c not in row]
         if missing:
             raise SchemaError(f"{where}: missing keys {missing}")
+        if escaped:
+            for key in columns:
+                value = row[key]
+                for held in value if isinstance(value, list) else (value,):
+                    if isinstance(held, str) and re.search(SURROGATE, held):
+                        raise SchemaError(f"{where}: {key} {held!r} holds a lone surrogate")
         yield where, row
 
 
-def parse_flow_metas(
-    text: str, *, json_format: bool = False, source: str = "static table"
-) -> list[FlowMeta]:
-    """The static policy table in `text`; `source` names it in errors."""
-    if json_format:
-        rows = _rows_from_json(text, STATIC_COLUMNS, "static", source)
+def load_flow_metas(path: str | Path) -> list[FlowMeta]:
+    """Read the static policy table from a .csv or .json file."""
+    path = Path(path)
+    text = read_utf8(path, "static table")
+    if path.suffix.lower() == ".json":
+        rows = _rows_from_json(text, STATIC_COLUMNS, "static", path)
     else:
         rows = (
             (f"static row {number}", dict(zip(STATIC_COLUMNS, values)))
@@ -491,15 +477,15 @@ def parse_flow_metas(
     return [_make_meta(row, where) for where, row in rows]
 
 
-def parse_data_records(
-    text: str, *, json_format: bool = False, source: str = "dynamic table"
-) -> list[DataRecord]:
-    """The dynamic record table in `text`; `source` names it in errors."""
+def load_data_records(path: str | Path) -> list[DataRecord]:
+    """Read the dynamic record table from a .csv or .json file."""
+    path = Path(path)
+    text = read_utf8(path, "dynamic table")
     make = _RecordMaker()
-    if json_format:
+    if path.suffix.lower() == ".json":
         return [
             make(where, *[row[key] for key in DYNAMIC_COLUMNS])
-            for where, row in _rows_from_json(text, DYNAMIC_COLUMNS, "dynamic", source)
+            for where, row in _rows_from_json(text, DYNAMIC_COLUMNS, "dynamic", path)
         ]
     return [
         make(f"dynamic row {number}", *fields)
@@ -507,31 +493,12 @@ def parse_data_records(
     ]
 
 
-def load_flow_metas(path: str | Path) -> list[FlowMeta]:
-    """Read the static policy table from a .csv or .json file."""
-    path = Path(path)
-    return parse_flow_metas(
-        read_utf8(path, "static table"),
-        json_format=path.suffix.lower() == ".json",
-        source=f"static table {path}",
-    )
-
-
-def load_data_records(path: str | Path) -> list[DataRecord]:
-    """Read the dynamic record table from a .csv or .json file."""
-    path = Path(path)
-    return parse_data_records(
-        read_utf8(path, "dynamic table"),
-        json_format=path.suffix.lower() == ".json",
-        source=f"dynamic table {path}",
-    )
-
-
 def load_equivalences(path: str | Path) -> list[tuple[str, str]]:
     """Read purpose equivalences: a JSON list of [consented, covered] pairs."""
-    doc = decode_json(read_utf8(path, "equivalence file"), f"equivalence file {path}")
+    source = f"equivalence file {path}"
+    doc = decode_json(read_utf8(path, "equivalence file"), source)
     if not isinstance(doc, list):
-        raise SchemaError("equivalence file: top level must be a list of pairs")
+        raise SchemaError(f"{source}: top level must be a list of pairs")
     pairs = []
     for entry in doc:
         if (
@@ -539,7 +506,7 @@ def load_equivalences(path: str | Path) -> list[tuple[str, str]]:
             or len(entry) != 2
             or not all(isinstance(part, str) for part in entry)
         ):
-            raise SchemaError(f"equivalence file: bad pair {entry!r}")
+            raise SchemaError(f"{source}: bad pair {entry!r}")
         pairs.append((entry[0], entry[1]))
     return pairs
 

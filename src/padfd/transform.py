@@ -195,11 +195,11 @@ def transform(
         _rewrite_flow(nodes, flows, ids, flow_id)
     result = replace(diagram, stage=Stage.PA, nodes=nodes, flows=flows)
     if shared_log_store:
-        result = merge_log_stores(result)
+        result = _merge_log_stores(result)
     return result
 
 
-def merge_log_stores(diagram: Diagram) -> Diagram:
+def _merge_log_stores(diagram: Diagram) -> Diagram:
     """Merge all log stores into the first one (insertion order), retargeting
     every log -> store flow. Counting-law bookkeeping does not survive this."""
     log_dbs = [n.id for n in diagram.nodes.values() if n.node_type is NodeType.LOG_DB]

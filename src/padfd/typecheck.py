@@ -54,27 +54,6 @@ _PF_READINGS: dict[tuple[NodeType, NodeType], FlowType] = {
 _DF_ENDS = model.WELLFORMED_FLOW_ENDPOINTS[FlowType.DELETE]
 
 
-def infer_flow_type(
-    source_type: NodeType,
-    target_type: NodeType,
-    raw_type: FlowType,
-    is_loop: bool = False,
-) -> FlowType | None:
-    """Well-formed reading of a raw flow, or None when it has none.
-
-    ``is_loop`` marks flows whose source and target are the same node;
-    the inter-process reading requires two distinct processes.
-    """
-    if raw_type is FlowType.PF:
-        inferred = _PF_READINGS.get((source_type, target_type))
-        if inferred is FlowType.COMP and is_loop:
-            return None
-        return inferred
-    if raw_type is FlowType.DF:
-        return FlowType.DELETE if (source_type, target_type) == _DF_ENDS else None
-    raise ValueError(f"not a raw flow type: {raw_type!r}")
-
-
 def _flow_diagnostic(flow, source_type: NodeType, target_type: NodeType) -> Diagnostic:
     pair = f"{source_type.value} -> {target_type.value}"
     if flow.flow_type is FlowType.PF:
@@ -124,9 +103,13 @@ def typecheck(
     for flow in diagram.flows.values():
         source_type = diagram.nodes[flow.source].node_type
         target_type = diagram.nodes[flow.target].node_type
-        inferred = infer_flow_type(
-            source_type, target_type, flow.flow_type, flow.source == flow.target
-        )
+        if flow.flow_type is FlowType.PF:
+            inferred = _PF_READINGS.get((source_type, target_type))
+            # The inter-process reading needs two distinct processes.
+            if inferred is FlowType.COMP and flow.source == flow.target:
+                inferred = None
+        else:  # validate_raw admits plain and deletion flows only
+            inferred = FlowType.DELETE if (source_type, target_type) == _DF_ENDS else None
         if inferred is None:
             diagnostics.append(_flow_diagnostic(flow, source_type, target_type))
         else:

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import model
-from .graph import Diagram, sources, targets
+from .graph import Diagram
 from .model import FlowType, NodeType, Stage
 
 
@@ -152,8 +152,8 @@ def connectivity(diagram: Diagram) -> list[Violation]:
     """Connectivity rule: processes relay data (an incoming and an outgoing
     flow); external entities and data stores attach to at least one flow."""
     found = []
-    is_source = sources(diagram)
-    is_target = targets(diagram)
+    is_source = {flow.source for flow in diagram.flows.values()}
+    is_target = {flow.target for flow in diagram.flows.values()}
     for node in diagram.nodes.values():
         incoming = node.id in is_target
         outgoing = node.id in is_source

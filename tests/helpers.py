@@ -12,11 +12,15 @@ from padfd import (
     Flow,
     FlowMeta,
     FlowType,
+    LogEntry,
     Node,
     NodeType,
     Stage,
     add_flow,
     add_node,
+    run_simulation,
+    transform,
+    typecheck,
 )
 
 PURPOSES = ("billing", "marketing", "analytics", "support", "research")
@@ -179,6 +183,21 @@ def payment_equivalences() -> list[tuple[str, str]]:
         ("Recording the work status", "Project monitoring"),
         ("Assigning project info to BIM", "Sending up to date project information to IBM"),
     ]
+
+
+def payment_pa() -> Diagram:
+    wellformed, diagnostics = typecheck(build_payment_raw())
+    assert diagnostics == []
+    return transform(wellformed)
+
+
+def decide(meta: FlowMeta, record: DataRecord, clock: date) -> tuple[bool, LogEntry]:
+    """Whether the limit on the payment system's flow `record.flow_id`
+    forwards `record` under the policy row `meta`, and the entry it logs:
+    one record run through the whole privacy-aware diagram."""
+    report = run_simulation(payment_pa(), [meta], [record], clock)
+    (decision,) = report.decisions
+    return decision.forwarded_padfd, decision.entry
 
 
 def build_store_chain() -> Diagram:

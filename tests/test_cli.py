@@ -687,6 +687,23 @@ def test_simulate_refuses_hostile_json_inputs(fixtures_dir, tmp_path, capsys, mo
         assert err.startswith(f"error: {JSON_READERS[option]} {bad}: not valid JSON: ")
 
 
+@pytest.mark.parametrize("report", ["text", "json"])
+def test_simulate_refuses_a_lone_surrogate_in_a_json_table(fixtures_dir, tmp_path, capsys, report):
+    # Strict UTF-8 decoding leaves the \\udXXX escape as the only way in.
+    dynamic = tmp_path / "dynamic.json"
+    dynamic.write_text(
+        '[{"D_id": "\\ud800", "F_id": "f1", "Dsub": "S", "Consent": "billing", '
+        '"Expiry": "2020-12-31", "Content": ""}]',
+        encoding="utf-8",
+    )
+    argv = simulate_argv(fixtures_dir, payment_model(tmp_path), "--report", report)
+    argv[argv.index("--dynamic") + 1] = str(dynamic)
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: dynamic row 0: D_id '\\ud800' holds a lone surrogate\n"
+
+
 @pytest.mark.parametrize("kind", list(HOSTILE_JSON))
 def test_check_refuses_a_hostile_json_diagram(tmp_path, capsys, kind):
     bad = tmp_path / "bad.json"

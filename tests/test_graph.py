@@ -12,8 +12,6 @@ from padfd import (
     UnknownEndpointError,
     add_flow,
     add_node,
-    sources,
-    targets,
 )
 
 
@@ -58,15 +56,6 @@ def test_parallel_flows_and_self_loops_are_representable():
     d = add_flow(d, Flow("loop", "b", "b", FlowType.PF))
     assert len(d.flows) == 3
     assert d.flows["loop"].source == d.flows["loop"].target == "b"
-
-
-def test_sources_and_targets():
-    d = _pair()
-    assert sources(d) == set() and targets(d) == set()
-    d = add_flow(d, Flow("f", "a", "b", FlowType.PF))
-    assert sources(d) == {"a"}
-    assert targets(d) == {"b"}
-    assert len(sources(d) | targets(d)) <= len(d.nodes)
 
 
 def test_absent_attributes_are_distinct_from_values():

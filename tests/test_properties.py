@@ -11,6 +11,8 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from padfd import (
+    DataRecord,
+    FlowMeta,
     FlowType,
     compatibility_with_equivalences,
     NodeType,
@@ -19,12 +21,10 @@ from padfd import (
     Stage,
     emit_drawio,
     emit_json,
-    evaluate_limit,
-    exact_compatibility,
     layout_generated,
-    parse_data_records,
+    load_data_records,
+    load_flow_metas,
     parse_drawio,
-    parse_flow_metas,
     parse_json,
     report_json,
     run_clean,
@@ -53,7 +53,7 @@ from diagram_strategies import (
     store_states,
     wellformed_diagrams,
 )
-from helpers import PURPOSES
+from helpers import PURPOSES, decide
 from references import (
     reference_compatibility,
     reference_emit_drawio,
@@ -294,16 +294,16 @@ def test_layout_places_like_the_stepping_reference(diagram):
 
 @settings(deadline=None)
 @given(
-    flow_metas("f"),
-    data_records("f", "d"),
+    flow_metas("f1"),
+    data_records("f1", "d"),
     st.tuples(dates, dates),
 )
 def test_limit_decisions_are_monotone_in_time(meta, record, clocks):
     """Whatever is forwarded at a later clock is forwarded at any earlier
     one; the violation flag marks exactly withheld personal data."""
     early, late = sorted(clocks)
-    fwd_early, entry_early = evaluate_limit(meta, record, early)
-    fwd_late, entry_late = evaluate_limit(meta, record, late)
+    fwd_early, entry_early = decide(meta, record, early)
+    fwd_late, entry_late = decide(meta, record, late)
     if fwd_late:
         assert fwd_early
     assert entry_early.v == (meta.pd and not fwd_early)
@@ -320,9 +320,9 @@ def test_limit_decisions_are_monotone_in_time(meta, record, clocks):
 
 
 @settings(deadline=None)
-@given(flow_metas("f"), data_records("f", "d"), dates)
+@given(flow_metas("f1"), data_records("f1", "d"), dates)
 def test_limit_expiry_boundary(meta, record, clock):
-    forwarded, _ = evaluate_limit(meta, record, clock)
+    forwarded, _ = decide(meta, record, clock)
     if meta.pd and clock > record.expiry:
         assert not forwarded
 
@@ -400,7 +400,10 @@ def test_compatibility_is_the_lookup_reference(pairs, purpose, consent):
     expected = reference_compatibility(pairs)(purpose, consent)
     assert compatibility_with_equivalences(pairs)(purpose, consent) is expected
     if not pairs:
-        assert exact_compatibility(purpose, consent) is expected
+        # A run without a predicate matches purposes exactly.
+        meta = FlowMeta("f1", "Records", purpose, True, "string")
+        record = DataRecord("d1", "f1", "SubA", consent, date(2099, 1, 1), "")
+        assert decide(meta, record, date(2020, 1, 1))[0] is expected
 
 
 _respellings = st.lists(
@@ -455,10 +458,10 @@ def test_report_json_of_runs_is_the_reference_writer(scenario, multi_hop):
     assert report_json(report) == reference_report_json(report)
 
 
-def _outcome(parse, text: str):
+def _outcome(load, source):
     """What a loader returns, or the type and message of what it raises."""
     try:
-        return parse(text)
+        return load(source)
     except Exception as exc:  # compared, not hidden: both sides must agree
         return type(exc), str(exc)
 
@@ -473,16 +476,25 @@ def test_utf8_reader_reads_as_read_text(text):
         assert read_utf8(path, "table") == path.read_text(encoding="utf-8")
 
 
+def _loads_like(load, reference, text: str) -> None:
+    """`load` on a .csv file holding `text` does what `reference` does on
+    the text the file reads back as (universal newlines)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert _outcome(load, path) == _outcome(reference, path.read_text(encoding="utf-8"))
+
+
 @PROPERTY_SETTINGS
 @given(csv_tables(DYNAMIC_COLUMNS))
 def test_record_loader_reads_like_dict_reader(text):
-    assert _outcome(parse_data_records, text) == _outcome(reference_parse_data_records, text)
+    _loads_like(load_data_records, reference_parse_data_records, text)
 
 
 @PROPERTY_SETTINGS
 @given(csv_tables(STATIC_COLUMNS))
 def test_policy_loader_reads_like_dict_reader(text):
-    assert _outcome(parse_flow_metas, text) == _outcome(reference_parse_flow_metas, text)
+    _loads_like(load_flow_metas, reference_parse_flow_metas, text)
 
 
 # --- the cleaning pass ----------------------------------------------------------------

@@ -7,7 +7,6 @@ import pytest
 
 from padfd import (
     DataRecord,
-    Diagram,
     Flow,
     FlowMeta,
     FlowType,
@@ -21,13 +20,9 @@ from padfd import (
     StoreState,
     StoredRecord,
     compatibility_with_equivalences,
-    evaluate_limit,
-    exact_compatibility,
     load_data_records,
     load_equivalences,
     load_flow_metas,
-    parse_data_records,
-    parse_flow_metas,
     render_report,
     report_to_dict,
     run_clean,
@@ -35,6 +30,7 @@ from padfd import (
     transform,
     typecheck,
 )
+from padfd.simulate import DYNAMIC_COLUMNS, STATIC_COLUMNS
 
 from helpers import (
     CONTRACT_END,
@@ -42,18 +38,14 @@ from helpers import (
     build_diagram,
     build_payment_raw,
     build_store_chain,
+    decide,
     payment_equivalences,
     payment_metas,
+    payment_pa,
     payment_records,
 )
 
 CLOCK = date(2020, 6, 1)
-
-
-def payment_pa() -> Diagram:
-    wellformed, diagnostics = typecheck(build_payment_raw())
-    assert diagnostics == []
-    return transform(wellformed)
 
 
 def meta(flow_id: str, purpose: str = "billing", pd: bool = True) -> FlowMeta:
@@ -73,7 +65,7 @@ def record(
 
 
 def test_limit_forwards_with_consent_before_expiry():
-    forwarded, entry = evaluate_limit(meta("f1"), record("f1"), CLOCK)
+    forwarded, entry = decide(meta("f1"), record("f1"), CLOCK)
     assert forwarded is True
     assert entry.v is False
     assert entry.policy == PolicySnapshot("billing", frozenset({"billing"}), date(2020, 12, 31))
@@ -81,7 +73,7 @@ def test_limit_forwards_with_consent_before_expiry():
 
 
 def test_limit_blocks_unconsented_purpose():
-    forwarded, entry = evaluate_limit(
+    forwarded, entry = decide(
         meta("f1", purpose="marketing"), record("f1"), CLOCK
     )
     assert forwarded is False
@@ -89,7 +81,7 @@ def test_limit_blocks_unconsented_purpose():
 
 
 def test_limit_blocks_expired_record():
-    forwarded, entry = evaluate_limit(
+    forwarded, entry = decide(
         meta("f1"), record("f1", expiry=date(2020, 1, 1)), CLOCK
     )
     assert forwarded is False
@@ -97,11 +89,11 @@ def test_limit_blocks_expired_record():
 
 
 def test_limit_expiry_day_still_forwards():
-    forwarded, entry = evaluate_limit(meta("f1"), record("f1", expiry=CLOCK), CLOCK)
+    forwarded, entry = decide(meta("f1"), record("f1", expiry=CLOCK), CLOCK)
     assert forwarded is True
     assert entry.v is False
     day_after = date(2020, 6, 2)
-    forwarded, entry = evaluate_limit(
+    forwarded, entry = decide(
         meta("f1"), record("f1", expiry=CLOCK), day_after
     )
     assert forwarded is False
@@ -110,21 +102,16 @@ def test_limit_expiry_day_still_forwards():
 
 def test_limit_nonpersonal_always_forwards():
     stale = record("f1", consent=frozenset({"nothing"}), expiry=date(2000, 1, 1))
-    forwarded, entry = evaluate_limit(meta("f1", pd=False), stale, CLOCK)
+    forwarded, entry = decide(meta("f1", pd=False), stale, CLOCK)
     assert forwarded is True
     assert entry.v is False
 
 
 def test_limit_consent_match_is_case_insensitive():
-    forwarded, _ = evaluate_limit(
+    forwarded, _ = decide(
         meta("f1", purpose="Billing"), record("f1", consent=frozenset({"billing"})), CLOCK
     )
     assert forwarded is True
-
-
-def test_limit_rejects_mismatched_record():
-    with pytest.raises(SimulationError):
-        evaluate_limit(meta("f1"), record("f2"), CLOCK)
 
 
 def test_business_semantics_forward_everything():
@@ -139,9 +126,10 @@ def test_business_semantics_forward_everything():
 
 
 def test_exact_compatibility():
-    assert exact_compatibility("billing", frozenset({"billing", "support"}))
-    assert exact_compatibility(" Billing ", frozenset({"billing"}))
-    assert not exact_compatibility("billing", frozenset({"marketing"}))
+    exact = compatibility_with_equivalences([])
+    assert exact("billing", frozenset({"billing", "support"}))
+    assert exact(" Billing ", frozenset({"billing"}))
+    assert not exact("billing", frozenset({"marketing"}))
 
 
 def test_equivalence_compatibility_covers_listed_pairs():
@@ -520,10 +508,19 @@ def test_load_tables_json(tmp_path):
     assert load_data_records(dynamic_path) == payment_records()
 
 
-def test_consent_splits_on_semicolons():
-    rows = parse_data_records(
+def load_text(load, tmp_path, text: str, suffix: str = ".csv"):
+    """`load` on a table file holding `text`."""
+    path = tmp_path / f"table{suffix}"
+    path.write_bytes(text.encode("utf-8"))
+    return load(path)
+
+
+def test_consent_splits_on_semicolons(tmp_path):
+    rows = load_text(
+        load_data_records,
+        tmp_path,
         "D_id,F_id,Dsub,Consent,Expiry,Content\n"
-        "d1,f1,S,billing; support ;billing,2020-12-31,x\n"
+        "d1,f1,S,billing; support ;billing,2020-12-31,x\n",
     )
     assert rows[0].consent == frozenset({"billing", "support"})
 
@@ -537,9 +534,9 @@ def test_consent_splits_on_semicolons():
         ("F_id,Label,Purpose,PD,Data_type\nf1,L,,True,s\n", "purpose"),
     ],
 )
-def test_static_table_errors(text, complaint):
+def test_static_table_errors(text, complaint, tmp_path):
     with pytest.raises(SimulationError) as exc:
-        parse_flow_metas(text)
+        load_text(load_flow_metas, tmp_path, text)
     assert complaint in str(exc.value)
 
 
@@ -561,20 +558,20 @@ def test_static_table_errors(text, complaint):
         ),
     ],
 )
-def test_dynamic_table_errors(text, complaint):
+def test_dynamic_table_errors(text, complaint, tmp_path):
     with pytest.raises(SimulationError) as exc:
-        parse_data_records(text)
+        load_text(load_data_records, tmp_path, text)
     assert complaint in str(exc.value)
 
 
-def test_table_errors_name_the_row():
+def test_table_errors_name_the_row(tmp_path):
     text = (
         "D_id,F_id,Dsub,Consent,Expiry,Content\n"
         "d1,f1,S,billing,2020-01-01,x\n"
         "d2,f1,S,billing,not-a-date,x\n"
     )
     with pytest.raises(SimulationError) as exc:
-        parse_data_records(text)
+        load_text(load_data_records, tmp_path, text)
     assert "row 3" in str(exc.value)
 
 
@@ -615,9 +612,9 @@ _DYNAMIC_HEADER = "D_id,F_id,Dsub,Consent,Expiry,Content\n"
         "long-row", "quoted-newline", "empty-consent", "empty-d_id", "empty-f_id",
     ],
 )
-def test_dynamic_table_messages(body, message):
+def test_dynamic_table_messages(body, message, tmp_path):
     with pytest.raises(SimulationError) as exc:
-        parse_data_records(_DYNAMIC_HEADER + body)
+        load_text(load_data_records, tmp_path, _DYNAMIC_HEADER + body)
     assert str(exc.value) == message
 
 
@@ -652,13 +649,13 @@ def test_dynamic_table_messages(body, message):
     ],
     ids=["missing-column", "empty-text", "blank-header", "repeated-column", "repeated-column-short-row"],
 )
-def test_dynamic_table_header_messages(text, message):
+def test_dynamic_table_header_messages(text, message, tmp_path):
     with pytest.raises(SimulationError) as exc:
-        parse_data_records(text)
+        load_text(load_data_records, tmp_path, text)
     assert str(exc.value) == message
 
 
-def test_dynamic_table_reads_rows_as_dict_reader_does():
+def test_dynamic_table_reads_rows_as_dict_reader_does(tmp_path):
     text = (
         "Extra,D_id,F_id,Dsub,Consent,Expiry,Content,Dsub\n"
         "\n"
@@ -666,7 +663,7 @@ def test_dynamic_table_reads_rows_as_dict_reader_does():
         "?,d2,f2,lost,billing,2020-01-02\n"
         "?,d3,f3,lost,billing,2020-01-03,x,SubC,more\n"
     )
-    assert parse_data_records(text) == [
+    assert load_text(load_data_records, tmp_path, text) == [
         DataRecord("d1", "f1", "SubA", frozenset({"billing", "support"}), date(2020, 1, 1), 'a, "b"\nc'),
         DataRecord("d2", "f2", "", frozenset({"billing"}), date(2020, 1, 2), ""),
         DataRecord("d3", "f3", "SubC", frozenset({"billing"}), date(2020, 1, 3), "x"),
@@ -683,13 +680,13 @@ def test_dynamic_table_reads_rows_as_dict_reader_does():
     ],
     ids=["bad-pd", "blank-lines", "no-purpose", "short-row"],
 )
-def test_static_table_messages(body, message):
+def test_static_table_messages(body, message, tmp_path):
     with pytest.raises(SimulationError) as exc:
-        parse_flow_metas("F_id,Label,Purpose,PD,Data_type\n" + body)
+        load_text(load_flow_metas, tmp_path, "F_id,Label,Purpose,PD,Data_type\n" + body)
     assert str(exc.value) == message
 
 
-def test_json_tables_report_the_first_problem_of_a_row():
+def test_json_tables_report_the_first_problem_of_a_row(tmp_path):
     """Fields are checked in column order, each problem named exactly."""
     row = {"D_id": "", "F_id": "f1", "Dsub": 3, "Consent": "", "Expiry": 5, "Content": None}
     cases = [
@@ -704,25 +701,59 @@ def test_json_tables_report_the_first_problem_of_a_row():
     ]
     for change, message in cases:
         with pytest.raises(SimulationError) as exc:
-            parse_data_records(json.dumps([{**row, **change}]), json_format=True)
+            load_text(load_data_records, tmp_path, json.dumps([{**row, **change}]), ".json")
         assert str(exc.value) == message
 
 
+# The error each document raises, PATH standing for the file's path:
+# errors in the file as a whole name it, errors in a row name the row.
+_JSON_TABLE_ERRORS = {
+    "{}": "static table PATH: top level must be a list of rows",
+    '[{"F_id": "f1"}]': "static row 0: missing keys ['Label', 'Purpose', 'PD', 'Data_type']",
+    "[[1]]": "static row 0: each row must be an object",
+    "not json": "static table PATH: not valid JSON: Expecting value: line 1 column 1 (char 0)",
+}
+
+
+@pytest.mark.parametrize("doc", list(_JSON_TABLE_ERRORS))
+def test_json_table_errors(doc, tmp_path):
+    with pytest.raises((SchemaError, SimulationError)) as exc:
+        load_text(load_flow_metas, tmp_path, doc, ".json")
+    assert str(exc.value) == _JSON_TABLE_ERRORS[doc].replace("PATH", str(tmp_path / "table.json"))
+
+
 @pytest.mark.parametrize(
-    "doc",
-    ["{}", "[{\"F_id\": \"f1\"}]", "[[1]]", "not json"],
+    "load,where,key,value",
+    [
+        (load_flow_metas, "static row 0", "Purpose", "\ud800x"),
+        (load_data_records, "dynamic row 0", "D_id", "\udfff"),
+        (load_data_records, "dynamic row 0", "Consent", ["billing", "\udbff"]),
+    ],
+    ids=["static-purpose", "dynamic-d_id", "dynamic-consent-list"],
 )
-def test_json_table_errors(doc):
-    with pytest.raises((SchemaError, SimulationError)):
-        parse_flow_metas(doc, json_format=True)
+def test_json_tables_refuse_lone_surrogates(tmp_path, load, where, key, value):
+    """JSON text carries a lone surrogate only as an escape, in either
+    case; no report can carry one, so the row is refused."""
+    columns = STATIC_COLUMNS if load is load_flow_metas else DYNAMIC_COLUMNS
+    text = json.dumps([{**dict.fromkeys(columns, "x"), key: value}])
+    held = value[-1] if isinstance(value, list) else value
+    with pytest.raises(SchemaError) as exc:
+        load_text(load, tmp_path, text.replace("\\udbff", "\\uDBFF"), ".json")
+    assert str(exc.value) == f"{where}: {key} {held!r} holds a lone surrogate"
 
 
 def test_load_equivalences_rejects_bad_shapes(tmp_path):
-    for bad in ('{"a": 1}', '[["one"]]', '[["a", 2]]', "nope"):
-        path = tmp_path / "eq.json"
+    path = tmp_path / "eq.json"
+    for bad, message in (
+        ('{"a": 1}', "top level must be a list of pairs"),
+        ('[["one"]]', "bad pair ['one']"),
+        ('[["a", 2]]', "bad pair ['a', 2]"),
+        ("nope", "not valid JSON: Expecting value: line 1 column 1 (char 0)"),
+    ):
         path.write_text(bad, encoding="utf-8")
-        with pytest.raises(SchemaError):
+        with pytest.raises(SchemaError) as exc:
             load_equivalences(path)
+        assert str(exc.value) == f"equivalence file {path}: {message}"
 
 
 # --- report rendering ----------------------------------------------------------

@@ -386,7 +386,14 @@ def test_star_import_binds_exactly_all():
     assert all(namespace[name] is getattr(padfd, name) for name in padfd.__all__)
 
 
-@pytest.mark.parametrize("name", ["no_such_name", "to_canonical_dict", "cli_main"])
+# Public names of earlier versions, each folded into its one caller.
+FOLDED_NAMES = [
+    "evaluate_limit", "exact_compatibility", "infer_flow_type", "merge_log_stores",
+    "parse_data_records", "parse_flow_metas", "sources", "targets",
+]
+
+
+@pytest.mark.parametrize("name", ["no_such_name", "to_canonical_dict", "cli_main", *FOLDED_NAMES])
 def test_unknown_names_raise_attribute_error(name):
     with pytest.raises(AttributeError, match=repr(name)):
         getattr(padfd, name)

@@ -16,7 +16,6 @@ from padfd import (
     TransformError,
     WellFormednessError,
     WrongFlowTypeError,
-    merge_log_stores,
     transform,
     typecheck,
     validate_pa,
@@ -372,7 +371,7 @@ def test_transform_raw_input_needs_typing_first():
 
 def test_merge_log_stores():
     pa = transform(build_all_kinds())
-    merged = merge_log_stores(pa)
+    merged = transform(build_all_kinds(), shared_log_store=True)
     log_dbs = [n for n in merged.nodes.values() if n.node_type is NodeType.LOG_DB]
     assert len(log_dbs) == 1
     keep = log_dbs[0].id
@@ -390,17 +389,32 @@ def test_merge_log_stores_keeps_first():
     first = next(
         n.id for n in pa.nodes.values() if n.node_type is NodeType.LOG_DB
     )
-    merged = merge_log_stores(pa)
+    merged = transform(build_all_kinds(), shared_log_store=True)
     assert first in merged.nodes
 
 
 def test_merge_log_stores_single_store_noop():
-    pa = transform(build_all_kinds())
-    merged = merge_log_stores(pa)
-    assert merge_log_stores(merged) == merged
+    # One guarded flow has one log store: nothing to merge.
+    excerpt = build_excerpt()
+    excerpt = replace(excerpt, flows={"f_info": excerpt.flows["f_info"]})
+    merged = transform(excerpt, check=False, shared_log_store=True)
+    assert merged == transform(excerpt, check=False)
 
 
 def test_transform_shared_log_store_flag():
-    assert transform(build_all_kinds(), shared_log_store=True) == merge_log_stores(
-        transform(build_all_kinds())
+    """The flag drops every log store but the first and retargets the
+    logging flows at it; nothing else changes."""
+    pa = transform(build_all_kinds())
+    keep = next(n.id for n in pa.nodes.values() if n.node_type is NodeType.LOG_DB)
+    assert transform(build_all_kinds(), shared_log_store=True) == replace(
+        pa,
+        nodes={
+            nid: n
+            for nid, n in pa.nodes.items()
+            if n.node_type is not NodeType.LOG_DB or nid == keep
+        },
+        flows={
+            fid: replace(f, target=keep) if f.flow_type is FlowType.LOGGING else f
+            for fid, f in pa.flows.items()
+        },
     )

@@ -14,7 +14,6 @@ from padfd import (
     Stage,
     StageError,
     WellFormednessError,
-    infer_flow_type,
     typecheck,
     validate_wellformed,
 )
@@ -35,23 +34,34 @@ PF_ORACLE = {
 DF_ORACLE = {(P, D): FlowType.DELETE}
 
 
+def _typed(kinds: list[NodeType], flow_type: FlowType) -> FlowType | None:
+    """The type `typecheck` gives flow "f" from the first of `kinds`' nodes
+    to the last, or None when it reports the flow instead. Connectivity
+    findings are tolerated: a lone flow rarely satisfies them."""
+    nodes = [Node(f"n{i}", kind) for i, kind in enumerate(kinds)]
+    flow = Flow("f", nodes[0].id, nodes[-1].id, flow_type)
+    result, diagnostics = typecheck(
+        build_diagram(Stage.RAW, nodes, [flow]), tolerate_connectivity=True
+    )
+    if result is None:
+        assert [g.element for g in diagnostics if g.kind is DiagnosticKind.FLOW] == ["f"]
+        return None
+    return result.flows["f"].flow_type
+
+
 def test_infer_flow_type_matches_oracle_exhaustively():
     for src in (E, P, D):
         for tgt in (E, P, D):
-            assert infer_flow_type(src, tgt, FlowType.PF) == PF_ORACLE.get((src, tgt))
-            assert infer_flow_type(src, tgt, FlowType.DF) == DF_ORACLE.get((src, tgt))
+            assert _typed([src, tgt], FlowType.PF) == PF_ORACLE.get((src, tgt))
+            assert _typed([src, tgt], FlowType.DF) == DF_ORACLE.get((src, tgt))
 
 
 def test_infer_flow_type_loop_cases():
-    assert infer_flow_type(P, P, FlowType.PF, is_loop=False) is FlowType.COMP
-    assert infer_flow_type(P, P, FlowType.PF, is_loop=True) is None
-    assert infer_flow_type(E, E, FlowType.PF, is_loop=True) is None
-    assert infer_flow_type(P, D, FlowType.DF, is_loop=False) is FlowType.DELETE
-
-
-def test_infer_flow_type_rejects_non_raw_kinds():
-    with pytest.raises(ValueError):
-        infer_flow_type(E, P, FlowType.IN)
+    # Two distinct processes; then a flow from a node to itself.
+    assert _typed([P, P], FlowType.PF) is FlowType.COMP
+    assert _typed([P], FlowType.PF) is None
+    assert _typed([E], FlowType.PF) is None
+    assert _typed([P, D], FlowType.DF) is FlowType.DELETE
 
 
 def test_check_activator():
