@@ -24,8 +24,6 @@ _HOME = {
     "DataRecord": "simulate",
     "Decision": "simulate",
     "DEFAULT_STYLE_MAP": "styles",
-    "Diagnostic": "typecheck",
-    "DiagnosticKind": "typecheck",
     "Diagram": "graph",
     "DuplicateIdError": "errors",
     "Flow": "graph",

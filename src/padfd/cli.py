@@ -24,7 +24,7 @@ import os
 import sys
 from pathlib import Path
 
-from .errors import PadfdError, ParseError
+from .errors import PadfdError, ParseError, WellFormednessError
 from .model import Stage
 
 # Each subcommand imports the layers it uses inside the functions below,
@@ -33,10 +33,12 @@ from .model import Stage
 # `TYPE_CHECKING` as true), so not even `typing` is imported for them.
 TYPE_CHECKING = False
 if TYPE_CHECKING:
+    from collections.abc import Sequence
     from datetime import date
 
     from .graph import Diagram
     from .styles import StyleMap
+    from .validate import Violation
 
 
 def _style_map(args) -> StyleMap | None:
@@ -114,38 +116,51 @@ def _sniff_out_format(path_text: str) -> str:
     return "drawio"
 
 
-def _findings(diagram: Diagram) -> list:
-    """Diagnostics (raw stage) or violations (later stages), render-ables."""
-    from .validate import validate_pa, validate_raw, validate_wellformed
-
+def _gate(
+    diagram: Diagram, allow_ill_formed: bool
+) -> tuple[Sequence[Violation], Diagram | None]:
+    """Check a diagram once: its findings, and the diagram ready for the
+    rewrite or None. A raw diagram is typed on the way. With
+    ``allow_ill_formed`` connectivity findings alone are waved through;
+    typing problems never are. No privacy-aware diagram is ready."""
     if diagram.stage is Stage.RAW:
-        validity = validate_raw(diagram)
-        if not validity.valid:
-            return list(validity.violations)
         from .typecheck import typecheck
 
-        _, diagnostics = typecheck(diagram)
-        return diagnostics
-    if diagram.stage is Stage.WELLFORMED:
-        return list(validate_wellformed(diagram).violations)
-    return list(validate_pa(diagram).violations)
+        try:
+            wellformed, findings = typecheck(
+                diagram, tolerate_connectivity=allow_ill_formed
+            )
+        except WellFormednessError as exc:
+            return exc.violations, None
+        return findings, wellformed
+    from .validate import blocks_rewrite, validate_pa, validate_wellformed
+
+    if diagram.stage is Stage.PA:
+        return validate_pa(diagram).violations, None
+    findings = validate_wellformed(diagram).violations
+    return findings, None if blocks_rewrite(findings, allow_ill_formed) else diagram
 
 
 def cmd_check(args) -> int:
     styles = _style_map(args)
     diagram = _read_diagram(args.input, args.format, styles)
-    findings = _findings(diagram)
+    findings, _ = _gate(diagram, allow_ill_formed=False)
     if args.report == "json":
+        # A raw diagram's findings say what kind of typing problem they are.
+        kinds = {}
+        if diagram.stage is Stage.RAW:
+            from .validate import CONNECTIVITY_CLAUSES
+
+            kinds = dict.fromkeys(("pf-no-rule", "pf-loop", "df-no-rule"), "ill-formed-flow")
+            kinds.update(dict.fromkeys(CONNECTIVITY_CLAUSES, "ill-formed-activator"))
         payload = {
             "stage": diagram.stage.value,
             "diagnostics": [
                 {
                     "element": f.element,
-                    "rule": getattr(f, "rule", None) or getattr(f, "clause", None),
+                    "rule": f.clause,
                     "message": f.message,
-                    "kind": getattr(f, "kind", None).value
-                    if getattr(f, "kind", None)
-                    else "stage-violation",
+                    "kind": kinds.get(f.clause, "stage-violation"),
                 }
                 for f in findings
             ],
@@ -159,54 +174,20 @@ def cmd_check(args) -> int:
     return 1 if findings else 0
 
 
-def _to_wellformed(diagram: Diagram, allow_ill_formed: bool) -> Diagram | None:
-    """Bring a raw or well-formed diagram to the rewrite's doorstep,
-    printing findings and returning None when it cannot be done. With
-    ``allow_ill_formed`` connectivity findings alone are waved through;
-    typing problems never are."""
-    from .validate import CONNECTIVITY_CLAUSES, validate_raw, validate_wellformed
-
-    if diagram.stage is Stage.RAW:
-        validity = validate_raw(diagram)
-        if not validity.valid:
-            for violation in validity.violations:
-                print(violation.render(), file=sys.stderr)
-            return None
-        from .typecheck import typecheck
-
-        wellformed, diagnostics = typecheck(
-            diagram, tolerate_connectivity=allow_ill_formed
-        )
-        if wellformed is None:
-            for diagnostic in diagnostics:
-                print(diagnostic.render(), file=sys.stderr)
-        return wellformed
-    violations = validate_wellformed(diagram).violations
-    if not violations or (
-        allow_ill_formed and all(v.clause in CONNECTIVITY_CLAUSES for v in violations)
-    ):
-        return diagram
-    for violation in violations:
-        print(violation.render(), file=sys.stderr)
-    return None
-
-
 def cmd_transform(args) -> int:
     styles = _style_map(args)
     diagram = _read_diagram(args.input, args.in_format, styles)
     if diagram.stage is Stage.PA:
         print("error: input is already privacy-aware", file=sys.stderr)
         return 1
-    wellformed = _to_wellformed(diagram, args.allow_ill_formed)
+    findings, wellformed = _gate(diagram, args.allow_ill_formed)
     if wellformed is None:
+        for finding in findings:
+            print(finding.render(), file=sys.stderr)
         return 1
     from .transform import transform
 
-    result = transform(
-        wellformed,
-        shared_log_store=args.shared_log_store,
-        check=not args.allow_ill_formed,
-    )
+    result = transform(wellformed, shared_log_store=args.shared_log_store, check=False)
     out_format = args.out_format or _sniff_out_format(args.output)
     _write_atomic(args.output, _emit(result, out_format, styles))
     return 0
@@ -226,12 +207,14 @@ def cmd_simulate(args) -> int:
     styles = _style_map(args)
     diagram = _read_diagram(args.model, args.in_format, styles)
     if diagram.stage is not Stage.PA:
-        wellformed = _to_wellformed(diagram, allow_ill_formed=False)
+        findings, wellformed = _gate(diagram, allow_ill_formed=False)
         if wellformed is None:
+            for finding in findings:
+                print(finding.render(), file=sys.stderr)
             return 1
         from .transform import transform
 
-        diagram = transform(wellformed)
+        diagram = transform(wellformed, check=False)
     metas = load_flow_metas(args.static)
     records = load_data_records(args.dynamic)
     compatible = None

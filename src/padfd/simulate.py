@@ -330,13 +330,16 @@ def run_clean(state: StoreState, clock: date) -> tuple[StoreState, list[CleanEve
     return StoreState(new_data, new_policies, dict(state.partners)), events
 
 
-def _parse_bool(text: str, where: str) -> bool:
-    value = text.strip().casefold()
-    if value == "true":
-        return True
-    if value == "false":
-        return False
-    raise SimulationError(f"{where}: PD must be 'True' or 'False', found {text!r}")
+def _parse_bool(value, where: str) -> bool:
+    """A PD field: JSON true or false, or the text True or False in any
+    case and padding; anything else is refused."""
+    if isinstance(value, bool):
+        return value
+    if isinstance(value, str):
+        text = value.strip().casefold()
+        if text in ("true", "false"):
+            return text == "true"
+    raise SimulationError(f"{where}: PD must be 'True' or 'False', found {value!r}")
 
 
 def _parse_date(text: str, where: str) -> date:
@@ -375,8 +378,7 @@ def _make_meta(row: dict, where: str) -> FlowMeta:
     flow_id = _text_field(row, "F_id", where)
     if not flow_id:
         raise SimulationError(f"{where}: F_id must not be empty")
-    pd_raw = row["PD"]
-    pd = _parse_bool(pd_raw, where) if isinstance(pd_raw, str) else bool(pd_raw)
+    pd = _parse_bool(row["PD"], where)
     purpose = _text_field(row, "Purpose", where)
     if pd and not purpose:
         raise SimulationError(f"{where}: personal-data flows need a purpose")

@@ -21,6 +21,7 @@ carry a stable clause id so tests and tooling can match on them:
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from . import model
@@ -31,11 +32,11 @@ from .model import FlowType, NodeType, Stage
 @dataclass(frozen=True)
 class Violation:
     clause: str
-    element: str | None
+    element: str
     message: str
 
     def render(self) -> str:
-        return f"error {self.element or '-'} {self.clause}: {self.message}"
+        return f"error {self.element} {self.clause}: {self.message}"
 
 
 @dataclass(frozen=True)
@@ -148,6 +149,16 @@ def _endpoint_checks(
 CONNECTIVITY_CLAUSES = frozenset({"proc-source-target", "ext-connected", "db-connected"})
 
 
+def blocks_rewrite(violations: Sequence[Violation], tolerate_connectivity: bool) -> bool:
+    """Whether findings stop the rewrite: any finding does, unless
+    connectivity is tolerated (for diagram excerpts) and every finding is
+    a connectivity one."""
+    return bool(violations) and not (
+        tolerate_connectivity
+        and all(v.clause in CONNECTIVITY_CLAUSES for v in violations)
+    )
+
+
 def connectivity(diagram: Diagram) -> list[Violation]:
     """Connectivity rule: processes relay data (an incoming and an outgoing
     flow); external entities and data stores attach to at least one flow."""
@@ -225,7 +236,7 @@ def _partner_links(diagram: Diagram) -> list[Violation]:
 
 
 def _sorted(violations: list[Violation]) -> tuple[Violation, ...]:
-    return tuple(sorted(violations, key=lambda v: (v.element or "", v.clause)))
+    return tuple(sorted(violations, key=lambda v: (v.element, v.clause)))
 
 
 def validate_raw(diagram: Diagram) -> StageValidity:

@@ -237,7 +237,7 @@ def test_diagnostic_clause_witnesses(verdict):
         )
         typed, diagnostics = typecheck(diagram)
         assert typed is None, label
-        assert [(d.element, d.rule) for d in diagnostics] == [expected], label
+        assert [(d.element, d.clause) for d in diagnostics] == [expected], label
 
     wellformed, diagnostics = typecheck(build_estore_raw())
     assert diagnostics == []

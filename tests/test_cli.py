@@ -704,6 +704,20 @@ def test_simulate_refuses_a_lone_surrogate_in_a_json_table(fixtures_dir, tmp_pat
     assert err == "error: dynamic row 0: D_id '\\ud800' holds a lone surrogate\n"
 
 
+def test_simulate_refuses_a_non_boolean_pd_in_a_json_table(fixtures_dir, tmp_path, capsys):
+    static = tmp_path / "static.json"
+    static.write_text(
+        '[{"F_id": "f1", "Label": "L", "Purpose": "p", "PD": null, "Data_type": "s"}]',
+        encoding="utf-8",
+    )
+    argv = simulate_argv(fixtures_dir, payment_model(tmp_path))
+    argv[argv.index("--static") + 1] = str(static)
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: static row 0: PD must be 'True' or 'False', found None\n"
+
+
 @pytest.mark.parametrize("kind", list(HOSTILE_JSON))
 def test_check_refuses_a_hostile_json_diagram(tmp_path, capsys, kind):
     bad = tmp_path / "bad.json"

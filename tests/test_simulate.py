@@ -705,6 +705,25 @@ def test_json_tables_report_the_first_problem_of_a_row(tmp_path):
         assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("pd", [None, 0, 0.0, [], [0], 1], ids=repr)
+def test_json_static_table_refuses_non_boolean_pd(pd, tmp_path):
+    """Only JSON true/false and the CSV spellings read as PD; a falsy value
+    would silently mark a personal-data flow as carrying none."""
+    row = {"F_id": "f1", "Label": "L", "Purpose": "p", "PD": pd, "Data_type": "s"}
+    with pytest.raises(SimulationError) as exc:
+        load_text(load_flow_metas, tmp_path, json.dumps([row]), ".json")
+    assert str(exc.value) == f"static row 0: PD must be 'True' or 'False', found {pd!r}"
+
+
+def test_json_static_table_reads_booleans_and_csv_spellings(tmp_path):
+    rows = [
+        {"F_id": f"f{i}", "Label": "L", "Purpose": "p", "PD": pd, "Data_type": "s"}
+        for i, pd in enumerate([True, False, " TRUE ", "false"])
+    ]
+    metas = load_text(load_flow_metas, tmp_path, json.dumps(rows), ".json")
+    assert [m.pd for m in metas] == [True, False, True, False]
+
+
 # The error each document raises, PATH standing for the file's path:
 # errors in the file as a whole name it, errors in a row name the row.
 _JSON_TABLE_ERRORS = {

@@ -6,7 +6,6 @@ import pytest
 
 from padfd import (
     Diagram,
-    DiagnosticKind,
     Flow,
     FlowType,
     Node,
@@ -17,6 +16,7 @@ from padfd import (
     typecheck,
     validate_wellformed,
 )
+from padfd.validate import CONNECTIVITY_CLAUSES
 
 from helpers import ESTORE_EXPECTED_TYPES, build_diagram, build_estore_raw
 
@@ -32,6 +32,7 @@ PF_ORACLE = {
     (D, P): FlowType.READ,
 }
 DF_ORACLE = {(P, D): FlowType.DELETE}
+TYPING_CLAUSES = {"pf-no-rule", "pf-loop", "df-no-rule"}
 
 
 def _typed(kinds: list[NodeType], flow_type: FlowType) -> FlowType | None:
@@ -44,7 +45,7 @@ def _typed(kinds: list[NodeType], flow_type: FlowType) -> FlowType | None:
         build_diagram(Stage.RAW, nodes, [flow]), tolerate_connectivity=True
     )
     if result is None:
-        assert [g.element for g in diagnostics if g.kind is DiagnosticKind.FLOW] == ["f"]
+        assert [g.element for g in diagnostics if g.clause in TYPING_CLAUSES] == ["f"]
         return None
     return result.flows["f"].flow_type
 
@@ -81,8 +82,8 @@ def test_check_activator():
     )
     result, diagnostics = typecheck(d)
     assert result is None
-    assert {g.kind for g in diagnostics} == {DiagnosticKind.ACTIVATOR}
-    assert [(g.element, g.rule, g.message) for g in diagnostics] == [
+    assert {g.clause for g in diagnostics} <= CONNECTIVITY_CLAUSES
+    assert [(g.element, g.clause, g.message) for g in diagnostics] == [
         ("idle", "proc-source-target", "process 'idle' has no incoming or outgoing flow"),
         ("lone", "ext-connected", "external entity 'lone' has no flows"),
         ("s", "db-connected", "data store 's' has no flows"),
@@ -96,10 +97,7 @@ def test_check_activator():
             "f2": replace(d.flows["f2"], flow_type=FlowType.COMP),
         },
     )
-    violations = validate_wellformed(typed).violations
-    assert [(v.element, v.clause, v.message) for v in violations] == [
-        (g.element, g.rule, g.message) for g in diagnostics
-    ]
+    assert list(validate_wellformed(typed).violations) == diagnostics
 
 
 def test_typecheck_can_tolerate_connectivity():
@@ -114,13 +112,13 @@ def test_typecheck_can_tolerate_connectivity():
         "f1": FlowType.IN,
         "f2": FlowType.COMP,
     }
-    assert [(g.element, g.rule) for g in diagnostics] == [("q", "proc-source-target")]
+    assert [(g.element, g.clause) for g in diagnostics] == [("q", "proc-source-target")]
 
     # Flow findings still block, and every finding is reported.
     bad = replace(d, flows={**d.flows, "f3": Flow("f3", "e", "e", FlowType.PF)})
     result, diagnostics = typecheck(bad, tolerate_connectivity=True)
     assert result is None
-    assert [(g.element, g.rule) for g in diagnostics] == [
+    assert [(g.element, g.clause) for g in diagnostics] == [
         ("f3", "pf-no-rule"),
         ("q", "proc-source-target"),
     ]
@@ -158,8 +156,7 @@ def test_typecheck_failure_returns_no_diagram():
     )
     result, diagnostics = typecheck(d)
     assert result is None
-    assert [(g.element, g.rule) for g in diagnostics] == [("f", "pf-no-rule")]
-    assert diagnostics[0].kind is DiagnosticKind.FLOW
+    assert [(g.element, g.clause) for g in diagnostics] == [("f", "pf-no-rule")]
 
 
 def test_typecheck_reports_every_problem_sorted():
@@ -176,7 +173,7 @@ def test_typecheck_reports_every_problem_sorted():
     ]
     result, diagnostics = typecheck(d)
     assert result is None
-    assert [(g.element, g.rule) for g in diagnostics] == sorted(expected)
+    assert [(g.element, g.clause) for g in diagnostics] == sorted(expected)
 
 
 def test_typecheck_diagnostic_render_format():
@@ -214,7 +211,7 @@ def test_typecheck_loop_rule():
     )
     result, diagnostics = typecheck(d)
     assert result is None
-    assert [(g.element, g.rule) for g in diagnostics] == [("f_loop", "pf-loop")]
+    assert [(g.element, g.clause) for g in diagnostics] == [("f_loop", "pf-loop")]
 
 
 def test_typecheck_is_deterministic():
