@@ -72,6 +72,7 @@ _HOME = {
     "parse_drawio": "drawio",
     "parse_json": "canonical",
     "render_report": "simulate",
+    "replace": "graph",
     "report_json": "simulate",
     "report_to_dict": "simulate",
     "run_clean": "simulate",

@@ -5,11 +5,15 @@ flows and self-loops are allowed; endpoint existence is enforced on
 insertion. All attributes are optional so that an absent attribute stays
 distinguishable from any concrete value. Mutation helpers are pure: they
 return a new Diagram and never touch their argument.
+
+`Record`, the base of nodes, flows and diagrams, is the base of every
+other padfd value type as well; `replace` copies any record with some of
+its fields changed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from typing import TypeVar
 
 from .errors import DuplicateIdError, UnknownEndpointError
 from .model import FlowType, NodeType, Stage
@@ -18,8 +22,61 @@ NodeId = str
 FlowId = str
 
 
-@dataclass(frozen=True)
-class Node:
+class Record:
+    """A value with named fields: the base of every padfd record.
+
+    A subclass's fields are its ``__init__`` parameters, in order; its
+    ``__init__`` stores them straight into the instance dict. A record
+    equals a record of exactly its type with equal fields, hashes by its
+    fields, prints as ``Type(field=value, ...)``, and refuses assignment
+    and deletion. A class declared with ``frozen=False`` takes assignment
+    instead and has no hash.
+    """
+
+    __match_args__: tuple[str, ...] = ()  # the field names
+
+    def __init_subclass__(cls, frozen: bool = True, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        code = cls.__init__.__code__
+        cls.__match_args__ = code.co_varnames[1 : code.co_argcount + code.co_kwonlyargcount]
+        if not frozen:
+            cls.__setattr__ = object.__setattr__
+            cls.__delattr__ = object.__delattr__
+            cls.__hash__ = None
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__match_args__])
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+
+R = TypeVar("R", bound=Record)
+
+
+def replace(record: R, /, **changes) -> R:
+    """A copy of the record with the named fields changed."""
+    values = {name: getattr(record, name) for name in record.__match_args__}
+    values.update(changes)
+    return type(record)(**values)
+
+
+class Node(Record):
     """A diagram node.
 
     Attributes:
@@ -30,40 +87,56 @@ class Node:
         position: Canvas coordinates, or None when never laid out.
         extra: Unrecognised attributes carried through from an input
             document; treated as opaque strings and echoed on output.
+            Omitted, it is a new empty dict.
     """
 
-    id: NodeId
-    node_type: NodeType | None = None
-    label: str | None = None
-    partner: NodeId | None = None
-    position: tuple[float, float] | None = None
-    extra: dict[str, str] = field(default_factory=dict)
+    def __init__(
+        self, id: NodeId, node_type: NodeType | None = None, label: str | None = None,
+        partner: NodeId | None = None, position: tuple[float, float] | None = None,
+        extra: dict[str, str] | None = None,
+    ) -> None:
+        d = self.__dict__
+        d["id"] = id
+        d["node_type"] = node_type
+        d["label"] = label
+        d["partner"] = partner
+        d["position"] = position
+        d["extra"] = {} if extra is None else extra
 
 
-@dataclass(frozen=True)
-class Flow:
+class Flow(Record):
     """A directed flow between two nodes.
 
     Source and target are node ids; multiple flows may share the same
     endpoints. Partner couples a data flow with its policy companion.
     """
 
-    id: FlowId
-    source: NodeId
-    target: NodeId
-    flow_type: FlowType | None = None
-    label: str | None = None
-    partner: FlowId | None = None
-    extra: dict[str, str] = field(default_factory=dict)
+    def __init__(
+        self, id: FlowId, source: NodeId, target: NodeId, flow_type: FlowType | None = None,
+        label: str | None = None, partner: FlowId | None = None,
+        extra: dict[str, str] | None = None,
+    ) -> None:
+        d = self.__dict__
+        d["id"] = id
+        d["source"] = source
+        d["target"] = target
+        d["flow_type"] = flow_type
+        d["label"] = label
+        d["partner"] = partner
+        d["extra"] = {} if extra is None else extra
 
 
-@dataclass(frozen=True)
-class Diagram:
+class Diagram(Record):
     """An attributed multigraph tagged with its lifecycle stage."""
 
-    stage: Stage = Stage.RAW
-    nodes: dict[NodeId, Node] = field(default_factory=dict)
-    flows: dict[FlowId, Flow] = field(default_factory=dict)
+    def __init__(
+        self, stage: Stage = Stage.RAW, nodes: dict[NodeId, Node] | None = None,
+        flows: dict[FlowId, Flow] | None = None,
+    ) -> None:
+        d = self.__dict__
+        d["stage"] = stage
+        d["nodes"] = {} if nodes is None else nodes
+        d["flows"] = {} if flows is None else flows
 
 
 def add_node(diagram: Diagram, node: Node) -> Diagram:

@@ -15,11 +15,10 @@ refused with SchemaError.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 from . import model
 from .errors import SchemaError
-from .graph import Diagram, NodeId
+from .graph import Diagram, NodeId, replace
 from .model import FlowType, NodeType
 from .transform import gadget_index
 

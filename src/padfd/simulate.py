@@ -20,7 +20,6 @@ import csv
 import io
 import re
 from collections import deque
-from dataclasses import dataclass, field
 from datetime import date
 from json.encoder import encode_basestring_ascii as _ascii
 from operator import itemgetter
@@ -28,7 +27,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 from .errors import SURROGATE, SchemaError, SimulationError, StageError, decode_json, read_utf8
-from .graph import Diagram, Flow, NodeId
+from .graph import Diagram, Flow, NodeId, Record
 from .model import FlowType, NodeType, Stage
 from .transform import gadget_index
 
@@ -38,92 +37,115 @@ DYNAMIC_COLUMNS = ("D_id", "F_id", "Dsub", "Consent", "Expiry", "Content")
 Compatibility = Callable[[str, frozenset], bool]
 
 
-@dataclass(frozen=True)
-class FlowMeta:
+class FlowMeta(Record):
     """Static policy row for one data flow."""
 
-    flow_id: str
-    label: str
-    purpose: str
-    pd: bool
-    data_type: str
+    def __init__(self, flow_id: str, label: str, purpose: str, pd: bool, data_type: str) -> None:
+        d = self.__dict__
+        d["flow_id"] = flow_id
+        d["label"] = label
+        d["purpose"] = purpose
+        d["pd"] = pd
+        d["data_type"] = data_type
 
 
-@dataclass(frozen=True)
-class DataRecord:
+class DataRecord(Record):
     """One record travelling a flow: subject, consented purposes, expiry."""
 
-    d_id: str
-    flow_id: str
-    dsub: str
-    consent: frozenset[str]
-    expiry: date
-    content: str
+    def __init__(
+        self, d_id: str, flow_id: str, dsub: str, consent: frozenset[str], expiry: date,
+        content: str,
+    ) -> None:
+        d = self.__dict__
+        d["d_id"] = d_id
+        d["flow_id"] = flow_id
+        d["dsub"] = dsub
+        d["consent"] = consent
+        d["expiry"] = expiry
+        d["content"] = content
 
 
-@dataclass(frozen=True)
-class PolicySnapshot:
+class PolicySnapshot(Record):
     """What the limit saw when it decided: purpose asked, consent given,
     expiry in force."""
 
-    purpose: str
-    consent: frozenset[str]
-    expiry: date
+    def __init__(self, purpose: str, consent: frozenset[str], expiry: date) -> None:
+        d = self.__dict__
+        d["purpose"] = purpose
+        d["consent"] = consent
+        d["expiry"] = expiry
 
 
-@dataclass(frozen=True)
-class LogEntry:
-    d_id: str
-    flow_id: str
-    policy: PolicySnapshot
-    v: bool
-    clock: date
+class LogEntry(Record):
+    def __init__(self, d_id: str, flow_id: str, policy: PolicySnapshot, v: bool, clock: date) -> None:
+        d = self.__dict__
+        d["d_id"] = d_id
+        d["flow_id"] = flow_id
+        d["policy"] = policy
+        d["v"] = v
+        d["clock"] = clock
 
 
-@dataclass(frozen=True)
-class StoredRecord:
-    record: DataRecord
-    stored_at: date
+class StoredRecord(Record):
+    def __init__(self, record: DataRecord, stored_at: date) -> None:
+        d = self.__dict__
+        d["record"] = record
+        d["stored_at"] = stored_at
 
 
-@dataclass(frozen=True)
-class CleanEvent:
+class CleanEvent(Record):
     """One record purged from one store by the cleaning pass."""
 
-    store: NodeId
-    d_id: str
-    expiry: date
-    clock: date
+    def __init__(self, store: NodeId, d_id: str, expiry: date, clock: date) -> None:
+        d = self.__dict__
+        d["store"] = store
+        d["d_id"] = d_id
+        d["expiry"] = expiry
+        d["clock"] = clock
 
 
-@dataclass
-class StoreState:
-    """Data stores, their policy stores, and the pairing between them."""
+class StoreState(Record, frozen=False):
+    """Data stores, their policy stores, and the pairing between them.
+    Each omitted map is a new empty dict."""
 
-    data: dict[NodeId, dict[str, StoredRecord]] = field(default_factory=dict)
-    policies: dict[NodeId, dict[str, PolicySnapshot]] = field(default_factory=dict)
-    partners: dict[NodeId, NodeId] = field(default_factory=dict)
+    def __init__(
+        self, data: dict[NodeId, dict[str, StoredRecord]] | None = None,
+        policies: dict[NodeId, dict[str, PolicySnapshot]] | None = None,
+        partners: dict[NodeId, NodeId] | None = None,
+    ) -> None:
+        d = self.__dict__
+        d["data"] = {} if data is None else data
+        d["policies"] = {} if policies is None else policies
+        d["partners"] = {} if partners is None else partners
 
 
-@dataclass(frozen=True)
-class Decision:
+class Decision(Record):
     """Outcome of one evaluation: the business diagram forwards everything,
     the privacy-aware one only what the policy allows."""
 
-    d_id: str
-    flow_id: str
-    forwarded_bdfd: bool
-    forwarded_padfd: bool
-    entry: LogEntry
-    propagated: bool = False
+    def __init__(
+        self, d_id: str, flow_id: str, forwarded_bdfd: bool, forwarded_padfd: bool,
+        entry: LogEntry, propagated: bool = False,
+    ) -> None:
+        d = self.__dict__
+        d["d_id"] = d_id
+        d["flow_id"] = flow_id
+        d["forwarded_bdfd"] = forwarded_bdfd
+        d["forwarded_padfd"] = forwarded_padfd
+        d["entry"] = entry
+        d["propagated"] = propagated
 
 
-@dataclass
-class SimulationReport:
-    clock: date
-    decisions: list[Decision]
-    logs: dict[NodeId, list[LogEntry]]
-    state: StoreState
+class SimulationReport(Record, frozen=False):
+    def __init__(
+        self, clock: date, decisions: list[Decision], logs: dict[NodeId, list[LogEntry]],
+        state: StoreState,
+    ) -> None:
+        d = self.__dict__
+        d["clock"] = clock
+        d["decisions"] = decisions
+        d["logs"] = logs
+        d["state"] = state
 
     @property
     def entries(self) -> list[LogEntry]:

@@ -10,21 +10,26 @@ drawings that use other conventions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import SchemaError, decode_json, read_utf8
+from .graph import Record
 from .model import FlowType, NodeType
 
 
-@dataclass(frozen=True)
-class StyleMap:
+class StyleMap(Record):
     """Ordered parse rules plus one emit style per element type."""
 
-    node_rules: tuple[tuple[str, NodeType], ...]
-    edge_rules: tuple[tuple[str, FlowType], ...]
-    node_styles: dict[NodeType, str]
-    edge_styles: dict[FlowType, str]
+    def __init__(
+        self, node_rules: tuple[tuple[str, NodeType], ...],
+        edge_rules: tuple[tuple[str, FlowType], ...], node_styles: dict[NodeType, str],
+        edge_styles: dict[FlowType, str],
+    ) -> None:
+        d = self.__dict__
+        d["node_rules"] = node_rules
+        d["edge_rules"] = edge_rules
+        d["node_styles"] = node_styles
+        d["edge_styles"] = edge_styles
 
     def node_type_for(self, style: str | None) -> NodeType | None:
         """Type of a vertex style, or None when no rule matches.

@@ -17,20 +17,22 @@ layout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 from . import model
 from .errors import StageError, TransformError, WellFormednessError, WrongFlowTypeError
-from .graph import Diagram, Flow, FlowId, Node, NodeId
+from .graph import Diagram, Flow, FlowId, Node, NodeId, Record, replace
 from .model import FlowType, NodeType, Stage
 from .validate import validate_wellformed
 
 
 class _FreshIds:
-    """Deterministic generator of unused element ids."""
+    """Deterministic generator of ids unused in a diagram. Only its ids
+    starting with "gen-" can collide with a candidate, and candidates only
+    increase, so those are all it needs to remember."""
 
-    def __init__(self, taken):
-        self._taken = set(taken)
+    def __init__(self, diagram: Diagram):
+        self._taken = {
+            i for ids in (diagram.nodes, diagram.flows) for i in ids if i.startswith("gen-")
+        }
         self._next = 0
 
     def take(self) -> str:
@@ -38,7 +40,6 @@ class _FreshIds:
             candidate = f"gen-{self._next}"
             self._next += 1
             if candidate not in self._taken:
-                self._taken.add(candidate)
                 return candidate
 
 
@@ -174,7 +175,7 @@ def transform(
             )
     nodes = dict(diagram.nodes)
     flows = dict(diagram.flows)
-    ids = _FreshIds(diagram.nodes.keys() | diagram.flows.keys())
+    ids = _FreshIds(diagram)
     original_flows = sorted(diagram.flows)
     for node_id in sorted(diagram.nodes):
         _add_partner_elems(nodes, flows, ids, node_id)
@@ -217,16 +218,21 @@ def _merge_log_stores(diagram: Diagram) -> Diagram:
     return replace(diagram, nodes=nodes, flows=flows)
 
 
-@dataclass(frozen=True)
-class Gadget:
+class Gadget(Record):
     """The wiring around one guarded flow of a privacy-aware diagram.
-    Parts the diagram lacks are None."""
+    Parts the diagram lacks are None; `source` is the original source,
+    feeding the limit."""
 
-    flow: FlowId
-    limit: NodeId
-    source: NodeId | None  # the original source, feeding the limit
-    log: NodeId | None
-    log_db: NodeId | None
+    def __init__(
+        self, flow: FlowId, limit: NodeId, source: NodeId | None, log: NodeId | None,
+        log_db: NodeId | None,
+    ) -> None:
+        d = self.__dict__
+        d["flow"] = flow
+        d["limit"] = limit
+        d["source"] = source
+        d["log"] = log
+        d["log_db"] = log_db
 
 
 _DATA_IN_TYPES = frozenset(_DATA_IN.values())

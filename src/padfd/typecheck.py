@@ -17,11 +17,9 @@ Connectivity findings (`proc-source-target`, `ext-connected`,
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from . import model
 from .errors import StageError, WellFormednessError
-from .graph import Diagram
+from .graph import Diagram, replace
 from .model import FlowType, NodeType, Stage
 from .validate import Violation, blocks_rewrite, connectivity, validate_raw
 

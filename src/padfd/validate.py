@@ -22,29 +22,30 @@ carry a stable clause id so tests and tooling can match on them:
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 from . import model
-from .graph import Diagram
+from .graph import Diagram, Record
 from .model import FlowType, NodeType, Stage
 
 
-@dataclass(frozen=True)
-class Violation:
-    clause: str
-    element: str
-    message: str
+class Violation(Record):
+    def __init__(self, clause: str, element: str, message: str) -> None:
+        d = self.__dict__
+        d["clause"] = clause
+        d["element"] = element
+        d["message"] = message
 
     def render(self) -> str:
         return f"error {self.element} {self.clause}: {self.message}"
 
 
-@dataclass(frozen=True)
-class StageValidity:
+class StageValidity(Record):
     """Outcome of checking a diagram against one stage's conditions."""
 
-    stage: Stage
-    violations: tuple[Violation, ...]
+    def __init__(self, stage: Stage, violations: tuple[Violation, ...]) -> None:
+        d = self.__dict__
+        d["stage"] = stage
+        d["violations"] = violations
 
     @property
     def valid(self) -> bool:

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import replace
 from datetime import date, timedelta
 
 from hypothesis import strategies as st
@@ -26,6 +25,7 @@ from padfd import (
     StoreState,
     add_flow,
     add_node,
+    replace,
     transform,
 )
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 from datetime import date, timedelta
 
 from padfd import (
@@ -18,6 +17,7 @@ from padfd import (
     Stage,
     add_flow,
     add_node,
+    replace,
     run_simulation,
     transform,
     typecheck,

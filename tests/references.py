@@ -18,7 +18,6 @@ import io
 import json
 import math
 import xml.etree.ElementTree as ET
-from dataclasses import replace
 
 from padfd import (
     DEFAULT_STYLE_MAP,
@@ -30,6 +29,7 @@ from padfd import (
     ParseError,
     SCHEMA_ID,
     SimulationError,
+    replace,
     report_to_dict,
 )
 from padfd import model

@@ -3,7 +3,6 @@ from __future__ import annotations
 import copy
 import json
 import tempfile
-from dataclasses import replace
 from datetime import date
 from pathlib import Path
 
@@ -26,6 +25,7 @@ from padfd import (
     load_flow_metas,
     parse_drawio,
     parse_json,
+    replace,
     report_json,
     run_clean,
     run_simulation,

@@ -97,7 +97,12 @@ def simulate_argv(fixtures_dir, model, *extra):
 # --- import sets per subcommand -------------------------------------------------
 
 
+# Records are plain classes: no command imports the dataclass machinery or
+# what it pulls in.
+RECORD_SKIPS = ["dataclasses", "inspect"]
+
 SIMULATE_JSON_SKIPS = [
+    *RECORD_SKIPS,
     "xml.etree",
     "padfd.drawio",
     "padfd.styles",
@@ -119,7 +124,9 @@ def test_simulate_of_a_json_model_skips_drawio_and_typing(models, fixtures_dir, 
     assert_none_loaded(loaded, SIMULATE_JSON_SKIPS)
 
 
-JSON_DIAGRAM_SKIPS = ["padfd.drawio", "padfd.styles", "padfd.layout", "padfd.dot", "padfd.simulate", "csv"]
+JSON_DIAGRAM_SKIPS = [
+    *RECORD_SKIPS, "padfd.drawio", "padfd.styles", "padfd.layout", "padfd.dot", "padfd.simulate", "csv"
+]
 
 
 def test_transform_of_json_skips_drawio_and_simulate(models, tmp_path):
@@ -138,7 +145,7 @@ def test_check_of_json_skips_drawio_and_simulate(models, tmp_path, stage):
         assert_none_loaded(loaded, ["padfd.typecheck", "padfd.transform"])
 
 
-DRAWIO_SKIPS = ["padfd.simulate", "csv", "datetime"]
+DRAWIO_SKIPS = [*RECORD_SKIPS, "padfd.simulate", "csv", "datetime"]
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 
@@ -16,6 +15,7 @@ from padfd import (
     TransformError,
     WellFormednessError,
     WrongFlowTypeError,
+    replace,
     transform,
     typecheck,
     validate_pa,

@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-from dataclasses import replace
-
 import pytest
 
 from padfd import (
@@ -13,6 +11,7 @@ from padfd import (
     Stage,
     StageError,
     WellFormednessError,
+    replace,
     typecheck,
     validate_wellformed,
 )

@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-from dataclasses import replace
-
 from padfd import (
     Diagram,
     Flow,
@@ -9,6 +7,7 @@ from padfd import (
     Node,
     NodeType,
     Stage,
+    replace,
     transform,
     validate_pa,
     validate_raw,
