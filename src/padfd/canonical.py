@@ -26,11 +26,10 @@ and `parse_json` rejects the `NaN`/`Infinity`/`-Infinity` literals.
 from __future__ import annotations
 
 import math
-import re
 from json.encoder import encode_basestring as _quote
 
-from .errors import SURROGATE, SchemaError, decode_json
-from .graph import Diagram, Flow, Node
+from .errors import SchemaError, decode_json
+from .graph import Diagram, Flow, Node, _first_lone_surrogate, encode_output, format_position
 from .model import FlowType, NodeType, Stage
 
 SCHEMA_ID = "padfd-canonical/1"
@@ -43,25 +42,6 @@ _STAGES = {stage.value: stage for stage in Stage}
 _NODE_TYPES = {node_type.value: node_type for node_type in NodeType}
 _FLOW_TYPES = {flow_type.value: flow_type for flow_type in FlowType}
 _OPTIONAL_STR = (str, type(None))
-
-
-def canonical_number(value: float) -> int | float:
-    """Integral floats collapse to ints so 100.0 and 100 serialize alike."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    return value
-
-
-def format_position(node: Node) -> tuple[str, str]:
-    """Shortest stable text of a node's coordinates, for JSON and draw.io.
-
-    NaN and the infinities have no JSON spelling and no draw.io reading,
-    so they are refused rather than written.
-    """
-    x, y = node.position
-    if not (math.isfinite(x) and math.isfinite(y)):
-        raise SchemaError(f"node {node.id!r}: position {node.position!r} is not finite")
-    return str(canonical_number(x)), str(canonical_number(y))
 
 
 # The writers below emit each entry's keys in sorted order: extra, id,
@@ -177,35 +157,6 @@ def _shared_fields(entry: dict, types: dict, kind: str, element_id: str) -> tupl
             raise _element_error(kind, element_id, "extra entries must map strings to strings")
     # json.loads built this dict for this entry alone, so it is kept as is.
     return element_type, label, partner, extra
-
-
-def _first_lone_surrogate(diagram: Diagram) -> tuple[str, str, str] | None:
-    """(kind, element id, text) of the first text holding a lone surrogate."""
-    for kind, elements in (("node", diagram.nodes), ("flow", diagram.flows)):
-        for element in elements.values():
-            extra = element.extra
-            for text in (element.id, element.label, element.partner, *extra, *extra.values()):
-                if text is not None and re.search(SURROGATE, text):
-                    return kind, element.id, text
-    return None
-
-
-def encode_output(text: str, diagram: Diagram, language: str) -> bytes:
-    """A writer's text as UTF-8 bytes. Only a lone surrogate fails to
-    encode, and only then is the diagram searched for the element holding
-    it, so valid text costs nothing extra. Refused with SchemaError."""
-    try:
-        return text.encode("utf-8")
-    except UnicodeEncodeError as exc:
-        found = _first_lone_surrogate(diagram)
-        if found is None:
-            code = ord(exc.object[exc.start])
-            raise SchemaError(f"cannot write {language}: U+{code:04X} is a lone surrogate") from None
-        kind, element_id, held = found
-        code = ord(re.search(SURROGATE, held).group())
-        raise _element_error(
-            kind, element_id, f"cannot write {held!r} in {language}: U+{code:04X} is a lone surrogate"
-        ) from None
 
 
 def parse_json(data: bytes | str) -> Diagram:

@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from .canonical import encode_output
-from .graph import Diagram
+from .graph import Diagram, encode_output
 from .model import NodeType
 
 _SHAPES: dict[NodeType, str] = {
@@ -29,28 +28,37 @@ def emit_dot(diagram: Diagram) -> bytes:
     """Render the diagram as DOT: node shape by type, edge labelled with
     the flow type plus the original label. Deterministic (sorted ids).
     Text holding a lone surrogate is refused with SchemaError."""
+    nodes, flows = diagram.nodes, diagram.flows
     lines = [
         "digraph dfd {",
         "  rankdir=LR;",
         '  node [fontsize=11, fontname="Helvetica"];',
         '  edge [fontsize=10, fontname="Helvetica"];',
     ]
-    for node_id in sorted(diagram.nodes):
-        node = diagram.nodes[node_id]
-        shape = _SHAPES.get(node.node_type, "plaintext")
+    # Node ids recur as flow endpoints and generated nodes share a few
+    # labels, so each distinct text is quoted once; so is each distinct
+    # (type, label) pair of a flow.
+    quoted: dict[str, str] = {}
+    for node_id in sorted(nodes):
+        node = nodes[node_id]
+        quoted[node_id] = name = _quote(node_id)
         label = node.label if node.label is not None else node_id
-        lines.append(f"  {_quote(node_id)} [label={_quote(label)}, shape={shape}];")
-    for flow_id in sorted(diagram.flows):
-        flow = diagram.flows[flow_id]
-        parts = []
-        if flow.flow_type is not None:
-            parts.append(flow.flow_type.value)
-        if flow.label is not None:
-            parts.append(flow.label)
-        label = ": ".join(parts)
-        lines.append(
-            f"  {_quote(flow.source)} -> {_quote(flow.target)} "
-            f"[label={_quote(label)}];"
-        )
+        text = quoted.get(label)
+        if text is None:
+            text = quoted[label] = _quote(label)
+        lines.append(f"  {name} [label={text}, shape={_SHAPES.get(node.node_type, 'plaintext')}];")
+    flow_labels: dict[tuple, str] = {}
+    for flow_id in sorted(flows):
+        flow = flows[flow_id]
+        key = (flow.flow_type, flow.label)
+        label = flow_labels.get(key)
+        if label is None:
+            parts = [] if flow.flow_type is None else [flow.flow_type.value]
+            if flow.label is not None:
+                parts.append(flow.label)
+            label = flow_labels[key] = _quote(": ".join(parts))
+        source = quoted.get(flow.source) or _quote(flow.source)
+        target = quoted.get(flow.target) or _quote(flow.target)
+        lines.append(f"  {source} -> {target} [label={label}];")
     lines.append("}")
     return encode_output("\n".join(lines) + "\n", diagram, "DOT")

@@ -20,7 +20,6 @@ import xml.etree.ElementTree as ET
 import zlib
 
 from . import model
-from .canonical import format_position
 from .errors import (
     MissingEndpointError,
     MultiPageError,
@@ -29,7 +28,7 @@ from .errors import (
     UnknownStyleError,
     XmlSyntaxError,
 )
-from .graph import Diagram, Flow, Node
+from .graph import Diagram, Flow, Node, format_position
 from .model import FlowType, NodeType, Stage
 from .styles import DEFAULT_STYLE_MAP, StyleMap
 
@@ -106,14 +105,16 @@ def _locate_model(root: ET.Element) -> ET.Element:
 
 
 def _cells(model_elem: ET.Element):
-    """Yield cell attribute maps, merging object wrappers that hold the id
-    and label for cells with user-defined attributes."""
+    """Yield each cell with its attribute map. A plain mxCell's own map is
+    yielded as it is, to be read and never changed; an object wrapper,
+    which holds the id, label and user-defined attributes of the cell it
+    wraps, is merged into a copy of that cell's map."""
     container = model_elem.find("root")
     if container is None:
         raise XmlSyntaxError("mxGraphModel has no root element")
     for child in container:
         if child.tag == "mxCell":
-            yield child, dict(child.attrib)
+            yield child, child.attrib
         else:
             inner = child.find("mxCell")
             if inner is None:
@@ -125,6 +126,14 @@ def _cells(model_elem: ET.Element):
                 else:
                     merged.setdefault(key, value)
             yield inner, merged
+
+
+def _extra(attrs: dict[str, str]) -> dict[str, str] | None:
+    """A cell's attributes without a modelled meaning, or None for the
+    usual cell that has none."""
+    if attrs.keys() <= _CONSUMED_ATTRS:
+        return None
+    return {k: v for k, v in attrs.items() if k not in _CONSUMED_ATTRS}
 
 
 def _vertex_position(cell: ET.Element) -> tuple[float, float] | None:
@@ -190,13 +199,14 @@ def parse_drawio(data: bytes | str, styles: StyleMap | None = None) -> Diagram:
     nodes: dict[str, Node] = {}
     edges = []
     for cell, attrs in _cells(model_elem):
-        if attrs.get("vertex") == "1":
-            cell_id = attrs.get("id")
+        get = attrs.get
+        if get("vertex") == "1":
+            cell_id = get("id")
             if not cell_id:
                 raise ParseError("vertex cell without an id")
             if cell_id in nodes:
                 raise ParseError(f"duplicate cell id {cell_id!r}")
-            style = attrs.get("style")
+            style = get("style")
             try:
                 node_type = node_types[style]
             except KeyError:
@@ -206,27 +216,22 @@ def parse_drawio(data: bytes | str, styles: StyleMap | None = None) -> Diagram:
                     f"cell {cell_id!r}: no rule matches vertex style {style!r}"
                 )
             nodes[cell_id] = Node(
-                id=cell_id,
-                node_type=node_type,
-                label=attrs.get("value") or None,
-                partner=attrs.get("partner"),
-                position=_vertex_position(cell),
-                extra={
-                    k: v for k, v in attrs.items() if k not in _CONSUMED_ATTRS
-                },
+                cell_id, node_type, get("value") or None, get("partner"),
+                _vertex_position(cell), _extra(attrs),
             )
-        elif attrs.get("edge") == "1":
+        elif get("edge") == "1":
             edges.append(attrs)
 
     flows: dict[str, Flow] = {}
     for attrs in edges:
-        cell_id = attrs.get("id")
+        get = attrs.get
+        cell_id = get("id")
         if not cell_id:
             raise ParseError("edge cell without an id")
         if cell_id in flows or cell_id in nodes:
             raise ParseError(f"duplicate cell id {cell_id!r}")
-        source = attrs.get("source")
-        target = attrs.get("target")
+        source = get("source")
+        target = get("target")
         if not source or not target:
             raise MissingEndpointError(
                 f"edge {cell_id!r} lacks a source or target reference"
@@ -236,19 +241,14 @@ def parse_drawio(data: bytes | str, styles: StyleMap | None = None) -> Diagram:
                 raise MissingEndpointError(
                     f"edge {cell_id!r} references missing node {endpoint!r}"
                 )
-        style = attrs.get("style")
+        style = get("style")
         try:
             flow_type = flow_types[style]
         except KeyError:
             flow_type = flow_types[style] = styles.flow_type_for(style)
         flows[cell_id] = Flow(
-            id=cell_id,
-            source=source,
-            target=target,
-            flow_type=flow_type,
-            label=attrs.get("value") or None,
-            partner=attrs.get("partner"),
-            extra={k: v for k, v in attrs.items() if k not in _CONSUMED_ATTRS},
+            cell_id, source, target, flow_type, get("value") or None, get("partner"),
+            _extra(attrs),
         )
 
     return Diagram(
@@ -349,13 +349,17 @@ def _extra_attributes(element: Node | Flow, kind: str, names: dict, prefixes: di
     return text
 
 
-def _common_attributes(element: Node | Flow, kind: str, escaped_id: str) -> str:
-    """The id and, if present, value attribute opening a cell."""
-    text = '        <mxCell id="' + escaped_id + '"'
-    if element.label is not None:
-        if not element.label:
+def _value_attribute(element: Node | Flow, kind: str, values: dict[str, str]) -> str:
+    """The value attribute of a cell, or "" for an element without a
+    label. `values` maps each label met so far to its attribute text."""
+    label = element.label
+    if label is None:
+        return ""
+    text = values.get(label)
+    if text is None:
+        if not label:
             raise SchemaError(f"{kind} {element.id!r}: an empty label reads back as no label")
-        text += ' value="' + _escape(element.label) + '"'
+        text = values[label] = ' value="' + _escape(label) + '"'
     return text
 
 
@@ -377,8 +381,10 @@ def emit_drawio(diagram: Diagram, styles: StyleMap | None = None) -> bytes:
     prefixes: dict[str, str] = {}
     node_styles: dict[NodeType, str] = {}
     flow_styles: dict[FlowType, str] = {}
-    # Node ids recur as flow endpoints and partners; each is escaped once.
+    # Node ids recur as flow endpoints and partners, and generated elements
+    # share a few labels; each is escaped once.
     node_ids: dict[str, str] = {}
+    values: dict[str, str] = {}
     cells = [
         '        <mxCell id="' + root_id + '" />',
         '        <mxCell id="' + layer_id + '" parent="' + root_id + '" />',
@@ -396,16 +402,19 @@ def emit_drawio(diagram: Diagram, styles: StyleMap | None = None) -> bytes:
                 + '" vertex="1" parent="' + layer_id + '"'
             )
         node_ids[node_id] = escaped_id = _escape(node_id)
-        cell = _common_attributes(node, "node", escaped_id) + style
-        if node.partner is not None:
-            cell += ' partner="' + (node_ids.get(node.partner) or _escape(node.partner)) + '"'
-        if node.extra:
-            cell += _extra_attributes(node, "node", names, prefixes)
-        cell += ">\n          <mxGeometry "
+        value = _value_attribute(node, "node", values)
+        partner = "" if node.partner is None else (
+            ' partner="' + (node_ids.get(node.partner) or _escape(node.partner)) + '"'
+        )
+        extra = _extra_attributes(node, "node", names, prefixes) if node.extra else ""
+        position = ""
         if node.position is not None:
             x, y = format_position(node)
-            cell += 'x="' + x + '" y="' + y + '" '
-        cells.append(cell + _GEOMETRY[node_type])
+            position = 'x="' + x + '" y="' + y + '" '
+        cells.append(
+            f'        <mxCell id="{escaped_id}"{value}{style}{partner}{extra}>\n'
+            f"          <mxGeometry {position}{_GEOMETRY[node_type]}"
+        )
 
     for flow_id in sorted(diagram.flows):
         flow = diagram.flows[flow_id]
@@ -420,15 +429,14 @@ def emit_drawio(diagram: Diagram, styles: StyleMap | None = None) -> bytes:
             )
         source = node_ids.get(flow.source) or _escape(flow.source)
         target = node_ids.get(flow.target) or _escape(flow.target)
-        cell = (
-            _common_attributes(flow, "flow", _escape(flow_id)) + style
-            + ' source="' + source + '" target="' + target + '"'
+        escaped_id = _escape(flow_id)
+        value = _value_attribute(flow, "flow", values)
+        partner = "" if flow.partner is None else ' partner="' + _escape(flow.partner) + '"'
+        extra = _extra_attributes(flow, "flow", names, prefixes) if flow.extra else ""
+        cells.append(
+            f'        <mxCell id="{escaped_id}"{value}{style} source="{source}"'
+            f' target="{target}"{partner}{extra}{_EDGE_GEOMETRY}'
         )
-        if flow.partner is not None:
-            cell += ' partner="' + _escape(flow.partner) + '"'
-        if flow.extra:
-            cell += _extra_attributes(flow, "flow", names, prefixes)
-        cells.append(cell + _EDGE_GEOMETRY)
 
     declarations = "".join(
         f' xmlns:{prefix}="{_escape(uri)}"'

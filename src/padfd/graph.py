@@ -8,14 +8,18 @@ return a new Diagram and never touch their argument.
 
 `Record`, the base of nodes, flows and diagrams, is the base of every
 other padfd value type as well; `replace` copies any record with some of
-its fields changed.
+its fields changed. The text helpers at the end are shared by the JSON,
+draw.io and DOT writers, so that the draw.io and DOT paths need not load
+the JSON codec.
 """
 
 from __future__ import annotations
 
+import math
+import re
 from typing import TypeVar
 
-from .errors import DuplicateIdError, UnknownEndpointError
+from .errors import SURROGATE, DuplicateIdError, SchemaError, UnknownEndpointError
 from .model import FlowType, NodeType, Stage
 
 NodeId = str
@@ -160,3 +164,51 @@ def add_flow(diagram: Diagram, flow: Flow) -> Diagram:
             )
     return replace(diagram, flows={**diagram.flows, flow.id: flow})
 
+
+def canonical_number(value: float) -> int | float:
+    """Integral floats collapse to ints so 100.0 and 100 serialize alike."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    return value
+
+
+def format_position(node: Node) -> tuple[str, str]:
+    """Shortest stable text of a node's coordinates, for JSON and draw.io.
+
+    NaN and the infinities have no JSON spelling and no draw.io reading,
+    so they are refused rather than written.
+    """
+    x, y = node.position
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise SchemaError(f"node {node.id!r}: position {node.position!r} is not finite")
+    return str(canonical_number(x)), str(canonical_number(y))
+
+
+def _first_lone_surrogate(diagram: Diagram) -> tuple[str, str, str] | None:
+    """(kind, element id, text) of the first text holding a lone surrogate."""
+    for kind, elements in (("node", diagram.nodes), ("flow", diagram.flows)):
+        for element in elements.values():
+            extra = element.extra
+            for text in (element.id, element.label, element.partner, *extra, *extra.values()):
+                if text is not None and re.search(SURROGATE, text):
+                    return kind, element.id, text
+    return None
+
+
+def encode_output(text: str, diagram: Diagram, language: str) -> bytes:
+    """A writer's text as UTF-8 bytes. Only a lone surrogate fails to
+    encode, and only then is the diagram searched for the element holding
+    it, so valid text costs nothing extra. Refused with SchemaError."""
+    try:
+        return text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        found = _first_lone_surrogate(diagram)
+        if found is None:
+            code = ord(exc.object[exc.start])
+            raise SchemaError(f"cannot write {language}: U+{code:04X} is a lone surrogate") from None
+        kind, element_id, held = found
+        code = ord(re.search(SURROGATE, held).group())
+        raise SchemaError(
+            f"{kind} {element_id!r}: cannot write {held!r} in {language}: "
+            f"U+{code:04X} is a lone surrogate"
+        ) from None

@@ -18,7 +18,7 @@ import math
 
 from . import model
 from .errors import SchemaError
-from .graph import Diagram, NodeId, replace
+from .graph import Diagram, Node, NodeId
 from .model import FlowType, NodeType
 from .transform import gadget_index
 
@@ -50,7 +50,8 @@ def layout_generated(diagram: Diagram) -> Diagram:
         below[x, y] = next_y
         for skipped in passed:
             below[x, skipped] = next_y
-        nodes[node_id] = replace(nodes[node_id], position=(x, y))
+        old = nodes[node_id]
+        nodes[node_id] = Node(old.id, old.node_type, old.label, old.partner, (x, y), old.extra)
 
     def position(node_id: NodeId | None) -> tuple[float, float] | None:
         if node_id is None or node_id not in nodes:
@@ -79,10 +80,9 @@ def layout_generated(diagram: Diagram) -> Diagram:
     hop_ends = {g.limit: (g.source, diagram.flows[g.flow].target) for g in gadgets}
     log_anchor = {g.log: g.limit for g in gadgets}
     log_db_anchor = {g.log_db: g.log for g in gadgets}
+    cledb_del = FlowType.CLEDB_DEL
     clean_target = {
-        f.source: f.target
-        for f in diagram.flows.values()
-        if f.flow_type is FlowType.CLEDB_DEL
+        f.source: f.target for f in diagram.flows.values() if f.flow_type is cledb_del
     }
 
     def hop(limit_id: NodeId) -> tuple | None:
@@ -138,4 +138,4 @@ def layout_generated(diagram: Diagram) -> Diagram:
             else:
                 place(node_id, anchor[0] + dx * GRID_STEP, anchor[1] + dy * GRID_STEP)
 
-    return replace(diagram, nodes=nodes)
+    return Diagram(diagram.stage, nodes, diagram.flows)

@@ -81,75 +81,75 @@ _GENERATED_LABELS: dict[NodeType, str] = {
 }
 
 
+# Reading a member such as NodeType.LIMIT goes through the slot hook that
+# EnumType.__getattr__ installs, about ten times the cost of reading a
+# local; so the per-flow rewrite unpacks the kinds it writes from these.
+_GADGET_NODE_TYPES = (NodeType.LIMIT, NodeType.REQUEST, NodeType.LOG, NodeType.LOG_DB)
+_GADGET_FLOW_TYPES = (FlowType.REQLIM, FlowType.LIMLOG, FlowType.LOGGING)
+_POLICY_SELF = NodeType.EXT  # the one kind that holds its own consent evidence
+
+
 def _make_node(node_id: NodeId, node_type: NodeType, partner: NodeId | None = None) -> Node:
-    return Node(node_id, node_type, label=_GENERATED_LABELS[node_type], partner=partner)
+    return Node(node_id, node_type, _GENERATED_LABELS[node_type], partner)
+
+
+def _with_partner(node: Node, partner: NodeId) -> Node:
+    return Node(node.id, node.node_type, node.label, partner, node.position, node.extra)
 
 
 def _add_partner_elems(nodes: dict, flows: dict, ids: _FreshIds, node_id: NodeId) -> None:
     node = nodes[node_id]
     if node.node_type is NodeType.PROC:
         reason_id = ids.take()
-        nodes[reason_id] = _make_node(reason_id, NodeType.REASON, partner=node_id)
-        nodes[node_id] = replace(node, partner=reason_id)
+        nodes[reason_id] = _make_node(reason_id, NodeType.REASON, node_id)
+        nodes[node_id] = _with_partner(node, reason_id)
     elif node.node_type is NodeType.DB:
         policy_id, clean_id, to_clean, clean_delete = (ids.take() for _ in range(4))
-        nodes[policy_id] = _make_node(policy_id, NodeType.POLICY_DB, partner=node_id)
+        nodes[policy_id] = _make_node(policy_id, NodeType.POLICY_DB, node_id)
         nodes[clean_id] = _make_node(clean_id, NodeType.CLEAN)
-        nodes[node_id] = replace(node, partner=policy_id)
+        nodes[node_id] = _with_partner(node, policy_id)
         flows[to_clean] = Flow(to_clean, policy_id, clean_id, FlowType.PDBCLE)
         flows[clean_delete] = Flow(clean_delete, clean_id, node_id, FlowType.CLEDB_DEL)
 
 
-def _policy_anchor(nodes: dict, node_id: NodeId) -> NodeId:
+def _policy_anchor(node: Node) -> NodeId:
     """Where consent evidence for a business node lives: external entities
     speak for themselves, processes via their reason, stores via their
     policy store (all partnered in phase one)."""
-    if nodes[node_id].node_type is NodeType.EXT:
-        return node_id
-    return nodes[node_id].partner
+    return node.id if node.node_type is _POLICY_SELF else node.partner
 
 
 def _rewrite_flow(nodes: dict, flows: dict, ids: _FreshIds, flow_id: FlowId) -> None:
+    limit, request, log, log_db = _GADGET_NODE_TYPES
+    reqlim, limlog, logging = _GADGET_FLOW_TYPES
     flow = flows[flow_id]
     source = nodes[flow.source]
     target = nodes[flow.target]
     limit_id, request_id, log_id, log_db_id = (ids.take() for _ in range(4))
-    nodes[limit_id] = _make_node(limit_id, NodeType.LIMIT, partner=request_id)
-    nodes[request_id] = _make_node(request_id, NodeType.REQUEST, partner=limit_id)
-    nodes[log_id] = _make_node(log_id, NodeType.LOG)
-    nodes[log_db_id] = _make_node(log_db_id, NodeType.LOG_DB)
+    nodes[limit_id] = _make_node(limit_id, limit, request_id)
+    nodes[request_id] = _make_node(request_id, request, limit_id)
+    nodes[log_id] = _make_node(log_id, log)
+    nodes[log_db_id] = _make_node(log_db_id, log_db)
     reqlim_id, limlog_id, logging_id = (ids.take() for _ in range(3))
-    flows[reqlim_id] = Flow(reqlim_id, request_id, limit_id, FlowType.REQLIM)
-    flows[limlog_id] = Flow(limlog_id, limit_id, log_id, FlowType.LIMLOG)
-    flows[logging_id] = Flow(logging_id, log_id, log_db_id, FlowType.LOGGING)
+    flows[reqlim_id] = Flow(reqlim_id, request_id, limit_id, reqlim)
+    flows[limlog_id] = Flow(limlog_id, limit_id, log_id, limlog)
+    flows[logging_id] = Flow(logging_id, log_id, log_db_id, logging)
 
     data_in_id, source_policy_id, target_policy_id = (ids.take() for _ in range(3))
     flows[data_in_id] = Flow(
-        data_in_id,
-        flow.source,
-        limit_id,
-        _DATA_IN[source.node_type],
-        partner=source_policy_id,
+        data_in_id, flow.source, limit_id, _DATA_IN[source.node_type], None, source_policy_id
     )
     flows[source_policy_id] = Flow(
-        source_policy_id,
-        _policy_anchor(nodes, flow.source),
-        request_id,
-        _SOURCE_POLICY[source.node_type],
-        partner=data_in_id,
+        source_policy_id, _policy_anchor(source), request_id,
+        _SOURCE_POLICY[source.node_type], None, data_in_id,
     )
     flows[target_policy_id] = Flow(
-        target_policy_id,
-        request_id,
-        _policy_anchor(nodes, flow.target),
-        _TARGET_POLICY[target.node_type],
-        partner=flow_id,
+        target_policy_id, request_id, _policy_anchor(target),
+        _TARGET_POLICY[target.node_type], None, flow_id,
     )
-    flows[flow_id] = replace(
-        flow,
-        flow_type=_RETYPE[flow.flow_type],
-        source=limit_id,
-        partner=target_policy_id,
+    flows[flow_id] = Flow(
+        flow_id, limit_id, flow.target, _RETYPE[flow.flow_type], flow.label, target_policy_id,
+        flow.extra,
     )
 
 
@@ -194,7 +194,7 @@ def transform(
                     "only flows between entities, processes and stores can be guarded"
                 )
         _rewrite_flow(nodes, flows, ids, flow_id)
-    result = replace(diagram, stage=Stage.PA, nodes=nodes, flows=flows)
+    result = Diagram(Stage.PA, nodes, flows)
     if shared_log_store:
         result = _merge_log_stores(result)
     return result
@@ -249,14 +249,16 @@ def gadget_index(diagram: Diagram) -> dict[FlowId, Gadget]:
     log_of: dict[NodeId, NodeId] = {}
     log_db_of: dict[NodeId, NodeId] = {}
     guarded = []
+    limlog, logging, guarded_types = FlowType.LIMLOG, FlowType.LOGGING, model.GUARDED_FLOW_TYPES
     for flow in diagram.flows.values():
-        if flow.flow_type in _DATA_IN_TYPES:
+        kind = flow.flow_type
+        if kind in _DATA_IN_TYPES:
             source_of[flow.target] = flow.source
-        elif flow.flow_type is FlowType.LIMLOG:
+        elif kind is limlog:
             log_of[flow.source] = flow.target
-        elif flow.flow_type is FlowType.LOGGING:
+        elif kind is logging:
             log_db_of[flow.source] = flow.target
-        elif flow.flow_type in model.GUARDED_FLOW_TYPES:
+        elif kind in guarded_types:
             guarded.append(flow)
     rank = {log: position for position, log in enumerate(log_db_of)}
     guarded.sort(key=lambda flow: rank.get(log_of.get(flow.source), len(rank)))

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from . import model
 from .errors import StageError, WellFormednessError
-from .graph import Diagram, replace
+from .graph import Diagram, Flow
 from .model import FlowType, NodeType, Stage
 from .validate import Violation, blocks_rewrite, connectivity, validate_raw
 
@@ -79,22 +79,26 @@ def typecheck(
 
     violations: list[Violation] = []
     typed_flows = {}
+    nodes = diagram.nodes
+    pf, comp, delete = FlowType.PF, FlowType.COMP, FlowType.DELETE
     for flow in diagram.flows.values():
-        source_type = diagram.nodes[flow.source].node_type
-        target_type = diagram.nodes[flow.target].node_type
-        if flow.flow_type is FlowType.PF:
+        source_type = nodes[flow.source].node_type
+        target_type = nodes[flow.target].node_type
+        if flow.flow_type is pf:
             inferred = _PF_READINGS.get((source_type, target_type))
             # The inter-process reading needs two distinct processes.
-            if inferred is FlowType.COMP and flow.source == flow.target:
+            if inferred is comp and flow.source == flow.target:
                 inferred = None
         else:  # validate_raw admits plain and deletion flows only
-            inferred = FlowType.DELETE if (source_type, target_type) == _DF_ENDS else None
+            inferred = delete if (source_type, target_type) == _DF_ENDS else None
         if inferred is None:
             violations.append(_flow_violation(flow, source_type, target_type))
         else:
-            typed_flows[flow.id] = replace(flow, flow_type=inferred)
+            typed_flows[flow.id] = Flow(
+                flow.id, flow.source, flow.target, inferred, flow.label, flow.partner, flow.extra
+            )
     violations += connectivity(diagram)
     violations.sort(key=lambda v: (v.element, v.clause))
     if blocks_rewrite(violations, tolerate_connectivity):
         return None, violations
-    return replace(diagram, stage=Stage.WELLFORMED, flows=typed_flows), violations
+    return Diagram(Stage.WELLFORMED, diagram.nodes, typed_flows), violations

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 from datetime import date, timedelta
+from xml.sax.saxutils import quoteattr
 
 from hypothesis import strategies as st
 
@@ -324,6 +325,160 @@ def crowded_drawings(draw) -> Diagram:
     return replace(
         pa, nodes={**pa.nodes, **{n: replace(pa.nodes[n], position=draw(spot)) for n in pinned}}
     )
+
+
+# --- draw.io documents as found in the wild ------------------------------------------
+
+# Each list of choices below starts with what a readable document may
+# hold; a faulty document also draws from the rest, which no reader takes.
+
+# Vertex styles the default map reads as each business kind and as a
+# limit, an absent or empty style (draw.io's plain rectangle), and one it
+# cannot read.
+_VERTEX_STYLES = (
+    None,
+    "",
+    "rounded=0;whiteSpace=wrap;html=1;",
+    "ellipse;fillColor=#dae8fc;",
+    "shape=datastore;html=1;",
+    "shape=cylinder;",
+    "rhombus;dfd=limit;",
+    "shape=cloud;",
+)
+_EDGE_STYLES = (None, "edgeStyle=orthogonalEdgeStyle;html=1;", "dashed=1;", "html=1;dfd=limpro;")
+_GEOMETRIES = (
+    "",
+    '<mxGeometry width="120" height="60" as="geometry" />',
+    '<mxGeometry x="40" y="-20.5" width="120" height="60" as="geometry" />',
+    '<mxGeometry x="1e3" as="geometry" />',
+    '<mxGeometry y="7" as="geometry" />',
+    '<mxGeometry relative="1" as="geometry" />',
+    '<mxGeometry x="abc" y="1" as="geometry" />',
+    '<mxGeometry x="nan" y="1" as="geometry" />',
+)
+_STAGES = ("", ' dfdStage="raw-bdfd"', ' dfdStage="pa-dfd"', ' dfdStage="bogus"')
+# Attribute values, all XML characters: markup, quotes, newlines, non-ASCII.
+_ATTRIBUTE_TEXT = st.sampled_from(
+    ("", "x", "a&b<c>", 'say "hi"', "it's", "two\nlines", "müller Ω")
+)
+# User attributes draw.io keeps on cells and object wrappers, some of them
+# namespaced; on a wrapper, "partner" and "value" collide with attributes
+# padfd reads itself.
+_USER_ATTRIBUTES = ("owner", "dept", "note", "xml:lang", "dc:title", "ns:v-1", "partner", "value")
+_DECLARATIONS = ' xmlns:dc="http://purl.org/dc/elements/1.1/" xmlns:ns="urn:padfd:test"'
+
+
+def _xml_attributes(attributes) -> str:
+    return "".join(f" {name}={quoteattr(value, {chr(10): '&#10;'})}" for name, value in attributes)
+
+
+@st.composite
+def _cell_text(draw, kind: str, cell_id: str | None, vertex_ids: list[str], faulty: bool) -> str:
+    """One vertex or edge, its attributes in a drawn order; now and then
+    wrapped in an object element that holds some of them."""
+
+    def choose(choices: tuple, good: int):
+        return draw(st.sampled_from(choices if faulty else choices[:good]))
+
+    attributes = {"id": cell_id, kind: "1", "parent": "1"}
+    if kind == "vertex":
+        attributes["style"] = choose(_VERTEX_STYLES, -1)
+    else:
+        attributes["style"] = draw(st.sampled_from(_EDGE_STYLES))
+        for end in ("source", "target"):
+            attributes[end] = choose((*vertex_ids, "", "ghost", None), len(vertex_ids))
+    attributes["value"] = draw(st.none() | _ATTRIBUTE_TEXT)
+    attributes["partner"] = draw(st.none() | st.sampled_from(("v0", "e1")))
+    for name in draw(st.lists(st.sampled_from(_USER_ATTRIBUTES[:6]), unique=True, max_size=3)):
+        attributes[name] = draw(_ATTRIBUTE_TEXT)
+    attributes = draw(st.permutations([(n, v) for n, v in attributes.items() if v is not None]))
+    geometry = choose(_GEOMETRIES, -2)
+    if draw(st.integers(0, 3)):
+        return f"<mxCell{_xml_attributes(attributes)}>{geometry}</mxCell>"
+    # The wrapper takes some attributes, the label under its own name; the
+    # inner cell may keep a copy, and then its own wins.
+    moved = draw(st.sets(st.sampled_from([name for name, _ in attributes])))
+    outer = {
+        ("label" if name == "value" else name): value for name, value in attributes if name in moved
+    }
+    for name in draw(st.lists(st.sampled_from(_USER_ATTRIBUTES), unique=True, max_size=2)):
+        outer.setdefault(name, draw(_ATTRIBUTE_TEXT))
+    inner = [(name, value) for name, value in attributes if name not in moved or draw(st.booleans())]
+    tag = draw(st.sampled_from(("object", "UserObject")))
+    cell = f"<mxCell{_xml_attributes(inner)}>{geometry}</mxCell>"
+    return f"<{tag}{_xml_attributes(outer.items())}>{cell}</{tag}>"
+
+
+@st.composite
+def drawio_documents(draw) -> str:
+    """One draw.io page as a reader meets it: bare or inside an mxfile,
+    with or without a stage, cells in any order, some wrapped in objects,
+    with user and namespaced attributes and any geometry. A faulty
+    document may also hold unknown stages and styles, unreadable
+    coordinates, cells without ids, duplicate ids, and missing or dangling
+    endpoints."""
+    faulty = draw(st.booleans())
+    vertex_ids = [f"v{index}" for index in range(draw(st.integers(0, 5)))]
+    # An edge of a readable document needs a vertex at each end.
+    edge_count = draw(st.integers(0, 6)) if vertex_ids or faulty else 0
+    edge_ids = [f"e{index}" for index in range(edge_count)]
+    if faulty:
+        pool = st.sampled_from(("v0", "v1", "e0", None))
+        vertex_ids = [draw(st.sampled_from((i, i, None)) | pool) for i in vertex_ids]
+        edge_ids = [draw(st.sampled_from((i, i, None)) | pool) for i in edge_ids]
+    ends = [cell_id for cell_id in vertex_ids if cell_id]
+    cells = [draw(_cell_text("vertex", cell_id, ends, faulty)) for cell_id in vertex_ids]
+    cells += [draw(_cell_text("edge", cell_id, ends, faulty)) for cell_id in edge_ids]
+    # Cells that are neither vertex nor edge, and a wrapper without a cell,
+    # are read past.
+    cells += draw(
+        st.lists(st.sampled_from(('<mxCell id="note" parent="1" />', '<UserObject label="x" />')))
+    )
+    stage = draw(st.sampled_from(_STAGES if faulty else _STAGES[:-1]))
+    page = (
+        f'<mxGraphModel{_DECLARATIONS}{stage} grid="1"><root><mxCell id="0" />'
+        f'<mxCell id="1" parent="0" />{"".join(draw(st.permutations(cells)))}</root></mxGraphModel>'
+    )
+    if draw(st.booleans()):
+        return page
+    return f'<mxfile host="test"><diagram id="p" name="Page-1">{page}</diagram></mxfile>'
+
+
+# --- diagrams for the DOT writer ---------------------------------------------------------
+
+# Ids and labels DOT must quote: quotes, backslashes, newlines, non-ASCII
+# and astral text.
+_dot_text = st.text(
+    st.sampled_from('ab"\\\n é→\U0001f512') | st.characters(exclude_categories=("Cs",)),
+    min_size=1,
+    max_size=6,
+)
+
+
+@st.composite
+def dot_diagrams(draw) -> Diagram:
+    """Diagrams of any typed or untyped nodes and flows whose ids and
+    labels are any text, labelled or not, now and then with a lone
+    surrogate; a flow may name an endpoint that is not a node, which only
+    the API can build."""
+    pool = draw(st.lists(_dot_text, min_size=1, max_size=6, unique=True))
+    if not draw(st.integers(0, 9)):
+        pool.append("x\ud800")  # a lone surrogate, which no writer takes
+    texts = st.sampled_from(pool)
+    node_ids = draw(st.lists(texts, unique=True, max_size=5))
+    nodes = {
+        node_id: Node(node_id, draw(st.none() | st.sampled_from(NodeType)), draw(st.none() | texts))
+        for node_id in node_ids
+    }
+    ends = st.sampled_from(node_ids) | texts if node_ids else texts
+    flows = {}
+    for index in range(draw(st.integers(0, 6))):
+        flow_id = f"f{index}"
+        flows[flow_id] = Flow(
+            flow_id, draw(ends), draw(ends), draw(st.none() | st.sampled_from(FlowType)),
+            draw(st.none() | texts),
+        )
+    return Diagram(draw(st.sampled_from(Stage)), nodes, flows)
 
 
 dates = st.dates(min_value=date(2019, 1, 1), max_value=date(2023, 12, 31))

@@ -3,13 +3,15 @@
 `emit_drawio` writes its document string by string and `layout_generated`
 resolves occupied spots through a skip map; the versions here build an
 ElementTree and step down one grid cell at a time, as the library did
-before. `report_json` writes the simulation report directly and the
-table loaders read CSV with `csv.reader`; the versions here go through
-`json.dumps` and `csv.DictReader`. `emit_json` writes the canonical
-layout directly; `to_canonical_dict` is that document as a dict, for
-`json.dumps` and for comparing diagrams. The tests require identical
-results.
-"""
+before. `parse_drawio` reads each plain cell's attribute map in place;
+the version here copies every map first and builds each element with
+keywords. `emit_dot` quotes each distinct text once; the version here
+quotes every occurrence. `report_json` writes the simulation report
+directly and the table loaders read CSV with `csv.reader`; the versions
+here go through `json.dumps` and `csv.DictReader`. `emit_json` writes the
+canonical layout directly; `to_canonical_dict` is that document as a
+dict, for `json.dumps` and for comparing diagrams. The tests require
+identical results."""
 
 from __future__ import annotations
 
@@ -23,18 +25,33 @@ from padfd import (
     DEFAULT_STYLE_MAP,
     DataRecord,
     Diagram,
+    Flow,
     FlowMeta,
     FlowType,
+    MissingEndpointError,
+    Node,
     NodeType,
     ParseError,
     SCHEMA_ID,
+    SchemaError,
     SimulationError,
+    Stage,
+    UnknownStyleError,
+    XmlSyntaxError,
     replace,
     report_to_dict,
 )
 from padfd import model
-from padfd.canonical import canonical_number, format_position
-from padfd.drawio import _CONSUMED_ATTRS, _NODE_SIZES, _structural_id
+from padfd.dot import _SHAPES
+from padfd.drawio import (
+    _CONSUMED_ATTRS,
+    _NODE_SIZES,
+    _infer_stage,
+    _locate_model,
+    _structural_id,
+    _vertex_position,
+)
+from padfd.graph import canonical_number, encode_output, format_position
 from padfd.layout import GRID_STEP
 from padfd.simulate import (
     DYNAMIC_COLUMNS,
@@ -156,6 +173,145 @@ def reference_emit_drawio(diagram: Diagram, styles=None) -> bytes:
     ET.indent(file_elem, space="  ")
     text = ET.tostring(file_elem, encoding="unicode")
     return ('<?xml version="1.0" encoding="UTF-8"?>\n' + text + "\n").encode("utf-8")
+
+
+def _reference_cells(model_elem):
+    container = model_elem.find("root")
+    if container is None:
+        raise XmlSyntaxError("mxGraphModel has no root element")
+    for child in container:
+        if child.tag == "mxCell":
+            yield child, dict(child.attrib)
+        else:
+            inner = child.find("mxCell")
+            if inner is None:
+                continue
+            merged = dict(inner.attrib)
+            for key, value in child.attrib.items():
+                if key == "label":
+                    merged.setdefault("value", value)
+                else:
+                    merged.setdefault(key, value)
+            yield inner, merged
+
+
+def reference_parse_drawio(data, styles=None) -> Diagram:
+    """One draw.io page read by walking the ElementTree, every cell's
+    attribute map copied and every element built with keywords."""
+    styles = styles or DEFAULT_STYLE_MAP
+    try:
+        text = data.decode("utf-8") if isinstance(data, bytes) else data
+        root = ET.fromstring(text)
+    except UnicodeDecodeError as exc:
+        raise XmlSyntaxError(f"not valid UTF-8 at byte {exc.start} ({exc.reason})") from None
+    except UnicodeEncodeError as exc:
+        code = ord(exc.object[exc.start])
+        raise XmlSyntaxError(
+            f"not valid XML text: U+{code:04X} at index {exc.start} is a lone surrogate"
+        ) from None
+    except ET.ParseError as exc:
+        raise XmlSyntaxError(f"not well-formed XML: {exc}") from None
+    model_elem = _locate_model(root)
+
+    stage = None
+    stage_attr = model_elem.get("dfdStage")
+    if stage_attr is not None:
+        try:
+            stage = Stage(stage_attr)
+        except ValueError:
+            raise SchemaError(f"unknown dfdStage {stage_attr!r}") from None
+
+    nodes = {}
+    edges = []
+    for cell, attrs in _reference_cells(model_elem):
+        if attrs.get("vertex") == "1":
+            cell_id = attrs.get("id")
+            if not cell_id:
+                raise ParseError("vertex cell without an id")
+            if cell_id in nodes:
+                raise ParseError(f"duplicate cell id {cell_id!r}")
+            style = attrs.get("style")
+            node_type = styles.node_type_for(style)
+            if node_type is None:
+                raise UnknownStyleError(
+                    f"cell {cell_id!r}: no rule matches vertex style {style!r}"
+                )
+            nodes[cell_id] = Node(
+                id=cell_id,
+                node_type=node_type,
+                label=attrs.get("value") or None,
+                partner=attrs.get("partner"),
+                position=_vertex_position(cell),
+                extra={k: v for k, v in attrs.items() if k not in _CONSUMED_ATTRS},
+            )
+        elif attrs.get("edge") == "1":
+            edges.append(attrs)
+
+    flows = {}
+    for attrs in edges:
+        cell_id = attrs.get("id")
+        if not cell_id:
+            raise ParseError("edge cell without an id")
+        if cell_id in flows or cell_id in nodes:
+            raise ParseError(f"duplicate cell id {cell_id!r}")
+        source = attrs.get("source")
+        target = attrs.get("target")
+        if not source or not target:
+            raise MissingEndpointError(f"edge {cell_id!r} lacks a source or target reference")
+        for endpoint in (source, target):
+            if endpoint not in nodes:
+                raise MissingEndpointError(
+                    f"edge {cell_id!r} references missing node {endpoint!r}"
+                )
+        flows[cell_id] = Flow(
+            id=cell_id,
+            source=source,
+            target=target,
+            flow_type=styles.flow_type_for(attrs.get("style")),
+            label=attrs.get("value") or None,
+            partner=attrs.get("partner"),
+            extra={k: v for k, v in attrs.items() if k not in _CONSUMED_ATTRS},
+        )
+
+    return Diagram(
+        stage=stage if stage is not None else _infer_stage(nodes, flows),
+        nodes=nodes,
+        flows=flows,
+    )
+
+
+def _dot_quote(text: str) -> str:
+    escaped = text.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
+    return f'"{escaped}"'
+
+
+def reference_emit_dot(diagram: Diagram) -> bytes:
+    """DOT with every id and label quoted where it is written."""
+    lines = [
+        "digraph dfd {",
+        "  rankdir=LR;",
+        '  node [fontsize=11, fontname="Helvetica"];',
+        '  edge [fontsize=10, fontname="Helvetica"];',
+    ]
+    for node_id in sorted(diagram.nodes):
+        node = diagram.nodes[node_id]
+        shape = _SHAPES.get(node.node_type, "plaintext")
+        label = node.label if node.label is not None else node_id
+        lines.append(f"  {_dot_quote(node_id)} [label={_dot_quote(label)}, shape={shape}];")
+    for flow_id in sorted(diagram.flows):
+        flow = diagram.flows[flow_id]
+        parts = []
+        if flow.flow_type is not None:
+            parts.append(flow.flow_type.value)
+        if flow.label is not None:
+            parts.append(flow.label)
+        label = ": ".join(parts)
+        lines.append(
+            f"  {_dot_quote(flow.source)} -> {_dot_quote(flow.target)} "
+            f"[label={_dot_quote(label)}];"
+        )
+    lines.append("}")
+    return encode_output("\n".join(lines) + "\n", diagram, "DOT")
 
 
 def reference_layout_generated(diagram: Diagram) -> Diagram:

@@ -18,6 +18,7 @@ from padfd import (
     ParseError,
     SchemaError,
     Stage,
+    emit_dot,
     emit_drawio,
     emit_json,
     layout_generated,
@@ -44,6 +45,8 @@ from diagram_strategies import (
     csv_tables,
     data_records,
     dates,
+    dot_diagrams,
+    drawio_documents,
     flow_metas,
     json_text_diagrams,
     namespaced_diagrams,
@@ -56,9 +59,11 @@ from diagram_strategies import (
 from helpers import PURPOSES, decide
 from references import (
     reference_compatibility,
+    reference_emit_dot,
     reference_emit_drawio,
     reference_layout_generated,
     reference_parse_data_records,
+    reference_parse_drawio,
     reference_parse_flow_metas,
     reference_report_json,
     to_canonical_dict,
@@ -276,6 +281,51 @@ def test_json_documents_round_trip_through_drawio_or_are_refused(diagram):
     except SchemaError:
         return
     assert parse_drawio(data) == accepted
+
+
+def _outcome(function, *args):
+    """What a call gives: its result, or the class and message of what it raised."""
+    try:
+        return function(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _in_order(diagram) -> tuple:
+    """A diagram with the insertion order of its nodes, flows and extras."""
+    return (
+        diagram.stage,
+        [(node, list(node.extra.items())) for node in diagram.nodes.values()],
+        [(flow, list(flow.extra.items())) for flow in diagram.flows.values()],
+    )
+
+
+@settings(PROPERTY_SETTINGS, max_examples=300)
+@given(drawio_documents())
+def test_parse_drawio_reads_like_the_tree_walk_reference(text):
+    """Same diagram in the same order (`gadget_index` and the shared log
+    store follow flow order), or the same error with the same message."""
+    ours, reference = _outcome(parse_drawio, text), _outcome(reference_parse_drawio, text)
+    if isinstance(reference, tuple):
+        assert ours == reference
+    else:
+        assert _in_order(ours) == _in_order(reference)
+
+
+@PROPERTY_SETTINGS
+@given(dot_diagrams())
+def test_emit_dot_is_the_reference_writer(diagram):
+    ours, reference = _outcome(emit_dot, diagram), _outcome(reference_emit_dot, diagram)
+    assert ours == reference
+    if isinstance(reference, tuple):
+        assert reference[0] is SchemaError and "lone surrogate" in reference[1]
+
+
+@PROPERTY_SETTINGS
+@given(wellformed_diagrams(), st.booleans())
+def test_emit_dot_is_the_reference_writer_of_transform_output(diagram, shared):
+    pa = transform(diagram, shared_log_store=shared)
+    assert emit_dot(pa) == reference_emit_dot(pa)
 
 
 # --- layout ---------------------------------------------------------------------------
