@@ -84,26 +84,29 @@ def _flow_text(flow: Flow) -> str:
     return _entry_text(flow, flow.flow_type, middle)
 
 
-def _list_text(entries: list[str]) -> str:
-    return "[\n" + ",\n".join(entries) + "\n  ]" if entries else "[]"
+def _add_list(parts: list[str], entries: list[str]) -> None:
+    """Append a JSON list of `entries` to `parts`, one entry per line."""
+    if not entries:
+        parts.append("[]")
+        return
+    parts.append("[\n")
+    for entry in entries:
+        parts += (entry, ",\n")
+    parts[-1] = "\n  ]"
 
 
 def emit_json(diagram: Diagram) -> bytes:
     """Canonical JSON bytes: sorted keys, two-space indent, LF, newline at
     end. Text holding a lone surrogate is refused with SchemaError."""
     nodes, flows = diagram.nodes, diagram.flows
-    text = (
-        '{\n  "flows": '
-        + _list_text([_flow_text(flows[k]) for k in sorted(flows)])
-        + ',\n  "nodes": '
-        + _list_text([_node_text(nodes[k]) for k in sorted(nodes)])
-        + ',\n  "schema": '
-        + _quote(SCHEMA_ID)
-        + ',\n  "stage": '
-        + _quote(diagram.stage.value)
-        + "\n}\n"
-    )
-    return encode_output(text, diagram, "JSON")
+    # One flat list of parts and one join: the document is copied once.
+    parts = ['{\n  "flows": ']
+    _add_list(parts, [_flow_text(flows[k]) for k in sorted(flows)])
+    parts.append(',\n  "nodes": ')
+    _add_list(parts, [_node_text(nodes[k]) for k in sorted(nodes)])
+    stage = diagram.stage.value
+    parts += (',\n  "schema": ', _quote(SCHEMA_ID), ',\n  "stage": ', _quote(stage), "\n}\n")
+    return encode_output("".join(parts), diagram, "JSON")
 
 
 def _reject_constant(name: str):

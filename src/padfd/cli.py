@@ -5,11 +5,12 @@
     padfd simulate MODEL     run policy/data tables against a model
     padfd export INPUT       convert between drawio / json / dot
 
-Exit codes: 0 clean, 1 semantic problems (ill-formed diagram, policy
-violation with --fail-on-violation, unknown flow ids), 2 unreadable
-input (XML/JSON syntax, unknown styles, missing files). Output files are
-written atomically (temp file, then rename). The PADFD_STYLES
-environment variable supplies a default --styles file.
+Exit codes: 0 clean (and --help), 1 semantic problems (ill-formed
+diagram, policy violation with --fail-on-violation, unknown flow ids),
+2 unreadable input (XML/JSON syntax, unknown styles, missing files) or a
+usage error. Output files are written atomically (temp file, then
+rename). The PADFD_STYLES environment variable supplies a default
+--styles file.
 
 `run` is the process entry (the ``padfd`` console script and
 ``python -m padfd.cli``); `main` is the same command line as a function
@@ -18,11 +19,12 @@ for callers inside a Python process.
 
 from __future__ import annotations
 
-import argparse
 import gc
 import os
+import re
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 from .errors import PadfdError, ParseError, WellFormednessError
 from .model import Stage
@@ -250,81 +252,256 @@ def _iso_date(text: str) -> date:
     try:
         return date.fromisoformat(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected an ISO date (YYYY-MM-DD), got {text!r}"
-        ) from None
+        raise ValueError(f"expected an ISO date (YYYY-MM-DD), got {text!r}") from None
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="padfd",
-        description="Validate, rewrite, and simulate privacy-aware data flow diagrams.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# --- the command line ------------------------------------------------------------
+#
+# One table, COMMANDS, holds the four commands; it both reads argv and
+# prints help and usage errors. A word of argv is an option when it
+# starts with `-`, unless it is `-` alone, reads as a negative number or
+# holds a space. A long option may be shortened to any unique prefix. A
+# value follows as `--opt=value`, `--opt value`, `-o value`, `-ovalue` or
+# `-o=value`, and `-h` takes more short options after it (`-ho OUT`). A
+# repeated option keeps its last value; options go before, between or
+# after the positional; `--` ends the options.
 
-    check = sub.add_parser("check", help="validate a diagram and print diagnostics")
-    check.add_argument("input")
-    check.add_argument("--format", choices=["drawio", "json"], default=None)
-    check.add_argument("--styles", help="style map JSON file")
-    check.add_argument("--report", choices=["text", "json"], default="text")
-    check.set_defaults(func=cmd_check)
 
-    tf = sub.add_parser(
-        "transform", help="rewrite a business diagram into a privacy-aware one"
-    )
-    tf.add_argument("input")
-    tf.add_argument("-o", "--output", required=True)
-    tf.add_argument("--in-format", choices=["drawio", "json"], default=None)
-    tf.add_argument("--out-format", choices=["drawio", "json", "dot"], default=None)
-    tf.add_argument(
-        "--shared-log-store",
-        action="store_true",
-        help="merge the per-flow log stores into one",
-    )
-    tf.add_argument(
-        "--allow-ill-formed",
-        action="store_true",
-        help="rewrite diagram excerpts despite connectivity findings",
-    )
-    tf.add_argument("--styles", help="style map JSON file")
-    tf.set_defaults(func=cmd_transform)
+class _Option:
+    """One option: its spellings, help line, the attribute it sets, and the
+    values it takes. A flag (no metavar) sets True. `choices` lists the
+    values accepted; `convert` reads a value, raising ValueError with the
+    message to print."""
 
-    sim = sub.add_parser("simulate", help="run policy/data tables against a model")
-    sim.add_argument("model")
-    sim.add_argument("--static", required=True, help="flow policy table (.csv/.json)")
-    sim.add_argument("--dynamic", required=True, help="data record table (.csv/.json)")
-    sim.add_argument("--clock", required=True, type=_iso_date, help="YYYY-MM-DD")
-    sim.add_argument("--report", choices=["json", "text"], default="text")
-    sim.add_argument("--fail-on-violation", action="store_true")
-    sim.add_argument(
-        "--multi-hop",
-        action="store_true",
-        help="records forwarded into a process continue along its outgoing flows",
-    )
-    sim.add_argument(
-        "--compat", help="JSON list of [consented, covered] purpose pairs"
-    )
-    sim.add_argument("--in-format", choices=["drawio", "json"], default=None)
-    sim.add_argument("--styles", help="style map JSON file")
-    sim.set_defaults(func=cmd_simulate)
+    __slots__ = ("names", "help", "dest", "metavar", "choices", "default", "required", "convert")
 
-    export = sub.add_parser("export", help="convert between diagram formats")
-    export.add_argument("input")
-    export.add_argument("-o", "--output", required=True)
-    export.add_argument(
-        "--out-format", choices=["drawio", "json", "dot"], required=True
-    )
-    export.add_argument("--in-format", choices=["drawio", "json"], default=None)
-    export.add_argument("--styles", help="style map JSON file")
-    export.set_defaults(func=cmd_export)
+    def __init__(
+        self, names, help, *, metavar=None, choices=None, default=None, required=False, convert=None
+    ):
+        self.names = names
+        self.help = help
+        self.dest = names[-1][2:].replace("-", "_")
+        self.metavar = "{" + ",".join(choices) + "}" if choices else metavar
+        self.choices = choices
+        self.default = False if self.metavar is None else default
+        self.required = required
+        self.convert = convert
 
-    return parser
+    def name(self) -> str:
+        return "/".join(self.names)
+
+
+_HELP = _Option(("-h", "--help"), "show this help message and exit")
+_FORMAT_HELP = "input format (default: from the file name, then its content)"
+_IN_FORMAT = _Option(("--in-format",), _FORMAT_HELP, choices=("drawio", "json"))
+_OUTPUT = _Option(("-o", "--output"), "file to write", metavar="OUTPUT", required=True)
+_OUT_FORMATS = ("drawio", "json", "dot")
+_REPORT = _Option(
+    ("--report",), "print text lines or one JSON document (default: text)", choices=("text", "json"),
+    default="text",
+)
+_STYLES = _Option(("--styles",), "style map JSON file (default: $PADFD_STYLES)", metavar="STYLES")
+
+# name: (function, help line, (positional, its help), options)
+COMMANDS = {
+    "check": (
+        cmd_check,
+        "validate a diagram and print diagnostics",
+        ("input", "diagram file: draw.io (.drawio, .xml) or canonical JSON (.json)"),
+        (_Option(("--format",), _FORMAT_HELP, choices=("drawio", "json")), _STYLES, _REPORT),
+    ),
+    "transform": (
+        cmd_transform,
+        "rewrite a business diagram into a privacy-aware one",
+        ("input", "business diagram file: draw.io or canonical JSON"),
+        (
+            _OUTPUT,
+            _IN_FORMAT,
+            _Option(
+                ("--out-format",), "output format (default: from the output name)", choices=_OUT_FORMATS
+            ),
+            _Option(("--shared-log-store",), "merge the per-flow log stores into one"),
+            _Option(("--allow-ill-formed",), "rewrite diagram excerpts despite connectivity findings"),
+            _STYLES,
+        ),
+    ),
+    "simulate": (
+        cmd_simulate,
+        "run policy/data tables against a model",
+        ("model", "business or privacy-aware diagram; a business one is rewritten first"),
+        (
+            _Option(("--static",), "flow policy table (.csv/.json)", metavar="STATIC", required=True),
+            _Option(("--dynamic",), "data record table (.csv/.json)", metavar="DYNAMIC", required=True),
+            _Option(
+                ("--clock",), "the simulation date, YYYY-MM-DD", metavar="CLOCK", required=True,
+                convert=_iso_date,
+            ),
+            _REPORT,
+            _Option(("--fail-on-violation",), "exit 1 when any log entry is a violation (v=true)"),
+            _Option(("--multi-hop",), "forwarded records continue along the process's outgoing flows"),
+            _Option(("--compat",), "JSON list of [consented, covered] purpose pairs", metavar="COMPAT"),
+            _IN_FORMAT,
+            _STYLES,
+        ),
+    ),
+    "export": (
+        cmd_export,
+        "convert between diagram formats",
+        ("input", "diagram file: draw.io or canonical JSON"),
+        (
+            _OUTPUT,
+            _Option(("--out-format",), "output format", choices=_OUT_FORMATS, required=True),
+            _IN_FORMAT,
+            _STYLES,
+        ),
+    ),
+}
+
+
+def _exit(command: str | None, error: str | None = None):
+    """Print the help of `command` (of padfd for None) and exit 0, or the
+    command's usage line and `error` and exit 2. The text is written by
+    `padfd.usage`, which a command line that parses never loads."""
+    from .usage import print_and_exit
+
+    print_and_exit(COMMANDS, _HELP, command, error)
+
+
+def _spelling(command: str | None, spellings: dict, arg: str):
+    """What a word of argv is: None for a positional, else (option, the
+    spelling matched, the value written inside the word or None). The
+    option is None for an unknown option."""
+    if not arg.startswith("-"):
+        return None
+    if arg in spellings:
+        return spellings[arg], arg, None
+    if len(arg) == 1:
+        return None
+    head, equals, inline = arg.partition("=")
+    if equals and head in spellings:
+        return spellings[head], head, inline
+    if arg[1] == "-":
+        hits = [(name, inline if equals else None) for name in spellings if name.startswith(head)]
+    else:
+        hits = [(arg[:2], arg[2:])] if arg[:2] in spellings else []
+    if len(hits) > 1:
+        matches = ", ".join(name for name, _ in hits)
+        _exit(command, f"ambiguous option: {arg} could match {matches}")
+    if hits:
+        (name, inline), = hits
+        return spellings[name], name, inline
+    # A negative number is a positional; only a word that may be one is
+    # matched, so few processes compile the pattern.
+    if " " in arg or (arg[1] == "." or arg[1].isdecimal()) and re.match(r"^-\d+$|^-\d*\.\d+$", arg):
+        return None
+    return None, arg, None
+
+
+def _take_option(
+    command: str | None, spellings: dict, words: list, args: list[str], i: int, values: dict
+) -> int:
+    """Read the option at ``args[i]``, and the short options written after
+    a `-h`, into `values`; return the index after what they took."""
+    option, name, inline = words[i]
+    taken = []
+    while option.metavar is None and inline is not None:  # `-h` and what follows it
+        if name[1] == "-" or not inline or "-" + inline[0] not in spellings:
+            _exit(command, f"argument {option.name()}: ignored explicit argument {inline!r}")
+        taken.append((option, True))
+        name = "-" + inline[0]
+        option, inline = spellings[name], inline[1:] or None
+    if option.metavar is None:
+        inline = True
+    elif inline is None:
+        if i + 1 == len(args) or words[i + 1] is not None or args[i + 1] == "--":
+            _exit(command, f"argument {option.name()}: expected one argument")
+        i += 1
+        inline = args[i]
+    taken.append((option, inline))
+    for option, value in taken:
+        if option is _HELP:
+            _exit(command)
+        if option.convert is not None:
+            try:
+                value = option.convert(value)
+            except ValueError as exc:
+                _exit(command, f"argument {option.name()}: {exc}")
+        if option.choices and value not in option.choices:
+            choices = ", ".join(map(repr, option.choices))
+            _exit(
+                command, f"argument {option.name()}: invalid choice: {value!r} (choose from {choices})"
+            )
+        values[option.dest] = value
+    return i + 1
+
+
+def _read(
+    command: str | None, options, args: list[str], values: dict, extra: list[str]
+) -> list[str]:
+    """Read `args` against `options` into `values`, and unknown options and
+    surplus positionals into `extra`. Returns the positionals: at the top
+    level (no command) the command and every word after it, else at most
+    one."""
+    spellings = {name: option for option in (_HELP, *options) for name in option.names}
+    marker = args.index("--") if "--" in args else len(args)
+    # Each word is spelled before any is acted on, so an ambiguous option
+    # is reported even after a `-h`.
+    words = [_spelling(command, spellings, arg) for arg in args[:marker]]
+    words += [None] * (len(args) - marker)
+    positionals: list[str] = []
+    i = 0
+    while i < len(args):
+        word = words[i]
+        if word is None:
+            if command is None:
+                return args[i:]
+            # `--` is dropped right before or right after the positional.
+            if not positionals and i == marker and i + 1 < len(args):
+                i += 1
+            if not positionals and i != marker:
+                positionals.append(args[i])
+                i += 2 if i + 1 == marker else 1
+            else:
+                extra.append(args[i])
+                i += 1
+        elif word[0] is None:
+            extra.append(args[i])
+            i += 1
+        else:
+            i = _take_option(command, spellings, words, args, i, values)
+    return positionals
+
+
+def _parse(argv: list[str]) -> SimpleNamespace:
+    """The attributes a command line sets: ``command``, ``func``, and one
+    per option and positional of the command. Help exits 0 and a usage
+    error exits 2."""
+    extra: list[str] = []
+    rest = _read(None, (), argv, {}, extra)
+    if not rest:
+        _exit(None, "the following arguments are required: command")
+    name = rest[0]
+    if name not in COMMANDS:
+        choices = ", ".join(map(repr, COMMANDS))
+        _exit(None, f"argument command: invalid choice: {name!r} (choose from {choices})")
+    func, _, (positional, _), options = COMMANDS[name]
+    values = {option.dest: option.default for option in options}
+    found = _read(name, options, rest[1:], values, extra)
+    missing = [] if found else [positional]
+    missing += [o.name() for o in options if o.required and values[o.dest] is None]
+    if missing:
+        _exit(name, "the following arguments are required: " + ", ".join(missing))
+    if extra:
+        _exit(name, "unrecognized arguments: " + " ".join(extra))
+    values[positional] = found[0]
+    return SimpleNamespace(command=name, func=func, **values)
 
 
 def main(argv=None) -> int:
-    """Run one command line and return its exit code. The caller's
-    collector state is left as it was."""
-    args = build_parser().parse_args(argv)
+    """Run one command line and return its exit code. Help raises
+    SystemExit(0) and a usage error SystemExit(2). The caller's collector
+    state is left as it was."""
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.func(args)
     except (ParseError, OSError) as exc:

@@ -381,11 +381,14 @@ def emit_drawio(diagram: Diagram, styles: StyleMap | None = None) -> bytes:
     prefixes: dict[str, str] = {}
     node_styles: dict[NodeType, str] = {}
     flow_styles: dict[FlowType, str] = {}
-    # Node ids recur as flow endpoints and partners, and generated elements
-    # share a few labels; each is escaped once.
-    node_ids: dict[str, str] = {}
+    # Element ids recur as flow endpoints and partners, and generated
+    # elements share a few labels; each is escaped once. A partner written
+    # before its own element keeps its escaped id for it.
+    ids: dict[str, str] = {}
     values: dict[str, str] = {}
-    cells = [
+    # The first line is the header, filled in once the namespaces are known.
+    lines = [
+        "",
         '        <mxCell id="' + root_id + '" />',
         '        <mxCell id="' + layer_id + '" parent="' + root_id + '" />',
     ]
@@ -401,17 +404,18 @@ def emit_drawio(diagram: Diagram, styles: StyleMap | None = None) -> bytes:
                 ' style="' + _escape(styles.style_for_node(node_type))
                 + '" vertex="1" parent="' + layer_id + '"'
             )
-        node_ids[node_id] = escaped_id = _escape(node_id)
+        ids[node_id] = escaped_id = ids.get(node_id) or _escape(node_id)
         value = _value_attribute(node, "node", values)
-        partner = "" if node.partner is None else (
-            ' partner="' + (node_ids.get(node.partner) or _escape(node.partner)) + '"'
-        )
+        partner = ""
+        if node.partner is not None:
+            escaped = ids.get(node.partner) or ids.setdefault(node.partner, _escape(node.partner))
+            partner = ' partner="' + escaped + '"'
         extra = _extra_attributes(node, "node", names, prefixes) if node.extra else ""
         position = ""
         if node.position is not None:
             x, y = format_position(node)
             position = 'x="' + x + '" y="' + y + '" '
-        cells.append(
+        lines.append(
             f'        <mxCell id="{escaped_id}"{value}{style}{partner}{extra}>\n'
             f"          <mxGeometry {position}{_GEOMETRY[node_type]}"
         )
@@ -427,13 +431,17 @@ def emit_drawio(diagram: Diagram, styles: StyleMap | None = None) -> bytes:
                 ' style="' + _escape(styles.style_for_flow(flow_type))
                 + '" edge="1" parent="' + layer_id + '"'
             )
-        source = node_ids.get(flow.source) or _escape(flow.source)
-        target = node_ids.get(flow.target) or _escape(flow.target)
-        escaped_id = _escape(flow_id)
+        source = ids.get(flow.source) or _escape(flow.source)
+        target = ids.get(flow.target) or _escape(flow.target)
+        escaped_id = ids.get(flow_id) or _escape(flow_id)
         value = _value_attribute(flow, "flow", values)
-        partner = "" if flow.partner is None else ' partner="' + _escape(flow.partner) + '"'
+        partner = ""
+        if flow.partner is not None:
+            ids[flow_id] = escaped_id  # for the partner, if it comes later
+            escaped = ids.get(flow.partner) or ids.setdefault(flow.partner, _escape(flow.partner))
+            partner = ' partner="' + escaped + '"'
         extra = _extra_attributes(flow, "flow", names, prefixes) if flow.extra else ""
-        cells.append(
+        lines.append(
             f'        <mxCell id="{escaped_id}"{value}{style} source="{source}"'
             f' target="{target}"{partner}{extra}{_EDGE_GEOMETRY}'
         )
@@ -442,12 +450,11 @@ def emit_drawio(diagram: Diagram, styles: StyleMap | None = None) -> bytes:
         f' xmlns:{prefix}="{_escape(uri)}"'
         for uri, prefix in sorted(prefixes.items(), key=lambda item: item[1])
     )
-    text = (
+    lines[0] = (
         '<?xml version="1.0" encoding="UTF-8"?>\n<mxfile' + declarations + ' host="padfd">\n'
         '  <diagram id="page-0" name="Page-1">\n'
         '    <mxGraphModel dfdStage="' + diagram.stage.value + '" grid="1" gridSize="10"'
-        ' page="1" pageWidth="1169" pageHeight="826">\n      <root>\n'
-        + "\n".join(cells)
-        + "\n      </root>\n    </mxGraphModel>\n  </diagram>\n</mxfile>\n"
+        ' page="1" pageWidth="1169" pageHeight="826">\n      <root>'
     )
-    return text.encode("utf-8")
+    lines.append("      </root>\n    </mxGraphModel>\n  </diagram>\n</mxfile>\n")
+    return "\n".join(lines).encode("utf-8")

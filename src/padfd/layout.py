@@ -122,17 +122,19 @@ def layout_generated(diagram: Diagram) -> Diagram:
 
     # The rest, type by type, sit (dx, dy) grid steps from their anchor,
     # or at the origin without one; untyped nodes park at the origin.
-    partner = {n.id: n.partner for n in diagram.nodes.values()}
+    def partner(node_id: NodeId) -> NodeId | None:
+        return nodes[node_id].partner
+
     for node_type, anchor_of, dx, dy in (
-        (NodeType.LOG, log_anchor, 0, 1),
-        (NodeType.LOG_DB, log_db_anchor, 0, 1),
+        (NodeType.LOG, log_anchor.get, 0, 1),
+        (NodeType.LOG_DB, log_db_anchor.get, 0, 1),
         (NodeType.REASON, partner, 1, -1),
         (NodeType.POLICY_DB, partner, 1, 1),
-        (NodeType.CLEAN, clean_target, 2, 1),
-        (None, {}, 0, 0),
+        (NodeType.CLEAN, clean_target.get, 2, 1),
+        (None, {}.get, 0, 0),
     ):
         for node_id in unpositioned(node_type):
-            anchor = position(anchor_of.get(node_id))
+            anchor = position(anchor_of(node_id))
             if anchor is None:
                 place(node_id, 0.0, 0.0)
             else:

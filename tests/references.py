@@ -10,11 +10,13 @@ quotes every occurrence. `report_json` writes the simulation report
 directly and the table loaders read CSV with `csv.reader`; the versions
 here go through `json.dumps` and `csv.DictReader`. `emit_json` writes the
 canonical layout directly; `to_canonical_dict` is that document as a
-dict, for `json.dumps` and for comparing diagrams. The tests require
-identical results."""
+dict, for `json.dumps` and for comparing diagrams. The command line is
+parsed by a table in `padfd.cli`; `reference_parser` is the argparse
+parser it replaced. The tests require identical results."""
 
 from __future__ import annotations
 
+import argparse
 import csv
 import io
 import json
@@ -41,7 +43,7 @@ from padfd import (
     replace,
     report_to_dict,
 )
-from padfd import model
+from padfd import cli, model
 from padfd.dot import _SHAPES
 from padfd.drawio import (
     _CONSUMED_ATTRS,
@@ -492,3 +494,82 @@ def reference_compatibility(pairs):
         return any(norm(c) == wanted or (norm(c), wanted) in table for c in consent)
 
     return compatible
+
+
+def _reference_iso_date(text: str):
+    from datetime import date
+
+    try:
+        return date.fromisoformat(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected an ISO date (YYYY-MM-DD), got {text!r}"
+        ) from None
+
+
+def reference_parser() -> argparse.ArgumentParser:
+    """The command line as argparse reads it: ``vars`` of what it parses
+    is the namespace `padfd.cli` builds for the same arguments."""
+    parser = argparse.ArgumentParser(
+        prog="padfd",
+        description="Validate, rewrite, and simulate privacy-aware data flow diagrams.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    check = sub.add_parser("check", help="validate a diagram and print diagnostics")
+    check.add_argument("input")
+    check.add_argument("--format", choices=["drawio", "json"], default=None)
+    check.add_argument("--styles", help="style map JSON file")
+    check.add_argument("--report", choices=["text", "json"], default="text")
+    check.set_defaults(func=cli.cmd_check)
+
+    tf = sub.add_parser(
+        "transform", help="rewrite a business diagram into a privacy-aware one"
+    )
+    tf.add_argument("input")
+    tf.add_argument("-o", "--output", required=True)
+    tf.add_argument("--in-format", choices=["drawio", "json"], default=None)
+    tf.add_argument("--out-format", choices=["drawio", "json", "dot"], default=None)
+    tf.add_argument(
+        "--shared-log-store",
+        action="store_true",
+        help="merge the per-flow log stores into one",
+    )
+    tf.add_argument(
+        "--allow-ill-formed",
+        action="store_true",
+        help="rewrite diagram excerpts despite connectivity findings",
+    )
+    tf.add_argument("--styles", help="style map JSON file")
+    tf.set_defaults(func=cli.cmd_transform)
+
+    sim = sub.add_parser("simulate", help="run policy/data tables against a model")
+    sim.add_argument("model")
+    sim.add_argument("--static", required=True, help="flow policy table (.csv/.json)")
+    sim.add_argument("--dynamic", required=True, help="data record table (.csv/.json)")
+    sim.add_argument("--clock", required=True, type=_reference_iso_date, help="YYYY-MM-DD")
+    sim.add_argument("--report", choices=["json", "text"], default="text")
+    sim.add_argument("--fail-on-violation", action="store_true")
+    sim.add_argument(
+        "--multi-hop",
+        action="store_true",
+        help="records forwarded into a process continue along its outgoing flows",
+    )
+    sim.add_argument(
+        "--compat", help="JSON list of [consented, covered] purpose pairs"
+    )
+    sim.add_argument("--in-format", choices=["drawio", "json"], default=None)
+    sim.add_argument("--styles", help="style map JSON file")
+    sim.set_defaults(func=cli.cmd_simulate)
+
+    export = sub.add_parser("export", help="convert between diagram formats")
+    export.add_argument("input")
+    export.add_argument("-o", "--output", required=True)
+    export.add_argument(
+        "--out-format", choices=["drawio", "json", "dot"], required=True
+    )
+    export.add_argument("--in-format", choices=["drawio", "json"], default=None)
+    export.add_argument("--styles", help="style map JSON file")
+    export.set_defaults(func=cli.cmd_export)
+
+    return parser

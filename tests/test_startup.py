@@ -97,12 +97,14 @@ def simulate_argv(fixtures_dir, model, *extra):
 # --- import sets per subcommand -------------------------------------------------
 
 
-# Records are plain classes: no command imports the dataclass machinery or
-# what it pulls in.
-RECORD_SKIPS = ["dataclasses", "inspect"]
+# No command loads these. Records are plain classes, so nothing imports
+# the dataclass machinery or what it pulls in; the command line is read
+# without argparse, so neither it nor the gettext and locale it pulls in
+# are loaded, and `padfd.usage` prints only help and usage errors.
+NEVER_LOADED = ["dataclasses", "inspect", "argparse", "gettext", "locale", "padfd.usage"]
 
 SIMULATE_JSON_SKIPS = [
-    *RECORD_SKIPS,
+    *NEVER_LOADED,
     "xml.etree",
     "padfd.drawio",
     "padfd.styles",
@@ -125,7 +127,7 @@ def test_simulate_of_a_json_model_skips_drawio_and_typing(models, fixtures_dir, 
 
 
 JSON_DIAGRAM_SKIPS = [
-    *RECORD_SKIPS, "padfd.drawio", "padfd.styles", "padfd.layout", "padfd.dot", "padfd.simulate", "csv"
+    *NEVER_LOADED, "padfd.drawio", "padfd.styles", "padfd.layout", "padfd.dot", "padfd.simulate", "csv"
 ]
 
 
@@ -149,7 +151,7 @@ def test_check_of_json_skips_drawio_and_simulate(models, tmp_path, stage):
 # so they load no JSON codec. Two of their options still do: `check
 # --report json` prints its report with `json`, and a `--styles` file is
 # read with it.
-DRAWIO_SKIPS = [*RECORD_SKIPS, "padfd.simulate", "csv", "datetime", "padfd.canonical", "json"]
+DRAWIO_SKIPS = [*NEVER_LOADED, "padfd.simulate", "csv", "datetime", "padfd.canonical", "json"]
 
 
 @pytest.mark.parametrize(
