@@ -8,9 +8,9 @@
 Exit codes: 0 clean (and --help), 1 semantic problems (ill-formed
 diagram, policy violation with --fail-on-violation, unknown flow ids),
 2 unreadable input (XML/JSON syntax, unknown styles, missing files) or a
-usage error. Output files are written atomically (temp file, then
-rename). The PADFD_STYLES environment variable supplies a default
---styles file.
+usage error; a closed stdout exits 1 quietly. Output files are written
+atomically (temp file, then rename) with the mode the umask gives. The
+PADFD_STYLES environment variable supplies a default --styles file.
 
 `run` is the process entry (the ``padfd`` console script and
 ``python -m padfd.cli``); `main` is the same command line as a function
@@ -77,19 +77,15 @@ def _read_diagram(path_text: str, fmt: str | None, styles: StyleMap | None) -> D
 
 
 def _write_atomic(path_text: str, data: bytes) -> None:
-    import tempfile
-
-    path = Path(path_text)
-    handle = tempfile.NamedTemporaryFile(
-        dir=path.parent or Path("."), prefix=f".{path.name}.", delete=False
-    )
+    head, name = os.path.split(path_text)
+    temp = os.path.join(head, f".{name}.{os.getpid()}.{os.urandom(4).hex()}")
+    fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        handle.write(data)
-        handle.close()
-        os.replace(handle.name, path)
+        with open(fd, "wb") as handle:
+            handle.write(data)
+        os.replace(temp, path_text)
     except BaseException:
-        handle.close()
-        os.unlink(handle.name)
+        os.unlink(temp)
         raise
 
 
@@ -143,6 +139,19 @@ def _gate(
     return findings, None if blocks_rewrite(findings, allow_ill_formed) else diagram
 
 
+def _rewrite(diagram: Diagram, allow_ill_formed: bool, shared_log_store: bool) -> Diagram | None:
+    """The privacy-aware rewrite of a business diagram that passes `_gate`,
+    or None after printing the gate's findings to stderr."""
+    findings, wellformed = _gate(diagram, allow_ill_formed)
+    if wellformed is None:
+        for finding in findings:
+            print(finding.render(), file=sys.stderr)
+        return None
+    from .transform import transform
+
+    return transform(wellformed, shared_log_store=shared_log_store, check=False)
+
+
 def cmd_check(args) -> int:
     styles = _style_map(args)
     diagram = _read_diagram(args.input, args.format, styles)
@@ -151,9 +160,9 @@ def cmd_check(args) -> int:
         # A raw diagram's findings say what kind of typing problem they are.
         kinds = {}
         if diagram.stage is Stage.RAW:
-            from .validate import CONNECTIVITY_CLAUSES
+            from .validate import CONNECTIVITY_CLAUSES, FLOW_CLAUSES
 
-            kinds = dict.fromkeys(("pf-no-rule", "pf-loop", "df-no-rule"), "ill-formed-flow")
+            kinds = dict.fromkeys(FLOW_CLAUSES, "ill-formed-flow")
             kinds.update(dict.fromkeys(CONNECTIVITY_CLAUSES, "ill-formed-activator"))
         payload = {
             "stage": diagram.stage.value,
@@ -182,14 +191,9 @@ def cmd_transform(args) -> int:
     if diagram.stage is Stage.PA:
         print("error: input is already privacy-aware", file=sys.stderr)
         return 1
-    findings, wellformed = _gate(diagram, args.allow_ill_formed)
-    if wellformed is None:
-        for finding in findings:
-            print(finding.render(), file=sys.stderr)
+    result = _rewrite(diagram, args.allow_ill_formed, args.shared_log_store)
+    if result is None:
         return 1
-    from .transform import transform
-
-    result = transform(wellformed, shared_log_store=args.shared_log_store, check=False)
     out_format = args.out_format or _sniff_out_format(args.output)
     _write_atomic(args.output, _emit(result, out_format, styles))
     return 0
@@ -209,14 +213,9 @@ def cmd_simulate(args) -> int:
     styles = _style_map(args)
     diagram = _read_diagram(args.model, args.in_format, styles)
     if diagram.stage is not Stage.PA:
-        findings, wellformed = _gate(diagram, allow_ill_formed=False)
-        if wellformed is None:
-            for finding in findings:
-                print(finding.render(), file=sys.stderr)
+        diagram = _rewrite(diagram, allow_ill_formed=False, shared_log_store=False)
+        if diagram is None:
             return 1
-        from .transform import transform
-
-        diagram = transform(wellformed, check=False)
     metas = load_flow_metas(args.static)
     records = load_data_records(args.dynamic)
     compatible = None
@@ -499,11 +498,18 @@ def _parse(argv: list[str]) -> SimpleNamespace:
 
 def main(argv=None) -> int:
     """Run one command line and return its exit code. Help raises
-    SystemExit(0) and a usage error SystemExit(2). The caller's collector
-    state is left as it was."""
+    SystemExit(0), a usage error SystemExit(2), and a closed stdout
+    BrokenPipeError. Stdout is flushed before the return, so a failed
+    write is reported here. The caller's collector state is left as it
+    was."""
     args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
-        return args.func(args)
+        code = args.func(args)
+        if sys.stdout is not None:
+            sys.stdout.flush()
+        return code
+    except BrokenPipeError:  # a closed stdout, which `run` ends quietly
+        raise
     except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -520,10 +526,17 @@ def run() -> int:
     a short-lived process the collector would only rescan the live
     diagram, elements and decisions as they are built. The heap is frozen
     on the way out, which leaves the full collection CPython makes at
-    shutdown, disabled collector or not, nothing to scan."""
+    shutdown, disabled collector or not, nothing to scan.
+
+    A closed stdout exits 1 quietly, as the Python documentation's SIGPIPE
+    note advises: stdout is pointed at the null device, so the flush at
+    shutdown cannot fail again."""
     gc.disable()
     try:
         return main()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     finally:
         gc.freeze()
 

@@ -1,8 +1,9 @@
 """Stage validators.
 
-Each validator checks the full membership condition of one lifecycle stage
-and reports every violation rather than stopping at the first. Violations
-carry a stable clause id so tests and tooling can match on them:
+Each validator checks the full membership condition of one lifecycle stage,
+one row of the table `_STAGES`, in one walk over the diagram, and reports
+every violation rather than stopping at the first. Violations carry a
+stable clause id so tests and tooling can match on them:
 
     dangling-flow        flow endpoint references a missing node
     node-untyped         node carries no type
@@ -52,102 +53,10 @@ class StageValidity(Record):
         return not self.violations
 
 
-def _dangling(diagram: Diagram) -> list[Violation]:
-    found = []
-    for flow in diagram.flows.values():
-        for endpoint in (flow.source, flow.target):
-            if endpoint not in diagram.nodes:
-                found.append(
-                    Violation(
-                        "dangling-flow",
-                        flow.id,
-                        f"flow {flow.id!r} references missing node {endpoint!r}",
-                    )
-                )
-    return found
-
-
-def _typed_elements(
-    diagram: Diagram,
-    node_types: frozenset[NodeType],
-    flow_types: frozenset[FlowType],
-    stage_name: str,
-) -> list[Violation]:
-    found = []
-    for node in diagram.nodes.values():
-        if node.node_type is None:
-            found.append(
-                Violation("node-untyped", node.id, f"node {node.id!r} has no type")
-            )
-        elif node.node_type not in node_types:
-            found.append(
-                Violation(
-                    "node-type",
-                    node.id,
-                    f"node type {node.node_type.value!r} not allowed in a "
-                    f"{stage_name} diagram",
-                )
-            )
-    for flow in diagram.flows.values():
-        if flow.flow_type is None:
-            found.append(
-                Violation("flow-untyped", flow.id, f"flow {flow.id!r} has no type")
-            )
-        elif flow.flow_type not in flow_types:
-            found.append(
-                Violation(
-                    "flow-type",
-                    flow.id,
-                    f"flow type {flow.flow_type.value!r} not allowed in a "
-                    f"{stage_name} diagram",
-                )
-            )
-    return found
-
-
-def _no_partners(diagram: Diagram) -> list[Violation]:
-    found = []
-    for table in (diagram.nodes, diagram.flows):
-        for element in table.values():
-            if element.partner is not None:
-                found.append(
-                    Violation(
-                        "partner-unexpected",
-                        element.id,
-                        f"{element.id!r} carries a partner before the rewrite stage",
-                    )
-                )
-    return found
-
-
-def _endpoint_checks(
-    diagram: Diagram, table: dict[FlowType, tuple[NodeType, NodeType]]
-) -> list[Violation]:
-    found = []
-    for flow in diagram.flows.values():
-        expected = table.get(flow.flow_type)
-        if expected is None:
-            continue
-        src = diagram.nodes.get(flow.source)
-        tgt = diagram.nodes.get(flow.target)
-        if src is None or tgt is None or src.node_type is None or tgt.node_type is None:
-            continue
-        if (src.node_type, tgt.node_type) != expected:
-            want_src, want_tgt = expected
-            found.append(
-                Violation(
-                    "flow-endpoints",
-                    flow.id,
-                    f"{flow.flow_type.value} flow {flow.id!r} must run "
-                    f"{want_src.value} -> {want_tgt.value}, found "
-                    f"{src.node_type.value} -> {tgt.node_type.value}",
-                )
-            )
-    return found
-
-
 # Clause ids of the connectivity rule, which diagram excerpts may waive.
 CONNECTIVITY_CLAUSES = frozenset({"proc-source-target", "ext-connected", "db-connected"})
+# Clause ids of `typecheck`'s flow typing, which no option waives.
+FLOW_CLAUSES = frozenset({"pf-no-rule", "pf-loop", "df-no-rule"})
 
 
 def blocks_rewrite(violations: Sequence[Violation], tolerate_connectivity: bool) -> bool:
@@ -195,85 +104,95 @@ def connectivity(diagram: Diagram) -> list[Violation]:
     return found
 
 
-def _comp_loops(diagram: Diagram) -> list[Violation]:
-    found = []
-    for flow in diagram.flows.values():
-        if flow.flow_type is FlowType.COMP and flow.source == flow.target:
-            found.append(
-                Violation(
-                    "comp-loop",
-                    flow.id,
-                    f"inter-process flow {flow.id!r} loops on {flow.source!r}",
-                )
-            )
-    return found
+# Each stage's condition: its name in messages, its node and flow types,
+# and the endpoint kinds each typed flow must join. Partner links are
+# absent before the rewrite (PA) stage and mutual in it; only the
+# well-formed stage forbids inter-process loops and checks connectivity.
+_STAGES = {
+    Stage.RAW: ("raw", model.BDFD_NODE_TYPES, model.RAW_FLOW_TYPES, {}),
+    Stage.WELLFORMED: (
+        "well-formed",
+        model.BDFD_NODE_TYPES,
+        model.WELLFORMED_FLOW_TYPES,
+        model.WELLFORMED_FLOW_ENDPOINTS,
+    ),
+    Stage.PA: ("privacy-aware", model.PA_NODE_TYPES, model.PA_FLOW_TYPES, model.PA_FLOW_ENDPOINTS),
+}
 
 
-def _partner_links(diagram: Diagram) -> list[Violation]:
+def _check(diagram: Diagram, stage: Stage) -> StageValidity:
+    name, node_types, flow_types, endpoints = _STAGES[stage]
+    rewritten = stage is Stage.PA
+    wellformed = stage is Stage.WELLFORMED
     found = []
     for table in (diagram.nodes, diagram.flows):
         for element in table.values():
-            if element.partner is None:
+            partner = element.partner
+            if partner is None:
                 continue
-            other = table.get(element.partner)
-            if other is None:
-                found.append(
-                    Violation(
-                        "partner-missing",
-                        element.id,
-                        f"{element.id!r} names missing partner {element.partner!r}",
-                    )
-                )
+            if not rewritten:
+                message = f"{element.id!r} carries a partner before the rewrite stage"
+                found.append(Violation("partner-unexpected", element.id, message))
+            elif (other := table.get(partner)) is None:
+                message = f"{element.id!r} names missing partner {partner!r}"
+                found.append(Violation("partner-missing", element.id, message))
             elif other.partner != element.id:
-                found.append(
-                    Violation(
-                        "partner-asymmetric",
-                        element.id,
-                        f"partner link {element.id!r} -> {element.partner!r} "
-                        "is not mutual",
-                    )
+                message = f"partner link {element.id!r} -> {partner!r} is not mutual"
+                found.append(Violation("partner-asymmetric", element.id, message))
+    nodes = diagram.nodes
+    for node in nodes.values():
+        if node.node_type is None:
+            found.append(Violation("node-untyped", node.id, f"node {node.id!r} has no type"))
+        elif node.node_type not in node_types:
+            message = f"node type {node.node_type.value!r} not allowed in a {name} diagram"
+            found.append(Violation("node-type", node.id, message))
+    for flow in diagram.flows.values():
+        source = nodes.get(flow.source)
+        target = nodes.get(flow.target)
+        if source is None or target is None:
+            for endpoint, node in ((flow.source, source), (flow.target, target)):
+                if node is None:
+                    message = f"flow {flow.id!r} references missing node {endpoint!r}"
+                    found.append(Violation("dangling-flow", flow.id, message))
+        flow_type = flow.flow_type
+        if flow_type is None:
+            found.append(Violation("flow-untyped", flow.id, f"flow {flow.id!r} has no type"))
+        elif flow_type not in flow_types:
+            message = f"flow type {flow_type.value!r} not allowed in a {name} diagram"
+            found.append(Violation("flow-type", flow.id, message))
+        expected = endpoints.get(flow_type)
+        if expected is not None and source is not None and target is not None:
+            ends = (source.node_type, target.node_type)
+            if ends != expected and None not in ends:
+                message = (
+                    f"{flow_type.value} flow {flow.id!r} must run {expected[0].value} -> "
+                    f"{expected[1].value}, found {ends[0].value} -> {ends[1].value}"
                 )
-    return found
-
-
-def _sorted(violations: list[Violation]) -> tuple[Violation, ...]:
-    return tuple(sorted(violations, key=lambda v: (v.element, v.clause)))
+                found.append(Violation("flow-endpoints", flow.id, message))
+        if wellformed and flow_type is FlowType.COMP and flow.source == flow.target:
+            message = f"inter-process flow {flow.id!r} loops on {flow.source!r}"
+            found.append(Violation("comp-loop", flow.id, message))
+    if wellformed:
+        found += connectivity(diagram)
+    found.sort(key=lambda v: (v.element, v.clause))
+    return StageValidity(stage, tuple(found))
 
 
 def validate_raw(diagram: Diagram) -> StageValidity:
     """Check the raw-stage condition: business node types, plain/deletion
     flows, no partners. Dangling endpoints are reported at every stage."""
-    found = _dangling(diagram)
-    found += _typed_elements(
-        diagram, model.BDFD_NODE_TYPES, model.RAW_FLOW_TYPES, "raw"
-    )
-    found += _no_partners(diagram)
-    return StageValidity(Stage.RAW, _sorted(found))
+    return _check(diagram, Stage.RAW)
 
 
 def validate_wellformed(diagram: Diagram) -> StageValidity:
     """Check the well-formed condition: business node types, the six typed
     flow kinds with matching endpoints, no inter-process loops, and the
     connectivity rules (processes relay; entities and stores attach)."""
-    found = _dangling(diagram)
-    found += _typed_elements(
-        diagram, model.BDFD_NODE_TYPES, model.WELLFORMED_FLOW_TYPES, "well-formed"
-    )
-    found += _no_partners(diagram)
-    found += _endpoint_checks(diagram, model.WELLFORMED_FLOW_ENDPOINTS)
-    found += _comp_loops(diagram)
-    found += connectivity(diagram)
-    return StageValidity(Stage.WELLFORMED, _sorted(found))
+    return _check(diagram, Stage.WELLFORMED)
 
 
 def validate_pa(diagram: Diagram) -> StageValidity:
     """Check the privacy-aware condition: the full node vocabulary, the
     eighteen rewritten flow kinds with matching endpoints, and symmetric
     partner links."""
-    found = _dangling(diagram)
-    found += _typed_elements(
-        diagram, model.PA_NODE_TYPES, model.PA_FLOW_TYPES, "privacy-aware"
-    )
-    found += _endpoint_checks(diagram, model.PA_FLOW_ENDPOINTS)
-    found += _partner_links(diagram)
-    return StageValidity(Stage.PA, _sorted(found))
+    return _check(diagram, Stage.PA)

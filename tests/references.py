@@ -12,7 +12,10 @@ here go through `json.dumps` and `csv.DictReader`. `emit_json` writes the
 canonical layout directly; `to_canonical_dict` is that document as a
 dict, for `json.dumps` and for comparing diagrams. The command line is
 parsed by a table in `padfd.cli`; `reference_parser` is the argparse
-parser it replaced. The tests require identical results."""
+parser it replaced. `padfd.validate` checks each stage's condition from
+one table in one walk; `reference_validate_raw`, `_wellformed` and `_pa`
+compose one pass per rule, as the library did before. The tests require
+identical results."""
 
 from __future__ import annotations
 
@@ -63,6 +66,7 @@ from padfd.simulate import (
     _parse_date,
 )
 from padfd.transform import gadget_index
+from padfd.validate import StageValidity, Violation, connectivity
 
 
 def _node_entry(node) -> dict:
@@ -573,3 +577,181 @@ def reference_parser() -> argparse.ArgumentParser:
     export.set_defaults(func=cli.cmd_export)
 
     return parser
+
+
+def _dangling(diagram: Diagram) -> list[Violation]:
+    found = []
+    for flow in diagram.flows.values():
+        for endpoint in (flow.source, flow.target):
+            if endpoint not in diagram.nodes:
+                found.append(
+                    Violation(
+                        "dangling-flow",
+                        flow.id,
+                        f"flow {flow.id!r} references missing node {endpoint!r}",
+                    )
+                )
+    return found
+
+
+def _typed_elements(
+    diagram: Diagram,
+    node_types: frozenset[NodeType],
+    flow_types: frozenset[FlowType],
+    stage_name: str,
+) -> list[Violation]:
+    found = []
+    for node in diagram.nodes.values():
+        if node.node_type is None:
+            found.append(
+                Violation("node-untyped", node.id, f"node {node.id!r} has no type")
+            )
+        elif node.node_type not in node_types:
+            found.append(
+                Violation(
+                    "node-type",
+                    node.id,
+                    f"node type {node.node_type.value!r} not allowed in a "
+                    f"{stage_name} diagram",
+                )
+            )
+    for flow in diagram.flows.values():
+        if flow.flow_type is None:
+            found.append(
+                Violation("flow-untyped", flow.id, f"flow {flow.id!r} has no type")
+            )
+        elif flow.flow_type not in flow_types:
+            found.append(
+                Violation(
+                    "flow-type",
+                    flow.id,
+                    f"flow type {flow.flow_type.value!r} not allowed in a "
+                    f"{stage_name} diagram",
+                )
+            )
+    return found
+
+
+def _no_partners(diagram: Diagram) -> list[Violation]:
+    found = []
+    for table in (diagram.nodes, diagram.flows):
+        for element in table.values():
+            if element.partner is not None:
+                found.append(
+                    Violation(
+                        "partner-unexpected",
+                        element.id,
+                        f"{element.id!r} carries a partner before the rewrite stage",
+                    )
+                )
+    return found
+
+
+def _endpoint_checks(
+    diagram: Diagram, table: dict[FlowType, tuple[NodeType, NodeType]]
+) -> list[Violation]:
+    found = []
+    for flow in diagram.flows.values():
+        expected = table.get(flow.flow_type)
+        if expected is None:
+            continue
+        src = diagram.nodes.get(flow.source)
+        tgt = diagram.nodes.get(flow.target)
+        if src is None or tgt is None or src.node_type is None or tgt.node_type is None:
+            continue
+        if (src.node_type, tgt.node_type) != expected:
+            want_src, want_tgt = expected
+            found.append(
+                Violation(
+                    "flow-endpoints",
+                    flow.id,
+                    f"{flow.flow_type.value} flow {flow.id!r} must run "
+                    f"{want_src.value} -> {want_tgt.value}, found "
+                    f"{src.node_type.value} -> {tgt.node_type.value}",
+                )
+            )
+    return found
+
+
+def _comp_loops(diagram: Diagram) -> list[Violation]:
+    found = []
+    for flow in diagram.flows.values():
+        if flow.flow_type is FlowType.COMP and flow.source == flow.target:
+            found.append(
+                Violation(
+                    "comp-loop",
+                    flow.id,
+                    f"inter-process flow {flow.id!r} loops on {flow.source!r}",
+                )
+            )
+    return found
+
+
+def _partner_links(diagram: Diagram) -> list[Violation]:
+    found = []
+    for table in (diagram.nodes, diagram.flows):
+        for element in table.values():
+            if element.partner is None:
+                continue
+            other = table.get(element.partner)
+            if other is None:
+                found.append(
+                    Violation(
+                        "partner-missing",
+                        element.id,
+                        f"{element.id!r} names missing partner {element.partner!r}",
+                    )
+                )
+            elif other.partner != element.id:
+                found.append(
+                    Violation(
+                        "partner-asymmetric",
+                        element.id,
+                        f"partner link {element.id!r} -> {element.partner!r} "
+                        "is not mutual",
+                    )
+                )
+    return found
+
+
+def _sorted(violations: list[Violation]) -> tuple[Violation, ...]:
+    return tuple(sorted(violations, key=lambda v: (v.element, v.clause)))
+
+
+def reference_validate_raw(diagram: Diagram) -> StageValidity:
+    """Check the raw-stage condition: business node types, plain/deletion
+    flows, no partners. Dangling endpoints are reported at every stage."""
+    found = _dangling(diagram)
+    found += _typed_elements(
+        diagram, model.BDFD_NODE_TYPES, model.RAW_FLOW_TYPES, "raw"
+    )
+    found += _no_partners(diagram)
+    return StageValidity(Stage.RAW, _sorted(found))
+
+
+def reference_validate_wellformed(diagram: Diagram) -> StageValidity:
+    """Check the well-formed condition: business node types, the six typed
+    flow kinds with matching endpoints, no inter-process loops, and the
+    connectivity rules (processes relay; entities and stores attach)."""
+    found = _dangling(diagram)
+    found += _typed_elements(
+        diagram, model.BDFD_NODE_TYPES, model.WELLFORMED_FLOW_TYPES, "well-formed"
+    )
+    found += _no_partners(diagram)
+    found += _endpoint_checks(diagram, model.WELLFORMED_FLOW_ENDPOINTS)
+    found += _comp_loops(diagram)
+    found += connectivity(diagram)
+    return StageValidity(Stage.WELLFORMED, _sorted(found))
+
+
+def reference_validate_pa(diagram: Diagram) -> StageValidity:
+    """Check the privacy-aware condition: the full node vocabulary, the
+    eighteen rewritten flow kinds with matching endpoints, and symmetric
+    partner links."""
+    found = _dangling(diagram)
+    found += _typed_elements(
+        diagram, model.PA_NODE_TYPES, model.PA_FLOW_TYPES, "privacy-aware"
+    )
+    found += _endpoint_checks(diagram, model.PA_FLOW_ENDPOINTS)
+    found += _partner_links(diagram)
+    return StageValidity(Stage.PA, _sorted(found))

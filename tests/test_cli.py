@@ -14,6 +14,8 @@ import pytest
 
 from padfd import (
     Diagram,
+    Flow,
+    FlowType,
     Node,
     NodeType,
     Stage,
@@ -32,7 +34,7 @@ from padfd import (
 )
 from padfd.cli import main
 
-from helpers import build_excerpt, build_excerpt_raw, build_payment_raw
+from helpers import build_diagram, build_excerpt, build_excerpt_raw, build_payment_raw
 from references import reference_report_json, to_canonical_dict
 
 DEMO_DATA = Path(__file__).resolve().parents[1] / "demos" / "data"
@@ -270,6 +272,46 @@ def test_transform_leaves_no_temp_files(fixtures_dir, tmp_path):
         ["transform", str(fixtures_dir / "estore.drawio.xml"), "-o", str(out)]
     ) == 0
     assert [p.name for p in tmp_path.iterdir()] == ["pa.json"]
+
+
+@pytest.fixture
+def umask_022():
+    previous = os.umask(0o022)
+    yield
+    os.umask(previous)
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["new", "over-existing"])
+@pytest.mark.parametrize("command", ["transform", "export"])
+def test_output_files_get_the_mode_the_umask_gives(
+    fixtures_dir, tmp_path, umask_022, command, existing
+):
+    outputs = [tmp_path / "out.json", tmp_path / "out.drawio"]
+    for out in outputs:
+        if existing:
+            out.write_bytes(b"old")
+            out.chmod(0o600)
+        argv = [command, str(fixtures_dir / "estore.drawio.xml"), "-o", str(out)]
+        if command == "export":
+            argv += ["--out-format", out.suffix.lstrip(".")]
+        assert main(argv) == 0
+        assert out.stat().st_mode & 0o777 == 0o644
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.drawio", "out.json"]
+
+
+@pytest.mark.parametrize("command", ["transform", "export"])
+def test_output_onto_a_directory_is_a_write_error_and_leaves_no_temp_file(
+    fixtures_dir, tmp_path, capsys, command
+):
+    target = tmp_path / "out"
+    target.mkdir()
+    argv = [command, str(fixtures_dir / "estore.drawio.xml"), "-o", str(target)]
+    if command == "export":
+        argv += ["--out-format", "json"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: [Errno 21] Is a directory: ")
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
+    assert list(target.iterdir()) == []
 
 
 # --- export --------------------------------------------------------------------
@@ -729,6 +771,18 @@ def test_check_refuses_a_hostile_json_diagram(tmp_path, capsys, kind):
         assert err.startswith("error: not valid JSON: ")
 
 
+@pytest.mark.parametrize("writer", [write_json, write_drawio], ids=["json", "drawio"])
+def test_check_reads_a_file_of_unknown_suffix_by_its_content(tmp_path, capsys, writer):
+    raw = build_diagram(
+        Stage.RAW, [Node("a", NodeType.EXT), Node("b", NodeType.EXT)], [Flow("ab", "a", "b", FlowType.PF)]
+    )
+    model = writer(tmp_path, "model.txt", raw)
+    assert main(["check", str(model)]) == 1
+    assert capsys.readouterr() == (
+        "error ab pf-no-rule: plain flow 'ab' runs ext -> ext; no flow kind reads that\n", ""
+    )
+
+
 def test_check_refuses_a_drawing_that_is_not_utf8(tmp_path, capsys):
     bad = tmp_path / "bad.drawio.xml"
     bad.write_bytes(b"<mxfile>\xff</mxfile>")
@@ -788,6 +842,50 @@ def test_console_script_is_wired(fixtures_dir, tmp_path, capsys):
     missing = ["check", str(tmp_path / "absent.json")]
     proc = run_launcher(module, attr, missing, cwd=tmp_path)
     assert proc.returncode == 2, proc.stderr
+
+
+def run_into_a_closed_pipe(argv, cwd, unbuffered):
+    """Run ``python -m padfd.cli`` with a stdout pipe whose reader is gone
+    before the command starts."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    package_root = Path(importlib.import_module("padfd").__file__).resolve().parent.parent
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(package_root), env.get("PYTHONPATH")]))
+    reader, writer = os.pipe()
+    os.close(reader)
+    try:
+        return subprocess.run(
+            [sys.executable, "-m", "padfd.cli", *argv],
+            stdout=writer, stderr=subprocess.PIPE, text=True, cwd=cwd, env=env, timeout=60,
+        )
+    finally:
+        os.close(writer)
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("command", ["check-json", "simulate-text", "simulate-json"])
+def test_a_closed_stdout_exits_1_quietly(fixtures_dir, tmp_path, command, unbuffered):
+    if command == "check-json":
+        pa = write_json(tmp_path, "pa.json", transform(typecheck(build_payment_raw())[0]))
+        argv = ["check", str(pa), "--report", "json"]
+    else:
+        argv = [
+            "simulate", str(write_json(tmp_path, "raw.json", build_payment_raw())),
+            "--static", str(fixtures_dir / "payment_static.csv"),
+            "--dynamic", str(fixtures_dir / "payment_dynamic.csv"),
+            "--clock", CLOCK, "--report", command.split("-")[1],
+        ]
+    proc = run_into_a_closed_pipe(argv, tmp_path, unbuffered)
+    assert (proc.returncode, proc.stderr) == (1, "")
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_an_unreadable_input_still_exits_2_with_a_closed_stdout(tmp_path, unbuffered):
+    proc = run_into_a_closed_pipe(["check", "absent.json"], tmp_path, unbuffered)
+    assert (proc.returncode, proc.stderr) == (
+        2, "error: [Errno 2] No such file or directory: 'absent.json'\n"
+    )
 
 
 @pytest.mark.skipif(

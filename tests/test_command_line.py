@@ -223,6 +223,8 @@ def command_lines(draw) -> list[str]:
 @example(["transform", "-oout.json", "in.json", "--out=json"])
 @example(["simulate", "--sta=s", "m", "--dyn", "d", "--clock=2020-06-01", "--clock", "2020-06-02"])
 @example(["export", "--in", "json", "-o=out", "--out-f", "dot", "--", "-in.json"])
+@example(["transform", "-ho", "out.json", "in.json"])
+@example(["check", "x", "-hh"])
 def test_command_lines_parse_as_argparse_parses_them(argv):
     expected = outcome(REFERENCE.parse_args, argv)
     assert outcome(_parse, argv) == expected

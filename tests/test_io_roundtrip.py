@@ -32,6 +32,7 @@ from padfd import (
     load_style_map,
     parse_drawio,
     parse_json,
+    replace,
     transform,
     typecheck,
 )
@@ -94,6 +95,28 @@ def test_parse_multipage_rejected(fixtures_dir):
 def test_parse_truncated_file(fixtures_dir):
     with pytest.raises(XmlSyntaxError):
         parse_drawio((fixtures_dir / "truncated.drawio.xml").read_bytes())
+
+
+@pytest.mark.parametrize(
+    "document, error, message",
+    [
+        ("<mxfile/>", XmlSyntaxError, "mxfile contains no diagram page"),
+        ("<mxfile><diagram> </diagram></mxfile>", XmlSyntaxError, "diagram page contains no mxGraphModel"),
+        ("<svg/>", XmlSyntaxError, "unexpected root element 'svg'"),
+        ("<mxGraphModel/>", XmlSyntaxError, "mxGraphModel has no root element"),
+        (
+            '<mxGraphModel><root><mxCell id="a" style="ellipse;" vertex="1"/>'
+            '<mxCell edge="1" source="a" target="a"/></root></mxGraphModel>',
+            ParseError,
+            "edge cell without an id",
+        ),
+    ],
+    ids=["no-page", "no-model", "unexpected-root", "no-root", "edge-without-id"],
+)
+def test_parse_names_what_the_document_lacks(document, error, message):
+    with pytest.raises(error) as exc:
+        parse_drawio(document)
+    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize(
@@ -258,6 +281,7 @@ def test_emit_requires_typed_elements():
         (Node("a", NodeType.EXT, extra={"{http://www.w3.org/2000/xmlns/}p": "x"}), "is not an XML"),
         (Flow("f", "a", "a", FlowType.PF, label=""), "flow 'f': an empty label"),
         (Flow("f", "a", "a", FlowType.PF, extra={"source": "b"}), "flow 'f': extra key 'source'"),
+        (Flow("f", "a", "a"), "^flow 'f' is untyped; cannot emit$"),
     ],
 )
 def test_emit_refuses_what_would_not_read_back(element, match):
@@ -317,6 +341,18 @@ def test_emit_structural_ids_avoid_collisions():
     )
     back = parse_drawio(emit_drawio(d))
     assert back == d
+
+
+def test_emit_structural_ids_step_past_taken_fallbacks():
+    d = build_diagram(
+        Stage.RAW,
+        [Node("0", NodeType.EXT), Node("bg-0-0", NodeType.PROC), Node("1", NodeType.DB)],
+        [Flow("f", "0", "bg-0-0", FlowType.PF)],
+    )
+    data = emit_drawio(d)
+    assert b'<mxCell id="bg-0-1" />' in data
+    assert b'<mxCell id="bg-1-0" parent="bg-0-1" />' in data
+    assert parse_drawio(data) == d
 
 
 def test_emit_generated_node_styles_distinct():
@@ -422,6 +458,25 @@ def test_load_style_map_merges_emit_styles(tmp_path):
         NodeType.PROC
     )
     assert styles.node_rules == DEFAULT_STYLE_MAP.node_rules
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ('{"node_rules": [["x"]]}', "style config: bad rule ['x'] in node_rules"),
+        ('{"node_styles": []}', "style config: node_styles must map type names to styles"),
+        ('{"node_styles": {"ext": 1}}', "style config: style for 'ext' must be a string"),
+        ('{"node_styles": {"bogus": "x"}}', "style config: unknown type 'bogus' in node_styles"),
+        ("[]", "style config {path}: top level must be an object"),
+    ],
+    ids=["bad-rule", "styles-not-object", "style-not-string", "unknown-type", "top-level"],
+)
+def test_load_style_map_names_what_is_wrong(tmp_path, config, message):
+    path = tmp_path / "bad.json"
+    path.write_text(config, encoding="utf-8")
+    with pytest.raises(SchemaError) as exc:
+        load_style_map(path)
+    assert str(exc.value) == message.format(path=path)
 
 
 @pytest.mark.parametrize(
@@ -564,6 +619,7 @@ _MALFORMED = [
     (lambda doc: doc["flows"][0].update(target=None), "flow 'f': source and target are required"),
     (lambda doc: doc["flows"][0].update(type="ext"), "flow 'f': unknown type 'ext'"),
     (lambda doc: doc["flows"][0].update(extra=[]), "flow 'f': extra must be an object"),
+    (lambda doc: doc["flows"][0].update(target=1), "^flow 'f': target must be a string$"),
 ]
 
 
@@ -782,6 +838,45 @@ def test_layout_refuses_spots_a_grid_step_cannot_leave(fixtures_dir):
     wellformed, _ = typecheck(raw, tolerate_connectivity=True)
     with pytest.raises(SchemaError, match=r"no free spot below \(80, 1e\+19\)"):
         layout_generated(transform(wellformed, check=False))
+
+
+def _without_gadget_parts(pa, drop_flow_type=None, unpartner_type=None):
+    nodes = {
+        node_id: replace(node, partner=None) if node.node_type is unpartner_type else node
+        for node_id, node in pa.nodes.items()
+    }
+    flows = {k: f for k, f in pa.flows.items() if f.flow_type is not drop_flow_type}
+    return Diagram(pa.stage, nodes, flows)
+
+
+def test_layout_places_gadget_parts_without_anchors_from_the_origin():
+    d = build_diagram(
+        Stage.WELLFORMED,
+        [
+            Node("src", NodeType.EXT, position=(0.0, 0.0)),
+            Node("tgt", NodeType.PROC, position=(200.0, 0.0)),
+        ],
+        [Flow("f", "src", "tgt", FlowType.IN)],
+    )
+    pa = transform(d, check=False)
+    kinds = {node.node_type: node_id for node_id, node in pa.nodes.items()}
+    limit, request = kinds[NodeType.LIMIT], kinds[NodeType.REQUEST]
+    log, log_db = kinds[NodeType.LOG], kinds[NodeType.LOG_DB]
+
+    # A limit without its data-in flow guards no hop: it goes to the origin
+    # (taken, so one step below), and its request one step above it.
+    placed = layout_generated(_without_gadget_parts(pa, drop_flow_type=FlowType.EXTLIM))
+    spots = {node_id: placed.nodes[node_id].position for node_id in (limit, request, log, log_db)}
+    assert spots == {
+        limit: (0.0, 80.0), request: (0.0, 160.0), log: (0.0, 240.0), log_db: (0.0, 320.0)
+    }
+
+    # A request whose limit it cannot name has no anchor: the origin again.
+    placed = layout_generated(_without_gadget_parts(pa, unpartner_type=NodeType.REQUEST))
+    spots = {node_id: placed.nodes[node_id].position for node_id in (limit, request, log, log_db)}
+    assert spots == {
+        limit: (100.0, 0.0), request: (0.0, 80.0), log: (100.0, 80.0), log_db: (100.0, 160.0)
+    }
 
 
 def test_layout_is_deterministic():

@@ -693,6 +693,10 @@ def test_json_tables_report_the_first_problem_of_a_row(tmp_path):
         ({}, "dynamic row 0: D_id and F_id must not be empty"),
         ({"D_id": "d1"}, "dynamic row 0: Dsub must be a string, found 3"),
         ({"D_id": "d1", "Dsub": "S"}, "dynamic row 0: consent must list at least one purpose"),
+        (
+            {"D_id": "d1", "Dsub": "S", "Consent": 7},
+            "dynamic row 0: consent must be a ';'-separated string or list",
+        ),
         ({"D_id": "d1", "Dsub": "S", "Consent": ["a"]}, "dynamic row 0: Expiry must be a string, found 5"),
         (
             {"D_id": "d1", "Dsub": "S", "Consent": ["a"], "Expiry": "2020-01-01"},

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
 from padfd import (
     Diagram,
     Flow,
@@ -14,7 +17,13 @@ from padfd import (
     validate_wellformed,
 )
 
+from diagram_strategies import any_stage_diagrams, raw_diagrams, wellformed_diagrams
 from helpers import build_all_kinds, build_diagram, build_estore_raw
+from references import (
+    reference_validate_pa,
+    reference_validate_raw,
+    reference_validate_wellformed,
+)
 
 
 def _clauses(validity) -> list[tuple[str | None, str]]:
@@ -162,3 +171,51 @@ def test_violation_render_format():
     d = build_diagram(Stage.WELLFORMED, [Node("aa", NodeType.EXT)], [])
     line = validate_wellformed(d).violations[0].render()
     assert line.startswith("error aa ext-connected: ")
+
+
+@st.composite
+def _damaged_diagrams(draw) -> Diagram:
+    """Diagrams of every stage, some broken at random: nodes dropped from
+    under their flows, types cleared, partners pointed anywhere, flows
+    looped onto their source, and flows given the ids of nodes."""
+    diagram = draw(any_stage_diagrams() | raw_diagrams() | wellformed_diagrams())
+    if draw(st.booleans()):
+        return diagram
+    ids = sorted({*diagram.nodes, *diagram.flows, "ghost"})
+    actions = st.sampled_from(("keep", "keep", "untype", "partner", "loop-or-drop", "share-id"))
+    nodes = {}
+    for node in diagram.nodes.values():
+        action = draw(actions)
+        if action == "loop-or-drop":
+            continue
+        if action == "untype":
+            node = replace(node, node_type=None)
+        elif action == "partner":
+            node = replace(node, partner=draw(st.sampled_from(ids)))
+        nodes[node.id] = node
+    flows = {}
+    for flow in diagram.flows.values():
+        action = draw(actions)
+        if action == "untype":
+            flow = replace(flow, flow_type=None)
+        elif action == "partner":
+            flow = replace(flow, partner=draw(st.sampled_from(ids)))
+        elif action == "loop-or-drop":
+            flow = replace(flow, target=flow.source)
+        elif action == "share-id" and diagram.nodes:
+            node_id = draw(st.sampled_from(sorted(diagram.nodes)))
+            if node_id not in flows and node_id not in diagram.flows:
+                flow = replace(flow, id=node_id)
+        flows[flow.id] = flow
+    return Diagram(diagram.stage, nodes, flows)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_damaged_diagrams())
+def test_each_validator_is_its_reference(diagram):
+    for ours, reference in (
+        (validate_raw, reference_validate_raw),
+        (validate_wellformed, reference_validate_wellformed),
+        (validate_pa, reference_validate_pa),
+    ):
+        assert ours(diagram) == reference(diagram)
