@@ -8,9 +8,11 @@
 Exit codes: 0 clean (and --help), 1 semantic problems (ill-formed
 diagram, policy violation with --fail-on-violation, unknown flow ids),
 2 unreadable input (XML/JSON syntax, unknown styles, missing files) or a
-usage error; a closed stdout exits 1 quietly. Output files are written
-atomically (temp file, then rename) with the mode the umask gives. The
-PADFD_STYLES environment variable supplies a default --styles file.
+usage error. A command's output into a closed stdout exits 1 quietly; a
+closed stream changes no other code. Output files are written atomically
+(temp file, then rename) with the mode the umask gives, and a write error
+names the output, not the temp file. The PADFD_STYLES environment
+variable supplies a default --styles file.
 
 `run` is the process entry (the ``padfd`` console script and
 ``python -m padfd.cli``); `main` is the same command line as a function
@@ -23,6 +25,7 @@ import gc
 import os
 import re
 import sys
+from contextlib import suppress
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -43,6 +46,13 @@ if TYPE_CHECKING:
     from .validate import Violation
 
 
+def _write(stream, text: str) -> None:
+    """Write a message. A stream that is missing (None) or closed drops
+    it, so no message changes the exit code."""
+    with suppress(AttributeError, OSError):
+        stream.write(text)
+
+
 def _style_map(args) -> StyleMap | None:
     """The map named by --styles or PADFD_STYLES, read on every command so
     a bad one always fails alike; None stands for the draw.io default."""
@@ -54,19 +64,18 @@ def _style_map(args) -> StyleMap | None:
     return load_style_map(path)
 
 
-def _sniff_format(path: Path, data: bytes) -> str:
-    if path.suffix.lower() == ".json":
-        return "json"
-    if path.suffix.lower() in (".xml", ".drawio"):
-        return "drawio"
-    head = data.lstrip()[:1]
-    return "json" if head == b"{" else "drawio"
+# Diagram formats by file suffix, in any case. A file read whose suffix
+# names no format padfd reads is told by its first byte; a file written
+# under a suffix the table lacks is draw.io.
+_SUFFIX_FORMATS = {".json": "json", ".xml": "drawio", ".drawio": "drawio", ".dot": "dot", ".gv": "dot"}
 
 
 def _read_diagram(path_text: str, fmt: str | None, styles: StyleMap | None) -> Diagram:
     path = Path(path_text)
     data = path.read_bytes()
-    fmt = fmt or _sniff_format(path, data)
+    fmt = fmt or _SUFFIX_FORMATS.get(path.suffix.lower())
+    if fmt not in ("json", "drawio"):
+        fmt = "json" if data.lstrip()[:1] == b"{" else "drawio"
     if fmt == "json":
         from .canonical import parse_json
 
@@ -79,14 +88,17 @@ def _read_diagram(path_text: str, fmt: str | None, styles: StyleMap | None) -> D
 def _write_atomic(path_text: str, data: bytes) -> None:
     head, name = os.path.split(path_text)
     temp = os.path.join(head, f".{name}.{os.getpid()}.{os.urandom(4).hex()}")
-    fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with open(fd, "wb") as handle:
-            handle.write(data)
-        os.replace(temp, path_text)
-    except BaseException:
-        os.unlink(temp)
-        raise
+        fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with open(fd, "wb") as handle:
+                handle.write(data)
+            os.replace(temp, path_text)
+        except BaseException:
+            os.unlink(temp)
+            raise
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path_text) from None
 
 
 def _emit(diagram: Diagram, fmt: str, styles: StyleMap | None) -> bytes:
@@ -103,15 +115,6 @@ def _emit(diagram: Diagram, fmt: str, styles: StyleMap | None) -> bytes:
 
     # draw.io files should open fully placed; fill in missing positions.
     return emit_drawio(layout_generated(diagram), styles)
-
-
-def _sniff_out_format(path_text: str) -> str:
-    suffix = Path(path_text).suffix.lower()
-    if suffix == ".json":
-        return "json"
-    if suffix in (".dot", ".gv"):
-        return "dot"
-    return "drawio"
 
 
 def _gate(
@@ -145,7 +148,7 @@ def _rewrite(diagram: Diagram, allow_ill_formed: bool, shared_log_store: bool) -
     findings, wellformed = _gate(diagram, allow_ill_formed)
     if wellformed is None:
         for finding in findings:
-            print(finding.render(), file=sys.stderr)
+            _write(sys.stderr, finding.render() + "\n")
         return None
     from .transform import transform
 
@@ -189,12 +192,12 @@ def cmd_transform(args) -> int:
     styles = _style_map(args)
     diagram = _read_diagram(args.input, args.in_format, styles)
     if diagram.stage is Stage.PA:
-        print("error: input is already privacy-aware", file=sys.stderr)
+        _write(sys.stderr, "error: input is already privacy-aware\n")
         return 1
     result = _rewrite(diagram, args.allow_ill_formed, args.shared_log_store)
     if result is None:
         return 1
-    out_format = args.out_format or _sniff_out_format(args.output)
+    out_format = args.out_format or _SUFFIX_FORMATS.get(Path(args.output).suffix.lower(), "drawio")
     _write_atomic(args.output, _emit(result, out_format, styles))
     return 0
 
@@ -359,11 +362,12 @@ COMMANDS = {
 
 def _exit(command: str | None, error: str | None = None):
     """Print the help of `command` (of padfd for None) and exit 0, or the
-    command's usage line and `error` and exit 2. The text is written by
+    command's usage line and `error` and exit 2. The text comes from
     `padfd.usage`, which a command line that parses never loads."""
-    from .usage import print_and_exit
+    from .usage import message
 
-    print_and_exit(COMMANDS, _HELP, command, error)
+    _write(sys.stdout if error is None else sys.stderr, message(COMMANDS, _HELP, command, error))
+    raise SystemExit(0 if error is None else 2)
 
 
 def _spelling(command: str | None, spellings: dict, arg: str):
@@ -511,10 +515,10 @@ def main(argv=None) -> int:
     except BrokenPipeError:  # a closed stdout, which `run` ends quietly
         raise
     except (ParseError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _write(sys.stderr, f"error: {exc}\n")
         return 2
     except PadfdError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _write(sys.stderr, f"error: {exc}\n")
         return 1
 
 
@@ -528,16 +532,21 @@ def run() -> int:
     on the way out, which leaves the full collection CPython makes at
     shutdown, disabled collector or not, nothing to scan.
 
-    A closed stdout exits 1 quietly, as the Python documentation's SIGPIPE
-    note advises: stdout is pointed at the null device, so the flush at
-    shutdown cannot fail again."""
+    As the Python documentation's SIGPIPE note advises, a stream that
+    cannot be flushed is pointed at the null device, so the flush at
+    shutdown cannot fail again and change the exit code."""
     gc.disable()
     try:
         return main()
     except BrokenPipeError:
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
     finally:
+        for stream in (sys.stdout, sys.stderr):
+            try:
+                if stream is not None:  # None when the process started without it
+                    stream.flush()
+            except OSError:
+                os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
         gc.freeze()
 
 

@@ -16,15 +16,11 @@ class PadfdError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class GraphError(PadfdError):
-    """Violation of a structural graph invariant."""
-
-
-class DuplicateIdError(GraphError):
+class DuplicateIdError(PadfdError):
     pass
 
 
-class UnknownEndpointError(GraphError):
+class UnknownEndpointError(PadfdError):
     pass
 
 

@@ -1,8 +1,8 @@
 """Type vocabulary shared by every diagram stage.
 
 Node and flow types are string-valued enums so they serialize directly into
-the JSON and draw.io interchange formats. The family sets and endpoint
-tables below drive the stage validators, the flow typer, and the
+the JSON and draw.io interchange formats. The endpoint tables and stage
+sets below drive the stage validators, the flow typer, and the
 gadget-insertion pass.
 """
 
@@ -71,61 +71,6 @@ class FlowType(str, Enum):
     CLEDB_DEL = "cledb_del"
 
 
-# Node families. LIMIT sits in both the data and policy planes: it carries
-# data onward and is steered by the policy gadget.
-BDFD_NODE_TYPES = frozenset({NodeType.EXT, NodeType.PROC, NodeType.DB})
-DATA_NODE_TYPES = BDFD_NODE_TYPES | {NodeType.LIMIT}
-POLICY_NODE_TYPES = frozenset(
-    {NodeType.LIMIT, NodeType.REQUEST, NodeType.REASON, NodeType.POLICY_DB}
-)
-ADMIN_NODE_TYPES = frozenset({NodeType.LOG, NodeType.LOG_DB, NodeType.CLEAN})
-PA_NODE_TYPES = DATA_NODE_TYPES | POLICY_NODE_TYPES | ADMIN_NODE_TYPES
-
-# Flow families. These five sets partition FlowType.
-RAW_FLOW_TYPES = frozenset({FlowType.PF, FlowType.DF})
-WELLFORMED_FLOW_TYPES = frozenset(
-    {
-        FlowType.IN,
-        FlowType.OUT,
-        FlowType.COMP,
-        FlowType.STORE,
-        FlowType.READ,
-        FlowType.DELETE,
-    }
-)
-PA_DATA_FLOW_TYPES = frozenset(
-    {
-        FlowType.PROLIM,
-        FlowType.EXTLIM,
-        FlowType.DBLIM,
-        FlowType.LIMPRO,
-        FlowType.LIMEXT,
-        FlowType.LIMDB,
-        FlowType.LIMDB_DEL,
-    }
-)
-PA_POLICY_FLOW_TYPES = frozenset(
-    {
-        FlowType.REQLIM,
-        FlowType.REQREA,
-        FlowType.REQPDB,
-        FlowType.REAREQ,
-        FlowType.EXTREQ,
-        FlowType.REQEXT,
-        FlowType.PDBREQ,
-    }
-)
-PA_ADMIN_FLOW_TYPES = frozenset(
-    {FlowType.LIMLOG, FlowType.LOGGING, FlowType.PDBCLE, FlowType.CLEDB_DEL}
-)
-PA_FLOW_TYPES = PA_DATA_FLOW_TYPES | PA_POLICY_FLOW_TYPES | PA_ADMIN_FLOW_TYPES
-
-# The guarded descendants of an original data flow after rewriting.
-GUARDED_FLOW_TYPES = frozenset(
-    {FlowType.LIMPRO, FlowType.LIMEXT, FlowType.LIMDB, FlowType.LIMDB_DEL}
-)
-
-
 # Endpoint compatibility for typed flows. Each privacy-aware flow type
 # names its endpoints: the first syllable is the source kind, the second
 # the target kind (limdb_del / cledb_del are the deletion variants).
@@ -158,3 +103,23 @@ PA_FLOW_ENDPOINTS: dict[FlowType, tuple[NodeType, NodeType]] = {
     FlowType.PDBCLE: (NodeType.POLICY_DB, NodeType.CLEAN),
     FlowType.CLEDB_DEL: (NodeType.CLEAN, NodeType.DB),
 }
+
+
+# Stage vocabularies. Each typed stage admits exactly the flow kinds its
+# endpoint table names, so RAW, WELLFORMED and PA flow types partition
+# FlowType; a privacy-aware diagram may hold every node kind.
+BDFD_NODE_TYPES = frozenset({NodeType.EXT, NodeType.PROC, NodeType.DB})
+PA_NODE_TYPES = frozenset(NodeType)
+RAW_FLOW_TYPES = frozenset({FlowType.PF, FlowType.DF})
+WELLFORMED_FLOW_TYPES = frozenset(WELLFORMED_FLOW_ENDPOINTS)
+PA_FLOW_TYPES = frozenset(PA_FLOW_ENDPOINTS)
+
+# The privacy-aware flows of the policy plane pass consent evidence through
+# a request node; those of the administrative plane feed a log or a
+# cleaning process. draw.io decorates each plane's edges its own way.
+PA_POLICY_FLOW_TYPES = frozenset(
+    kind for kind, ends in PA_FLOW_ENDPOINTS.items() if NodeType.REQUEST in ends
+)
+PA_ADMIN_FLOW_TYPES = frozenset(
+    kind for kind, ends in PA_FLOW_ENDPOINTS.items() if {NodeType.LOG, NodeType.CLEAN} & set(ends)
+)

@@ -392,24 +392,17 @@ def _text(value, key: str, where: str) -> str:
     return value.strip()
 
 
-def _text_field(row: dict, key: str, where: str) -> str:
-    return _text(row[key], key, where)
-
-
-def _make_meta(row: dict, where: str) -> FlowMeta:
-    flow_id = _text_field(row, "F_id", where)
+def _make_meta(where, flow_id, label, purpose, pd, data_type) -> FlowMeta:
+    """A policy row from its fields, in STATIC_COLUMNS order."""
+    flow_id = _text(flow_id, "F_id", where)
     if not flow_id:
         raise SimulationError(f"{where}: F_id must not be empty")
-    pd = _parse_bool(row["PD"], where)
-    purpose = _text_field(row, "Purpose", where)
+    pd = _parse_bool(pd, where)
+    purpose = _text(purpose, "Purpose", where)
     if pd and not purpose:
         raise SimulationError(f"{where}: personal-data flows need a purpose")
     return FlowMeta(
-        flow_id=flow_id,
-        label=_text_field(row, "Label", where),
-        purpose=purpose,
-        pd=pd,
-        data_type=_text_field(row, "Data_type", where),
+        flow_id, _text(label, "Label", where), purpose, pd, _text(data_type, "Data_type", where)
     )
 
 
@@ -441,8 +434,8 @@ class _RecordMaker:
 
 
 def _rows_from_csv(text: str, columns: tuple[str, ...], what: str):
-    """(row number, the row's `columns`) for every row after the header,
-    read as csv.DictReader reads them: blank lines are skipped and not
+    """(where, the row's `columns`) for every row after the header, read
+    as csv.DictReader reads them: blank lines are skipped and not
     numbered, a short row reads "" for its missing fields, extra fields
     are ignored, and a repeated header name takes its last column."""
     reader = csv.reader(io.StringIO(text))
@@ -460,10 +453,11 @@ def _rows_from_csv(text: str, columns: tuple[str, ...], what: str):
     for number, row in enumerate(filter(None, reader), start=2):
         if len(row) < width:
             row += [""] * (width - len(row))
-        yield number, pick(row)
+        yield f"{what} row {number}", pick(row)
 
 
 def _rows_from_json(text: str, columns: tuple[str, ...], what: str, path: Path):
+    """(where, the row's `columns`) for every object of a JSON list."""
     source = f"{what} table {path}"
     doc = decode_json(text, source)
     if not isinstance(doc, list):
@@ -471,6 +465,7 @@ def _rows_from_json(text: str, columns: tuple[str, ...], what: str, path: Path):
     # read_utf8 decodes strictly, so only a \udXXX escape can put a lone
     # surrogate, which no output can carry, into a field.
     escaped = "\\ud" in text or "\\uD" in text
+    pick = itemgetter(*columns)
     for index, row in enumerate(doc):
         where = f"{what} row {index}"
         if not isinstance(row, dict):
@@ -478,43 +473,34 @@ def _rows_from_json(text: str, columns: tuple[str, ...], what: str, path: Path):
         missing = [c for c in columns if c not in row]
         if missing:
             raise SchemaError(f"{where}: missing keys {missing}")
+        fields = pick(row)
         if escaped:
-            for key in columns:
-                value = row[key]
+            for key, value in zip(columns, fields):
                 for held in value if isinstance(value, list) else (value,):
                     if isinstance(held, str) and re.search(SURROGATE, held):
                         raise SchemaError(f"{where}: {key} {held!r} holds a lone surrogate")
-        yield where, row
+        yield where, fields
+
+
+def _read_table(path: str | Path, columns: tuple[str, ...], what: str):
+    """(where, the row's `columns`) for every row of the `what` table, a
+    .json file or else CSV."""
+    path = Path(path)
+    text = read_utf8(path, f"{what} table")
+    if path.suffix.lower() == ".json":
+        return _rows_from_json(text, columns, what, path)
+    return _rows_from_csv(text, columns, what)
 
 
 def load_flow_metas(path: str | Path) -> list[FlowMeta]:
     """Read the static policy table from a .csv or .json file."""
-    path = Path(path)
-    text = read_utf8(path, "static table")
-    if path.suffix.lower() == ".json":
-        rows = _rows_from_json(text, STATIC_COLUMNS, "static", path)
-    else:
-        rows = (
-            (f"static row {number}", dict(zip(STATIC_COLUMNS, values)))
-            for number, values in _rows_from_csv(text, STATIC_COLUMNS, "static")
-        )
-    return [_make_meta(row, where) for where, row in rows]
+    return [_make_meta(where, *fields) for where, fields in _read_table(path, STATIC_COLUMNS, "static")]
 
 
 def load_data_records(path: str | Path) -> list[DataRecord]:
     """Read the dynamic record table from a .csv or .json file."""
-    path = Path(path)
-    text = read_utf8(path, "dynamic table")
     make = _RecordMaker()
-    if path.suffix.lower() == ".json":
-        return [
-            make(where, *[row[key] for key in DYNAMIC_COLUMNS])
-            for where, row in _rows_from_json(text, DYNAMIC_COLUMNS, "dynamic", path)
-        ]
-    return [
-        make(f"dynamic row {number}", *fields)
-        for number, fields in _rows_from_csv(text, DYNAMIC_COLUMNS, "dynamic")
-    ]
+    return [make(where, *fields) for where, fields in _read_table(path, DYNAMIC_COLUMNS, "dynamic")]
 
 
 def load_equivalences(path: str | Path) -> list[tuple[str, str]]:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
+from . import model
 from .errors import SchemaError, decode_json, read_utf8
 from .graph import Record
 from .model import FlowType, NodeType
@@ -88,7 +89,7 @@ def _default_node_styles() -> dict[NodeType, str]:
     # Business shapes stay vanilla; privacy additions carry their marker.
     styles = {}
     for node_type, base in _NODE_BASE_STYLES.items():
-        if node_type in (NodeType.EXT, NodeType.PROC, NodeType.DB):
+        if node_type in model.BDFD_NODE_TYPES:
             styles[node_type] = base
         else:
             styles[node_type] = base + _marker(node_type.value)
@@ -96,8 +97,6 @@ def _default_node_styles() -> dict[NodeType, str]:
 
 
 def _default_edge_styles() -> dict[FlowType, str]:
-    from . import model
-
     styles = {FlowType.PF: _EDGE_BASE, FlowType.DF: _EDGE_BASE + "dashed=1;"}
     for flow_type in FlowType:
         if flow_type in styles:
@@ -132,9 +131,7 @@ def _default_node_rules() -> tuple[tuple[str, NodeType], ...]:
 
 def _default_edge_rules() -> tuple[tuple[str, FlowType], ...]:
     rules: list[tuple[str, FlowType]] = [
-        (_marker(t.value), t)
-        for t in FlowType
-        if t not in (FlowType.PF, FlowType.DF)
+        (_marker(t.value), t) for t in FlowType if t not in model.RAW_FLOW_TYPES
     ]
     rules.append(("dashed=1", FlowType.DF))
     return tuple(rules)

@@ -17,7 +17,6 @@ layout.
 
 from __future__ import annotations
 
-from . import model
 from .errors import StageError, TransformError, WellFormednessError, WrongFlowTypeError
 from .graph import Diagram, Flow, FlowId, Node, NodeId, Record, replace
 from .model import FlowType, NodeType, Stage
@@ -236,6 +235,8 @@ class Gadget(Record):
 
 
 _DATA_IN_TYPES = frozenset(_DATA_IN.values())
+# The guarded descendants of an original data flow after rewriting.
+_GUARDED_FLOW_TYPES = frozenset(_RETYPE.values())
 
 
 def gadget_index(diagram: Diagram) -> dict[FlowId, Gadget]:
@@ -249,7 +250,7 @@ def gadget_index(diagram: Diagram) -> dict[FlowId, Gadget]:
     log_of: dict[NodeId, NodeId] = {}
     log_db_of: dict[NodeId, NodeId] = {}
     guarded = []
-    limlog, logging, guarded_types = FlowType.LIMLOG, FlowType.LOGGING, model.GUARDED_FLOW_TYPES
+    limlog, logging, guarded_types = FlowType.LIMLOG, FlowType.LOGGING, _GUARDED_FLOW_TYPES
     for flow in diagram.flows.values():
         kind = flow.flow_type
         if kind in _DATA_IN_TYPES:

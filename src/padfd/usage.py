@@ -1,14 +1,13 @@
 """Help and usage errors of the command line.
 
 `padfd.cli` reads argv through its table of commands, `COMMANDS`, and
-imports this module only to print help or a usage error, so a command
-line that parses loads none of it. The table comes in as an argument: a
-process run as ``python -m padfd.cli`` holds it in ``__main__``.
+imports this module only for the text of help or a usage error, so a
+command line that parses loads none of it. The table comes in as an
+argument: a process run as ``python -m padfd.cli`` holds it in
+``__main__``.
 """
 
 from __future__ import annotations
-
-import sys
 
 DESCRIPTION = "Validate, rewrite, and simulate privacy-aware data flow diagrams."
 
@@ -58,18 +57,9 @@ def _help(commands: dict, help_option, command: str | None) -> str:
     return "\n".join([_usage(commands, help_option, command), *lines]) + "\n"
 
 
-def print_and_exit(commands: dict, help_option, command: str | None, error: str | None):
-    """Help on stdout and SystemExit(0), or, given an `error`, the usage
-    line and ``padfd: error: ...`` on stderr and SystemExit(2). A closed or
-    missing stream is ignored, as argparse ignored it, so the exit code
-    stays."""
+def message(commands: dict, help_option, command: str | None, error: str | None) -> str:
+    """The help of `command` (of padfd for None) or, given an `error`, the
+    command's usage line and ``padfd: error: ...``."""
     if error is None:
-        stream, text, code = sys.stdout, _help(commands, help_option, command), 0
-    else:
-        stream, code = sys.stderr, 2
-        text = f"{_usage(commands, help_option, command)}\npadfd: error: {error}\n"
-    try:
-        stream.write(text)
-    except (AttributeError, OSError):
-        pass
-    raise SystemExit(code)
+        return _help(commands, help_option, command)
+    return f"{_usage(commands, help_option, command)}\npadfd: error: {error}\n"

@@ -58,7 +58,7 @@ _ID_ALPHABET = "abcdefghijklmnopqrstuvwxyz0123456789-_"
 identifiers = st.text(_ID_ALPHABET, min_size=1, max_size=8)
 
 
-def _typed_flow(flow_id, source, source_type, target, target_type, label, deletes):
+def _typed_flow(draw, flow_id, source, source_type, target, target_type, label):
     if source_type is NodeType.EXT:
         flow_type = FlowType.IN
     elif source_type is NodeType.DB:
@@ -66,7 +66,7 @@ def _typed_flow(flow_id, source, source_type, target, target_type, label, delete
     elif target_type is NodeType.EXT:
         flow_type = FlowType.OUT
     elif target_type is NodeType.DB:
-        flow_type = FlowType.DELETE if deletes else FlowType.STORE
+        flow_type = FlowType.DELETE if draw(st.booleans()) else FlowType.STORE
     else:
         flow_type = FlowType.COMP
     return Flow(flow_id, source, target, flow_type, label=label)
@@ -75,75 +75,57 @@ def _typed_flow(flow_id, source, source_type, target, target_type, label, delete
 @st.composite
 def wellformed_diagrams(draw) -> Diagram:
     """Well-formed business diagrams built constructively: every process
-    relays, every entity and store touches a flow, types match endpoints."""
+    relays, every entity and store touches a flow, types match endpoints.
+    The wiring is drawn first, so only the ids it uses are drawn."""
     procs = draw(st.integers(min_value=1, max_value=4))
     exts = draw(st.integers(min_value=0, max_value=3))
     dbs = draw(st.integers(min_value=0, max_value=3))
     if procs == 1 and exts == 0 and dbs == 0:
         exts = 1
 
-    count = procs + exts + dbs
-    ids = draw(
-        st.lists(identifiers, unique=True, min_size=count + 40, max_size=count + 40)
-    )
-    node_ids, flow_pool = ids[:count], iter(ids[count:])
-    proc_ids = node_ids[:procs]
-    ext_ids = node_ids[procs : procs + exts]
-    db_ids = node_ids[procs + exts :]
-
-    diagram = Diagram(stage=Stage.WELLFORMED)
-    kinds: dict[str, NodeType] = {}
-    for node_id in ext_ids:
-        kinds[node_id] = NodeType.EXT
-    for node_id in proc_ids:
-        kinds[node_id] = NodeType.PROC
-    for node_id in db_ids:
-        kinds[node_id] = NodeType.DB
-    for node_id, node_type in kinds.items():
-        diagram = add_node(
-            diagram,
-            Node(node_id, node_type, label=draw(labels), position=draw(positions)),
-        )
-
-    def wire(source: str, target: str) -> None:
-        nonlocal diagram
-        diagram = add_flow(
-            diagram,
-            _typed_flow(
-                next(flow_pool),
-                source,
-                kinds[source],
-                target,
-                kinds[target],
-                draw(labels),
-                draw(st.booleans()),
-            ),
-        )
-
-    others = ext_ids + db_ids
+    # Nodes by index: entities, then processes, then stores.
+    kinds = [NodeType.EXT] * exts + [NodeType.PROC] * procs + [NodeType.DB] * dbs
+    proc_ids = range(exts, exts + procs)
+    others = [i for i, kind in enumerate(kinds) if kind is not NodeType.PROC]
+    wires: list[tuple[int, int]] = []  # (source, target) node indices
     for proc in proc_ids:
         pool = others + [p for p in proc_ids if p != proc]
-        wire(draw(st.sampled_from(pool)), proc)
-        wire(proc, draw(st.sampled_from(pool)))
+        wires.append((draw(st.sampled_from(pool)), proc))
+        wires.append((proc, draw(st.sampled_from(pool))))
 
-    connected = {f.source for f in diagram.flows.values()}
-    connected |= {f.target for f in diagram.flows.values()}
-    for node_id in others:
-        if node_id not in connected:
+    connected = {end for ends in wires for end in ends}
+    for node in others:
+        if node not in connected:
             proc = draw(st.sampled_from(proc_ids))
-            if draw(st.booleans()):
-                wire(node_id, proc)
-            else:
-                wire(proc, node_id)
+            wires.append((node, proc) if draw(st.booleans()) else (proc, node))
 
     for _ in range(draw(st.integers(min_value=0, max_value=4))):
         proc = draw(st.sampled_from(proc_ids))
         other = draw(st.sampled_from(others + [p for p in proc_ids if p != proc]))
-        if draw(st.booleans()):
-            wire(other, proc)
-        else:
-            wire(proc, other)
+        wires.append((other, proc) if draw(st.booleans()) else (proc, other))
 
+    count = len(kinds) + len(wires)
+    ids = draw(st.lists(identifiers, unique=True, min_size=count, max_size=count))
+    node_ids, flow_ids = ids[: len(kinds)], ids[len(kinds) :]
+    diagram = Diagram(stage=Stage.WELLFORMED)
+    for node_id, node_type in zip(node_ids, kinds):
+        diagram = add_node(
+            diagram,
+            Node(node_id, node_type, label=draw(labels), position=draw(positions)),
+        )
+    for flow_id, (source, target) in zip(flow_ids, wires):
+        diagram = add_flow(
+            diagram,
+            _typed_flow(
+                draw,
+                flow_id,
+                node_ids[source],
+                kinds[source],
+                node_ids[target],
+                kinds[target],
+                draw(labels),
+            ),
+        )
     return diagram
 
 
@@ -188,17 +170,14 @@ def raw_diagrams(draw) -> Diagram:
 
 @st.composite
 def _decorated(draw, diagram: Diagram) -> Diagram:
-    """Give a random subset of nodes positions and extra attributes."""
-    nodes = {}
-    for node_id, node in diagram.nodes.items():
-        nodes[node_id] = Node(
-            node.id,
-            node.node_type,
-            node.label,
-            node.partner,
-            node.position if node.position is not None else draw(positions),
-            draw(extras),
-        )
+    """Give a random subset of nodes positions and extra attributes. The
+    subset is drawn first, so shrinking drops whole decorations."""
+    nodes = dict(diagram.nodes)
+    chosen = draw(st.lists(st.sampled_from(list(nodes)), unique=True)) if nodes else []
+    for node_id in chosen:
+        node = nodes[node_id]
+        position = node.position if node.position is not None else draw(positions)
+        nodes[node_id] = Node(node.id, node.node_type, node.label, node.partner, position, draw(extras))
     return Diagram(stage=diagram.stage, nodes=nodes, flows=dict(diagram.flows))
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import errno
 import importlib
 import json
 import os
@@ -312,6 +313,30 @@ def test_output_onto_a_directory_is_a_write_error_and_leaves_no_temp_file(
     assert capsys.readouterr().err.startswith("error: [Errno 21] Is a directory: ")
     assert [p.name for p in tmp_path.iterdir()] == ["out"]
     assert list(target.iterdir()) == []
+
+
+@pytest.mark.parametrize("kind", ["missing-parent", "directory"])
+def test_a_write_error_names_the_output_not_its_temp_file(fixtures_dir, tmp_path, capsys, kind):
+    if kind == "directory":
+        out, code = tmp_path / "out", errno.EISDIR
+        out.mkdir()
+    else:
+        out, code = tmp_path / "absent" / "out.json", errno.ENOENT
+    assert main(["transform", str(fixtures_dir / "estore.drawio.xml"), "-o", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: [Errno {code}] {os.strerror(code)}: {str(out)!r}\n"
+    assert [p.name for p in tmp_path.rglob("*")] == (["out"] if kind == "directory" else [])
+
+
+@pytest.mark.parametrize(
+    "name, out_format",
+    [("pa.gv", "dot"), ("pa.dot", "dot"), ("pa.XML", "drawio"), ("pa.data", "drawio"), ("pa.JSON", "json")],
+)
+def test_transform_writes_the_format_its_output_suffix_names(fixtures_dir, tmp_path, name, out_format):
+    source = str(fixtures_dir / "estore.drawio.xml")
+    named, chosen = tmp_path / name, tmp_path / "chosen"
+    assert main(["transform", source, "-o", str(named)]) == 0
+    assert main(["transform", source, "-o", str(chosen), "--out-format", out_format]) == 0
+    assert named.read_bytes() == chosen.read_bytes()
 
 
 # --- export --------------------------------------------------------------------
@@ -781,6 +806,25 @@ def test_check_reads_a_file_of_unknown_suffix_by_its_content(tmp_path, capsys, w
     assert capsys.readouterr() == (
         "error ab pf-no-rule: plain flow 'ab' runs ext -> ext; no flow kind reads that\n", ""
     )
+
+
+@pytest.mark.parametrize("name", ["model.gv", "model.dot"])
+def test_check_reads_json_named_as_dot_by_its_content(tmp_path, capsys, name):
+    raw = build_diagram(
+        Stage.RAW, [Node("a", NodeType.EXT), Node("b", NodeType.EXT)], [Flow("ab", "a", "b", FlowType.PF)]
+    )
+    assert main(["check", str(write_json(tmp_path, name, raw))]) == 1
+    assert capsys.readouterr() == (
+        "error ab pf-no-rule: plain flow 'ab' runs ext -> ext; no flow kind reads that\n", ""
+    )
+
+
+def test_check_reads_a_json_suffix_in_any_case_as_json(tmp_path, capsys):
+    # A list does not start as JSON objects do, so only the suffix says JSON.
+    listed = tmp_path / "model.JSON"
+    listed.write_bytes(b"[]")
+    assert main(["check", str(listed)]) == 2
+    assert capsys.readouterr().err == "error: top level must be an object\n"
 
 
 def test_check_refuses_a_drawing_that_is_not_utf8(tmp_path, capsys):

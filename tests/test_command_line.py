@@ -249,14 +249,64 @@ def test_a_double_dash_written_into_an_option_is_its_value():
     assert _parse(["transform", "in.json", "--output=--"]).output == "--"
 
 
-@pytest.mark.parametrize("argv, code", [(["--help"], 0), (["transform", "-h"], 0), (["check"], 2)])
-def test_help_and_usage_errors_keep_their_exit_code_when_the_reader_is_gone(tmp_path, argv, code):
-    env = dict(os.environ, PYTHONUNBUFFERED="1")  # each write reaches the closed pipe at once
+def run_cli(argv, cwd, unbuffered, **streams):
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"  # each write reaches the stream at once
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE_ROOT), env.get("PYTHONPATH")]))
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "padfd.cli", *argv],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, cwd=tmp_path, env=env,
+    return subprocess.run(
+        [sys.executable, "-m", "padfd.cli", *argv], cwd=cwd, env=env, timeout=60, **streams
     )
-    proc.stdout.close()
-    proc.stderr.close()
-    assert proc.wait(timeout=60) == code
+
+
+# Help goes to stdout; a usage error, an unreadable input and the findings
+# on an ill-formed diagram print to stderr.
+HELP_AND_ERRORS = [
+    (["--help"], 0),
+    (["transform", "-h"], 0),
+    (["check"], 2),
+    (["check", "absent.json"], 2),
+    (["transform", "absent.json", "-o", "out.json"], 2),
+    (["transform", "ill-formed.json", "-o", "out.json"], 1),
+]
+
+
+def write_ill_formed(directory: Path) -> None:
+    """A raw diagram whose one flow joins two entities, which no flow kind
+    reads."""
+    ends = {"a": padfd.Node("a", padfd.NodeType.EXT), "b": padfd.Node("b", padfd.NodeType.EXT)}
+    flows = {"ab": padfd.Flow("ab", "a", "b", padfd.FlowType.PF)}
+    diagram = padfd.Diagram(padfd.Stage.RAW, ends, flows)
+    (directory / "ill-formed.json").write_bytes(padfd.emit_json(diagram))
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv, code", HELP_AND_ERRORS)
+def test_help_and_usage_errors_keep_their_exit_code_when_the_reader_is_gone(
+    tmp_path, argv, code, unbuffered
+):
+    """The stream the command writes to has lost its reader before the
+    command starts; the other stream stays empty."""
+    write_ill_formed(tmp_path)
+    reader, writer = os.pipe()
+    os.close(reader)
+    other = "stderr" if code == 0 else "stdout"
+    written = "stdout" if code == 0 else "stderr"
+    try:
+        proc = run_cli(argv, tmp_path, unbuffered, **{written: writer, other: subprocess.PIPE})
+    finally:
+        os.close(writer)
+    assert (proc.returncode, getattr(proc, other)) == (code, b"")
+
+
+@pytest.mark.parametrize("argv, code", HELP_AND_ERRORS)
+def test_help_and_usage_errors_keep_their_exit_code_without_their_stream(tmp_path, argv, code):
+    """The descriptor of the stream the command writes to is closed
+    before Python starts; the other stream stays empty."""
+    write_ill_formed(tmp_path)
+    fd = 1 if code == 0 else 2
+    proc = run_cli(
+        argv, tmp_path, False, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        preexec_fn=lambda: os.close(fd),
+    )
+    assert (proc.returncode, proc.stderr if fd == 1 else proc.stdout) == (code, b"")

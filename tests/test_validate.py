@@ -16,6 +16,14 @@ from padfd import (
     validate_raw,
     validate_wellformed,
 )
+from padfd.model import (
+    PA_ADMIN_FLOW_TYPES,
+    PA_FLOW_TYPES,
+    PA_NODE_TYPES,
+    PA_POLICY_FLOW_TYPES,
+    RAW_FLOW_TYPES,
+    WELLFORMED_FLOW_TYPES,
+)
 
 from diagram_strategies import any_stage_diagrams, raw_diagrams, wellformed_diagrams
 from helpers import build_all_kinds, build_diagram, build_estore_raw
@@ -28,6 +36,21 @@ from references import (
 
 def _clauses(validity) -> list[tuple[str | None, str]]:
     return [(v.element, v.clause) for v in validity.violations]
+
+
+def test_the_stages_flow_types_partition_flow_type():
+    stages = [RAW_FLOW_TYPES, WELLFORMED_FLOW_TYPES, PA_FLOW_TYPES]
+    assert sum(map(len, stages)) == len(FlowType)
+    assert frozenset().union(*stages) == set(FlowType)
+
+
+def test_the_decorated_flow_types_are_some_privacy_aware_ones():
+    assert PA_POLICY_FLOW_TYPES.isdisjoint(PA_ADMIN_FLOW_TYPES)
+    assert PA_POLICY_FLOW_TYPES | PA_ADMIN_FLOW_TYPES < PA_FLOW_TYPES
+
+
+def test_a_privacy_aware_diagram_may_hold_every_node_type():
+    assert PA_NODE_TYPES == set(NodeType)
 
 
 def test_empty_diagram_is_valid_at_raw_and_wellformed():
