@@ -65,8 +65,9 @@ def _style_map(args) -> StyleMap | None:
 
 
 # Diagram formats by file suffix, in any case. A file read whose suffix
-# names no format padfd reads is told by its first byte; a file written
-# under a suffix the table lacks is draw.io.
+# names no format padfd reads is told by its first byte, and refused if it
+# opens as Graphviz DOT does; a file written under a suffix the table lacks
+# is draw.io.
 _SUFFIX_FORMATS = {".json": "json", ".xml": "drawio", ".drawio": "drawio", ".dot": "dot", ".gv": "dot"}
 
 
@@ -75,7 +76,11 @@ def _read_diagram(path_text: str, fmt: str | None, styles: StyleMap | None) -> D
     data = path.read_bytes()
     fmt = fmt or _SUFFIX_FORMATS.get(path.suffix.lower())
     if fmt not in ("json", "drawio"):
-        fmt = "json" if data.lstrip()[:1] == b"{" else "drawio"
+        head = data.lstrip()
+        if head[:1] == b"{":
+            fmt = "json"
+        elif head[:1] != b"<" and re.match(rb"(?i)(?:strict|graph|digraph)\b", head):
+            raise ParseError("the input is Graphviz DOT, which padfd writes but does not read")
     if fmt == "json":
         from .canonical import parse_json
 

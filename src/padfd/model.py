@@ -1,9 +1,9 @@
 """Type vocabulary shared by every diagram stage.
 
 Node and flow types are string-valued enums so they serialize directly into
-the JSON and draw.io interchange formats. The endpoint tables and stage
-sets below drive the stage validators, the flow typer, and the
-gadget-insertion pass.
+the JSON and draw.io interchange formats. The tables below drive the stage
+validators, and `FLOW_BY_ENDS` gives the flow typer and the gadget-insertion
+pass the flow kind that joins each pair of endpoint kinds.
 """
 
 from __future__ import annotations
@@ -102,6 +102,17 @@ PA_FLOW_ENDPOINTS: dict[FlowType, tuple[NodeType, NodeType]] = {
     FlowType.LOGGING: (NodeType.LOG, NodeType.LOG_DB),
     FlowType.PDBCLE: (NodeType.POLICY_DB, NodeType.CLEAN),
     FlowType.CLEDB_DEL: (NodeType.CLEAN, NodeType.DB),
+}
+
+# The flow kind joining a (source kind, target kind) pair, across both
+# tables. It leaves out the two deletion variants that share their ends
+# with another kind (delete with store, limdb_del with limdb): a flow takes
+# one of those only because it is a deletion.
+FLOW_BY_ENDS: dict[tuple[NodeType, NodeType], FlowType] = {
+    ends: kind
+    for table in (WELLFORMED_FLOW_ENDPOINTS, PA_FLOW_ENDPOINTS)
+    for kind, ends in table.items()
+    if kind is not FlowType.DELETE and kind is not FlowType.LIMDB_DEL
 }
 
 

@@ -6,7 +6,9 @@ two replaces each data flow with a gadget: a limit node the data must
 pass, a request node that gathers the consent evidence steering the
 limit, and a log chain recording the decision. The original flow keeps
 its id and label, is retyped, and is re-sourced at its limit, so nothing
-ever dangles and callers can still address it.
+ever dangles and callers can still address it. Every flow kind written is
+the one `model.FLOW_BY_ENDS` names for its endpoint kinds, save that a
+deletion is retyped to its deletion variant.
 
 Generated elements take ids "gen-0", "gen-1", ... skipping ids already in
 use; allocation order is fixed (nodes in sorted id order, then flows in
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 from .errors import StageError, TransformError, WellFormednessError, WrongFlowTypeError
 from .graph import Diagram, Flow, FlowId, Node, NodeId, Record, replace
-from .model import FlowType, NodeType, Stage
+from .model import FLOW_BY_ENDS, WELLFORMED_FLOW_ENDPOINTS, FlowType, NodeType, Stage
 from .validate import validate_wellformed
 
 
@@ -42,32 +44,14 @@ class _FreshIds:
                 return candidate
 
 
-_RETYPE: dict[FlowType, FlowType] = {
-    FlowType.IN: FlowType.LIMPRO,
-    FlowType.OUT: FlowType.LIMEXT,
-    FlowType.COMP: FlowType.LIMPRO,
-    FlowType.STORE: FlowType.LIMDB,
-    FlowType.READ: FlowType.LIMPRO,
-    FlowType.DELETE: FlowType.LIMDB_DEL,
+# Where a business node's consent evidence sits: an entity holds its own,
+# a process its reason, a store its policy store (partnered in phase one).
+_EVIDENCE: dict[NodeType, NodeType] = {
+    NodeType.EXT: NodeType.EXT,
+    NodeType.PROC: NodeType.REASON,
+    NodeType.DB: NodeType.POLICY_DB,
 }
-
-# Gadget wiring by endpoint kind: how data enters the limit, and how the
-# consent evidence on each side reaches the request node.
-_DATA_IN: dict[NodeType, FlowType] = {
-    NodeType.EXT: FlowType.EXTLIM,
-    NodeType.PROC: FlowType.PROLIM,
-    NodeType.DB: FlowType.DBLIM,
-}
-_SOURCE_POLICY: dict[NodeType, FlowType] = {
-    NodeType.EXT: FlowType.EXTREQ,
-    NodeType.PROC: FlowType.REAREQ,
-    NodeType.DB: FlowType.PDBREQ,
-}
-_TARGET_POLICY: dict[NodeType, FlowType] = {
-    NodeType.EXT: FlowType.REQEXT,
-    NodeType.PROC: FlowType.REQREA,
-    NodeType.DB: FlowType.REQPDB,
-}
+(_POLICY_SELF,) = (kind for kind, evidence in _EVIDENCE.items() if kind is evidence)
 
 _GENERATED_LABELS: dict[NodeType, str] = {
     NodeType.LIMIT: "Limit",
@@ -79,13 +63,22 @@ _GENERATED_LABELS: dict[NodeType, str] = {
     NodeType.CLEAN: "Clean",
 }
 
-
-# Reading a member such as NodeType.LIMIT goes through the slot hook that
-# EnumType.__getattr__ installs, about ten times the cost of reading a
-# local; so the per-flow rewrite unpacks the kinds it writes from these.
-_GADGET_NODE_TYPES = (NodeType.LIMIT, NodeType.REQUEST, NodeType.LOG, NodeType.LOG_DB)
-_GADGET_FLOW_TYPES = (FlowType.REQLIM, FlowType.LIMLOG, FlowType.LOGGING)
-_POLICY_SELF = NodeType.EXT  # the one kind that holds its own consent evidence
+# The kinds written, read off FLOW_BY_ENDS once. The maps used per flow
+# stay keyed by one kind, as Enum.__hash__ is Python code, and the kinds
+# are globals: reading a member such as NodeType.LIMIT goes through the
+# slot hook that EnumType.__getattr__ installs, about ten times slower.
+_LIMIT, _REQUEST, _LOG, _LOG_DB = NodeType.LIMIT, NodeType.REQUEST, NodeType.LOG, NodeType.LOG_DB
+_REQLIM = FLOW_BY_ENDS[_REQUEST, _LIMIT]
+_LIMLOG = FLOW_BY_ENDS[_LIMIT, _LOG]
+_LOGGING = FLOW_BY_ENDS[_LOG, _LOG_DB]
+_PDBCLE = FLOW_BY_ENDS[NodeType.POLICY_DB, NodeType.CLEAN]
+_CLEDB_DEL = FLOW_BY_ENDS[NodeType.CLEAN, NodeType.DB]
+# By endpoint kind: data into the limit, evidence into and out of the request.
+_DATA_IN = {kind: FLOW_BY_ENDS[kind, _LIMIT] for kind in _EVIDENCE}
+_SOURCE_POLICY = {kind: FLOW_BY_ENDS[evidence, _REQUEST] for kind, evidence in _EVIDENCE.items()}
+_TARGET_POLICY = {kind: FLOW_BY_ENDS[_REQUEST, evidence] for kind, evidence in _EVIDENCE.items()}
+_RETYPE = {kind: FLOW_BY_ENDS[_LIMIT, ends[1]] for kind, ends in WELLFORMED_FLOW_ENDPOINTS.items()}
+_RETYPE[FlowType.DELETE] = FlowType.LIMDB_DEL
 
 
 def _make_node(node_id: NodeId, node_type: NodeType, partner: NodeId | None = None) -> Node:
@@ -98,41 +91,37 @@ def _with_partner(node: Node, partner: NodeId) -> Node:
 
 def _add_partner_elems(nodes: dict, flows: dict, ids: _FreshIds, node_id: NodeId) -> None:
     node = nodes[node_id]
-    if node.node_type is NodeType.PROC:
-        reason_id = ids.take()
-        nodes[reason_id] = _make_node(reason_id, NodeType.REASON, node_id)
-        nodes[node_id] = _with_partner(node, reason_id)
-    elif node.node_type is NodeType.DB:
-        policy_id, clean_id, to_clean, clean_delete = (ids.take() for _ in range(4))
-        nodes[policy_id] = _make_node(policy_id, NodeType.POLICY_DB, node_id)
+    evidence = _EVIDENCE.get(node.node_type, node.node_type)
+    if evidence is node.node_type:
+        return
+    partner_id = ids.take()
+    nodes[partner_id] = _make_node(partner_id, evidence, node_id)
+    nodes[node_id] = _with_partner(node, partner_id)
+    if evidence is NodeType.POLICY_DB:
+        clean_id, to_clean, clean_delete = (ids.take() for _ in range(3))
         nodes[clean_id] = _make_node(clean_id, NodeType.CLEAN)
-        nodes[node_id] = _with_partner(node, policy_id)
-        flows[to_clean] = Flow(to_clean, policy_id, clean_id, FlowType.PDBCLE)
-        flows[clean_delete] = Flow(clean_delete, clean_id, node_id, FlowType.CLEDB_DEL)
+        flows[to_clean] = Flow(to_clean, partner_id, clean_id, _PDBCLE)
+        flows[clean_delete] = Flow(clean_delete, clean_id, node_id, _CLEDB_DEL)
 
 
 def _policy_anchor(node: Node) -> NodeId:
-    """Where consent evidence for a business node lives: external entities
-    speak for themselves, processes via their reason, stores via their
-    policy store (all partnered in phase one)."""
+    """The node holding the consent evidence for a business node."""
     return node.id if node.node_type is _POLICY_SELF else node.partner
 
 
 def _rewrite_flow(nodes: dict, flows: dict, ids: _FreshIds, flow_id: FlowId) -> None:
-    limit, request, log, log_db = _GADGET_NODE_TYPES
-    reqlim, limlog, logging = _GADGET_FLOW_TYPES
     flow = flows[flow_id]
     source = nodes[flow.source]
     target = nodes[flow.target]
     limit_id, request_id, log_id, log_db_id = (ids.take() for _ in range(4))
-    nodes[limit_id] = _make_node(limit_id, limit, request_id)
-    nodes[request_id] = _make_node(request_id, request, limit_id)
-    nodes[log_id] = _make_node(log_id, log)
-    nodes[log_db_id] = _make_node(log_db_id, log_db)
+    nodes[limit_id] = _make_node(limit_id, _LIMIT, request_id)
+    nodes[request_id] = _make_node(request_id, _REQUEST, limit_id)
+    nodes[log_id] = _make_node(log_id, _LOG)
+    nodes[log_db_id] = _make_node(log_db_id, _LOG_DB)
     reqlim_id, limlog_id, logging_id = (ids.take() for _ in range(3))
-    flows[reqlim_id] = Flow(reqlim_id, request_id, limit_id, reqlim)
-    flows[limlog_id] = Flow(limlog_id, limit_id, log_id, limlog)
-    flows[logging_id] = Flow(logging_id, log_id, log_db_id, logging)
+    flows[reqlim_id] = Flow(reqlim_id, request_id, limit_id, _REQLIM)
+    flows[limlog_id] = Flow(limlog_id, limit_id, log_id, _LIMLOG)
+    flows[logging_id] = Flow(logging_id, log_id, log_db_id, _LOGGING)
 
     data_in_id, source_policy_id, target_policy_id = (ids.take() for _ in range(3))
     flows[data_in_id] = Flow(
@@ -202,7 +191,7 @@ def transform(
 def _merge_log_stores(diagram: Diagram) -> Diagram:
     """Merge all log stores into the first one (insertion order), retargeting
     every log -> store flow. Counting-law bookkeeping does not survive this."""
-    log_dbs = [n.id for n in diagram.nodes.values() if n.node_type is NodeType.LOG_DB]
+    log_dbs = [n.id for n in diagram.nodes.values() if n.node_type is _LOG_DB]
     if len(log_dbs) < 2:
         return diagram
     keep, *drop = log_dbs
@@ -210,7 +199,7 @@ def _merge_log_stores(diagram: Diagram) -> Diagram:
     nodes = {nid: n for nid, n in diagram.nodes.items() if nid not in dropped}
     flows = {
         fid: replace(f, target=keep)
-        if f.flow_type is FlowType.LOGGING and f.target in dropped
+        if f.flow_type is _LOGGING and f.target in dropped
         else f
         for fid, f in diagram.flows.items()
     }
@@ -250,16 +239,15 @@ def gadget_index(diagram: Diagram) -> dict[FlowId, Gadget]:
     log_of: dict[NodeId, NodeId] = {}
     log_db_of: dict[NodeId, NodeId] = {}
     guarded = []
-    limlog, logging, guarded_types = FlowType.LIMLOG, FlowType.LOGGING, _GUARDED_FLOW_TYPES
     for flow in diagram.flows.values():
         kind = flow.flow_type
         if kind in _DATA_IN_TYPES:
             source_of[flow.target] = flow.source
-        elif kind is limlog:
+        elif kind is _LIMLOG:
             log_of[flow.source] = flow.target
-        elif kind is logging:
+        elif kind is _LOGGING:
             log_db_of[flow.source] = flow.target
-        elif kind in guarded_types:
+        elif kind in _GUARDED_FLOW_TYPES:
             guarded.append(flow)
     rank = {log: position for position, log in enumerate(log_db_of)}
     guarded.sort(key=lambda flow: rank.get(log_of.get(flow.source), len(rank)))

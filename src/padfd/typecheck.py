@@ -17,28 +17,21 @@ Connectivity findings (`proc-source-target`, `ext-connected`,
 
 from __future__ import annotations
 
-from . import model
 from .errors import StageError, WellFormednessError
 from .graph import Diagram, Flow
-from .model import FlowType, NodeType, Stage
+from .model import FLOW_BY_ENDS, WELLFORMED_FLOW_ENDPOINTS, FlowType, NodeType, Stage
 from .validate import Violation, blocks_rewrite, connectivity, validate_raw
 
 
-# Plain flows take the one well-formed kind whose endpoints they match.
-# Deletion shares its endpoints with store, so only deletion flows read as
-# deletions.
-_PF_READINGS: dict[tuple[NodeType, NodeType], FlowType] = {
-    ends: kind
-    for kind, ends in model.WELLFORMED_FLOW_ENDPOINTS.items()
-    if kind is not FlowType.DELETE
-}
-_DF_ENDS = model.WELLFORMED_FLOW_ENDPOINTS[FlowType.DELETE]
+# A plain flow between business nodes takes the kind its endpoints name in
+# `FLOW_BY_ENDS`; only a deletion flow reads as a deletion.
+_DF_ENDS = WELLFORMED_FLOW_ENDPOINTS[FlowType.DELETE]
 
 
 def _flow_violation(flow, source_type: NodeType, target_type: NodeType) -> Violation:
     pair = f"{source_type.value} -> {target_type.value}"
     if flow.flow_type is FlowType.PF:
-        if _PF_READINGS.get((source_type, target_type)) is FlowType.COMP:
+        if FLOW_BY_ENDS.get((source_type, target_type)) is FlowType.COMP:
             return Violation(
                 "pf-loop",
                 flow.id,
@@ -85,7 +78,7 @@ def typecheck(
         source_type = nodes[flow.source].node_type
         target_type = nodes[flow.target].node_type
         if flow.flow_type is pf:
-            inferred = _PF_READINGS.get((source_type, target_type))
+            inferred = FLOW_BY_ENDS.get((source_type, target_type))
             # The inter-process reading needs two distinct processes.
             if inferred is comp and flow.source == flow.target:
                 inferred = None

@@ -58,6 +58,19 @@ _ID_ALPHABET = "abcdefghijklmnopqrstuvwxyz0123456789-_"
 identifiers = st.text(_ID_ALPHABET, min_size=1, max_size=8)
 
 
+def _unique_ids(draw, count: int) -> list[str]:
+    """`count` distinct identifiers. An id already taken is extended by
+    drawn characters of the alphabet until it is free, so no draw is
+    retried and no example discarded for a collision."""
+    ids: dict[str, None] = {}
+    for _ in range(count):
+        new = draw(identifiers)
+        while new in ids:
+            new += draw(st.sampled_from(_ID_ALPHABET))
+        ids[new] = None
+    return list(ids)
+
+
 def _typed_flow(draw, flow_id, source, source_type, target, target_type, label):
     if source_type is NodeType.EXT:
         flow_type = FlowType.IN
@@ -105,7 +118,7 @@ def wellformed_diagrams(draw) -> Diagram:
         wires.append((other, proc) if draw(st.booleans()) else (proc, other))
 
     count = len(kinds) + len(wires)
-    ids = draw(st.lists(identifiers, unique=True, min_size=count, max_size=count))
+    ids = _unique_ids(draw, count)
     node_ids, flow_ids = ids[: len(kinds)], ids[len(kinds) :]
     diagram = Diagram(stage=Stage.WELLFORMED)
     for node_id, node_type in zip(node_ids, kinds):
@@ -140,9 +153,7 @@ def raw_diagrams(draw) -> Diagram:
         )
     )
     count = len(node_types)
-    ids = draw(
-        st.lists(identifiers, unique=True, min_size=count + 10, max_size=count + 10)
-    )
+    ids = _unique_ids(draw, count + 10)
     node_ids, flow_ids = ids[:count], ids[count:]
 
     diagram = Diagram(stage=Stage.RAW)

@@ -819,6 +819,36 @@ def test_check_reads_json_named_as_dot_by_its_content(tmp_path, capsys, name):
     )
 
 
+DOT_REFUSAL = "error: the input is Graphviz DOT, which padfd writes but does not read\n"
+
+
+@pytest.mark.parametrize("command", ["check", "simulate"])
+def test_dot_golden_is_refused_as_dot(fixtures_dir, capsys, command):
+    golden = str(DEMO_DATA.parent / "out" / "estore_pa.dot")
+    argv = ["check", golden] if command == "check" else simulate_argv(fixtures_dir, golden)
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", DOT_REFUSAL)
+
+
+@pytest.mark.parametrize(
+    "text, refused",
+    [
+        (b"\n  strict digraph {}", True),
+        (b"graph{}", True),
+        (b"DiGraph G { a -> b }", True),
+        (b"graphs", False),
+        (b"subgraph {}", False),
+    ],
+)
+def test_a_file_of_unknown_suffix_is_refused_as_dot_by_its_first_word(tmp_path, capsys, text, refused):
+    model = tmp_path / "model.txt"
+    model.write_bytes(text)
+    assert main(["check", str(model)]) == 2
+    err = capsys.readouterr().err
+    assert (err == DOT_REFUSAL) is refused
+    assert err.startswith("error: not well-formed XML") is not refused
+
+
 def test_check_reads_a_json_suffix_in_any_case_as_json(tmp_path, capsys):
     # A list does not start as JSON objects do, so only the suffix says JSON.
     listed = tmp_path / "model.JSON"
