@@ -126,9 +126,10 @@ def _gate(
     diagram: Diagram, allow_ill_formed: bool
 ) -> tuple[Sequence[Violation], Diagram | None]:
     """Check a diagram once: its findings, and the diagram ready for the
-    rewrite or None. A raw diagram is typed on the way. With
+    rewrite or to run, or None. A raw diagram is typed on the way. With
     ``allow_ill_formed`` connectivity findings alone are waved through;
-    typing problems never are. No privacy-aware diagram is ready."""
+    typing problems never are. A privacy-aware diagram is ready as it is
+    only without findings."""
     if diagram.stage is Stage.RAW:
         from .typecheck import typecheck
 
@@ -142,22 +143,28 @@ def _gate(
     from .validate import blocks_rewrite, validate_pa, validate_wellformed
 
     if diagram.stage is Stage.PA:
-        return validate_pa(diagram).violations, None
+        findings = validate_pa(diagram).violations
+        return findings, None if findings else diagram
     findings = validate_wellformed(diagram).violations
     return findings, None if blocks_rewrite(findings, allow_ill_formed) else diagram
 
 
-def _rewrite(diagram: Diagram, allow_ill_formed: bool, shared_log_store: bool) -> Diagram | None:
-    """The privacy-aware rewrite of a business diagram that passes `_gate`,
-    or None after printing the gate's findings to stderr."""
-    findings, wellformed = _gate(diagram, allow_ill_formed)
-    if wellformed is None:
+def _privacy_aware(
+    diagram: Diagram, allow_ill_formed: bool, shared_log_store: bool
+) -> Diagram | None:
+    """A diagram that passes `_gate` as a privacy-aware one: the rewrite of
+    a business diagram, or a privacy-aware one as it is. None after
+    printing the gate's findings to stderr."""
+    findings, ready = _gate(diagram, allow_ill_formed)
+    if ready is None:
         for finding in findings:
             _write(sys.stderr, finding.render() + "\n")
         return None
+    if ready.stage is Stage.PA:
+        return ready
     from .transform import transform
 
-    return transform(wellformed, shared_log_store=shared_log_store, check=False)
+    return transform(ready, shared_log_store=shared_log_store, check=False)
 
 
 def cmd_check(args) -> int:
@@ -199,7 +206,7 @@ def cmd_transform(args) -> int:
     if diagram.stage is Stage.PA:
         _write(sys.stderr, "error: input is already privacy-aware\n")
         return 1
-    result = _rewrite(diagram, args.allow_ill_formed, args.shared_log_store)
+    result = _privacy_aware(diagram, args.allow_ill_formed, args.shared_log_store)
     if result is None:
         return 1
     out_format = args.out_format or _SUFFIX_FORMATS.get(Path(args.output).suffix.lower(), "drawio")
@@ -220,10 +227,9 @@ def cmd_simulate(args) -> int:
 
     styles = _style_map(args)
     diagram = _read_diagram(args.model, args.in_format, styles)
-    if diagram.stage is not Stage.PA:
-        diagram = _rewrite(diagram, allow_ill_formed=False, shared_log_store=False)
-        if diagram is None:
-            return 1
+    diagram = _privacy_aware(diagram, allow_ill_formed=False, shared_log_store=False)
+    if diagram is None:
+        return 1
     metas = load_flow_metas(args.static)
     records = load_data_records(args.dynamic)
     compatible = None

@@ -2,10 +2,15 @@
 
 After the rewrite, the privacy elements have no positions. This pass
 gives every unpositioned node one, derived from the geometry already in
-the drawing: each limit sits at the midpoint of the hop it guards, its
-request sits one grid step to the side (perpendicular to the data
-direction), the log chain hangs below the limit, and the partner nodes
-sit beside the element they serve. Nodes that already have a position
+the drawing. One table gives each kind its spot, kind after kind in this
+order and each kind's nodes in id order: business nodes take the next
+column of a baseline row; a limit sits at the midpoint of the hop it
+guards; its request one grid step to the side of that hop (above the
+limit without one); its log one step below it, and the log store one
+below the log; a reason one step right and up from its process; a policy
+store one step right and down from its store; a cleaner two steps right
+and one down from the store it deletes from. A node without its anchor,
+or without a type, goes to the origin. Nodes that already have a position
 are never moved; a node whose spot is taken goes to the first free spot
 below it, one grid step at a time. Where a coordinate is so large that a
 grid step does not change it, there is no spot below, and the layout is
@@ -14,6 +19,7 @@ refused with SchemaError.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 from . import model
@@ -54,90 +60,67 @@ def layout_generated(diagram: Diagram) -> Diagram:
         nodes[node_id] = Node(old.id, old.node_type, old.label, old.partner, (x, y), old.extra)
 
     def position(node_id: NodeId | None) -> tuple[float, float] | None:
-        if node_id is None or node_id not in nodes:
-            return None
-        return nodes[node_id].position
+        node = nodes.get(node_id)
+        return None if node is None else node.position
 
-    # Business nodes first, on a baseline row, so gadget geometry has
-    # something to anchor to; the others wait, by type, in id order.
-    column = 0
-    waiting: dict[NodeType | None, list[NodeId]] = {}
-    for node_id in sorted(nodes):
-        node = nodes[node_id]
-        if node.position is not None:
-            continue
-        if node.node_type in model.BDFD_NODE_TYPES:
-            place(node_id, column * 2 * GRID_STEP, 0.0)
-            column += 1
-        else:
-            waiting.setdefault(node.node_type, []).append(node_id)
-
-    def unpositioned(node_type: NodeType | None) -> list[NodeId]:
-        return waiting.get(node_type, [])
-
-    # Wiring: the hop each limit guards, the log chains, the cleaners.
+    # Anchors: the hop each limit guards and the log chains, from the
+    # gadgets (a log store shared by several logs hangs below the last),
+    # and the store each cleaner deletes from.
     gadgets = gadget_index(diagram).values()
     hop_ends = {g.limit: (g.source, diagram.flows[g.flow].target) for g in gadgets}
     log_anchor = {g.log: g.limit for g in gadgets}
     log_db_anchor = {g.log_db: g.log for g in gadgets}
-    cledb_del = FlowType.CLEDB_DEL
     clean_target = {
-        f.source: f.target for f in diagram.flows.values() if f.flow_type is cledb_del
+        f.source: f.target for f in diagram.flows.values() if f.flow_type is FlowType.CLEDB_DEL
     }
 
-    def hop(limit_id: NodeId) -> tuple | None:
-        source, target = hop_ends.get(limit_id, (None, None))
-        start = position(source)
-        end = position(target)
-        if start is None or end is None:
+    def hop(limit_id: NodeId | None) -> tuple | None:
+        start, end = map(position, hop_ends.get(limit_id, (None, None)))
+        return None if start is None or end is None else (start, end)
+
+    def midpoint(limit_id: NodeId) -> tuple[float, float] | None:
+        ends = hop(limit_id)
+        if ends is None:
             return None
-        return start, end
-
-    for limit_id in unpositioned(NodeType.LIMIT):
-        ends = hop(limit_id)
-        if ends is None:
-            place(limit_id, 0.0, 0.0)
-            continue
         (ax, ay), (bx, by) = ends
-        place(limit_id, (ax + bx) / 2, (ay + by) / 2)
+        return (ax + bx) / 2, (ay + by) / 2
 
-    for request_id in unpositioned(NodeType.REQUEST):
+    def beside(request_id: NodeId) -> tuple[float, float] | None:
         limit_id = nodes[request_id].partner
-        anchor = position(limit_id)
-        if anchor is None:
-            place(request_id, 0.0, 0.0)
-            continue
-        ends = hop(limit_id)
-        if ends is None:
-            place(request_id, anchor[0], anchor[1] - GRID_STEP)
-            continue
+        anchor, ends = position(limit_id), hop(limit_id)
+        if anchor is None or ends is None:
+            return steps(limit_id, 0, -1)
         (ax, ay), (bx, by) = ends
         dx, dy = bx - ax, by - ay
         norm = math.hypot(dx, dy) or 1.0
-        place(
-            request_id,
-            anchor[0] + dy / norm * GRID_STEP,
-            anchor[1] - dx / norm * GRID_STEP,
-        )
+        return anchor[0] + dy / norm * GRID_STEP, anchor[1] - dx / norm * GRID_STEP
 
-    # The rest, type by type, sit (dx, dy) grid steps from their anchor,
-    # or at the origin without one; untyped nodes park at the origin.
-    def partner(node_id: NodeId) -> NodeId | None:
-        return nodes[node_id].partner
+    def steps(anchor_id: NodeId | None, dx: int, dy: int) -> tuple[float, float] | None:
+        anchor = position(anchor_id)
+        if anchor is None:
+            return None
+        return anchor[0] + dx * GRID_STEP, anchor[1] + dy * GRID_STEP
 
-    for node_type, anchor_of, dx, dy in (
-        (NodeType.LOG, log_anchor.get, 0, 1),
-        (NodeType.LOG_DB, log_db_anchor.get, 0, 1),
-        (NodeType.REASON, partner, 1, -1),
-        (NodeType.POLICY_DB, partner, 1, 1),
-        (NodeType.CLEAN, clean_target.get, 2, 1),
-        (None, {}.get, 0, 0),
-    ):
-        for node_id in unpositioned(node_type):
-            anchor = position(anchor_of(node_id))
-            if anchor is None:
-                place(node_id, 0.0, 0.0)
-            else:
-                place(node_id, anchor[0] + dx * GRID_STEP, anchor[1] + dy * GRID_STEP)
-
+    # Each kind's spot rule, in placement order; no spot means the origin.
+    columns = itertools.count(0.0, 2 * GRID_STEP)
+    rules = (
+        (model.BDFD_NODE_TYPES, lambda _: (next(columns), 0.0)),
+        ((NodeType.LIMIT,), midpoint),
+        ((NodeType.REQUEST,), beside),
+        ((NodeType.LOG,), lambda n: steps(log_anchor.get(n), 0, 1)),
+        ((NodeType.LOG_DB,), lambda n: steps(log_db_anchor.get(n), 0, 1)),
+        ((NodeType.REASON,), lambda n: steps(nodes[n].partner, 1, -1)),
+        ((NodeType.POLICY_DB,), lambda n: steps(nodes[n].partner, 1, 1)),
+        ((NodeType.CLEAN,), lambda n: steps(clean_target.get(n), 2, 1)),
+        ((None,), lambda _: None),
+    )
+    row_of = {kind: row for row, (kinds, _) in enumerate(rules) for kind in kinds}
+    waiting: list[list[NodeId]] = [[] for _ in rules]
+    for node_id in sorted(nodes):
+        node = nodes[node_id]
+        if node.position is None:
+            waiting[row_of[node.node_type]].append(node_id)
+    for (_, spot), node_ids in zip(rules, waiting):
+        for node_id in node_ids:
+            place(node_id, *(spot(node_id) or (0.0, 0.0)))
     return Diagram(diagram.stage, nodes, diagram.flows)

@@ -473,7 +473,12 @@ def dot_diagrams(draw) -> Diagram:
 
 dates = st.dates(min_value=date(2019, 1, 1), max_value=date(2023, 12, 31))
 
-consents = st.frozensets(st.sampled_from(PURPOSES), min_size=1, max_size=3)
+# One to three purposes, cut from a shuffled list: every such subset is
+# reachable, and no draw is rejected. A frozenset of sampled purposes would
+# make Hypothesis discard many examples as invalid.
+consents = st.tuples(st.permutations(PURPOSES), st.integers(1, 3)).map(
+    lambda drawn: frozenset(drawn[0][: drawn[1]])
+)
 
 
 @st.composite

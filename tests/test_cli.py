@@ -562,6 +562,23 @@ def test_simulate_pretransformed_model(fixtures_dir, tmp_path, capsys):
     assert "log entries: 5 (violations: 1)" in capsys.readouterr().out
 
 
+def test_simulate_gates_a_privacy_aware_model_as_check_does(fixtures_dir, tmp_path, capsys):
+    """A privacy-aware model with findings is refused before any run: the
+    findings go to stderr, as `check` prints them, and no report prints."""
+    pa = transform(typecheck(build_payment_raw())[0])
+    requests = sorted(n.id for n in pa.nodes.values() if n.node_type is NodeType.REQUEST)
+    other_limit = pa.nodes[requests[1]].partner
+    nodes = {**pa.nodes, requests[0]: Node(requests[0], NodeType.REQUEST, partner=other_limit)}
+    model = write_json(tmp_path, "edited-pa.json", Diagram(pa.stage, nodes, pa.flows))
+    assert main(["check", str(model)]) == 1
+    findings = capsys.readouterr().out
+    assert findings.count("partner-asymmetric") == 2
+    assert main(simulate_argv(fixtures_dir, model)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == findings
+
+
 def test_simulate_json_report(fixtures_dir, tmp_path, capsys):
     model = payment_model(tmp_path)
     assert main(simulate_argv(fixtures_dir, model, "--report", "json")) == 0

@@ -840,9 +840,9 @@ def test_layout_refuses_spots_a_grid_step_cannot_leave(fixtures_dir):
         layout_generated(transform(wellformed, check=False))
 
 
-def _without_gadget_parts(pa, drop_flow_type=None, unpartner_type=None):
+def _without_gadget_parts(pa, drop_flow_type=None, unpartner_types=()):
     nodes = {
-        node_id: replace(node, partner=None) if node.node_type is unpartner_type else node
+        node_id: replace(node, partner=None) if node.node_type in unpartner_types else node
         for node_id, node in pa.nodes.items()
     }
     flows = {k: f for k, f in pa.flows.items() if f.flow_type is not drop_flow_type}
@@ -872,11 +872,74 @@ def test_layout_places_gadget_parts_without_anchors_from_the_origin():
     }
 
     # A request whose limit it cannot name has no anchor: the origin again.
-    placed = layout_generated(_without_gadget_parts(pa, unpartner_type=NodeType.REQUEST))
+    placed = layout_generated(_without_gadget_parts(pa, unpartner_types=(NodeType.REQUEST,)))
     spots = {node_id: placed.nodes[node_id].position for node_id in (limit, request, log, log_db)}
     assert spots == {
         limit: (100.0, 0.0), request: (0.0, 80.0), log: (100.0, 80.0), log_db: (100.0, 160.0)
     }
+
+    # The same hop, then on into a store: each other kind that loses its
+    # anchor goes to the first free spot from the origin down, in the
+    # layout's kind order, and what hangs off it follows it there.
+    d = build_diagram(
+        Stage.WELLFORMED,
+        [
+            Node("src", NodeType.EXT, position=(0.0, 0.0)),
+            Node("tgt", NodeType.PROC, position=(200.0, 0.0)),
+            Node("db", NodeType.DB, position=(400.0, 0.0)),
+        ],
+        [Flow("f", "src", "tgt", FlowType.IN), Flow("g", "tgt", "db", FlowType.STORE)],
+    )
+    pa = transform(d, check=False)
+
+    def spots_by_kind(diagram):
+        placed = layout_generated(diagram)
+        spots = {}
+        for node_id in sorted(placed.nodes):
+            node = placed.nodes[node_id]
+            spots.setdefault(node.node_type, []).append(node.position)
+        return spots
+
+    anchored = spots_by_kind(pa)
+    assert anchored[NodeType.REASON] == [(280.0, -80.0)]
+    assert anchored[NodeType.POLICY_DB] == [(480.0, 80.0)]
+    assert anchored[NodeType.CLEAN] == [(560.0, 80.0)]
+    assert anchored[NodeType.LOG] == [(300.0, 80.0), (100.0, 80.0)]
+    assert anchored[NodeType.LOG_DB] == [(300.0, 160.0), (100.0, 160.0)]
+
+    def moved(diagram):
+        spots = spots_by_kind(diagram)
+        return {kind: spot for kind, spot in spots.items() if spot != anchored.get(kind)}
+
+    # A reason and a policy store whose partner is cleared: the reason
+    # first, then the policy store below it.
+    unpartnered = _without_gadget_parts(
+        pa, unpartner_types=(NodeType.REASON, NodeType.POLICY_DB)
+    )
+    assert moved(unpartnered) == {
+        NodeType.REASON: [(0.0, 80.0)], NodeType.POLICY_DB: [(0.0, 160.0)]
+    }
+
+    # A cleaner without the deletion flow that names its store.
+    assert moved(_without_gadget_parts(pa, drop_flow_type=FlowType.CLEDB_DEL)) == {
+        NodeType.CLEAN: [(0.0, 80.0)]
+    }
+
+    # Logs without their limit's flow into them, in id order; each log
+    # store still hangs below its log, stepping past the other log.
+    assert moved(_without_gadget_parts(pa, drop_flow_type=FlowType.LIMLOG)) == {
+        NodeType.LOG: [(0.0, 80.0), (0.0, 160.0)],
+        NodeType.LOG_DB: [(0.0, 240.0), (0.0, 320.0)],
+    }
+
+    # Log stores without the flow from their log.
+    assert moved(_without_gadget_parts(pa, drop_flow_type=FlowType.LOGGING)) == {
+        NodeType.LOG_DB: [(0.0, 80.0), (0.0, 160.0)]
+    }
+
+    # An untyped node parks at the origin, placed last.
+    untyped = Diagram(pa.stage, {**pa.nodes, "u": Node("u", None)}, pa.flows)
+    assert moved(untyped) == {None: [(0.0, 80.0)]}
 
 
 def test_layout_is_deterministic():
