@@ -260,10 +260,10 @@ def cmd_export(args) -> int:
 
 
 def _iso_date(text: str) -> date:
-    from datetime import date
+    from .simulate import _exact_iso_date
 
     try:
-        return date.fromisoformat(text)
+        return _exact_iso_date(text)
     except ValueError:
         raise ValueError(f"expected an ISO date (YYYY-MM-DD), got {text!r}") from None
 

@@ -3,20 +3,7 @@
 from __future__ import annotations
 
 from .graph import Diagram, encode_output
-from .model import NodeType
-
-_SHAPES: dict[NodeType, str] = {
-    NodeType.EXT: "box",
-    NodeType.PROC: "ellipse",
-    NodeType.DB: "cylinder",
-    NodeType.LIMIT: "diamond",
-    NodeType.REQUEST: "parallelogram",
-    NodeType.REASON: "trapezium",
-    NodeType.POLICY_DB: "box3d",
-    NodeType.LOG: "note",
-    NodeType.LOG_DB: "folder",
-    NodeType.CLEAN: "octagon",
-}
+from .model import NODE_LOOKS
 
 
 def _quote(text: str) -> str:
@@ -46,7 +33,8 @@ def emit_dot(diagram: Diagram) -> bytes:
         text = quoted.get(label)
         if text is None:
             text = quoted[label] = _quote(label)
-        lines.append(f"  {name} [label={text}, shape={_SHAPES.get(node.node_type, 'plaintext')}];")
+        shape = "plaintext" if node.node_type is None else NODE_LOOKS[node.node_type].dot_shape
+        lines.append(f"  {name} [label={text}, shape={shape}];")
     flow_labels: dict[tuple, str] = {}
     for flow_id in sorted(flows):
         flow = flows[flow_id]

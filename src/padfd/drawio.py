@@ -29,7 +29,7 @@ from .errors import (
     XmlSyntaxError,
 )
 from .graph import Diagram, Flow, Node, format_position
-from .model import FlowType, NodeType, Stage
+from .model import NODE_LOOKS, FlowType, NodeType, Stage
 from .styles import DEFAULT_STYLE_MAP, StyleMap
 
 # Cell attributes with a modelled meaning; everything else is opaque extra.
@@ -37,24 +37,11 @@ _CONSUMED_ATTRS = frozenset(
     {"id", "value", "style", "vertex", "edge", "parent", "source", "target", "partner"}
 )
 
-_NODE_SIZES: dict[NodeType, tuple[int, int]] = {
-    NodeType.EXT: (120, 60),
-    NodeType.PROC: (120, 60),
-    NodeType.DB: (100, 60),
-    NodeType.LIMIT: (80, 80),
-    NodeType.REQUEST: (120, 60),
-    NodeType.REASON: (120, 60),
-    NodeType.POLICY_DB: (100, 60),
-    NodeType.LOG: (120, 60),
-    NodeType.LOG_DB: (80, 80),
-    NodeType.CLEAN: (120, 60),
-}
-
 # How each cell ends, after its attributes, in the two-space indented
 # layout ET.indent gives the mxfile: the geometry line and the closing tag.
 _GEOMETRY = {
-    node_type: f'width="{width}" height="{height}" as="geometry" />\n        </mxCell>'
-    for node_type, (width, height) in _NODE_SIZES.items()
+    kind: f'width="{look.width}" height="{look.height}" as="geometry" />\n        </mxCell>'
+    for kind, look in NODE_LOOKS.items()
 }
 _EDGE_GEOMETRY = '>\n          <mxGeometry relative="1" as="geometry" />\n        </mxCell>'
 

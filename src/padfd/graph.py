@@ -1,8 +1,9 @@
 """Attributed multigraph substrate shared by every diagram stage.
 
 A diagram holds nodes and flows (directed edges) keyed by id. Parallel
-flows and self-loops are allowed; endpoint existence is enforced on
-insertion. All attributes are optional so that an absent attribute stays
+flows and self-loops are allowed; insertion enforces endpoint existence
+and ids that are non-empty and unique across nodes and flows. All
+attributes are optional so that an absent attribute stays
 distinguishable from any concrete value. Mutation helpers are pure: they
 return a new Diagram and never touch their argument.
 
@@ -143,10 +144,19 @@ class Diagram(Record):
         d["flows"] = {} if flows is None else flows
 
 
+def _check_new_id(diagram: Diagram, kind: str, element_id: str) -> None:
+    """Refuse an id no reader would take back: an empty one (SchemaError,
+    as parse_json words it), or one a node or flow already holds, since
+    draw.io keeps both in one id space (DuplicateIdError)."""
+    if not isinstance(element_id, str) or not element_id:
+        raise SchemaError(f"{kind} id must be a non-empty string")
+    if element_id in diagram.nodes or element_id in diagram.flows:
+        raise DuplicateIdError(f"{kind} id {element_id!r} already in use")
+
+
 def add_node(diagram: Diagram, node: Node) -> Diagram:
     """Return a copy of the diagram with the node inserted."""
-    if node.id in diagram.nodes:
-        raise DuplicateIdError(f"node id {node.id!r} already in use")
+    _check_new_id(diagram, "node", node.id)
     return replace(diagram, nodes={**diagram.nodes, node.id: node})
 
 
@@ -155,8 +165,7 @@ def add_flow(diagram: Diagram, flow: Flow) -> Diagram:
 
     Both endpoints must already exist; self-loops are representable.
     """
-    if flow.id in diagram.flows:
-        raise DuplicateIdError(f"flow id {flow.id!r} already in use")
+    _check_new_id(diagram, "flow", flow.id)
     for endpoint in (flow.source, flow.target):
         if endpoint not in diagram.nodes:
             raise UnknownEndpointError(

@@ -3,11 +3,13 @@
 Node and flow types are string-valued enums so they serialize directly into
 the JSON and draw.io interchange formats. The tables below drive the stage
 validators, and `FLOW_BY_ENDS` gives the flow typer and the gadget-insertion
-pass the flow kind that joins each pair of endpoint kinds.
+pass the flow kind that joins each pair of endpoint kinds. `NODE_LOOKS` is
+how each node kind is labelled by the rewrite and drawn in draw.io and DOT.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from enum import Enum, unique
 
 
@@ -34,6 +36,35 @@ class NodeType(str, Enum):
     LOG = "log"
     LOG_DB = "log_db"
     CLEAN = "clean"
+
+
+# Each node kind's look: the label the rewrite gives a generated node (None
+# for business kinds, which keep theirs), the draw.io box, the DOT shape and
+# the draw.io base style before any type marker. Untyped nodes have no row.
+NodeLook = namedtuple("NodeLook", "label width height dot_shape drawio_style")
+NODE_LOOKS: dict[NodeType, NodeLook] = {
+    NodeType.EXT: NodeLook(None, 120, 60, "box", "rounded=0;whiteSpace=wrap;html=1;"),
+    NodeType.PROC: NodeLook(None, 120, 60, "ellipse", "ellipse;whiteSpace=wrap;html=1;"),
+    NodeType.DB: NodeLook(None, 100, 60, "cylinder", "shape=datastore;whiteSpace=wrap;html=1;"),
+    NodeType.LIMIT: NodeLook("Limit", 80, 80, "diamond", "rhombus;whiteSpace=wrap;html=1;"),
+    NodeType.REQUEST: NodeLook(
+        "Request", 120, 60, "parallelogram",
+        "shape=parallelogram;perimeter=parallelogramPerimeter;whiteSpace=wrap;html=1;",
+    ),
+    NodeType.REASON: NodeLook(
+        "Reason", 120, 60, "trapezium",
+        "shape=trapezoid;perimeter=trapezoidPerimeter;whiteSpace=wrap;html=1;",
+    ),
+    NodeType.POLICY_DB: NodeLook(
+        "Policy store", 100, 60, "box3d", "shape=datastore;whiteSpace=wrap;html=1;dashed=1;"
+    ),
+    NodeType.LOG: NodeLook("Log", 120, 60, "note", "shape=document;whiteSpace=wrap;html=1;"),
+    NodeType.LOG_DB: NodeLook("Log store", 80, 80, "folder", "shape=cylinder3;whiteSpace=wrap;html=1;"),
+    NodeType.CLEAN: NodeLook(
+        "Clean", 120, 60, "octagon",
+        "shape=hexagon;perimeter=hexagonPerimeter2;whiteSpace=wrap;html=1;",
+    ),
+}
 
 
 @unique

@@ -364,9 +364,18 @@ def _parse_bool(value, where: str) -> bool:
     raise SimulationError(f"{where}: PD must be 'True' or 'False', found {value!r}")
 
 
+def _exact_iso_date(text: str) -> date:
+    """The date written as exactly YYYY-MM-DD, else ValueError. The form
+    is checked first because `date.fromisoformat` also reads forms such
+    as 20200601 and 2020-W23-1 from Python 3.11 on, and not before."""
+    if not re.fullmatch("[0-9]{4}-[0-9]{2}-[0-9]{2}", text):
+        raise ValueError(f"not YYYY-MM-DD: {text!r}")
+    return date.fromisoformat(text)
+
+
 def _parse_date(text: str, where: str) -> date:
     try:
-        return date.fromisoformat(text.strip())
+        return _exact_iso_date(text.strip())
     except ValueError:
         raise SimulationError(
             f"{where}: expected an ISO date (YYYY-MM-DD), found {text!r}"

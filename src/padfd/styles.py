@@ -15,7 +15,7 @@ from pathlib import Path
 from . import model
 from .errors import SchemaError, decode_json, read_utf8
 from .graph import Record
-from .model import FlowType, NodeType
+from .model import NODE_LOOKS, FlowType, NodeType
 
 
 class StyleMap(Record):
@@ -64,19 +64,6 @@ def _marker(type_value: str) -> str:
     return f"dfd={type_value};"
 
 
-_NODE_BASE_STYLES: dict[NodeType, str] = {
-    NodeType.EXT: "rounded=0;whiteSpace=wrap;html=1;",
-    NodeType.PROC: "ellipse;whiteSpace=wrap;html=1;",
-    NodeType.DB: "shape=datastore;whiteSpace=wrap;html=1;",
-    NodeType.LIMIT: "rhombus;whiteSpace=wrap;html=1;",
-    NodeType.REQUEST: "shape=parallelogram;perimeter=parallelogramPerimeter;whiteSpace=wrap;html=1;",
-    NodeType.REASON: "shape=trapezoid;perimeter=trapezoidPerimeter;whiteSpace=wrap;html=1;",
-    NodeType.POLICY_DB: "shape=datastore;whiteSpace=wrap;html=1;dashed=1;",
-    NodeType.LOG: "shape=document;whiteSpace=wrap;html=1;",
-    NodeType.LOG_DB: "shape=cylinder3;whiteSpace=wrap;html=1;",
-    NodeType.CLEAN: "shape=hexagon;perimeter=hexagonPerimeter2;whiteSpace=wrap;html=1;",
-}
-
 _EDGE_BASE = "edgeStyle=orthogonalEdgeStyle;rounded=0;html=1;"
 _POLICY_DECOR = "dashed=1;strokeColor=#0066CC;"
 _ADMIN_DECOR = "dashed=1;dashPattern=1 4;strokeColor=#808080;"
@@ -87,13 +74,10 @@ _DELETION_FLOW_TYPES = frozenset(
 
 def _default_node_styles() -> dict[NodeType, str]:
     # Business shapes stay vanilla; privacy additions carry their marker.
-    styles = {}
-    for node_type, base in _NODE_BASE_STYLES.items():
-        if node_type in model.BDFD_NODE_TYPES:
-            styles[node_type] = base
-        else:
-            styles[node_type] = base + _marker(node_type.value)
-    return styles
+    return {
+        kind: look.drawio_style + ("" if kind in model.BDFD_NODE_TYPES else _marker(kind.value))
+        for kind, look in NODE_LOOKS.items()
+    }
 
 
 def _default_edge_styles() -> dict[FlowType, str]:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from .errors import StageError, TransformError, WellFormednessError, WrongFlowTypeError
 from .graph import Diagram, Flow, FlowId, Node, NodeId, Record, replace
-from .model import FLOW_BY_ENDS, WELLFORMED_FLOW_ENDPOINTS, FlowType, NodeType, Stage
+from .model import FLOW_BY_ENDS, NODE_LOOKS, WELLFORMED_FLOW_ENDPOINTS, FlowType, NodeType, Stage
 from .validate import validate_wellformed
 
 
@@ -53,16 +53,6 @@ _EVIDENCE: dict[NodeType, NodeType] = {
 }
 (_POLICY_SELF,) = (kind for kind, evidence in _EVIDENCE.items() if kind is evidence)
 
-_GENERATED_LABELS: dict[NodeType, str] = {
-    NodeType.LIMIT: "Limit",
-    NodeType.REQUEST: "Request",
-    NodeType.LOG: "Log",
-    NodeType.LOG_DB: "Log store",
-    NodeType.REASON: "Reason",
-    NodeType.POLICY_DB: "Policy store",
-    NodeType.CLEAN: "Clean",
-}
-
 # The kinds written, read off FLOW_BY_ENDS once. The maps used per flow
 # stay keyed by one kind, as Enum.__hash__ is Python code, and the kinds
 # are globals: reading a member such as NodeType.LIMIT goes through the
@@ -82,7 +72,7 @@ _RETYPE[FlowType.DELETE] = FlowType.LIMDB_DEL
 
 
 def _make_node(node_id: NodeId, node_type: NodeType, partner: NodeId | None = None) -> Node:
-    return Node(node_id, node_type, _GENERATED_LABELS[node_type], partner)
+    return Node(node_id, node_type, NODE_LOOKS[node_type].label, partner)
 
 
 def _with_partner(node: Node, partner: NodeId) -> Node:

@@ -445,29 +445,37 @@ _dot_text = st.text(
 )
 
 
+def _maybe(draw, strategy):
+    """None or a value of `strategy`, in the same number of choices."""
+    value = draw(strategy)
+    return None if draw(st.booleans()) else value
+
+
 @st.composite
 def dot_diagrams(draw) -> Diagram:
     """Diagrams of any typed or untyped nodes and flows whose ids and
     labels are any text, labelled or not, now and then with a lone
     surrogate; a flow may name an endpoint that is not a node, which only
-    the API can build."""
-    pool = draw(st.lists(_dot_text, min_size=1, max_size=6, unique=True))
+    the API can build. As in `csv_tables`, every part is drawn whether it
+    is kept or not, and repeated texts and ids are dropped, not redrawn."""
+    drawn = [draw(_dot_text) for _ in range(6)]
+    pool = list(dict.fromkeys(drawn[: draw(st.integers(1, 6))]))
     if not draw(st.integers(0, 9)):
         pool.append("x\ud800")  # a lone surrogate, which no writer takes
-    texts = st.sampled_from(pool)
-    node_ids = draw(st.lists(texts, unique=True, max_size=5))
-    nodes = {
-        node_id: Node(node_id, draw(st.none() | st.sampled_from(NodeType)), draw(st.none() | texts))
-        for node_id in node_ids
-    }
-    ends = st.sampled_from(node_ids) | texts if node_ids else texts
-    flows = {}
-    for index in range(draw(st.integers(0, 6))):
-        flow_id = f"f{index}"
-        flows[flow_id] = Flow(
-            flow_id, draw(ends), draw(ends), draw(st.none() | st.sampled_from(FlowType)),
-            draw(st.none() | texts),
-        )
+    # Each list is sampled twice over: sampled_from takes no choice from a
+    # single option, and the number of choices would vary with the pool.
+    texts = st.sampled_from(pool * 2)
+    picked = [draw(texts) for _ in range(5)]
+    node_ids = list(dict.fromkeys(picked[: draw(st.integers(0, 5))]))
+    looks = [(_maybe(draw, st.sampled_from(NodeType)), _maybe(draw, texts)) for _ in range(5)]
+    nodes = {node_id: Node(node_id, *look) for node_id, look in zip(node_ids, looks)}
+    ends = st.sampled_from((node_ids or pool) * 2) | texts
+    kinds = st.sampled_from(FlowType)
+    flows = [
+        Flow(f"f{index}", draw(ends), draw(ends), _maybe(draw, kinds), _maybe(draw, texts))
+        for index in range(6)
+    ]
+    flows = {flow.id: flow for flow in flows[: draw(st.integers(0, 6))]}
     return Diagram(draw(st.sampled_from(Stage)), nodes, flows)
 
 
@@ -618,12 +626,22 @@ _CSV_GOOD = {
 def csv_tables(draw, columns: tuple[str, ...]) -> str:
     """CSV text for a table of `columns`: the header may reorder, repeat or
     miss columns and carry unknown ones; rows may be short, long or blank,
-    and lines end in LF or CRLF. Now and then the body is raw text."""
+    and lines end in LF or CRLF. Now and then the body is raw text.
+
+    Every part is drawn whether it is kept or not, so each table takes the
+    same number of choices: Hypothesis discards as invalid an example that
+    needs more choices than it allowed, and it allows an early example
+    five times the choices of the simplest one from the same start."""
     header = list(draw(st.permutations(columns)))
-    for name in draw(st.lists(st.sampled_from((*columns, "Extra")), max_size=2)):
-        header.insert(draw(st.integers(min_value=0, max_value=len(header))), name)
+    extras = [
+        (draw(st.sampled_from((*columns, "Extra"))), draw(st.integers(0, len(columns) + index)))
+        for index in range(2)
+    ]
+    for name, at in extras[: draw(st.integers(0, 2))]:
+        header.insert(at, name)
+    missing = draw(st.integers(min_value=0, max_value=len(header) - 1))
     if draw(st.integers(min_value=0, max_value=9)) == 0:
-        del header[draw(st.integers(min_value=0, max_value=len(header) - 1))]
+        del header[missing]
 
     def field(name: str) -> str:
         good = _CSV_GOOD.get(name, _CSV_FIELDS)
@@ -631,14 +649,18 @@ def csv_tables(draw, columns: tuple[str, ...]) -> str:
             good = _CSV_FIELDS
         return draw(st.sampled_from(good))
 
-    rows = []
-    for _ in range(draw(st.integers(min_value=0, max_value=6))):
-        row = [field(name) for name in header]
-        length = draw(st.sampled_from((len(row), len(row), len(row), 0, len(row) - 1, len(row) + 2)))
-        rows.append((row + [field("Extra"), field("Extra")])[:length])
+    # A row holds a field per header name, then two unknown ones, and is
+    # cut to the header's width, to none, to one short or to two long.
+    names = header + ["Extra"] * (len(columns) + 4 - len(header))
+    width = len(header)
+    lengths = st.sampled_from((width, width, width, 0, width - 1, width + 2))
+    rows = [[field(name) for name in names][: draw(lengths)] for _ in range(6)]
     out = io.StringIO()
-    csv.writer(out, lineterminator=draw(st.sampled_from(("\n", "\r\n")))).writerows([header, *rows])
+    csv.writer(out, lineterminator=draw(st.sampled_from(("\n", "\r\n")))).writerows(
+        [header, *rows[: draw(st.integers(min_value=0, max_value=6))]]
+    )
     text = out.getvalue()
+    raw = draw(st.text(st.sampled_from('ab1 ,;"\n\r-'), max_size=40))
     if draw(st.integers(min_value=0, max_value=4)) == 0:
-        text = text.split("\n", 1)[0] + "\n" + draw(st.text(st.sampled_from('ab1 ,;"\n\r-'), max_size=40))
+        text = text.split("\n", 1)[0] + "\n" + raw
     return text

@@ -47,10 +47,8 @@ from padfd import (
     report_to_dict,
 )
 from padfd import cli, model
-from padfd.dot import _SHAPES
 from padfd.drawio import (
     _CONSUMED_ATTRS,
-    _NODE_SIZES,
     _infer_stage,
     _locate_model,
     _structural_id,
@@ -58,6 +56,7 @@ from padfd.drawio import (
 )
 from padfd.graph import canonical_number, encode_output, format_position
 from padfd.layout import GRID_STEP
+from padfd.model import NODE_LOOKS
 from padfd.simulate import (
     DYNAMIC_COLUMNS,
     STATIC_COLUMNS,
@@ -145,8 +144,8 @@ def reference_emit_drawio(diagram: Diagram, styles=None) -> bytes:
             if key not in _CONSUMED_ATTRS:
                 attrs[key] = node.extra[key]
         cell = ET.SubElement(container, "mxCell", attrs)
-        width, height = _NODE_SIZES[node.node_type]
-        geometry = {"width": str(width), "height": str(height)}
+        look = NODE_LOOKS[node.node_type]
+        geometry = {"width": str(look.width), "height": str(look.height)}
         if node.position is not None:
             x, y = format_position(node)
             geometry = {"x": x, "y": y, **geometry}
@@ -301,7 +300,7 @@ def reference_emit_dot(diagram: Diagram) -> bytes:
     ]
     for node_id in sorted(diagram.nodes):
         node = diagram.nodes[node_id]
-        shape = _SHAPES.get(node.node_type, "plaintext")
+        shape = "plaintext" if node.node_type is None else NODE_LOOKS[node.node_type].dot_shape
         label = node.label if node.label is not None else node_id
         lines.append(f"  {_dot_quote(node_id)} [label={_dot_quote(label)}, shape={shape}];")
     for flow_id in sorted(diagram.flows):
@@ -504,7 +503,12 @@ def _reference_iso_date(text: str):
     from datetime import date
 
     try:
-        return date.fromisoformat(text)
+        if len(text) != 10 or text[4] + text[7] != "--":
+            raise ValueError(text)
+        digits = text[:4] + text[5:7] + text[8:]
+        if not (digits.isascii() and digits.isdigit()):
+            raise ValueError(text)
+        return date(int(text[:4]), int(text[5:7]), int(text[8:]))
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected an ISO date (YYYY-MM-DD), got {text!r}"

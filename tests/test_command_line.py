@@ -102,6 +102,17 @@ USAGE_ERRORS = {
         "simulate",
         "argument --clock: expected an ISO date (YYYY-MM-DD), got 'soon'",
     ),
+    # Forms that date.fromisoformat reads on Python 3.11 and later only.
+    "compact-clock": (
+        [*SIMULATE, "--clock", "20200601"],
+        "simulate",
+        "argument --clock: expected an ISO date (YYYY-MM-DD), got '20200601'",
+    ),
+    "week-clock": (
+        [*SIMULATE, "--clock", "2020-W23-1"],
+        "simulate",
+        "argument --clock: expected an ISO date (YYYY-MM-DD), got '2020-W23-1'",
+    ),
     "ambiguous-prefix": (
         [*SIMULATE, "--s", "x"], "simulate", "ambiguous option: --s could match --static, --styles"
     ),
@@ -210,7 +221,8 @@ def command_lines(draw) -> list[str]:
     elif mistake == "extra positional":
         words.append(["extra.json"])
     elif mistake == "bad clock" and command == "simulate":
-        words.insert(at, ["--clock", draw(st.sampled_from(["soon", "2020-13-01", "1 June"]))])
+        bad = ["soon", "2020-13-01", "1 June", "20200601", "2020-W23-1"]
+        words.insert(at, ["--clock", draw(st.sampled_from(bad))])
     elif mistake == "ambiguous prefix":
         words.insert(at, [AMBIGUOUS[command]])
     elif mistake == "flag with value":

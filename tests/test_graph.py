@@ -9,6 +9,7 @@ from padfd import (
     FlowType,
     Node,
     NodeType,
+    SchemaError,
     UnknownEndpointError,
     add_flow,
     add_node,
@@ -47,6 +48,26 @@ def test_add_flow_rejects_duplicate_id():
     d = add_flow(_pair(), Flow("f", "a", "b", FlowType.PF))
     with pytest.raises(DuplicateIdError):
         add_flow(d, Flow("f", "b", "a", FlowType.PF))
+
+
+def test_add_flow_rejects_an_id_a_node_holds():
+    # draw.io keeps nodes and flows in one id space, so such a diagram
+    # could be written but not read back.
+    with pytest.raises(DuplicateIdError, match="flow id 'a' already in use"):
+        add_flow(_pair(), Flow("a", "a", "b", FlowType.PF))
+
+
+def test_add_node_rejects_an_id_a_flow_holds():
+    d = add_flow(_pair(), Flow("f", "a", "b", FlowType.PF))
+    with pytest.raises(DuplicateIdError, match="node id 'f' already in use"):
+        add_node(d, Node("f", NodeType.DB))
+
+
+def test_an_empty_id_is_refused_as_parse_json_refuses_it():
+    with pytest.raises(SchemaError, match="^node id must be a non-empty string$"):
+        add_node(Diagram(), Node("", NodeType.EXT, "A"))
+    with pytest.raises(SchemaError, match="^flow id must be a non-empty string$"):
+        add_flow(_pair(), Flow("", "a", "b", FlowType.PF))
 
 
 def test_parallel_flows_and_self_loops_are_representable():

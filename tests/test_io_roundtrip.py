@@ -38,6 +38,7 @@ from padfd import (
 )
 from padfd.cli import main
 from padfd.drawio import MAX_INFLATED_PAGE
+from padfd.model import BDFD_NODE_TYPES, NODE_LOOKS
 
 from references import reference_emit_drawio, to_canonical_dict
 
@@ -370,6 +371,19 @@ def test_emit_generated_node_styles_distinct():
         NodeType.CLEAN,
     ):
         assert f"dfd={node_type.value};" in styles.style_for_node(node_type)
+
+
+def test_each_node_kind_has_one_look():
+    assert list(NODE_LOOKS) == list(NodeType)
+    for kind, look in NODE_LOOKS.items():
+        assert isinstance(look.drawio_style, str) and look.drawio_style
+        assert isinstance(look.dot_shape, str) and look.dot_shape
+        assert look.width > 0 and look.height > 0
+        # The rewrite labels the kinds it generates; business kinds keep their own.
+        if kind in BDFD_NODE_TYPES:
+            assert look.label is None
+        else:
+            assert isinstance(look.label, str) and look.label
 
 
 def test_drawio_round_trip_estore(fixtures_dir):

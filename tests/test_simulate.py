@@ -603,13 +603,23 @@ _DYNAMIC_HEADER = "D_id,F_id,Dsub,Consent,Expiry,Content\n"
             'd1,f1,S,billing,2020-01-01,"two\nlines"\nd2,f1,S,billing,2020-02-30,x\n',
             "dynamic row 3: expected an ISO date (YYYY-MM-DD), found '2020-02-30'",
         ),
+        # Forms that date.fromisoformat reads on Python 3.11 and later only.
+        (
+            "d1,f1,S,billing,20201231,x\n",
+            "dynamic row 2: expected an ISO date (YYYY-MM-DD), found '20201231'",
+        ),
+        (
+            "d1,f1,S,billing,2020-W53-4,x\n",
+            "dynamic row 2: expected an ISO date (YYYY-MM-DD), found '2020-W53-4'",
+        ),
         ("d1,f1,S,; ;,2020-01-01,x\n", "dynamic row 2: consent must list at least one purpose"),
         (" ,f1,S,billing,2020-01-01,x\n", "dynamic row 2: D_id and F_id must not be empty"),
         ("d1, ,S,billing,2020-01-01,x\n", "dynamic row 2: D_id and F_id must not be empty"),
     ],
     ids=[
         "blank-lines", "short-row-consent", "short-row-expiry", "short-row-ids",
-        "long-row", "quoted-newline", "empty-consent", "empty-d_id", "empty-f_id",
+        "long-row", "quoted-newline", "compact-expiry", "week-expiry", "empty-consent",
+        "empty-d_id", "empty-f_id",
     ],
 )
 def test_dynamic_table_messages(body, message, tmp_path):
