@@ -30,7 +30,6 @@ _HOME = {
     "FlowId": "graph",
     "FlowMeta": "simulate",
     "FlowType": "model",
-    "GRID_STEP": "layout",
     "LogEntry": "simulate",
     "MissingEndpointError": "errors",
     "MultiPageError": "errors",

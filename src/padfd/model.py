@@ -135,15 +135,18 @@ PA_FLOW_ENDPOINTS: dict[FlowType, tuple[NodeType, NodeType]] = {
     FlowType.CLEDB_DEL: (NodeType.CLEAN, NodeType.DB),
 }
 
+# The deletion variants that share their ends with another kind (delete
+# with store, limdb_del with limdb): a flow takes one of those only
+# because it is a deletion.
+DELETION_VARIANTS = frozenset({FlowType.DELETE, FlowType.LIMDB_DEL})
+
 # The flow kind joining a (source kind, target kind) pair, across both
-# tables. It leaves out the two deletion variants that share their ends
-# with another kind (delete with store, limdb_del with limdb): a flow takes
-# one of those only because it is a deletion.
+# tables, save the deletion variants.
 FLOW_BY_ENDS: dict[tuple[NodeType, NodeType], FlowType] = {
     ends: kind
     for table in (WELLFORMED_FLOW_ENDPOINTS, PA_FLOW_ENDPOINTS)
     for kind, ends in table.items()
-    if kind is not FlowType.DELETE and kind is not FlowType.LIMDB_DEL
+    if kind not in DELETION_VARIANTS
 }
 
 

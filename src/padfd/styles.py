@@ -67,9 +67,6 @@ def _marker(type_value: str) -> str:
 _EDGE_BASE = "edgeStyle=orthogonalEdgeStyle;rounded=0;html=1;"
 _POLICY_DECOR = "dashed=1;strokeColor=#0066CC;"
 _ADMIN_DECOR = "dashed=1;dashPattern=1 4;strokeColor=#808080;"
-_DELETION_FLOW_TYPES = frozenset(
-    {FlowType.DF, FlowType.DELETE, FlowType.LIMDB_DEL, FlowType.CLEDB_DEL}
-)
 
 
 def _default_node_styles() -> dict[NodeType, str]:
@@ -90,7 +87,7 @@ def _default_edge_styles() -> dict[FlowType, str]:
             decor = _POLICY_DECOR
         elif flow_type in model.PA_ADMIN_FLOW_TYPES:
             decor = _ADMIN_DECOR
-        elif flow_type in _DELETION_FLOW_TYPES:
+        elif flow_type in model.DELETION_VARIANTS:
             decor = "dashed=1;"
         styles[flow_type] = _EDGE_BASE + decor + _marker(flow_type.value)
     return styles

@@ -20,7 +20,7 @@ layout.
 from __future__ import annotations
 
 from .errors import StageError, TransformError, WellFormednessError, WrongFlowTypeError
-from .graph import Diagram, Flow, FlowId, Node, NodeId, Record, replace
+from .graph import Diagram, Flow, FlowId, Node, NodeId, Record
 from .model import FLOW_BY_ENDS, NODE_LOOKS, WELLFORMED_FLOW_ENDPOINTS, FlowType, NodeType, Stage
 from .validate import validate_wellformed
 
@@ -99,7 +99,11 @@ def _policy_anchor(node: Node) -> NodeId:
     return node.id if node.node_type is _POLICY_SELF else node.partner
 
 
-def _rewrite_flow(nodes: dict, flows: dict, ids: _FreshIds, flow_id: FlowId) -> None:
+def _rewrite_flow(
+    nodes: dict, flows: dict, ids: _FreshIds, flow_id: FlowId, shared_log_db: NodeId | None
+) -> NodeId:
+    """Guard one flow and return its log store. Given a shared store, the
+    flow still takes an id for its own, so later ids do not move."""
     flow = flows[flow_id]
     source = nodes[flow.source]
     target = nodes[flow.target]
@@ -107,7 +111,10 @@ def _rewrite_flow(nodes: dict, flows: dict, ids: _FreshIds, flow_id: FlowId) -> 
     nodes[limit_id] = _make_node(limit_id, _LIMIT, request_id)
     nodes[request_id] = _make_node(request_id, _REQUEST, limit_id)
     nodes[log_id] = _make_node(log_id, _LOG)
-    nodes[log_db_id] = _make_node(log_db_id, _LOG_DB)
+    if shared_log_db is None:
+        nodes[log_db_id] = _make_node(log_db_id, _LOG_DB)
+    else:
+        log_db_id = shared_log_db
     reqlim_id, limlog_id, logging_id = (ids.take() for _ in range(3))
     flows[reqlim_id] = Flow(reqlim_id, request_id, limit_id, _REQLIM)
     flows[limlog_id] = Flow(limlog_id, limit_id, log_id, _LIMLOG)
@@ -129,6 +136,7 @@ def _rewrite_flow(nodes: dict, flows: dict, ids: _FreshIds, flow_id: FlowId) -> 
         flow_id, limit_id, flow.target, _RETYPE[flow.flow_type], flow.label, target_policy_id,
         flow.extra,
     )
+    return log_db_id
 
 
 def transform(
@@ -140,8 +148,11 @@ def transform(
     original flows are retyped and re-sourced at their limit. With
     ``check=False`` the well-formedness gate is skipped (the rewrite is
     still total on typed flows), which permits rewriting excerpts of
-    larger diagrams. ``shared_log_store=True`` merges the per-flow log
-    stores into one afterwards.
+    larger diagrams. A diagram of |N| nodes, P processes, D stores and F
+    flows becomes one of |N|+P+2D+4F nodes and 7F+2D flows.
+    ``shared_log_store=True`` gives every log chain one log store, the
+    first the rewrite creates, and leaves the diagram's own nodes
+    untouched: |N|+P+2D+3F+1 nodes for F >= 1, and still 7F+2D flows.
     """
     if diagram.stage is Stage.PA:
         raise StageError("diagram is already privacy-aware; the rewrite is not idempotent")
@@ -154,6 +165,7 @@ def transform(
     nodes = dict(diagram.nodes)
     flows = dict(diagram.flows)
     ids = _FreshIds(diagram)
+    shared_log_db = None
     original_flows = sorted(diagram.flows)
     for node_id in sorted(diagram.nodes):
         _add_partner_elems(nodes, flows, ids, node_id)
@@ -171,29 +183,10 @@ def transform(
                     f"flow {flow_id!r} touches node {end!r} of type {type_name!r}; "
                     "only flows between entities, processes and stores can be guarded"
                 )
-        _rewrite_flow(nodes, flows, ids, flow_id)
-    result = Diagram(Stage.PA, nodes, flows)
-    if shared_log_store:
-        result = _merge_log_stores(result)
-    return result
-
-
-def _merge_log_stores(diagram: Diagram) -> Diagram:
-    """Merge all log stores into the first one (insertion order), retargeting
-    every log -> store flow. Counting-law bookkeeping does not survive this."""
-    log_dbs = [n.id for n in diagram.nodes.values() if n.node_type is _LOG_DB]
-    if len(log_dbs) < 2:
-        return diagram
-    keep, *drop = log_dbs
-    dropped = set(drop)
-    nodes = {nid: n for nid, n in diagram.nodes.items() if nid not in dropped}
-    flows = {
-        fid: replace(f, target=keep)
-        if f.flow_type is _LOGGING and f.target in dropped
-        else f
-        for fid, f in diagram.flows.items()
-    }
-    return replace(diagram, nodes=nodes, flows=flows)
+        log_db_id = _rewrite_flow(nodes, flows, ids, flow_id, shared_log_db)
+        if shared_log_store:
+            shared_log_db = log_db_id
+    return Diagram(Stage.PA, nodes, flows)
 
 
 class Gadget(Record):

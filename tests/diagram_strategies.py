@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 from datetime import date, timedelta
 from xml.sax.saxutils import quoteattr
 
@@ -32,6 +33,18 @@ from padfd import (
 
 from helpers import LABELS, PURPOSES
 
+
+def _choose(draw, *values):
+    """One of `values`, all drawn already, shrinking to the first. Unlike
+    `st.one_of`, the choices taken do not depend on which is kept:
+    Hypothesis discards as invalid an example that needs more choices than
+    it allowed, and it allows an early example five times the choices of
+    the simplest one from the same start. Nor is it a `.map`, whose spans
+    all share one label, so that Hypothesis's span-copy mutations would
+    swap draws of unequal lengths."""
+    return values[draw(st.integers(0, len(values) - 1))]
+
+
 # Valid XML 1.0 characters only, so every generated string survives the
 # draw.io format; the sampled LABELS add newlines and markup characters.
 _text = st.text(
@@ -39,7 +52,11 @@ _text = st.text(
     min_size=1,
     max_size=12,
 )
-labels = st.one_of(st.none(), st.sampled_from(LABELS), _text)
+
+
+def _label(draw) -> str | None:
+    return _choose(draw, None, draw(st.sampled_from(LABELS)), draw(_text))
+
 
 _EXTRA_KEYS = ("owner", "dept", "note", "retention", "team")
 extras = st.dictionaries(
@@ -48,30 +65,38 @@ extras = st.dictionaries(
     max_size=2,
 )
 
-_coord = st.one_of(
-    st.integers(min_value=-400, max_value=800).map(float),
-    st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False),
-)
-positions = st.one_of(st.none(), st.tuples(_coord, _coord))
+_grid = st.integers(min_value=-400, max_value=800)
+_coord = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
+
+
+def _position(draw) -> tuple[float, float] | None:
+    x, y = (_choose(draw, float(draw(_grid)), draw(_coord)) for _ in range(2))
+    return _choose(draw, None, (x, y))
 
 _ID_ALPHABET = "abcdefghijklmnopqrstuvwxyz0123456789-_"
 identifiers = st.text(_ID_ALPHABET, min_size=1, max_size=8)
+# Characters that extend an id already taken, one at a time, until it is
+# free. An id meets at most one taken id per id before it, so 32 reach any
+# extension that the at most 28 ids of one diagram can need.
+_extensions = st.text(_ID_ALPHABET, min_size=1, max_size=32)
 
 
 def _unique_ids(draw, count: int) -> list[str]:
-    """`count` distinct identifiers. An id already taken is extended by
-    drawn characters of the alphabet until it is free, so no draw is
-    retried and no example discarded for a collision."""
+    """`count` distinct identifiers, each drawn with its extension, so no
+    draw is retried, no example discarded for a collision, and each id
+    takes the same number of choices."""
     ids: dict[str, None] = {}
     for _ in range(count):
-        new = draw(identifiers)
-        while new in ids:
-            new += draw(st.sampled_from(_ID_ALPHABET))
+        new, extension = draw(identifiers), draw(_extensions)
+        for char in itertools.cycle(extension):
+            if new not in ids:
+                break
+            new += char
         ids[new] = None
     return list(ids)
 
 
-def _typed_flow(draw, flow_id, source, source_type, target, target_type, label):
+def _typed_flow(flow_id, source, source_type, target, target_type, label, deletes):
     if source_type is NodeType.EXT:
         flow_type = FlowType.IN
     elif source_type is NodeType.DB:
@@ -79,20 +104,30 @@ def _typed_flow(draw, flow_id, source, source_type, target, target_type, label):
     elif target_type is NodeType.EXT:
         flow_type = FlowType.OUT
     elif target_type is NodeType.DB:
-        flow_type = FlowType.DELETE if draw(st.booleans()) else FlowType.STORE
+        flow_type = FlowType.DELETE if deletes else FlowType.STORE
     else:
         flow_type = FlowType.COMP
     return Flow(flow_id, source, target, flow_type, label=label)
+
+
+# The most of each part `wellformed_diagrams` draws: entities, processes,
+# stores, extra wires, and so nodes and wires (two per process, one per
+# entity or store left unwired, and the extra ones).
+_EXTS, _PROCS, _DBS, _EXTRA_WIRES = 3, 4, 3, 4
+_NODES = _EXTS + _PROCS + _DBS
+_WIRES = 2 * _PROCS + _EXTS + _DBS + _EXTRA_WIRES
 
 
 @st.composite
 def wellformed_diagrams(draw) -> Diagram:
     """Well-formed business diagrams built constructively: every process
     relays, every entity and store touches a flow, types match endpoints.
-    The wiring is drawn first, so only the ids it uses are drawn."""
-    procs = draw(st.integers(min_value=1, max_value=4))
-    exts = draw(st.integers(min_value=0, max_value=3))
-    dbs = draw(st.integers(min_value=0, max_value=3))
+    As in `csv_tables`, every part is drawn for the most nodes and wires
+    whether it is kept or not, so each diagram takes the same number of
+    choices."""
+    procs = draw(st.integers(min_value=1, max_value=_PROCS))
+    exts = draw(st.integers(min_value=0, max_value=_EXTS))
+    dbs = draw(st.integers(min_value=0, max_value=_DBS))
     if procs == 1 and exts == 0 and dbs == 0:
         exts = 1
 
@@ -100,43 +135,55 @@ def wellformed_diagrams(draw) -> Diagram:
     kinds = [NodeType.EXT] * exts + [NodeType.PROC] * procs + [NodeType.DB] * dbs
     proc_ids = range(exts, exts + procs)
     others = [i for i, kind in enumerate(kinds) if kind is not NodeType.PROC]
+
+    # Each list is sampled twice over: sampled_from takes no choice from a
+    # single option.
+    def pick(pool) -> int:
+        return draw(st.sampled_from(list(pool) * 2))
+
+    def peers(proc: int) -> list[int]:
+        return others + [p for p in proc_ids if p != proc]
+
     wires: list[tuple[int, int]] = []  # (source, target) node indices
-    for proc in proc_ids:
-        pool = others + [p for p in proc_ids if p != proc]
-        wires.append((draw(st.sampled_from(pool)), proc))
-        wires.append((proc, draw(st.sampled_from(pool))))
+    for slot in range(_PROCS):
+        # A slot past the last process draws for the first one.
+        proc = proc_ids[slot % procs]
+        source, target = pick(peers(proc)), pick(peers(proc))
+        if slot < procs:
+            wires += [(source, proc), (proc, target)]
 
     connected = {end for ends in wires for end in ends}
-    for node in others:
-        if node not in connected:
-            proc = draw(st.sampled_from(proc_ids))
-            wires.append((node, proc) if draw(st.booleans()) else (proc, node))
+    for slot in range(_EXTS + _DBS):
+        proc, inward = pick(proc_ids), draw(st.booleans())
+        if slot < len(others) and others[slot] not in connected:
+            node = others[slot]
+            wires.append((node, proc) if inward else (proc, node))
 
-    for _ in range(draw(st.integers(min_value=0, max_value=4))):
-        proc = draw(st.sampled_from(proc_ids))
-        other = draw(st.sampled_from(others + [p for p in proc_ids if p != proc]))
-        wires.append((other, proc) if draw(st.booleans()) else (proc, other))
+    extra = []
+    for _ in range(_EXTRA_WIRES):
+        proc = pick(proc_ids)
+        other = pick(peers(proc))
+        extra.append((other, proc) if draw(st.booleans()) else (proc, other))
+    wires += extra[: draw(st.integers(min_value=0, max_value=_EXTRA_WIRES))]
 
-    count = len(kinds) + len(wires)
-    ids = _unique_ids(draw, count)
+    ids = _unique_ids(draw, _NODES + _WIRES)
     node_ids, flow_ids = ids[: len(kinds)], ids[len(kinds) :]
+    looks = [(_label(draw), _position(draw)) for _ in range(_NODES)]
+    flow_parts = [(_label(draw), draw(st.booleans())) for _ in range(_WIRES)]
     diagram = Diagram(stage=Stage.WELLFORMED)
-    for node_id, node_type in zip(node_ids, kinds):
-        diagram = add_node(
-            diagram,
-            Node(node_id, node_type, label=draw(labels), position=draw(positions)),
-        )
-    for flow_id, (source, target) in zip(flow_ids, wires):
+    for node_id, node_type, (label, position) in zip(node_ids, kinds, looks):
+        diagram = add_node(diagram, Node(node_id, node_type, label=label, position=position))
+    for flow_id, (source, target), (label, deletes) in zip(flow_ids, wires, flow_parts):
         diagram = add_flow(
             diagram,
             _typed_flow(
-                draw,
                 flow_id,
                 node_ids[source],
                 kinds[source],
                 node_ids[target],
                 kinds[target],
-                draw(labels),
+                label,
+                deletes,
             ),
         )
     return diagram
@@ -158,7 +205,7 @@ def raw_diagrams(draw) -> Diagram:
 
     diagram = Diagram(stage=Stage.RAW)
     for node_id, node_type in zip(node_ids, node_types):
-        diagram = add_node(diagram, Node(node_id, node_type, label=draw(labels)))
+        diagram = add_node(diagram, Node(node_id, node_type, label=_label(draw)))
 
     flow_count = draw(st.integers(min_value=0, max_value=10))
     for flow_id in flow_ids[:flow_count]:
@@ -173,7 +220,7 @@ def raw_diagrams(draw) -> Diagram:
                         (FlowType.PF, FlowType.PF, FlowType.PF, FlowType.DF)
                     )
                 ),
-                label=draw(labels),
+                label=_label(draw),
             ),
         )
     return diagram
@@ -187,7 +234,7 @@ def _decorated(draw, diagram: Diagram) -> Diagram:
     chosen = draw(st.lists(st.sampled_from(list(nodes)), unique=True)) if nodes else []
     for node_id in chosen:
         node = nodes[node_id]
-        position = node.position if node.position is not None else draw(positions)
+        position = node.position if node.position is not None else _position(draw)
         nodes[node_id] = Node(node.id, node.node_type, node.label, node.partner, position, draw(extras))
     return Diagram(stage=diagram.stage, nodes=nodes, flows=dict(diagram.flows))
 

@@ -14,8 +14,10 @@ dict, for `json.dumps` and for comparing diagrams. The command line is
 parsed by a table in `padfd.cli`; `reference_parser` is the argparse
 parser it replaced. `padfd.validate` checks each stage's condition from
 one table in one walk; `reference_validate_raw`, `_wellformed` and `_pa`
-compose one pass per rule, as the library did before. The tests require
-identical results."""
+compose one pass per rule, as the library did before. `transform` shares
+one log store as it rewrites; `reference_merge_log_stores` merges the
+per-flow stores of a finished rewrite, as the library did before. The tests
+require identical results."""
 
 from __future__ import annotations
 
@@ -430,6 +432,24 @@ def reference_layout_generated(diagram: Diagram) -> Diagram:
             place(node_id, 0.0, 0.0)
 
     return replace(diagram, nodes=nodes)
+
+
+def reference_merge_log_stores(diagram: Diagram) -> Diagram:
+    """Merge all log stores into the first one (insertion order), retargeting
+    every log -> store flow."""
+    log_dbs = [n.id for n in diagram.nodes.values() if n.node_type is NodeType.LOG_DB]
+    if len(log_dbs) < 2:
+        return diagram
+    keep, *drop = log_dbs
+    dropped = set(drop)
+    nodes = {nid: n for nid, n in diagram.nodes.items() if nid not in dropped}
+    flows = {
+        fid: replace(f, target=keep)
+        if f.flow_type is FlowType.LOGGING and f.target in dropped
+        else f
+        for fid, f in diagram.flows.items()
+    }
+    return replace(diagram, nodes=nodes, flows=flows)
 
 
 def reference_report_json(report) -> str:

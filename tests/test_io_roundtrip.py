@@ -111,8 +111,14 @@ def test_parse_truncated_file(fixtures_dir):
             ParseError,
             "edge cell without an id",
         ),
+        (
+            '<mxGraphModel><root><mxCell id="a" style="ellipse;" vertex="1"/>'
+            '<mxCell id="e" edge="1" source="a" target="ghost"/></root></mxGraphModel>',
+            MissingEndpointError,
+            "edge 'e' references missing node 'ghost'",
+        ),
     ],
-    ids=["no-page", "no-model", "unexpected-root", "no-root", "edge-without-id"],
+    ids=["no-page", "no-model", "unexpected-root", "no-root", "edge-without-id", "edge-to-ghost"],
 )
 def test_parse_names_what_the_document_lacks(document, error, message):
     with pytest.raises(error) as exc:
@@ -244,6 +250,14 @@ def test_parse_infers_pa_stage():
     # Strip the explicit stage marker; content alone identifies the stage.
     stripped = data.decode("utf-8").replace(' dfdStage="pa-dfd"', "")
     assert parse_drawio(stripped).stage is Stage.PA
+
+
+def test_parse_infers_wellformed_stage():
+    data = emit_drawio(build_all_kinds()).decode("utf-8")
+    # The dfd= markers of the typed data flows identify the stage.
+    stripped = data.replace(' dfdStage="wellformed-bdfd"', "")
+    assert stripped != data
+    assert parse_drawio(stripped) == build_all_kinds()
 
 
 def test_edge_typing_is_total():
@@ -461,6 +475,18 @@ def test_load_style_map_round_trip(tmp_path):
     data = emit_drawio(d, styles=styles)
     assert b"kind=store;fill=blue;" in data
     assert parse_drawio(data, styles=styles) == d
+
+
+def test_load_style_map_replaces_edge_rules(tmp_path):
+    path = tmp_path / "dotted.json"
+    path.write_text(json.dumps({"edge_rules": [["dotted=1", "delete"]]}), encoding="utf-8")
+    styles = load_style_map(path)
+    assert styles.edge_rules == (("dotted=1", FlowType.DELETE),)
+    assert styles.flow_type_for("dotted=1;") is FlowType.DELETE
+    # Replaced rule list: the default markers no longer apply.
+    assert styles.flow_type_for("dfd=reqlim;") is FlowType.PF
+    assert styles.node_rules == DEFAULT_STYLE_MAP.node_rules
+    assert styles.edge_styles == DEFAULT_STYLE_MAP.edge_styles
 
 
 def test_load_style_map_merges_emit_styles(tmp_path):

@@ -62,6 +62,7 @@ from references import (
     reference_emit_dot,
     reference_emit_drawio,
     reference_layout_generated,
+    reference_merge_log_stores,
     reference_parse_data_records,
     reference_parse_drawio,
     reference_parse_flow_metas,
@@ -123,6 +124,16 @@ def test_typecheck_inverts_type_erasure(diagram):
 
 
 # --- the privacy rewrite -----------------------------------------------------------
+
+
+@PROPERTY_SETTINGS
+@given(wellformed_diagrams())
+def test_shared_log_store_is_the_merge_reference(diagram):
+    """Sharing the first log store while rewriting gives what merging the
+    per-flow stores afterwards gave, in the same order. A well-formed
+    diagram holds no log store of its own, where the two would differ."""
+    shared = transform(diagram, shared_log_store=True)
+    assert _in_order(shared) == _in_order(reference_merge_log_stores(transform(diagram)))
 
 
 @PROPERTY_SETTINGS

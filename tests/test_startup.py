@@ -406,7 +406,10 @@ FOLDED_NAMES = [
 ]
 
 
-@pytest.mark.parametrize("name", ["no_such_name", "to_canonical_dict", "cli_main", *FOLDED_NAMES])
+# `GRID_STEP` only tests read; it stays `padfd.layout.GRID_STEP`.
+@pytest.mark.parametrize(
+    "name", ["no_such_name", "to_canonical_dict", "cli_main", "GRID_STEP", *FOLDED_NAMES]
+)
 def test_unknown_names_raise_attribute_error(name):
     with pytest.raises(AttributeError, match=repr(name)):
         getattr(padfd, name)

@@ -401,6 +401,34 @@ def test_merge_log_stores_single_store_noop():
     assert merged == transform(excerpt, check=False)
 
 
+def test_shared_log_store_counting_laws():
+    d = build_all_kinds()
+    procs, dbs, flows = count_kinds(d)
+    shared = transform(d, shared_log_store=True)
+    assert len(shared.nodes) == len(d.nodes) + procs + 2 * dbs + 3 * flows + 1
+    assert len(shared.flows) == 7 * flows + 2 * dbs
+    assert validate_pa(shared).valid
+
+
+def test_shared_log_store_leaves_the_diagrams_own_log_stores():
+    own = [
+        Node("L1", NodeType.LOG_DB, label="Audit 1", position=(0.0, 400.0)),
+        Node("L2", NodeType.LOG_DB, label="Audit 2", position=(80.0, 400.0)),
+    ]
+    excerpt = build_excerpt()
+    d = build_diagram(Stage.WELLFORMED, [*excerpt.nodes.values(), *own], excerpt.flows.values())
+    shared = transform(d, check=False, shared_log_store=True)
+    assert [shared.nodes["L1"], shared.nodes["L2"]] == own
+    generated = [
+        n.id for n in shared.nodes.values()
+        if n.node_type is NodeType.LOG_DB and n.id.startswith("gen-")
+    ]
+    assert len(generated) == 1
+    logging_flows = [f for f in shared.flows.values() if f.flow_type is FlowType.LOGGING]
+    assert len(logging_flows) == len(excerpt.flows)
+    assert {f.target for f in logging_flows} == set(generated)
+
+
 def test_transform_shared_log_store_flag():
     """The flag drops every log store but the first and retargets the
     logging flows at it; nothing else changes."""
