@@ -12,12 +12,9 @@ byte-deterministic: elements are written in sorted id order and nothing
 
 from __future__ import annotations
 
-import base64
 import math
 import re
-import urllib.parse
 import xml.etree.ElementTree as ET
-import zlib
 
 from . import model
 from .errors import (
@@ -52,7 +49,12 @@ MAX_INFLATED_PAGE = 64 * 1024 * 1024
 
 
 def _inflate_page(text: str) -> ET.Element:
-    """Decode a compressed page body (base64, raw deflate, URI encoding)."""
+    """Decode a compressed page body (base64, raw deflate, URI encoding).
+    Only compressed pages reach here, so only they load the codecs."""
+    import base64
+    import urllib.parse
+    import zlib
+
     try:
         inflater = zlib.decompressobj(-15)
         inflated = inflater.decompress(

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import re
-from typing import TypeVar
 
 from .errors import SURROGATE, DuplicateIdError, SchemaError, UnknownEndpointError
 from .model import FlowType, NodeType, Stage
@@ -71,7 +70,13 @@ class Record:
         return f"{type(self).__qualname__}({fields})"
 
 
-R = TypeVar("R", bound=Record)
+# Type checkers read any `TYPE_CHECKING` as true; at run time `typing` is
+# not imported for `R`, which only annotations name.
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import TypeVar
+
+    R = TypeVar("R", bound=Record)
 
 
 def replace(record: R, /, **changes) -> R:

@@ -18,13 +18,14 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 import re
 from collections import deque
+from collections.abc import Callable, Iterable, Sequence
 from datetime import date
 from json.encoder import encode_basestring_ascii as _ascii
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
 
 from .errors import SURROGATE, SchemaError, SimulationError, StageError, decode_json, read_utf8
 from .graph import Diagram, Flow, NodeId, Record
@@ -530,62 +531,10 @@ def load_equivalences(path: str | Path) -> list[tuple[str, str]]:
     return pairs
 
 
-def _entry_dict(entry: LogEntry) -> dict:
-    return {
-        "d_id": entry.d_id,
-        "flow_id": entry.flow_id,
-        "purpose": entry.policy.purpose,
-        "consent": sorted(entry.policy.consent),
-        "expiry": entry.policy.expiry.isoformat(),
-        "v": entry.v,
-        "clock": entry.clock.isoformat(),
-    }
-
-
-def report_to_dict(report: SimulationReport) -> dict:
-    """JSON-ready view of a report (deterministic for a given run)."""
-    return {
-        "clock": report.clock.isoformat(),
-        "decisions": [
-            {
-                "d_id": d.d_id,
-                "flow_id": d.flow_id,
-                "forwarded_bdfd": d.forwarded_bdfd,
-                "forwarded_padfd": d.forwarded_padfd,
-                "violation": d.entry.v,
-                "propagated": d.propagated,
-            }
-            for d in report.decisions
-        ],
-        "logs": {
-            store: [_entry_dict(e) for e in entries]
-            for store, entries in sorted(report.logs.items())
-        },
-        "stores": {
-            store: {
-                d_id: {"stored_at": stored.stored_at.isoformat()}
-                for d_id, stored in sorted(records.items())
-            }
-            for store, records in sorted(report.state.data.items())
-        },
-        "policies": {
-            store: {
-                d_id: {
-                    "purpose": snap.purpose,
-                    "consent": sorted(snap.consent),
-                    "expiry": snap.expiry.isoformat(),
-                }
-                for d_id, snap in sorted(snaps.items())
-            }
-            for store, snaps in sorted(report.state.policies.items())
-        },
-    }
-
-
-# report_json writes the layout that json.dumps(report_to_dict(report),
-# indent=2, sort_keys=True) gives, its keys already in sorted order:
-# decisions and log stores sit at indent 4, log entries and stored records
-# at 6, and every consent list's items at 10.
+# report_json writes the layout of json.dumps(..., indent=2, sort_keys=True),
+# its keys already in sorted order: decisions and log stores sit at indent
+# 4, log entries and stored records at 6, and every consent list's items at
+# 10.
 
 
 def _block(items: list[str], indent: str, brackets: str) -> str:
@@ -647,10 +596,12 @@ def _stores_text(stores: dict, value_text: Callable) -> str:
 
 
 def report_json(report: SimulationReport) -> str:
-    """The report as JSON text, byte-identical to
-    ``json.dumps(report_to_dict(report), indent=2, sort_keys=True)``: keys
-    sorted, two-space indent, ASCII only, no trailing newline. It is
-    written directly, without building that dict."""
+    """The report as JSON text: the clock, each decision, each log store's
+    entries with their policy snapshots, and what each policy store and
+    data store holds by record id. The layout is the one
+    ``json.dumps(..., indent=2, sort_keys=True)`` gives: keys sorted,
+    two-space indent, ASCII only, no trailing newline. It is written
+    directly, without building a dict."""
     decisions = _block(
         [
             f'    {{\n      "d_id": {_ascii(d.d_id)},\n'
@@ -676,6 +627,11 @@ def report_json(report: SimulationReport) -> str:
         f'  "policies": {_stores_text(report.state.policies, _snapshot_text)},\n'
         f'  "stores": {_stores_text(report.state.data, _stored_text)}\n}}'
     )
+
+
+def report_to_dict(report: SimulationReport) -> dict:
+    """The report as `report_json` writes it, read back as a dict."""
+    return json.loads(report_json(report))
 
 
 def render_report(report: SimulationReport) -> str:

@@ -5,6 +5,8 @@ from __future__ import annotations
 import csv
 import io
 import itertools
+import json
+import math
 from datetime import date, timedelta
 from xml.sax.saxutils import quoteattr
 
@@ -21,6 +23,7 @@ from padfd import (
     Node,
     NodeType,
     PolicySnapshot,
+    SCHEMA_ID,
     SimulationReport,
     Stage,
     StoredRecord,
@@ -43,6 +46,28 @@ def _choose(draw, *values):
     all share one label, so that Hypothesis's span-copy mutations would
     swap draws of unequal lengths."""
     return values[draw(st.integers(0, len(values) - 1))]
+
+
+def _up_to(draw, make, count: int = 3) -> list:
+    """Up to `count` values of `make()`. All `count` are made whether kept
+    or not, so the choices taken do not depend on how many are kept.
+    Like `_choose`, it is a plain function, not a strategy: the spans of a
+    strategy share one label whatever its arguments, and Hypothesis's
+    span-copy mutations would swap draws of unequal lengths."""
+    made = [make() for _ in range(count)]
+    return made[: draw(st.integers(0, count))]
+
+
+def _shuffled(draw, items: list) -> list:
+    """`items` in a drawn order, in one choice: the order's index among
+    all orders, read as a mixed-radix number, so every order is reachable
+    and the unshuffled one is the simplest. `st.permutations` takes one
+    choice per item, and its spans share one label whatever their length."""
+    index, left, ordered = draw(st.integers(0, math.factorial(len(items)) - 1)), list(items), []
+    while left:
+        index, at = divmod(index, len(left))
+        ordered.append(left.pop(at))
+    return ordered
 
 
 # Valid XML 1.0 characters only, so every generated string survives the
@@ -189,40 +214,33 @@ def wellformed_diagrams(draw) -> Diagram:
     return diagram
 
 
+# The most nodes and flows `raw_diagrams` draws.
+_RAW_NODES, _RAW_FLOWS = 6, 10
+
+
 @st.composite
 def raw_diagrams(draw) -> Diagram:
-    """Valid raw diagrams with arbitrary wiring — frequently ill-formed."""
-    node_types = draw(
-        st.lists(
-            st.sampled_from((NodeType.EXT, NodeType.PROC, NodeType.DB)),
-            min_size=1,
-            max_size=6,
-        )
-    )
-    count = len(node_types)
-    ids = _unique_ids(draw, count + 10)
-    node_ids, flow_ids = ids[:count], ids[count:]
+    """Valid raw diagrams with arbitrary wiring — frequently ill-formed.
+    As in `wellformed_diagrams`, every node and flow is drawn whether it is
+    kept or not, so each diagram takes the same number of choices."""
+    looks = [
+        (draw(st.sampled_from((NodeType.EXT, NodeType.PROC, NodeType.DB))), _label(draw))
+        for _ in range(_RAW_NODES)
+    ]
+    ids = _unique_ids(draw, _RAW_NODES + _RAW_FLOWS)
+    node_ids, flow_ids = ids[: draw(st.integers(1, _RAW_NODES))], ids[_RAW_NODES:]
+    # Sampled twice over: sampled_from takes no choice from a single node.
+    ends = st.sampled_from(node_ids * 2)
+    kinds = st.sampled_from((FlowType.PF, FlowType.PF, FlowType.PF, FlowType.DF))
+    flows = [
+        Flow(flow_id, draw(ends), draw(ends), draw(kinds), label=_label(draw)) for flow_id in flow_ids
+    ]
 
     diagram = Diagram(stage=Stage.RAW)
-    for node_id, node_type in zip(node_ids, node_types):
-        diagram = add_node(diagram, Node(node_id, node_type, label=_label(draw)))
-
-    flow_count = draw(st.integers(min_value=0, max_value=10))
-    for flow_id in flow_ids[:flow_count]:
-        diagram = add_flow(
-            diagram,
-            Flow(
-                flow_id,
-                draw(st.sampled_from(node_ids)),
-                draw(st.sampled_from(node_ids)),
-                draw(
-                    st.sampled_from(
-                        (FlowType.PF, FlowType.PF, FlowType.PF, FlowType.DF)
-                    )
-                ),
-                label=_label(draw),
-            ),
-        )
+    for node_id, (node_type, label) in zip(node_ids, looks):
+        diagram = add_node(diagram, Node(node_id, node_type, label=label))
+    for flow in flows[: draw(st.integers(0, _RAW_FLOWS))]:
+        diagram = add_flow(diagram, flow)
     return diagram
 
 
@@ -409,13 +427,15 @@ def _xml_attributes(attributes) -> str:
     return "".join(f" {name}={quoteattr(value, {chr(10): '&#10;'})}" for name, value in attributes)
 
 
-@st.composite
 def _cell_text(draw, kind: str, cell_id: str | None, vertex_ids: list[str], faulty: bool) -> str:
     """One vertex or edge, its attributes in a drawn order; now and then
-    wrapped in an object element that holds some of them."""
+    wrapped in an object element that holds some of them. Every part is
+    drawn whether it is kept or not, so each cell takes the same number of
+    choices."""
 
     def choose(choices: tuple, good: int):
-        return draw(st.sampled_from(choices if faulty else choices[:good]))
+        # Sampled twice over: sampled_from takes no choice from a single option.
+        return draw(st.sampled_from((choices if faulty else choices[:good]) * 2))
 
     attributes = {"id": cell_id, kind: "1", "parent": "1"}
     if kind == "vertex":
@@ -423,27 +443,39 @@ def _cell_text(draw, kind: str, cell_id: str | None, vertex_ids: list[str], faul
     else:
         attributes["style"] = draw(st.sampled_from(_EDGE_STYLES))
         for end in ("source", "target"):
-            attributes[end] = choose((*vertex_ids, "", "ghost", None), len(vertex_ids))
-    attributes["value"] = draw(st.none() | _ATTRIBUTE_TEXT)
-    attributes["partner"] = draw(st.none() | st.sampled_from(("v0", "e1")))
-    for name in draw(st.lists(st.sampled_from(_USER_ATTRIBUTES[:6]), unique=True, max_size=3)):
-        attributes[name] = draw(_ATTRIBUTE_TEXT)
-    attributes = draw(st.permutations([(n, v) for n, v in attributes.items() if v is not None]))
+            # A readable document without vertices keeps no edge.
+            attributes[end] = choose((*vertex_ids, "", "ghost", None), len(vertex_ids) or 1)
+    attributes["value"] = _maybe(draw, _ATTRIBUTE_TEXT)
+    attributes["partner"] = _maybe(draw, st.sampled_from(("v0", "e1")))
+    texts = _up_to(draw, lambda: draw(_ATTRIBUTE_TEXT))
+    user = dict(zip(_shuffled(draw, list(_USER_ATTRIBUTES[:6])), texts))
+    # Unset attributes hold None and keep their place, so the order is
+    # drawn over the same number of slots. Two bit masks over the slots say
+    # which a wrapper takes and which of those the inner cell keeps a copy of.
+    slots = [*attributes.items(), *user.items(), *[(None, None)] * (3 - len(user))]
+    moves, copies = (draw(st.integers(0, 2 ** len(slots) - 1)) for _ in range(2))
+    placed = [
+        (name, value, moves >> bit & 1, copies >> bit & 1)
+        for bit, (name, value) in enumerate(_shuffled(draw, slots))
+        if value is not None
+    ]
     geometry = choose(_GEOMETRIES, -2)
-    if draw(st.integers(0, 3)):
-        return f"<mxCell{_xml_attributes(attributes)}>{geometry}</mxCell>"
     # The wrapper takes some attributes, the label under its own name; the
     # inner cell may keep a copy, and then its own wins.
-    moved = draw(st.sets(st.sampled_from([name for name, _ in attributes])))
-    outer = {
-        ("label" if name == "value" else name): value for name, value in attributes if name in moved
-    }
-    for name in draw(st.lists(st.sampled_from(_USER_ATTRIBUTES), unique=True, max_size=2)):
-        outer.setdefault(name, draw(_ATTRIBUTE_TEXT))
-    inner = [(name, value) for name, value in attributes if name not in moved or draw(st.booleans())]
+    outer = {("label" if name == "value" else name): value for name, value, moved, _ in placed if moved}
+    texts = _up_to(draw, lambda: draw(_ATTRIBUTE_TEXT), 2)
+    for name, value in zip(_shuffled(draw, list(_USER_ATTRIBUTES)), texts):
+        outer.setdefault(name, value)
     tag = draw(st.sampled_from(("object", "UserObject")))
+    if draw(st.integers(0, 3)):
+        return f"<mxCell{_xml_attributes((n, v) for n, v, _, _ in placed)}>{geometry}</mxCell>"
+    inner = [(name, value) for name, value, moved, copied in placed if not moved or copied]
     cell = f"<mxCell{_xml_attributes(inner)}>{geometry}</mxCell>"
     return f"<{tag}{_xml_attributes(outer.items())}>{cell}</{tag}>"
+
+
+# The most vertices, edges and skipped cells `drawio_documents` draws.
+_VERTICES, _EDGES, _NOTES = 5, 6, 4
 
 
 @st.composite
@@ -453,32 +485,120 @@ def drawio_documents(draw) -> str:
     with user and namespaced attributes and any geometry. A faulty
     document may also hold unknown stages and styles, unreadable
     coordinates, cells without ids, duplicate ids, and missing or dangling
-    endpoints."""
+    endpoints. Every cell is drawn whether it is kept or not, so each
+    document takes the same number of choices."""
     faulty = draw(st.booleans())
-    vertex_ids = [f"v{index}" for index in range(draw(st.integers(0, 5)))]
-    # An edge of a readable document needs a vertex at each end.
-    edge_count = draw(st.integers(0, 6)) if vertex_ids or faulty else 0
-    edge_ids = [f"e{index}" for index in range(edge_count)]
+    vertex_count, edge_count = draw(st.integers(0, _VERTICES)), draw(st.integers(0, _EDGES))
+    if not (vertex_count or faulty):
+        edge_count = 0  # an edge of a readable document needs a vertex at each end
+    vertex_ids = [f"v{index}" for index in range(_VERTICES)]
+    edge_ids = [f"e{index}" for index in range(_EDGES)]
+    pool = st.sampled_from(("v0", "v1", "e0", None))
+    faulty_ids = [draw(st.sampled_from((i, i, None)) | pool) for i in vertex_ids + edge_ids]
     if faulty:
-        pool = st.sampled_from(("v0", "v1", "e0", None))
-        vertex_ids = [draw(st.sampled_from((i, i, None)) | pool) for i in vertex_ids]
-        edge_ids = [draw(st.sampled_from((i, i, None)) | pool) for i in edge_ids]
-    ends = [cell_id for cell_id in vertex_ids if cell_id]
-    cells = [draw(_cell_text("vertex", cell_id, ends, faulty)) for cell_id in vertex_ids]
-    cells += [draw(_cell_text("edge", cell_id, ends, faulty)) for cell_id in edge_ids]
+        vertex_ids, edge_ids = faulty_ids[:_VERTICES], faulty_ids[_VERTICES:]
+    ends = [cell_id for cell_id in vertex_ids[:vertex_count] if cell_id]
+    vertices = [_cell_text(draw, "vertex", cell_id, ends, faulty) for cell_id in vertex_ids]
+    edges = [_cell_text(draw, "edge", cell_id, ends, faulty) for cell_id in edge_ids]
     # Cells that are neither vertex nor edge, and a wrapper without a cell,
     # are read past.
-    cells += draw(
-        st.lists(st.sampled_from(('<mxCell id="note" parent="1" />', '<UserObject label="x" />')))
-    )
+    notes = st.sampled_from(('<mxCell id="note" parent="1" />', '<UserObject label="x" />'))
+    cells = [*vertices[:vertex_count], *edges[:edge_count], *_up_to(draw, lambda: draw(notes), _NOTES)]
+    # Empty slots keep the number of cells ordered, and so of choices, fixed.
+    cells += [""] * (_VERTICES + _EDGES + _NOTES - len(cells))
     stage = draw(st.sampled_from(_STAGES if faulty else _STAGES[:-1]))
     page = (
         f'<mxGraphModel{_DECLARATIONS}{stage} grid="1"><root><mxCell id="0" />'
-        f'<mxCell id="1" parent="0" />{"".join(draw(st.permutations(cells)))}</root></mxGraphModel>'
+        f'<mxCell id="1" parent="0" />{"".join(_shuffled(draw, cells))}</root></mxGraphModel>'
     )
     if draw(st.booleans()):
         return page
     return f'<mxfile host="test"><diagram id="p" name="Page-1">{page}</diagram></mxfile>'
+
+
+# --- canonical JSON documents as found in the wild -------------------------------------
+
+# A key is left out of its object when this is drawn for it.
+_ABSENT = object()
+# Values of the wrong JSON type for any field, an object or a document.
+_WRONG_JSON = (None, True, 0, -1.5, 10**400, "", [], {}, ["x"], {"k": "v"})
+_NODE_IDS, _FLOW_IDS = ("n0", "n1", "n2"), ("f0", "f1", "f2")
+# Text with a lone surrogate, which `json.dumps` writes as a \udXXX escape.
+_LONE = ("a\ud800", "\udfff")
+# Each key's right values, then wrong values beside those of the wrong
+# type: unknown keys, empty, repeated, clashing or dangling ids, unknown
+# types, bad positions and an explicit null extra.
+_DOCUMENT_FIELDS = {
+    "schema": ((SCHEMA_ID,), (_ABSENT, "other/1")),
+    "stage": (tuple(stage.value for stage in Stage), (_ABSENT, "nope", ["raw-bdfd"])),
+    "surprise": ((_ABSENT,), (1,)),
+}
+_ID_FAULTS = (_ABSENT, "", "n0", "f0", *_LONE)
+_SHARED_FIELDS = {
+    "label": ((_ABSENT, "x", "two\nlines", "\xe9", "\U0001f512"), _LONE),
+    "partner": ((_ABSENT, "n0", "f1", "gen-9"), _LONE),
+    "extra": (
+        (_ABSENT, {}, {"owner": "x"}, {"{urn:x}k": "\U0001f512"}),
+        (None, {"k": 5}, {"k": None}, {"\ud800": "v"}, {"k": "\udc00"}),
+    ),
+    "colour": ((_ABSENT,), ("red",)),
+}
+_NODE_FIELDS = {
+    "type": ((_ABSENT, *(kind.value for kind in NodeType)), ("nope", "limpro")),
+    "position": (
+        (_ABSENT, [0, 0], [-12.5, 1e6], [3, 4.0]),
+        ([1, 2, 3], [1], [True, False], ["1", 2], [float("nan"), 0], [0, float("-inf")], [10**400, 0]),
+    ),
+    **_SHARED_FIELDS,
+}
+_FLOW_FIELDS = {
+    "type": ((_ABSENT, *(kind.value for kind in FlowType)), ("nope", "ext")),
+    **_SHARED_FIELDS,
+}
+_END_FAULTS = (_ABSENT, "ghost", "f0", *_LONE)
+
+
+def _faulted(draw, value, bad: tuple):
+    """`value`, or one time in 32 one of `bad` or of the wrong JSON type,
+    so that a document holds about one fault, and often none. Both choices
+    are drawn either way."""
+    wrong, fault = draw(st.sampled_from(bad + _WRONG_JSON)), not draw(st.integers(0, 31))
+    return wrong if fault else value
+
+
+def _json_object(draw, fields: dict) -> dict:
+    """A value for each key of `fields`, drawn from its right values and
+    faulted; the key is left out where `_ABSENT` is drawn."""
+    entry = {}
+    for key, (good, bad) in fields.items():
+        # Sampled twice over: sampled_from takes no choice from a single value.
+        value = _faulted(draw, draw(st.sampled_from(good * 2)), bad)
+        if value is not _ABSENT:
+            entry[key] = value
+    return entry
+
+
+@st.composite
+def canonical_documents(draw) -> str | bytes:
+    """Canonical JSON as a reader meets it, as text or UTF-8 bytes, with
+    non-ASCII characters escaped or not. Any key, element or the document
+    itself may now and then take a wrong value. Every element is drawn
+    whether it is kept or not, so each document takes the same number of
+    choices."""
+    node_count, flow_count = draw(st.integers(0, len(_NODE_IDS))), draw(st.integers(0, len(_FLOW_IDS)))
+    ends = (_NODE_IDS[: max(node_count, 1)], _END_FAULTS)
+
+    def elements(ids: tuple, fields: dict, count: int) -> list:
+        objects = [_json_object(draw, {"id": ((i,), _ID_FAULTS), **fields}) for i in ids]
+        return [_faulted(draw, entry, ()) for entry in objects][:count]
+
+    doc = _json_object(draw, _DOCUMENT_FIELDS)
+    doc["nodes"] = _faulted(draw, elements(_NODE_IDS, _NODE_FIELDS, node_count), ())
+    # A flow's right ends are nodes of the document, so it keeps none without them.
+    flow_fields = {"source": ends, "target": ends, **_FLOW_FIELDS}
+    doc["flows"] = _faulted(draw, elements(_FLOW_IDS, flow_fields, flow_count if node_count else 0), ())
+    text = json.dumps(_faulted(draw, doc, ()), ensure_ascii=draw(st.booleans()))
+    return _choose(draw, text, text.encode("utf-8", "surrogatepass"))
 
 
 # --- diagrams for the DOT writer ---------------------------------------------------------
@@ -580,71 +700,105 @@ def simulation_scenarios(draw):
 
 
 @st.composite
-def store_states(draw):
-    """Store contents for exercising the cleaning pass directly."""
-    from padfd import PolicySnapshot, StoreState, StoredRecord
+def edited_pa_scenarios(draw):
+    """`simulation_scenarios` whose PA-DFD an engineer has edited once:
+    one generated node, with its flows, or one generated flow deleted and
+    the partner links to what went cleared, or one generated flow given
+    another node at one end."""
+    pa, metas, records, clock = draw(simulation_scenarios())
+    generated = sorted(element for element in (*pa.nodes, *pa.flows) if element.startswith("gen-"))
+    element = draw(st.sampled_from(generated))
+    if element in pa.flows and draw(st.booleans()):
+        end = draw(st.sampled_from(("source", "target")))
+        node = draw(st.sampled_from(sorted(pa.nodes)))
+        flows = {**pa.flows, element: replace(pa.flows[element], **{end: node})}
+        return replace(pa, flows=flows), metas, records, clock
+    gone = {element}
+    if element in pa.nodes:
+        gone |= {flow_id for flow_id, flow in pa.flows.items() if element in (flow.source, flow.target)}
 
-    store_count = draw(st.integers(min_value=1, max_value=3))
+    def kept(elements: dict) -> dict:
+        return {
+            key: replace(value, partner=None) if value.partner in gone else value
+            for key, value in elements.items()
+            if key not in gone
+        }
+
+    return replace(pa, nodes=kept(pa.nodes), flows=kept(pa.flows)), metas, records, clock
+
+
+@st.composite
+def store_states(draw):
+    """Store contents for exercising the cleaning pass directly. Every
+    store and record is drawn whether it is kept or not, so each state
+    takes the same number of choices."""
+    stores = []
+    for index in range(3):
+        held = []
+        for record_index in range(5):
+            record = draw(data_records(f"f{index}", f"d{index}-{record_index}"))
+            held.append((record, draw(dates), draw(st.sampled_from(PURPOSES))))
+        stores.append(held[: draw(st.integers(0, 5))])
     state = StoreState()
-    for index in range(store_count):
-        store = f"s{index}"
-        policy_store = f"ps{index}"
+    for index, held in enumerate(stores[: draw(st.integers(1, 3))]):
+        store, policy_store = f"s{index}", f"ps{index}"
         state.data[store] = {}
         state.policies[policy_store] = {}
         state.partners[store] = policy_store
-        for record_index in range(draw(st.integers(min_value=0, max_value=5))):
-            d_id = f"d{index}-{record_index}"
-            record = draw(data_records(f"f{index}", d_id))
-            stored_at = draw(dates)
-            state.data[store][d_id] = StoredRecord(record, stored_at)
-            state.policies[policy_store][d_id] = PolicySnapshot(
-                purpose=draw(st.sampled_from(PURPOSES)),
-                consent=record.consent,
-                expiry=record.expiry,
+        for record, stored_at, purpose in held:
+            state.data[store][record.d_id] = StoredRecord(record, stored_at)
+            state.policies[policy_store][record.d_id] = PolicySnapshot(
+                purpose=purpose, consent=record.consent, expiry=record.expiry
             )
     return state
 
 
 # Report text: anything a str can hold, including what the ASCII-only JSON
 # encoder must escape (non-ASCII, C0 controls, U+2028/2029, astral
-# characters) and the lone surrogates it writes as \udXXX escapes.
-_report_text = st.text(
-    st.one_of(
-        st.characters(),
-        st.sampled_from('"\\\x00\x1f\x7f\xe9\u2028\u2029\ud800\udfff\U0001f512'),
-    ),
-    max_size=6,
+# characters) and the lone surrogates it writes as \udXXX escapes. Each
+# alphabet gives a text in one choice: the first holds every code point,
+# the second only characters the writer escapes.
+_report_text = st.one_of(
+    st.text(st.characters(), max_size=6),
+    st.text(st.sampled_from('"\\\x00\x1f\x7f\xe9\u2028\u2029\ud800\udfff\U0001f512'), max_size=6),
 )
-_report_consent = st.frozensets(_report_text, max_size=3)
 
 
-@st.composite
-def _log_entries(draw) -> LogEntry:
-    policy = PolicySnapshot(draw(_report_text), draw(_report_consent), draw(dates))
-    return LogEntry(draw(_report_text), draw(_report_text), policy, draw(st.booleans()), draw(dates))
+def _snapshot(draw) -> PolicySnapshot:
+    consent = frozenset(_up_to(draw, lambda: draw(_report_text)))
+    return PolicySnapshot(draw(_report_text), consent, draw(dates))
+
+
+def _log_entry(draw) -> LogEntry:
+    return LogEntry(
+        draw(_report_text), draw(_report_text), _snapshot(draw), draw(st.booleans()), draw(dates)
+    )
+
+
+def _decision(draw) -> Decision:
+    return Decision(
+        draw(_report_text), draw(_report_text), draw(st.booleans()), draw(st.booleans()),
+        _log_entry(draw), draw(st.booleans()),
+    )
+
+
+def _by_text(draw, make) -> dict:
+    """Up to three values of `make()`, each under a report text."""
+    return dict(_up_to(draw, lambda: (draw(_report_text), make())))
 
 
 @st.composite
 def simulation_reports(draw) -> SimulationReport:
     """Reports built through the API, with arbitrary text and every
     container possibly empty: decisions, logs, a log, stores, a store's
-    records, policy stores and a consent set."""
-    decisions = [
-        Decision(
-            draw(_report_text), draw(_report_text), draw(st.booleans()),
-            draw(st.booleans()), draw(_log_entries()), draw(st.booleans()),
-        )
-        for _ in range(draw(st.integers(min_value=0, max_value=3)))
-    ]
-    logs = draw(st.dictionaries(_report_text, st.lists(_log_entries(), max_size=3), max_size=3))
+    records, policy stores and a consent set. Each report takes the same
+    number of choices."""
+    decisions = _up_to(draw, lambda: _decision(draw))
+    logs = _by_text(draw, lambda: _up_to(draw, lambda: _log_entry(draw)))
     record = DataRecord("d", "f", "s", frozenset({"p"}), date(2020, 1, 1), "c")
-    stored = st.builds(StoredRecord, st.just(record), dates)
-    snapshots = st.builds(PolicySnapshot, _report_text, _report_consent, dates)
     state = StoreState(
-        data=draw(st.dictionaries(_report_text, st.dictionaries(_report_text, stored, max_size=3), max_size=3)),
-        policies=draw(
-            st.dictionaries(_report_text, st.dictionaries(_report_text, snapshots, max_size=3), max_size=3)
-        ),
+        data=_by_text(draw, lambda: _by_text(draw, lambda: StoredRecord(record, draw(dates)))),
+        policies=_by_text(draw, lambda: _by_text(draw, lambda: _snapshot(draw))),
     )
     return SimulationReport(draw(dates), decisions, logs, state)
 

@@ -7,17 +7,19 @@ before. `parse_drawio` reads each plain cell's attribute map in place;
 the version here copies every map first and builds each element with
 keywords. `emit_dot` quotes each distinct text once; the version here
 quotes every occurrence. `report_json` writes the simulation report
-directly and the table loaders read CSV with `csv.reader`; the versions
-here go through `json.dumps` and `csv.DictReader`. `emit_json` writes the
-canonical layout directly; `to_canonical_dict` is that document as a
-dict, for `json.dumps` and for comparing diagrams. The command line is
-parsed by a table in `padfd.cli`; `reference_parser` is the argparse
-parser it replaced. `padfd.validate` checks each stage's condition from
-one table in one walk; `reference_validate_raw`, `_wellformed` and `_pa`
-compose one pass per rule, as the library did before. `transform` shares
-one log store as it rewrites; `reference_merge_log_stores` merges the
-per-flow stores of a finished rewrite, as the library did before. The tests
-require identical results."""
+directly, `report_to_dict` reads that text back, and the table loaders
+read CSV with `csv.reader`; the versions here build the report's dict
+field by field, write it through `json.dumps`, and read CSV with
+`csv.DictReader`. `emit_json` writes the canonical layout directly;
+`to_canonical_dict` is that document as a dict, for `json.dumps` and for
+comparing diagrams. The command line is parsed by a table in `padfd.cli`;
+`reference_parser` is the argparse parser it replaced. `padfd.validate`
+checks each stage's condition from one table in one walk;
+`reference_validate_raw`, `_wellformed` and `_pa` compose one pass per
+rule, as the library did before. `transform` shares one log store as it
+rewrites; `reference_merge_log_stores` merges the per-flow stores of a
+finished rewrite, as the library did before. The tests require identical
+results."""
 
 from __future__ import annotations
 
@@ -46,7 +48,6 @@ from padfd import (
     UnknownStyleError,
     XmlSyntaxError,
     replace,
-    report_to_dict,
 )
 from padfd import cli, model
 from padfd.drawio import (
@@ -452,9 +453,61 @@ def reference_merge_log_stores(diagram: Diagram) -> Diagram:
     return replace(diagram, nodes=nodes, flows=flows)
 
 
+def _entry_dict(entry) -> dict:
+    return {
+        "d_id": entry.d_id,
+        "flow_id": entry.flow_id,
+        "purpose": entry.policy.purpose,
+        "consent": sorted(entry.policy.consent),
+        "expiry": entry.policy.expiry.isoformat(),
+        "v": entry.v,
+        "clock": entry.clock.isoformat(),
+    }
+
+
+def reference_report_to_dict(report) -> dict:
+    """The report as a JSON-ready dict, built field by field."""
+    return {
+        "clock": report.clock.isoformat(),
+        "decisions": [
+            {
+                "d_id": d.d_id,
+                "flow_id": d.flow_id,
+                "forwarded_bdfd": d.forwarded_bdfd,
+                "forwarded_padfd": d.forwarded_padfd,
+                "violation": d.entry.v,
+                "propagated": d.propagated,
+            }
+            for d in report.decisions
+        ],
+        "logs": {
+            store: [_entry_dict(e) for e in entries]
+            for store, entries in sorted(report.logs.items())
+        },
+        "stores": {
+            store: {
+                d_id: {"stored_at": stored.stored_at.isoformat()}
+                for d_id, stored in sorted(records.items())
+            }
+            for store, records in sorted(report.state.data.items())
+        },
+        "policies": {
+            store: {
+                d_id: {
+                    "purpose": snap.purpose,
+                    "consent": sorted(snap.consent),
+                    "expiry": snap.expiry.isoformat(),
+                }
+                for d_id, snap in sorted(snaps.items())
+            }
+            for store, snaps in sorted(report.state.policies.items())
+        },
+    }
+
+
 def reference_report_json(report) -> str:
     """What `simulate --report json` prints, less the final newline."""
-    return json.dumps(report_to_dict(report), indent=2, sort_keys=True)
+    return json.dumps(reference_report_to_dict(report), indent=2, sort_keys=True)
 
 
 def _dict_rows(text: str, columns: tuple[str, ...], what: str):

@@ -590,9 +590,9 @@ def test_simulate_json_report(fixtures_dir, tmp_path, capsys):
 @pytest.mark.parametrize("extra", [[], ["--multi-hop"]], ids=["single-hop", "multi-hop"])
 @pytest.mark.parametrize("rename", [{}, {"d1": "d1-\u00e9", "d3": "d3-\u2028\U0001f512"}], ids=["demo", "non-ascii"])
 def test_simulate_json_report_is_the_reference(tmp_path, capsys, extra, rename):
-    """The printed report is json.dumps(report_to_dict(r), indent=2,
-    sort_keys=True) plus a newline, for the demo tables and for a copy
-    whose record ids need escaping."""
+    """The printed report is the test-side builder's dict through
+    json.dumps(..., indent=2, sort_keys=True), plus a newline, for the demo
+    tables and for a copy whose record ids need escaping."""
     tables = tmp_path / "tables"
     shutil.copytree(DEMO_DATA, tables)
     dynamic = tables / "payment_dynamic.csv"

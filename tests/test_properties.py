@@ -15,6 +15,7 @@ from padfd import (
     FlowType,
     compatibility_with_equivalences,
     NodeType,
+    PadfdError,
     ParseError,
     SchemaError,
     Stage,
@@ -27,7 +28,9 @@ from padfd import (
     parse_drawio,
     parse_json,
     replace,
+    render_report,
     report_json,
+    report_to_dict,
     run_clean,
     run_simulation,
     transform,
@@ -41,12 +44,14 @@ from padfd.simulate import DYNAMIC_COLUMNS, STATIC_COLUMNS
 
 from diagram_strategies import (
     any_stage_diagrams,
+    canonical_documents,
     crowded_drawings,
     csv_tables,
     data_records,
     dates,
     dot_diagrams,
     drawio_documents,
+    edited_pa_scenarios,
     flow_metas,
     json_text_diagrams,
     namespaced_diagrams,
@@ -67,6 +72,7 @@ from references import (
     reference_parse_drawio,
     reference_parse_flow_metas,
     reference_report_json,
+    reference_report_to_dict,
     to_canonical_dict,
 )
 
@@ -323,6 +329,18 @@ def test_parse_drawio_reads_like_the_tree_walk_reference(text):
         assert _in_order(ours) == _in_order(reference)
 
 
+@settings(PROPERTY_SETTINGS, max_examples=300)
+@given(canonical_documents())
+def test_parse_json_reads_back_what_it_accepts_or_refuses_it(data):
+    """Any document, of whatever JSON types, reads into a diagram that its
+    canonical bytes give back, or is refused with SchemaError."""
+    try:
+        diagram = parse_json(data)
+    except SchemaError:
+        return
+    assert parse_json(emit_json(diagram)) == diagram
+
+
 @PROPERTY_SETTINGS
 @given(dot_diagrams())
 def test_emit_dot_is_the_reference_writer(diagram):
@@ -502,6 +520,39 @@ def test_runs_decide_like_the_lookup_reference(scenario, pairs, multi_hop, respe
         assert run_simulation(pa, metas, records, clock, multi_hop=multi_hop) == reference
 
 
+# --- edited PA-DFDs ---------------------------------------------------------------------
+
+
+def _or_padfd_error(call, *args, **kwargs):
+    """What `call` returns, or None when it raises a PadfdError; anything
+    else it raises fails the test."""
+    try:
+        return call(*args, **kwargs)
+    except PadfdError:
+        return None
+
+
+@PROPERTY_SETTINGS
+@given(edited_pa_scenarios())
+def test_an_edited_pa_dfd_that_validates_never_ends_in_a_traceback(scenario):
+    """Once `validate_pa` accepts an edit, laying out, writing and
+    simulating it either work or raise a PadfdError."""
+    pa, metas, records, clock = scenario
+    if not validate_pa(pa).valid:
+        return
+    laid = _or_padfd_error(layout_generated, pa)
+    if laid is not None:
+        _or_padfd_error(emit_drawio, laid)
+    _or_padfd_error(emit_dot, pa)
+    _or_padfd_error(emit_json, pa)
+    for multi_hop in (False, True):
+        report = _or_padfd_error(run_simulation, pa, metas, records, clock, multi_hop=multi_hop)
+        if report is not None:
+            _or_padfd_error(report_json, report)
+            _or_padfd_error(render_report, report)
+            _or_padfd_error(run_clean, report.state, clock)
+
+
 # --- reports and tables -----------------------------------------------------------------
 
 
@@ -512,11 +563,21 @@ def test_report_json_is_the_reference_writer(report):
 
 
 @PROPERTY_SETTINGS
+@given(simulation_reports())
+def test_report_to_dict_is_the_reference(report):
+    """The reference dict, as its JSON text reads back: the dict itself,
+    except that a text holding a surrogate pair as two code units, which
+    only the API can build, reads back as the one character they spell."""
+    assert report_to_dict(report) == json.loads(json.dumps(reference_report_to_dict(report)))
+
+
+@PROPERTY_SETTINGS
 @given(simulation_scenarios(), st.booleans())
 def test_report_json_of_runs_is_the_reference_writer(scenario, multi_hop):
     pa, metas, records, clock = scenario
     report = run_simulation(pa, metas, records, clock, multi_hop=multi_hop)
     assert report_json(report) == reference_report_json(report)
+    assert report_to_dict(report) == reference_report_to_dict(report)
 
 
 def _outcome(load, source):

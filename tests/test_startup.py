@@ -57,9 +57,11 @@ def run_python(code: str, *argv: str, cwd: Path) -> subprocess.CompletedProcess:
     return run_child(["-c", code, *argv], cwd)
 
 
-def modules_loaded_by(tmp_path: Path, *argv: str) -> set[str]:
+def modules_loaded_by(tmp_path: Path, *argv: str, flags: tuple[str, ...] = ()) -> set[str]:
+    """The modules `padfd <argv>` loads, in a child run with the
+    interpreter `flags`."""
     listing = tmp_path / "modules.txt"
-    proc = run_python(PROBE, str(listing), *argv, cwd=tmp_path)
+    proc = run_child([*flags, "-c", PROBE, str(listing), *argv], tmp_path)
     assert proc.returncode == 0, proc.stderr
     return set(listing.read_text(encoding="utf-8").split())
 
@@ -169,6 +171,39 @@ def test_drawio_commands_skip_simulate_csv_and_datetime(models, tmp_path, argv):
     loaded = modules_loaded_by(tmp_path, *argv)
     assert {"padfd.drawio", "padfd.styles"} <= loaded
     assert_none_loaded(loaded, DRAWIO_SKIPS)
+
+
+# Without `site` (`python -S`) no `.pth` file runs before the probe, so it
+# sees every module a command loads, however the interpreter is set up.
+# Annotation-only names come from `collections.abc` or sit under
+# `TYPE_CHECKING`, so no command loads `typing`; only a compressed draw.io
+# page loads the `base64` codec.
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["transform", "RAW", "-o", "out.json"],
+        ["check", "PA", "--report", "json"],
+        ["simulate", "PA", "--report", "json"],
+        ["simulate", "PA", "--multi-hop", "--report", "text"],
+        ["check", "DRAWIO"],
+        ["check", "DRAWIO", "--report", "json"],
+        ["export", "DRAWIO", "-o", "out.dot", "--out-format", "dot"],
+        ["transform", "DRAWIO", "-o", "out.drawio.xml"],
+        ["transform", "DRAWIO", "-o", "out.json"],
+    ],
+    ids=[
+        "transform-json", "check-json", "simulate-json", "simulate-text", "check-drawio",
+        "check-drawio-report-json", "export-dot", "transform-drawio", "transform-drawio-to-json",
+    ],
+)
+def test_without_site_no_command_loads_typing_or_base64(models, fixtures_dir, tmp_path, argv):
+    inputs = {"RAW": models["raw"], "PA": models["pa"], "DRAWIO": models["drawio"]}
+    argv = [str(inputs.get(arg, arg)) for arg in argv]
+    if argv[0] == "simulate":
+        argv = simulate_argv(fixtures_dir, argv[1], *argv[2:])
+    loaded = modules_loaded_by(tmp_path, *argv, flags=("-S",))
+    assert "padfd.cli" in loaded
+    assert_none_loaded(loaded, ["typing", "base64"])
 
 
 def test_importing_the_cli_loads_no_layer(tmp_path):
