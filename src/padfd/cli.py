@@ -26,7 +26,6 @@ import os
 import re
 import sys
 from contextlib import suppress
-from pathlib import Path
 from types import SimpleNamespace
 
 from .errors import PadfdError, ParseError, WellFormednessError
@@ -71,10 +70,14 @@ def _style_map(args) -> StyleMap | None:
 _SUFFIX_FORMATS = {".json": "json", ".xml": "drawio", ".drawio": "drawio", ".dot": "dot", ".gv": "dot"}
 
 
+def _suffix_format(path_text: str) -> str | None:
+    return _SUFFIX_FORMATS.get(os.path.splitext(path_text)[1].lower())
+
+
 def _read_diagram(path_text: str, fmt: str | None, styles: StyleMap | None) -> Diagram:
-    path = Path(path_text)
-    data = path.read_bytes()
-    fmt = fmt or _SUFFIX_FORMATS.get(path.suffix.lower())
+    with open(path_text, "rb") as handle:
+        data = handle.read()
+    fmt = fmt or _suffix_format(path_text)
     if fmt not in ("json", "drawio"):
         head = data.lstrip()
         if head[:1] == b"{":
@@ -209,7 +212,7 @@ def cmd_transform(args) -> int:
     result = _privacy_aware(diagram, args.allow_ill_formed, args.shared_log_store)
     if result is None:
         return 1
-    out_format = args.out_format or _SUFFIX_FORMATS.get(Path(args.output).suffix.lower(), "drawio")
+    out_format = args.out_format or _suffix_format(args.output) or "drawio"
     _write_atomic(args.output, _emit(result, out_format, styles))
     return 0
 

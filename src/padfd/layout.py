@@ -25,8 +25,8 @@ import math
 from . import model
 from .errors import SchemaError
 from .graph import Diagram, Node, NodeId
-from .model import FlowType, NodeType
-from .transform import gadget_index
+from .model import NodeType
+from .validate import _read_parts
 
 GRID_STEP = 80.0
 
@@ -63,15 +63,32 @@ def layout_generated(diagram: Diagram) -> Diagram:
         node = nodes.get(node_id)
         return None if node is None else node.position
 
-    # Anchors: the hop each limit guards and the log chains, from the
-    # gadgets (a log store shared by several logs hangs below the last),
-    # and the store each cleaner deletes from.
-    gadgets = gadget_index(diagram).values()
-    hop_ends = {g.limit: (g.source, diagram.flows[g.flow].target) for g in gadgets}
-    log_anchor = {g.log: g.limit for g in gadgets}
-    log_db_anchor = {g.log_db: g.log for g in gadgets}
+    # Anchors, from the parts read back: the hop each limit guards, the
+    # limit of each request and log, the log of each log store (one shared
+    # by several logs hangs below the one whose logging flow comes last),
+    # the node each reason and policy store serves, and the store each
+    # cleaner deletes from.
+    gadgets, holders = _read_parts(diagram)
+    hop_ends = dict(zip(gadgets["limit"], zip(gadgets["source"], gadgets["target"])))
+    limit_of = dict(zip(gadgets["request"], gadgets["limit"]))
+    log_anchor = dict(zip(gadgets["log"], gadgets["limit"]))
+    log_db_anchor = dict(zip(gadgets["log_db"], gadgets["log"]))
+    if len(log_db_anchor) < len(gadgets["log_db"]):
+        # A log store some logs share: only then does the logs' order count.
+        flow_order = {flow_id: index for index, flow_id in enumerate(diagram.flows)}
+        chains = sorted(
+            (flow_order[logging], log_db, log)
+            for logging, log_db, log in zip(gadgets["logging"], gadgets["log_db"], gadgets["log"])
+            if logging is not None
+        )
+        log_db_anchor = {log_db: log for _, log_db, log in chains}
+    procs, stores = holders[NodeType.PROC], holders[NodeType.DB]
+    reason_anchor = dict(zip(procs["reason"], procs["owner"]))
+    policy_anchor = dict(zip(stores["policy_db"], stores["owner"]))
     clean_target = {
-        f.source: f.target for f in diagram.flows.values() if f.flow_type is FlowType.CLEDB_DEL
+        clean: store
+        for clean, store, deletes in zip(stores["clean"], stores["owner"], stores["cledb_del"])
+        if deletes is not None
     }
 
     def hop(limit_id: NodeId | None) -> tuple | None:
@@ -86,7 +103,7 @@ def layout_generated(diagram: Diagram) -> Diagram:
         return (ax + bx) / 2, (ay + by) / 2
 
     def beside(request_id: NodeId) -> tuple[float, float] | None:
-        limit_id = nodes[request_id].partner
+        limit_id = limit_of.get(request_id)
         anchor, ends = position(limit_id), hop(limit_id)
         if anchor is None or ends is None:
             return steps(limit_id, 0, -1)
@@ -109,8 +126,8 @@ def layout_generated(diagram: Diagram) -> Diagram:
         ((NodeType.REQUEST,), beside),
         ((NodeType.LOG,), lambda n: steps(log_anchor.get(n), 0, 1)),
         ((NodeType.LOG_DB,), lambda n: steps(log_db_anchor.get(n), 0, 1)),
-        ((NodeType.REASON,), lambda n: steps(nodes[n].partner, 1, -1)),
-        ((NodeType.POLICY_DB,), lambda n: steps(nodes[n].partner, 1, 1)),
+        ((NodeType.REASON,), lambda n: steps(reason_anchor.get(n), 1, -1)),
+        ((NodeType.POLICY_DB,), lambda n: steps(policy_anchor.get(n), 1, 1)),
         ((NodeType.CLEAN,), lambda n: steps(clean_target.get(n), 2, 1)),
         ((None,), lambda _: None),
     )

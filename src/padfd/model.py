@@ -5,6 +5,8 @@ the JSON and draw.io interchange formats. The tables below drive the stage
 validators, and `FLOW_BY_ENDS` gives the flow typer and the gadget-insertion
 pass the flow kind that joins each pair of endpoint kinds. `NODE_LOOKS` is
 how each node kind is labelled by the rewrite and drawn in draw.io and DOT.
+`GADGET_PARTS` and `HOLDER_PARTS` name every part the rewrite adds; the
+rewrite writes from them and `validate.gadget_index` reads them back.
 """
 
 from __future__ import annotations
@@ -168,3 +170,48 @@ PA_POLICY_FLOW_TYPES = frozenset(
 PA_ADMIN_FLOW_TYPES = frozenset(
     kind for kind, ends in PA_FLOW_ENDPOINTS.items() if {NodeType.LOG, NodeType.CLEAN} & set(ends)
 )
+
+
+# The parts the rewrite adds, one row each: the part's role, its node kind
+# (None for a flow), for a flow the roles at its source and target, and the
+# role of its partner. A flow's kind is the one FLOW_BY_ENDS names for the
+# kinds at its ends. Rows are in the order the rewrite takes their ids.
+Part = namedtuple("Part", "role kind source target partner", defaults=(None, None, None, None))
+
+# Around a guarded flow, the role "flow": it runs from its limit to its
+# original target, "target", once its original source, "source", feeds
+# the limit. "source_evidence" and "target_evidence" are the nodes holding
+# the consent evidence of those two ends: an entity itself, or the part of
+# its HOLDER_PARTS row partnered with it.
+GADGET_PARTS = (
+    Part("limit", NodeType.LIMIT, partner="request"),
+    Part("request", NodeType.REQUEST, partner="limit"),
+    Part("log", NodeType.LOG),
+    Part("log_db", NodeType.LOG_DB),
+    Part("reqlim", source="request", target="limit"),
+    Part("limlog", source="limit", target="log"),
+    Part("logging", source="log", target="log_db"),
+    Part("data_in", source="source", target="limit", partner="source_policy"),
+    Part("source_policy", source="source_evidence", target="request", partner="data_in"),
+    Part("target_policy", source="request", target="target_evidence", partner="flow"),
+)
+
+# Around each business node, the role "owner", by its kind: a process
+# gets a reason, a store a policy store and a cleaner deleting from it.
+HOLDER_PARTS: dict[NodeType, tuple[Part, ...]] = {
+    NodeType.EXT: (),
+    NodeType.PROC: (Part("reason", NodeType.REASON, partner="owner"),),
+    NodeType.DB: (
+        Part("policy_db", NodeType.POLICY_DB, partner="owner"),
+        Part("clean", NodeType.CLEAN),
+        Part("pdbcle", source="policy_db", target="clean"),
+        Part("cledb_del", source="clean", target="owner"),
+    ),
+}
+
+# The role of the node holding each business kind's consent evidence: the
+# part partnered with the node, or the node itself.
+EVIDENCE_ROLES = {
+    kind: next((part.role for part in parts if part.partner == "owner"), "owner")
+    for kind, parts in HOLDER_PARTS.items()
+}

@@ -19,18 +19,18 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 import re
 from collections import deque
 from collections.abc import Callable, Iterable, Sequence
 from datetime import date
 from json.encoder import encode_basestring_ascii as _ascii
 from operator import itemgetter
-from pathlib import Path
 
 from .errors import SURROGATE, SchemaError, SimulationError, StageError, decode_json, read_utf8
 from .graph import Diagram, Flow, NodeId, Record
 from .model import FlowType, NodeType, Stage
-from .transform import gadget_index
+from .validate import _read_parts
 
 STATIC_COLUMNS = ("F_id", "Label", "Purpose", "PD", "Data_type")
 DYNAMIC_COLUMNS = ("D_id", "F_id", "Dsub", "Consent", "Expiry", "Content")
@@ -192,18 +192,6 @@ def compatibility_with_equivalences(
     return _Coverage(pairs)
 
 
-def _initial_state(diagram: Diagram) -> StoreState:
-    state = StoreState()
-    for node in diagram.nodes.values():
-        if node.node_type is NodeType.DB:
-            state.data[node.id] = {}
-            partner = diagram.nodes.get(node.partner) if node.partner else None
-            if partner is not None and partner.node_type is NodeType.POLICY_DB:
-                state.partners[node.id] = partner.id
-                state.policies[partner.id] = {}
-    return state
-
-
 def run_simulation(
     diagram: Diagram,
     metas: Sequence[FlowMeta],
@@ -235,22 +223,25 @@ def run_simulation(
             raise SimulationError(f"duplicate policy row for flow {meta.flow_id!r}")
         meta_by_flow[meta.flow_id] = meta
 
-    gadgets = gadget_index(diagram)
-    for gadget in gadgets.values():
-        if gadget.log_db is None:
-            raise SimulationError(
-                f"guarded flow {gadget.flow!r} has no log chain behind its limit"
-            )
+    gadgets, holders = _read_parts(diagram)
+    log_of: dict[str, NodeId] = {}
+    for flow_id, log_db in zip(gadgets["flow"], gadgets["log_db"]):
+        if log_db is None:
+            raise SimulationError(f"guarded flow {flow_id!r} has no log chain behind its limit")
+        log_of[flow_id] = log_db
+    logs: dict[NodeId, list[LogEntry]] = {log_db: [] for log_db in log_of.values()}
     outgoing: dict[NodeId, list[str]] = {}
-    for flow_id in sorted(gadgets):
-        source = gadgets[flow_id].source
+    for flow_id, source in sorted(zip(gadgets["flow"], gadgets["source"])):
         if source is not None:
             outgoing.setdefault(source, []).append(flow_id)
-
-    state = _initial_state(diagram)
-    logs: dict[NodeId, list[LogEntry]] = {
-        n.id: [] for n in diagram.nodes.values() if n.node_type is NodeType.LOG_DB
-    }
+    # The data stores, each with its policy store where it has one.
+    state = StoreState()
+    stores = holders[NodeType.DB]
+    for store, policy_store in zip(stores["owner"], stores["policy_db"]):
+        state.data[store] = {}
+        if policy_store is not None:
+            state.partners[store] = policy_store
+            state.policies[policy_store] = {}
     decisions: list[Decision] = []
     # Each flow id is resolved once, at its first record, to its flow,
     # policy row and log; an unusable flow fails at that record.
@@ -260,8 +251,8 @@ def run_simulation(
         flow = diagram.flows.get(record.flow_id)
         if flow is None:
             raise SimulationError(f"record {record.d_id!r} names unknown flow {record.flow_id!r}")
-        gadget = gadgets.get(record.flow_id)
-        if gadget is None:
+        log = log_of.get(record.flow_id)
+        if log is None:
             raise SimulationError(
                 f"flow {record.flow_id!r} is not a guarded data flow; records "
                 "travel the flows of the original diagram"
@@ -269,7 +260,7 @@ def run_simulation(
         meta = meta_by_flow.get(record.flow_id)
         if meta is None:
             raise SimulationError(f"no policy row for flow {record.flow_id!r}")
-        routes[record.flow_id] = resolved = (flow, meta, logs[gadget.log_db])
+        routes[record.flow_id] = resolved = (flow, meta, logs[log])
         return resolved
 
     def evaluate(record: DataRecord, propagated: bool) -> bool:
@@ -466,7 +457,7 @@ def _rows_from_csv(text: str, columns: tuple[str, ...], what: str):
         yield f"{what} row {number}", pick(row)
 
 
-def _rows_from_json(text: str, columns: tuple[str, ...], what: str, path: Path):
+def _rows_from_json(text: str, columns: tuple[str, ...], what: str, path: str | os.PathLike):
     """(where, the row's `columns`) for every object of a JSON list."""
     source = f"{what} table {path}"
     doc = decode_json(text, source)
@@ -492,28 +483,27 @@ def _rows_from_json(text: str, columns: tuple[str, ...], what: str, path: Path):
         yield where, fields
 
 
-def _read_table(path: str | Path, columns: tuple[str, ...], what: str):
+def _read_table(path: str | os.PathLike, columns: tuple[str, ...], what: str):
     """(where, the row's `columns`) for every row of the `what` table, a
     .json file or else CSV."""
-    path = Path(path)
     text = read_utf8(path, f"{what} table")
-    if path.suffix.lower() == ".json":
+    if os.path.splitext(path)[1].lower() == ".json":
         return _rows_from_json(text, columns, what, path)
     return _rows_from_csv(text, columns, what)
 
 
-def load_flow_metas(path: str | Path) -> list[FlowMeta]:
+def load_flow_metas(path: str | os.PathLike) -> list[FlowMeta]:
     """Read the static policy table from a .csv or .json file."""
     return [_make_meta(where, *fields) for where, fields in _read_table(path, STATIC_COLUMNS, "static")]
 
 
-def load_data_records(path: str | Path) -> list[DataRecord]:
+def load_data_records(path: str | os.PathLike) -> list[DataRecord]:
     """Read the dynamic record table from a .csv or .json file."""
     make = _RecordMaker()
     return [make(where, *fields) for where, fields in _read_table(path, DYNAMIC_COLUMNS, "dynamic")]
 
 
-def load_equivalences(path: str | Path) -> list[tuple[str, str]]:
+def load_equivalences(path: str | os.PathLike) -> list[tuple[str, str]]:
     """Read purpose equivalences: a JSON list of [consented, covered] pairs."""
     source = f"equivalence file {path}"
     doc = decode_json(read_utf8(path, "equivalence file"), source)

@@ -10,7 +10,7 @@ drawings that use other conventions.
 
 from __future__ import annotations
 
-from pathlib import Path
+import os
 
 from . import model
 from .errors import SchemaError, decode_json, read_utf8
@@ -163,7 +163,7 @@ def _parse_styles(raw, enum_type, defaults: dict, section: str) -> dict:
     return styles
 
 
-def load_style_map(path: str | Path) -> StyleMap:
+def load_style_map(path: str | os.PathLike) -> StyleMap:
     """Read a style map from a JSON file.
 
     Recognised keys: ``node_rules`` and ``edge_rules`` (ordered lists of

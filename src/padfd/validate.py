@@ -1,8 +1,9 @@
 """Stage validators.
 
 Each validator checks the full membership condition of one lifecycle stage,
-one row of the table `_STAGES`, in one walk over the diagram, and reports
-every violation rather than stopping at the first. Violations carry a
+one row of the table `_STAGES`, in one walk over the diagram (the
+privacy-aware stage then reads every gadget back), and reports every
+violation rather than stopping at the first. Violations carry a
 stable clause id so tests and tooling can match on them:
 
     dangling-flow        flow endpoint references a missing node
@@ -18,14 +19,24 @@ stable clause id so tests and tooling can match on them:
     db-connected         data store with no flow at all
     partner-missing      partner references a missing element
     partner-asymmetric   partner link not mutual
+    gadget-part          guarded flow, process or store lacking a part the
+                         rewrite adds, or one wired otherwise than it wires it
+    gadget-unclaimed     generated node or privacy-aware flow of no gadget
+
+The two gadget clauses come from `_read_parts`, the one reader of the
+rewrite's role tables (`model.GADGET_PARTS` and `model.HOLDER_PARTS`) in
+a privacy-aware diagram. The simulator, the layout and `gadget_index`
+read the diagram through it as well.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
+from itertools import repeat
+from operator import attrgetter
 
 from . import model
-from .graph import Diagram, Record
+from .graph import Diagram, Flow, FlowId, NodeId, Record
 from .model import FlowType, NodeType, Stage
 
 
@@ -174,8 +185,260 @@ def _check(diagram: Diagram, stage: Stage) -> StageValidity:
             found.append(Violation("comp-loop", flow.id, message))
     if wellformed:
         found += connectivity(diagram)
+    if rewritten:
+        found += _gadget_findings(diagram)
     found.sort(key=lambda v: (v.element, v.clause))
     return StageValidity(stage, tuple(found))
+
+
+class Gadget(Record):
+    """The gadget read back around one guarded flow of a privacy-aware
+    diagram: the flow, its original source and target, one field per row
+    of `model.GADGET_PARTS`, and the nodes holding the ends' consent
+    evidence. A part the diagram lacks, or wires otherwise than the table
+    says, is None."""
+
+    def __init__(
+        self, flow: FlowId, source: NodeId | None, target: NodeId | None, limit: NodeId | None,
+        request: NodeId | None, log: NodeId | None, log_db: NodeId | None,
+        reqlim: FlowId | None, limlog: FlowId | None, logging: FlowId | None,
+        data_in: FlowId | None, source_policy: FlowId | None, target_policy: FlowId | None,
+        source_evidence: NodeId | None, target_evidence: NodeId | None,
+    ) -> None:
+        d = self.__dict__
+        d["flow"] = flow
+        d["source"] = source
+        d["target"] = target
+        d["limit"] = limit
+        d["request"] = request
+        d["log"] = log
+        d["log_db"] = log_db
+        d["reqlim"] = reqlim
+        d["limlog"] = limlog
+        d["logging"] = logging
+        d["data_in"] = data_in
+        d["source_policy"] = source_policy
+        d["target_policy"] = target_policy
+        d["source_evidence"] = source_evidence
+        d["target_evidence"] = target_evidence
+
+
+# A guarded flow runs from its limit to its target, the roles its gadget
+# is read from. The gadget's flows reach its source and the nodes holding
+# the consent evidence of its ends, which must be those the ends' own parts
+# name: for each, (evidence role, end role, the flow reaching it).
+_EVIDENCE = (
+    ("source_evidence", "source", "source_policy"), ("target_evidence", "target", "target_policy")
+)
+_NODE_ROWS = {
+    part.role: part
+    for parts in (model.GADGET_PARTS, *model.HOLDER_PARTS.values())
+    for part in parts
+    if part.kind is not None
+}
+_PARTNERED = frozenset(role for role, part in _NODE_ROWS.items() if part.partner)
+_NODE_ROLES = frozenset(
+    ("source", "target", "source_evidence", "target_evidence", "owner", *_NODE_ROWS)
+)
+
+
+def _plan(parts: tuple, start: tuple[str, ...]) -> tuple:
+    """The steps reading `parts` from the roles `start`, in row order: for
+    each, its role, the role it is read at, the role its other end fills
+    or must match (None for a node), whether it is looked up at its
+    target, and its partner role. A node with a partner is read through
+    the partner link once its partner is read; any other node where a flow
+    first reaches it. A flow is looked up at its target when the target's
+    role is read before it, else at its source."""
+    read = set(start)
+    steps = []
+    for part in parts:
+        if part.kind is None:
+            at_target = part.target in read
+            near, far = (part.target, part.source) if at_target else (part.source, part.target)
+            steps.append((part.role, near, far, at_target, part.partner))
+            read |= {part.role, far}
+        elif part.partner in read:
+            steps.append((part.role, part.partner, None, None, None))
+            read.add(part.role)
+    return tuple(steps)
+
+
+_GADGET_PLAN = _plan(model.GADGET_PARTS, ("flow", "limit", "target"))
+_HOLDER_PLANS = {kind: _plan(parts, ("owner",)) for kind, parts in model.HOLDER_PARTS.items()}
+
+
+def _lookups() -> tuple[frozenset, dict]:
+    """The kinds of a guarded flow, and every other privacy-aware flow
+    kind's role with whether that role is looked up at its target. A flow
+    part has the kinds joining the kinds its ends can have."""
+    business = model.BDFD_NODE_TYPES
+    ends = {role: {part.kind} for role, part in _NODE_ROWS.items()}
+    ends.update(source=business, target=business, owner=business)
+    ends["source_evidence"] = ends["target_evidence"] = {
+        kind if role == "owner" else _NODE_ROWS[role].kind
+        for kind, role in model.EVIDENCE_ROLES.items()
+    }
+
+    def kinds(source: str, target: str) -> list[FlowType]:
+        return [
+            kind
+            for kind, (start, end) in model.PA_FLOW_ENDPOINTS.items()
+            if start in ends[source] and end in ends[target]
+        ]
+
+    lookups = {
+        kind: (role, at_target)
+        for plan in (_GADGET_PLAN, *_HOLDER_PLANS.values())
+        for role, near, far, at_target, _ in plan
+        if far is not None
+        for kind in (kinds(far, near) if at_target else kinds(near, far))
+    }
+    return frozenset(kinds("limit", "target")), lookups
+
+
+_GUARDED_KINDS, _LOOKUPS = _lookups()
+# What a lookup that finds no flow reads.
+_NO_FLOW = Flow(None, None, None)
+_ID, _SOURCE, _TARGET = attrgetter("id"), attrgetter("source"), attrgetter("target")
+
+
+def _read(plan: tuple, parts: dict, diagram: Diagram, found: dict) -> None:
+    """Read what `plan` steps through for many elements at once. `parts`
+    maps each role read to its ids, one per element, None where missing,
+    and starts with the roles the plan starts from; `found` holds each
+    flow role's flows by the end it is looked up at. A node read through
+    its partner link must name that partner back. A flow's other end must
+    match its role where that is read, and fills it where it is empty,
+    unless that node is read through a partner link; a flow whose partner
+    is read must name it."""
+    nodes = diagram.nodes
+    for role, near, far, at_target, partner in plan:
+        keys = parts[near]
+        if far is None:
+            held = [getattr(nodes.get(key), "partner", None) for key in keys]
+            parts[role] = [
+                node_id if getattr(nodes.get(node_id), "partner", None) == key else None
+                for key, node_id in zip(keys, held)
+            ]
+            continue
+        hits = list(map(found[role].get, keys, repeat(_NO_FLOW)))
+        if partner in parts:
+            hits = [
+                hit if other is None or hit.partner == other else _NO_FLOW
+                for hit, other in zip(hits, parts[partner])
+            ]
+        ends = list(map(_SOURCE if at_target else _TARGET, hits))
+        have = parts.get(far)
+        if have is None:
+            parts[far] = ends
+        else:
+            hits = [
+                _NO_FLOW if had is not None and end != had else hit
+                for hit, end, had in zip(hits, ends, have)
+            ]
+            if far not in _PARTNERED:
+                parts[far] = [end if had is None else had for end, had in zip(ends, have)]
+        parts[role] = list(map(_ID, hits))
+
+
+def _read_parts(diagram: Diagram) -> tuple[dict[str, list], dict[NodeType, dict[str, list]]]:
+    """Read every part of the rewrite's tables back from a privacy-aware
+    diagram: for the guarded flows, each role's ids, one per flow in
+    diagram order; and for each business kind, each role's ids, one per
+    node of that kind in diagram order. The role "flow" holds the guarded
+    flows and the role "owner" the nodes."""
+    nodes = diagram.nodes
+    found: dict[str, dict] = {role: {} for role, _ in _LOOKUPS.values()}
+    index_of = {kind: (found[role], at_target) for kind, (role, at_target) in _LOOKUPS.items()}
+    guarded = []
+    for flow in diagram.flows.values():
+        lookup = index_of.get(flow.flow_type)
+        if lookup is not None:
+            index, at_target = lookup
+            index[flow.target if at_target else flow.source] = flow
+        elif flow.flow_type in _GUARDED_KINDS:
+            guarded.append(flow)
+    for index in found.values():
+        index.pop(None, None)
+    owners: dict[NodeType, list] = {kind: [] for kind in _HOLDER_PLANS}
+    for node in nodes.values():
+        if node.node_type in owners:
+            owners[node.node_type].append(node.id)
+    holders, evidence = {}, {}
+    for kind, plan in _HOLDER_PLANS.items():
+        holders[kind] = parts = {"owner": owners[kind]}
+        _read(plan, parts, diagram, found)
+        evidence.update(zip(parts["owner"], parts[model.EVIDENCE_ROLES[kind]]))
+    parts = {
+        "flow": list(map(_ID, guarded)),
+        "limit": list(map(_SOURCE, guarded)),
+        "target": list(map(_TARGET, guarded)),
+    }
+    _read(_GADGET_PLAN, parts, diagram, found)
+    for role, end, policy in _EVIDENCE:
+        wrong = [
+            held is not None and node in evidence and evidence[node] != held
+            for held, node in zip(parts[role], parts[end])
+        ]
+        for name in (role, policy):
+            parts[name] = [None if bad else part for bad, part in zip(wrong, parts[name])]
+    return parts, holders
+
+
+def gadget_index(diagram: Diagram) -> dict[FlowId, Gadget]:
+    """Read back the gadget of every guarded flow, keyed by flow id, in
+    diagram order."""
+    parts, _ = _read_parts(diagram)
+    gadgets = map(Gadget, *(parts[field] for field in Gadget.__match_args__))
+    return {gadget.flow: gadget for gadget in gadgets}
+
+
+_GENERATED_NODE_TYPES = model.PA_NODE_TYPES - model.BDFD_NODE_TYPES
+
+
+def _gadget_findings(diagram: Diagram) -> list[Violation]:
+    """Each guarded flow or business node whose parts are not all read
+    back, and each generated node or privacy-aware flow no part claims."""
+    gadgets, holders = _read_parts(diagram)
+    tables = [
+        (model.HOLDER_PARTS[kind], parts, "owner", lambda _, kind=kind: f"{kind.value} node")
+        for kind, parts in holders.items()
+    ]
+    tables.append(
+        (
+            model.GADGET_PARTS, gadgets, "flow",
+            lambda flow: f"{diagram.flows[flow].flow_type.value} flow",
+        )
+    )
+    found = []
+    claimed: dict[bool, set] = {True: set(), False: set()}
+    for rows, parts, own, what in tables:
+        for role, ids in parts.items():
+            claimed[role in _NODE_ROLES].update(ids)
+        missing: dict[str, list[str]] = {}
+        for part in rows:
+            if None in parts[part.role]:
+                for element, part_id in zip(parts[own], parts[part.role]):
+                    if part_id is None:
+                        missing.setdefault(element, []).append(part.role)
+        for element, roles in missing.items():
+            message = (
+                f"{what(element)} {element!r}: {', '.join(roles)} missing or not wired as "
+                "the rewrite wires them"
+            )
+            found.append(Violation("gadget-part", element, message))
+    for node_id in diagram.nodes.keys() - claimed[True]:
+        kind = diagram.nodes[node_id].node_type
+        if kind in _GENERATED_NODE_TYPES:
+            message = f"{kind.value} node {node_id!r} belongs to no gadget"
+            found.append(Violation("gadget-unclaimed", node_id, message))
+    for flow_id in diagram.flows.keys() - claimed[False]:
+        kind = diagram.flows[flow_id].flow_type
+        if kind in model.PA_FLOW_TYPES:
+            message = f"{kind.value} flow {flow_id!r} belongs to no gadget"
+            found.append(Violation("gadget-unclaimed", flow_id, message))
+    return found
 
 
 def validate_raw(diagram: Diagram) -> StageValidity:
@@ -193,6 +456,7 @@ def validate_wellformed(diagram: Diagram) -> StageValidity:
 
 def validate_pa(diagram: Diagram) -> StageValidity:
     """Check the privacy-aware condition: the full node vocabulary, the
-    eighteen rewritten flow kinds with matching endpoints, and symmetric
-    partner links."""
+    eighteen rewritten flow kinds with matching endpoints, symmetric
+    partner links, and every part the rewrite adds present and wired as it
+    wires it, with no generated element left over."""
     return _check(diagram, Stage.PA)

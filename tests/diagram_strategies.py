@@ -699,20 +699,45 @@ def simulation_scenarios(draw):
     return pa, metas, records, draw(dates)
 
 
+# The kinds of the elements the rewrite generates: every node kind but the
+# business ones, and every privacy-aware flow kind but those of the guarded
+# flows, which keep their original ids.
+_GENERATED_KINDS = (
+    NodeType.LIMIT, NodeType.REQUEST, NodeType.REASON, NodeType.POLICY_DB, NodeType.LOG,
+    NodeType.LOG_DB, NodeType.CLEAN, FlowType.REQLIM, FlowType.LIMLOG, FlowType.LOGGING,
+    FlowType.PROLIM, FlowType.EXTLIM, FlowType.DBLIM, FlowType.REAREQ, FlowType.EXTREQ,
+    FlowType.PDBREQ, FlowType.REQREA, FlowType.REQPDB, FlowType.REQEXT, FlowType.PDBCLE,
+    FlowType.CLEDB_DEL,
+)
+
+
 @st.composite
 def edited_pa_scenarios(draw):
-    """`simulation_scenarios` whose PA-DFD an engineer has edited once:
-    one generated node, with its flows, or one generated flow deleted and
-    the partner links to what went cleared, or one generated flow given
-    another node at one end."""
-    pa, metas, records, clock = draw(simulation_scenarios())
-    generated = sorted(element for element in (*pa.nodes, *pa.flows) if element.startswith("gen-"))
-    element = draw(st.sampled_from(generated))
-    if element in pa.flows and draw(st.booleans()):
-        end = draw(st.sampled_from(("source", "target")))
-        node = draw(st.sampled_from(sorted(pa.nodes)))
-        flows = {**pa.flows, element: replace(pa.flows[element], **{end: node})}
-        return replace(pa, flows=flows), metas, records, clock
+    """A rewrite's PA-DFD, and that PA-DFD as an engineer has edited it
+    once: one generated node, with its flows, or one generated flow
+    deleted and the partner links to what went cleared, or one generated
+    flow given another node at one end. The element is drawn as a kind and
+    a position among the elements of that kind (any generated element
+    where the diagram has none of the kind), so the edit survives the
+    shrinking of the diagram around it. Every part of the edit is drawn
+    whichever edit is made, so each scenario takes the same number of
+    choices."""
+    pa = transform(draw(wellformed_diagrams()))
+    kind, position = draw(st.sampled_from(_GENERATED_KINDS)), draw(st.integers(0, _WIRES - 1))
+    retarget = draw(st.booleans())
+    end = draw(st.sampled_from(("source", "target")))
+    node = draw(st.sampled_from(sorted(pa.nodes)))
+    generated = sorted(
+        (element.node_type if element_id in pa.nodes else element.flow_type, element_id)
+        for element_id, element in {**pa.nodes, **pa.flows}.items()
+        if element_id.startswith("gen-")
+    )
+    of_kind = [element_id for each, element_id in generated if each is kind]
+    candidates = of_kind or [element_id for _, element_id in generated]
+    element = candidates[position % len(candidates)]
+    if element in pa.flows and retarget:
+        retargeted = replace(pa.flows[element], **{end: node})
+        return pa, replace(pa, flows={**pa.flows, element: retargeted})
     gone = {element}
     if element in pa.nodes:
         gone |= {flow_id for flow_id, flow in pa.flows.items() if element in (flow.source, flow.target)}
@@ -724,7 +749,7 @@ def edited_pa_scenarios(draw):
             if key not in gone
         }
 
-    return replace(pa, nodes=kept(pa.nodes), flows=kept(pa.flows)), metas, records, clock
+    return pa, replace(pa, nodes=kept(pa.nodes), flows=kept(pa.flows))
 
 
 @st.composite

@@ -1,9 +1,10 @@
 """Straightforward implementations that the library's fast paths are held to.
 
 `emit_drawio` writes its document string by string and `layout_generated`
-resolves occupied spots through a skip map; the versions here build an
-ElementTree and step down one grid cell at a time, as the library did
-before. `parse_drawio` reads each plain cell's attribute map in place;
+resolves occupied spots through a skip map and takes its anchors from the
+library's gadget reader; the versions here build an ElementTree, step
+down one grid cell at a time, as the library did before, and find each
+anchor by flow kind. `parse_drawio` reads each plain cell's attribute map in place;
 the version here copies every map first and builds each element with
 keywords. `emit_dot` quotes each distinct text once; the version here
 quotes every occurrence. `report_json` writes the simulation report
@@ -16,7 +17,8 @@ comparing diagrams. The command line is parsed by a table in `padfd.cli`;
 `reference_parser` is the argparse parser it replaced. `padfd.validate`
 checks each stage's condition from one table in one walk;
 `reference_validate_raw`, `_wellformed` and `_pa` compose one pass per
-rule, as the library did before. `transform` shares one log store as it
+rule, as the library did before, and `reference_validate_pa` states the
+rewrite's gadget role by role, without the library's role tables. `transform` shares one log store as it
 rewrites; `reference_merge_log_stores` merges the per-flow stores of a
 finished rewrite, as the library did before. The tests require identical
 results."""
@@ -67,7 +69,6 @@ from padfd.simulate import (
     _parse_consent,
     _parse_date,
 )
-from padfd.transform import gadget_index
 from padfd.validate import StageValidity, Violation, connectivity
 
 
@@ -351,14 +352,26 @@ def reference_layout_generated(diagram: Diagram) -> Diagram:
             place(node_id, column * 2 * GRID_STEP, 0.0)
             column += 1
 
-    gadgets = gadget_index(diagram).values()
-    hop_ends = {g.limit: (g.source, diagram.flows[g.flow].target) for g in gadgets}
-    log_anchor = {g.log: g.limit for g in gadgets}
-    log_db_anchor = {g.log_db: g.log for g in gadgets}
-    clean_target = {
-        f.source: f.target for f in diagram.flows.values() if f.flow_type is FlowType.CLEDB_DEL
-    }
+    # Anchors by flow kind: the data flow into each limit and the guarded
+    # flow out of it, the log chain, the partner links of requests,
+    # reasons and policy stores, and the store each cleaner deletes from.
+    # A log store shared by several logs hangs below the last one that
+    # feeds it.
+    by_kind = {}
+    for flow in diagram.flows.values():
+        by_kind.setdefault(flow.flow_type, []).append(flow)
 
+    def ends(*kinds):
+        return [(f.source, f.target) for kind in kinds for f in by_kind.get(kind, ())]
+
+    fed_by = {
+        limit: source for source, limit in ends(FlowType.PROLIM, FlowType.EXTLIM, FlowType.DBLIM)
+    }
+    guarded = (FlowType.LIMPRO, FlowType.LIMEXT, FlowType.LIMDB, FlowType.LIMDB_DEL)
+    hop_ends = {limit: (fed_by.get(limit), target) for limit, target in ends(*guarded)}
+    log_anchor = {log: limit for limit, log in ends(FlowType.LIMLOG)}
+    log_db_anchor = {log_db: log for log, log_db in ends(FlowType.LOGGING)}
+    clean_target = {clean: store for clean, store in ends(FlowType.CLEDB_DEL)}
     def hop(limit_id):
         source, target = hop_ends.get(limit_id, (None, None))
         start, end = position(source), position(target)
@@ -821,14 +834,143 @@ def reference_validate_wellformed(diagram: Diagram) -> StageValidity:
     return StageValidity(Stage.WELLFORMED, _sorted(found))
 
 
+def _lacking(what: str, element: str, parts: list[tuple[str, object]]) -> list[Violation]:
+    missing = [role for role, part in parts if part is None]
+    if not missing:
+        return []
+    message = (
+        f"{what} {element!r}: {', '.join(missing)} missing or not wired as the rewrite wires them"
+    )
+    return [Violation("gadget-part", element, message)]
+
+
+def _gadget_parts(diagram: Diagram) -> list[Violation]:
+    """The rewrite's gadget, stated role by role. Each kind of flow the
+    rewrite adds is found at one end: a flow into a limit, a request or a
+    store's cleaner at its target, the others at their source. A process
+    holds its reason and a store its policy store through a mutual partner
+    link; the store's policy store feeds its cleaner, which deletes from
+    it. A guarded flow runs from its limit, whose mutual partner is its
+    request; the request steers the limit, the limit feeds a log and the
+    log a log store; the source's data feeds the limit, and the request
+    gathers evidence from the node holding the source's consent evidence,
+    partnered with that data flow, and grants it to the one holding the
+    target's, partnered with the guarded flow."""
+    nodes, flows = diagram.nodes, diagram.flows
+
+    def found_at(kinds, at_target):
+        index = {}
+        for flow in flows.values():
+            key = flow.target if at_target else flow.source
+            if flow.flow_type in kinds and key is not None:
+                index[key] = flow
+        return index
+
+    steers = found_at({FlowType.REQLIM}, True)
+    taps = found_at({FlowType.LIMLOG}, False)
+    keeps = found_at({FlowType.LOGGING}, False)
+    feeds = found_at({FlowType.PROLIM, FlowType.EXTLIM, FlowType.DBLIM}, True)
+    asks = found_at({FlowType.REAREQ, FlowType.EXTREQ, FlowType.PDBREQ}, True)
+    grants = found_at({FlowType.REQREA, FlowType.REQPDB, FlowType.REQEXT}, False)
+    cleans = found_at({FlowType.PDBCLE}, False)
+    deletes_from = found_at({FlowType.CLEDB_DEL}, True)
+
+    def mate(node_id):
+        """The node `node_id` names as its partner, if it names it back."""
+        node = nodes.get(node_id)
+        other = nodes.get(node.partner) if node is not None else None
+        return other.id if other is not None and other.partner == node_id else None
+
+    found, claimed_nodes, claimed_flows, evidence = [], set(), set(), {}
+    for node in nodes.values():
+        if node.node_type in model.BDFD_NODE_TYPES:
+            claimed_nodes.add(node.id)
+        if node.node_type is NodeType.EXT:
+            evidence[node.id] = node.id
+        elif node.node_type is NodeType.PROC:
+            evidence[node.id] = reason = mate(node.id)
+            claimed_nodes.add(reason)
+            found += _lacking("proc node", node.id, [("reason", reason)])
+        elif node.node_type is NodeType.DB:
+            evidence[node.id] = policy_db = mate(node.id)
+            to_clean = cleans.get(policy_db)
+            clean = to_clean.target if to_clean is not None else None
+            deletion = deletes_from.get(node.id)
+            if deletion is not None and clean is None:
+                clean = deletion.source
+            elif deletion is not None and deletion.source != clean:
+                deletion = None
+            claimed_nodes |= {policy_db, clean}
+            claimed_flows |= {to_clean and to_clean.id, deletion and deletion.id}
+            found += _lacking(
+                "db node", node.id,
+                [("policy_db", policy_db), ("clean", clean), ("pdbcle", to_clean),
+                 ("cledb_del", deletion)],
+            )
+
+    guarded = {FlowType.LIMPRO, FlowType.LIMEXT, FlowType.LIMDB, FlowType.LIMDB_DEL}
+    for flow in flows.values():
+        if flow.flow_type not in guarded:
+            continue
+        limit, target = flow.source, flow.target
+        request = mate(limit)
+        steer = steers.get(limit)
+        if steer is not None and request is not None and steer.source != request:
+            steer = None
+        tap = taps.get(limit)
+        log = tap.target if tap is not None else None
+        keep = keeps.get(log)
+        log_db = keep.target if keep is not None else None
+        feed = feeds.get(limit)
+        source = feed.source if feed is not None else None
+        ask = asks.get(request)
+        if ask is not None and feed is not None and ask.partner != feed.id:
+            ask = None
+        grant = grants.get(request)
+        if grant is not None and grant.partner != flow.id:
+            grant = None
+        asked_of = ask.source if ask is not None else None
+        if asked_of is not None and source in evidence and evidence[source] != asked_of:
+            ask = asked_of = None
+        granted_to = grant.target if grant is not None else None
+        if granted_to is not None and target in evidence and evidence[target] != granted_to:
+            grant = granted_to = None
+        claimed_nodes |= {source, target, asked_of, granted_to, limit, request, log, log_db}
+        claimed_flows |= {
+            part.id for part in (flow, steer, tap, keep, feed, ask, grant) if part is not None
+        }
+        found += _lacking(
+            f"{flow.flow_type.value} flow", flow.id,
+            [("limit", limit), ("request", request), ("log", log), ("log_db", log_db),
+             ("reqlim", steer), ("limlog", tap), ("logging", keep), ("data_in", feed),
+             ("source_policy", ask), ("target_policy", grant)],
+        )
+
+    generated = {
+        NodeType.LIMIT, NodeType.REQUEST, NodeType.REASON, NodeType.POLICY_DB, NodeType.LOG,
+        NodeType.LOG_DB, NodeType.CLEAN,
+    }
+    for node in nodes.values():
+        if node.node_type in generated and node.id not in claimed_nodes:
+            message = f"{node.node_type.value} node {node.id!r} belongs to no gadget"
+            found.append(Violation("gadget-unclaimed", node.id, message))
+    for flow in flows.values():
+        if flow.flow_type in model.PA_FLOW_TYPES and flow.id not in claimed_flows:
+            message = f"{flow.flow_type.value} flow {flow.id!r} belongs to no gadget"
+            found.append(Violation("gadget-unclaimed", flow.id, message))
+    return found
+
+
 def reference_validate_pa(diagram: Diagram) -> StageValidity:
     """Check the privacy-aware condition: the full node vocabulary, the
-    eighteen rewritten flow kinds with matching endpoints, and symmetric
-    partner links."""
+    eighteen rewritten flow kinds with matching endpoints, symmetric
+    partner links, and every gadget the rewrite adds present and wired
+    as it wires it, with nothing generated left over."""
     found = _dangling(diagram)
     found += _typed_elements(
         diagram, model.PA_NODE_TYPES, model.PA_FLOW_TYPES, "privacy-aware"
     )
     found += _endpoint_checks(diagram, model.PA_FLOW_ENDPOINTS)
     found += _partner_links(diagram)
+    found += _gadget_parts(diagram)
     return StageValidity(Stage.PA, _sorted(found))

@@ -34,6 +34,7 @@ from padfd import (
     typecheck,
 )
 from padfd.cli import main
+from padfd.validate import gadget_index
 
 from helpers import build_diagram, build_excerpt, build_excerpt_raw, build_payment_raw
 from references import reference_report_json, to_canonical_dict
@@ -577,6 +578,22 @@ def test_simulate_gates_a_privacy_aware_model_as_check_does(fixtures_dir, tmp_pa
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == findings
+
+
+def test_simulate_refuses_a_model_with_a_broken_gadget(fixtures_dir, tmp_path, capsys):
+    """A model edited by hand loses one limlog flow: `check` names the
+    guarded flow whose gadget lacks its log chain, and `simulate` refuses
+    the model with the same findings instead of running it."""
+    pa = transform(typecheck(build_payment_raw())[0])
+    gadget = next(iter(gadget_index(pa).values()))
+    flows = {k: f for k, f in pa.flows.items() if k != gadget.limlog}
+    model = write_json(tmp_path, "edited-pa.json", Diagram(pa.stage, pa.nodes, flows))
+    assert main(["check", str(model)]) == 1
+    findings = capsys.readouterr().out
+    assert f"error {gadget.flow} gadget-part: " in findings
+    assert "log, log_db, limlog, logging missing" in findings
+    assert main(simulate_argv(fixtures_dir, model)) == 1
+    assert capsys.readouterr() == ("", findings)
 
 
 def test_simulate_json_report(fixtures_dir, tmp_path, capsys):

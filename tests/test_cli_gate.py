@@ -133,6 +133,8 @@ FINDINGS = {
         ("a", "partner-missing", "stage-violation", "'a' names missing partner 'ghost'"),
         ("f1", "flow-type", "stage-violation",
          "flow type 'in' not allowed in a privacy-aware diagram"),
+        ("p", "gadget-part", "stage-violation",
+         "proc node 'p': reason missing or not wired as the rewrite wires them"),
     ],
 }
 

@@ -154,9 +154,9 @@ def test_transform_counting_laws_hold(diagram):
 
 
 @PROPERTY_SETTINGS
-@given(wellformed_diagrams())
-def test_transform_output_is_valid(diagram):
-    validity = validate_pa(transform(diagram))
+@given(wellformed_diagrams(), st.booleans())
+def test_transform_output_is_valid(diagram, shared):
+    validity = validate_pa(transform(diagram, shared_log_store=shared))
     assert validity.valid, [v.render() for v in validity.violations]
 
 
@@ -535,16 +535,25 @@ def _or_padfd_error(call, *args, **kwargs):
 @PROPERTY_SETTINGS
 @given(edited_pa_scenarios())
 def test_an_edited_pa_dfd_that_validates_never_ends_in_a_traceback(scenario):
-    """Once `validate_pa` accepts an edit, laying out, writing and
-    simulating it either work or raise a PadfdError."""
-    pa, metas, records, clock = scenario
-    if not validate_pa(pa).valid:
-        return
+    """Every edit that changes a PA-DFD fails `validate_pa`, so the only
+    edited model that gets past the gate is an unchanged rewrite. Laying
+    out, writing and simulating any edit, as a library caller may, either
+    work or raise a PadfdError: each original flow carries a record with
+    consent, so a run reaches every limit and store it can."""
+    original, pa = scenario
+    assert validate_pa(pa).valid == (pa == original)
     laid = _or_padfd_error(layout_generated, pa)
     if laid is not None:
         _or_padfd_error(emit_drawio, laid)
     _or_padfd_error(emit_dot, pa)
     _or_padfd_error(emit_json, pa)
+    guarded = sorted(flow_id for flow_id in original.flows if not flow_id.startswith("gen-"))
+    metas = [FlowMeta(flow_id, "Records", "billing", True, "string") for flow_id in guarded]
+    consent, expiry, clock = frozenset({"billing"}), date(2030, 1, 1), date(2020, 1, 1)
+    records = [
+        DataRecord(f"d{index}", flow_id, "SubA", consent, expiry, "")
+        for index, flow_id in enumerate(guarded)
+    ]
     for multi_hop in (False, True):
         report = _or_padfd_error(run_simulation, pa, metas, records, clock, multi_hop=multi_hop)
         if report is not None:

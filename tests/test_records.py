@@ -38,7 +38,7 @@ from padfd import (
     Violation,
     replace,
 )
-from padfd.transform import Gadget
+from padfd.validate import Gadget
 
 DAY = date(2020, 6, 1)
 
@@ -147,8 +147,13 @@ SAMPLES = {
         "node_styles={<NodeType.PROC: 'proc'>: 'ellipse;'}, edge_styles={})",
     ),
     "Gadget": (
-        lambda: Gadget("f1", "lim", "a", None, None),
-        "Gadget(flow='f1', limit='lim', source='a', log=None, log_db=None)",
+        lambda: Gadget(
+            "f1", "a", "b", "lim", "req", None, None, "rl", None, None, "in", "sp", "tp", "a",
+            "b-reason",
+        ),
+        "Gadget(flow='f1', source='a', target='b', limit='lim', request='req', log=None, "
+        "log_db=None, reqlim='rl', limlog=None, logging=None, data_in='in', source_policy='sp', "
+        "target_policy='tp', source_evidence='a', target_evidence='b-reason')",
     ),
 }
 

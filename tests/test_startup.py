@@ -177,7 +177,8 @@ def test_drawio_commands_skip_simulate_csv_and_datetime(models, tmp_path, argv):
 # sees every module a command loads, however the interpreter is set up.
 # Annotation-only names come from `collections.abc` or sit under
 # `TYPE_CHECKING`, so no command loads `typing`; only a compressed draw.io
-# page loads the `base64` codec.
+# page loads the `base64` codec; files are read with `open`, so no command
+# loads `pathlib`.
 @pytest.mark.parametrize(
     "argv",
     [
@@ -203,7 +204,7 @@ def test_without_site_no_command_loads_typing_or_base64(models, fixtures_dir, tm
         argv = simulate_argv(fixtures_dir, argv[1], *argv[2:])
     loaded = modules_loaded_by(tmp_path, *argv, flags=("-S",))
     assert "padfd.cli" in loaded
-    assert_none_loaded(loaded, ["typing", "base64"])
+    assert_none_loaded(loaded, ["typing", "base64", "pathlib"])
 
 
 def test_importing_the_cli_loads_no_layer(tmp_path):

@@ -21,7 +21,7 @@ from padfd import (
     validate_pa,
 )
 from padfd.model import PA_FLOW_TYPES
-from padfd.transform import gadget_index
+from padfd.validate import gadget_index
 
 from helpers import (
     build_all_kinds,

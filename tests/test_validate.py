@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -12,6 +13,7 @@ from padfd import (
     Stage,
     replace,
     transform,
+    typecheck,
     validate_pa,
     validate_raw,
     validate_wellformed,
@@ -25,8 +27,13 @@ from padfd.model import (
     WELLFORMED_FLOW_TYPES,
 )
 
-from diagram_strategies import any_stage_diagrams, raw_diagrams, wellformed_diagrams
-from helpers import build_all_kinds, build_diagram, build_estore_raw
+from diagram_strategies import (
+    any_stage_diagrams,
+    edited_pa_scenarios,
+    raw_diagrams,
+    wellformed_diagrams,
+)
+from helpers import build_all_kinds, build_diagram, build_estore_raw, build_payment_raw, payment_pa
 from references import (
     reference_validate_pa,
     reference_validate_raw,
@@ -178,6 +185,92 @@ def test_pa_endpoint_table_enforced():
     assert ("f", "flow-endpoints") in _clauses(validate_pa(d))
 
 
+# --- the gadget clauses -----------------------------------------------------------
+
+
+def _deleted(pa: Diagram, element: str) -> Diagram:
+    """`pa` without `element`, a node's flows going with it, and with the
+    partner links to what went cleared."""
+    gone = {element}
+    if element in pa.nodes:
+        gone |= {f.id for f in pa.flows.values() if element in (f.source, f.target)}
+
+    def kept(elements: dict) -> dict:
+        return {
+            key: replace(value, partner=None) if value.partner in gone else value
+            for key, value in elements.items()
+            if key not in gone
+        }
+
+    return replace(pa, nodes=kept(pa.nodes), flows=kept(pa.flows))
+
+
+BUSINESS = {
+    "all-kinds": build_all_kinds,
+    "estore": lambda: typecheck(build_estore_raw())[0],
+    "payment": lambda: typecheck(build_payment_raw())[0],
+}
+
+
+@pytest.mark.parametrize("shared", [False, True], ids=["own-log-stores", "shared-log-store"])
+@pytest.mark.parametrize("name", sorted(BUSINESS))
+def test_deleting_any_generated_element_fails_validation(name, shared):
+    business = BUSINESS[name]()
+    pa = transform(business, shared_log_store=shared)
+    assert validate_pa(pa).valid
+    generated = [
+        e for e in (*pa.nodes, *pa.flows) if e not in business.nodes and e not in business.flows
+    ]
+    assert generated
+    passed = [e for e in generated if validate_pa(_deleted(pa, e)).valid]
+    assert passed == []
+
+
+@pytest.mark.parametrize("shared", [False, True], ids=["own-log-stores", "shared-log-store"])
+def test_retargeting_any_generated_flow_fails_validation(shared):
+    pa = transform(BUSINESS["payment"](), shared_log_store=shared)
+    passed = []
+    for flow_id, flow in pa.flows.items():
+        if not flow_id.startswith("gen-"):
+            continue
+        for end in ("source", "target"):
+            for node in pa.nodes:
+                if node != getattr(flow, end):
+                    edited = replace(pa, flows={**pa.flows, flow_id: replace(flow, **{end: node})})
+                    if validate_pa(edited).valid:
+                        passed.append((flow_id, end, node))
+    assert passed == []
+
+
+def test_a_bare_guarded_flow_is_no_gadget():
+    bare = build_diagram(
+        Stage.PA,
+        [Node("lim", NodeType.LIMIT), Node("p", NodeType.PROC)],
+        [Flow("f", "lim", "p", FlowType.LIMPRO)],
+    )
+    assert _clauses(validate_pa(bare)) == [("f", "gadget-part"), ("p", "gadget-part")]
+    assert validate_pa(bare).violations[0].message == (
+        "limpro flow 'f': request, log, log_db, reqlim, limlog, logging, data_in, "
+        "source_policy, target_policy missing or not wired as the rewrite wires them"
+    )
+
+
+def test_a_store_whose_cleaner_deletes_from_another_store_is_refused():
+    pa = payment_pa()
+    deletions = sorted(f.id for f in pa.flows.values() if f.flow_type is FlowType.CLEDB_DEL)
+    assert len(deletions) == 2
+    first, second = (pa.flows[flow_id] for flow_id in deletions)
+    swapped = {
+        first.id: replace(first, target=second.target),
+        second.id: replace(second, target=first.target),
+    }
+    clauses = set(_clauses(validate_pa(replace(pa, flows={**pa.flows, **swapped}))))
+    assert clauses == {
+        (first.target, "gadget-part"), (second.target, "gadget-part"),
+        (first.id, "gadget-unclaimed"), (second.id, "gadget-unclaimed"),
+    }
+
+
 def test_violations_sorted_by_element_then_clause():
     d = build_diagram(
         Stage.WELLFORMED,
@@ -201,7 +294,12 @@ def _damaged_diagrams(draw) -> Diagram:
     """Diagrams of every stage, some broken at random: nodes dropped from
     under their flows, types cleared, partners pointed anywhere, flows
     looped onto their source, and flows given the ids of nodes."""
-    diagram = draw(any_stage_diagrams() | raw_diagrams() | wellformed_diagrams())
+    diagram = draw(
+        any_stage_diagrams()
+        | raw_diagrams()
+        | wellformed_diagrams()
+        | edited_pa_scenarios().map(lambda scenario: scenario[1])
+    )
     if draw(st.booleans()):
         return diagram
     ids = sorted({*diagram.nodes, *diagram.flows, "ghost"})
