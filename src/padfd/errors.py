@@ -77,9 +77,10 @@ SURROGATE = "[\ud800-\udfff]"
 
 
 def read_utf8(path, what: str) -> str:
-    """The text of a UTF-8 file with universal newlines, as
-    ``Path.read_text(encoding="utf-8")`` reads it; bytes that are not UTF-8
-    raise SchemaError naming the file and the offset of the first one."""
+    """The text of a UTF-8 file with universal newlines and without one
+    leading byte order mark, which spreadsheets write to "CSV UTF-8" files,
+    as ``Path.read_text(encoding="utf-8-sig")`` reads it; bytes that are not
+    UTF-8 raise SchemaError naming the file and the offset of the first one."""
     with open(path, "rb") as handle:
         data = handle.read()
     try:
@@ -88,7 +89,7 @@ def read_utf8(path, what: str) -> str:
         raise SchemaError(
             f"{what} {path}: not valid UTF-8 at byte {exc.start} ({exc.reason})"
         ) from None
-    return text.replace("\r\n", "\n").replace("\r", "\n")
+    return text.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n")
 
 
 def decode_json(text: str, what: str = "", parse_constant=None):

@@ -26,7 +26,7 @@ from . import model
 from .errors import SchemaError
 from .graph import Diagram, Node, NodeId
 from .model import NodeType
-from .validate import _read_parts
+from .validate import read_parts
 
 GRID_STEP = 80.0
 
@@ -68,7 +68,7 @@ def layout_generated(diagram: Diagram) -> Diagram:
     # by several logs hangs below the one whose logging flow comes last),
     # the node each reason and policy store serves, and the store each
     # cleaner deletes from.
-    gadgets, holders = _read_parts(diagram)
+    gadgets, holders = read_parts(diagram)
     hop_ends = dict(zip(gadgets["limit"], zip(gadgets["source"], gadgets["target"])))
     limit_of = dict(zip(gadgets["request"], gadgets["limit"]))
     log_anchor = dict(zip(gadgets["log"], gadgets["limit"]))

@@ -6,7 +6,7 @@ validators, and `FLOW_BY_ENDS` gives the flow typer and the gadget-insertion
 pass the flow kind that joins each pair of endpoint kinds. `NODE_LOOKS` is
 how each node kind is labelled by the rewrite and drawn in draw.io and DOT.
 `GADGET_PARTS` and `HOLDER_PARTS` name every part the rewrite adds; the
-rewrite writes from them and `validate.gadget_index` reads them back.
+rewrite writes from them and `validate.read_parts` reads them back.
 """
 
 from __future__ import annotations

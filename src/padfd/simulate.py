@@ -30,7 +30,7 @@ from operator import itemgetter
 from .errors import SURROGATE, SchemaError, SimulationError, StageError, decode_json, read_utf8
 from .graph import Diagram, Flow, NodeId, Record
 from .model import FlowType, NodeType, Stage
-from .validate import _read_parts
+from .validate import read_parts
 
 STATIC_COLUMNS = ("F_id", "Label", "Purpose", "PD", "Data_type")
 DYNAMIC_COLUMNS = ("D_id", "F_id", "Dsub", "Consent", "Expiry", "Content")
@@ -223,7 +223,7 @@ def run_simulation(
             raise SimulationError(f"duplicate policy row for flow {meta.flow_id!r}")
         meta_by_flow[meta.flow_id] = meta
 
-    gadgets, holders = _read_parts(diagram)
+    gadgets, holders = read_parts(diagram)
     log_of: dict[str, NodeId] = {}
     for flow_id, log_db in zip(gadgets["flow"], gadgets["log_db"]):
         if log_db is None:

@@ -14,7 +14,7 @@ parts around a guarded flow. Each row names a part's role, its node kind
 or, for a flow, the roles at its two ends, and its partner's role; a
 flow's kind is the one `model.FLOW_BY_ENDS` names for the kinds at its
 ends, and the guarded flow of a deletion is retyped to its deletion
-variant. `validate.gadget_index` reads the same tables back.
+variant. `validate.read_parts` is the one reader of the same tables.
 
 Generated elements take ids "gen-0", "gen-1", ... skipping ids already in
 use, one per table row in row order: first the rows of `HOLDER_PARTS` for

@@ -21,12 +21,15 @@ stable clause id so tests and tooling can match on them:
     partner-asymmetric   partner link not mutual
     gadget-part          guarded flow, process or store lacking a part the
                          rewrite adds, or one wired otherwise than it wires it
+    gadget-shared        generated part that more than one guarded flow or
+                         business node holds; only a log store may be shared
     gadget-unclaimed     generated node or privacy-aware flow of no gadget
 
-The two gadget clauses come from `_read_parts`, the one reader of the
+The gadget clauses come from `read_parts`, the one reader of the
 rewrite's role tables (`model.GADGET_PARTS` and `model.HOLDER_PARTS`) in
-a privacy-aware diagram. The simulator, the layout and `gadget_index`
-read the diagram through it as well.
+a privacy-aware diagram. The simulator and the layout read the diagram
+through it as well, and `gadget_index` is its view as one role map per
+guarded flow.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from itertools import repeat
 from operator import attrgetter
 
 from . import model
-from .graph import Diagram, Flow, FlowId, NodeId, Record
+from .graph import Diagram, Flow, FlowId, Record
 from .model import FlowType, NodeType, Stage
 
 
@@ -191,38 +194,6 @@ def _check(diagram: Diagram, stage: Stage) -> StageValidity:
     return StageValidity(stage, tuple(found))
 
 
-class Gadget(Record):
-    """The gadget read back around one guarded flow of a privacy-aware
-    diagram: the flow, its original source and target, one field per row
-    of `model.GADGET_PARTS`, and the nodes holding the ends' consent
-    evidence. A part the diagram lacks, or wires otherwise than the table
-    says, is None."""
-
-    def __init__(
-        self, flow: FlowId, source: NodeId | None, target: NodeId | None, limit: NodeId | None,
-        request: NodeId | None, log: NodeId | None, log_db: NodeId | None,
-        reqlim: FlowId | None, limlog: FlowId | None, logging: FlowId | None,
-        data_in: FlowId | None, source_policy: FlowId | None, target_policy: FlowId | None,
-        source_evidence: NodeId | None, target_evidence: NodeId | None,
-    ) -> None:
-        d = self.__dict__
-        d["flow"] = flow
-        d["source"] = source
-        d["target"] = target
-        d["limit"] = limit
-        d["request"] = request
-        d["log"] = log
-        d["log_db"] = log_db
-        d["reqlim"] = reqlim
-        d["limlog"] = limlog
-        d["logging"] = logging
-        d["data_in"] = data_in
-        d["source_policy"] = source_policy
-        d["target_policy"] = target_policy
-        d["source_evidence"] = source_evidence
-        d["target_evidence"] = target_evidence
-
-
 # A guarded flow runs from its limit to its target, the roles its gadget
 # is read from. The gadget's flows reach its source and the nodes holding
 # the consent evidence of its ends, which must be those the ends' own parts
@@ -230,16 +201,21 @@ class Gadget(Record):
 _EVIDENCE = (
     ("source_evidence", "source", "source_policy"), ("target_evidence", "target", "target_policy")
 )
-_NODE_ROWS = {
-    part.role: part
-    for parts in (model.GADGET_PARTS, *model.HOLDER_PARTS.values())
-    for part in parts
-    if part.kind is not None
+_ROWS = {
+    part.role: part for parts in (model.GADGET_PARTS, *model.HOLDER_PARTS.values()) for part in parts
 }
+_NODE_ROWS = {role: part for role, part in _ROWS.items() if part.kind is not None}
 _PARTNERED = frozenset(role for role, part in _NODE_ROWS.items() if part.partner)
 _NODE_ROLES = frozenset(
     ("source", "target", "source_evidence", "target_evidence", "owner", *_NODE_ROWS)
 )
+# The node and the flow roles whose parts one guarded flow or business node
+# holds alone: every table role but the log store, which may be shared.
+_SOLE_ROLES = {
+    is_node: frozenset(role for role in _ROWS if (role in _NODE_ROWS) is is_node) - {"log_db"}
+    for is_node in (True, False)
+}
+_GENERATED_NODE_TYPES = model.PA_NODE_TYPES - model.BDFD_NODE_TYPES
 
 
 def _plan(parts: tuple, start: tuple[str, ...]) -> tuple:
@@ -342,12 +318,14 @@ def _read(plan: tuple, parts: dict, diagram: Diagram, found: dict) -> None:
         parts[role] = list(map(_ID, hits))
 
 
-def _read_parts(diagram: Diagram) -> tuple[dict[str, list], dict[NodeType, dict[str, list]]]:
+def read_parts(diagram: Diagram) -> tuple[dict[str, list], dict[NodeType, dict[str, list]]]:
     """Read every part of the rewrite's tables back from a privacy-aware
     diagram: for the guarded flows, each role's ids, one per flow in
     diagram order; and for each business kind, each role's ids, one per
     node of that kind in diagram order. The role "flow" holds the guarded
-    flows and the role "owner" the nodes."""
+    flows, "source" and "target" their original ends, "source_evidence"
+    and "target_evidence" the nodes holding those ends' consent evidence,
+    and "owner" the business nodes."""
     nodes = diagram.nodes
     found: dict[str, dict] = {role: {} for role, _ in _LOOKUPS.values()}
     index_of = {kind: (found[role], at_target) for kind, (role, at_target) in _LOOKUPS.items()}
@@ -386,58 +364,69 @@ def _read_parts(diagram: Diagram) -> tuple[dict[str, list], dict[NodeType, dict[
     return parts, holders
 
 
-def gadget_index(diagram: Diagram) -> dict[FlowId, Gadget]:
-    """Read back the gadget of every guarded flow, keyed by flow id, in
-    diagram order."""
-    parts, _ = _read_parts(diagram)
-    gadgets = map(Gadget, *(parts[field] for field in Gadget.__match_args__))
-    return {gadget.flow: gadget for gadget in gadgets}
-
-
-_GENERATED_NODE_TYPES = model.PA_NODE_TYPES - model.BDFD_NODE_TYPES
+def gadget_index(diagram: Diagram) -> dict[FlowId, dict[str, str | None]]:
+    """The role map of every guarded flow's gadget, keyed by flow id, in
+    diagram order: each gadget role `read_parts` reads to its id, or None."""
+    parts, _ = read_parts(diagram)
+    return dict(zip(parts["flow"], (dict(zip(parts, ids)) for ids in zip(*parts.values()))))
 
 
 def _gadget_findings(diagram: Diagram) -> list[Violation]:
     """Each guarded flow or business node whose parts are not all read
-    back, and each generated node or privacy-aware flow no part claims."""
-    gadgets, holders = _read_parts(diagram)
+    back, each generated part but a log store that two of them hold, and
+    each generated node or privacy-aware flow no part claims."""
+    gadgets, holders = read_parts(diagram)
     tables = [
-        (model.HOLDER_PARTS[kind], parts, "owner", lambda _, kind=kind: f"{kind.value} node")
-        for kind, parts in holders.items()
+        (kind, model.HOLDER_PARTS[kind], parts["owner"], parts) for kind, parts in holders.items()
     ]
-    tables.append(
-        (
-            model.GADGET_PARTS, gadgets, "flow",
-            lambda flow: f"{diagram.flows[flow].flow_type.value} flow",
-        )
-    )
+    tables.append((None, model.GADGET_PARTS, gadgets["flow"], gadgets))
     found = []
-    claimed: dict[bool, set] = {True: set(), False: set()}
-    for rows, parts, own, what in tables:
+    # The ids each role holds, by whether they are nodes and whether the
+    # role's parts are held alone, and how many ids those roles hold: only
+    # where they hold one id twice, None included, can a part be shared.
+    claimed: dict[tuple, set] = {(node, sole): set() for node in (True, False) for sole in (True, False)}
+    held = {True: 0, False: 0}
+    for kind, rows, owners, parts in tables:
         for role, ids in parts.items():
-            claimed[role in _NODE_ROLES].update(ids)
+            is_node = role in _NODE_ROLES
+            sole = role in _SOLE_ROLES[is_node]
+            claimed[is_node, sole].update(ids)
+            if sole:
+                held[is_node] += len(ids)
         missing: dict[str, list[str]] = {}
         for part in rows:
             if None in parts[part.role]:
-                for element, part_id in zip(parts[own], parts[part.role]):
+                for owner, part_id in zip(owners, parts[part.role]):
                     if part_id is None:
-                        missing.setdefault(element, []).append(part.role)
-        for element, roles in missing.items():
+                        missing.setdefault(owner, []).append(part.role)
+        for owner, roles in missing.items():
+            what = f"{kind.value} node" if kind else f"{diagram.flows[owner].flow_type.value} flow"
             message = (
-                f"{what(element)} {element!r}: {', '.join(roles)} missing or not wired as "
-                "the rewrite wires them"
+                f"{what} {owner!r}: {', '.join(roles)} missing or not wired as the rewrite "
+                "wires them"
             )
-            found.append(Violation("gadget-part", element, message))
-    for node_id in diagram.nodes.keys() - claimed[True]:
-        kind = diagram.nodes[node_id].node_type
-        if kind in _GENERATED_NODE_TYPES:
-            message = f"{kind.value} node {node_id!r} belongs to no gadget"
-            found.append(Violation("gadget-unclaimed", node_id, message))
-    for flow_id in diagram.flows.keys() - claimed[False]:
-        kind = diagram.flows[flow_id].flow_type
-        if kind in model.PA_FLOW_TYPES:
-            message = f"{kind.value} flow {flow_id!r} belongs to no gadget"
-            found.append(Violation("gadget-unclaimed", flow_id, message))
+            found.append(Violation("gadget-part", owner, message))
+    for is_node, noun, elements, kinds in (
+        (True, "node", diagram.nodes, _GENERATED_NODE_TYPES),
+        (False, "flow", diagram.flows, model.PA_FLOW_TYPES),
+    ):
+        places: dict[str, list[str]] = {}
+        if len(claimed[is_node, True]) < held[is_node]:
+            for _, _, owners, parts in tables:
+                for role in _SOLE_ROLES[is_node] & parts.keys():
+                    for owner, part_id in zip(owners, parts[role]):
+                        places.setdefault(part_id, []).append(f"{role} of {owner!r}")
+        for part_id, roles in places.items():
+            kind = getattr(elements.get(part_id), f"{noun}_type", None)
+            if len(roles) > 1 and kind in kinds:
+                roles = ", ".join(sorted(roles))
+                message = f"{kind.value} {noun} {part_id!r} is a part of more than one gadget: {roles}"
+                found.append(Violation("gadget-shared", part_id, message))
+        for element_id in elements.keys() - claimed[is_node, True] - claimed[is_node, False]:
+            kind = getattr(elements[element_id], f"{noun}_type")
+            if kind in kinds:
+                message = f"{kind.value} {noun} {element_id!r} belongs to no gadget"
+                found.append(Violation("gadget-unclaimed", element_id, message))
     return found
 
 

@@ -855,8 +855,20 @@ def _gadget_parts(diagram: Diagram) -> list[Violation]:
     log a log store; the source's data feeds the limit, and the request
     gathers evidence from the node holding the source's consent evidence,
     partnered with that data flow, and grants it to the one holding the
-    target's, partnered with the guarded flow."""
+    target's, partnered with the guarded flow. Only a log store may serve
+    more than one guarded flow; every other part serves one flow or node."""
     nodes, flows = diagram.nodes, diagram.flows
+    # The roles each part but a log store fills, nodes' and flows' apart.
+    places = {True: {}, False: {}}
+
+    def parts_of(owner, parts):
+        """`parts` as role and id, each part but a log store placed with `owner`."""
+        parts = [(role, getattr(part, "id", part)) for role, part in parts]
+        for role, part in parts:
+            if part is not None and role != "log_db":
+                is_node = role in {"limit", "request", "log", "reason", "policy_db", "clean"}
+                places[is_node].setdefault(part, []).append(f"{role} of {owner!r}")
+        return parts
 
     def found_at(kinds, at_target):
         index = {}
@@ -890,7 +902,7 @@ def _gadget_parts(diagram: Diagram) -> list[Violation]:
         elif node.node_type is NodeType.PROC:
             evidence[node.id] = reason = mate(node.id)
             claimed_nodes.add(reason)
-            found += _lacking("proc node", node.id, [("reason", reason)])
+            found += _lacking("proc node", node.id, parts_of(node.id, [("reason", reason)]))
         elif node.node_type is NodeType.DB:
             evidence[node.id] = policy_db = mate(node.id)
             to_clean = cleans.get(policy_db)
@@ -904,8 +916,11 @@ def _gadget_parts(diagram: Diagram) -> list[Violation]:
             claimed_flows |= {to_clean and to_clean.id, deletion and deletion.id}
             found += _lacking(
                 "db node", node.id,
-                [("policy_db", policy_db), ("clean", clean), ("pdbcle", to_clean),
-                 ("cledb_del", deletion)],
+                parts_of(
+                    node.id,
+                    [("policy_db", policy_db), ("clean", clean), ("pdbcle", to_clean),
+                     ("cledb_del", deletion)],
+                ),
             )
 
     guarded = {FlowType.LIMPRO, FlowType.LIMEXT, FlowType.LIMDB, FlowType.LIMDB_DEL}
@@ -941,15 +956,28 @@ def _gadget_parts(diagram: Diagram) -> list[Violation]:
         }
         found += _lacking(
             f"{flow.flow_type.value} flow", flow.id,
-            [("limit", limit), ("request", request), ("log", log), ("log_db", log_db),
-             ("reqlim", steer), ("limlog", tap), ("logging", keep), ("data_in", feed),
-             ("source_policy", ask), ("target_policy", grant)],
+            parts_of(
+                flow.id,
+                [("limit", limit), ("request", request), ("log", log), ("log_db", log_db),
+                 ("reqlim", steer), ("limlog", tap), ("logging", keep), ("data_in", feed),
+                 ("source_policy", ask), ("target_policy", grant)],
+            ),
         )
 
     generated = {
         NodeType.LIMIT, NodeType.REQUEST, NodeType.REASON, NodeType.POLICY_DB, NodeType.LOG,
         NodeType.LOG_DB, NodeType.CLEAN,
     }
+    for is_node, held in places.items():
+        for part_id, roles in held.items():
+            element = (nodes if is_node else flows).get(part_id)
+            kind = element and (element.node_type if is_node else element.flow_type)
+            if len(roles) > 1 and kind in (generated if is_node else model.PA_FLOW_TYPES):
+                message = (
+                    f"{kind.value} {'node' if is_node else 'flow'} {part_id!r} is a part of more "
+                    f"than one gadget: {', '.join(sorted(roles))}"
+                )
+                found.append(Violation("gadget-shared", part_id, message))
     for node in nodes.values():
         if node.node_type in generated and node.id not in claimed_nodes:
             message = f"{node.node_type.value} node {node.id!r} belongs to no gadget"

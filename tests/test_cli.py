@@ -586,11 +586,11 @@ def test_simulate_refuses_a_model_with_a_broken_gadget(fixtures_dir, tmp_path, c
     the model with the same findings instead of running it."""
     pa = transform(typecheck(build_payment_raw())[0])
     gadget = next(iter(gadget_index(pa).values()))
-    flows = {k: f for k, f in pa.flows.items() if k != gadget.limlog}
+    flows = {k: f for k, f in pa.flows.items() if k != gadget["limlog"]}
     model = write_json(tmp_path, "edited-pa.json", Diagram(pa.stage, pa.nodes, flows))
     assert main(["check", str(model)]) == 1
     findings = capsys.readouterr().out
-    assert f"error {gadget.flow} gadget-part: " in findings
+    assert f"error {gadget['flow']} gadget-part: " in findings
     assert "log, log_db, limlog, logging missing" in findings
     assert main(simulate_argv(fixtures_dir, model)) == 1
     assert capsys.readouterr() == ("", findings)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import copy
 import json
 import tempfile
+from collections import Counter
 from datetime import date
 from pathlib import Path
 
@@ -39,8 +40,9 @@ from padfd import (
     validate_wellformed,
 )
 from padfd.errors import read_utf8
-from padfd.model import WELLFORMED_FLOW_ENDPOINTS
+from padfd.model import GADGET_PARTS, HOLDER_PARTS, WELLFORMED_FLOW_ENDPOINTS
 from padfd.simulate import DYNAMIC_COLUMNS, STATIC_COLUMNS
+from padfd.validate import read_parts
 
 from diagram_strategies import (
     any_stage_diagrams,
@@ -158,6 +160,27 @@ def test_transform_counting_laws_hold(diagram):
 def test_transform_output_is_valid(diagram, shared):
     validity = validate_pa(transform(diagram, shared_log_store=shared))
     assert validity.valid, [v.render() for v in validity.violations]
+
+
+@PROPERTY_SETTINGS
+@given(wellformed_diagrams(), st.booleans())
+def test_each_generated_element_is_the_part_of_one_owner(diagram, shared):
+    """The columns of the rewrite's role tables, as `read_parts` reads them
+    back, hold every generated node and flow exactly once, save the shared
+    log store, which every gadget holds."""
+    pa = transform(diagram, shared_log_store=shared)
+    gadgets, holders = read_parts(pa)
+    held = Counter()
+    for rows, parts in (
+        (GADGET_PARTS, gadgets), *((HOLDER_PARTS[kind], parts) for kind, parts in holders.items())
+    ):
+        for part in rows:
+            held.update(parts[part.role])
+    expected = Counter({*pa.nodes, *pa.flows} - {*diagram.nodes, *diagram.flows})
+    for node_id, node in pa.nodes.items():
+        if shared and node.node_type is NodeType.LOG_DB:
+            expected[node_id] = len(diagram.flows)
+    assert held == expected
 
 
 @PROPERTY_SETTINGS
@@ -600,11 +623,12 @@ def _outcome(load, source):
 @PROPERTY_SETTINGS
 @given(st.text(alphabet=st.sampled_from(["a", ",", "\u00e9", "\ufeff", "\r", "\n", "\u2028"])))
 def test_utf8_reader_reads_as_read_text(text):
-    """The loaders' reader keeps `Path.read_text`'s universal newlines."""
+    """The loaders' reader keeps `Path.read_text`'s universal newlines, and
+    drops one leading byte order mark as the "utf-8-sig" codec does."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "table.csv"
         path.write_bytes(text.encode("utf-8"))
-        assert read_utf8(path, "table") == path.read_text(encoding="utf-8")
+        assert read_utf8(path, "table") == path.read_text(encoding="utf-8-sig")
 
 
 def _loads_like(load, reference, text: str) -> None:

@@ -1,6 +1,6 @@
 """The value contract of padfd's records: the diagram elements, the
-validation findings, the simulation's records and reports, the style map
-and the gadget wiring.
+validation findings, the simulation's records and reports, and the style
+map.
 
 Frozen records refuse assignment and deletion, compare equal only to a
 record of the same type with equal fields, hash by their fields, and
@@ -38,7 +38,6 @@ from padfd import (
     Violation,
     replace,
 )
-from padfd.validate import Gadget
 
 DAY = date(2020, 6, 1)
 
@@ -145,15 +144,6 @@ SAMPLES = {
         lambda: StyleMap((("ellipse", NodeType.PROC),), (), {NodeType.PROC: "ellipse;"}, {}),
         "StyleMap(node_rules=(('ellipse', <NodeType.PROC: 'proc'>),), edge_rules=(), "
         "node_styles={<NodeType.PROC: 'proc'>: 'ellipse;'}, edge_styles={})",
-    ),
-    "Gadget": (
-        lambda: Gadget(
-            "f1", "a", "b", "lim", "req", None, None, "rl", None, None, "in", "sp", "tp", "a",
-            "b-reason",
-        ),
-        "Gadget(flow='f1', source='a', target='b', limit='lim', request='req', log=None, "
-        "log_db=None, reqlim='rl', limlog=None, logging=None, data_in='in', source_policy='sp', "
-        "target_policy='tp', source_evidence='a', target_evidence='b-reason')",
     ),
 }
 

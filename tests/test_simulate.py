@@ -478,6 +478,23 @@ def test_load_equivalences_file(fixtures_dir):
     assert load_equivalences(fixtures_dir / "compat.json") == payment_equivalences()
 
 
+@pytest.mark.parametrize(
+    "name,load,expected",
+    [
+        ("payment_static.csv", load_flow_metas, payment_metas),
+        ("payment_dynamic.csv", load_data_records, payment_records),
+        ("compat.json", load_equivalences, payment_equivalences),
+    ],
+    ids=["static-csv", "dynamic-csv", "compat-json"],
+)
+def test_a_leading_byte_order_mark_is_dropped(name, load, expected, fixtures_dir, tmp_path):
+    """Spreadsheets save "CSV UTF-8" files with a byte order mark first;
+    such a file reads as the same file without it."""
+    path = tmp_path / name
+    path.write_bytes(b"\xef\xbb\xbf" + (fixtures_dir / name).read_bytes())
+    assert load(path) == expected()
+
+
 def test_load_tables_json(tmp_path):
     static = [
         {

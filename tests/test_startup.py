@@ -102,8 +102,11 @@ def simulate_argv(fixtures_dir, model, *extra):
 # No command loads these. Records are plain classes, so nothing imports
 # the dataclass machinery or what it pulls in; the command line is read
 # without argparse, so neither it nor the gettext and locale it pulls in
-# are loaded, and `padfd.usage` prints only help and usage errors.
-NEVER_LOADED = ["dataclasses", "inspect", "argparse", "gettext", "locale", "padfd.usage"]
+# are loaded, and `padfd.usage` prints only help and usage errors. Nothing
+# imports `logging`, which a process would pay for at start-up.
+NEVER_LOADED = [
+    "dataclasses", "inspect", "argparse", "gettext", "locale", "logging", "padfd.usage"
+]
 
 SIMULATE_JSON_SKIPS = [
     *NEVER_LOADED,

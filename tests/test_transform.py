@@ -20,7 +20,7 @@ from padfd import (
     typecheck,
     validate_pa,
 )
-from padfd.model import PA_FLOW_TYPES
+from padfd.model import GADGET_PARTS, PA_FLOW_TYPES
 from padfd.validate import gadget_index
 
 from helpers import (
@@ -118,20 +118,31 @@ def test_add_partners_deterministic_ids():
 def test_add_common_elems_allocation():
     pa = transform(estore_wellformed())
     gadget = gadget_index(pa)["f1"]
-    limit = pa.nodes[gadget.limit]
+    limit = pa.nodes[gadget["limit"]]
     request = pa.nodes[limit.partner]
     assert limit.node_type is NodeType.LIMIT
     assert request.node_type is NodeType.REQUEST and request.partner == limit.id
-    assert pa.nodes[gadget.log].node_type is NodeType.LOG
-    assert pa.nodes[gadget.log_db].node_type is NodeType.LOG_DB
-    assert gadget.source == "customer"
+    assert pa.nodes[gadget["log"]].node_type is NodeType.LOG
+    assert pa.nodes[gadget["log_db"]].node_type is NodeType.LOG_DB
+    assert gadget["source"] == "customer"
 
     def wiring(flow_type):
         return [(f.source, f.target) for f in pa.flows.values() if f.flow_type is flow_type]
 
     assert (request.id, limit.id) in wiring(FlowType.REQLIM)
-    assert (limit.id, gadget.log) in wiring(FlowType.LIMLOG)
-    assert (gadget.log, gadget.log_db) in wiring(FlowType.LOGGING)
+    assert (limit.id, gadget["log"]) in wiring(FlowType.LIMLOG)
+    assert (gadget["log"], gadget["log_db"]) in wiring(FlowType.LOGGING)
+
+
+def test_gadget_index_maps_each_role_to_its_id():
+    pa = transform(estore_wellformed())
+    index = gadget_index(pa)
+    assert list(index) == [flow_id for flow_id in pa.flows if not flow_id.startswith("gen-")]
+    roles = {"flow", "source", "target", *(part.role for part in GADGET_PARTS)}
+    for flow_id, gadget in index.items():
+        assert gadget.keys() == roles | {"source_evidence", "target_evidence"}
+        assert gadget["flow"] == flow_id and None not in gadget.values()
+        assert pa.flows[gadget["reqlim"]].target == pa.flows[flow_id].source == gadget["limit"]
 
 
 def test_gadget_index_reports_missing_parts():
@@ -143,9 +154,9 @@ def test_gadget_index_reports_missing_parts():
     )
     flows = {k: f for k, f in pa.flows.items() if k != limlog}
     gadget = gadget_index(replace(pa, flows=flows))["f_in"]
-    assert gadget.limit == pa.flows["f_in"].source
-    assert gadget.source == "vendor"
-    assert (gadget.log, gadget.log_db) == (None, None)
+    assert gadget["limit"] == pa.flows["f_in"].source
+    assert gadget["source"] == "vendor"
+    assert (gadget["log"], gadget["log_db"]) == (None, None)
 
 
 # --- per-kind rewrites -------------------------------------------------------
@@ -177,13 +188,13 @@ def test_per_kind_rewrite(flow_id, retyped, data_in, source_policy, target_polic
     assert rewritten.flow_type is retyped
     assert rewritten.label == before.label
     assert rewritten.target == before.target
-    assert rewritten.source == gadget.limit
-    limit = out.nodes[gadget.limit]
+    assert rewritten.source == gadget["limit"]
+    limit = out.nodes[gadget["limit"]]
     assert limit.node_type is NodeType.LIMIT
     request = out.nodes[limit.partner]
 
     # Data enters the limit from the original source.
-    assert gadget.source == before.source
+    assert gadget["source"] == before.source
     (feed,) = [
         f
         for f in out.flows.values()
@@ -216,8 +227,8 @@ def test_per_kind_rewrite(flow_id, retyped, data_in, source_policy, target_polic
     # The request steers the limit, and the limit's decision is logged.
     wiring = {(f.flow_type, f.source, f.target) for f in out.flows.values()}
     assert (FlowType.REQLIM, request.id, limit.id) in wiring
-    assert (FlowType.LIMLOG, limit.id, gadget.log) in wiring
-    assert (FlowType.LOGGING, gadget.log, gadget.log_db) in wiring
+    assert (FlowType.LIMLOG, limit.id, gadget["log"]) in wiring
+    assert (FlowType.LOGGING, gadget["log"], gadget["log_db"]) in wiring
 
 
 def test_transform_rejects_flows_without_a_gadget():

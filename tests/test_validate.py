@@ -26,6 +26,7 @@ from padfd.model import (
     RAW_FLOW_TYPES,
     WELLFORMED_FLOW_TYPES,
 )
+from padfd.validate import gadget_index
 
 from diagram_strategies import (
     any_stage_diagrams,
@@ -269,6 +270,53 @@ def test_a_store_whose_cleaner_deletes_from_another_store_is_refused():
         (first.target, "gadget-part"), (second.target, "gadget-part"),
         (first.id, "gadget-unclaimed"), (second.id, "gadget-unclaimed"),
     }
+
+
+def test_two_gadgets_sharing_one_log_chain_are_refused():
+    """f2's log chain is deleted and its limlog retargeted at f1's log: the
+    log and its logging flow now serve two gadgets, which the rewrite never
+    writes. Their log store, which `--shared-log-store` shares, is no
+    finding."""
+    pa = payment_pa()
+    index = gadget_index(pa)
+    first, second = index["f1"], index["f2"]
+    gone = {second["log"], second["log_db"], second["logging"]}
+    limlog = replace(pa.flows[second["limlog"]], target=first["log"])
+    edited = replace(
+        pa,
+        nodes={k: n for k, n in pa.nodes.items() if k not in gone},
+        flows={**{k: f for k, f in pa.flows.items() if k not in gone}, limlog.id: limlog},
+    )
+    shared = {role: first[role] for role in ("log", "log_db", "logging")}
+    assert gadget_index(edited)["f2"] == {**second, **shared}
+    assert [(v.element, v.clause, v.message) for v in validate_pa(edited).violations] == [
+        (first["log"], "gadget-shared",
+         f"log node {first['log']!r} is a part of more than one gadget: log of 'f1', log of 'f2'"),
+        (first["logging"], "gadget-shared",
+         f"logging flow {first['logging']!r} is a part of more than one gadget: "
+         "logging of 'f1', logging of 'f2'"),
+    ]
+
+
+def test_two_stores_sharing_one_cleaner_are_refused():
+    """db_bim's cleaner is deleted and its two cleaning flows pointed at
+    db_project's cleaner, which then cleans both stores."""
+    pa = payment_pa()
+    (own,) = (f for f in pa.flows.values() if f.flow_type is FlowType.PDBCLE
+              and f.source == pa.nodes["db_bim"].partner)
+    (other,) = (f for f in pa.flows.values() if f.flow_type is FlowType.PDBCLE
+                and f.source == pa.nodes["db_project"].partner)
+    (deletes,) = (f for f in pa.flows.values() if f.flow_type is FlowType.CLEDB_DEL
+                  and f.target == "db_bim")
+    flows = {**pa.flows, own.id: replace(own, target=other.target),
+             deletes.id: replace(deletes, source=other.target)}
+    nodes = {k: n for k, n in pa.nodes.items() if k != own.target}
+    (violation,) = validate_pa(replace(pa, nodes=nodes, flows=flows)).violations
+    assert (violation.element, violation.clause) == (other.target, "gadget-shared")
+    assert violation.message == (
+        f"clean node {other.target!r} is a part of more than one gadget: "
+        "clean of 'db_bim', clean of 'db_project'"
+    )
 
 
 def test_violations_sorted_by_element_then_clause():
