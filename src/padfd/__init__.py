@@ -25,14 +25,11 @@ _HOME = {
     "Decision": "simulate",
     "DEFAULT_STYLE_MAP": "styles",
     "Diagram": "graph",
-    "DuplicateIdError": "errors",
     "Flow": "graph",
     "FlowId": "graph",
     "FlowMeta": "simulate",
     "FlowType": "model",
     "LogEntry": "simulate",
-    "MissingEndpointError": "errors",
-    "MultiPageError": "errors",
     "Node": "graph",
     "NodeId": "graph",
     "NodeType": "model",
@@ -50,12 +47,8 @@ _HOME = {
     "StoreState": "simulate",
     "StyleMap": "styles",
     "TransformError": "errors",
-    "UnknownEndpointError": "errors",
-    "UnknownStyleError": "errors",
     "Violation": "validate",
     "WellFormednessError": "errors",
-    "WrongFlowTypeError": "errors",
-    "XmlSyntaxError": "errors",
     "add_flow": "graph",
     "add_node": "graph",
     "compatibility_with_equivalences": "simulate",

@@ -75,8 +75,11 @@ def _suffix_format(path_text: str) -> str | None:
 
 
 def _read_diagram(path_text: str, fmt: str | None, styles: StyleMap | None) -> Diagram:
+    """The diagram in a file. One leading byte order mark is read as none,
+    as in tables, and a file that does not decode as UTF-8, JSON or XML is
+    named in the message, as a table is."""
     with open(path_text, "rb") as handle:
-        data = handle.read()
+        data = handle.read().removeprefix(b"\xef\xbb\xbf")
     fmt = fmt or _suffix_format(path_text)
     if fmt not in ("json", "drawio"):
         head = data.lstrip()
@@ -84,13 +87,19 @@ def _read_diagram(path_text: str, fmt: str | None, styles: StyleMap | None) -> D
             fmt = "json"
         elif head[:1] != b"<" and re.match(rb"(?i)(?:strict|graph|digraph)\b", head):
             raise ParseError("the input is Graphviz DOT, which padfd writes but does not read")
-    if fmt == "json":
-        from .canonical import parse_json
+    try:
+        if fmt == "json":
+            from .canonical import parse_json
 
-        return parse_json(data)
-    from .drawio import parse_drawio
+            return parse_json(data)
+        from .drawio import parse_drawio
 
-    return parse_drawio(data, styles)
+        return parse_drawio(data, styles)
+    except ParseError as exc:
+        # The readers word each failure to decode bytes, JSON or XML so.
+        if str(exc).startswith(("not valid ", "not well-formed ")):
+            raise type(exc)(f"{path_text}: {exc}") from None
+        raise
 
 
 def _write_atomic(path_text: str, data: bytes) -> None:

@@ -17,14 +17,7 @@ import re
 import xml.etree.ElementTree as ET
 
 from . import model
-from .errors import (
-    MissingEndpointError,
-    MultiPageError,
-    ParseError,
-    SchemaError,
-    UnknownStyleError,
-    XmlSyntaxError,
-)
+from .errors import ParseError, SchemaError
 from .graph import Diagram, Flow, Node, format_position
 from .model import NODE_LOOKS, FlowType, NodeType, Stage
 from .styles import DEFAULT_STYLE_MAP, StyleMap
@@ -66,7 +59,7 @@ def _inflate_page(text: str) -> ET.Element:
             raise ValueError("incomplete or truncated stream")
         return ET.fromstring(urllib.parse.unquote(inflated.decode("utf-8")))
     except Exception as exc:
-        raise XmlSyntaxError(f"cannot decode compressed diagram page: {exc}") from None
+        raise ParseError(f"cannot decode compressed diagram page: {exc}") from None
 
 
 def _locate_model(root: ET.Element) -> ET.Element:
@@ -75,11 +68,9 @@ def _locate_model(root: ET.Element) -> ET.Element:
     if root.tag == "mxfile":
         pages = root.findall("diagram")
         if len(pages) > 1:
-            raise MultiPageError(
-                f"file has {len(pages)} pages; split it into one diagram per file"
-            )
+            raise ParseError(f"file has {len(pages)} pages; split it into one diagram per file")
         if not pages:
-            raise XmlSyntaxError("mxfile contains no diagram page")
+            raise ParseError("mxfile contains no diagram page")
         page = pages[0]
         nested = page.find("mxGraphModel")
         if nested is not None:
@@ -89,8 +80,8 @@ def _locate_model(root: ET.Element) -> ET.Element:
             inflated = _inflate_page(body)
             if inflated.tag == "mxGraphModel":
                 return inflated
-        raise XmlSyntaxError("diagram page contains no mxGraphModel")
-    raise XmlSyntaxError(f"unexpected root element {root.tag!r}")
+        raise ParseError("diagram page contains no mxGraphModel")
+    raise ParseError(f"unexpected root element {root.tag!r}")
 
 
 def _cells(model_elem: ET.Element):
@@ -100,7 +91,7 @@ def _cells(model_elem: ET.Element):
     wraps, is merged into a copy of that cell's map."""
     container = model_elem.find("root")
     if container is None:
-        raise XmlSyntaxError("mxGraphModel has no root element")
+        raise ParseError("mxGraphModel has no root element")
     for child in container:
         if child.tag == "mxCell":
             yield child, child.attrib
@@ -163,14 +154,14 @@ def parse_drawio(data: bytes | str, styles: StyleMap | None = None) -> Diagram:
         text = data.decode("utf-8") if isinstance(data, bytes) else data
         root = ET.fromstring(text)
     except UnicodeDecodeError as exc:
-        raise XmlSyntaxError(f"not valid UTF-8 at byte {exc.start} ({exc.reason})") from None
+        raise ParseError(f"not valid UTF-8 at byte {exc.start} ({exc.reason})") from None
     except UnicodeEncodeError as exc:  # ET.fromstring encodes str input as UTF-8
         code = ord(exc.object[exc.start])
-        raise XmlSyntaxError(
+        raise ParseError(
             f"not valid XML text: U+{code:04X} at index {exc.start} is a lone surrogate"
         ) from None
     except ET.ParseError as exc:
-        raise XmlSyntaxError(f"not well-formed XML: {exc}") from None
+        raise ParseError(f"not well-formed XML: {exc}") from None
     model_elem = _locate_model(root)
 
     stage: Stage | None = None
@@ -192,18 +183,16 @@ def parse_drawio(data: bytes | str, styles: StyleMap | None = None) -> Diagram:
         if get("vertex") == "1":
             cell_id = get("id")
             if not cell_id:
-                raise ParseError("vertex cell without an id")
+                raise SchemaError("vertex cell without an id")
             if cell_id in nodes:
-                raise ParseError(f"duplicate cell id {cell_id!r}")
+                raise SchemaError(f"duplicate cell id {cell_id!r}")
             style = get("style")
             try:
                 node_type = node_types[style]
             except KeyError:
                 node_type = node_types[style] = styles.node_type_for(style)
             if node_type is None:
-                raise UnknownStyleError(
-                    f"cell {cell_id!r}: no rule matches vertex style {style!r}"
-                )
+                raise ParseError(f"cell {cell_id!r}: no rule matches vertex style {style!r}")
             nodes[cell_id] = Node(
                 cell_id, node_type, get("value") or None, get("partner"),
                 _vertex_position(cell), _extra(attrs),
@@ -216,20 +205,16 @@ def parse_drawio(data: bytes | str, styles: StyleMap | None = None) -> Diagram:
         get = attrs.get
         cell_id = get("id")
         if not cell_id:
-            raise ParseError("edge cell without an id")
+            raise SchemaError("edge cell without an id")
         if cell_id in flows or cell_id in nodes:
-            raise ParseError(f"duplicate cell id {cell_id!r}")
+            raise SchemaError(f"duplicate cell id {cell_id!r}")
         source = get("source")
         target = get("target")
         if not source or not target:
-            raise MissingEndpointError(
-                f"edge {cell_id!r} lacks a source or target reference"
-            )
+            raise SchemaError(f"edge {cell_id!r} lacks a source or target reference")
         for endpoint in (source, target):
             if endpoint not in nodes:
-                raise MissingEndpointError(
-                    f"edge {cell_id!r} references missing node {endpoint!r}"
-                )
+                raise SchemaError(f"edge {cell_id!r} references missing node {endpoint!r}")
         style = get("style")
         try:
             flow_type = flow_types[style]

@@ -1,12 +1,15 @@
 """Error taxonomy.
 
 Everything raised on purpose by this package derives from PadfdError, so
-callers can catch one class at the boundary. Parse-level problems carry the
-offending element id where one exists. `read_utf8` is the one reader of
-the text files padfd loads beside diagrams (tables, equivalences, style
-maps), so undecodable bytes end as a SchemaError like any other bad input;
-`decode_json` is the one JSON decoder of everything padfd reads, so bad
-syntax, over-long integers and deep nesting end the same way.
+callers can catch one class at the boundary. Each class names one kind of
+refusal, whichever reader or builder meets the defect; the command line
+exits 2 on a ParseError (a SchemaError is one) and 1 on any other.
+Parse-level problems carry the offending element id where one exists.
+`read_utf8` is the one reader of the text files padfd loads beside
+diagrams (tables, equivalences, style maps), so undecodable bytes end as
+a SchemaError like any other bad input; `decode_json` is the one JSON
+decoder of everything padfd reads, so bad syntax, over-long integers and
+deep nesting end the same way.
 """
 
 from __future__ import annotations
@@ -14,14 +17,6 @@ from __future__ import annotations
 
 class PadfdError(Exception):
     """Base class for all errors raised by this package."""
-
-
-class DuplicateIdError(PadfdError):
-    pass
-
-
-class UnknownEndpointError(PadfdError):
-    pass
 
 
 class StageError(PadfdError):
@@ -40,32 +35,13 @@ class TransformError(PadfdError):
     """Problem while rewriting a flow into its privacy gadget."""
 
 
-class WrongFlowTypeError(TransformError):
-    pass
-
-
 class ParseError(PadfdError):
     """Input document cannot be read as a diagram."""
 
 
-class XmlSyntaxError(ParseError):
-    pass
-
-
-class MultiPageError(ParseError):
-    pass
-
-
-class UnknownStyleError(ParseError):
-    pass
-
-
-class MissingEndpointError(ParseError):
-    pass
-
-
 class SchemaError(ParseError):
-    pass
+    """Input that reads but breaks the schema: an empty or duplicate id, a
+    flow end naming no node, a table without a column it needs."""
 
 
 class SimulationError(PadfdError):

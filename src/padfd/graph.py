@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import re
 
-from .errors import SURROGATE, DuplicateIdError, SchemaError, UnknownEndpointError
+from .errors import SURROGATE, SchemaError
 from .model import FlowType, NodeType, Stage
 
 NodeId = str
@@ -150,13 +150,13 @@ class Diagram(Record):
 
 
 def _check_new_id(diagram: Diagram, kind: str, element_id: str) -> None:
-    """Refuse an id no reader would take back: an empty one (SchemaError,
-    as parse_json words it), or one a node or flow already holds, since
-    draw.io keeps both in one id space (DuplicateIdError)."""
+    """Refuse, with SchemaError as parse_json does, an id no reader would
+    take back: an empty one, or one a node or flow already holds, since
+    draw.io keeps both in one id space."""
     if not isinstance(element_id, str) or not element_id:
         raise SchemaError(f"{kind} id must be a non-empty string")
     if element_id in diagram.nodes or element_id in diagram.flows:
-        raise DuplicateIdError(f"{kind} id {element_id!r} already in use")
+        raise SchemaError(f"{kind} id {element_id!r} already in use")
 
 
 def add_node(diagram: Diagram, node: Node) -> Diagram:
@@ -173,9 +173,7 @@ def add_flow(diagram: Diagram, flow: Flow) -> Diagram:
     _check_new_id(diagram, "flow", flow.id)
     for endpoint in (flow.source, flow.target):
         if endpoint not in diagram.nodes:
-            raise UnknownEndpointError(
-                f"flow {flow.id!r} references missing node {endpoint!r}"
-            )
+            raise SchemaError(f"flow {flow.id!r} references missing node {endpoint!r}")
     return replace(diagram, flows={**diagram.flows, flow.id: flow})
 
 

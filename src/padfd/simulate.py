@@ -328,9 +328,11 @@ def run_clean(state: StoreState, clock: date) -> tuple[StoreState, list[CleanEve
     new_policies = {store: dict(snaps) for store, snaps in state.policies.items()}
     events: list[CleanEvent] = []
     for store in sorted(state.data):
-        policy_store = state.partners.get(store)
+        # A policy store that is missing, or that no partner names, holds
+        # no snapshots.
+        snapshots = new_policies.get(state.partners.get(store), {})
         for d_id in sorted(state.data[store]):
-            snapshot = new_policies.get(policy_store, {}).get(d_id)
+            snapshot = snapshots.get(d_id)
             expiry = (
                 snapshot.expiry
                 if snapshot is not None
@@ -338,8 +340,7 @@ def run_clean(state: StoreState, clock: date) -> tuple[StoreState, list[CleanEve
             )
             if expiry < clock:
                 del new_data[store][d_id]
-                if policy_store is not None:
-                    new_policies[policy_store].pop(d_id, None)
+                snapshots.pop(d_id, None)
                 events.append(CleanEvent(store, d_id, expiry, clock))
     return StoreState(new_data, new_policies, dict(state.partners)), events
 
@@ -443,7 +444,7 @@ def _rows_from_csv(text: str, columns: tuple[str, ...], what: str):
     header = next(reader, None) or []
     missing = [c for c in columns if c not in header]
     if missing:
-        raise SimulationError(
+        raise SchemaError(
             f"{what} table is missing columns {missing}; expected header "
             f"{','.join(columns)}"
         )

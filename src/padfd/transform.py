@@ -29,7 +29,7 @@ from collections.abc import Iterator
 from itertools import count
 from operator import itemgetter
 
-from .errors import StageError, TransformError, WellFormednessError, WrongFlowTypeError
+from .errors import StageError, TransformError, WellFormednessError
 from .graph import Diagram, Flow, Node
 from .model import (
     EVIDENCE_ROLES, FLOW_BY_ENDS, GADGET_PARTS, HOLDER_PARTS, NODE_LOOKS,
@@ -133,9 +133,7 @@ def transform(
     for flow_id in sorted(diagram.flows):
         flow = flows[flow_id]
         if flow.flow_type not in _RETYPE:
-            raise WrongFlowTypeError(
-                f"flow {flow_id!r} is not a well-formed data flow"
-            )
+            raise TransformError(f"flow {flow_id!r} is not a well-formed data flow")
         if flow.source not in evidence or flow.target not in evidence:
             end = flow.source if flow.source not in evidence else flow.target
             end_type = nodes[end].node_type

@@ -39,7 +39,6 @@ from padfd import (
     Flow,
     FlowMeta,
     FlowType,
-    MissingEndpointError,
     Node,
     NodeType,
     ParseError,
@@ -47,8 +46,6 @@ from padfd import (
     SchemaError,
     SimulationError,
     Stage,
-    UnknownStyleError,
-    XmlSyntaxError,
     replace,
 )
 from padfd import cli, model
@@ -187,7 +184,7 @@ def reference_emit_drawio(diagram: Diagram, styles=None) -> bytes:
 def _reference_cells(model_elem):
     container = model_elem.find("root")
     if container is None:
-        raise XmlSyntaxError("mxGraphModel has no root element")
+        raise ParseError("mxGraphModel has no root element")
     for child in container:
         if child.tag == "mxCell":
             yield child, dict(child.attrib)
@@ -212,14 +209,14 @@ def reference_parse_drawio(data, styles=None) -> Diagram:
         text = data.decode("utf-8") if isinstance(data, bytes) else data
         root = ET.fromstring(text)
     except UnicodeDecodeError as exc:
-        raise XmlSyntaxError(f"not valid UTF-8 at byte {exc.start} ({exc.reason})") from None
+        raise ParseError(f"not valid UTF-8 at byte {exc.start} ({exc.reason})") from None
     except UnicodeEncodeError as exc:
         code = ord(exc.object[exc.start])
-        raise XmlSyntaxError(
+        raise ParseError(
             f"not valid XML text: U+{code:04X} at index {exc.start} is a lone surrogate"
         ) from None
     except ET.ParseError as exc:
-        raise XmlSyntaxError(f"not well-formed XML: {exc}") from None
+        raise ParseError(f"not well-formed XML: {exc}") from None
     model_elem = _locate_model(root)
 
     stage = None
@@ -236,13 +233,13 @@ def reference_parse_drawio(data, styles=None) -> Diagram:
         if attrs.get("vertex") == "1":
             cell_id = attrs.get("id")
             if not cell_id:
-                raise ParseError("vertex cell without an id")
+                raise SchemaError("vertex cell without an id")
             if cell_id in nodes:
-                raise ParseError(f"duplicate cell id {cell_id!r}")
+                raise SchemaError(f"duplicate cell id {cell_id!r}")
             style = attrs.get("style")
             node_type = styles.node_type_for(style)
             if node_type is None:
-                raise UnknownStyleError(
+                raise ParseError(
                     f"cell {cell_id!r}: no rule matches vertex style {style!r}"
                 )
             nodes[cell_id] = Node(
@@ -260,16 +257,16 @@ def reference_parse_drawio(data, styles=None) -> Diagram:
     for attrs in edges:
         cell_id = attrs.get("id")
         if not cell_id:
-            raise ParseError("edge cell without an id")
+            raise SchemaError("edge cell without an id")
         if cell_id in flows or cell_id in nodes:
-            raise ParseError(f"duplicate cell id {cell_id!r}")
+            raise SchemaError(f"duplicate cell id {cell_id!r}")
         source = attrs.get("source")
         target = attrs.get("target")
         if not source or not target:
-            raise MissingEndpointError(f"edge {cell_id!r} lacks a source or target reference")
+            raise SchemaError(f"edge {cell_id!r} lacks a source or target reference")
         for endpoint in (source, target):
             if endpoint not in nodes:
-                raise MissingEndpointError(
+                raise SchemaError(
                     f"edge {cell_id!r} references missing node {endpoint!r}"
                 )
         flows[cell_id] = Flow(
@@ -528,7 +525,7 @@ def _dict_rows(text: str, columns: tuple[str, ...], what: str):
     header = reader.fieldnames or []
     missing = [c for c in columns if c not in header]
     if missing:
-        raise SimulationError(
+        raise SchemaError(
             f"{what} table is missing columns {missing}; expected header "
             f"{','.join(columns)}"
         )

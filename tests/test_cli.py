@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import errno
 import importlib
 import json
@@ -729,6 +730,62 @@ def test_simulate_bad_clock(fixtures_dir, tmp_path, capsys):
 # --- unreadable inputs ------------------------------------------------------------
 
 
+# Each error class of padfd.errors: its base, and the exit code `main`
+# ends a command with when the command raises it.
+ERROR_CLASSES = {
+    "PadfdError": ("Exception", 1),
+    "ParseError": ("PadfdError", 2),
+    "SchemaError": ("ParseError", 2),
+    "StageError": ("PadfdError", 1),
+    "WellFormednessError": ("PadfdError", 1),
+    "TransformError": ("PadfdError", 1),
+    "SimulationError": ("PadfdError", 1),
+}
+
+
+@pytest.mark.parametrize("name", list(ERROR_CLASSES))
+def test_each_error_class_has_its_base_and_exit_code(capsys, monkeypatch, name):
+    import padfd
+    from padfd import cli, errors
+
+    defined = [n for n, v in vars(errors).items() if isinstance(v, type) and issubclass(v, Exception)]
+    assert sorted(defined) == sorted(ERROR_CLASSES)
+    assert sorted(n for n in padfd.__all__ if n.endswith("Error")) == sorted(ERROR_CLASSES)
+    error = getattr(errors, name)
+    base, code = ERROR_CLASSES[name]
+    assert [b.__name__ for b in error.__bases__] == [base]
+
+    def refuse(args):
+        raise error("refused")
+
+    monkeypatch.setitem(cli.COMMANDS, "check", (refuse, *cli.COMMANDS["check"][1:]))
+    assert main(["check", "model.json"]) == code
+    assert capsys.readouterr() == ("", "error: refused\n")
+
+
+@pytest.mark.parametrize("suffix", [".csv", ".json"])
+@pytest.mark.parametrize("what", ["static", "dynamic"])
+def test_simulate_refuses_a_table_without_a_column_with_exit_2(
+    fixtures_dir, tmp_path, capsys, what, suffix
+):
+    """A demo table without its last column breaks the schema alike as CSV
+    and as JSON: exit 2, naming the column."""
+    with open(fixtures_dir / f"payment_{what}.csv", newline="", encoding="utf-8") as handle:
+        (*header, lost), *rows = csv.reader(handle)
+    bad = tmp_path / f"table{suffix}"
+    with open(bad, "w", newline="", encoding="utf-8") as handle:
+        if suffix == ".csv":
+            csv.writer(handle).writerows([header, *(row[:-1] for row in rows)])
+        else:
+            json.dump([dict(zip(header, row)) for row in rows], handle)
+    argv = simulate_argv(fixtures_dir, payment_model(tmp_path))
+    argv[argv.index(f"--{what}") + 1] = str(bad)
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    missing = f"table is missing columns [{lost!r}]" if suffix == ".csv" else f"row 0: missing keys [{lost!r}]"
+    assert out == "" and err.startswith(f"error: {what} {missing}")
+
+
 NOT_UTF8 = {
     "--static": ("static table", b"F_id,Label,Purpose,PD,Data_type\n\xff,x,y,true,z\n", 32),
     "--dynamic": ("dynamic table", b"D_id,F_id,Consent,Expiry\nd1,f\xe9,,\n", 29),
@@ -827,7 +884,7 @@ def test_check_refuses_a_hostile_json_diagram(tmp_path, capsys, kind):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     if kind == "deep-nesting" or hasattr(sys, "get_int_max_str_digits"):
-        assert err.startswith("error: not valid JSON: ")
+        assert err.startswith(f"error: {bad}: not valid JSON: ")
 
 
 @pytest.mark.parametrize("writer", [write_json, write_drawio], ids=["json", "drawio"])
@@ -880,7 +937,7 @@ def test_a_file_of_unknown_suffix_is_refused_as_dot_by_its_first_word(tmp_path, 
     assert main(["check", str(model)]) == 2
     err = capsys.readouterr().err
     assert (err == DOT_REFUSAL) is refused
-    assert err.startswith("error: not well-formed XML") is not refused
+    assert err.startswith(f"error: {model}: not well-formed XML") is not refused
 
 
 def test_check_reads_a_json_suffix_in_any_case_as_json(tmp_path, capsys):
@@ -895,7 +952,45 @@ def test_check_refuses_a_drawing_that_is_not_utf8(tmp_path, capsys):
     bad = tmp_path / "bad.drawio.xml"
     bad.write_bytes(b"<mxfile>\xff</mxfile>")
     assert main(["check", str(bad)]) == 2
-    assert capsys.readouterr().err == "error: not valid UTF-8 at byte 8 (invalid start byte)\n"
+    assert capsys.readouterr().err == f"error: {bad}: not valid UTF-8 at byte 8 (invalid start byte)\n"
+
+
+@pytest.mark.parametrize(
+    "name, data, message",
+    [
+        ("bad.json", b'{"x": ', "not valid JSON: Expecting value: line 1 column 7 (char 6)"),
+        ("bad.json", b"\xff{}", "not valid JSON: 'utf-8' codec can't decode byte 0xff in position 0"),
+        ("bad.drawio", b"\xff<mxfile/>", "not valid UTF-8 at byte 0 (invalid start byte)"),
+        ("bad.drawio", b"<mxfile>", "not well-formed XML: no element found: line 1, column 8"),
+        ("bad.txt", b"{\xff}", "not valid JSON: 'utf-8' codec can't decode byte 0xff in position 1"),
+    ],
+    ids=["json-syntax", "json-not-utf8", "drawio-not-utf8", "drawio-syntax", "sniffed-json-not-utf8"],
+)
+def test_a_diagram_that_does_not_decode_is_named(tmp_path, capsys, name, data, message):
+    """As a table is, a diagram file that does not decode as UTF-8, JSON
+    or XML is named in the message."""
+    bad = tmp_path / name
+    bad.write_bytes(data)
+    assert main(["check", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {bad}: {message}")
+
+
+@pytest.mark.parametrize("name", ["model.json", "model.txt", "model.drawio"])
+@pytest.mark.parametrize("command", ["check", "export"])
+def test_a_leading_byte_order_mark_on_a_diagram_is_dropped(tmp_path, capsys, name, command):
+    """A diagram saved with a UTF-8 byte order mark reads as the same file
+    without it, whether its suffix or its content names the format."""
+    raw = build_payment_raw()
+    model = (write_drawio if name.endswith(".drawio") else write_json)(tmp_path, name, raw)
+    model.write_bytes(b"\xef\xbb\xbf" + model.read_bytes())
+    out = tmp_path / "out.json"
+    argv = ["check", str(model)]
+    if command == "export":
+        argv = ["export", str(model), "-o", str(out), "--out-format", "json"]
+    assert main(argv) == 0
+    assert capsys.readouterr() == ("", "")
+    if command == "export":
+        assert out.read_bytes() == emit_json(raw)
 
 
 def test_json_commands_still_read_a_named_style_map(tmp_path, capsys):

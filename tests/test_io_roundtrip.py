@@ -14,17 +14,16 @@ from padfd import (
     Diagram,
     Flow,
     FlowType,
-    MissingEndpointError,
-    MultiPageError,
     Node,
     NodeType,
+    PadfdError,
     ParseError,
     SCHEMA_ID,
     SchemaError,
     Stage,
     StyleMap,
-    UnknownStyleError,
-    XmlSyntaxError,
+    add_flow,
+    add_node,
     emit_dot,
     emit_drawio,
     emit_json,
@@ -83,38 +82,38 @@ def test_parsed_vanilla_drawing_typechecks(fixtures_dir):
 
 
 def test_parse_unknown_style_names_cell(fixtures_dir):
-    with pytest.raises(UnknownStyleError) as exc:
+    with pytest.raises(ParseError) as exc:
         parse_drawio((fixtures_dir / "unknown_style.drawio.xml").read_bytes())
     assert "mystery" in str(exc.value)
 
 
 def test_parse_multipage_rejected(fixtures_dir):
-    with pytest.raises(MultiPageError):
+    with pytest.raises(ParseError):
         parse_drawio((fixtures_dir / "multipage.drawio.xml").read_bytes())
 
 
 def test_parse_truncated_file(fixtures_dir):
-    with pytest.raises(XmlSyntaxError):
+    with pytest.raises(ParseError):
         parse_drawio((fixtures_dir / "truncated.drawio.xml").read_bytes())
 
 
 @pytest.mark.parametrize(
     "document, error, message",
     [
-        ("<mxfile/>", XmlSyntaxError, "mxfile contains no diagram page"),
-        ("<mxfile><diagram> </diagram></mxfile>", XmlSyntaxError, "diagram page contains no mxGraphModel"),
-        ("<svg/>", XmlSyntaxError, "unexpected root element 'svg'"),
-        ("<mxGraphModel/>", XmlSyntaxError, "mxGraphModel has no root element"),
+        ("<mxfile/>", ParseError, "mxfile contains no diagram page"),
+        ("<mxfile><diagram> </diagram></mxfile>", ParseError, "diagram page contains no mxGraphModel"),
+        ("<svg/>", ParseError, "unexpected root element 'svg'"),
+        ("<mxGraphModel/>", ParseError, "mxGraphModel has no root element"),
         (
             '<mxGraphModel><root><mxCell id="a" style="ellipse;" vertex="1"/>'
             '<mxCell edge="1" source="a" target="a"/></root></mxGraphModel>',
-            ParseError,
+            SchemaError,
             "edge cell without an id",
         ),
         (
             '<mxGraphModel><root><mxCell id="a" style="ellipse;" vertex="1"/>'
             '<mxCell id="e" edge="1" source="a" target="ghost"/></root></mxGraphModel>',
-            MissingEndpointError,
+            SchemaError,
             "edge 'e' references missing node 'ghost'",
         ),
     ],
@@ -123,7 +122,7 @@ def test_parse_truncated_file(fixtures_dir):
 def test_parse_names_what_the_document_lacks(document, error, message):
     with pytest.raises(error) as exc:
         parse_drawio(document)
-    assert str(exc.value) == message
+    assert type(exc.value) is error and str(exc.value) == message
 
 
 @pytest.mark.parametrize(
@@ -133,12 +132,12 @@ def test_parse_names_what_the_document_lacks(document, error, message):
 )
 def test_parse_drawio_refuses_lone_surrogates_in_a_str(text, index):
     code = ord(text[index])
-    with pytest.raises(XmlSyntaxError, match=f"U\\+{code:04X} at index {index} is a lone surrogate"):
+    with pytest.raises(ParseError, match=f"U\\+{code:04X} at index {index} is a lone surrogate"):
         parse_drawio(text)
 
 
 def test_parse_missing_endpoint(fixtures_dir):
-    with pytest.raises(MissingEndpointError):
+    with pytest.raises(SchemaError):
         parse_drawio((fixtures_dir / "missing_endpoint.drawio.xml").read_bytes())
 
 
@@ -194,7 +193,7 @@ def test_parse_refuses_deflate_bomb(tmp_path, capsys):
     chunks = [megabyte] * (MAX_INFLATED_PAGE // len(megabyte) + 1)
     doc = _compressed_page(chunks)
     assert len(doc) < 200_000
-    with pytest.raises(XmlSyntaxError, match="inflates beyond"):
+    with pytest.raises(ParseError, match="inflates beyond"):
         parse_drawio(doc)
     bomb = tmp_path / "bomb.drawio.xml"
     bomb.write_text(doc, encoding="ascii")
@@ -206,7 +205,7 @@ def test_parse_rejects_truncated_compressed_page():
     doc = _compressed_page([urllib.parse.quote("<mxGraphModel/>" * 50).encode()])
     payload = doc.split('name="P">')[1].split("<")[0]
     truncated = base64.b64encode(base64.b64decode(payload)[:-8]).decode("ascii")
-    with pytest.raises(XmlSyntaxError, match="truncated"):
+    with pytest.raises(ParseError, match="truncated"):
         parse_drawio(doc.replace(payload, truncated))
 
 
@@ -231,6 +230,55 @@ def test_parse_duplicate_cell_id():
     )
     with pytest.raises(ParseError):
         parse_drawio(doc)
+
+
+# Each defect of ids and flow ends: the node ids and the (id, source,
+# target) flows that hold it, None standing for an end that is missing.
+ID_DEFECTS = {
+    "empty-node-id": (["a", ""], []),
+    "empty-flow-id": (["a", "b"], [("", "a", "b")]),
+    "node-node-duplicate": (["a", "a"], []),
+    "flow-flow-duplicate": (["a", "b"], [("f", "a", "b"), ("f", "b", "a")]),
+    "node-flow-clash": (["a", "b"], [("a", "a", "b")]),
+    "missing-end": (["a"], [("f", "a", None)]),
+    "end-names-no-node": (["a"], [("f", "a", "ghost")]),
+}
+
+
+def _json_of(nodes, flows):
+    flow_entries = [
+        {key: value for key, value in zip(("id", "source", "target"), flow) if value is not None}
+        for flow in flows
+    ]
+    doc = {"schema": SCHEMA_ID, "stage": "raw-bdfd", "nodes": [{"id": n} for n in nodes]}
+    return parse_json(json.dumps({**doc, "flows": flow_entries}))
+
+
+def _drawio_of(nodes, flows):
+    cells = [f'<mxCell id="{n}" style="ellipse;" vertex="1"/>' for n in nodes]
+    for flow in flows:
+        ends = "".join(f' {k}="{v}"' for k, v in zip(("source", "target"), flow[1:]) if v is not None)
+        cells.append(f'<mxCell id="{flow[0]}" edge="1"{ends}/>')
+    return parse_drawio("<mxGraphModel><root>" + "".join(cells) + "</root></mxGraphModel>")
+
+
+def _built_of(nodes, flows):
+    diagram = Diagram()
+    for node_id in nodes:
+        diagram = add_node(diagram, Node(node_id, NodeType.EXT))
+    for flow in flows:
+        diagram = add_flow(diagram, Flow(*flow))
+    return diagram
+
+
+@pytest.mark.parametrize("read", [_json_of, _drawio_of, _built_of], ids=["json", "drawio", "built"])
+@pytest.mark.parametrize("nodes, flows", list(ID_DEFECTS.values()), ids=list(ID_DEFECTS))
+def test_an_id_defect_is_a_schema_error_wherever_it_is_met(read, nodes, flows):
+    """parse_json, parse_drawio and add_node/add_flow refuse each defect
+    with exactly SchemaError, whichever of them meets it."""
+    with pytest.raises(PadfdError) as exc:
+        read(nodes, flows)
+    assert type(exc.value) is SchemaError
 
 
 def test_parse_stage_attribute_wins():

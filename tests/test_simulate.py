@@ -442,6 +442,17 @@ def test_clean_falls_back_to_record_expiry():
     assert [(e.store, e.d_id) for e in events] == [("db", "d1")]
 
 
+def test_clean_reads_a_missing_partner_policy_store_as_empty():
+    """StoreState may omit `policies`; a partnered policy store it lacks
+    holds no snapshots, so the record's own expiry decides."""
+    stale = record("f", expiry=date(2019, 1, 1))
+    state = StoreState(data={"s": {"d": StoredRecord(stale, date(2019, 1, 1))}}, partners={"s": "p"})
+    cleaned, events = run_clean(state, date(2021, 1, 1))
+    assert cleaned.data == {"s": {}} and cleaned.policies == {}
+    assert [(e.store, e.d_id, e.expiry) for e in events] == [("s", "d", date(2019, 1, 1))]
+    assert state.data["s"] == {"d": StoredRecord(stale, date(2019, 1, 1))}
+
+
 def test_clean_events_sorted_by_store_then_record():
     old = date(2019, 1, 1)
     state = StoreState(
@@ -532,6 +543,12 @@ def load_text(load, tmp_path, text: str, suffix: str = ".csv"):
     return load(path)
 
 
+def table_error(message: str) -> type:
+    """The class a table error with `message` has: a table without a column
+    it needs breaks the schema, and a bad field the simulation's terms."""
+    return SchemaError if "missing columns" in message else SimulationError
+
+
 def test_consent_splits_on_semicolons(tmp_path):
     rows = load_text(
         load_data_records,
@@ -552,7 +569,7 @@ def test_consent_splits_on_semicolons(tmp_path):
     ],
 )
 def test_static_table_errors(text, complaint, tmp_path):
-    with pytest.raises(SimulationError) as exc:
+    with pytest.raises(table_error(complaint)) as exc:
         load_text(load_flow_metas, tmp_path, text)
     assert complaint in str(exc.value)
 
@@ -576,7 +593,7 @@ def test_static_table_errors(text, complaint, tmp_path):
     ],
 )
 def test_dynamic_table_errors(text, complaint, tmp_path):
-    with pytest.raises(SimulationError) as exc:
+    with pytest.raises(table_error(complaint)) as exc:
         load_text(load_data_records, tmp_path, text)
     assert complaint in str(exc.value)
 
@@ -677,7 +694,7 @@ def test_dynamic_table_messages(body, message, tmp_path):
     ids=["missing-column", "empty-text", "blank-header", "repeated-column", "repeated-column-short-row"],
 )
 def test_dynamic_table_header_messages(text, message, tmp_path):
-    with pytest.raises(SimulationError) as exc:
+    with pytest.raises(table_error(message)) as exc:
         load_text(load_data_records, tmp_path, text)
     assert str(exc.value) == message
 

@@ -14,7 +14,6 @@ from padfd import (
     StageError,
     TransformError,
     WellFormednessError,
-    WrongFlowTypeError,
     replace,
     transform,
     typecheck,
@@ -234,7 +233,7 @@ def test_per_kind_rewrite(flow_id, retyped, data_in, source_policy, target_polic
 def test_transform_rejects_flows_without_a_gadget():
     raw = replace(build_all_kinds(), stage=Stage.RAW)
     pf = replace(raw.flows["f_in"], flow_type=FlowType.PF)
-    with pytest.raises(WrongFlowTypeError, match="'f_in' is not a well-formed data flow"):
+    with pytest.raises(TransformError, match="'f_in' is not a well-formed data flow"):
         transform(replace(raw, flows={**raw.flows, "f_in": pf}), check=False)
 
 
