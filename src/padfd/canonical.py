@@ -167,13 +167,15 @@ def parse_json(data: bytes | str) -> Diagram:
 
     The schema id, stage, element shapes, id uniqueness across nodes and
     flows, finite coordinates, endpoint existence, and text free of lone
-    surrogates are all enforced; violations raise SchemaError.
+    surrogates are all enforced; violations raise SchemaError. One leading
+    byte order mark, in bytes or text, is read as none, as `parse_drawio`
+    reads it.
     """
     try:
         text = data.decode("utf-8") if isinstance(data, bytes) else data
     except UnicodeDecodeError as exc:
         raise SchemaError(f"not valid JSON: {exc}") from None
-    doc = decode_json(text, parse_constant=_reject_constant)
+    doc = decode_json(text.removeprefix("\ufeff"), parse_constant=_reject_constant)
     if not isinstance(doc, dict):
         raise SchemaError("top level must be an object")
     schema = doc.get("schema")

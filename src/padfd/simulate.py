@@ -175,8 +175,9 @@ class _Coverage:
             self.covers.setdefault(purpose, {purpose}).add(_norm(consented))
 
     def __call__(self, purpose: str, consent: frozenset) -> bool:
-        wanted = _norm(purpose)
-        held = map(str.casefold, map(str.strip, consent))  # _norm of each, without a Python call
+        # _norm of the purpose and of each consent, without a Python call.
+        wanted = purpose.strip().casefold()
+        held = map(str.casefold, map(str.strip, consent))
         cover = self.covers.get(wanted)
         return wanted in held if cover is None else not cover.isdisjoint(held)
 
@@ -206,11 +207,13 @@ def run_simulation(
     ``compatible`` tells whether a record's consent covers a flow's
     purpose; by default the purpose must appear among the consented ones,
     case-insensitively, as with ``compatibility_with_equivalences([])``.
-    Records are processed in input order. With ``multi_hop`` a record
-    forwarded into a process re-enters each of that process's outgoing
-    guarded flows under the same policy data; flows without a policy row
-    are skipped there, and a (record, flow) pair is evaluated at most
-    once per arriving record, so cycles terminate.
+    It is called once per evaluation of a personal-data record on or
+    before its expiry, and never for an expired record or a flow without
+    personal data. Records are processed in input order. With
+    ``multi_hop`` a record forwarded into a process re-enters each of that
+    process's outgoing guarded flows under the same policy data; flows
+    without a policy row are skipped there, and a (record, flow) pair is
+    evaluated at most once per arriving record, so cycles terminate.
     """
     if diagram.stage is not Stage.PA:
         raise StageError(
@@ -232,7 +235,7 @@ def run_simulation(
     logs: dict[NodeId, list[LogEntry]] = {log_db: [] for log_db in log_of.values()}
     outgoing: dict[NodeId, list[str]] = {}
     for flow_id, source in sorted(zip(gadgets["flow"], gadgets["source"])):
-        if source is not None:
+        if source is not None and flow_id in meta_by_flow:
             outgoing.setdefault(source, []).append(flow_id)
     # The data stores, each with its policy store where it has one.
     state = StoreState()
@@ -244,45 +247,51 @@ def run_simulation(
             state.policies[policy_store] = {}
     decisions: list[Decision] = []
     # Each flow id is resolved once, at its first record, to its flow,
-    # policy row and log; an unusable flow fails at that record.
-    routes: dict[str, tuple[Flow, FlowMeta, list[LogEntry]]] = {}
+    # policy row, log and onward hops (the policy-row flows leaving a
+    # limpro flow's process); an unusable flow fails at that record.
+    routes: dict[str, tuple[Flow, FlowMeta, list[LogEntry], list[str]]] = {}
 
-    def route(record: DataRecord) -> tuple[Flow, FlowMeta, list[LogEntry]]:
-        flow = diagram.flows.get(record.flow_id)
+    def route(record: DataRecord, flow_id: str) -> tuple[Flow, FlowMeta, list[LogEntry], list[str]]:
+        flow = diagram.flows.get(flow_id)
         if flow is None:
-            raise SimulationError(f"record {record.d_id!r} names unknown flow {record.flow_id!r}")
-        log = log_of.get(record.flow_id)
+            raise SimulationError(f"record {record.d_id!r} names unknown flow {flow_id!r}")
+        log = log_of.get(flow_id)
         if log is None:
             raise SimulationError(
-                f"flow {record.flow_id!r} is not a guarded data flow; records "
+                f"flow {flow_id!r} is not a guarded data flow; records "
                 "travel the flows of the original diagram"
             )
-        meta = meta_by_flow.get(record.flow_id)
+        meta = meta_by_flow.get(flow_id)
         if meta is None:
-            raise SimulationError(f"no policy row for flow {record.flow_id!r}")
-        routes[record.flow_id] = resolved = (flow, meta, logs[log])
+            raise SimulationError(f"no policy row for flow {flow_id!r}")
+        onward = outgoing.get(flow.target, []) if flow.flow_type is FlowType.LIMPRO else []
+        routes[flow_id] = resolved = (flow, meta, logs[log], onward)
         return resolved
 
-    def evaluate(record: DataRecord, propagated: bool) -> bool:
-        flow, meta, log = routes.get(record.flow_id) or route(record)
+    def evaluate(record: DataRecord, flow_id: str, propagated: bool) -> list[str] | None:
+        """Decide `record` on `flow_id`, another flow than its own for a
+        hop; the flow's onward hops if the limit forwards it, else None."""
+        flow, meta, log, onward = routes.get(flow_id) or route(record, flow_id)
         # The expiry day itself still forwards; withheld personal data, and
         # only that, is a violation.
         forwarded = not meta.pd or (
-            compatible(meta.purpose, record.consent) and clock <= record.expiry
+            clock <= record.expiry and compatible(meta.purpose, record.consent)
         )
         policy = PolicySnapshot(meta.purpose, record.consent, record.expiry)
-        entry = LogEntry(record.d_id, record.flow_id, policy, not forwarded, clock)
+        entry = LogEntry(record.d_id, flow_id, policy, not forwarded, clock)
         log.append(entry)
-        decisions.append(
-            Decision(record.d_id, record.flow_id, True, forwarded, entry, propagated)
-        )
+        decisions.append(Decision(record.d_id, flow_id, True, forwarded, entry, propagated))
         if not forwarded:
-            return False
+            return None
         if flow.flow_type is FlowType.LIMDB:
             store = flow.target
             if store not in state.partners:
                 raise SimulationError(
                     f"data store {store!r} has no policy store; cannot deposit"
+                )
+            if propagated:  # the store keeps the hop, the record on this flow
+                record = DataRecord(
+                    record.d_id, flow_id, record.dsub, record.consent, record.expiry, record.content
                 )
             state.data[store][record.d_id] = StoredRecord(record, clock)
             state.policies[state.partners[store]][record.d_id] = entry.policy
@@ -292,30 +301,23 @@ def run_simulation(
             policy_store = state.partners.get(store)
             if policy_store is not None:
                 state.policies[policy_store].pop(record.d_id, None)
-        return True
+        return onward
 
     for record in records:
-        forwarded = evaluate(record, propagated=False)
-        if not multi_hop or not forwarded:
+        onward = evaluate(record, record.flow_id, False)
+        if not multi_hop or not onward:
             continue
-        visited = {(record.d_id, record.flow_id)}
-        queue = deque([record])
+        # Every hop is the arriving record on another flow, so flow ids
+        # alone key the walk.
+        visited = {record.flow_id}
+        queue = deque([onward])
         while queue:
-            current = queue.popleft()
-            flow = routes[current.flow_id][0]
-            if flow.flow_type is not FlowType.LIMPRO:
-                continue
-            for next_flow in outgoing.get(flow.target, ()):
-                key = (current.d_id, next_flow)
-                if key in visited or next_flow not in meta_by_flow:
-                    continue
-                visited.add(key)
-                hop = DataRecord(
-                    current.d_id, next_flow, current.dsub, current.consent,
-                    current.expiry, current.content,
-                )
-                if evaluate(hop, propagated=True):
-                    queue.append(hop)
+            for next_flow in queue.popleft():
+                if next_flow not in visited:
+                    visited.add(next_flow)
+                    onward = evaluate(record, next_flow, True)
+                    if onward:
+                        queue.append(onward)
 
     return SimulationReport(clock=clock, decisions=decisions, logs=logs, state=state)
 
@@ -333,11 +335,7 @@ def run_clean(state: StoreState, clock: date) -> tuple[StoreState, list[CleanEve
         snapshots = new_policies.get(state.partners.get(store), {})
         for d_id in sorted(state.data[store]):
             snapshot = snapshots.get(d_id)
-            expiry = (
-                snapshot.expiry
-                if snapshot is not None
-                else state.data[store][d_id].record.expiry
-            )
+            expiry = snapshot.expiry if snapshot is not None else state.data[store][d_id].record.expiry
             if expiry < clock:
                 del new_data[store][d_id]
                 snapshots.pop(d_id, None)
@@ -366,26 +364,28 @@ def _exact_iso_date(text: str) -> date:
     return date.fromisoformat(text)
 
 
-def _parse_date(text: str, where: str) -> date:
+def _dynamic_row(number: int) -> str:
+    return f"dynamic row {number}"
+
+
+def _parse_date(text: str, number: int) -> date:
     try:
         return _exact_iso_date(text.strip())
     except ValueError:
         raise SimulationError(
-            f"{where}: expected an ISO date (YYYY-MM-DD), found {text!r}"
+            f"{_dynamic_row(number)}: expected an ISO date (YYYY-MM-DD), found {text!r}"
         ) from None
 
 
-def _parse_consent(value, where: str) -> frozenset[str]:
+def _parse_consent(value, number: int) -> frozenset[str]:
     if isinstance(value, str):
-        purposes = [part.strip() for part in value.split(";")]
-    elif isinstance(value, list) and all(isinstance(p, str) for p in value):
-        purposes = [part.strip() for part in value]
-    else:
-        raise SimulationError(f"{where}: consent must be a ';'-separated string or list")
-    purposes = [p for p in purposes if p]
+        value = value.split(";")
+    elif not (isinstance(value, list) and all(isinstance(p, str) for p in value)):
+        raise SimulationError(f"{_dynamic_row(number)}: consent must be a ';'-separated string or list")
+    purposes = frozenset(filter(None, map(str.strip, value)))
     if not purposes:
-        raise SimulationError(f"{where}: consent must list at least one purpose")
-    return frozenset(purposes)
+        raise SimulationError(f"{_dynamic_row(number)}: consent must list at least one purpose")
+    return purposes
 
 
 def _text(value, key: str, where: str) -> str:
@@ -410,33 +410,34 @@ def _make_meta(where, flow_id, label, purpose, pd, data_type) -> FlowMeta:
 
 class _RecordMaker:
     """Builds records from a row's fields, in DYNAMIC_COLUMNS order,
-    parsing each distinct consent and expiry text once."""
+    parsing each distinct consent and expiry text once. `_text` checks
+    only a field that is not a str, as in JSON; row `number` is named
+    only in the message of a check that fails."""
 
     def __init__(self) -> None:
         self.consents: dict[str, frozenset[str]] = {}
         self.expiries: dict[str, date] = {}
 
-    def __call__(self, where, d_id, flow_id, dsub, consent, expiry, content) -> DataRecord:
-        d_id = _text(d_id, "D_id", where)
-        flow_id = _text(flow_id, "F_id", where)
+    def __call__(self, number, d_id, flow_id, dsub, consent, expiry, content) -> DataRecord:
+        d_id = d_id.strip() if type(d_id) is str else _text(d_id, "D_id", _dynamic_row(number))
+        flow_id = flow_id.strip() if type(flow_id) is str else _text(flow_id, "F_id", _dynamic_row(number))
         if not d_id or not flow_id:
-            raise SimulationError(f"{where}: D_id and F_id must not be empty")
-        dsub = _text(dsub, "Dsub", where)
-        if isinstance(consent, str):
-            parsed = self.consents.get(consent)
-            if parsed is None:
-                parsed = self.consents[consent] = _parse_consent(consent, where)
-        else:
-            parsed = _parse_consent(consent, where)
-        expiry = _text(expiry, "Expiry", where)
-        expires = self.expiries.get(expiry)
-        if expires is None:
-            expires = self.expiries[expiry] = _parse_date(expiry, where)
-        return DataRecord(d_id, flow_id, dsub, parsed, expires, _text(content, "Content", where))
+            raise SimulationError(f"{_dynamic_row(number)}: D_id and F_id must not be empty")
+        dsub = dsub.strip() if type(dsub) is str else _text(dsub, "Dsub", _dynamic_row(number))
+        if type(consent) is not str:
+            parsed = _parse_consent(consent, number)
+        elif (parsed := self.consents.get(consent)) is None:
+            parsed = self.consents[consent] = _parse_consent(consent, number)
+        if type(expiry) is not str:
+            _text(expiry, "Expiry", _dynamic_row(number))
+        if (expires := self.expiries.get(expiry)) is None:
+            expires = self.expiries[expiry] = _parse_date(expiry.strip(), number)
+        content = content.strip() if type(content) is str else _text(content, "Content", _dynamic_row(number))
+        return DataRecord(d_id, flow_id, dsub, parsed, expires, content)
 
 
 def _rows_from_csv(text: str, columns: tuple[str, ...], what: str):
-    """(where, the row's `columns`) for every row after the header, read
+    """(number, the row's `columns`) for every row after the header, read
     as csv.DictReader reads them: blank lines are skipped and not
     numbered, a short row reads "" for its missing fields, extra fields
     are ignored, and a repeated header name takes its last column."""
@@ -455,11 +456,11 @@ def _rows_from_csv(text: str, columns: tuple[str, ...], what: str):
     for number, row in enumerate(filter(None, reader), start=2):
         if len(row) < width:
             row += [""] * (width - len(row))
-        yield f"{what} row {number}", pick(row)
+        yield number, pick(row)
 
 
 def _rows_from_json(text: str, columns: tuple[str, ...], what: str, path: str | os.PathLike):
-    """(where, the row's `columns`) for every object of a JSON list."""
+    """(index, the row's `columns`) for every object of a JSON list."""
     source = f"{what} table {path}"
     doc = decode_json(text, source)
     if not isinstance(doc, list):
@@ -469,24 +470,23 @@ def _rows_from_json(text: str, columns: tuple[str, ...], what: str, path: str | 
     escaped = "\\ud" in text or "\\uD" in text
     pick = itemgetter(*columns)
     for index, row in enumerate(doc):
-        where = f"{what} row {index}"
         if not isinstance(row, dict):
-            raise SchemaError(f"{where}: each row must be an object")
+            raise SchemaError(f"{what} row {index}: each row must be an object")
         missing = [c for c in columns if c not in row]
         if missing:
-            raise SchemaError(f"{where}: missing keys {missing}")
+            raise SchemaError(f"{what} row {index}: missing keys {missing}")
         fields = pick(row)
         if escaped:
             for key, value in zip(columns, fields):
                 for held in value if isinstance(value, list) else (value,):
                     if isinstance(held, str) and re.search(SURROGATE, held):
-                        raise SchemaError(f"{where}: {key} {held!r} holds a lone surrogate")
-        yield where, fields
+                        raise SchemaError(f"{what} row {index}: {key} {held!r} holds a lone surrogate")
+        yield index, fields
 
 
 def _read_table(path: str | os.PathLike, columns: tuple[str, ...], what: str):
-    """(where, the row's `columns`) for every row of the `what` table, a
-    .json file or else CSV."""
+    """(number, the row's `columns`) for every row of the `what` table, a
+    .json file or else CSV; messages name a row as "`what` row `number`"."""
     text = read_utf8(path, f"{what} table")
     if os.path.splitext(path)[1].lower() == ".json":
         return _rows_from_json(text, columns, what, path)
@@ -495,13 +495,14 @@ def _read_table(path: str | os.PathLike, columns: tuple[str, ...], what: str):
 
 def load_flow_metas(path: str | os.PathLike) -> list[FlowMeta]:
     """Read the static policy table from a .csv or .json file."""
-    return [_make_meta(where, *fields) for where, fields in _read_table(path, STATIC_COLUMNS, "static")]
+    rows = _read_table(path, STATIC_COLUMNS, "static")
+    return [_make_meta(f"static row {number}", *fields) for number, fields in rows]
 
 
 def load_data_records(path: str | os.PathLike) -> list[DataRecord]:
     """Read the dynamic record table from a .csv or .json file."""
     make = _RecordMaker()
-    return [make(where, *fields) for where, fields in _read_table(path, DYNAMIC_COLUMNS, "dynamic")]
+    return [make(number, *fields) for number, fields in _read_table(path, DYNAMIC_COLUMNS, "dynamic")]
 
 
 def load_equivalences(path: str | os.PathLike) -> list[tuple[str, str]]:
@@ -627,23 +628,19 @@ def report_to_dict(report: SimulationReport) -> dict:
 
 def render_report(report: SimulationReport) -> str:
     """Human-readable forwarding table plus log and store summaries."""
-    rows = [("D_id", "F_id", "B-DFD", "PA-DFD", "Violation")]
-    for decision in report.decisions:
-        rows.append(
-            (
-                decision.d_id,
-                decision.flow_id + (" (hop)" if decision.propagated else ""),
-                "yes" if decision.forwarded_bdfd else "no",
-                "yes" if decision.forwarded_padfd else "no",
-                "v=true" if decision.entry.v else "-",
-            )
-        )
-    widths = [max(len(row[i]) for row in rows) for i in range(5)]
-    lines = [f"clock: {report.clock.isoformat()}"]
-    for row in rows:
-        lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip())
-    total = len(report.decisions)
-    lines.append(f"log entries: {total} (violations: {len(report.violations)})")
+    decisions = report.decisions
+    columns = (
+        ["D_id", *[d.d_id for d in decisions]],
+        ["F_id", *[d.flow_id + " (hop)" if d.propagated else d.flow_id for d in decisions]],
+        ["B-DFD", *["yes" if d.forwarded_bdfd else "no" for d in decisions]],
+        ["PA-DFD", *["yes" if d.forwarded_padfd else "no" for d in decisions]],
+        ["Violation", *["v=true" if d.entry.v else "-" for d in decisions]],
+    )
+    # Each cell padded to its column's width, but the last, whose cells
+    # never end in a blank; the cells are arguments, never read as format.
+    row = "%%-%ds  %%-%ds  %%-%ds  %%-%ds  %%s" % tuple(max(map(len, c)) for c in columns[:4])
+    lines = [f"clock: {report.clock.isoformat()}", *[row % cells for cells in zip(*columns)]]
+    lines.append(f"log entries: {len(decisions)} (violations: {columns[4].count('v=true')})")
     for store in sorted(report.state.data):
         held = ", ".join(sorted(report.state.data[store])) or "-"
         lines.append(f"store {store}: {held}")

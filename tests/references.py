@@ -11,7 +11,10 @@ quotes every occurrence. `report_json` writes the simulation report
 directly, `report_to_dict` reads that text back, and the table loaders
 read CSV with `csv.reader`; the versions here build the report's dict
 field by field, write it through `json.dumps`, and read CSV with
-`csv.DictReader`. `emit_json` writes the canonical layout directly;
+`csv.DictReader`. `run_simulation` keeps each flow's onward hops in a
+table and `render_report` lays its table out by column;
+`reference_run_simulation` and `reference_render_report` are both as the
+library had them before. `emit_json` writes the canonical layout directly;
 `to_canonical_dict` is that document as a dict, for `json.dumps` and for
 comparing diagrams. The command line is parsed by a table in `padfd.cli`;
 `reference_parser` is the argparse parser it replaced. `padfd.validate`
@@ -31,21 +34,30 @@ import io
 import json
 import math
 import xml.etree.ElementTree as ET
+from collections import deque
 
 from padfd import (
     DEFAULT_STYLE_MAP,
     DataRecord,
+    Decision,
     Diagram,
     Flow,
     FlowMeta,
     FlowType,
+    LogEntry,
     Node,
     NodeType,
     ParseError,
+    PolicySnapshot,
     SCHEMA_ID,
     SchemaError,
     SimulationError,
+    SimulationReport,
     Stage,
+    StageError,
+    StoreState,
+    StoredRecord,
+    compatibility_with_equivalences,
     replace,
 )
 from padfd import cli, model
@@ -63,10 +75,9 @@ from padfd.simulate import (
     DYNAMIC_COLUMNS,
     STATIC_COLUMNS,
     _parse_bool,
-    _parse_consent,
     _parse_date,
 )
-from padfd.validate import StageValidity, Violation, connectivity
+from padfd.validate import StageValidity, Violation, connectivity, read_parts
 
 
 def _node_entry(node) -> dict:
@@ -520,6 +531,142 @@ def reference_report_json(report) -> str:
     return json.dumps(reference_report_to_dict(report), indent=2, sort_keys=True)
 
 
+def reference_run_simulation(
+    diagram, metas, records, clock, *, compatible=None, multi_hop=False
+) -> SimulationReport:
+    """`run_simulation` as it stood before hops walked a per-flow table:
+    every hop looks its flow up again, filters the process's outgoing
+    flows by policy row, and keys its visited set by (record, flow); the
+    limit consults `compatible` before it tests the expiry."""
+    if diagram.stage is not Stage.PA:
+        raise StageError(
+            f"simulation needs a privacy-aware diagram, got {diagram.stage.value}"
+        )
+    compatible = compatible or compatibility_with_equivalences(())
+    meta_by_flow = {}
+    for meta in metas:
+        if meta.flow_id in meta_by_flow:
+            raise SimulationError(f"duplicate policy row for flow {meta.flow_id!r}")
+        meta_by_flow[meta.flow_id] = meta
+
+    gadgets, holders = read_parts(diagram)
+    log_of = {}
+    for flow_id, log_db in zip(gadgets["flow"], gadgets["log_db"]):
+        if log_db is None:
+            raise SimulationError(f"guarded flow {flow_id!r} has no log chain behind its limit")
+        log_of[flow_id] = log_db
+    logs = {log_db: [] for log_db in log_of.values()}
+    outgoing = {}
+    for flow_id, source in sorted(zip(gadgets["flow"], gadgets["source"])):
+        if source is not None:
+            outgoing.setdefault(source, []).append(flow_id)
+    state = StoreState()
+    stores = holders[NodeType.DB]
+    for store, policy_store in zip(stores["owner"], stores["policy_db"]):
+        state.data[store] = {}
+        if policy_store is not None:
+            state.partners[store] = policy_store
+            state.policies[policy_store] = {}
+    decisions = []
+    routes = {}
+
+    def route(record):
+        flow = diagram.flows.get(record.flow_id)
+        if flow is None:
+            raise SimulationError(f"record {record.d_id!r} names unknown flow {record.flow_id!r}")
+        log = log_of.get(record.flow_id)
+        if log is None:
+            raise SimulationError(
+                f"flow {record.flow_id!r} is not a guarded data flow; records "
+                "travel the flows of the original diagram"
+            )
+        meta = meta_by_flow.get(record.flow_id)
+        if meta is None:
+            raise SimulationError(f"no policy row for flow {record.flow_id!r}")
+        routes[record.flow_id] = resolved = (flow, meta, logs[log])
+        return resolved
+
+    def evaluate(record, propagated):
+        flow, meta, log = routes.get(record.flow_id) or route(record)
+        forwarded = not meta.pd or (
+            compatible(meta.purpose, record.consent) and clock <= record.expiry
+        )
+        policy = PolicySnapshot(meta.purpose, record.consent, record.expiry)
+        entry = LogEntry(record.d_id, record.flow_id, policy, not forwarded, clock)
+        log.append(entry)
+        decisions.append(
+            Decision(record.d_id, record.flow_id, True, forwarded, entry, propagated)
+        )
+        if not forwarded:
+            return False
+        if flow.flow_type is FlowType.LIMDB:
+            store = flow.target
+            if store not in state.partners:
+                raise SimulationError(
+                    f"data store {store!r} has no policy store; cannot deposit"
+                )
+            state.data[store][record.d_id] = StoredRecord(record, clock)
+            state.policies[state.partners[store]][record.d_id] = entry.policy
+        elif flow.flow_type is FlowType.LIMDB_DEL:
+            store = flow.target
+            state.data.get(store, {}).pop(record.d_id, None)
+            policy_store = state.partners.get(store)
+            if policy_store is not None:
+                state.policies[policy_store].pop(record.d_id, None)
+        return True
+
+    for record in records:
+        forwarded = evaluate(record, propagated=False)
+        if not multi_hop or not forwarded:
+            continue
+        visited = {(record.d_id, record.flow_id)}
+        queue = deque([record])
+        while queue:
+            current = queue.popleft()
+            flow = routes[current.flow_id][0]
+            if flow.flow_type is not FlowType.LIMPRO:
+                continue
+            for next_flow in outgoing.get(flow.target, ()):
+                key = (current.d_id, next_flow)
+                if key in visited or next_flow not in meta_by_flow:
+                    continue
+                visited.add(key)
+                hop = DataRecord(
+                    current.d_id, next_flow, current.dsub, current.consent,
+                    current.expiry, current.content,
+                )
+                if evaluate(hop, propagated=True):
+                    queue.append(hop)
+
+    return SimulationReport(clock=clock, decisions=decisions, logs=logs, state=state)
+
+
+def reference_render_report(report) -> str:
+    """`render_report` as it stood before it laid its table out by column:
+    each line is padded cell by cell and stripped of trailing blanks."""
+    rows = [("D_id", "F_id", "B-DFD", "PA-DFD", "Violation")]
+    for decision in report.decisions:
+        rows.append(
+            (
+                decision.d_id,
+                decision.flow_id + (" (hop)" if decision.propagated else ""),
+                "yes" if decision.forwarded_bdfd else "no",
+                "yes" if decision.forwarded_padfd else "no",
+                "v=true" if decision.entry.v else "-",
+            )
+        )
+    widths = [max(len(row[i]) for row in rows) for i in range(5)]
+    lines = [f"clock: {report.clock.isoformat()}"]
+    for row in rows:
+        lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip())
+    total = len(report.decisions)
+    lines.append(f"log entries: {total} (violations: {len(report.violations)})")
+    for store in sorted(report.state.data):
+        held = ", ".join(sorted(report.state.data[store])) or "-"
+        lines.append(f"store {store}: {held}")
+    return "\n".join(lines) + "\n"
+
+
 def _dict_rows(text: str, columns: tuple[str, ...], what: str):
     reader = csv.DictReader(io.StringIO(text))
     header = reader.fieldnames or []
@@ -529,14 +676,15 @@ def _dict_rows(text: str, columns: tuple[str, ...], what: str):
             f"{what} table is missing columns {missing}; expected header "
             f"{','.join(columns)}"
         )
-    for index, row in enumerate(reader, start=2):
-        yield f"{what} row {index}", {c: (row[c] or "") for c in columns}
+    for number, row in enumerate(reader, start=2):
+        yield number, {c: (row[c] or "") for c in columns}
 
 
 def reference_parse_flow_metas(text: str) -> list[FlowMeta]:
     """The static CSV table read row by row through csv.DictReader."""
     metas = []
-    for where, row in _dict_rows(text, STATIC_COLUMNS, "static"):
+    for number, row in _dict_rows(text, STATIC_COLUMNS, "static"):
+        where = f"static row {number}"
         flow_id = row["F_id"].strip()
         if not flow_id:
             raise SimulationError(f"{where}: F_id must not be empty")
@@ -554,14 +702,17 @@ def reference_parse_data_records(text: str) -> list[DataRecord]:
     """The dynamic CSV table read row by row through csv.DictReader,
     every field parsed afresh."""
     records = []
-    for where, row in _dict_rows(text, DYNAMIC_COLUMNS, "dynamic"):
+    for number, row in _dict_rows(text, DYNAMIC_COLUMNS, "dynamic"):
+        where = f"dynamic row {number}"
         d_id = row["D_id"].strip()
         flow_id = row["F_id"].strip()
         if not d_id or not flow_id:
             raise SimulationError(f"{where}: D_id and F_id must not be empty")
         dsub = row["Dsub"].strip()
-        consent = _parse_consent(row["Consent"], where)
-        expiry = _parse_date(row["Expiry"].strip(), where)
+        consent = frozenset(part.strip() for part in row["Consent"].split(";") if part.strip())
+        if not consent:
+            raise SimulationError(f"{where}: consent must list at least one purpose")
+        expiry = _parse_date(row["Expiry"].strip(), number)
         records.append(DataRecord(d_id, flow_id, dsub, consent, expiry, row["Content"].strip()))
     return records
 

@@ -666,6 +666,18 @@ def test_simulate_multi_hop(fixtures_dir, tmp_path, capsys):
     assert "log entries: 7 (violations: 3)" in out
 
 
+def test_simulate_multi_hop_text_report_is_the_golden(fixtures_dir, tmp_path, capsys):
+    """The demo drawing, rewritten and run multi-hop on the payment tables,
+    prints the committed table byte for byte; CI checks the same command
+    run from the source tree without site-packages."""
+    pa = tmp_path / "pa.json"
+    assert main(["transform", str(fixtures_dir / "estore.drawio.xml"), "-o", str(pa)]) == 0
+    capsys.readouterr()
+    assert main(simulate_argv(fixtures_dir, pa, "--multi-hop", "--report", "text")) == 0
+    golden = (fixtures_dir / "payment_multihop_report.txt").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == golden
+
+
 def test_simulate_rejects_ill_formed_model(fixtures_dir, tmp_path, capsys):
     assert main(
         simulate_argv(fixtures_dir, fixtures_dir / "ext_pair.drawio.xml")

@@ -777,6 +777,19 @@ def test_parse_json_accepts_surrogate_pairs():
     assert d.nodes["a"].label == "\U0001f512\ud7ff"
 
 
+def test_parse_json_reads_one_leading_byte_order_mark_as_none(fixtures_dir):
+    """In bytes and in text alike, as `parse_drawio` reads a drawing and
+    `padfd check` a file; a second mark is not JSON."""
+    data = emit_json(build_estore_raw())
+    expected = parse_json(data)
+    assert parse_json(b"\xef\xbb\xbf" + data) == expected
+    assert parse_json("\ufeff" + data.decode("utf-8")) == expected
+    with pytest.raises(SchemaError, match="not valid JSON"):
+        parse_json(b"\xef\xbb\xbf\xef\xbb\xbf" + data)
+    drawing = (fixtures_dir / "estore.drawio.xml").read_bytes()
+    assert parse_drawio(b"\xef\xbb\xbf" + drawing) == parse_drawio(drawing)
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
 def test_writers_refuse_non_finite_positions(bad):
     d = build_diagram(Stage.RAW, [Node("n", NodeType.EXT, position=(0.0, bad))], [])

@@ -19,7 +19,9 @@ from padfd import (
     PadfdError,
     ParseError,
     SchemaError,
+    SimulationReport,
     Stage,
+    StoreState,
     emit_dot,
     emit_drawio,
     emit_json,
@@ -73,8 +75,10 @@ from references import (
     reference_parse_data_records,
     reference_parse_drawio,
     reference_parse_flow_metas,
+    reference_render_report,
     reference_report_json,
     reference_report_to_dict,
+    reference_run_simulation,
     to_canonical_dict,
 )
 
@@ -543,6 +547,29 @@ def test_runs_decide_like_the_lookup_reference(scenario, pairs, multi_hop, respe
         assert run_simulation(pa, metas, records, clock, multi_hop=multi_hop) == reference
 
 
+@PROPERTY_SETTINGS
+@given(
+    simulation_scenarios(),
+    st.booleans(),
+    st.one_of(st.none(), _equivalences),
+    st.lists(st.integers(0, 3), min_size=6, max_size=6),
+)
+def test_runs_are_the_reference_run(scenario, multi_hop, pairs, kept):
+    """A run walks hops as the reference does and decides, logs and stores
+    the same, with either predicate. A policy row is now and then missing,
+    so that hops skip its flow and a record on it is refused alike."""
+    pa, metas, records, clock = scenario
+    metas = [meta for index, meta in enumerate(metas) if kept[index % len(kept)]]
+    kwargs = {"multi_hop": multi_hop}
+    if pairs is not None:
+        kwargs["compatible"] = compatibility_with_equivalences(pairs)
+
+    def run(simulate):
+        return simulate(pa, metas, records, clock, **kwargs)
+
+    assert _outcome(run, run_simulation) == _outcome(run, reference_run_simulation)
+
+
 # --- edited PA-DFDs ---------------------------------------------------------------------
 
 
@@ -610,6 +637,24 @@ def test_report_json_of_runs_is_the_reference_writer(scenario, multi_hop):
     report = run_simulation(pa, metas, records, clock, multi_hop=multi_hop)
     assert report_json(report) == reference_report_json(report)
     assert report_to_dict(report) == reference_report_to_dict(report)
+
+
+@PROPERTY_SETTINGS
+@given(simulation_reports())
+@example(SimulationReport(date(2020, 1, 1), [], {}, StoreState()))
+def test_render_report_is_the_reference_writer(report):
+    assert render_report(report) == reference_render_report(report)
+
+
+@PROPERTY_SETTINGS
+@given(simulation_scenarios(), _equivalences)
+def test_render_report_of_multi_hop_runs_is_the_reference_writer(scenario, pairs):
+    pa, metas, records, clock = scenario
+    report = run_simulation(
+        pa, metas, records, clock,
+        compatible=compatibility_with_equivalences(pairs), multi_hop=True,
+    )
+    assert render_report(report) == reference_render_report(report)
 
 
 def _outcome(load, source):

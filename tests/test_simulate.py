@@ -7,14 +7,17 @@ import pytest
 
 from padfd import (
     DataRecord,
+    Decision,
     Flow,
     FlowMeta,
     FlowType,
+    LogEntry,
     Node,
     NodeType,
     PolicySnapshot,
     SchemaError,
     SimulationError,
+    SimulationReport,
     Stage,
     StageError,
     StoreState,
@@ -24,6 +27,7 @@ from padfd import (
     load_equivalences,
     load_flow_metas,
     render_report,
+    replace,
     report_to_dict,
     run_clean,
     run_simulation,
@@ -44,6 +48,7 @@ from helpers import (
     payment_pa,
     payment_records,
 )
+from references import reference_render_report, reference_run_simulation
 
 CLOCK = date(2020, 6, 1)
 
@@ -370,6 +375,113 @@ def test_multi_hop_terminates_on_cycles():
     assert [(d.flow_id, d.propagated) for d in report.decisions] == [
         ("f_ab", False),
         ("f_ba", True),
+    ]
+
+
+def test_multi_hop_terminates_on_a_cycle_entered_from_outside():
+    """The walk stops at a flow it has already taken, not only at the
+    flow the record arrived on."""
+    entered = build_diagram(
+        Stage.WELLFORMED,
+        [Node("e", NodeType.EXT), Node("p1", NodeType.PROC), Node("p2", NodeType.PROC)],
+        [
+            Flow("f_in", "e", "p1", FlowType.IN),
+            Flow("f_ab", "p1", "p2", FlowType.COMP),
+            Flow("f_ba", "p2", "p1", FlowType.COMP),
+        ],
+    )
+    metas = [meta(flow_id, pd=False) for flow_id in ("f_in", "f_ab", "f_ba")]
+    report = run_simulation(transform(entered), metas, [record("f_in")], CLOCK, multi_hop=True)
+    assert [(d.flow_id, d.propagated) for d in report.decisions] == [
+        ("f_in", False),
+        ("f_ab", True),
+        ("f_ba", True),
+    ]
+
+
+def fork_pa():
+    """A process `p` fed from `e1` over `f_in`, with two onward flows: a
+    store write `f_b` and an outflow `f_a` to `e2`."""
+    fork = build_diagram(
+        Stage.WELLFORMED,
+        [
+            Node("e1", NodeType.EXT),
+            Node("p", NodeType.PROC),
+            Node("e2", NodeType.EXT),
+            Node("db", NodeType.DB),
+        ],
+        [
+            Flow("f_in", "e1", "p", FlowType.IN),
+            Flow("f_b", "p", "db", FlowType.STORE),
+            Flow("f_a", "p", "e2", FlowType.OUT),
+        ],
+    )
+    return transform(fork)
+
+
+def test_multi_hop_enters_every_onward_flow_in_id_order():
+    metas = [meta("f_in"), meta("f_a", purpose="support"), meta("f_b")]
+    records = [record("f_in", d_id="r1"), record("f_a", d_id="r2"), record("f_in", d_id="r3")]
+    report = run_simulation(fork_pa(), metas, records, CLOCK, multi_hop=True)
+    assert [(d.d_id, d.flow_id, d.propagated, d.forwarded_padfd) for d in report.decisions] == [
+        ("r1", "f_in", False, True),
+        ("r1", "f_a", True, False),
+        ("r1", "f_b", True, True),
+        ("r2", "f_a", False, False),
+        ("r3", "f_in", False, True),
+        ("r3", "f_a", True, False),
+        ("r3", "f_b", True, True),
+    ]
+    assert set(report.state.data["db"]) == {"r1", "r3"}
+    # The hop that reached the store is the arriving record on the store write.
+    assert report.state.data["db"]["r1"].record == replace(records[0], flow_id="f_b")
+    # An onward flow without a policy row is skipped; the other is still entered.
+    report = run_simulation(fork_pa(), metas[::2], records[:1], CLOCK, multi_hop=True)
+    assert [(d.flow_id, d.propagated) for d in report.decisions] == [
+        ("f_in", False),
+        ("f_b", True),
+    ]
+
+
+class CountingCoverage:
+    """Exact purpose matching that counts its calls."""
+
+    def __init__(self) -> None:
+        self.calls: list[tuple[str, frozenset]] = []
+
+    def __call__(self, purpose: str, consent: frozenset) -> bool:
+        self.calls.append((purpose, consent))
+        return purpose in consent
+
+
+def test_compatibility_is_consulted_only_for_unexpired_personal_data():
+    compatible = CountingCoverage()
+    metas = [meta("f_in"), meta("f_a", pd=False), meta("f_b", purpose="support")]
+    records = [
+        record("f_in", d_id="fresh"),
+        record("f_in", d_id="last-day", expiry=CLOCK),
+        record("f_in", d_id="expired", expiry=date(2020, 5, 31)),
+        record("f_a", d_id="open"),
+        record("f_b", d_id="unconsented"),
+    ]
+    report = run_simulation(
+        fork_pa(), metas, records, CLOCK, compatible=compatible, multi_hop=True
+    )
+    # One call per personal-data evaluation on or before the expiry: the
+    # two arrivals on f_in, their hops on f_b, and the record on f_b. The
+    # expired record and every evaluation on the non-personal f_a make none.
+    assert [(d.d_id, d.flow_id) for d in report.decisions] == [
+        ("fresh", "f_in"), ("fresh", "f_a"), ("fresh", "f_b"),
+        ("last-day", "f_in"), ("last-day", "f_a"), ("last-day", "f_b"),
+        ("expired", "f_in"),
+        ("open", "f_a"),
+        ("unconsented", "f_b"),
+    ]
+    billing = frozenset({"billing"})
+    assert compatible.calls == [
+        ("billing", billing), ("support", billing),
+        ("billing", billing), ("support", billing),
+        ("support", billing),
     ]
 
 
@@ -854,6 +966,35 @@ def test_render_report_marks_hops():
         multi_hop=True,
     )
     assert "f3 (hop)" in render_report(report)
+
+
+def test_render_report_pads_any_text_as_the_reference():
+    """Cells with blanks, text outside ASCII and braces or percent signs
+    are padded by length and written as they are, never read as format."""
+    policy = PolicySnapshot("billing", frozenset({"billing"}), CLOCK)
+
+    def decision(d_id, flow_id, forwarded, propagated):
+        entry = LogEntry(d_id, flow_id, policy, not forwarded, CLOCK)
+        return Decision(d_id, flow_id, True, forwarded, entry, propagated)
+
+    decisions = [
+        decision("{0}", "f {x}", True, False),
+        decision("dé ü", "{}", False, True),
+        decision("%s %d", "fl\u00f6w%", True, True),
+        decision(" pad ", "\U0001f512", False, False),
+    ]
+    state = StoreState(data={"s {1}": {"{0}": StoredRecord(record("f"), CLOCK)}, "t": {}})
+    report = SimulationReport(CLOCK, decisions, {}, state)
+    text = render_report(report)
+    assert text == reference_render_report(report)
+    assert text.splitlines()[1:6] == [
+        "D_id   F_id         B-DFD  PA-DFD  Violation",
+        "{0}    f {x}        yes    yes     -",
+        "dé ü   {} (hop)     yes    no      v=true",
+        "%s %d  flöw% (hop)  yes    yes     -",
+        " pad   \U0001f512            yes    no      v=true",
+    ]
+    assert text.endswith("log entries: 4 (violations: 2)\nstore s {1}: {0}\nstore t: -\n")
 
 
 def test_report_to_dict_is_json_ready():
