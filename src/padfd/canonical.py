@@ -28,8 +28,10 @@ from __future__ import annotations
 import math
 from json.encoder import encode_basestring as _quote
 
-from .errors import SchemaError, decode_json
-from .graph import Diagram, Flow, Node, _first_lone_surrogate, encode_output, format_position
+from .errors import SchemaError, decode_json, decode_utf8
+from .graph import (
+    Diagram, Flow, Node, _first_lone_surrogate, build, encode_output, format_position,
+)
 from .model import FlowType, NodeType, Stage
 
 SCHEMA_ID = "padfd-canonical/1"
@@ -165,16 +167,12 @@ def _shared_fields(entry: dict, types: dict, kind: str, element_id: str) -> tupl
 def parse_json(data: bytes | str) -> Diagram:
     """Read a canonical JSON document back into a diagram.
 
-    The schema id, stage, element shapes, id uniqueness across nodes and
-    flows, finite coordinates, endpoint existence, and text free of lone
-    surrogates are all enforced; violations raise SchemaError. One leading
-    byte order mark, in bytes or text, is read as none, as `parse_drawio`
-    reads it.
+    The schema id, stage, element shapes, finite coordinates and text free
+    of lone surrogates are enforced here, ids and flow ends by
+    `graph.build`; violations raise SchemaError. One leading byte order
+    mark, in bytes or text, is read as none, as `parse_drawio` reads it.
     """
-    try:
-        text = data.decode("utf-8") if isinstance(data, bytes) else data
-    except UnicodeDecodeError as exc:
-        raise SchemaError(f"not valid JSON: {exc}") from None
+    text = decode_utf8(data) if isinstance(data, bytes) else data
     doc = decode_json(text.removeprefix("\ufeff"), parse_constant=_reject_constant)
     if not isinstance(doc, dict):
         raise SchemaError("top level must be an object")
@@ -195,53 +193,38 @@ def parse_json(data: bytes | str) -> Diagram:
     if not isinstance(raw_flows, list):
         raise SchemaError("flows must be a list")
 
-    nodes: dict[str, Node] = {}
+    # `build` refuses a missing id (None) and any other that is no string.
+    nodes: list[Node] = []
     for entry in raw_nodes:
         if not isinstance(entry, dict):
             raise SchemaError("each node must be an object")
         if not entry.keys() <= _NODE_KEYS:
             raise SchemaError(f"node has unknown keys {sorted(entry.keys() - _NODE_KEYS)}")
         node_id = entry.get("id")
-        if not isinstance(node_id, str) or not node_id:
-            raise SchemaError("node id must be a non-empty string")
-        if node_id in nodes:
-            raise SchemaError(f"duplicate node id {node_id!r}")
         position = entry.get("position")
         if position is not None:
             position = _read_position(position, node_id)
         node_type, label, partner, extra = _shared_fields(entry, _NODE_TYPES, "node", node_id)
-        nodes[node_id] = Node(node_id, node_type, label, partner, position, extra)
+        nodes.append(Node(node_id, node_type, label, partner, position, extra))
 
-    flows: dict[str, Flow] = {}
+    flows: list[Flow] = []
     for entry in raw_flows:
         if not isinstance(entry, dict):
             raise SchemaError("each flow must be an object")
         if not entry.keys() <= _FLOW_KEYS:
             raise SchemaError(f"flow has unknown keys {sorted(entry.keys() - _FLOW_KEYS)}")
         flow_id = entry.get("id")
-        if not isinstance(flow_id, str) or not flow_id:
-            raise SchemaError("flow id must be a non-empty string")
-        if flow_id in flows:
-            raise SchemaError(f"duplicate flow id {flow_id!r}")
-        # draw.io keeps nodes and flows in one id space; so does this form.
-        if flow_id in nodes:
-            raise SchemaError(f"flow id {flow_id!r} is also a node id")
         source = entry.get("source")
         if not isinstance(source, _OPTIONAL_STR):
             raise _element_error("flow", flow_id, "source must be a string")
         target = entry.get("target")
         if not isinstance(target, _OPTIONAL_STR):
             raise _element_error("flow", flow_id, "target must be a string")
-        if source is None or target is None:
-            raise _element_error("flow", flow_id, "source and target are required")
-        for endpoint in (source, target):
-            if endpoint not in nodes:
-                raise _element_error("flow", flow_id, f"references missing node {endpoint!r}")
-        flows[flow_id] = Flow(
-            flow_id, source, target, *_shared_fields(entry, _FLOW_TYPES, "flow", flow_id)
+        flows.append(
+            Flow(flow_id, source, target, *_shared_fields(entry, _FLOW_TYPES, "flow", flow_id))
         )
 
-    diagram = Diagram(stage=stage, nodes=nodes, flows=flows)
+    diagram = build(stage, nodes, flows)
     # JSON text carries a lone surrogate only as a \udXXX escape (or verbatim
     # in a str argument), so only documents that could hold one are searched,
     # and only they compile the pattern.

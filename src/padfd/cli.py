@@ -75,19 +75,18 @@ def _suffix_format(path_text: str) -> str | None:
 
 
 def _read_diagram(path_text: str, fmt: str | None, styles: StyleMap | None) -> Diagram:
-    """The diagram in a file. One leading byte order mark is read as none,
-    as in tables, and a file that does not decode as UTF-8, JSON or XML is
-    named in the message, as a table is."""
+    """The diagram in a file. Its reader reads one leading byte order mark
+    as none, as in tables; every ParseError it raises names the file."""
     with open(path_text, "rb") as handle:
-        data = handle.read().removeprefix(b"\xef\xbb\xbf")
+        data = handle.read()
     fmt = fmt or _suffix_format(path_text)
-    if fmt not in ("json", "drawio"):
-        head = data.lstrip()
-        if head[:1] == b"{":
-            fmt = "json"
-        elif head[:1] != b"<" and re.match(rb"(?i)(?:strict|graph|digraph)\b", head):
-            raise ParseError("the input is Graphviz DOT, which padfd writes but does not read")
     try:
+        if fmt not in ("json", "drawio"):
+            head = data.removeprefix(b"\xef\xbb\xbf").lstrip()
+            if head[:1] == b"{":
+                fmt = "json"
+            elif head[:1] != b"<" and re.match(rb"(?i)(?:strict|graph|digraph)\b", head):
+                raise ParseError("the input is Graphviz DOT, which padfd writes but does not read")
         if fmt == "json":
             from .canonical import parse_json
 
@@ -96,10 +95,7 @@ def _read_diagram(path_text: str, fmt: str | None, styles: StyleMap | None) -> D
 
         return parse_drawio(data, styles)
     except ParseError as exc:
-        # The readers word each failure to decode bytes, JSON or XML so.
-        if str(exc).startswith(("not valid ", "not well-formed ")):
-            raise type(exc)(f"{path_text}: {exc}") from None
-        raise
+        raise type(exc)(f"{path_text}: {exc}") from None
 
 
 def _write_atomic(path_text: str, data: bytes) -> None:

@@ -17,8 +17,8 @@ import re
 import xml.etree.ElementTree as ET
 
 from . import model
-from .errors import ParseError, SchemaError
-from .graph import Diagram, Flow, Node, format_position
+from .errors import ParseError, SchemaError, decode_utf8
+from .graph import Diagram, Flow, Node, build, format_position
 from .model import NODE_LOOKS, FlowType, NodeType, Stage
 from .styles import DEFAULT_STYLE_MAP, StyleMap
 
@@ -132,9 +132,9 @@ def _vertex_position(cell: ET.Element) -> tuple[float, float] | None:
     return x, y
 
 
-def _infer_stage(nodes: dict[str, Node], flows: dict[str, Flow]) -> Stage:
-    node_types = {n.node_type for n in nodes.values()} - {None}
-    flow_types = {f.flow_type for f in flows.values()} - {None}
+def _infer_stage(nodes: list[Node], flows: list[Flow]) -> Stage:
+    node_types = {n.node_type for n in nodes} - {None}
+    flow_types = {f.flow_type for f in flows} - {None}
     if node_types - model.BDFD_NODE_TYPES or flow_types & model.PA_FLOW_TYPES:
         return Stage.PA
     if flow_types & model.WELLFORMED_FLOW_TYPES:
@@ -148,13 +148,14 @@ def parse_drawio(data: bytes | str, styles: StyleMap | None = None) -> Diagram:
     Vertices with styles no rule recognises are an error (silently
     guessing a type would corrupt the model); edges always type (solid
     means plain flow, dashed means deletion, markers override both).
+    Cell ids and edge ends are checked by `graph.build`. One leading byte
+    order mark is read as none: ElementTree drops it, so this reader does
+    not, and a second one is not well-formed XML.
     """
     styles = styles or DEFAULT_STYLE_MAP
+    text = decode_utf8(data) if isinstance(data, bytes) else data
     try:
-        text = data.decode("utf-8") if isinstance(data, bytes) else data
         root = ET.fromstring(text)
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"not valid UTF-8 at byte {exc.start} ({exc.reason})") from None
     except UnicodeEncodeError as exc:  # ET.fromstring encodes str input as UTF-8
         code = ord(exc.object[exc.start])
         raise ParseError(
@@ -176,60 +177,34 @@ def parse_drawio(data: bytes | str, styles: StyleMap | None = None) -> Diagram:
     # distinct style string is typed once.
     node_types: dict[str | None, NodeType | None] = {}
     flow_types: dict[str | None, FlowType] = {}
-    nodes: dict[str, Node] = {}
-    edges = []
+    nodes: list[Node] = []
+    flows: list[Flow] = []
     for cell, attrs in _cells(model_elem):
         get = attrs.get
         if get("vertex") == "1":
-            cell_id = get("id")
-            if not cell_id:
-                raise SchemaError("vertex cell without an id")
-            if cell_id in nodes:
-                raise SchemaError(f"duplicate cell id {cell_id!r}")
             style = get("style")
             try:
                 node_type = node_types[style]
             except KeyError:
                 node_type = node_types[style] = styles.node_type_for(style)
             if node_type is None:
-                raise ParseError(f"cell {cell_id!r}: no rule matches vertex style {style!r}")
-            nodes[cell_id] = Node(
-                cell_id, node_type, get("value") or None, get("partner"),
-                _vertex_position(cell), _extra(attrs),
-            )
+                raise ParseError(f"cell {get('id')!r}: no rule matches vertex style {style!r}")
+            position = _vertex_position(cell)
+            label = get("value") or None
+            nodes.append(Node(get("id"), node_type, label, get("partner"), position, _extra(attrs)))
         elif get("edge") == "1":
-            edges.append(attrs)
+            style = get("style")
+            try:
+                flow_type = flow_types[style]
+            except KeyError:
+                flow_type = flow_types[style] = styles.flow_type_for(style)
+            edge = Flow(
+                get("id"), get("source"), get("target"), flow_type, get("value") or None,
+                get("partner"), _extra(attrs),
+            )
+            flows.append(edge)
 
-    flows: dict[str, Flow] = {}
-    for attrs in edges:
-        get = attrs.get
-        cell_id = get("id")
-        if not cell_id:
-            raise SchemaError("edge cell without an id")
-        if cell_id in flows or cell_id in nodes:
-            raise SchemaError(f"duplicate cell id {cell_id!r}")
-        source = get("source")
-        target = get("target")
-        if not source or not target:
-            raise SchemaError(f"edge {cell_id!r} lacks a source or target reference")
-        for endpoint in (source, target):
-            if endpoint not in nodes:
-                raise SchemaError(f"edge {cell_id!r} references missing node {endpoint!r}")
-        style = get("style")
-        try:
-            flow_type = flow_types[style]
-        except KeyError:
-            flow_type = flow_types[style] = styles.flow_type_for(style)
-        flows[cell_id] = Flow(
-            cell_id, source, target, flow_type, get("value") or None, get("partner"),
-            _extra(attrs),
-        )
-
-    return Diagram(
-        stage=stage if stage is not None else _infer_stage(nodes, flows),
-        nodes=nodes,
-        flows=flows,
-    )
+    return build(stage if stage is not None else _infer_stage(nodes, flows), nodes, flows)
 
 
 def _structural_id(want: str, taken: set[str]) -> str:

@@ -5,9 +5,10 @@ callers can catch one class at the boundary. Each class names one kind of
 refusal, whichever reader or builder meets the defect; the command line
 exits 2 on a ParseError (a SchemaError is one) and 1 on any other.
 Parse-level problems carry the offending element id where one exists.
+`decode_utf8` is the one UTF-8 decoder of bytes padfd reads, so
+undecodable bytes end as a SchemaError like any other bad input;
 `read_utf8` is the one reader of the text files padfd loads beside
-diagrams (tables, equivalences, style maps), so undecodable bytes end as
-a SchemaError like any other bad input; `decode_json` is the one JSON
+diagrams (tables, equivalences, style maps); `decode_json` is the one JSON
 decoder of everything padfd reads, so bad syntax, over-long integers and
 deep nesting end the same way.
 """
@@ -52,19 +53,24 @@ class SimulationError(PadfdError):
 SURROGATE = "[\ud800-\udfff]"
 
 
+def decode_utf8(data: bytes, what: str = "") -> str:
+    """``data.decode("utf-8")``, byte order mark and all; bytes that are not
+    UTF-8 raise SchemaError naming the offset of the first one, prefixed
+    with `what` (the file the bytes came from) when one is given."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        where = f"{what}: " if what else ""
+        raise SchemaError(f"{where}not valid UTF-8 at byte {exc.start} ({exc.reason})") from None
+
+
 def read_utf8(path, what: str) -> str:
     """The text of a UTF-8 file with universal newlines and without one
     leading byte order mark, which spreadsheets write to "CSV UTF-8" files,
     as ``Path.read_text(encoding="utf-8-sig")`` reads it; bytes that are not
-    UTF-8 raise SchemaError naming the file and the offset of the first one."""
+    UTF-8 raise SchemaError naming the file."""
     with open(path, "rb") as handle:
-        data = handle.read()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise SchemaError(
-            f"{what} {path}: not valid UTF-8 at byte {exc.start} ({exc.reason})"
-        ) from None
+        text = decode_utf8(handle.read(), f"{what} {path}")
     return text.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n")
 
 

@@ -1,11 +1,11 @@
 """Attributed multigraph substrate shared by every diagram stage.
 
 A diagram holds nodes and flows (directed edges) keyed by id. Parallel
-flows and self-loops are allowed; insertion enforces endpoint existence
-and ids that are non-empty and unique across nodes and flows. All
-attributes are optional so that an absent attribute stays
-distinguishable from any concrete value. Mutation helpers are pure: they
-return a new Diagram and never touch their argument.
+flows and self-loops are allowed. `build`, through which both readers and
+both insertion helpers make diagrams, keeps the id space: ids are
+non-empty strings held once across nodes and flows, and flow ends name
+nodes. Attributes are optional, so an absent one stays distinguishable
+from any value. Mutation helpers are pure: they return a new Diagram.
 
 `Record`, the base of nodes, flows and diagrams, is the base of every
 other padfd value type as well; `replace` copies any record with some of
@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import math
 import re
+from itertools import chain, repeat
+from operator import attrgetter
 
 from .errors import SURROGATE, SchemaError
 from .model import FlowType, NodeType, Stage
@@ -149,20 +151,54 @@ class Diagram(Record):
         d["flows"] = {} if flows is None else flows
 
 
-def _check_new_id(diagram: Diagram, kind: str, element_id: str) -> None:
-    """Refuse, with SchemaError as parse_json does, an id no reader would
-    take back: an empty one, or one a node or flow already holds, since
-    draw.io keeps both in one id space."""
-    if not isinstance(element_id, str) or not element_id:
-        raise SchemaError(f"{kind} id must be a non-empty string")
-    if element_id in diagram.nodes or element_id in diagram.flows:
-        raise SchemaError(f"{kind} id {element_id!r} already in use")
+def _defects(nodes: list[Node], flows: list[Flow]):
+    """Each break of the id-space rule, in document order: the nodes, then
+    the flows, each flow's id before its ends."""
+    node_ids = {node.id for node in nodes if isinstance(node.id, str)}
+    held: set[str] = set()
+    for kind, elements in (("node", nodes), ("flow", flows)):
+        for element in elements:
+            element_id = element.id
+            if not isinstance(element_id, str) or not element_id:
+                yield f"{kind} id must be a non-empty string"
+            elif element_id in held:
+                yield f"{kind} id {element_id!r} already in use"
+            else:
+                held.add(element_id)
+            if kind == "flow":
+                if not (element.source and element.target):
+                    yield f"flow {element_id!r} lacks a source or target"
+                for end in (element.source, element.target):
+                    if end and not (isinstance(end, str) and end in node_ids):
+                        yield f"flow {element_id!r} references missing node {end!r}"
+
+
+def build(stage: Stage, nodes: list[Node], flows: list[Flow]) -> Diagram:
+    """The diagram of the listed nodes and flows, the one check of its id
+    space. The lists are checked whole at C speed; only lists that break
+    the rule are walked, to refuse the first defect with SchemaError."""
+    try:
+        node_map = {node.id: node for node in nodes}
+        flow_map = {flow.id: flow for flow in flows}
+        held = node_map.keys()
+        if (
+            len(node_map) == len(nodes)
+            and len(flow_map) == len(flows)
+            and held.isdisjoint(flow_map)
+            and all(map(isinstance, chain(held, flow_map), repeat(str)))
+            and "" not in node_map and "" not in flow_map
+            and all(map(node_map.__contains__, map(attrgetter("source"), flows)))
+            and all(map(node_map.__contains__, map(attrgetter("target"), flows)))
+        ):
+            return Diagram(stage, node_map, flow_map)
+    except TypeError:  # an unhashable id or end
+        pass
+    raise SchemaError(next(_defects(nodes, flows)))
 
 
 def add_node(diagram: Diagram, node: Node) -> Diagram:
     """Return a copy of the diagram with the node inserted."""
-    _check_new_id(diagram, "node", node.id)
-    return replace(diagram, nodes={**diagram.nodes, node.id: node})
+    return build(diagram.stage, [*diagram.nodes.values(), node], [*diagram.flows.values()])
 
 
 def add_flow(diagram: Diagram, flow: Flow) -> Diagram:
@@ -170,11 +206,7 @@ def add_flow(diagram: Diagram, flow: Flow) -> Diagram:
 
     Both endpoints must already exist; self-loops are representable.
     """
-    _check_new_id(diagram, "flow", flow.id)
-    for endpoint in (flow.source, flow.target):
-        if endpoint not in diagram.nodes:
-            raise SchemaError(f"flow {flow.id!r} references missing node {endpoint!r}")
-    return replace(diagram, flows={**diagram.flows, flow.id: flow})
+    return build(diagram.stage, [*diagram.nodes.values()], [*diagram.flows.values(), flow])
 
 
 def canonical_number(value: float) -> int | float:

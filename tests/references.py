@@ -214,13 +214,16 @@ def _reference_cells(model_elem):
 
 def reference_parse_drawio(data, styles=None) -> Diagram:
     """One draw.io page read by walking the ElementTree, every cell's
-    attribute map copied and every element built with keywords."""
+    attribute map copied and every element built with keywords. The ids
+    and edge ends are checked element by element once every cell has
+    read: the nodes in document order, then the edges, each edge's id
+    before its ends."""
     styles = styles or DEFAULT_STYLE_MAP
     try:
         text = data.decode("utf-8") if isinstance(data, bytes) else data
         root = ET.fromstring(text)
     except UnicodeDecodeError as exc:
-        raise ParseError(f"not valid UTF-8 at byte {exc.start} ({exc.reason})") from None
+        raise SchemaError(f"not valid UTF-8 at byte {exc.start} ({exc.reason})") from None
     except UnicodeEncodeError as exc:
         code = ord(exc.object[exc.start])
         raise ParseError(
@@ -238,62 +241,63 @@ def reference_parse_drawio(data, styles=None) -> Diagram:
         except ValueError:
             raise SchemaError(f"unknown dfdStage {stage_attr!r}") from None
 
-    nodes = {}
-    edges = []
+    nodes = []
+    flows = []
     for cell, attrs in _reference_cells(model_elem):
         if attrs.get("vertex") == "1":
-            cell_id = attrs.get("id")
-            if not cell_id:
-                raise SchemaError("vertex cell without an id")
-            if cell_id in nodes:
-                raise SchemaError(f"duplicate cell id {cell_id!r}")
             style = attrs.get("style")
             node_type = styles.node_type_for(style)
             if node_type is None:
                 raise ParseError(
-                    f"cell {cell_id!r}: no rule matches vertex style {style!r}"
+                    f"cell {attrs.get('id')!r}: no rule matches vertex style {style!r}"
                 )
-            nodes[cell_id] = Node(
-                id=cell_id,
-                node_type=node_type,
-                label=attrs.get("value") or None,
-                partner=attrs.get("partner"),
-                position=_vertex_position(cell),
-                extra={k: v for k, v in attrs.items() if k not in _CONSUMED_ATTRS},
+            nodes.append(
+                Node(
+                    id=attrs.get("id"),
+                    node_type=node_type,
+                    label=attrs.get("value") or None,
+                    partner=attrs.get("partner"),
+                    position=_vertex_position(cell),
+                    extra={k: v for k, v in attrs.items() if k not in _CONSUMED_ATTRS},
+                )
             )
         elif attrs.get("edge") == "1":
-            edges.append(attrs)
-
-    flows = {}
-    for attrs in edges:
-        cell_id = attrs.get("id")
-        if not cell_id:
-            raise SchemaError("edge cell without an id")
-        if cell_id in flows or cell_id in nodes:
-            raise SchemaError(f"duplicate cell id {cell_id!r}")
-        source = attrs.get("source")
-        target = attrs.get("target")
-        if not source or not target:
-            raise SchemaError(f"edge {cell_id!r} lacks a source or target reference")
-        for endpoint in (source, target):
-            if endpoint not in nodes:
-                raise SchemaError(
-                    f"edge {cell_id!r} references missing node {endpoint!r}"
+            flows.append(
+                Flow(
+                    id=attrs.get("id"),
+                    source=attrs.get("source"),
+                    target=attrs.get("target"),
+                    flow_type=styles.flow_type_for(attrs.get("style")),
+                    label=attrs.get("value") or None,
+                    partner=attrs.get("partner"),
+                    extra={k: v for k, v in attrs.items() if k not in _CONSUMED_ATTRS},
                 )
-        flows[cell_id] = Flow(
-            id=cell_id,
-            source=source,
-            target=target,
-            flow_type=styles.flow_type_for(attrs.get("style")),
-            label=attrs.get("value") or None,
-            partner=attrs.get("partner"),
-            extra={k: v for k, v in attrs.items() if k not in _CONSUMED_ATTRS},
-        )
+            )
+
+    node_map = {}
+    for node in nodes:
+        if not node.id:
+            raise SchemaError("node id must be a non-empty string")
+        if node.id in node_map:
+            raise SchemaError(f"node id {node.id!r} already in use")
+        node_map[node.id] = node
+    flow_map = {}
+    for flow in flows:
+        if not flow.id:
+            raise SchemaError("flow id must be a non-empty string")
+        if flow.id in flow_map or flow.id in node_map:
+            raise SchemaError(f"flow id {flow.id!r} already in use")
+        if not flow.source or not flow.target:
+            raise SchemaError(f"flow {flow.id!r} lacks a source or target")
+        for endpoint in (flow.source, flow.target):
+            if endpoint not in node_map:
+                raise SchemaError(f"flow {flow.id!r} references missing node {endpoint!r}")
+        flow_map[flow.id] = flow
 
     return Diagram(
         stage=stage if stage is not None else _infer_stage(nodes, flows),
-        nodes=nodes,
-        flows=flows,
+        nodes=node_map,
+        flows=flow_map,
     )
 
 

@@ -400,7 +400,7 @@ def test_export_rejects_flow_id_shared_with_node(tmp_path, capsys):
     )
     out = tmp_path / "dup.drawio.xml"
     assert main(["export", str(source), "-o", str(out), "--out-format", "drawio"]) == 2
-    assert "flow id 'x' is also a node id" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {source}: flow id 'x' already in use\n"
     assert [p.name for p in tmp_path.iterdir()] == ["dup.json"]
 
 
@@ -922,7 +922,8 @@ def test_check_reads_json_named_as_dot_by_its_content(tmp_path, capsys, name):
     )
 
 
-DOT_REFUSAL = "error: the input is Graphviz DOT, which padfd writes but does not read\n"
+def dot_refusal(path) -> str:
+    return f"error: {path}: the input is Graphviz DOT, which padfd writes but does not read\n"
 
 
 @pytest.mark.parametrize("command", ["check", "simulate"])
@@ -930,7 +931,7 @@ def test_dot_golden_is_refused_as_dot(fixtures_dir, capsys, command):
     golden = str(DEMO_DATA.parent / "out" / "estore_pa.dot")
     argv = ["check", golden] if command == "check" else simulate_argv(fixtures_dir, golden)
     assert main(argv) == 2
-    assert capsys.readouterr() == ("", DOT_REFUSAL)
+    assert capsys.readouterr() == ("", dot_refusal(golden))
 
 
 @pytest.mark.parametrize(
@@ -948,7 +949,7 @@ def test_a_file_of_unknown_suffix_is_refused_as_dot_by_its_first_word(tmp_path, 
     model.write_bytes(text)
     assert main(["check", str(model)]) == 2
     err = capsys.readouterr().err
-    assert (err == DOT_REFUSAL) is refused
+    assert (err == dot_refusal(model)) is refused
     assert err.startswith(f"error: {model}: not well-formed XML") is not refused
 
 
@@ -957,7 +958,7 @@ def test_check_reads_a_json_suffix_in_any_case_as_json(tmp_path, capsys):
     listed = tmp_path / "model.JSON"
     listed.write_bytes(b"[]")
     assert main(["check", str(listed)]) == 2
-    assert capsys.readouterr().err == "error: top level must be an object\n"
+    assert capsys.readouterr().err == f"error: {listed}: top level must be an object\n"
 
 
 def test_check_refuses_a_drawing_that_is_not_utf8(tmp_path, capsys):
@@ -971,10 +972,10 @@ def test_check_refuses_a_drawing_that_is_not_utf8(tmp_path, capsys):
     "name, data, message",
     [
         ("bad.json", b'{"x": ', "not valid JSON: Expecting value: line 1 column 7 (char 6)"),
-        ("bad.json", b"\xff{}", "not valid JSON: 'utf-8' codec can't decode byte 0xff in position 0"),
+        ("bad.json", b"\xff{}", "not valid UTF-8 at byte 0 (invalid start byte)"),
         ("bad.drawio", b"\xff<mxfile/>", "not valid UTF-8 at byte 0 (invalid start byte)"),
         ("bad.drawio", b"<mxfile>", "not well-formed XML: no element found: line 1, column 8"),
-        ("bad.txt", b"{\xff}", "not valid JSON: 'utf-8' codec can't decode byte 0xff in position 1"),
+        ("bad.txt", b"{\xff}", "not valid UTF-8 at byte 1 (invalid start byte)"),
     ],
     ids=["json-syntax", "json-not-utf8", "drawio-not-utf8", "drawio-syntax", "sniffed-json-not-utf8"],
 )
@@ -984,7 +985,7 @@ def test_a_diagram_that_does_not_decode_is_named(tmp_path, capsys, name, data, m
     bad = tmp_path / name
     bad.write_bytes(data)
     assert main(["check", str(bad)]) == 2
-    assert capsys.readouterr().err.startswith(f"error: {bad}: {message}")
+    assert capsys.readouterr().err == f"error: {bad}: {message}\n"
 
 
 @pytest.mark.parametrize("name", ["model.json", "model.txt", "model.drawio"])
@@ -1003,6 +1004,26 @@ def test_a_leading_byte_order_mark_on_a_diagram_is_dropped(tmp_path, capsys, nam
     assert capsys.readouterr() == ("", "")
     if command == "export":
         assert out.read_bytes() == emit_json(raw)
+
+
+@pytest.mark.parametrize(
+    "name, message",
+    [
+        ("model.json", "not valid JSON: Unexpected UTF-8 BOM"),
+        # Past one mark the content starts with the second, not "{".
+        ("model.txt", "not well-formed XML: "),
+        ("model.drawio.xml", "not well-formed XML: "),
+    ],
+)
+def test_two_leading_byte_order_marks_on_a_diagram_are_refused(tmp_path, capsys, name, message):
+    """Only the reader drops a mark, and only one: the command line looks
+    past one to tell the format by content, but reads the file as it is."""
+    raw = build_payment_raw()
+    model = (write_drawio if ".drawio" in name else write_json)(tmp_path, name, raw)
+    model.write_bytes(b"\xef\xbb\xbf\xef\xbb\xbf" + model.read_bytes())
+    assert main(["check", str(model)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {model}: {message}")
 
 
 def test_json_commands_still_read_a_named_style_map(tmp_path, capsys):

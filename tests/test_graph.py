@@ -56,8 +56,9 @@ def test_add_flow_rejects_an_id_a_node_holds():
 
 
 def test_add_node_rejects_an_id_a_flow_holds():
+    # Nodes come before flows in the id space, so the flow is named.
     d = add_flow(_pair(), Flow("f", "a", "b", FlowType.PF))
-    with pytest.raises(SchemaError, match="node id 'f' already in use"):
+    with pytest.raises(SchemaError, match="^flow id 'f' already in use$"):
         add_node(d, Node("f", NodeType.DB))
 
 
@@ -66,6 +67,27 @@ def test_an_empty_id_is_refused_as_parse_json_refuses_it():
         add_node(Diagram(), Node("", NodeType.EXT, "A"))
     with pytest.raises(SchemaError, match="^flow id must be a non-empty string$"):
         add_flow(_pair(), Flow("", "a", "b", FlowType.PF))
+
+
+@pytest.mark.parametrize("bad_id", [None, 3, ["a"]], ids=["none", "int", "unhashable"])
+def test_an_id_that_is_no_string_is_refused_as_an_empty_one(bad_id):
+    with pytest.raises(SchemaError, match="^node id must be a non-empty string$"):
+        add_node(Diagram(), Node(bad_id, NodeType.EXT, "A"))
+    with pytest.raises(SchemaError, match="^flow id must be a non-empty string$"):
+        add_flow(_pair(), Flow(bad_id, "a", "b", FlowType.PF))
+
+
+def test_an_unhashable_end_names_no_node():
+    with pytest.raises(SchemaError, match=r"^flow 'f' references missing node \['a'\]$"):
+        add_flow(_pair(), Flow("f", "a", ["a"], FlowType.PF))
+
+
+def test_a_diagram_built_directly_is_checked_whole_on_insertion():
+    """A Diagram made without add_node or add_flow may already break the
+    rule; the next insertion refuses it, naming the first defect."""
+    broken = Diagram(nodes={"a": Node("a")}, flows={"f": Flow("f", "a", "ghost")})
+    with pytest.raises(SchemaError, match="^flow 'f' references missing node 'ghost'$"):
+        add_node(broken, Node("b"))
 
 
 def test_parallel_flows_and_self_loops_are_representable():

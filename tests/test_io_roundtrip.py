@@ -108,13 +108,13 @@ def test_parse_truncated_file(fixtures_dir):
             '<mxGraphModel><root><mxCell id="a" style="ellipse;" vertex="1"/>'
             '<mxCell edge="1" source="a" target="a"/></root></mxGraphModel>',
             SchemaError,
-            "edge cell without an id",
+            "flow id must be a non-empty string",
         ),
         (
             '<mxGraphModel><root><mxCell id="a" style="ellipse;" vertex="1"/>'
             '<mxCell id="e" edge="1" source="a" target="ghost"/></root></mxGraphModel>',
             SchemaError,
-            "edge 'e' references missing node 'ghost'",
+            "flow 'e' references missing node 'ghost'",
         ),
     ],
     ids=["no-page", "no-model", "unexpected-root", "no-root", "edge-without-id", "edge-to-ghost"],
@@ -233,15 +233,20 @@ def test_parse_duplicate_cell_id():
 
 
 # Each defect of ids and flow ends: the node ids and the (id, source,
-# target) flows that hold it, None standing for an end that is missing.
+# target) flows that hold it, None standing for an end that is missing,
+# and the one message every reader and builder refuses it with.
 ID_DEFECTS = {
-    "empty-node-id": (["a", ""], []),
-    "empty-flow-id": (["a", "b"], [("", "a", "b")]),
-    "node-node-duplicate": (["a", "a"], []),
-    "flow-flow-duplicate": (["a", "b"], [("f", "a", "b"), ("f", "b", "a")]),
-    "node-flow-clash": (["a", "b"], [("a", "a", "b")]),
-    "missing-end": (["a"], [("f", "a", None)]),
-    "end-names-no-node": (["a"], [("f", "a", "ghost")]),
+    "empty-node-id": (["a", ""], [], "node id must be a non-empty string"),
+    "empty-flow-id": (["a", "b"], [("", "a", "b")], "flow id must be a non-empty string"),
+    "node-node-duplicate": (["a", "a"], [], "node id 'a' already in use"),
+    "flow-flow-duplicate": (
+        ["a", "b"], [("f", "a", "b"), ("f", "b", "a")], "flow id 'f' already in use"
+    ),
+    "node-flow-clash": (["a", "b"], [("a", "a", "b")], "flow id 'a' already in use"),
+    "missing-end": (["a"], [("f", "a", None)], "flow 'f' lacks a source or target"),
+    "end-names-no-node": (
+        ["a"], [("f", "a", "ghost")], "flow 'f' references missing node 'ghost'"
+    ),
 }
 
 
@@ -272,13 +277,14 @@ def _built_of(nodes, flows):
 
 
 @pytest.mark.parametrize("read", [_json_of, _drawio_of, _built_of], ids=["json", "drawio", "built"])
-@pytest.mark.parametrize("nodes, flows", list(ID_DEFECTS.values()), ids=list(ID_DEFECTS))
-def test_an_id_defect_is_a_schema_error_wherever_it_is_met(read, nodes, flows):
+@pytest.mark.parametrize("nodes, flows, message", list(ID_DEFECTS.values()), ids=list(ID_DEFECTS))
+def test_an_id_defect_is_a_schema_error_wherever_it_is_met(read, nodes, flows, message):
     """parse_json, parse_drawio and add_node/add_flow refuse each defect
-    with exactly SchemaError, whichever of them meets it."""
+    with exactly SchemaError and one message, whichever of them meets it:
+    the id space has one check, `graph.build`."""
     with pytest.raises(PadfdError) as exc:
         read(nodes, flows)
-    assert type(exc.value) is SchemaError
+    assert type(exc.value) is SchemaError and str(exc.value) == message
 
 
 def test_parse_stage_attribute_wins():
@@ -653,13 +659,13 @@ _MALFORMED = [
     (lambda doc: doc.pop("schema"), "schema must be 'padfd-canonical/1', found None"),
     (lambda doc: doc.update(stage="nope"), "unknown stage 'nope'"),
     (lambda doc: doc.update(surprise=1), r"unknown document keys \['surprise'\]"),
-    (lambda doc: doc["nodes"].append({"id": "a", "type": "ext"}), "duplicate node id 'a'"),
+    (lambda doc: doc["nodes"].append({"id": "a", "type": "ext"}), "node id 'a' already in use"),
     (lambda doc: doc["nodes"][0].update(colour="red"), r"node has unknown keys \['colour'\]"),
     (
         lambda doc: doc["flows"][0].update(source="ghost"),
-        "flow 'f': references missing node 'ghost'",
+        "flow 'f' references missing node 'ghost'",
     ),
-    (lambda doc: doc["flows"][0].pop("target"), "flow 'f': source and target are required"),
+    (lambda doc: doc["flows"][0].pop("target"), "flow 'f' lacks a source or target"),
     (
         lambda doc: doc["nodes"][0].update(position=[1, 2, 3]),
         "node 'a': position must be a pair of numbers",
@@ -688,7 +694,7 @@ _MALFORMED = [
         lambda doc: doc["nodes"][0].update(position=[10**400, 0]),
         "node 'a': position coordinates must be finite",
     ),
-    (lambda doc: doc["flows"][0].update(id="a"), "flow id 'a' is also a node id"),
+    (lambda doc: doc["flows"][0].update(id="a"), "flow id 'a' already in use"),
     (lambda doc: doc.update(stage=["raw-bdfd"]), r"unknown stage \['raw-bdfd'\]"),
     (lambda doc: doc.update(nodes={}), "nodes must be a list"),
     (lambda doc: doc.update(flows=None), "flows must be a list"),
@@ -702,9 +708,9 @@ _MALFORMED = [
     (lambda doc: doc["flows"].append(["f"]), "each flow must be an object"),
     (lambda doc: doc["flows"][0].update(via="b"), r"flow has unknown keys \['via'\]"),
     (lambda doc: doc["flows"][0].update(id=3), "flow id must be a non-empty string"),
-    (lambda doc: doc["flows"].append(dict(doc["flows"][0])), "duplicate flow id 'f'"),
+    (lambda doc: doc["flows"].append(dict(doc["flows"][0])), "flow id 'f' already in use"),
     (lambda doc: doc["flows"][0].update(source=0), "flow 'f': source must be a string"),
-    (lambda doc: doc["flows"][0].update(target=None), "flow 'f': source and target are required"),
+    (lambda doc: doc["flows"][0].update(target=None), "flow 'f' lacks a source or target"),
     (lambda doc: doc["flows"][0].update(type="ext"), "flow 'f': unknown type 'ext'"),
     (lambda doc: doc["flows"][0].update(extra=[]), "flow 'f': extra must be an object"),
     (lambda doc: doc["flows"][0].update(target=1), "^flow 'f': target must be a string$"),
@@ -734,7 +740,7 @@ def test_parse_json_rejects_non_json():
 @pytest.mark.parametrize(
     "data, match",
     [
-        (b'\xff{"schema": 1}', "not valid JSON: 'utf-8' codec can't decode"),
+        (b'\xff{"schema": 1}', "^not valid UTF-8 at byte 0 \\(invalid start byte\\)$"),
         (b'{"n": 1' + b"0" * 5000 + b"}", "not valid JSON: Exceeds the limit"),
         (b"[" * 200_000, "not valid JSON: maximum recursion depth exceeded"),
         (b"[1]", "top level must be an object"),
@@ -779,15 +785,28 @@ def test_parse_json_accepts_surrogate_pairs():
 
 def test_parse_json_reads_one_leading_byte_order_mark_as_none(fixtures_dir):
     """In bytes and in text alike, as `parse_drawio` reads a drawing and
-    `padfd check` a file; a second mark is not JSON."""
+    `padfd check` a file."""
     data = emit_json(build_estore_raw())
     expected = parse_json(data)
     assert parse_json(b"\xef\xbb\xbf" + data) == expected
     assert parse_json("\ufeff" + data.decode("utf-8")) == expected
-    with pytest.raises(SchemaError, match="not valid JSON"):
-        parse_json(b"\xef\xbb\xbf\xef\xbb\xbf" + data)
     drawing = (fixtures_dir / "estore.drawio.xml").read_bytes()
     assert parse_drawio(b"\xef\xbb\xbf" + drawing) == parse_drawio(drawing)
+    assert parse_drawio("\ufeff" + drawing.decode("utf-8")) == parse_drawio(drawing)
+
+
+def test_two_leading_byte_order_marks_are_refused(fixtures_dir):
+    """Each reader reads one mark as none, so a second one is content:
+    neither JSON nor XML starts with it, in bytes or in text."""
+    data = emit_json(build_estore_raw())
+    drawing = (fixtures_dir / "estore.drawio.xml").read_bytes()
+    for read, doc, match in [
+        (parse_json, data, "^not valid JSON: Unexpected UTF-8 BOM"),
+        (parse_drawio, drawing, "^not well-formed XML: "),
+    ]:
+        for marked in (b"\xef\xbb\xbf\xef\xbb\xbf" + doc, "\ufeff\ufeff" + doc.decode("utf-8")):
+            with pytest.raises(ParseError, match=match):
+                read(marked)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
