@@ -18,7 +18,9 @@ a different convention:
 strings with the `json` module's C string encoder. Its reference, in the
 tests, builds the document as a dict and passes it through
 `json.dumps(..., indent=2, sort_keys=True, ensure_ascii=False)` plus a
-newline; the tests hold the two byte-identical. Coordinates must be
+newline; the tests hold the two byte-identical. `parse_json` checks the
+entries column by column and walks them one by one only to name a
+defect, by the rule `graph.build` states. Coordinates must be
 finite: NaN and the infinities are not JSON, so the writers refuse them
 and `parse_json` rejects the `NaN`/`Infinity`/`-Infinity` literals.
 """
@@ -26,6 +28,7 @@ and `parse_json` rejects the `NaN`/`Infinity`/`-Infinity` literals.
 from __future__ import annotations
 
 import math
+from itertools import chain, repeat
 from json.encoder import encode_basestring as _quote
 
 from .errors import SchemaError, decode_json, decode_utf8
@@ -37,13 +40,21 @@ from .model import FlowType, NodeType, Stage
 SCHEMA_ID = "padfd-canonical/1"
 
 _DOC_KEYS = frozenset({"schema", "stage", "nodes", "flows"})
-_NODE_KEYS = frozenset({"id", "type", "label", "partner", "position", "extra"})
-_FLOW_KEYS = frozenset({"id", "source", "target", "type", "label", "partner", "extra"})
+# Each kind's keys in the order of its element's parameters.
+_NODE_FIELDS = ("id", "type", "label", "partner", "position", "extra")
+_FLOW_FIELDS = ("id", "source", "target", "type", "label", "partner", "extra")
+_NODE_KEYS = frozenset(_NODE_FIELDS)
+_FLOW_KEYS = frozenset(_FLOW_FIELDS)
 
 _STAGES = {stage.value: stage for stage in Stage}
 _NODE_TYPES = {node_type.value: node_type for node_type in NodeType}
 _FLOW_TYPES = {flow_type.value: flow_type for flow_type in FlowType}
 _OPTIONAL_STR = (str, type(None))
+_TEXT = frozenset(_OPTIONAL_STR)
+# The end of an entry of each kind, its "type" key included, as written:
+# reading `Enum.value` would cost a Python-level property call per entry.
+_TAILS = {kind: f',\n      "type": {_quote(kind.value)}\n    }}' for kind in (*NodeType, *FlowType)}
+_TAILS[None] = "\n    }"
 
 
 # The writers below emit each entry's keys in sorted order: extra, id,
@@ -58,32 +69,30 @@ def _extra_text(extra: dict[str, str]) -> str:
     return '      "extra": {\n' + items + "\n      }"
 
 
-def _entry_text(element: Node | Flow, element_type, middle: list[str]) -> str:
-    """One node or flow entry; `middle` holds the keys that sort between
-    partner and type: position, or source and target."""
-    fields = [_extra_text(element.extra)] if element.extra else []
-    fields.append('      "id": ' + _quote(element.id))
+def _head(element: Node | Flow) -> str:
+    """The opening of a node or flow entry and its keys up to partner."""
+    text = "    {\n"
+    if element.extra:
+        text += _extra_text(element.extra) + ",\n"
+    text += '      "id": ' + _quote(element.id)
     if element.label is not None:
-        fields.append('      "label": ' + _quote(element.label))
+        text += ',\n      "label": ' + _quote(element.label)
     if element.partner is not None:
-        fields.append('      "partner": ' + _quote(element.partner))
-    fields += middle
-    if element_type is not None:
-        fields.append('      "type": ' + _quote(element_type.value))
-    return "    {\n" + ",\n".join(fields) + "\n    }"
+        text += ',\n      "partner": ' + _quote(element.partner)
+    return text
 
 
 def _node_text(node: Node) -> str:
-    middle = []
+    text = _head(node)
     if node.position is not None:
         x, y = format_position(node)
-        middle.append('      "position": [\n        ' + x + ",\n        " + y + "\n      ]")
-    return _entry_text(node, node.node_type, middle)
+        text += ',\n      "position": [\n        ' + x + ",\n        " + y + "\n      ]"
+    return text + _TAILS[node.node_type]
 
 
 def _flow_text(flow: Flow) -> str:
-    middle = ['      "source": ' + _quote(flow.source), '      "target": ' + _quote(flow.target)]
-    return _entry_text(flow, flow.flow_type, middle)
+    text = _head(flow) + ',\n      "source": ' + _quote(flow.source)
+    return text + ',\n      "target": ' + _quote(flow.target) + _TAILS[flow.flow_type]
 
 
 def _add_list(parts: list[str], entries: list[str]) -> None:
@@ -115,27 +124,31 @@ def _reject_constant(name: str):
     raise SchemaError(f"not valid JSON: non-finite number {name}")
 
 
-def _element_error(kind: str, element_id: str, problem: str) -> SchemaError:
-    return SchemaError(f"{kind} {element_id!r}: {problem}")
+def _element_error(kind: str, element_id, index: int | None, problem: str) -> SchemaError:
+    """A refusal naming an element by its id, or by its place in its list
+    where the id is no non-empty string."""
+    if index is None or (element_id and isinstance(element_id, str)):
+        return SchemaError(f"{kind} {element_id!r}: {problem}")
+    return SchemaError(f"{kind}s[{index}]: {problem}")
 
 
-def _read_position(value, node_id: str) -> tuple[float, float]:
+def _read_position(value, node_id, index: int) -> tuple[float, float]:
     if not (
         isinstance(value, list)
         and len(value) == 2
         and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
     ):
-        raise _element_error("node", node_id, "position must be a pair of numbers")
+        raise _element_error("node", node_id, index, "position must be a pair of numbers")
     try:
         x, y = float(value[0]), float(value[1])
     except OverflowError:
         x = y = math.inf
     if not (math.isfinite(x) and math.isfinite(y)):
-        raise _element_error("node", node_id, "position coordinates must be finite")
+        raise _element_error("node", node_id, index, "position coordinates must be finite")
     return x, y
 
 
-def _shared_fields(entry: dict, types: dict, kind: str, element_id: str) -> tuple:
+def _shared_fields(entry: dict, types: dict, kind: str, element_id, index: int) -> tuple:
     """Type, label, partner and extra of a node or flow entry, checked in
     that order; error messages are formatted only on failure."""
     value = entry.get("type")
@@ -144,24 +157,62 @@ def _shared_fields(entry: dict, types: dict, kind: str, element_id: str) -> tupl
         element_type = types.get(value) if isinstance(value, str) else None
         if element_type is None:
             if not isinstance(value, str):
-                raise _element_error(kind, element_id, "type must be a string")
-            raise _element_error(kind, element_id, f"unknown type {value!r}")
+                raise _element_error(kind, element_id, index, "type must be a string")
+            raise _element_error(kind, element_id, index, f"unknown type {value!r}")
     label = entry.get("label")
     if not isinstance(label, _OPTIONAL_STR):
-        raise _element_error(kind, element_id, "label must be a string")
+        raise _element_error(kind, element_id, index, "label must be a string")
     partner = entry.get("partner")
     if not isinstance(partner, _OPTIONAL_STR):
-        raise _element_error(kind, element_id, "partner must be a string")
+        raise _element_error(kind, element_id, index, "partner must be a string")
     if "extra" not in entry:
         return element_type, label, partner, {}
     extra = entry["extra"]
     if not isinstance(extra, dict):
-        raise _element_error(kind, element_id, "extra must be an object")
+        raise _element_error(kind, element_id, index, "extra must be an object")
     for key, value in extra.items():
         if not (isinstance(key, str) and isinstance(value, str)):
-            raise _element_error(kind, element_id, "extra entries must map strings to strings")
+            problem = "extra entries must map strings to strings"
+            raise _element_error(kind, element_id, index, problem)
     # json.loads built this dict for this entry alone, so it is kept as is.
     return element_type, label, partner, extra
+
+
+def _by_column(entries: list, fields: tuple, types: dict, element) -> list | None:
+    """The elements of a list of entries, read column by column, or None
+    where an entry breaks a rule or holds a null, for `parse_json` to walk
+    the list and name the first defect. `fields` are the keys in the order
+    of `element`'s parameters."""
+    if not all(map(isinstance, entries, repeat(dict))):
+        return None
+    columns = {key: list(map(dict.get, entries, repeat(key))) for key in fields}
+    # Every key an entry holds is one of `fields`, and none is null, exactly
+    # when the columns hold as many values as the entries hold keys.
+    if sum(map(len, entries)) != sum(len(entries) - c.count(None) for c in columns.values()):
+        return None
+    named = columns["type"]
+    try:
+        columns["type"] = list(map(types.get, named))
+    except TypeError:  # an unhashable type
+        return None
+    if columns["type"].count(None) != named.count(None):  # a type of no kind
+        return None
+    texts = [columns[key] for key in ("source", "target", "label", "partner") if key in columns]
+    if not _TEXT.issuperset(map(type, chain(*texts))):
+        return None
+    positions = columns.get("position", ())
+    if positions.count(None) < len(positions):
+        try:
+            positions[:] = [None if p is None else _read_position(p, None, 0) for p in positions]
+        except SchemaError:
+            return None
+    extras = [extra for extra in columns["extra"] if extra is not None]
+    if not all(map(isinstance, extras, repeat(dict))):
+        return None
+    # JSON object keys are strings; extra values must be too.
+    if not {str}.issuperset(map(type, chain.from_iterable(map(dict.values, extras)))):
+        return None
+    return list(map(element, *columns.values()))
 
 
 def parse_json(data: bytes | str) -> Diagram:
@@ -194,43 +245,49 @@ def parse_json(data: bytes | str) -> Diagram:
         raise SchemaError("flows must be a list")
 
     # `build` refuses a missing id (None) and any other that is no string.
-    nodes: list[Node] = []
-    for entry in raw_nodes:
-        if not isinstance(entry, dict):
-            raise SchemaError("each node must be an object")
-        if not entry.keys() <= _NODE_KEYS:
-            raise SchemaError(f"node has unknown keys {sorted(entry.keys() - _NODE_KEYS)}")
-        node_id = entry.get("id")
-        position = entry.get("position")
-        if position is not None:
-            position = _read_position(position, node_id)
-        node_type, label, partner, extra = _shared_fields(entry, _NODE_TYPES, "node", node_id)
-        nodes.append(Node(node_id, node_type, label, partner, position, extra))
+    nodes = _by_column(raw_nodes, _NODE_FIELDS, _NODE_TYPES, Node)
+    if nodes is None:
+        nodes = []
+        for index, entry in enumerate(raw_nodes):
+            if not isinstance(entry, dict):
+                raise SchemaError("each node must be an object")
+            if not entry.keys() <= _NODE_KEYS:
+                raise SchemaError(f"node has unknown keys {sorted(entry.keys() - _NODE_KEYS)}")
+            node_id = entry.get("id")
+            position = entry.get("position")
+            if position is not None:
+                position = _read_position(position, node_id, index)
+            shared = _shared_fields(entry, _NODE_TYPES, "node", node_id, index)
+            node_type, label, partner, extra = shared
+            nodes.append(Node(node_id, node_type, label, partner, position, extra))
 
-    flows: list[Flow] = []
-    for entry in raw_flows:
-        if not isinstance(entry, dict):
-            raise SchemaError("each flow must be an object")
-        if not entry.keys() <= _FLOW_KEYS:
-            raise SchemaError(f"flow has unknown keys {sorted(entry.keys() - _FLOW_KEYS)}")
-        flow_id = entry.get("id")
-        source = entry.get("source")
-        if not isinstance(source, _OPTIONAL_STR):
-            raise _element_error("flow", flow_id, "source must be a string")
-        target = entry.get("target")
-        if not isinstance(target, _OPTIONAL_STR):
-            raise _element_error("flow", flow_id, "target must be a string")
-        flows.append(
-            Flow(flow_id, source, target, *_shared_fields(entry, _FLOW_TYPES, "flow", flow_id))
-        )
+    flows = _by_column(raw_flows, _FLOW_FIELDS, _FLOW_TYPES, Flow)
+    if flows is None:
+        flows = []
+        for index, entry in enumerate(raw_flows):
+            if not isinstance(entry, dict):
+                raise SchemaError("each flow must be an object")
+            if not entry.keys() <= _FLOW_KEYS:
+                raise SchemaError(f"flow has unknown keys {sorted(entry.keys() - _FLOW_KEYS)}")
+            flow_id = entry.get("id")
+            source = entry.get("source")
+            if not isinstance(source, _OPTIONAL_STR):
+                raise _element_error("flow", flow_id, index, "source must be a string")
+            target = entry.get("target")
+            if not isinstance(target, _OPTIONAL_STR):
+                raise _element_error("flow", flow_id, index, "target must be a string")
+            shared = _shared_fields(entry, _FLOW_TYPES, "flow", flow_id, index)
+            flows.append(Flow(flow_id, source, target, *shared))
 
     diagram = build(stage, nodes, flows)
     # JSON text carries a lone surrogate only as a \udXXX escape (or verbatim
     # in a str argument), so only documents that could hold one are searched,
-    # and only they compile the pattern.
-    if "\\ud" in text or "\\uD" in text or (isinstance(data, str) and not text.isascii()):
+    # and only they compile the pattern. A backslash is looked for first: a
+    # single character is found at memchr speed, "\\ud" several times slower.
+    escaped = "\\" in text and ("\\ud" in text or "\\uD" in text)
+    if escaped or (isinstance(data, str) and not text.isascii()):
         found = _first_lone_surrogate(diagram)
         if found is not None:
             kind, element_id, held = found
-            raise _element_error(kind, element_id, f"{held!r} holds a lone surrogate")
+            raise _element_error(kind, element_id, None, f"{held!r} holds a lone surrogate")
     return diagram

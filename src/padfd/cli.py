@@ -76,13 +76,15 @@ def _suffix_format(path_text: str) -> str | None:
 
 def _read_diagram(path_text: str, fmt: str | None, styles: StyleMap | None) -> Diagram:
     """The diagram in a file. Its reader reads one leading byte order mark
-    as none, as in tables; every ParseError it raises names the file."""
+    as none, as in tables; every ParseError it raises names the file. A
+    format the options and the name leave open is told by the content past
+    every leading mark, so that the reader of that format refuses a second."""
     with open(path_text, "rb") as handle:
         data = handle.read()
     fmt = fmt or _suffix_format(path_text)
     try:
         if fmt not in ("json", "drawio"):
-            head = data.removeprefix(b"\xef\xbb\xbf").lstrip()
+            head = re.sub(rb"^(?:\xef\xbb\xbf)+", b"", data).lstrip()
             if head[:1] == b"{":
                 fmt = "json"
             elif head[:1] != b"<" and re.match(rb"(?i)(?:strict|graph|digraph)\b", head):

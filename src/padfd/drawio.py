@@ -128,8 +128,16 @@ def _vertex_position(cell: ET.Element) -> tuple[float, float] | None:
         x = y = math.nan
     # float() also reads "nan" and "inf", which no writer can put back.
     if not (math.isfinite(x) and math.isfinite(y)):
-        raise ParseError(f"cell {cell.get('id')!r}: geometry coordinates are not numbers")
+        raise ParseError("geometry coordinates are not numbers")
     return x, y
+
+
+def _cell_name(model_elem: ET.Element, cell: ET.Element, cell_id: str | None) -> str:
+    """How a refusal names a cell: by its id, or by its place among the
+    page's cells where it has none."""
+    if cell_id:
+        return f"cell {cell_id!r}"
+    return f"cells[{[other for other, _ in _cells(model_elem)].index(cell)}]"
 
 
 def _infer_stage(nodes: list[Node], flows: list[Flow]) -> Stage:
@@ -188,8 +196,12 @@ def parse_drawio(data: bytes | str, styles: StyleMap | None = None) -> Diagram:
             except KeyError:
                 node_type = node_types[style] = styles.node_type_for(style)
             if node_type is None:
-                raise ParseError(f"cell {get('id')!r}: no rule matches vertex style {style!r}")
-            position = _vertex_position(cell)
+                name = _cell_name(model_elem, cell, get("id"))
+                raise ParseError(f"{name}: no rule matches vertex style {style!r}")
+            try:
+                position = _vertex_position(cell)
+            except ParseError as exc:
+                raise ParseError(f"{_cell_name(model_elem, cell, get('id'))}: {exc}") from None
             label = get("value") or None
             nodes.append(Node(get("id"), node_type, label, get("partner"), position, _extra(attrs)))
         elif get("edge") == "1":

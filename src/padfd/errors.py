@@ -82,6 +82,8 @@ def decode_json(text: str, what: str = "", parse_constant=None):
     import json
 
     try:
+        if text.startswith("\ufeff"):  # json.loads would name a codec in its refusal
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM", text, 0)
         return json.loads(text, parse_constant=parse_constant)
     except (ValueError, RecursionError) as exc:
         where = f"{what}: " if what else ""

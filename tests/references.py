@@ -6,7 +6,10 @@ library's gadget reader; the versions here build an ElementTree, step
 down one grid cell at a time, as the library did before, and find each
 anchor by flow kind. `parse_drawio` reads each plain cell's attribute map in place;
 the version here copies every map first and builds each element with
-keywords. `emit_dot` quotes each distinct text once; the version here
+keywords. `parse_json` reads a clean list of entries column by column;
+`reference_parse_json` reads every entry one by one, its types through
+the enums, and scans every text for a lone surrogate.
+`emit_dot` quotes each distinct text once; the version here
 quotes every occurrence. `report_json` writes the simulation report
 directly, `report_to_dict` reads that text back, and the table loaders
 read CSV with `csv.reader`; the versions here build the report's dict
@@ -68,7 +71,7 @@ from padfd.drawio import (
     _structural_id,
     _vertex_position,
 )
-from padfd.graph import canonical_number, encode_output, format_position
+from padfd.graph import build, canonical_number, encode_output, format_position
 from padfd.layout import GRID_STEP
 from padfd.model import NODE_LOOKS
 from padfd.simulate import (
@@ -243,21 +246,24 @@ def reference_parse_drawio(data, styles=None) -> Diagram:
 
     nodes = []
     flows = []
-    for cell, attrs in _reference_cells(model_elem):
+    for index, (cell, attrs) in enumerate(_reference_cells(model_elem)):
+        name = f"cell {attrs.get('id')!r}" if attrs.get("id") else f"cells[{index}]"
         if attrs.get("vertex") == "1":
             style = attrs.get("style")
             node_type = styles.node_type_for(style)
             if node_type is None:
-                raise ParseError(
-                    f"cell {attrs.get('id')!r}: no rule matches vertex style {style!r}"
-                )
+                raise ParseError(f"{name}: no rule matches vertex style {style!r}")
+            try:
+                position = _vertex_position(cell)
+            except ParseError as exc:
+                raise ParseError(f"{name}: {exc}") from None
             nodes.append(
                 Node(
                     id=attrs.get("id"),
                     node_type=node_type,
                     label=attrs.get("value") or None,
                     partner=attrs.get("partner"),
-                    position=_vertex_position(cell),
+                    position=position,
                     extra={k: v for k, v in attrs.items() if k not in _CONSUMED_ATTRS},
                 )
             )
@@ -299,6 +305,140 @@ def reference_parse_drawio(data, styles=None) -> Diagram:
         nodes=node_map,
         flows=flow_map,
     )
+
+
+_JSON_NODE_KEYS = frozenset({"id", "type", "label", "partner", "position", "extra"})
+_JSON_FLOW_KEYS = frozenset({"id", "source", "target", "type", "label", "partner", "extra"})
+_OPTIONAL_STR = (str, type(None))
+
+
+def _json_name(kind: str, element_id, index: int) -> str:
+    """An element by its id, or by its place in its list where the id is no
+    non-empty string."""
+    if isinstance(element_id, str) and element_id:
+        return f"{kind} {element_id!r}"
+    return f"{kind}s[{index}]"
+
+
+def _json_position(value, name: str) -> tuple[float, float]:
+    if not (
+        isinstance(value, list)
+        and len(value) == 2
+        and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
+    ):
+        raise SchemaError(f"{name}: position must be a pair of numbers")
+    try:
+        x, y = float(value[0]), float(value[1])
+    except OverflowError:
+        x = y = math.inf
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise SchemaError(f"{name}: position coordinates must be finite")
+    return x, y
+
+
+def _json_shared_fields(entry: dict, types: type, name: str) -> tuple:
+    """Type, label, partner and extra of a node or flow entry, checked in
+    that order."""
+    value = entry.get("type")
+    element_type = None
+    if value is not None:
+        if not isinstance(value, str):
+            raise SchemaError(f"{name}: type must be a string")
+        try:
+            element_type = types(value)
+        except ValueError:
+            raise SchemaError(f"{name}: unknown type {value!r}") from None
+    for field in ("label", "partner"):
+        if not isinstance(entry.get(field), _OPTIONAL_STR):
+            raise SchemaError(f"{name}: {field} must be a string")
+    extra = entry.get("extra", {})
+    if not isinstance(extra, dict):
+        raise SchemaError(f"{name}: extra must be an object")
+    for key, text in extra.items():
+        if not (isinstance(key, str) and isinstance(text, str)):
+            raise SchemaError(f"{name}: extra entries must map strings to strings")
+    return element_type, entry.get("label"), entry.get("partner"), extra
+
+
+def _reject_constant(name: str):
+    raise SchemaError(f"not valid JSON: non-finite number {name}")
+
+
+def reference_parse_json(data) -> Diagram:
+    """A canonical JSON document read entry by entry, each refused at its
+    first defect in document order; ids and flow ends are left to
+    `graph.build`."""
+    try:
+        text = data.decode("utf-8") if isinstance(data, bytes) else data
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"not valid UTF-8 at byte {exc.start} ({exc.reason})") from None
+    text = text.removeprefix("\ufeff")
+    try:
+        if text.startswith("\ufeff"):
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM", text, 0)
+        doc = json.loads(text, parse_constant=_reject_constant)
+    except (ValueError, RecursionError) as exc:
+        raise SchemaError(f"not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise SchemaError("top level must be an object")
+    if doc.get("schema") != SCHEMA_ID:
+        raise SchemaError(f"schema must be {SCHEMA_ID!r}, found {doc.get('schema')!r}")
+    unknown = doc.keys() - {"schema", "stage", "nodes", "flows"}
+    if unknown:
+        raise SchemaError(f"unknown document keys {sorted(unknown)}")
+    stages = {stage.value: stage for stage in Stage}
+    stage = doc.get("stage")
+    if not (isinstance(stage, str) and stage in stages):
+        raise SchemaError(f"unknown stage {stage!r}")
+    raw_nodes, raw_flows = doc.get("nodes", []), doc.get("flows", [])
+    if not isinstance(raw_nodes, list):
+        raise SchemaError("nodes must be a list")
+    if not isinstance(raw_flows, list):
+        raise SchemaError("flows must be a list")
+
+    nodes = []
+    for index, entry in enumerate(raw_nodes):
+        if not isinstance(entry, dict):
+            raise SchemaError("each node must be an object")
+        if not entry.keys() <= _JSON_NODE_KEYS:
+            raise SchemaError(f"node has unknown keys {sorted(entry.keys() - _JSON_NODE_KEYS)}")
+        name = _json_name("node", entry.get("id"), index)
+        position = entry.get("position")
+        if position is not None:
+            position = _json_position(position, name)
+        node_type, label, partner, extra = _json_shared_fields(entry, NodeType, name)
+        nodes.append(
+            Node(
+                id=entry.get("id"), node_type=node_type, label=label, partner=partner,
+                position=position, extra=extra,
+            )
+        )
+    flows = []
+    for index, entry in enumerate(raw_flows):
+        if not isinstance(entry, dict):
+            raise SchemaError("each flow must be an object")
+        if not entry.keys() <= _JSON_FLOW_KEYS:
+            raise SchemaError(f"flow has unknown keys {sorted(entry.keys() - _JSON_FLOW_KEYS)}")
+        name = _json_name("flow", entry.get("id"), index)
+        for end in ("source", "target"):
+            if not isinstance(entry.get(end), _OPTIONAL_STR):
+                raise SchemaError(f"{name}: {end} must be a string")
+        flow_type, label, partner, extra = _json_shared_fields(entry, FlowType, name)
+        flows.append(
+            Flow(
+                id=entry.get("id"), source=entry.get("source"), target=entry.get("target"),
+                flow_type=flow_type, label=label, partner=partner, extra=extra,
+            )
+        )
+
+    diagram = build(stages[stage], nodes, flows)
+    for kind, elements in (("node", diagram.nodes), ("flow", diagram.flows)):
+        for element in elements.values():
+            extra = element.extra
+            for held in (element.id, element.label, element.partner, *extra, *extra.values()):
+                if held is not None and any("\ud800" <= c <= "\udfff" for c in held):
+                    raise SchemaError(f"{kind} {element.id!r}: {held!r} holds a lone surrogate")
+    return diagram
 
 
 def _dot_quote(text: str) -> str:

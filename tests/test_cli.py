@@ -1009,21 +1009,30 @@ def test_a_leading_byte_order_mark_on_a_diagram_is_dropped(tmp_path, capsys, nam
 @pytest.mark.parametrize(
     "name, message",
     [
-        ("model.json", "not valid JSON: Unexpected UTF-8 BOM"),
-        # Past one mark the content starts with the second, not "{".
-        ("model.txt", "not well-formed XML: "),
+        ("model.json", "not valid JSON: Unexpected UTF-8 BOM: line 1 column 1 (char 0)\n"),
+        # Past every mark the content starts with "{", so the JSON reader refuses it.
+        ("model.txt", "not valid JSON: Unexpected UTF-8 BOM: line 1 column 1 (char 0)\n"),
         ("model.drawio.xml", "not well-formed XML: "),
     ],
 )
 def test_two_leading_byte_order_marks_on_a_diagram_are_refused(tmp_path, capsys, name, message):
     """Only the reader drops a mark, and only one: the command line looks
-    past one to tell the format by content, but reads the file as it is."""
+    past every mark to tell the format by content, but reads the file as
+    it is."""
     raw = build_payment_raw()
     model = (write_drawio if ".drawio" in name else write_json)(tmp_path, name, raw)
     model.write_bytes(b"\xef\xbb\xbf\xef\xbb\xbf" + model.read_bytes())
     assert main(["check", str(model)]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith(f"error: {model}: {message}")
+
+
+def test_a_node_without_an_id_is_named_by_its_place(tmp_path, capsys):
+    model = tmp_path / "model.json"
+    doc = {"schema": "padfd-canonical/1", "stage": "raw-bdfd", "nodes": [{"label": 3}]}
+    model.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["check", str(model)]) == 2
+    assert capsys.readouterr() == ("", f"error: {model}: nodes[0]: label must be a string\n")
 
 
 def test_json_commands_still_read_a_named_style_map(tmp_path, capsys):

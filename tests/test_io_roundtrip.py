@@ -39,7 +39,7 @@ from padfd.cli import main
 from padfd.drawio import MAX_INFLATED_PAGE
 from padfd.model import BDFD_NODE_TYPES, NODE_LOOKS
 
-from references import reference_emit_drawio, to_canonical_dict
+from references import reference_emit_drawio, reference_parse_json, to_canonical_dict
 
 from helpers import (
     build_all_kinds,
@@ -116,8 +116,36 @@ def test_parse_truncated_file(fixtures_dir):
             SchemaError,
             "flow 'e' references missing node 'ghost'",
         ),
+        # A cell without an id is named by its place among the page's cells.
+        (
+            '<mxGraphModel><root><mxCell id="0"/><mxCell vertex="1" style="zzz"/></root></mxGraphModel>',
+            ParseError,
+            "cells[1]: no rule matches vertex style 'zzz'",
+        ),
+        (
+            '<mxGraphModel><root><object label="x"><mxCell vertex="1" style="ellipse"/></object>'
+            '<mxCell id="" vertex="1" style="zzz"/></root></mxGraphModel>',
+            ParseError,
+            "cells[1]: no rule matches vertex style 'zzz'",
+        ),
+        (
+            '<mxGraphModel><root><mxCell vertex="1" style="ellipse">'
+            '<mxGeometry x="abc" y="1" as="geometry"/></mxCell></root></mxGraphModel>',
+            ParseError,
+            "cells[0]: geometry coordinates are not numbers",
+        ),
+        # An object wrapper holds the id of the cell it wraps.
+        (
+            '<mxGraphModel><root><object id="o"><mxCell vertex="1" style="ellipse">'
+            '<mxGeometry x="abc" y="1" as="geometry"/></mxCell></object></root></mxGraphModel>',
+            ParseError,
+            "cell 'o': geometry coordinates are not numbers",
+        ),
     ],
-    ids=["no-page", "no-model", "unexpected-root", "no-root", "edge-without-id", "edge-to-ghost"],
+    ids=[
+        "no-page", "no-model", "unexpected-root", "no-root", "edge-without-id", "edge-to-ghost",
+        "vertex-without-id", "vertex-with-empty-id", "geometry-without-id", "wrapped-geometry",
+    ],
 )
 def test_parse_names_what_the_document_lacks(document, error, message):
     with pytest.raises(error) as exc:
@@ -714,6 +742,16 @@ _MALFORMED = [
     (lambda doc: doc["flows"][0].update(type="ext"), "flow 'f': unknown type 'ext'"),
     (lambda doc: doc["flows"][0].update(extra=[]), "flow 'f': extra must be an object"),
     (lambda doc: doc["flows"][0].update(target=1), "^flow 'f': target must be a string$"),
+    # An entry whose id is no usable string is named by its place in its list.
+    (
+        lambda doc: (doc["nodes"][1].pop("id"), doc["nodes"][1].update(label=3)),
+        r"^nodes\[1\]: label must be a string$",
+    ),
+    (
+        lambda doc: doc["nodes"][0].update(id=7, position=[1]),
+        r"^nodes\[0\]: position must be a pair of numbers$",
+    ),
+    (lambda doc: doc["flows"][0].update(id="", source=1), r"^flows\[0\]: source must be a string$"),
 ]
 
 
@@ -730,6 +768,35 @@ def test_parse_json_rejects_malformed(mutate, match):
     mutate(doc)
     with pytest.raises(SchemaError, match=match):
         parse_json(json.dumps(doc))
+
+
+# Documents beyond `_MALFORMED` that `parse_json` must read as its
+# entry-by-entry reference does: explicit nulls, which its column check
+# leaves to the walk, and values the columns check apart.
+_EDGE_ENTRIES = [
+    lambda doc: doc["nodes"][0].update(label=None, position=None),
+    lambda doc: doc["nodes"][0].update(extra={}, position=[1, 2.5]),
+    lambda doc: doc["nodes"][1].update(extra={"k": None}),
+    lambda doc: doc["flows"][0].update(type=None, partner=None),
+]
+
+
+@pytest.mark.parametrize("mutate", [mutate for mutate, _ in _MALFORMED] + _EDGE_ENTRIES)
+def test_parse_json_reads_each_document_as_its_reference_does(mutate):
+    d = build_diagram(
+        Stage.RAW,
+        [Node("a", NodeType.EXT), Node("b", NodeType.PROC)],
+        [Flow("f", "a", "b", FlowType.PF)],
+    )
+    doc = json.loads(emit_json(d))
+    mutate(doc)
+    outcomes = []
+    for read in (parse_json, reference_parse_json):
+        try:
+            outcomes.append(read(json.dumps(doc)))
+        except SchemaError as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]
 
 
 def test_parse_json_rejects_non_json():

@@ -74,6 +74,7 @@ from references import (
     reference_merge_log_stores,
     reference_parse_data_records,
     reference_parse_drawio,
+    reference_parse_json,
     reference_parse_flow_metas,
     reference_render_report,
     reference_report_json,
@@ -352,8 +353,21 @@ def test_parse_drawio_reads_like_the_tree_walk_reference(text):
     ours, reference = _outcome(parse_drawio, text), _outcome(reference_parse_drawio, text)
     if isinstance(reference, tuple):
         assert ours == reference
+        assert not ours[1].startswith(("cell None", "cell ''"))
     else:
         assert _in_order(ours) == _in_order(reference)
+
+
+@settings(PROPERTY_SETTINGS, max_examples=300)
+@given(canonical_documents())
+def test_parse_json_reads_like_its_reference(data):
+    """Equal diagrams, or the same error with the same message: reading
+    whole columns names the same first defect as reading entry by entry.
+    A refusal names an element by a usable id or by its place."""
+    ours = _outcome(parse_json, data)
+    assert ours == _outcome(reference_parse_json, data)
+    if isinstance(ours, tuple):
+        assert not ours[1].startswith(("node None", "flow None", "node ''", "flow ''"))
 
 
 @settings(PROPERTY_SETTINGS, max_examples=300)
