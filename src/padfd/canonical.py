@@ -18,11 +18,14 @@ a different convention:
 strings with the `json` module's C string encoder. Its reference, in the
 tests, builds the document as a dict and passes it through
 `json.dumps(..., indent=2, sort_keys=True, ensure_ascii=False)` plus a
-newline; the tests hold the two byte-identical. `parse_json` checks the
+newline; the tests hold the two byte-identical. `parse_json` reads the
 entries column by column and walks them one by one only to name a
-defect, by the rule `graph.build` states. Coordinates must be
-finite: NaN and the infinities are not JSON, so the writers refuse them
-and `parse_json` rejects the `NaN`/`Infinity`/`-Infinity` literals.
+defect, by the rule `graph.build` states. An explicit null reads as an
+absent key for type, label, partner and position; a null id, source or
+target is refused as missing, and a null extra is refused. Coordinates
+must be finite: NaN and the infinities are not JSON, so the writers
+refuse them and `parse_json` rejects the `NaN`/`Infinity`/`-Infinity`
+literals.
 """
 
 from __future__ import annotations
@@ -43,14 +46,12 @@ _DOC_KEYS = frozenset({"schema", "stage", "nodes", "flows"})
 # Each kind's keys in the order of its element's parameters.
 _NODE_FIELDS = ("id", "type", "label", "partner", "position", "extra")
 _FLOW_FIELDS = ("id", "source", "target", "type", "label", "partner", "extra")
-_NODE_KEYS = frozenset(_NODE_FIELDS)
-_FLOW_KEYS = frozenset(_FLOW_FIELDS)
 
 _STAGES = {stage.value: stage for stage in Stage}
 _NODE_TYPES = {node_type.value: node_type for node_type in NodeType}
 _FLOW_TYPES = {flow_type.value: flow_type for flow_type in FlowType}
-_OPTIONAL_STR = (str, type(None))
-_TEXT = frozenset(_OPTIONAL_STR)
+# The types a text field may hold: a null reads as an absent key.
+_TEXT = frozenset({str, type(None)})
 # The end of an entry of each kind, its "type" key included, as written:
 # reading `Enum.value` would cost a Python-level property call per entry.
 _TAILS = {kind: f',\n      "type": {_quote(kind.value)}\n    }}' for kind in (*NodeType, *FlowType)}
@@ -148,71 +149,69 @@ def _read_position(value, node_id, index: int) -> tuple[float, float]:
     return x, y
 
 
-def _shared_fields(entry: dict, types: dict, kind: str, element_id, index: int) -> tuple:
-    """Type, label, partner and extra of a node or flow entry, checked in
-    that order; error messages are formatted only on failure."""
-    value = entry.get("type")
-    element_type = None
-    if value is not None:
-        element_type = types.get(value) if isinstance(value, str) else None
-        if element_type is None:
-            if not isinstance(value, str):
-                raise _element_error(kind, element_id, index, "type must be a string")
-            raise _element_error(kind, element_id, index, f"unknown type {value!r}")
-    label = entry.get("label")
-    if not isinstance(label, _OPTIONAL_STR):
-        raise _element_error(kind, element_id, index, "label must be a string")
-    partner = entry.get("partner")
-    if not isinstance(partner, _OPTIONAL_STR):
-        raise _element_error(kind, element_id, index, "partner must be a string")
-    if "extra" not in entry:
-        return element_type, label, partner, {}
-    extra = entry["extra"]
-    if not isinstance(extra, dict):
-        raise _element_error(kind, element_id, index, "extra must be an object")
-    for key, value in extra.items():
-        if not (isinstance(key, str) and isinstance(value, str)):
+def _defect(entries: list, kind: str, fields: tuple, types: dict) -> None:
+    """Refuse the first defect of a list of entries with SchemaError, in
+    document order: an entry that is no object or holds unknown keys; then
+    a node's position, or a flow's source and then its target; then type,
+    label, partner and extra. Builds nothing; ids are left to `build`."""
+    for index, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise SchemaError(f"each {kind} must be an object")
+        unknown = entry.keys() - fields
+        if unknown:
+            raise SchemaError(f"{kind} has unknown keys {sorted(unknown)}")
+        element_id = entry.get("id")
+        if entry.get("position") is not None:
+            _read_position(entry["position"], element_id, index)
+        for key in ("source", "target", "type", "label", "partner"):
+            value = entry.get(key)
+            if type(value) not in _TEXT:
+                raise _element_error(kind, element_id, index, f"{key} must be a string")
+            if key == "type" and value is not None and value not in types:
+                raise _element_error(kind, element_id, index, f"unknown type {value!r}")
+        extra = entry.get("extra", {})
+        if not isinstance(extra, dict):
+            raise _element_error(kind, element_id, index, "extra must be an object")
+        if not {str}.issuperset(map(type, extra.values())):
             problem = "extra entries must map strings to strings"
             raise _element_error(kind, element_id, index, problem)
-    # json.loads built this dict for this entry alone, so it is kept as is.
-    return element_type, label, partner, extra
 
 
-def _by_column(entries: list, fields: tuple, types: dict, element) -> list | None:
-    """The elements of a list of entries, read column by column, or None
-    where an entry breaks a rule or holds a null, for `parse_json` to walk
-    the list and name the first defect. `fields` are the keys in the order
-    of `element`'s parameters."""
-    if not all(map(isinstance, entries, repeat(dict))):
-        return None
-    columns = {key: list(map(dict.get, entries, repeat(key))) for key in fields}
-    # Every key an entry holds is one of `fields`, and none is null, exactly
-    # when the columns hold as many values as the entries hold keys.
-    if sum(map(len, entries)) != sum(len(entries) - c.count(None) for c in columns.values()):
-        return None
-    named = columns["type"]
-    try:
-        columns["type"] = list(map(types.get, named))
-    except TypeError:  # an unhashable type
-        return None
-    if columns["type"].count(None) != named.count(None):  # a type of no kind
-        return None
-    texts = [columns[key] for key in ("source", "target", "label", "partner") if key in columns]
-    if not _TEXT.issuperset(map(type, chain(*texts))):
-        return None
-    positions = columns.get("position", ())
-    if positions.count(None) < len(positions):
+def _by_column(entries: list, kind: str, fields: tuple, types: dict, element) -> list:
+    """The elements of a list of entries, read column by column; `fields`
+    are the keys in the order of `element`'s parameters. A null reads as
+    an absent key, but a null extra is refused. A list that breaks a rule
+    is walked by `_defect`, which refuses its first defect."""
+    if all(map(isinstance, entries, repeat(dict))):
+        columns = {key: list(map(dict.get, entries, repeat(key))) for key in fields}
+        # Every key an entry holds is one of `fields`, and none is null, exactly
+        # when the columns hold as many values as the entries hold keys. Only
+        # where they do not are the keys and extras searched.
+        clean = sum(map(len, entries)) == sum(len(entries) - c.count(None) for c in columns.values())
+        named, positions = columns["type"], columns.get("position", ())
+        texts = [columns[key] for key in ("source", "target", "label", "partner") if key in columns]
+        extras = [extra for extra in columns["extra"] if extra is not None]
         try:
-            positions[:] = [None if p is None else _read_position(p, None, 0) for p in positions]
-        except SchemaError:
-            return None
-    extras = [extra for extra in columns["extra"] if extra is not None]
-    if not all(map(isinstance, extras, repeat(dict))):
-        return None
-    # JSON object keys are strings; extra values must be too.
-    if not {str}.issuperset(map(type, chain.from_iterable(map(dict.values, extras)))):
-        return None
-    return list(map(element, *columns.values()))
+            columns["type"] = list(map(types.get, named))
+            if positions.count(None) < len(positions):
+                positions[:] = [None if p is None else _read_position(p, None, 0) for p in positions]
+        except (TypeError, SchemaError):  # an unhashable type, a bad position
+            pass
+        else:
+            if (
+                (clean or (
+                    frozenset(fields).issuperset(chain.from_iterable(entries))
+                    and None not in map(dict.get, entries, repeat("extra"), repeat({}))
+                ))
+                and columns["type"].count(None) == named.count(None)  # no type of no kind
+                and _TEXT.issuperset(map(type, chain(*texts)))
+                and all(map(isinstance, extras, repeat(dict)))
+                # JSON object keys are strings; extra values must be too.
+                and {str}.issuperset(map(type, chain.from_iterable(map(dict.values, extras))))
+            ):
+                # json.loads built each extra for its entry alone, so it is kept as is.
+                return list(map(element, *columns.values()))
+    _defect(entries, kind, fields, types)
 
 
 def parse_json(data: bytes | str) -> Diagram:
@@ -245,40 +244,8 @@ def parse_json(data: bytes | str) -> Diagram:
         raise SchemaError("flows must be a list")
 
     # `build` refuses a missing id (None) and any other that is no string.
-    nodes = _by_column(raw_nodes, _NODE_FIELDS, _NODE_TYPES, Node)
-    if nodes is None:
-        nodes = []
-        for index, entry in enumerate(raw_nodes):
-            if not isinstance(entry, dict):
-                raise SchemaError("each node must be an object")
-            if not entry.keys() <= _NODE_KEYS:
-                raise SchemaError(f"node has unknown keys {sorted(entry.keys() - _NODE_KEYS)}")
-            node_id = entry.get("id")
-            position = entry.get("position")
-            if position is not None:
-                position = _read_position(position, node_id, index)
-            shared = _shared_fields(entry, _NODE_TYPES, "node", node_id, index)
-            node_type, label, partner, extra = shared
-            nodes.append(Node(node_id, node_type, label, partner, position, extra))
-
-    flows = _by_column(raw_flows, _FLOW_FIELDS, _FLOW_TYPES, Flow)
-    if flows is None:
-        flows = []
-        for index, entry in enumerate(raw_flows):
-            if not isinstance(entry, dict):
-                raise SchemaError("each flow must be an object")
-            if not entry.keys() <= _FLOW_KEYS:
-                raise SchemaError(f"flow has unknown keys {sorted(entry.keys() - _FLOW_KEYS)}")
-            flow_id = entry.get("id")
-            source = entry.get("source")
-            if not isinstance(source, _OPTIONAL_STR):
-                raise _element_error("flow", flow_id, index, "source must be a string")
-            target = entry.get("target")
-            if not isinstance(target, _OPTIONAL_STR):
-                raise _element_error("flow", flow_id, index, "target must be a string")
-            shared = _shared_fields(entry, _FLOW_TYPES, "flow", flow_id, index)
-            flows.append(Flow(flow_id, source, target, *shared))
-
+    nodes = _by_column(raw_nodes, "node", _NODE_FIELDS, _NODE_TYPES, Node)
+    flows = _by_column(raw_flows, "flow", _FLOW_FIELDS, _FLOW_TYPES, Flow)
     diagram = build(stage, nodes, flows)
     # JSON text carries a lone surrogate only as a \udXXX escape (or verbatim
     # in a str argument), so only documents that could hold one are searched,

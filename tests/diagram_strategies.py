@@ -527,7 +527,8 @@ _NODE_IDS, _FLOW_IDS = ("n0", "n1", "n2"), ("f0", "f1", "f2")
 _LONE = ("a\ud800", "\udfff")
 # Each key's right values, then wrong values beside those of the wrong
 # type: unknown keys, empty, repeated, clashing or dangling ids, unknown
-# types, bad positions and an explicit null extra.
+# types, bad positions and an explicit null extra. An explicit null type,
+# label, partner or position reads as an absent key, so it is a right value.
 _DOCUMENT_FIELDS = {
     "schema": ((SCHEMA_ID,), (_ABSENT, "other/1")),
     "stage": (tuple(stage.value for stage in Stage), (_ABSENT, "nope", ["raw-bdfd"])),
@@ -535,8 +536,8 @@ _DOCUMENT_FIELDS = {
 }
 _ID_FAULTS = (_ABSENT, "", "n0", "f0", *_LONE)
 _SHARED_FIELDS = {
-    "label": ((_ABSENT, "x", "two\nlines", "\xe9", "\U0001f512"), _LONE),
-    "partner": ((_ABSENT, "n0", "f1", "gen-9"), _LONE),
+    "label": ((_ABSENT, None, "x", "two\nlines", "\xe9", "\U0001f512"), _LONE),
+    "partner": ((_ABSENT, None, "n0", "f1", "gen-9"), _LONE),
     "extra": (
         (_ABSENT, {}, {"owner": "x"}, {"{urn:x}k": "\U0001f512"}),
         (None, {"k": 5}, {"k": None}, {"\ud800": "v"}, {"k": "\udc00"}),
@@ -544,15 +545,15 @@ _SHARED_FIELDS = {
     "colour": ((_ABSENT,), ("red",)),
 }
 _NODE_FIELDS = {
-    "type": ((_ABSENT, *(kind.value for kind in NodeType)), ("nope", "limpro")),
+    "type": ((_ABSENT, None, *(kind.value for kind in NodeType)), ("nope", "limpro")),
     "position": (
-        (_ABSENT, [0, 0], [-12.5, 1e6], [3, 4.0]),
+        (_ABSENT, None, [0, 0], [-12.5, 1e6], [3, 4.0]),
         ([1, 2, 3], [1], [True, False], ["1", 2], [float("nan"), 0], [0, float("-inf")], [10**400, 0]),
     ),
     **_SHARED_FIELDS,
 }
 _FLOW_FIELDS = {
-    "type": ((_ABSENT, *(kind.value for kind in FlowType)), ("nope", "ext")),
+    "type": ((_ABSENT, None, *(kind.value for kind in FlowType)), ("nope", "ext")),
     **_SHARED_FIELDS,
 }
 _END_FAULTS = (_ABSENT, "ghost", "f0", *_LONE)

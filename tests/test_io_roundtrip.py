@@ -752,6 +752,13 @@ _MALFORMED = [
         r"^nodes\[0\]: position must be a pair of numbers$",
     ),
     (lambda doc: doc["flows"][0].update(id="", source=1), r"^flows\[0\]: source must be a string$"),
+    # A null id is a missing one, which `build` refuses.
+    (lambda doc: doc["nodes"][0].update(id=None), "^node id must be a non-empty string$"),
+    # A null elsewhere in the list does not hide an unknown key.
+    (
+        lambda doc: (doc["nodes"][0].update(label=None), doc["nodes"][1].update(colour="red")),
+        r"^node has unknown keys \['colour'\]$",
+    ),
 ]
 
 
@@ -770,11 +777,19 @@ def test_parse_json_rejects_malformed(mutate, match):
         parse_json(json.dumps(doc))
 
 
+def _null_every_optional_key(doc: dict) -> None:
+    for entry in doc["nodes"]:
+        entry.update(dict.fromkeys(("type", "label", "partner", "position"), None))
+    for entry in doc["flows"]:
+        entry.update(dict.fromkeys(("type", "label", "partner"), None))
+
+
 # Documents beyond `_MALFORMED` that `parse_json` must read as its
-# entry-by-entry reference does: explicit nulls, which its column check
-# leaves to the walk, and values the columns check apart.
+# entry-by-entry reference does: explicit nulls, which its column reader
+# reads as absent keys, and values the columns check apart.
 _EDGE_ENTRIES = [
     lambda doc: doc["nodes"][0].update(label=None, position=None),
+    _null_every_optional_key,
     lambda doc: doc["nodes"][0].update(extra={}, position=[1, 2.5]),
     lambda doc: doc["nodes"][1].update(extra={"k": None}),
     lambda doc: doc["flows"][0].update(type=None, partner=None),
@@ -797,6 +812,18 @@ def test_parse_json_reads_each_document_as_its_reference_does(mutate):
         except SchemaError as exc:
             outcomes.append(str(exc))
     assert outcomes[0] == outcomes[1]
+
+
+def test_parse_json_reads_explicit_nulls_as_absent_keys():
+    d = build_diagram(
+        Stage.RAW,
+        [Node("a", NodeType.EXT, "A", "b", (1, 2)), Node("b", NodeType.PROC, partner="a")],
+        [Flow("f", "a", "b", FlowType.PF, "x", "f")],
+    )
+    doc = json.loads(emit_json(d))
+    _null_every_optional_key(doc)
+    bare = build_diagram(Stage.RAW, [Node("a"), Node("b")], [Flow("f", "a", "b")])
+    assert parse_json(json.dumps(doc)) == bare
 
 
 def test_parse_json_rejects_non_json():
