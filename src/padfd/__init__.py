@@ -63,7 +63,6 @@ _HOME = {
     "parse_drawio": "drawio",
     "parse_json": "canonical",
     "render_report": "simulate",
-    "replace": "graph",
     "report_json": "simulate",
     "report_to_dict": "simulate",
     "run_clean": "simulate",

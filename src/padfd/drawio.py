@@ -362,7 +362,7 @@ def emit_drawio(diagram: Diagram, styles: StyleMap | None = None) -> bytes:
         style = node_styles.get(node_type)
         if style is None:
             style = node_styles[node_type] = (
-                ' style="' + _escape(styles.style_for_node(node_type))
+                ' style="' + _escape(styles.node_styles[node_type])
                 + '" vertex="1" parent="' + layer_id + '"'
             )
         ids[node_id] = escaped_id = ids.get(node_id) or _escape(node_id)
@@ -389,7 +389,7 @@ def emit_drawio(diagram: Diagram, styles: StyleMap | None = None) -> bytes:
         style = flow_styles.get(flow_type)
         if style is None:
             style = flow_styles[flow_type] = (
-                ' style="' + _escape(styles.style_for_flow(flow_type))
+                ' style="' + _escape(styles.edge_styles[flow_type])
                 + '" edge="1" parent="' + layer_id + '"'
             )
         source = ids.get(flow.source) or _escape(flow.source)

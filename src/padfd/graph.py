@@ -8,10 +8,9 @@ nodes. Attributes are optional, so an absent one stays distinguishable
 from any value. Mutation helpers are pure: they return a new Diagram.
 
 `Record`, the base of nodes, flows and diagrams, is the base of every
-other padfd value type as well; `replace` copies any record with some of
-its fields changed. The text helpers at the end are shared by the JSON,
-draw.io and DOT writers, so that the draw.io and DOT paths need not load
-the JSON codec.
+other padfd value type as well. The text helpers at the end are shared by
+the JSON, draw.io and DOT writers, so that the draw.io and DOT paths need
+not load the JSON codec.
 """
 
 from __future__ import annotations
@@ -34,21 +33,16 @@ class Record:
     A subclass's fields are its ``__init__`` parameters, in order; its
     ``__init__`` stores them straight into the instance dict. A record
     equals a record of exactly its type with equal fields, hashes by its
-    fields, prints as ``Type(field=value, ...)``, and refuses assignment
-    and deletion. A class declared with ``frozen=False`` takes assignment
-    instead and has no hash.
+    fields (so one holding a dict or a list has no hash), prints as
+    ``Type(field=value, ...)``, and refuses assignment and deletion.
     """
 
     __match_args__: tuple[str, ...] = ()  # the field names
 
-    def __init_subclass__(cls, frozen: bool = True, **kwargs) -> None:
+    def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
         code = cls.__init__.__code__
         cls.__match_args__ = code.co_varnames[1 : code.co_argcount + code.co_kwonlyargcount]
-        if not frozen:
-            cls.__setattr__ = object.__setattr__
-            cls.__delattr__ = object.__delattr__
-            cls.__hash__ = None
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -70,22 +64,6 @@ class Record:
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
         return f"{type(self).__qualname__}({fields})"
-
-
-# Type checkers read any `TYPE_CHECKING` as true; at run time `typing` is
-# not imported for `R`, which only annotations name.
-TYPE_CHECKING = False
-if TYPE_CHECKING:
-    from typing import TypeVar
-
-    R = TypeVar("R", bound=Record)
-
-
-def replace(record: R, /, **changes) -> R:
-    """A copy of the record with the named fields changed."""
-    values = {name: getattr(record, name) for name in record.__match_args__}
-    values.update(changes)
-    return type(record)(**values)
 
 
 class Node(Record):

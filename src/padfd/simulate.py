@@ -105,7 +105,7 @@ class CleanEvent(Record):
         d["clock"] = clock
 
 
-class StoreState(Record, frozen=False):
+class StoreState(Record):
     """Data stores, their policy stores, and the pairing between them.
     Each omitted map is a new empty dict."""
 
@@ -137,7 +137,7 @@ class Decision(Record):
         d["propagated"] = propagated
 
 
-class SimulationReport(Record, frozen=False):
+class SimulationReport(Record):
     def __init__(
         self, clock: date, decisions: list[Decision], logs: dict[NodeId, list[LogEntry]],
         state: StoreState,
@@ -149,12 +149,8 @@ class SimulationReport(Record, frozen=False):
         d["state"] = state
 
     @property
-    def entries(self) -> list[LogEntry]:
-        return [decision.entry for decision in self.decisions]
-
-    @property
     def violations(self) -> list[LogEntry]:
-        return [entry for entry in self.entries if entry.v]
+        return [decision.entry for decision in self.decisions if decision.entry.v]
 
 
 def _norm(text: str) -> str:
@@ -436,27 +432,37 @@ class _RecordMaker:
         return DataRecord(d_id, flow_id, dsub, parsed, expires, content)
 
 
-def _rows_from_csv(text: str, columns: tuple[str, ...], what: str):
+def _rows_from_csv(text: str, columns: tuple[str, ...], what: str, path: str | os.PathLike):
     """(number, the row's `columns`) for every row after the header, read
     as csv.DictReader reads them: blank lines are skipped and not
     numbered, a short row reads "" for its missing fields, extra fields
-    are ignored, and a repeated header name takes its last column."""
+    are ignored, and a repeated header name takes its last column. Text
+    the csv module cannot read, such as a field over its size limit, and a
+    NUL byte, which only Python 3.10's reader refuses itself, raise
+    SchemaError naming the file and the line."""
+    source = f"{what} table {path}"
+    if "\0" in text:
+        line = text.count("\n", 0, text.index("\0")) + 1
+        raise SchemaError(f"{source} line {line}: holds a NUL byte")
     reader = csv.reader(io.StringIO(text))
-    header = next(reader, None) or []
-    missing = [c for c in columns if c not in header]
-    if missing:
-        raise SchemaError(
-            f"{what} table is missing columns {missing}; expected header "
-            f"{','.join(columns)}"
-        )
-    last = {name: index for index, name in enumerate(header)}
-    picks = [last[c] for c in columns]
-    pick = itemgetter(*picks)
-    width = max(picks) + 1
-    for number, row in enumerate(filter(None, reader), start=2):
-        if len(row) < width:
-            row += [""] * (width - len(row))
-        yield number, pick(row)
+    try:
+        header = next(reader, None) or []
+        missing = [c for c in columns if c not in header]
+        if missing:
+            raise SchemaError(
+                f"{what} table is missing columns {missing}; expected header "
+                f"{','.join(columns)}"
+            )
+        last = {name: index for index, name in enumerate(header)}
+        picks = [last[c] for c in columns]
+        pick = itemgetter(*picks)
+        width = max(picks) + 1
+        for number, row in enumerate(filter(None, reader), start=2):
+            if len(row) < width:
+                row += [""] * (width - len(row))
+            yield number, pick(row)
+    except csv.Error as exc:
+        raise SchemaError(f"{source} line {reader.line_num}: {exc}") from None
 
 
 def _rows_from_json(text: str, columns: tuple[str, ...], what: str, path: str | os.PathLike):
@@ -490,7 +496,7 @@ def _read_table(path: str | os.PathLike, columns: tuple[str, ...], what: str):
     text = read_utf8(path, f"{what} table")
     if os.path.splitext(path)[1].lower() == ".json":
         return _rows_from_json(text, columns, what, path)
-    return _rows_from_csv(text, columns, what)
+    return _rows_from_csv(text, columns, what, path)
 
 
 def load_flow_metas(path: str | os.PathLike) -> list[FlowMeta]:

@@ -53,12 +53,6 @@ class StyleMap(Record):
                     return flow_type
         return FlowType.PF
 
-    def style_for_node(self, node_type: NodeType) -> str:
-        return self.node_styles[node_type]
-
-    def style_for_flow(self, flow_type: FlowType) -> str:
-        return self.edge_styles[flow_type]
-
 
 def _marker(type_value: str) -> str:
     return f"dfd={type_value};"

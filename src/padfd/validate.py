@@ -28,8 +28,7 @@ stable clause id so tests and tooling can match on them:
 The gadget clauses come from `read_parts`, the one reader of the
 rewrite's role tables (`model.GADGET_PARTS` and `model.HOLDER_PARTS`) in
 a privacy-aware diagram. The simulator and the layout read the diagram
-through it as well, and `gadget_index` is its view as one role map per
-guarded flow.
+through it as well.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ from itertools import repeat
 from operator import attrgetter
 
 from . import model
-from .graph import Diagram, Flow, FlowId, Record
+from .graph import Diagram, Flow, Record
 from .model import FlowType, NodeType, Stage
 
 
@@ -362,13 +361,6 @@ def read_parts(diagram: Diagram) -> tuple[dict[str, list], dict[NodeType, dict[s
         for name in (role, policy):
             parts[name] = [None if bad else part for bad, part in zip(wrong, parts[name])]
     return parts, holders
-
-
-def gadget_index(diagram: Diagram) -> dict[FlowId, dict[str, str | None]]:
-    """The role map of every guarded flow's gadget, keyed by flow id, in
-    diagram order: each gadget role `read_parts` reads to its id, or None."""
-    parts, _ = read_parts(diagram)
-    return dict(zip(parts["flow"], (dict(zip(parts, ids)) for ids in zip(*parts.values()))))
 
 
 def _gadget_findings(diagram: Diagram) -> list[Violation]:

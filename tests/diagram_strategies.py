@@ -30,11 +30,10 @@ from padfd import (
     StoreState,
     add_flow,
     add_node,
-    replace,
     transform,
 )
 
-from helpers import LABELS, PURPOSES
+from helpers import LABELS, PURPOSES, replace
 
 
 def _choose(draw, *values):

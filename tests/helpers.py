@@ -17,11 +17,12 @@ from padfd import (
     Stage,
     add_flow,
     add_node,
-    replace,
     run_simulation,
     transform,
     typecheck,
 )
+from padfd.model import GADGET_PARTS, HOLDER_PARTS
+from padfd.validate import read_parts
 
 PURPOSES = ("billing", "marketing", "analytics", "support", "research")
 
@@ -34,6 +35,36 @@ LABELS = (
     "line one\nline two",
     "  padded  ",
 )
+
+
+def replace(record, /, **changes):
+    """A copy of the record with the named fields changed."""
+    values = {name: getattr(record, name) for name in record.__match_args__}
+    values.update(changes)
+    return type(record)(**values)
+
+
+def gadget_roles(diagram: Diagram) -> dict[str, dict[str, str | None]]:
+    """The role map of every guarded flow's gadget, keyed by flow id, in
+    diagram order: each role `read_parts` reads to its id, or None."""
+    parts, _ = read_parts(diagram)
+    return dict(zip(parts["flow"], (dict(zip(parts, ids)) for ids in zip(*parts.values()))))
+
+
+def provenance(diagram: Diagram) -> dict[str, list[tuple[str, str]]]:
+    """Each id that a part of the rewrite's role tables holds, as
+    `read_parts` reads them back, to every (owner, role) holding it: the
+    owner is the guarded flow or the business node the part belongs to."""
+    gadgets, holders = read_parts(diagram)
+    tables = [(GADGET_PARTS, gadgets["flow"], gadgets)]
+    tables += [(HOLDER_PARTS[kind], parts["owner"], parts) for kind, parts in holders.items()]
+    held: dict[str, list[tuple[str, str]]] = {}
+    for rows, owners, parts in tables:
+        for part in rows:
+            for owner, part_id in zip(owners, parts[part.role]):
+                if part_id is not None:
+                    held.setdefault(part_id, []).append((owner, part.role))
+    return held
 
 
 def build_diagram(stage, nodes, flows) -> Diagram:

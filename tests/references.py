@@ -61,7 +61,6 @@ from padfd import (
     StoreState,
     StoredRecord,
     compatibility_with_equivalences,
-    replace,
 )
 from padfd import cli, model
 from padfd.drawio import (
@@ -81,6 +80,8 @@ from padfd.simulate import (
     _parse_date,
 )
 from padfd.validate import StageValidity, Violation, connectivity, read_parts
+
+from helpers import replace
 
 
 def _node_entry(node) -> dict:
@@ -150,7 +151,7 @@ def reference_emit_drawio(diagram: Diagram, styles=None) -> bytes:
         attrs = {"id": node_id}
         if node.label is not None:
             attrs["value"] = node.label
-        attrs["style"] = styles.style_for_node(node.node_type)
+        attrs["style"] = styles.node_styles[node.node_type]
         attrs["vertex"] = "1"
         attrs["parent"] = layer_id
         if node.partner is not None:
@@ -174,7 +175,7 @@ def reference_emit_drawio(diagram: Diagram, styles=None) -> bytes:
         attrs = {"id": flow_id}
         if flow.label is not None:
             attrs["value"] = flow.label
-        attrs["style"] = styles.style_for_flow(flow.flow_type)
+        attrs["style"] = styles.edge_styles[flow.flow_type]
         attrs["edge"] = "1"
         attrs["parent"] = layer_id
         attrs["source"] = flow.source

@@ -35,9 +35,8 @@ from padfd import (
     typecheck,
 )
 from padfd.cli import main
-from padfd.validate import gadget_index
 
-from helpers import build_diagram, build_excerpt, build_excerpt_raw, build_payment_raw
+from helpers import build_diagram, build_excerpt, build_excerpt_raw, build_payment_raw, gadget_roles
 from references import reference_report_json, to_canonical_dict
 
 DEMO_DATA = Path(__file__).resolve().parents[1] / "demos" / "data"
@@ -586,7 +585,7 @@ def test_simulate_refuses_a_model_with_a_broken_gadget(fixtures_dir, tmp_path, c
     guarded flow whose gadget lacks its log chain, and `simulate` refuses
     the model with the same findings instead of running it."""
     pa = transform(typecheck(build_payment_raw())[0])
-    gadget = next(iter(gadget_index(pa).values()))
+    gadget = next(iter(gadget_roles(pa).values()))
     flows = {k: f for k, f in pa.flows.items() if k != gadget["limlog"]}
     model = write_json(tmp_path, "edited-pa.json", Diagram(pa.stage, pa.nodes, flows))
     assert main(["check", str(model)]) == 1

@@ -31,7 +31,6 @@ from padfd import (
     load_style_map,
     parse_drawio,
     parse_json,
-    replace,
     transform,
     typecheck,
 )
@@ -46,6 +45,7 @@ from helpers import (
     build_diagram,
     build_estore_raw,
     random_any_stage,
+    replace,
     scatter_positions,
 )
 
@@ -454,7 +454,7 @@ def test_emit_structural_ids_step_past_taken_fallbacks():
 
 def test_emit_generated_node_styles_distinct():
     styles = DEFAULT_STYLE_MAP
-    emitted = [styles.style_for_node(t) for t in NodeType]
+    emitted = [styles.node_styles[t] for t in NodeType]
     assert len(set(emitted)) == len(emitted)
     # Privacy node styles carry their marker so round trips never guess.
     for node_type in (
@@ -466,7 +466,7 @@ def test_emit_generated_node_styles_distinct():
         NodeType.LOG_DB,
         NodeType.CLEAN,
     ):
-        assert f"dfd={node_type.value};" in styles.style_for_node(node_type)
+        assert f"dfd={node_type.value};" in styles.node_styles[node_type]
 
 
 def test_each_node_kind_has_one_look():
@@ -575,10 +575,8 @@ def test_load_style_map_merges_emit_styles(tmp_path):
     path = tmp_path / "partial.json"
     path.write_text(json.dumps({"node_styles": {"limit": "myLimit;"}}), encoding="utf-8")
     styles = load_style_map(path)
-    assert styles.style_for_node(NodeType.LIMIT) == "myLimit;"
-    assert styles.style_for_node(NodeType.PROC) == DEFAULT_STYLE_MAP.style_for_node(
-        NodeType.PROC
-    )
+    assert styles.node_styles[NodeType.LIMIT] == "myLimit;"
+    assert styles.node_styles[NodeType.PROC] == DEFAULT_STYLE_MAP.node_styles[NodeType.PROC]
     assert styles.node_rules == DEFAULT_STYLE_MAP.node_rules
 
 

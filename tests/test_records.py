@@ -2,11 +2,12 @@
 validation findings, the simulation's records and reports, and the style
 map.
 
-Frozen records refuse assignment and deletion, compare equal only to a
-record of the same type with equal fields, hash by their fields, and
-print as `Type(field=value, ...)`. `StoreState` and `SimulationReport`
-are mutable and so unhashable. Every record survives `replace`,
-`copy.deepcopy` and `pickle`.
+Records refuse assignment and deletion, compare equal only to a record
+of the same type with equal fields, hash by their fields, and print as
+`Type(field=value, ...)`; a record holding a dict or a list is
+unhashable. Every record survives the tests' `replace`, whose copy
+passes every field to the constructor by keyword, `copy.deepcopy` and
+`pickle`.
 """
 
 from __future__ import annotations
@@ -36,8 +37,9 @@ from padfd import (
     StoreState,
     StyleMap,
     Violation,
-    replace,
 )
+
+from helpers import replace
 
 DAY = date(2020, 6, 1)
 
@@ -147,10 +149,8 @@ SAMPLES = {
     ),
 }
 
-MUTABLE = ["StoreState", "SimulationReport"]
-FROZEN = [name for name in SAMPLES if name not in MUTABLE]
-# Records holding a dict, directly or in a field, and the mutable ones.
-UNHASHABLE = ["Node", "Flow", "Diagram", "StyleMap", *MUTABLE]
+# Records holding a dict or a list, directly or in a field.
+UNHASHABLE = ["Node", "Flow", "Diagram", "StyleMap", "StoreState", "SimulationReport"]
 HASHABLE = [name for name in SAMPLES if name not in UNHASHABLE]
 
 
@@ -177,7 +177,7 @@ def test_equal_fields_make_equal_records(name):
     assert not a != b
 
 
-@pytest.mark.parametrize("name", FROZEN)
+@pytest.mark.parametrize("name", SAMPLES)
 def test_frozen_records_refuse_assignment_and_deletion(name):
     value = sample(name)
     field = first_field(value)
@@ -189,15 +189,6 @@ def test_frozen_records_refuse_assignment_and_deletion(name):
     with pytest.raises(AttributeError):
         value.unknown = 1
     assert repr(value) == before
-
-
-@pytest.mark.parametrize("name", MUTABLE)
-def test_mutable_records_take_assignment(name):
-    value = sample(name)
-    field = first_field(value)
-    setattr(value, field, None)
-    assert getattr(value, field) is None
-    assert value != sample(name)
 
 
 def test_equality_needs_the_same_type():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import json
 from datetime import date
 
@@ -27,7 +28,6 @@ from padfd import (
     load_equivalences,
     load_flow_metas,
     render_report,
-    replace,
     report_to_dict,
     run_clean,
     run_simulation,
@@ -47,6 +47,7 @@ from helpers import (
     payment_metas,
     payment_pa,
     payment_records,
+    replace,
 )
 from references import reference_render_report, reference_run_simulation
 
@@ -824,6 +825,31 @@ def test_dynamic_table_reads_rows_as_dict_reader_does(tmp_path):
         DataRecord("d2", "f2", "", frozenset({"billing"}), date(2020, 1, 2), ""),
         DataRecord("d3", "f3", "SubC", frozenset({"billing"}), date(2020, 1, 3), "x"),
     ]
+
+
+def test_csv_field_over_the_size_limit_is_a_schema_error(tmp_path):
+    """The csv module refuses a field longer than its limit; the table is
+    refused naming the file and the line, and the module-wide limit is left
+    as it was."""
+    limit = csv.field_size_limit()
+    text = "D_id,F_id,Dsub,Consent,Expiry,Content\n" + f"d1,f1,S,billing,2020-01-01,{'x' * (limit + 1)}\n"
+    with pytest.raises(SchemaError) as exc:
+        load_text(load_data_records, tmp_path, text)
+    assert type(exc.value) is SchemaError
+    assert str(exc.value) == (
+        f"dynamic table {tmp_path / 'table.csv'} line 2: field larger than field limit ({limit})"
+    )
+    assert csv.field_size_limit() == limit
+
+
+def test_csv_nul_byte_is_a_schema_error(tmp_path):
+    """Only Python 3.10's csv reader refuses a NUL byte; the loader refuses
+    it on every interpreter, naming the file and the line."""
+    text = "F_id,Label,Purpose,PD,Data_type\nf1,L,p,True,s\nf2,L\0,p,True,s\n"
+    with pytest.raises(SchemaError) as exc:
+        load_text(load_flow_metas, tmp_path, text)
+    assert type(exc.value) is SchemaError
+    assert str(exc.value) == f"static table {tmp_path / 'table.csv'} line 3: holds a NUL byte"
 
 
 @pytest.mark.parametrize(

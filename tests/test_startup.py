@@ -116,6 +116,7 @@ SIMULATE_JSON_SKIPS = [
     "padfd.layout",
     "padfd.dot",
     "padfd.typecheck",
+    "padfd.transform",
 ]
 
 

@@ -14,19 +14,19 @@ from padfd import (
     StageError,
     TransformError,
     WellFormednessError,
-    replace,
     transform,
     typecheck,
     validate_pa,
 )
 from padfd.model import GADGET_PARTS, PA_FLOW_TYPES
-from padfd.validate import gadget_index
 
 from helpers import (
     build_all_kinds,
     build_diagram,
     build_estore_raw,
     build_excerpt,
+    gadget_roles,
+    replace,
 )
 
 
@@ -116,7 +116,7 @@ def test_add_partners_deterministic_ids():
 
 def test_add_common_elems_allocation():
     pa = transform(estore_wellformed())
-    gadget = gadget_index(pa)["f1"]
+    gadget = gadget_roles(pa)["f1"]
     limit = pa.nodes[gadget["limit"]]
     request = pa.nodes[limit.partner]
     assert limit.node_type is NodeType.LIMIT
@@ -133,18 +133,20 @@ def test_add_common_elems_allocation():
     assert (gadget["log"], gadget["log_db"]) in wiring(FlowType.LOGGING)
 
 
-def test_gadget_index_maps_each_role_to_its_id():
+def test_gadget_roles_map_each_role_to_its_id():
+    """`read_parts` reads every guarded flow's gadget back whole: one id
+    per role, and the flows in diagram order."""
     pa = transform(estore_wellformed())
-    index = gadget_index(pa)
-    assert list(index) == [flow_id for flow_id in pa.flows if not flow_id.startswith("gen-")]
+    gadgets = gadget_roles(pa)
+    assert list(gadgets) == [flow_id for flow_id in pa.flows if not flow_id.startswith("gen-")]
     roles = {"flow", "source", "target", *(part.role for part in GADGET_PARTS)}
-    for flow_id, gadget in index.items():
+    for flow_id, gadget in gadgets.items():
         assert gadget.keys() == roles | {"source_evidence", "target_evidence"}
         assert gadget["flow"] == flow_id and None not in gadget.values()
         assert pa.flows[gadget["reqlim"]].target == pa.flows[flow_id].source == gadget["limit"]
 
 
-def test_gadget_index_reports_missing_parts():
+def test_gadget_roles_report_missing_parts():
     pa = transform(build_all_kinds())
     limlog = next(
         f.id
@@ -152,7 +154,7 @@ def test_gadget_index_reports_missing_parts():
         if f.flow_type is FlowType.LIMLOG and f.source == pa.flows["f_in"].source
     )
     flows = {k: f for k, f in pa.flows.items() if k != limlog}
-    gadget = gadget_index(replace(pa, flows=flows))["f_in"]
+    gadget = gadget_roles(replace(pa, flows=flows))["f_in"]
     assert gadget["limit"] == pa.flows["f_in"].source
     assert gadget["source"] == "vendor"
     assert (gadget["log"], gadget["log_db"]) == (None, None)
@@ -181,7 +183,7 @@ def test_per_kind_rewrite(flow_id, retyped, data_in, source_policy, target_polic
     base = build_all_kinds()
     before = base.flows[flow_id]
     out = transform(base)
-    gadget = gadget_index(out)[flow_id]
+    gadget = gadget_roles(out)[flow_id]
 
     rewritten = out.flows[flow_id]
     assert rewritten.flow_type is retyped

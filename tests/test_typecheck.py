@@ -11,13 +11,12 @@ from padfd import (
     Stage,
     StageError,
     WellFormednessError,
-    replace,
     typecheck,
     validate_wellformed,
 )
 from padfd.validate import CONNECTIVITY_CLAUSES
 
-from helpers import ESTORE_EXPECTED_TYPES, build_diagram, build_estore_raw
+from helpers import ESTORE_EXPECTED_TYPES, build_diagram, build_estore_raw, replace
 
 E, P, D = NodeType.EXT, NodeType.PROC, NodeType.DB
 

@@ -11,7 +11,6 @@ from padfd import (
     Node,
     NodeType,
     Stage,
-    replace,
     transform,
     typecheck,
     validate_pa,
@@ -26,7 +25,6 @@ from padfd.model import (
     RAW_FLOW_TYPES,
     WELLFORMED_FLOW_TYPES,
 )
-from padfd.validate import gadget_index
 
 from diagram_strategies import (
     any_stage_diagrams,
@@ -34,7 +32,15 @@ from diagram_strategies import (
     raw_diagrams,
     wellformed_diagrams,
 )
-from helpers import build_all_kinds, build_diagram, build_estore_raw, build_payment_raw, payment_pa
+from helpers import (
+    build_all_kinds,
+    build_diagram,
+    build_estore_raw,
+    build_payment_raw,
+    gadget_roles,
+    payment_pa,
+    replace,
+)
 from references import (
     reference_validate_pa,
     reference_validate_raw,
@@ -278,7 +284,7 @@ def test_two_gadgets_sharing_one_log_chain_are_refused():
     writes. Their log store, which `--shared-log-store` shares, is no
     finding."""
     pa = payment_pa()
-    index = gadget_index(pa)
+    index = gadget_roles(pa)
     first, second = index["f1"], index["f2"]
     gone = {second["log"], second["log_db"], second["logging"]}
     limlog = replace(pa.flows[second["limlog"]], target=first["log"])
@@ -288,7 +294,7 @@ def test_two_gadgets_sharing_one_log_chain_are_refused():
         flows={**{k: f for k, f in pa.flows.items() if k not in gone}, limlog.id: limlog},
     )
     shared = {role: first[role] for role in ("log", "log_db", "logging")}
-    assert gadget_index(edited)["f2"] == {**second, **shared}
+    assert gadget_roles(edited)["f2"] == {**second, **shared}
     assert [(v.element, v.clause, v.message) for v in validate_pa(edited).violations] == [
         (first["log"], "gadget-shared",
          f"log node {first['log']!r} is a part of more than one gadget: log of 'f1', log of 'f2'"),
