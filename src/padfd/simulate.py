@@ -450,8 +450,7 @@ def _rows_from_csv(text: str, columns: tuple[str, ...], what: str, path: str | o
         missing = [c for c in columns if c not in header]
         if missing:
             raise SchemaError(
-                f"{what} table is missing columns {missing}; expected header "
-                f"{','.join(columns)}"
+                f"{source}: missing columns {missing}; expected header {','.join(columns)}"
             )
         last = {name: index for index, name in enumerate(header)}
         picks = [last[c] for c in columns]

@@ -120,40 +120,36 @@ DEFAULT_STYLE_MAP = StyleMap(
 )
 
 
-def _parse_rules(raw, enum_type, section: str):
+def _parse_rules(raw, enum_type, section: str, source: str):
     rules = []
     if not isinstance(raw, list):
-        raise SchemaError(f"style config: {section} must be a list of [pattern, type] pairs")
+        raise SchemaError(f"{source}: {section} must be a list of [pattern, type] pairs")
     for entry in raw:
         if (
             not isinstance(entry, list)
             or len(entry) != 2
             or not all(isinstance(part, str) for part in entry)
         ):
-            raise SchemaError(f"style config: bad rule {entry!r} in {section}")
+            raise SchemaError(f"{source}: bad rule {entry!r} in {section}")
         pattern, type_name = entry
         try:
             rules.append((pattern, enum_type(type_name)))
         except ValueError:
-            raise SchemaError(
-                f"style config: unknown type {type_name!r} in {section}"
-            ) from None
+            raise SchemaError(f"{source}: unknown type {type_name!r} in {section}") from None
     return tuple(rules)
 
 
-def _parse_styles(raw, enum_type, defaults: dict, section: str) -> dict:
+def _parse_styles(raw, enum_type, defaults: dict, section: str, source: str) -> dict:
     if not isinstance(raw, dict):
-        raise SchemaError(f"style config: {section} must map type names to styles")
+        raise SchemaError(f"{source}: {section} must map type names to styles")
     styles = dict(defaults)
     for type_name, style in raw.items():
         if not isinstance(style, str):
-            raise SchemaError(f"style config: style for {type_name!r} must be a string")
+            raise SchemaError(f"{source}: style for {type_name!r} must be a string")
         try:
             styles[enum_type(type_name)] = style
         except ValueError:
-            raise SchemaError(
-                f"style config: unknown type {type_name!r} in {section}"
-            ) from None
+            raise SchemaError(f"{source}: unknown type {type_name!r} in {section}") from None
     return styles
 
 
@@ -163,26 +159,28 @@ def load_style_map(path: str | os.PathLike) -> StyleMap:
     Recognised keys: ``node_rules`` and ``edge_rules`` (ordered lists of
     ``[substring, type]`` pairs, replacing the default lists) and
     ``node_styles`` / ``edge_styles`` (per-type emit styles, merged over
-    the defaults). Omitted keys keep their defaults.
+    the defaults). Omitted keys keep their defaults. Every refusal names
+    the file.
     """
-    doc = decode_json(read_utf8(path, "style config"), f"style config {path}")
+    source = f"style config {path}"
+    doc = decode_json(read_utf8(path, "style config"), source)
     if not isinstance(doc, dict):
-        raise SchemaError(f"style config {path}: top level must be an object")
+        raise SchemaError(f"{source}: top level must be an object")
     unknown = set(doc) - {"node_rules", "edge_rules", "node_styles", "edge_styles"}
     if unknown:
-        raise SchemaError(f"style config {path}: unknown keys {sorted(unknown)}")
+        raise SchemaError(f"{source}: unknown keys {sorted(unknown)}")
     default = DEFAULT_STYLE_MAP
     return StyleMap(
-        node_rules=_parse_rules(doc["node_rules"], NodeType, "node_rules")
+        node_rules=_parse_rules(doc["node_rules"], NodeType, "node_rules", source)
         if "node_rules" in doc
         else default.node_rules,
-        edge_rules=_parse_rules(doc["edge_rules"], FlowType, "edge_rules")
+        edge_rules=_parse_rules(doc["edge_rules"], FlowType, "edge_rules", source)
         if "edge_rules" in doc
         else default.edge_rules,
         node_styles=_parse_styles(
-            doc.get("node_styles", {}), NodeType, default.node_styles, "node_styles"
+            doc.get("node_styles", {}), NodeType, default.node_styles, "node_styles", source
         ),
         edge_styles=_parse_styles(
-            doc.get("edge_styles", {}), FlowType, default.edge_styles, "edge_styles"
+            doc.get("edge_styles", {}), FlowType, default.edge_styles, "edge_styles", source
         ),
     )

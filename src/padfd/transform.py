@@ -14,20 +14,25 @@ parts around a guarded flow. Each row names a part's role, its node kind
 or, for a flow, the roles at its two ends, and its partner's role; a
 flow's kind is the one `model.FLOW_BY_ENDS` names for the kinds at its
 ends, and the guarded flow of a deletion is retyped to its deletion
-variant. `validate.read_parts` is the one reader of the same tables.
+variant. A table is written a row at a time for all its owners (the
+business nodes of one kind, or the guarded flows), each role held as a
+column of ids, one per owner: the shape in which `validate.read_parts`,
+the one reader of the same tables, reads them back.
 
 Generated elements take ids "gen-0", "gen-1", ... skipping ids already in
-use, one per table row in row order: first the rows of `HOLDER_PARTS` for
+use, one per table row and owner: first the rows of `HOLDER_PARTS` for
 each node in sorted id order, then those of `GADGET_PARTS` for each flow
 in sorted id order. The tables' row order thus fixes every id, and the
-rewrite is deterministic.
+rewrite is deterministic. A shared log store is the `log_db` column
+holding the first flow's store for every flow; each flow still takes its
+own id for it, so later ids do not move. Generated elements enter the
+result's dicts row by row, after the diagram's own, which keep their
+places, so the elements of one row keep their owners' order.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
-from itertools import count
-from operator import itemgetter
+from itertools import islice, repeat
 
 from .errors import StageError, TransformError, WellFormednessError
 from .graph import Diagram, Flow, Node
@@ -38,57 +43,41 @@ from .model import (
 from .validate import validate_wellformed
 
 
-def _fresh_ids(diagram: Diagram) -> Iterator[str]:
-    """The ids "gen-0", "gen-1", ... that the diagram does not use, in
-    order. Only its ids starting with "gen-" can collide with one."""
+def _fresh_ids(diagram: Diagram, n: int) -> list[str]:
+    """The first n of the ids "gen-0", "gen-1", ... that the diagram does
+    not use. Only its ids starting with "gen-" can collide with one."""
     taken = {i for ids in (diagram.nodes, diagram.flows) for i in ids if i.startswith("gen-")}
-    for number in count():
-        candidate = f"gen-{number}"
-        if candidate not in taken:
-            yield candidate
+    return [i for i in map("gen-{}".format, range(n + len(taken))) if i not in taken][:n]
 
 
 _RETYPE = {
     kind: FLOW_BY_ENDS[NodeType.LIMIT, ends[1]] for kind, ends in WELLFORMED_FLOW_ENDPOINTS.items()
 }
 _RETYPE[FlowType.DELETE] = FlowType.LIMDB_DEL
+_LOG_DB_ROW = [part.role for part in GADGET_PARTS].index("log_db")
 
 
-def _writes(parts: tuple) -> tuple:
-    """Each part of a table as the rewrite writes it: its role, its node
-    kind and label, the roles at its ends, its partner's role, and the
-    kind of a flow whose ends are both nodes of the table, which is fixed."""
-    kinds = {part.role: part.kind for part in parts if part.kind is not None}
-    return tuple(
-        (
-            part.role, part.kind, part.kind and NODE_LOOKS[part.kind].label, part.source,
-            part.target, part.partner,
-            FLOW_BY_ENDS.get((kinds.get(part.source), kinds.get(part.target))),
-        )
-        for part in parts
-    )
-
-
-_ROLE = itemgetter(0)
-_GADGET_WRITES = _writes(GADGET_PARTS)
-_HOLDER_WRITES = {kind: _writes(parts) for kind, parts in HOLDER_PARTS.items()}
-
-
-def _add_parts(nodes: dict, flows: dict, ids: Iterator[str], writes: tuple, given: dict) -> dict:
-    """Add the parts `writes` lists around the elements `given` names by
-    role, taking one id per part in row order, and return every role's id.
-    A part whose role is given already (a shared log store) still takes
-    its id, so later ids do not move, and is not added again."""
-    roles = dict(zip(map(_ROLE, writes), ids))
-    roles.update(given)
-    for role, kind, label, source, target, partner, fixed_kind in writes:
-        part_id = roles[role]
-        if kind is None:
-            source, target = roles[source], roles[target]
-            kind = fixed_kind or FLOW_BY_ENDS[nodes[source].node_type, nodes[target].node_type]
-            flows[part_id] = Flow(part_id, source, target, kind, None, roles.get(partner))
-        elif part_id not in nodes:
-            nodes[part_id] = Node(part_id, kind, label, roles.get(partner))
+def _add_parts(nodes: dict, flows: dict, parts: tuple, roles: dict, ids: list) -> dict:
+    """Add the parts of a role table around every owner, a row at a time,
+    and return `roles`, each role's column of ids, with every row's added.
+    Row j takes the ids `ids[j::len(parts)]`, one per owner, unless
+    `roles` already gives its column; a node that column names twice (a
+    shared log store) is added once."""
+    for j, part in enumerate(parts):
+        if part.role not in roles:
+            roles[part.role] = ids[j::len(parts)]
+    for part in parts:
+        column = roles[part.role]
+        partners = roles.get(part.partner, repeat(None))
+        if part.kind is not None:
+            label = NODE_LOOKS[part.kind].label
+            nodes.update(zip(column, map(Node, column, repeat(part.kind), repeat(label), partners)))
+        else:
+            sources, targets = roles[part.source], roles[part.target]
+            ends = zip(sources, targets)
+            kinds = [FLOW_BY_ENDS[nodes[s].node_type, nodes[t].node_type] for s, t in ends]
+            made = map(Flow, column, sources, targets, kinds, repeat(None), partners)
+            flows.update(zip(column, made))
     return roles
 
 
@@ -117,42 +106,47 @@ def transform(
             )
     nodes = dict(diagram.nodes)
     flows = dict(diagram.flows)
-    ids = _fresh_ids(diagram)
-    evidence = {}
-    for node_id in sorted(diagram.nodes):
-        node = nodes[node_id]
-        kind = node.node_type
-        if kind in HOLDER_PARTS:
-            roles = _add_parts(nodes, flows, ids, _HOLDER_WRITES[kind], {"owner": node_id})
-            evidence[node_id] = roles[EVIDENCE_ROLES[kind]]
-            if evidence[node_id] != node_id:
-                nodes[node_id] = Node(
-                    node_id, kind, node.label, evidence[node_id], node.position, node.extra
-                )
-    shared = {}
-    for flow_id in sorted(diagram.flows):
-        flow = flows[flow_id]
+    guarded = [flows[flow_id] for flow_id in sorted(flows)]
+    for flow in guarded:
         if flow.flow_type not in _RETYPE:
-            raise TransformError(f"flow {flow_id!r} is not a well-formed data flow")
-        if flow.source not in evidence or flow.target not in evidence:
-            end = flow.source if flow.source not in evidence else flow.target
+            raise TransformError(f"flow {flow.id!r} is not a well-formed data flow")
+        for end in (flow.source, flow.target):
             end_type = nodes[end].node_type
-            type_name = end_type.value if end_type else None
-            raise TransformError(
-                f"flow {flow_id!r} touches node {end!r} of type {type_name!r}; "
-                "only flows between entities, processes and stores can be guarded"
-            )
-        given = {
-            "flow": flow_id, "source": flow.source, "target": flow.target,
-            "source_evidence": evidence[flow.source], "target_evidence": evidence[flow.target],
-            **shared,
-        }
-        roles = _add_parts(nodes, flows, ids, _GADGET_WRITES, given)
-        flows[flow_id] = Flow(
-            flow_id, roles["limit"], flow.target, _RETYPE[flow.flow_type], flow.label,
-            roles["target_policy"], flow.extra,
+            if end_type not in HOLDER_PARTS:
+                type_name = end_type.value if end_type else None
+                raise TransformError(
+                    f"flow {flow.id!r} touches node {end!r} of type {type_name!r}; "
+                    "only flows between entities, processes and stores can be guarded"
+                )
+    holders = [(i, nodes[i].node_type) for i in sorted(nodes) if nodes[i].node_type in HOLDER_PARTS]
+    needed = sum(len(HOLDER_PARTS[kind]) for _, kind in holders) + len(GADGET_PARTS) * len(guarded)
+    fresh = iter(_fresh_ids(diagram, needed))
+    owners = {kind: [] for kind in HOLDER_PARTS}
+    held = {kind: [] for kind in HOLDER_PARTS}
+    for node_id, kind in holders:
+        owners[kind].append(node_id)
+        held[kind] += islice(fresh, len(HOLDER_PARTS[kind]))
+    evidence = {}
+    for kind, parts in HOLDER_PARTS.items():
+        roles = _add_parts(nodes, flows, parts, {"owner": owners[kind]}, held[kind])
+        for owner, holder in zip(owners[kind], roles[EVIDENCE_ROLES[kind]]):
+            evidence[owner] = holder
+            if holder != owner:
+                node = nodes[owner]
+                nodes[owner] = Node(owner, kind, node.label, holder, node.position, node.extra)
+    ids = list(fresh)
+    sources = [flow.source for flow in guarded]
+    targets = [flow.target for flow in guarded]
+    roles = {
+        "flow": [flow.id for flow in guarded], "source": sources, "target": targets,
+        "source_evidence": [evidence[end] for end in sources],
+        "target_evidence": [evidence[end] for end in targets],
+    }
+    if shared_log_store:
+        roles["log_db"] = ids[_LOG_DB_ROW:_LOG_DB_ROW + 1] * len(guarded)
+    _add_parts(nodes, flows, GADGET_PARTS, roles, ids)
+    for flow, limit, policy in zip(guarded, roles["limit"], roles["target_policy"]):
+        flows[flow.id] = Flow(
+            flow.id, limit, flow.target, _RETYPE[flow.flow_type], flow.label, policy, flow.extra
         )
-        if shared_log_store:
-            shared = {"log_db": roles["log_db"]}
     return Diagram(Stage.PA, nodes, flows)
-

@@ -812,23 +812,24 @@ def reference_render_report(report) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _dict_rows(text: str, columns: tuple[str, ...], what: str):
+def _dict_rows(text: str, columns: tuple[str, ...], what: str, path):
     reader = csv.DictReader(io.StringIO(text))
     header = reader.fieldnames or []
     missing = [c for c in columns if c not in header]
     if missing:
         raise SchemaError(
-            f"{what} table is missing columns {missing}; expected header "
+            f"{what} table {path}: missing columns {missing}; expected header "
             f"{','.join(columns)}"
         )
     for number, row in enumerate(reader, start=2):
         yield number, {c: (row[c] or "") for c in columns}
 
 
-def reference_parse_flow_metas(text: str) -> list[FlowMeta]:
-    """The static CSV table read row by row through csv.DictReader."""
+def reference_parse_flow_metas(text: str, path) -> list[FlowMeta]:
+    """The static CSV table `text`, read from `path`, row by row through
+    csv.DictReader."""
     metas = []
-    for number, row in _dict_rows(text, STATIC_COLUMNS, "static"):
+    for number, row in _dict_rows(text, STATIC_COLUMNS, "static", path):
         where = f"static row {number}"
         flow_id = row["F_id"].strip()
         if not flow_id:
@@ -843,11 +844,11 @@ def reference_parse_flow_metas(text: str) -> list[FlowMeta]:
     return metas
 
 
-def reference_parse_data_records(text: str) -> list[DataRecord]:
-    """The dynamic CSV table read row by row through csv.DictReader,
-    every field parsed afresh."""
+def reference_parse_data_records(text: str, path) -> list[DataRecord]:
+    """The dynamic CSV table `text`, read from `path`, row by row through
+    csv.DictReader, every field parsed afresh."""
     records = []
-    for number, row in _dict_rows(text, DYNAMIC_COLUMNS, "dynamic"):
+    for number, row in _dict_rows(text, DYNAMIC_COLUMNS, "dynamic", path):
         where = f"dynamic row {number}"
         d_id = row["D_id"].strip()
         flow_id = row["F_id"].strip()

@@ -793,7 +793,7 @@ def test_simulate_refuses_a_table_without_a_column_with_exit_2(
     argv[argv.index(f"--{what}") + 1] = str(bad)
     assert main(argv) == 2
     out, err = capsys.readouterr()
-    missing = f"table is missing columns [{lost!r}]" if suffix == ".csv" else f"row 0: missing keys [{lost!r}]"
+    missing = f"table {bad}: missing columns [{lost!r}]" if suffix == ".csv" else f"row 0: missing keys [{lost!r}]"
     assert out == "" and err.startswith(f"error: {what} {missing}")
 
 

@@ -583,10 +583,10 @@ def test_load_style_map_merges_emit_styles(tmp_path):
 @pytest.mark.parametrize(
     "config, message",
     [
-        ('{"node_rules": [["x"]]}', "style config: bad rule ['x'] in node_rules"),
-        ('{"node_styles": []}', "style config: node_styles must map type names to styles"),
-        ('{"node_styles": {"ext": 1}}', "style config: style for 'ext' must be a string"),
-        ('{"node_styles": {"bogus": "x"}}', "style config: unknown type 'bogus' in node_styles"),
+        ('{"node_rules": [["x"]]}', "style config {path}: bad rule ['x'] in node_rules"),
+        ('{"node_styles": []}', "style config {path}: node_styles must map type names to styles"),
+        ('{"node_styles": {"ext": 1}}', "style config {path}: style for 'ext' must be a string"),
+        ('{"node_styles": {"bogus": "x"}}', "style config {path}: unknown type 'bogus' in node_styles"),
         ("[]", "style config {path}: top level must be an object"),
     ],
     ids=["bad-rule", "styles-not-object", "style-not-string", "unknown-type", "top-level"],

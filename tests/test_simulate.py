@@ -780,18 +780,18 @@ def test_dynamic_table_messages(body, message, tmp_path):
     [
         (
             "D_id,F_id,Dsub,Expiry,Content\n",
-            "dynamic table is missing columns ['Consent']; expected header "
+            "dynamic table {path}: missing columns ['Consent']; expected header "
             "D_id,F_id,Dsub,Consent,Expiry,Content",
         ),
         (
             "",
-            "dynamic table is missing columns ['D_id', 'F_id', 'Dsub', 'Consent', "
+            "dynamic table {path}: missing columns ['D_id', 'F_id', 'Dsub', 'Consent', "
             "'Expiry', 'Content']; expected header D_id,F_id,Dsub,Consent,Expiry,Content",
         ),
         # A blank first line is an empty header.
         (
             "\n" + _DYNAMIC_HEADER,
-            "dynamic table is missing columns ['D_id', 'F_id', 'Dsub', 'Consent', "
+            "dynamic table {path}: missing columns ['D_id', 'F_id', 'Dsub', 'Consent', "
             "'Expiry', 'Content']; expected header D_id,F_id,Dsub,Consent,Expiry,Content",
         ),
         # A repeated header name takes its last column, "" where a row stops short.
@@ -809,7 +809,7 @@ def test_dynamic_table_messages(body, message, tmp_path):
 def test_dynamic_table_header_messages(text, message, tmp_path):
     with pytest.raises(table_error(message)) as exc:
         load_text(load_data_records, tmp_path, text)
-    assert str(exc.value) == message
+    assert str(exc.value) == message.format(path=tmp_path / "table.csv")
 
 
 def test_dynamic_table_reads_rows_as_dict_reader_does(tmp_path):

@@ -350,6 +350,25 @@ def test_transform_fresh_ids_skip_taken():
     assert pa.nodes["gen-1"].node_type is NodeType.REASON
     assert len(pa.nodes) == 2 + 1 + 8
     assert len(pa.flows) == 14
+    # A taken id among the gadget rows' ids: the first gadget (f_a) takes
+    # gen-1..gen-4 and gen-6..gen-11, the second (flow gen-5) gen-12..gen-21,
+    # and a shared log store moves no id.
+    d = build_diagram(
+        Stage.WELLFORMED,
+        [Node("e", NodeType.EXT), Node("p", NodeType.PROC)],
+        [Flow("f_a", "e", "p", FlowType.IN), Flow("gen-5", "p", "e", FlowType.OUT)],
+    )
+    for shared, stores in ((False, {"gen-4", "gen-15"}), (True, {"gen-4"})):
+        pa = transform(d, shared_log_store=shared)
+        assert pa.nodes["p"].partner == "gen-0"
+        assert (pa.flows["f_a"].source, pa.flows["gen-5"].source) == ("gen-1", "gen-12")
+        reqlim = pa.flows["gen-6"]
+        assert reqlim.flow_type is FlowType.REQLIM
+        assert (reqlim.source, reqlim.target) == ("gen-2", "gen-1")
+        assert pa.flows["gen-21"].partner == "gen-5"
+        assert {i for i, n in pa.nodes.items() if n.node_type is NodeType.LOG_DB} == stores
+        generated = {*pa.nodes, *pa.flows} - {*d.nodes, *d.flows}
+        assert max(int(i[len("gen-"):]) for i in generated) == 21
 
 
 def test_transform_rejects_pa_input():
