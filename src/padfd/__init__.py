@@ -13,8 +13,6 @@ so a short-lived process pays only for the layers it touches.
 from __future__ import annotations
 
 import importlib
-import sys
-import types
 
 __version__ = "0.1.0"
 
@@ -26,12 +24,10 @@ _HOME = {
     "DEFAULT_STYLE_MAP": "styles",
     "Diagram": "graph",
     "Flow": "graph",
-    "FlowId": "graph",
     "FlowMeta": "simulate",
     "FlowType": "model",
     "LogEntry": "simulate",
     "Node": "graph",
-    "NodeId": "graph",
     "NodeType": "model",
     "PadfdError": "errors",
     "ParseError": "errors",
@@ -67,8 +63,8 @@ _HOME = {
     "report_to_dict": "simulate",
     "run_clean": "simulate",
     "run_simulation": "simulate",
-    "transform": "transform",
-    "typecheck": "typecheck",
+    "transform": "rewrite",
+    "typecheck": "rewrite",
     "validate_pa": "validate",
     "validate_raw": "validate",
     "validate_wellformed": "validate",
@@ -94,16 +90,3 @@ def __getattr__(name: str):
 def __dir__() -> list[str]:
     return sorted(set(globals()) | set(__all__) | _SUBMODULES)
 
-
-class _Package(types.ModuleType):
-    """The import system binds each loaded submodule on its package.
-    `transform` and `typecheck` name both a submodule and the public
-    function it defines; the function keeps the name."""
-
-    def __setattr__(self, name: str, value) -> None:
-        if _HOME.get(name) == name and isinstance(value, types.ModuleType):
-            return
-        super().__setattr__(name, value)
-
-
-sys.modules[__name__].__class__ = _Package

@@ -141,7 +141,7 @@ def _gate(
     typing problems never are. A privacy-aware diagram is ready as it is
     only without findings."""
     if diagram.stage is Stage.RAW:
-        from .typecheck import typecheck
+        from .rewrite import typecheck
 
         try:
             wellformed, findings = typecheck(
@@ -172,7 +172,7 @@ def _privacy_aware(
         return None
     if ready.stage is Stage.PA:
         return ready
-    from .transform import transform
+    from .rewrite import transform
 
     return transform(ready, shared_log_store=shared_log_store, check=False)
 
@@ -185,7 +185,8 @@ def cmd_check(args) -> int:
         # A raw diagram's findings say what kind of typing problem they are.
         kinds = {}
         if diagram.stage is Stage.RAW:
-            from .validate import CONNECTIVITY_CLAUSES, FLOW_CLAUSES
+            from .rewrite import FLOW_CLAUSES
+            from .validate import CONNECTIVITY_CLAUSES
 
             kinds = dict.fromkeys(FLOW_CLAUSES, "ill-formed-flow")
             kinds.update(dict.fromkeys(CONNECTIVITY_CLAUSES, "ill-formed-activator"))

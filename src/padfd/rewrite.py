@@ -1,33 +1,21 @@
-"""Rewrite a well-formed diagram into its privacy-aware counterpart.
+"""The rewrite of a business diagram into a privacy-aware one, in two steps.
 
-The rewrite runs in two phases. Phase one gives every process a reason
-node and every data store a policy store plus a cleaning process. Phase
-two replaces each data flow with a gadget: a limit node the data must
-pass, a request node that gathers the consent evidence steering the
-limit, and a log chain recording the decision. The original flow keeps
-its id and label, is retyped, and is re-sourced at its limit, so nothing
-ever dangles and callers can still address it.
+Typing: `typecheck` reads each plain flow between business nodes as the
+kind `model.FLOW_BY_ENDS` names for its endpoint kinds, and a deletion
+flow only as running a process into a data store. It returns the
+well-formed diagram, or every finding as a `validate.Violation`: its own
+FLOW_CLAUSES and the connectivity findings of `validate.connectivity`.
 
-Both phases write from the two role tables in `model`: `HOLDER_PARTS`,
-the parts around a business node by its kind, and `GADGET_PARTS`, the
-parts around a guarded flow. Each row names a part's role, its node kind
-or, for a flow, the roles at its two ends, and its partner's role; a
-flow's kind is the one `model.FLOW_BY_ENDS` names for the kinds at its
-ends, and the guarded flow of a deletion is retyped to its deletion
-variant. A table is written a row at a time for all its owners (the
-business nodes of one kind, or the guarded flows), each role held as a
-column of ids, one per owner: the shape in which `validate.read_parts`,
-the one reader of the same tables, reads them back.
-
-Generated elements take ids "gen-0", "gen-1", ... skipping ids already in
-use, one per table row and owner: first the rows of `HOLDER_PARTS` for
-each node in sorted id order, then those of `GADGET_PARTS` for each flow
-in sorted id order. The tables' row order thus fixes every id, and the
-rewrite is deterministic. A shared log store is the `log_db` column
-holding the first flow's store for every flow; each flow still takes its
-own id for it, so later ids do not move. Generated elements enter the
-result's dicts row by row, after the diagram's own, which keep their
-places, so the elements of one row keep their owners' order.
+Rewriting: `transform` gives every process a reason node and every data
+store a policy store and a cleaning process, then replaces each data flow
+with a gadget: a limit the data must pass, a request gathering the consent
+that steers the limit, and a log chain recording the decision. The
+original flow keeps its id and label, is retyped (a deletion to its
+deletion variant) and is re-sourced at its limit, so nothing dangles. The
+parts come from the role tables `model.HOLDER_PARTS` and
+`model.GADGET_PARTS`, written a row at a time for all their owners with a
+column of ids per role: the shape in which `validate.read_parts` reads
+them back.
 """
 
 from __future__ import annotations
@@ -40,7 +28,83 @@ from .model import (
     EVIDENCE_ROLES, FLOW_BY_ENDS, GADGET_PARTS, HOLDER_PARTS, NODE_LOOKS,
     WELLFORMED_FLOW_ENDPOINTS, FlowType, NodeType, Stage,
 )
-from .validate import validate_wellformed
+from .validate import Violation, blocks_rewrite, connectivity, validate_raw, validate_wellformed
+
+# Clause ids of the flow typing, which no option waives: a plain flow
+# between endpoint kinds with no reading, a plain flow from a process to
+# itself, and a deletion flow not running process -> data store.
+FLOW_CLAUSES = frozenset({"pf-no-rule", "pf-loop", "df-no-rule"})
+
+_DF_ENDS = WELLFORMED_FLOW_ENDPOINTS[FlowType.DELETE]
+
+
+def _flow_violation(flow, source_type: NodeType, target_type: NodeType) -> Violation:
+    pair = f"{source_type.value} -> {target_type.value}"
+    if flow.flow_type is FlowType.PF:
+        if FLOW_BY_ENDS.get((source_type, target_type)) is FlowType.COMP:
+            return Violation(
+                "pf-loop",
+                flow.id,
+                f"flow {flow.id!r} loops on process {flow.source!r}; "
+                "inter-process flows need two distinct processes",
+            )
+        return Violation(
+            "pf-no-rule",
+            flow.id,
+            f"plain flow {flow.id!r} runs {pair}; no flow kind reads that",
+        )
+    return Violation(
+        "df-no-rule",
+        flow.id,
+        f"deletion flow {flow.id!r} runs {pair}; deletion must run proc -> db",
+    )
+
+
+def typecheck(
+    diagram: Diagram, *, tolerate_connectivity: bool = False
+) -> tuple[Diagram | None, list[Violation]]:
+    """Type every flow and check connectivity.
+
+    Returns the well-formed diagram and an empty list on success, or
+    (None, violations) when anything is ill-formed. Violations are
+    sorted by element id, then clause. With ``tolerate_connectivity``
+    connectivity findings no longer block (for diagram excerpts): the
+    typed diagram comes back alongside them, and only flow findings
+    yield None. The input must be a valid raw diagram: another stage
+    raises StageError, and invalid raw content WellFormednessError with
+    `validate_raw`'s violations.
+    """
+    if diagram.stage is not Stage.RAW:
+        raise StageError(f"typecheck expects a raw diagram, got {diagram.stage.value}")
+    validity = validate_raw(diagram)
+    if not validity.valid:
+        raise WellFormednessError("not a valid raw diagram", validity.violations)
+
+    violations: list[Violation] = []
+    typed_flows = {}
+    nodes = diagram.nodes
+    pf, comp, delete = FlowType.PF, FlowType.COMP, FlowType.DELETE
+    for flow in diagram.flows.values():
+        source_type = nodes[flow.source].node_type
+        target_type = nodes[flow.target].node_type
+        if flow.flow_type is pf:
+            inferred = FLOW_BY_ENDS.get((source_type, target_type))
+            # The inter-process reading needs two distinct processes.
+            if inferred is comp and flow.source == flow.target:
+                inferred = None
+        else:  # validate_raw admits plain and deletion flows only
+            inferred = delete if (source_type, target_type) == _DF_ENDS else None
+        if inferred is None:
+            violations.append(_flow_violation(flow, source_type, target_type))
+        else:
+            typed_flows[flow.id] = Flow(
+                flow.id, flow.source, flow.target, inferred, flow.label, flow.partner, flow.extra
+            )
+    violations += connectivity(diagram)
+    violations.sort(key=lambda v: (v.element, v.clause))
+    if blocks_rewrite(violations, tolerate_connectivity):
+        return None, violations
+    return Diagram(Stage.WELLFORMED, diagram.nodes, typed_flows), violations
 
 
 def _fresh_ids(diagram: Diagram, n: int) -> list[str]:
@@ -95,6 +159,15 @@ def transform(
     ``shared_log_store=True`` gives every log chain one log store, the
     first the rewrite creates, and leaves the diagram's own nodes
     untouched: |N|+P+2D+3F+1 nodes for F >= 1, and still 7F+2D flows.
+
+    Generated elements take the free ids "gen-0", "gen-1", ..., one per
+    table row and owner: the `HOLDER_PARTS` rows of each node in sorted id
+    order, then the `GADGET_PARTS` rows of each flow in sorted id order, so
+    the tables fix every id. A shared log store is the `log_db` column
+    holding the first flow's store for every flow; each flow still takes
+    its own id for it, so later ids do not move. Generated elements enter
+    the result's dicts row by row, after the diagram's own, which keep
+    their places.
     """
     if diagram.stage is Stage.PA:
         raise StageError("diagram is already privacy-aware; the rewrite is not idempotent")

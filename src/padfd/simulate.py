@@ -360,27 +360,27 @@ def _exact_iso_date(text: str) -> date:
     return date.fromisoformat(text)
 
 
-def _dynamic_row(number: int) -> str:
-    return f"dynamic row {number}"
+def _row(source: str, number: int) -> str:
+    return f"{source} row {number}"
 
 
-def _parse_date(text: str, number: int) -> date:
+def _parse_date(text: str, source: str, number: int) -> date:
     try:
         return _exact_iso_date(text.strip())
     except ValueError:
         raise SimulationError(
-            f"{_dynamic_row(number)}: expected an ISO date (YYYY-MM-DD), found {text!r}"
+            f"{_row(source, number)}: expected an ISO date (YYYY-MM-DD), found {text!r}"
         ) from None
 
 
-def _parse_consent(value, number: int) -> frozenset[str]:
+def _parse_consent(value, source: str, number: int) -> frozenset[str]:
     if isinstance(value, str):
         value = value.split(";")
     elif not (isinstance(value, list) and all(isinstance(p, str) for p in value)):
-        raise SimulationError(f"{_dynamic_row(number)}: consent must be a ';'-separated string or list")
+        raise SimulationError(f"{_row(source, number)}: consent must be a ';'-separated string or list")
     purposes = frozenset(filter(None, map(str.strip, value)))
     if not purposes:
-        raise SimulationError(f"{_dynamic_row(number)}: consent must list at least one purpose")
+        raise SimulationError(f"{_row(source, number)}: consent must list at least one purpose")
     return purposes
 
 
@@ -405,30 +405,32 @@ def _make_meta(where, flow_id, label, purpose, pd, data_type) -> FlowMeta:
 
 
 class _RecordMaker:
-    """Builds records from a row's fields, in DYNAMIC_COLUMNS order,
-    parsing each distinct consent and expiry text once. `_text` checks
-    only a field that is not a str, as in JSON; row `number` is named
-    only in the message of a check that fails."""
+    """Builds records from the fields of a row of the dynamic table at
+    `path`, in DYNAMIC_COLUMNS order, parsing each distinct consent and
+    expiry text once. `_text` checks only a field that is not a str, as in
+    JSON; row `number` is named only in the message of a check that fails."""
 
-    def __init__(self) -> None:
+    def __init__(self, path: str | os.PathLike) -> None:
+        self.source = f"dynamic table {path}"
         self.consents: dict[str, frozenset[str]] = {}
         self.expiries: dict[str, date] = {}
 
     def __call__(self, number, d_id, flow_id, dsub, consent, expiry, content) -> DataRecord:
-        d_id = d_id.strip() if type(d_id) is str else _text(d_id, "D_id", _dynamic_row(number))
-        flow_id = flow_id.strip() if type(flow_id) is str else _text(flow_id, "F_id", _dynamic_row(number))
+        source = self.source
+        d_id = d_id.strip() if type(d_id) is str else _text(d_id, "D_id", _row(source, number))
+        flow_id = flow_id.strip() if type(flow_id) is str else _text(flow_id, "F_id", _row(source, number))
         if not d_id or not flow_id:
-            raise SimulationError(f"{_dynamic_row(number)}: D_id and F_id must not be empty")
-        dsub = dsub.strip() if type(dsub) is str else _text(dsub, "Dsub", _dynamic_row(number))
+            raise SimulationError(f"{_row(source, number)}: D_id and F_id must not be empty")
+        dsub = dsub.strip() if type(dsub) is str else _text(dsub, "Dsub", _row(source, number))
         if type(consent) is not str:
-            parsed = _parse_consent(consent, number)
+            parsed = _parse_consent(consent, source, number)
         elif (parsed := self.consents.get(consent)) is None:
-            parsed = self.consents[consent] = _parse_consent(consent, number)
+            parsed = self.consents[consent] = _parse_consent(consent, source, number)
         if type(expiry) is not str:
-            _text(expiry, "Expiry", _dynamic_row(number))
+            _text(expiry, "Expiry", _row(source, number))
         if (expires := self.expiries.get(expiry)) is None:
-            expires = self.expiries[expiry] = _parse_date(expiry.strip(), number)
-        content = content.strip() if type(content) is str else _text(content, "Content", _dynamic_row(number))
+            expires = self.expiries[expiry] = _parse_date(expiry.strip(), source, number)
+        content = content.strip() if type(content) is str else _text(content, "Content", _row(source, number))
         return DataRecord(d_id, flow_id, dsub, parsed, expires, content)
 
 
@@ -476,22 +478,23 @@ def _rows_from_json(text: str, columns: tuple[str, ...], what: str, path: str | 
     pick = itemgetter(*columns)
     for index, row in enumerate(doc):
         if not isinstance(row, dict):
-            raise SchemaError(f"{what} row {index}: each row must be an object")
+            raise SchemaError(f"{_row(source, index)}: each row must be an object")
         missing = [c for c in columns if c not in row]
         if missing:
-            raise SchemaError(f"{what} row {index}: missing keys {missing}")
+            raise SchemaError(f"{_row(source, index)}: missing columns {missing}")
         fields = pick(row)
         if escaped:
             for key, value in zip(columns, fields):
                 for held in value if isinstance(value, list) else (value,):
                     if isinstance(held, str) and re.search(SURROGATE, held):
-                        raise SchemaError(f"{what} row {index}: {key} {held!r} holds a lone surrogate")
+                        raise SchemaError(f"{_row(source, index)}: {key} {held!r} holds a lone surrogate")
         yield index, fields
 
 
 def _read_table(path: str | os.PathLike, columns: tuple[str, ...], what: str):
     """(number, the row's `columns`) for every row of the `what` table, a
-    .json file or else CSV; messages name a row as "`what` row `number`"."""
+    .json file or else CSV; messages name a row as "`what` table `path`
+    row `number`"."""
     text = read_utf8(path, f"{what} table")
     if os.path.splitext(path)[1].lower() == ".json":
         return _rows_from_json(text, columns, what, path)
@@ -500,13 +503,14 @@ def _read_table(path: str | os.PathLike, columns: tuple[str, ...], what: str):
 
 def load_flow_metas(path: str | os.PathLike) -> list[FlowMeta]:
     """Read the static policy table from a .csv or .json file."""
+    source = f"static table {path}"
     rows = _read_table(path, STATIC_COLUMNS, "static")
-    return [_make_meta(f"static row {number}", *fields) for number, fields in rows]
+    return [_make_meta(_row(source, number), *fields) for number, fields in rows]
 
 
 def load_data_records(path: str | os.PathLike) -> list[DataRecord]:
     """Read the dynamic record table from a .csv or .json file."""
-    make = _RecordMaker()
+    make = _RecordMaker(path)
     return [make(number, *fields) for number, fields in _read_table(path, DYNAMIC_COLUMNS, "dynamic")]
 
 

@@ -68,8 +68,6 @@ class StageValidity(Record):
 
 # Clause ids of the connectivity rule, which diagram excerpts may waive.
 CONNECTIVITY_CLAUSES = frozenset({"proc-source-target", "ext-connected", "db-connected"})
-# Clause ids of `typecheck`'s flow typing, which no option waives.
-FLOW_CLAUSES = frozenset({"pf-no-rule", "pf-loop", "df-no-rule"})
 
 
 def blocks_rewrite(violations: Sequence[Violation], tolerate_connectivity: bool) -> bool:

@@ -830,7 +830,7 @@ def reference_parse_flow_metas(text: str, path) -> list[FlowMeta]:
     csv.DictReader."""
     metas = []
     for number, row in _dict_rows(text, STATIC_COLUMNS, "static", path):
-        where = f"static row {number}"
+        where = f"static table {path} row {number}"
         flow_id = row["F_id"].strip()
         if not flow_id:
             raise SimulationError(f"{where}: F_id must not be empty")
@@ -849,7 +849,7 @@ def reference_parse_data_records(text: str, path) -> list[DataRecord]:
     csv.DictReader, every field parsed afresh."""
     records = []
     for number, row in _dict_rows(text, DYNAMIC_COLUMNS, "dynamic", path):
-        where = f"dynamic row {number}"
+        where = f"dynamic table {path} row {number}"
         d_id = row["D_id"].strip()
         flow_id = row["F_id"].strip()
         if not d_id or not flow_id:
@@ -858,7 +858,7 @@ def reference_parse_data_records(text: str, path) -> list[DataRecord]:
         consent = frozenset(part.strip() for part in row["Consent"].split(";") if part.strip())
         if not consent:
             raise SimulationError(f"{where}: consent must list at least one purpose")
-        expiry = _parse_date(row["Expiry"].strip(), number)
+        expiry = _parse_date(row["Expiry"].strip(), f"dynamic table {path}", number)
         records.append(DataRecord(d_id, flow_id, dsub, consent, expiry, row["Content"].strip()))
     return records
 

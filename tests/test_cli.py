@@ -793,8 +793,8 @@ def test_simulate_refuses_a_table_without_a_column_with_exit_2(
     argv[argv.index(f"--{what}") + 1] = str(bad)
     assert main(argv) == 2
     out, err = capsys.readouterr()
-    missing = f"table {bad}: missing columns [{lost!r}]" if suffix == ".csv" else f"row 0: missing keys [{lost!r}]"
-    assert out == "" and err.startswith(f"error: {what} {missing}")
+    where = f"{what} table {bad}" if suffix == ".csv" else f"{what} table {bad} row 0"
+    assert out == "" and err.startswith(f"error: {where}: missing columns [{lost!r}]")
 
 
 NOT_UTF8 = {
@@ -870,7 +870,7 @@ def test_simulate_refuses_a_lone_surrogate_in_a_json_table(fixtures_dir, tmp_pat
     assert main(argv) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == "error: dynamic row 0: D_id '\\ud800' holds a lone surrogate\n"
+    assert err == f"error: dynamic table {dynamic} row 0: D_id '\\ud800' holds a lone surrogate\n"
 
 
 def test_simulate_refuses_a_non_boolean_pd_in_a_json_table(fixtures_dir, tmp_path, capsys):
@@ -884,7 +884,7 @@ def test_simulate_refuses_a_non_boolean_pd_in_a_json_table(fixtures_dir, tmp_pat
     assert main(argv) == 1
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == "error: static row 0: PD must be 'True' or 'False', found None\n"
+    assert err == f"error: static table {static} row 0: PD must be 'True' or 'False', found None\n"
 
 
 @pytest.mark.parametrize("kind", list(HOSTILE_JSON))

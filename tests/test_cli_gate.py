@@ -192,10 +192,7 @@ _VALIDATORS = ("validate_raw", "connectivity", "validate_wellformed")
 def _count_validator_calls(monkeypatch) -> dict[str, int]:
     """Wrap each validator wherever a module holds it, counting calls."""
     validate = importlib.import_module("padfd.validate")
-    holders = [
-        importlib.import_module(f"padfd.{name}")
-        for name in ("validate", "typecheck", "transform")
-    ]
+    holders = [importlib.import_module(f"padfd.{name}") for name in ("validate", "rewrite")]
     calls = dict.fromkeys(_VALIDATORS, 0)
     for name in _VALIDATORS:
         original = getattr(validate, name)

@@ -731,37 +731,40 @@ _DYNAMIC_HEADER = "D_id,F_id,Dsub,Consent,Expiry,Content\n"
         # Blank lines are skipped and not counted.
         (
             "\nd1,f1,S,billing,2020-01-01,x\n\n\nd2,f1,S,billing,soon,x\n",
-            "dynamic row 3: expected an ISO date (YYYY-MM-DD), found 'soon'",
+            "dynamic table {path} row 3: expected an ISO date (YYYY-MM-DD), found 'soon'",
         ),
         # A short row reads "" for the fields it lacks.
-        ("d1,f1,S\n", "dynamic row 2: consent must list at least one purpose"),
+        ("d1,f1,S\n", "dynamic table {path} row 2: consent must list at least one purpose"),
         (
             "d1,f1,S,billing\n",
-            "dynamic row 2: expected an ISO date (YYYY-MM-DD), found ''",
+            "dynamic table {path} row 2: expected an ISO date (YYYY-MM-DD), found ''",
         ),
-        ("d1\n", "dynamic row 2: D_id and F_id must not be empty"),
+        ("d1\n", "dynamic table {path} row 2: D_id and F_id must not be empty"),
         # Extra fields are ignored.
         (
             "d1,f1,S,billing, soon ,x,more,fields\n",
-            "dynamic row 2: expected an ISO date (YYYY-MM-DD), found 'soon'",
+            "dynamic table {path} row 2: expected an ISO date (YYYY-MM-DD), found 'soon'",
         ),
         # A quoted newline stays inside its field and its row.
         (
             'd1,f1,S,billing,2020-01-01,"two\nlines"\nd2,f1,S,billing,2020-02-30,x\n',
-            "dynamic row 3: expected an ISO date (YYYY-MM-DD), found '2020-02-30'",
+            "dynamic table {path} row 3: expected an ISO date (YYYY-MM-DD), found '2020-02-30'",
         ),
         # Forms that date.fromisoformat reads on Python 3.11 and later only.
         (
             "d1,f1,S,billing,20201231,x\n",
-            "dynamic row 2: expected an ISO date (YYYY-MM-DD), found '20201231'",
+            "dynamic table {path} row 2: expected an ISO date (YYYY-MM-DD), found '20201231'",
         ),
         (
             "d1,f1,S,billing,2020-W53-4,x\n",
-            "dynamic row 2: expected an ISO date (YYYY-MM-DD), found '2020-W53-4'",
+            "dynamic table {path} row 2: expected an ISO date (YYYY-MM-DD), found '2020-W53-4'",
         ),
-        ("d1,f1,S,; ;,2020-01-01,x\n", "dynamic row 2: consent must list at least one purpose"),
-        (" ,f1,S,billing,2020-01-01,x\n", "dynamic row 2: D_id and F_id must not be empty"),
-        ("d1, ,S,billing,2020-01-01,x\n", "dynamic row 2: D_id and F_id must not be empty"),
+        (
+            "d1,f1,S,; ;,2020-01-01,x\n",
+            "dynamic table {path} row 2: consent must list at least one purpose",
+        ),
+        (" ,f1,S,billing,2020-01-01,x\n", "dynamic table {path} row 2: D_id and F_id must not be empty"),
+        ("d1, ,S,billing,2020-01-01,x\n", "dynamic table {path} row 2: D_id and F_id must not be empty"),
     ],
     ids=[
         "blank-lines", "short-row-consent", "short-row-expiry", "short-row-ids",
@@ -772,7 +775,7 @@ _DYNAMIC_HEADER = "D_id,F_id,Dsub,Consent,Expiry,Content\n"
 def test_dynamic_table_messages(body, message, tmp_path):
     with pytest.raises(SimulationError) as exc:
         load_text(load_data_records, tmp_path, _DYNAMIC_HEADER + body)
-    assert str(exc.value) == message
+    assert str(exc.value) == message.format(path=tmp_path / "table.csv")
 
 
 @pytest.mark.parametrize(
@@ -797,11 +800,11 @@ def test_dynamic_table_messages(body, message, tmp_path):
         # A repeated header name takes its last column, "" where a row stops short.
         (
             "Expiry,D_id,F_id,Dsub,Consent,Expiry,Content\n2020-01-01,d1,f1,S,billing,soon\n",
-            "dynamic row 2: expected an ISO date (YYYY-MM-DD), found 'soon'",
+            "dynamic table {path} row 2: expected an ISO date (YYYY-MM-DD), found 'soon'",
         ),
         (
             "D_id,F_id,Dsub,Consent,Expiry,Content,D_id\nd1,f1,S,billing,2020-01-01,x\n",
-            "dynamic row 2: D_id and F_id must not be empty",
+            "dynamic table {path} row 2: D_id and F_id must not be empty",
         ),
     ],
     ids=["missing-column", "empty-text", "blank-header", "repeated-column", "repeated-column-short-row"],
@@ -855,40 +858,46 @@ def test_csv_nul_byte_is_a_schema_error(tmp_path):
 @pytest.mark.parametrize(
     "body,message",
     [
-        ("f1,L,p,maybe,s\n", "static row 2: PD must be 'True' or 'False', found 'maybe'"),
-        ("\n\nf1,L,p,True,s\n,L,p,True,s\n", "static row 3: F_id must not be empty"),
-        ("f1,L,,True,s\n", "static row 2: personal-data flows need a purpose"),
-        ("f1,L,p\n", "static row 2: PD must be 'True' or 'False', found ''"),
+        ("f1,L,p,maybe,s\n", "static table {path} row 2: PD must be 'True' or 'False', found 'maybe'"),
+        ("\n\nf1,L,p,True,s\n,L,p,True,s\n", "static table {path} row 3: F_id must not be empty"),
+        ("f1,L,,True,s\n", "static table {path} row 2: personal-data flows need a purpose"),
+        ("f1,L,p\n", "static table {path} row 2: PD must be 'True' or 'False', found ''"),
     ],
     ids=["bad-pd", "blank-lines", "no-purpose", "short-row"],
 )
 def test_static_table_messages(body, message, tmp_path):
     with pytest.raises(SimulationError) as exc:
         load_text(load_flow_metas, tmp_path, "F_id,Label,Purpose,PD,Data_type\n" + body)
-    assert str(exc.value) == message
+    assert str(exc.value) == message.format(path=tmp_path / "table.csv")
 
 
 def test_json_tables_report_the_first_problem_of_a_row(tmp_path):
     """Fields are checked in column order, each problem named exactly."""
     row = {"D_id": "", "F_id": "f1", "Dsub": 3, "Consent": "", "Expiry": 5, "Content": None}
     cases = [
-        ({}, "dynamic row 0: D_id and F_id must not be empty"),
-        ({"D_id": "d1"}, "dynamic row 0: Dsub must be a string, found 3"),
-        ({"D_id": "d1", "Dsub": "S"}, "dynamic row 0: consent must list at least one purpose"),
+        ({}, "dynamic table {path} row 0: D_id and F_id must not be empty"),
+        ({"D_id": "d1"}, "dynamic table {path} row 0: Dsub must be a string, found 3"),
+        (
+            {"D_id": "d1", "Dsub": "S"},
+            "dynamic table {path} row 0: consent must list at least one purpose",
+        ),
         (
             {"D_id": "d1", "Dsub": "S", "Consent": 7},
-            "dynamic row 0: consent must be a ';'-separated string or list",
+            "dynamic table {path} row 0: consent must be a ';'-separated string or list",
         ),
-        ({"D_id": "d1", "Dsub": "S", "Consent": ["a"]}, "dynamic row 0: Expiry must be a string, found 5"),
+        (
+            {"D_id": "d1", "Dsub": "S", "Consent": ["a"]},
+            "dynamic table {path} row 0: Expiry must be a string, found 5",
+        ),
         (
             {"D_id": "d1", "Dsub": "S", "Consent": ["a"], "Expiry": "2020-01-01"},
-            "dynamic row 0: Content must be a string, found None",
+            "dynamic table {path} row 0: Content must be a string, found None",
         ),
     ]
     for change, message in cases:
         with pytest.raises(SimulationError) as exc:
             load_text(load_data_records, tmp_path, json.dumps([{**row, **change}]), ".json")
-        assert str(exc.value) == message
+        assert str(exc.value) == message.format(path=tmp_path / "table.json")
 
 
 @pytest.mark.parametrize("pd", [None, 0, 0.0, [], [0], 1], ids=repr)
@@ -898,7 +907,9 @@ def test_json_static_table_refuses_non_boolean_pd(pd, tmp_path):
     row = {"F_id": "f1", "Label": "L", "Purpose": "p", "PD": pd, "Data_type": "s"}
     with pytest.raises(SimulationError) as exc:
         load_text(load_flow_metas, tmp_path, json.dumps([row]), ".json")
-    assert str(exc.value) == f"static row 0: PD must be 'True' or 'False', found {pd!r}"
+    assert str(exc.value) == (
+        f"static table {tmp_path / 'table.json'} row 0: PD must be 'True' or 'False', found {pd!r}"
+    )
 
 
 def test_json_static_table_reads_booleans_and_csv_spellings(tmp_path):
@@ -911,11 +922,12 @@ def test_json_static_table_reads_booleans_and_csv_spellings(tmp_path):
 
 
 # The error each document raises, PATH standing for the file's path:
-# errors in the file as a whole name it, errors in a row name the row.
+# errors in the file as a whole name it, errors in a row name it and the row.
 _JSON_TABLE_ERRORS = {
     "{}": "static table PATH: top level must be a list of rows",
-    '[{"F_id": "f1"}]': "static row 0: missing keys ['Label', 'Purpose', 'PD', 'Data_type']",
-    "[[1]]": "static row 0: each row must be an object",
+    '[{"F_id": "f1"}]':
+        "static table PATH row 0: missing columns ['Label', 'Purpose', 'PD', 'Data_type']",
+    "[[1]]": "static table PATH row 0: each row must be an object",
     "not json": "static table PATH: not valid JSON: Expecting value: line 1 column 1 (char 0)",
 }
 
@@ -930,9 +942,9 @@ def test_json_table_errors(doc, tmp_path):
 @pytest.mark.parametrize(
     "load,where,key,value",
     [
-        (load_flow_metas, "static row 0", "Purpose", "\ud800x"),
-        (load_data_records, "dynamic row 0", "D_id", "\udfff"),
-        (load_data_records, "dynamic row 0", "Consent", ["billing", "\udbff"]),
+        (load_flow_metas, "static table {path} row 0", "Purpose", "\ud800x"),
+        (load_data_records, "dynamic table {path} row 0", "D_id", "\udfff"),
+        (load_data_records, "dynamic table {path} row 0", "Consent", ["billing", "\udbff"]),
     ],
     ids=["static-purpose", "dynamic-d_id", "dynamic-consent-list"],
 )
@@ -944,6 +956,7 @@ def test_json_tables_refuse_lone_surrogates(tmp_path, load, where, key, value):
     held = value[-1] if isinstance(value, list) else value
     with pytest.raises(SchemaError) as exc:
         load_text(load, tmp_path, text.replace("\\udbff", "\\uDBFF"), ".json")
+    where = where.format(path=tmp_path / "table.json")
     assert str(exc.value) == f"{where}: {key} {held!r} holds a lone surrogate"
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import gc
 import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -115,8 +116,7 @@ SIMULATE_JSON_SKIPS = [
     "padfd.styles",
     "padfd.layout",
     "padfd.dot",
-    "padfd.typecheck",
-    "padfd.transform",
+    "padfd.rewrite",
 ]
 
 
@@ -140,7 +140,7 @@ JSON_DIAGRAM_SKIPS = [
 def test_transform_of_json_skips_drawio_and_simulate(models, tmp_path):
     out = tmp_path / "out.json"
     loaded = modules_loaded_by(tmp_path, "transform", str(models["raw"]), "-o", str(out))
-    assert {"padfd.canonical", "padfd.typecheck", "padfd.transform"} <= loaded
+    assert {"padfd.canonical", "padfd.rewrite"} <= loaded
     assert_none_loaded(loaded, JSON_DIAGRAM_SKIPS)
 
 
@@ -149,8 +149,11 @@ def test_check_of_json_skips_drawio_and_simulate(models, tmp_path, stage):
     loaded = modules_loaded_by(tmp_path, "check", str(models[stage]), "--report", "json")
     assert {"padfd.canonical", "padfd.validate"} <= loaded
     assert_none_loaded(loaded, JSON_DIAGRAM_SKIPS)
-    if stage == "pa":
-        assert_none_loaded(loaded, ["padfd.typecheck", "padfd.transform"])
+    # A raw diagram is typed; a privacy-aware one is only validated.
+    if stage == "raw":
+        assert "padfd.rewrite" in loaded
+    else:
+        assert_none_loaded(loaded, ["padfd.rewrite", "padfd.layout"])
 
 
 # draw.io commands write draw.io or DOT through helpers in `padfd.graph`,
@@ -386,13 +389,12 @@ def test_importing_the_package_loads_no_submodule(tmp_path):
 
 STEPS = [
     "import padfd.simulate",
-    "import padfd.transform",
-    "import padfd.typecheck",
+    "import padfd.rewrite",
     "from padfd import transform, typecheck",
 ]
 
 # Each order of STEPS on a freshly imported package; afterwards both names
-# must still be the functions their submodules define.
+# must still be the functions `padfd.rewrite` defines.
 ORDERS = f"""\
 import itertools, sys, types
 for order in itertools.permutations({STEPS!r}):
@@ -402,9 +404,8 @@ for order in itertools.permutations({STEPS!r}):
         exec(step, {{}})
     import padfd
     from padfd import transform, typecheck
+    home = sys.modules["padfd.rewrite"]
     for name, value in (("transform", transform), ("typecheck", typecheck)):
-        home = sys.modules["padfd." + name]
-        assert isinstance(home, types.ModuleType), (order, name)
         assert value is getattr(padfd, name) is home.__dict__[name], (order, name)
         assert callable(value) and not isinstance(value, types.ModuleType), (order, name)
 print("ok", len(list(itertools.permutations({STEPS!r}))))
@@ -414,7 +415,15 @@ print("ok", len(list(itertools.permutations({STEPS!r}))))
 def test_transform_and_typecheck_stay_functions_after_submodule_imports(tmp_path):
     proc = run_python(ORDERS, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["ok", "24"]
+    assert proc.stdout.split() == ["ok", "6"]
+
+
+def test_no_public_name_is_a_submodule():
+    """The import system binds a loaded submodule on its package, so a
+    public name that is also a submodule name would turn into the module."""
+    modules = {info.name for info in pkgutil.iter_modules(padfd.__path__)}
+    assert padfd._SUBMODULES <= modules
+    assert not set(padfd.__all__) & modules
 
 
 @pytest.mark.parametrize("name", padfd.__all__)
@@ -446,9 +455,11 @@ FOLDED_NAMES = [
 ]
 
 
-# `GRID_STEP` only tests read; it stays `padfd.layout.GRID_STEP`.
+# `GRID_STEP` only tests read; it stays `padfd.layout.GRID_STEP`. `NodeId`
+# and `FlowId` only annotate; they stay in `padfd.graph`.
 @pytest.mark.parametrize(
-    "name", ["no_such_name", "to_canonical_dict", "cli_main", "GRID_STEP", *FOLDED_NAMES]
+    "name",
+    ["no_such_name", "to_canonical_dict", "cli_main", "GRID_STEP", "NodeId", "FlowId", *FOLDED_NAMES],
 )
 def test_unknown_names_raise_attribute_error(name):
     with pytest.raises(AttributeError, match=repr(name)):
