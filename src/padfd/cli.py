@@ -28,7 +28,7 @@ import sys
 from contextlib import suppress
 from types import SimpleNamespace
 
-from .errors import PadfdError, ParseError, WellFormednessError
+from .errors import PadfdError, ParseError
 from .model import Stage
 
 # Each subcommand imports the layers it uses inside the functions below,
@@ -143,12 +143,7 @@ def _gate(
     if diagram.stage is Stage.RAW:
         from .rewrite import typecheck
 
-        try:
-            wellformed, findings = typecheck(
-                diagram, tolerate_connectivity=allow_ill_formed
-            )
-        except WellFormednessError as exc:
-            return exc.violations, None
+        wellformed, findings = typecheck(diagram, tolerate_connectivity=allow_ill_formed)
         return findings, wellformed
     from .validate import blocks_rewrite, validate_pa, validate_wellformed
 

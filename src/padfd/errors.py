@@ -64,13 +64,13 @@ def decode_utf8(data: bytes, what: str = "") -> str:
         raise SchemaError(f"{where}not valid UTF-8 at byte {exc.start} ({exc.reason})") from None
 
 
-def read_utf8(path, what: str) -> str:
+def read_utf8(path, source: str) -> str:
     """The text of a UTF-8 file with universal newlines and without one
     leading byte order mark, which spreadsheets write to "CSV UTF-8" files,
     as ``Path.read_text(encoding="utf-8-sig")`` reads it; bytes that are not
-    UTF-8 raise SchemaError naming the file."""
+    UTF-8 raise SchemaError prefixed with `source`, the file's name."""
     with open(path, "rb") as handle:
-        text = decode_utf8(handle.read(), f"{what} {path}")
+        text = decode_utf8(handle.read(), source)
     return text.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n")
 
 
@@ -87,4 +87,6 @@ def decode_json(text: str, what: str = "", parse_constant=None):
         return json.loads(text, parse_constant=parse_constant)
     except (ValueError, RecursionError) as exc:
         where = f"{what}: " if what else ""
-        raise SchemaError(f"{where}not valid JSON: {exc}") from None
+        # Python's advice on an over-long integer names a call no padfd user can make.
+        reason = str(exc).partition("; use sys.set_int_max_str_digits()")[0]
+        raise SchemaError(f"{where}not valid JSON: {reason}") from None

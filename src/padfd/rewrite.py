@@ -3,7 +3,8 @@
 Typing: `typecheck` reads each plain flow between business nodes as the
 kind `model.FLOW_BY_ENDS` names for its endpoint kinds, and a deletion
 flow only as running a process into a data store. It returns the
-well-formed diagram, or every finding as a `validate.Violation`: its own
+well-formed diagram, or every finding as a `validate.Violation`: those of
+`validate_raw` for content no raw diagram may hold, else its own
 FLOW_CLAUSES and the connectivity findings of `validate.connectivity`.
 
 Rewriting: `transform` gives every process a reason node and every data
@@ -70,15 +71,15 @@ def typecheck(
     sorted by element id, then clause. With ``tolerate_connectivity``
     connectivity findings no longer block (for diagram excerpts): the
     typed diagram comes back alongside them, and only flow findings
-    yield None. The input must be a valid raw diagram: another stage
-    raises StageError, and invalid raw content WellFormednessError with
-    `validate_raw`'s violations.
+    yield None. The input must be a raw diagram, else StageError; raw
+    content that `validate_raw` refuses yields (None, its violations),
+    which no option waives.
     """
     if diagram.stage is not Stage.RAW:
         raise StageError(f"typecheck expects a raw diagram, got {diagram.stage.value}")
     validity = validate_raw(diagram)
     if not validity.valid:
-        raise WellFormednessError("not a valid raw diagram", validity.violations)
+        return None, list(validity.violations)
 
     violations: list[Violation] = []
     typed_flows = {}

@@ -339,7 +339,7 @@ def run_clean(state: StoreState, clock: date) -> tuple[StoreState, list[CleanEve
     return StoreState(new_data, new_policies, dict(state.partners)), events
 
 
-def _parse_bool(value, where: str) -> bool:
+def _parse_bool(value, source: str, number: int) -> bool:
     """A PD field: JSON true or false, or the text True or False in any
     case and padding; anything else is refused."""
     if isinstance(value, bool):
@@ -348,7 +348,7 @@ def _parse_bool(value, where: str) -> bool:
         text = value.strip().casefold()
         if text in ("true", "false"):
             return text == "true"
-    raise SimulationError(f"{where}: PD must be 'True' or 'False', found {value!r}")
+    raise SimulationError(f"{_row(source, number)}: PD must be 'True' or 'False', found {value!r}")
 
 
 def _exact_iso_date(text: str) -> date:
@@ -384,57 +384,53 @@ def _parse_consent(value, source: str, number: int) -> frozenset[str]:
     return purposes
 
 
-def _text(value, key: str, where: str) -> str:
+def _text(value, key: str, source: str, number: int) -> str:
     if not isinstance(value, str):
-        raise SimulationError(f"{where}: {key} must be a string, found {value!r}")
+        raise SimulationError(f"{_row(source, number)}: {key} must be a string, found {value!r}")
     return value.strip()
 
 
-def _make_meta(where, flow_id, label, purpose, pd, data_type) -> FlowMeta:
+def _make_meta(source, number, flow_id, label, purpose, pd, data_type) -> FlowMeta:
     """A policy row from its fields, in STATIC_COLUMNS order."""
-    flow_id = _text(flow_id, "F_id", where)
+    flow_id = _text(flow_id, "F_id", source, number)
     if not flow_id:
-        raise SimulationError(f"{where}: F_id must not be empty")
-    pd = _parse_bool(pd, where)
-    purpose = _text(purpose, "Purpose", where)
+        raise SimulationError(f"{_row(source, number)}: F_id must not be empty")
+    pd = _parse_bool(pd, source, number)
+    purpose = _text(purpose, "Purpose", source, number)
     if pd and not purpose:
-        raise SimulationError(f"{where}: personal-data flows need a purpose")
-    return FlowMeta(
-        flow_id, _text(label, "Label", where), purpose, pd, _text(data_type, "Data_type", where)
-    )
+        raise SimulationError(f"{_row(source, number)}: personal-data flows need a purpose")
+    label = _text(label, "Label", source, number)
+    return FlowMeta(flow_id, label, purpose, pd, _text(data_type, "Data_type", source, number))
 
 
 class _RecordMaker:
-    """Builds records from the fields of a row of the dynamic table at
-    `path`, in DYNAMIC_COLUMNS order, parsing each distinct consent and
-    expiry text once. `_text` checks only a field that is not a str, as in
-    JSON; row `number` is named only in the message of a check that fails."""
+    """Builds records from the fields of a row of the dynamic table, in
+    DYNAMIC_COLUMNS order, parsing each distinct consent and expiry text
+    once. `_text` checks only a field that is not a str, as in JSON."""
 
-    def __init__(self, path: str | os.PathLike) -> None:
-        self.source = f"dynamic table {path}"
+    def __init__(self) -> None:
         self.consents: dict[str, frozenset[str]] = {}
         self.expiries: dict[str, date] = {}
 
-    def __call__(self, number, d_id, flow_id, dsub, consent, expiry, content) -> DataRecord:
-        source = self.source
-        d_id = d_id.strip() if type(d_id) is str else _text(d_id, "D_id", _row(source, number))
-        flow_id = flow_id.strip() if type(flow_id) is str else _text(flow_id, "F_id", _row(source, number))
+    def __call__(self, source, number, d_id, flow_id, dsub, consent, expiry, content) -> DataRecord:
+        d_id = d_id.strip() if type(d_id) is str else _text(d_id, "D_id", source, number)
+        flow_id = flow_id.strip() if type(flow_id) is str else _text(flow_id, "F_id", source, number)
         if not d_id or not flow_id:
             raise SimulationError(f"{_row(source, number)}: D_id and F_id must not be empty")
-        dsub = dsub.strip() if type(dsub) is str else _text(dsub, "Dsub", _row(source, number))
+        dsub = dsub.strip() if type(dsub) is str else _text(dsub, "Dsub", source, number)
         if type(consent) is not str:
             parsed = _parse_consent(consent, source, number)
         elif (parsed := self.consents.get(consent)) is None:
             parsed = self.consents[consent] = _parse_consent(consent, source, number)
         if type(expiry) is not str:
-            _text(expiry, "Expiry", _row(source, number))
+            _text(expiry, "Expiry", source, number)
         if (expires := self.expiries.get(expiry)) is None:
             expires = self.expiries[expiry] = _parse_date(expiry.strip(), source, number)
-        content = content.strip() if type(content) is str else _text(content, "Content", _row(source, number))
+        content = content.strip() if type(content) is str else _text(content, "Content", source, number)
         return DataRecord(d_id, flow_id, dsub, parsed, expires, content)
 
 
-def _rows_from_csv(text: str, columns: tuple[str, ...], what: str, path: str | os.PathLike):
+def _rows_from_csv(text: str, columns: tuple[str, ...], source: str):
     """(number, the row's `columns`) for every row after the header, read
     as csv.DictReader reads them: blank lines are skipped and not
     numbered, a short row reads "" for its missing fields, extra fields
@@ -442,7 +438,6 @@ def _rows_from_csv(text: str, columns: tuple[str, ...], what: str, path: str | o
     the csv module cannot read, such as a field over its size limit, and a
     NUL byte, which only Python 3.10's reader refuses itself, raise
     SchemaError naming the file and the line."""
-    source = f"{what} table {path}"
     if "\0" in text:
         line = text.count("\n", 0, text.index("\0")) + 1
         raise SchemaError(f"{source} line {line}: holds a NUL byte")
@@ -466,9 +461,8 @@ def _rows_from_csv(text: str, columns: tuple[str, ...], what: str, path: str | o
         raise SchemaError(f"{source} line {reader.line_num}: {exc}") from None
 
 
-def _rows_from_json(text: str, columns: tuple[str, ...], what: str, path: str | os.PathLike):
+def _rows_from_json(text: str, columns: tuple[str, ...], source: str):
     """(index, the row's `columns`) for every object of a JSON list."""
-    source = f"{what} table {path}"
     doc = decode_json(text, source)
     if not isinstance(doc, list):
         raise SchemaError(f"{source}: top level must be a list of rows")
@@ -491,33 +485,41 @@ def _rows_from_json(text: str, columns: tuple[str, ...], what: str, path: str | 
         yield index, fields
 
 
-def _read_table(path: str | os.PathLike, columns: tuple[str, ...], what: str):
-    """(number, the row's `columns`) for every row of the `what` table, a
-    .json file or else CSV; messages name a row as "`what` table `path`
-    row `number`"."""
-    text = read_utf8(path, f"{what} table")
-    if os.path.splitext(path)[1].lower() == ".json":
-        return _rows_from_json(text, columns, what, path)
-    return _rows_from_csv(text, columns, what, path)
+def _read_table(path: str | os.PathLike, what: str, columns: tuple[str, ...], make: Callable) -> list:
+    """``make(source, number, *fields)`` for each row of the `what` table, a
+    .json file or else CSV, its fields in `columns` order. `source`, "`what`
+    table `path`", names the table in every refusal; `_row`, formatted only
+    for a refusal, names a row."""
+    source = f"{what} table {path}"
+    text = read_utf8(path, source)
+    rows = _rows_from_json if os.path.splitext(path)[1].lower() == ".json" else _rows_from_csv
+    return [make(source, number, *fields) for number, fields in rows(text, columns, source)]
 
 
 def load_flow_metas(path: str | os.PathLike) -> list[FlowMeta]:
-    """Read the static policy table from a .csv or .json file."""
-    source = f"static table {path}"
-    rows = _read_table(path, STATIC_COLUMNS, "static")
-    return [_make_meta(_row(source, number), *fields) for number, fields in rows]
+    """Read the static policy table from a .csv or .json file. A second
+    row for a flow is refused, naming the first."""
+    first: dict[str, int] = {}
+
+    def make(source: str, number: int, *fields) -> FlowMeta:
+        meta = _make_meta(source, number, *fields)
+        if (earlier := first.setdefault(meta.flow_id, number)) != number:
+            duplicate = f"duplicate policy row for flow {meta.flow_id!r} (first at row {earlier})"
+            raise SimulationError(f"{_row(source, number)}: {duplicate}")
+        return meta
+
+    return _read_table(path, "static", STATIC_COLUMNS, make)
 
 
 def load_data_records(path: str | os.PathLike) -> list[DataRecord]:
     """Read the dynamic record table from a .csv or .json file."""
-    make = _RecordMaker(path)
-    return [make(number, *fields) for number, fields in _read_table(path, DYNAMIC_COLUMNS, "dynamic")]
+    return _read_table(path, "dynamic", DYNAMIC_COLUMNS, _RecordMaker())
 
 
 def load_equivalences(path: str | os.PathLike) -> list[tuple[str, str]]:
     """Read purpose equivalences: a JSON list of [consented, covered] pairs."""
     source = f"equivalence file {path}"
-    doc = decode_json(read_utf8(path, "equivalence file"), source)
+    doc = decode_json(read_utf8(path, source), source)
     if not isinstance(doc, list):
         raise SchemaError(f"{source}: top level must be a list of pairs")
     pairs = []

@@ -163,7 +163,7 @@ def load_style_map(path: str | os.PathLike) -> StyleMap:
     the file.
     """
     source = f"style config {path}"
-    doc = decode_json(read_utf8(path, "style config"), source)
+    doc = decode_json(read_utf8(path, source), source)
     if not isinstance(doc, dict):
         raise SchemaError(f"{source}: top level must be an object")
     unknown = set(doc) - {"node_rules", "edge_rules", "node_styles", "edge_styles"}

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+import json
 import random
 from datetime import date, timedelta
 
@@ -214,6 +216,23 @@ def payment_equivalences() -> list[tuple[str, str]]:
         ("Recording the work status", "Project monitoring"),
         ("Assigning project info to BIM", "Sending up to date project information to IBM"),
     ]
+
+
+def repeat_first_policy_row(static_csv, tmp_path, suffix: str):
+    """The policy table at `static_csv` with its first row repeated at the
+    end, written as CSV or JSON by `suffix`; the file's path, and the
+    numbers the loader gives the first row and its repeat (CSV counts the
+    header as line 1, JSON rows by index)."""
+    with open(static_csv, newline="", encoding="utf-8") as handle:
+        header, *rows = csv.reader(handle)
+    rows.append(rows[0])
+    path = tmp_path / f"repeated{suffix}"
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        if suffix == ".csv":
+            csv.writer(handle).writerows([header, *rows])
+            return path, 2, len(rows) + 1
+        json.dump([dict(zip(header, row)) for row in rows], handle)
+        return path, 0, len(rows) - 1
 
 
 def payment_pa() -> Diagram:

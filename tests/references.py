@@ -827,17 +827,24 @@ def _dict_rows(text: str, columns: tuple[str, ...], what: str, path):
 
 def reference_parse_flow_metas(text: str, path) -> list[FlowMeta]:
     """The static CSV table `text`, read from `path`, row by row through
-    csv.DictReader."""
+    csv.DictReader; a second row for a flow is refused, naming the first."""
     metas = []
+    first_row = {}
     for number, row in _dict_rows(text, STATIC_COLUMNS, "static", path):
         where = f"static table {path} row {number}"
         flow_id = row["F_id"].strip()
         if not flow_id:
             raise SimulationError(f"{where}: F_id must not be empty")
-        pd = _parse_bool(row["PD"], where)
+        pd = _parse_bool(row["PD"], f"static table {path}", number)
         purpose = row["Purpose"].strip()
         if pd and not purpose:
             raise SimulationError(f"{where}: personal-data flows need a purpose")
+        if flow_id in first_row:
+            raise SimulationError(
+                f"{where}: duplicate policy row for flow {flow_id!r} "
+                f"(first at row {first_row[flow_id]})"
+            )
+        first_row[flow_id] = number
         metas.append(
             FlowMeta(flow_id, row["Label"].strip(), purpose, pd, row["Data_type"].strip())
         )

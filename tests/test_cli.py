@@ -36,7 +36,10 @@ from padfd import (
 )
 from padfd.cli import main
 
-from helpers import build_diagram, build_excerpt, build_excerpt_raw, build_payment_raw, gadget_roles
+from helpers import (
+    build_diagram, build_excerpt, build_excerpt_raw, build_payment_raw, gadget_roles,
+    repeat_first_policy_row,
+)
 from references import reference_report_json, to_canonical_dict
 
 DEMO_DATA = Path(__file__).resolve().parents[1] / "demos" / "data"
@@ -837,6 +840,18 @@ JSON_READERS = {
 }
 
 
+def assert_refused_as_json(err: str, where: str, kind: str) -> None:
+    """`err` is one line refusing the `HOSTILE_JSON` document `kind` in the
+    file named `where`. An over-long integer keeps Python's reason, in the
+    words of the running version, but not its advice to raise the limit,
+    which names a call no padfd user can make."""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    if kind == "deep-nesting" or hasattr(sys, "get_int_max_str_digits"):
+        reason = "Exceeds the limit" if kind == "long-integer" else ""
+        assert err.startswith(f"error: {where}: not valid JSON: {reason}")
+    assert "set_int_max_str_digits" not in err
+
+
 @pytest.mark.parametrize("kind", list(HOSTILE_JSON))
 @pytest.mark.parametrize("option", list(JSON_READERS))
 def test_simulate_refuses_hostile_json_inputs(fixtures_dir, tmp_path, capsys, monkeypatch, option, kind):
@@ -850,10 +865,7 @@ def test_simulate_refuses_hostile_json_inputs(fixtures_dir, tmp_path, capsys, mo
     else:
         argv += [option, str(bad)]
     assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
-    if kind == "deep-nesting" or hasattr(sys, "get_int_max_str_digits"):
-        assert err.startswith(f"error: {JSON_READERS[option]} {bad}: not valid JSON: ")
+    assert_refused_as_json(capsys.readouterr().err, f"{JSON_READERS[option]} {bad}", kind)
 
 
 @pytest.mark.parametrize("report", ["text", "json"])
@@ -887,15 +899,25 @@ def test_simulate_refuses_a_non_boolean_pd_in_a_json_table(fixtures_dir, tmp_pat
     assert err == f"error: static table {static} row 0: PD must be 'True' or 'False', found None\n"
 
 
+@pytest.mark.parametrize("suffix", [".csv", ".json"])
+def test_simulate_refuses_a_second_policy_row_for_a_flow(fixtures_dir, tmp_path, capsys, suffix):
+    static, first, second = repeat_first_policy_row(fixtures_dir / "payment_static.csv", tmp_path, suffix)
+    argv = simulate_argv(fixtures_dir, payment_model(tmp_path))
+    argv[argv.index("--static") + 1] = str(static)
+    assert main(argv) == 1
+    assert capsys.readouterr() == (
+        "",
+        f"error: static table {static} row {second}: duplicate policy row for flow 'f1'"
+        f" (first at row {first})\n",
+    )
+
+
 @pytest.mark.parametrize("kind", list(HOSTILE_JSON))
 def test_check_refuses_a_hostile_json_diagram(tmp_path, capsys, kind):
     bad = tmp_path / "bad.json"
     bad.write_bytes(HOSTILE_JSON[kind])
     assert main(["check", str(bad)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
-    if kind == "deep-nesting" or hasattr(sys, "get_int_max_str_digits"):
-        assert err.startswith(f"error: {bad}: not valid JSON: ")
+    assert_refused_as_json(capsys.readouterr().err, str(bad), kind)
 
 
 @pytest.mark.parametrize("writer", [write_json, write_drawio], ids=["json", "drawio"])

@@ -47,6 +47,7 @@ from helpers import (
     payment_metas,
     payment_pa,
     payment_records,
+    repeat_first_policy_row,
     replace,
 )
 from references import reference_render_report, reference_run_simulation
@@ -271,10 +272,22 @@ def test_run_requires_privacy_aware_stage():
 
 
 def test_run_rejects_duplicate_policy_rows():
-    with pytest.raises(SimulationError):
+    """Policy rows built in code have no file or row to name."""
+    with pytest.raises(SimulationError) as exc:
         run_simulation(
             payment_pa(), [meta("f1"), meta("f1")], [], CLOCK
         )
+    assert str(exc.value) == "duplicate policy row for flow 'f1'"
+
+
+@pytest.mark.parametrize("suffix", [".csv", ".json"])
+def test_policy_loader_refuses_a_second_row_for_a_flow(fixtures_dir, tmp_path, suffix):
+    path, first, second = repeat_first_policy_row(fixtures_dir / "payment_static.csv", tmp_path, suffix)
+    with pytest.raises(SimulationError) as exc:
+        load_flow_metas(path)
+    assert str(exc.value) == (
+        f"static table {path} row {second}: duplicate policy row for flow 'f1' (first at row {first})"
+    )
 
 
 def test_run_rejects_unknown_flow():

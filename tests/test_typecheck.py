@@ -10,11 +10,10 @@ from padfd import (
     NodeType,
     Stage,
     StageError,
-    WellFormednessError,
     typecheck,
     validate_wellformed,
 )
-from padfd.validate import CONNECTIVITY_CLAUSES
+from padfd.validate import CONNECTIVITY_CLAUSES, validate_raw
 
 from helpers import ESTORE_EXPECTED_TYPES, build_diagram, build_estore_raw, replace
 
@@ -192,9 +191,13 @@ def test_typecheck_requires_raw_stage():
 
 
 def test_typecheck_requires_valid_raw_content():
+    """Raw content that `validate_raw` refuses comes back as its findings,
+    with no diagram, whether or not connectivity findings are tolerated."""
     d = build_diagram(Stage.RAW, [Node("x", NodeType.LIMIT)], [])
-    with pytest.raises(WellFormednessError):
-        typecheck(d)
+    expected = list(validate_raw(d).violations)
+    assert expected
+    for tolerate in (False, True):
+        assert typecheck(d, tolerate_connectivity=tolerate) == (None, expected)
 
 
 def test_typecheck_loop_rule():
