@@ -63,33 +63,29 @@ def _style_map(args) -> StyleMap | None:
     return load_style_map(path)
 
 
-# Diagram formats by file suffix, in any case. A file read whose suffix
-# names no format padfd reads is told by its first byte, and refused if it
-# opens as Graphviz DOT does; a file written under a suffix the table lacks
-# is draw.io.
-_SUFFIX_FORMATS = {".json": "json", ".xml": "drawio", ".drawio": "drawio", ".dot": "dot", ".gv": "dot"}
+# The format an output's suffix names, in any case; any other suffix is
+# draw.io. A diagram read is told by its content (`_read_diagram`).
+_SUFFIX_FORMATS = {".json": "json", ".dot": "dot", ".gv": "dot"}
 
 
-def _suffix_format(path_text: str) -> str | None:
-    return _SUFFIX_FORMATS.get(os.path.splitext(path_text)[1].lower())
-
-
-def _read_diagram(path_text: str, fmt: str | None, styles: StyleMap | None) -> Diagram:
-    """The diagram in a file. Its reader reads one leading byte order mark
-    as none, as in tables; every ParseError it raises names the file. A
-    format the options and the name leave open is told by the content past
-    every leading mark, so that the reader of that format refuses a second."""
+def _read_diagram(path_text: str, styles: StyleMap | None) -> Diagram:
+    """The diagram in a file, whatever its name. Past every leading byte
+    order mark and whitespace, `{` opens JSON, `<` draw.io, and a first
+    word `strict`, `graph` or `digraph` Graphviz DOT, which is refused.
+    Other content goes to the reader its name picks, so that reader names
+    the defect. A reader reads one leading mark as none, as in tables, and
+    refuses a second; every ParseError it raises names the file."""
     with open(path_text, "rb") as handle:
         data = handle.read()
-    fmt = fmt or _suffix_format(path_text)
+    # The match spans the lead alone, so the input is not copied.
+    start = re.match(rb"(?:\xef\xbb\xbf|\s)*", data).end()
+    first = data[start : start + 1]
     try:
-        if fmt not in ("json", "drawio"):
-            head = re.sub(rb"^(?:\xef\xbb\xbf)+", b"", data).lstrip()
-            if head[:1] == b"{":
-                fmt = "json"
-            elif head[:1] != b"<" and re.match(rb"(?i)(?:strict|graph|digraph)\b", head):
+        if first not in (b"{", b"<"):
+            if re.match(rb"(?i)(?:strict|graph|digraph)\b", data[start : start + 8]):
                 raise ParseError("the input is Graphviz DOT, which padfd writes but does not read")
-        if fmt == "json":
+            first = b"{" if os.path.splitext(path_text)[1].lower() == ".json" else b"<"
+        if first == b"{":
             from .canonical import parse_json
 
             return parse_json(data)
@@ -116,20 +112,29 @@ def _write_atomic(path_text: str, data: bytes) -> None:
         raise OSError(exc.errno, exc.strerror, path_text) from None
 
 
-def _emit(diagram: Diagram, fmt: str, styles: StyleMap | None) -> bytes:
-    if fmt == "json":
-        from .canonical import emit_json
+def _write_diagram(diagram: Diagram, args, styles: StyleMap | None) -> None:
+    """Write `diagram` to the output in --out-format, else in the format
+    the output's suffix names, else as draw.io. A writer refuses what the
+    input holds, so its refusal names the input, as a reader's does."""
+    fmt = args.out_format or _SUFFIX_FORMATS.get(os.path.splitext(args.output)[1].lower())
+    try:
+        if fmt == "json":
+            from .canonical import emit_json
 
-        return emit_json(diagram)
-    if fmt == "dot":
-        from .dot import emit_dot
+            data = emit_json(diagram)
+        elif fmt == "dot":
+            from .dot import emit_dot
 
-        return emit_dot(diagram)
-    from .drawio import emit_drawio
-    from .layout import layout_generated
+            data = emit_dot(diagram)
+        else:
+            from .drawio import emit_drawio
+            from .layout import layout_generated
 
-    # draw.io files should open fully placed; fill in missing positions.
-    return emit_drawio(layout_generated(diagram), styles)
+            # draw.io files should open fully placed; fill in missing positions.
+            data = emit_drawio(layout_generated(diagram), styles)
+    except ParseError as exc:
+        raise type(exc)(f"{args.input}: {exc}") from None
+    _write_atomic(args.output, data)
 
 
 def _gate(
@@ -174,7 +179,7 @@ def _privacy_aware(
 
 def cmd_check(args) -> int:
     styles = _style_map(args)
-    diagram = _read_diagram(args.input, args.format, styles)
+    diagram = _read_diagram(args.input, styles)
     findings, _ = _gate(diagram, allow_ill_formed=False)
     if args.report == "json":
         # A raw diagram's findings say what kind of typing problem they are.
@@ -208,15 +213,14 @@ def cmd_check(args) -> int:
 
 def cmd_transform(args) -> int:
     styles = _style_map(args)
-    diagram = _read_diagram(args.input, args.in_format, styles)
+    diagram = _read_diagram(args.input, styles)
     if diagram.stage is Stage.PA:
         _write(sys.stderr, "error: input is already privacy-aware\n")
         return 1
     result = _privacy_aware(diagram, args.allow_ill_formed, args.shared_log_store)
     if result is None:
         return 1
-    out_format = args.out_format or _suffix_format(args.output) or "drawio"
-    _write_atomic(args.output, _emit(result, out_format, styles))
+    _write_diagram(result, args, styles)
     return 0
 
 
@@ -232,7 +236,7 @@ def cmd_simulate(args) -> int:
     )
 
     styles = _style_map(args)
-    diagram = _read_diagram(args.model, args.in_format, styles)
+    diagram = _read_diagram(args.model, styles)
     diagram = _privacy_aware(diagram, allow_ill_formed=False, shared_log_store=False)
     if diagram is None:
         return 1
@@ -260,8 +264,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_export(args) -> int:
     styles = _style_map(args)
-    diagram = _read_diagram(args.input, args.in_format, styles)
-    _write_atomic(args.output, _emit(diagram, args.out_format, styles))
+    _write_diagram(_read_diagram(args.input, styles), args, styles)
     return 0
 
 
@@ -311,10 +314,11 @@ class _Option:
 
 
 _HELP = _Option(("-h", "--help"), "show this help message and exit")
-_FORMAT_HELP = "input format (default: from the file name, then its content)"
-_IN_FORMAT = _Option(("--in-format",), _FORMAT_HELP, choices=("drawio", "json"))
 _OUTPUT = _Option(("-o", "--output"), "file to write", metavar="OUTPUT", required=True)
-_OUT_FORMATS = ("drawio", "json", "dot")
+_OUT_FORMAT = _Option(
+    ("--out-format",), "output format (default: from the output name, else drawio)",
+    choices=("drawio", "json", "dot"),
+)
 _REPORT = _Option(
     ("--report",), "print text lines or one JSON document (default: text)", choices=("text", "json"),
     default="text",
@@ -326,8 +330,8 @@ COMMANDS = {
     "check": (
         cmd_check,
         "validate a diagram and print diagnostics",
-        ("input", "diagram file: draw.io (.drawio, .xml) or canonical JSON (.json)"),
-        (_Option(("--format",), _FORMAT_HELP, choices=("drawio", "json")), _STYLES, _REPORT),
+        ("input", "diagram file: draw.io or canonical JSON"),
+        (_STYLES, _REPORT),
     ),
     "transform": (
         cmd_transform,
@@ -335,10 +339,7 @@ COMMANDS = {
         ("input", "business diagram file: draw.io or canonical JSON"),
         (
             _OUTPUT,
-            _IN_FORMAT,
-            _Option(
-                ("--out-format",), "output format (default: from the output name)", choices=_OUT_FORMATS
-            ),
+            _OUT_FORMAT,
             _Option(("--shared-log-store",), "merge the per-flow log stores into one"),
             _Option(("--allow-ill-formed",), "rewrite diagram excerpts despite connectivity findings"),
             _STYLES,
@@ -359,7 +360,6 @@ COMMANDS = {
             _Option(("--fail-on-violation",), "exit 1 when any log entry is a violation (v=true)"),
             _Option(("--multi-hop",), "forwarded records continue along the process's outgoing flows"),
             _Option(("--compat",), "JSON list of [consented, covered] purpose pairs", metavar="COMPAT"),
-            _IN_FORMAT,
             _STYLES,
         ),
     ),
@@ -367,12 +367,7 @@ COMMANDS = {
         cmd_export,
         "convert between diagram formats",
         ("input", "diagram file: draw.io or canonical JSON"),
-        (
-            _OUTPUT,
-            _Option(("--out-format",), "output format", choices=_OUT_FORMATS, required=True),
-            _IN_FORMAT,
-            _STYLES,
-        ),
+        (_OUTPUT, _OUT_FORMAT, _STYLES),
     ),
 }
 

@@ -254,12 +254,12 @@ def run_simulation(
         log = log_of.get(flow_id)
         if log is None:
             raise SimulationError(
-                f"flow {flow_id!r} is not a guarded data flow; records "
-                "travel the flows of the original diagram"
+                f"record {record.d_id!r} names flow {flow_id!r}, which is not a guarded "
+                "data flow; records travel the flows of the original diagram"
             )
         meta = meta_by_flow.get(flow_id)
         if meta is None:
-            raise SimulationError(f"no policy row for flow {flow_id!r}")
+            raise SimulationError(f"record {record.d_id!r} names flow {flow_id!r}, which has no policy row")
         onward = outgoing.get(flow.target, []) if flow.flow_type is FlowType.LIMPRO else []
         routes[flow_id] = resolved = (flow, meta, logs[log], onward)
         return resolved

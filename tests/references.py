@@ -722,12 +722,14 @@ def reference_run_simulation(
         log = log_of.get(record.flow_id)
         if log is None:
             raise SimulationError(
-                f"flow {record.flow_id!r} is not a guarded data flow; records "
-                "travel the flows of the original diagram"
+                f"record {record.d_id!r} names flow {record.flow_id!r}, which is not a "
+                "guarded data flow; records travel the flows of the original diagram"
             )
         meta = meta_by_flow.get(record.flow_id)
         if meta is None:
-            raise SimulationError(f"no policy row for flow {record.flow_id!r}")
+            raise SimulationError(
+                f"record {record.d_id!r} names flow {record.flow_id!r}, which has no policy row"
+            )
         routes[record.flow_id] = resolved = (flow, meta, logs[log])
         return resolved
 
@@ -913,7 +915,6 @@ def reference_parser() -> argparse.ArgumentParser:
 
     check = sub.add_parser("check", help="validate a diagram and print diagnostics")
     check.add_argument("input")
-    check.add_argument("--format", choices=["drawio", "json"], default=None)
     check.add_argument("--styles", help="style map JSON file")
     check.add_argument("--report", choices=["text", "json"], default="text")
     check.set_defaults(func=cli.cmd_check)
@@ -923,7 +924,6 @@ def reference_parser() -> argparse.ArgumentParser:
     )
     tf.add_argument("input")
     tf.add_argument("-o", "--output", required=True)
-    tf.add_argument("--in-format", choices=["drawio", "json"], default=None)
     tf.add_argument("--out-format", choices=["drawio", "json", "dot"], default=None)
     tf.add_argument(
         "--shared-log-store",
@@ -953,17 +953,13 @@ def reference_parser() -> argparse.ArgumentParser:
     sim.add_argument(
         "--compat", help="JSON list of [consented, covered] purpose pairs"
     )
-    sim.add_argument("--in-format", choices=["drawio", "json"], default=None)
     sim.add_argument("--styles", help="style map JSON file")
     sim.set_defaults(func=cli.cmd_simulate)
 
     export = sub.add_parser("export", help="convert between diagram formats")
     export.add_argument("input")
     export.add_argument("-o", "--output", required=True)
-    export.add_argument(
-        "--out-format", choices=["drawio", "json", "dot"], required=True
-    )
-    export.add_argument("--in-format", choices=["drawio", "json"], default=None)
+    export.add_argument("--out-format", choices=["drawio", "json", "dot"], default=None)
     export.add_argument("--styles", help="style map JSON file")
     export.set_defaults(func=cli.cmd_export)
 

@@ -331,15 +331,18 @@ def test_a_write_error_names_the_output_not_its_temp_file(fixtures_dir, tmp_path
     assert [p.name for p in tmp_path.rglob("*")] == (["out"] if kind == "directory" else [])
 
 
+@pytest.mark.parametrize("command", ["transform", "export"])
 @pytest.mark.parametrize(
     "name, out_format",
     [("pa.gv", "dot"), ("pa.dot", "dot"), ("pa.XML", "drawio"), ("pa.data", "drawio"), ("pa.JSON", "json")],
 )
-def test_transform_writes_the_format_its_output_suffix_names(fixtures_dir, tmp_path, name, out_format):
+def test_a_diagram_is_written_in_the_format_its_output_suffix_names(
+    fixtures_dir, tmp_path, command, name, out_format
+):
     source = str(fixtures_dir / "estore.drawio.xml")
     named, chosen = tmp_path / name, tmp_path / "chosen"
-    assert main(["transform", source, "-o", str(named)]) == 0
-    assert main(["transform", source, "-o", str(chosen), "--out-format", out_format]) == 0
+    assert main([command, source, "-o", str(named)]) == 0
+    assert main([command, source, "-o", str(chosen), "--out-format", out_format]) == 0
     assert named.read_bytes() == chosen.read_bytes()
 
 
@@ -426,7 +429,8 @@ def test_export_refuses_what_drawio_cannot_read_back(tmp_path, capsys, node, mat
     source.write_text(_single_node_document(node), encoding="utf-8")
     out = tmp_path / "out.drawio.xml"
     assert main(["export", str(source), "-o", str(out), "--out-format", "drawio"]) == 2
-    assert match in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {source}: ") and match in err
     assert [p.name for p in tmp_path.iterdir()] == ["in.json"]
 
 
@@ -465,23 +469,38 @@ def test_export_dot(fixtures_dir, tmp_path):
     assert '"customer"' in text
 
 
-def test_export_in_format_override(fixtures_dir, tmp_path):
-    oddly_named = tmp_path / "drawing.data"
-    oddly_named.write_bytes((fixtures_dir / "estore.drawio.xml").read_bytes())
-    out = tmp_path / "out.json"
-    assert main(
-        [
-            "export",
-            str(oddly_named),
-            "-o",
-            str(out),
-            "--in-format",
-            "drawio",
-            "--out-format",
-            "json",
-        ]
-    ) == 0
-    assert parse_json(out.read_bytes()).nodes["customer"].node_type is NodeType.EXT
+# A diagram is read by its content, whatever its name.
+DEMO_DIAGRAMS = [DEMO_DATA / "estore.drawio.xml", DEMO_DATA.parent / "out" / "estore_pa.json"]
+
+
+def command_results(source: Path, out_dir: Path, capsys) -> tuple[list, dict]:
+    """Each command's exit code and stdout on `source`, and the files the
+    commands wrote."""
+    out_dir.mkdir()
+    tables = [
+        "--static", str(DEMO_DATA / "payment_static.csv"),
+        "--dynamic", str(DEMO_DATA / "payment_dynamic.csv"),
+        "--clock", CLOCK,
+    ]
+    runs = [
+        ["check", str(source), "--report", "json"],
+        ["transform", str(source), "-o", str(out_dir / "pa.json")],
+        ["transform", str(source), "-o", str(out_dir / "pa.drawio.xml")],
+        ["simulate", str(source), *tables, "--multi-hop"],
+        *(["export", str(source), "-o", str(out_dir / f"out.{ext}")] for ext in ("json", "xml", "dot")),
+    ]
+    results = [(main(argv), capsys.readouterr().out) for argv in runs]
+    return results, {path.name: path.read_bytes() for path in sorted(out_dir.iterdir())}
+
+
+@pytest.mark.parametrize("source", DEMO_DIAGRAMS, ids=["drawing", "model"])
+@pytest.mark.parametrize("suffix", [".json", ".xml", ".drawio", ".dot", ".txt", ""])
+def test_a_diagram_reads_alike_under_any_name(tmp_path, capsys, source, suffix):
+    renamed = tmp_path / f"diagram{suffix}"
+    shutil.copyfile(source, renamed)
+    named = command_results(source, tmp_path / "named", capsys)
+    assert {"out.json", "out.xml", "out.dot"} <= named[1].keys()
+    assert command_results(renamed, tmp_path / "renamed", capsys) == named
 
 
 # --- style overrides -------------------------------------------------------------
@@ -707,6 +726,29 @@ def test_simulate_unknown_flow_in_table(fixtures_dir, tmp_path, capsys):
     ]
     assert main(argv) == 1
     assert "f99" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "table, rows, message",
+    [
+        ("static", "", "record 'd1' names flow 'f1', which has no policy row"),
+        (
+            "dynamic",
+            "d7,gen-11,S,billing,2020-12-31,x\n",
+            "record 'd7' names flow 'gen-11', which is not a guarded data flow; records travel"
+            " the flows of the original diagram",
+        ),
+    ],
+    ids=["no-policy-row", "unguarded-flow"],
+)
+def test_simulate_refusals_name_the_record(tmp_path, capsys, table, rows, message):
+    source = DEMO_DATA / f"payment_{table}.csv"
+    edited = tmp_path / source.name
+    edited.write_text(source.read_text(encoding="utf-8").splitlines()[0] + "\n" + rows, encoding="utf-8")
+    argv = simulate_argv(DEMO_DATA, DEMO_DATA.parent / "out" / "estore_pa.json")
+    argv[argv.index(f"--{table}") + 1] = str(edited)
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_simulate_missing_table_file(fixtures_dir, tmp_path, capsys):

@@ -97,6 +97,15 @@ USAGE_ERRORS = {
         "the following arguments are required: --static",
     ),
     "extra-positional": (["check", "a.json", "b.json"], "check", "unrecognized arguments: b.json"),
+    # A diagram's content names its format; no option does.
+    "format": (
+        ["check", "in.json", "--format", "json"], "check", "unrecognized arguments: --format json"
+    ),
+    "in-format": (
+        ["export", "in", "-o", "out", "--in-format", "drawio"],
+        "export",
+        "unrecognized arguments: --in-format drawio",
+    ),
     "bad-clock": (
         [*SIMULATE, "--clock", "soon"],
         "simulate",
@@ -234,7 +243,8 @@ def command_lines(draw) -> list[str]:
 @given(command_lines())
 @example(["transform", "-oout.json", "in.json", "--out=json"])
 @example(["simulate", "--sta=s", "m", "--dyn", "d", "--clock=2020-06-01", "--clock", "2020-06-02"])
-@example(["export", "--in", "json", "-o=out", "--out-f", "dot", "--", "-in.json"])
+@example(["export", "--sty", "s.json", "-o=out", "--out-f", "dot", "--", "-in.json"])
+@example(["export", "--in", "json", "-o=out", "--", "-in.json"])
 @example(["transform", "-ho", "out.json", "in.json"])
 @example(["check", "x", "-hh"])
 def test_command_lines_parse_as_argparse_parses_them(argv):
