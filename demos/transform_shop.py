@@ -30,7 +30,7 @@ OUT.mkdir(exist_ok=True)
 
 # ---------------------------------------------------------------------------
 # Parse and type-check. The file uses vanilla draw.io shapes; the parser
-# classifies them by style (ellipse = external, rounded box = process,
+# classifies them by style (ellipse = process, rounded box = external,
 # cylinder = data store).
 
 raw = parse_drawio((HERE / "data" / "estore.drawio.xml").read_bytes())

@@ -21,7 +21,7 @@ _HOME = {
     "CleanEvent": "simulate",
     "DataRecord": "simulate",
     "Decision": "simulate",
-    "DEFAULT_STYLE_MAP": "styles",
+    "DEFAULT_STYLE_MAP": "drawio",
     "Diagram": "graph",
     "Flow": "graph",
     "FlowMeta": "simulate",
@@ -41,7 +41,7 @@ _HOME = {
     "StageValidity": "validate",
     "StoredRecord": "simulate",
     "StoreState": "simulate",
-    "StyleMap": "styles",
+    "StyleMap": "drawio",
     "TransformError": "errors",
     "Violation": "validate",
     "WellFormednessError": "errors",
@@ -55,7 +55,7 @@ _HOME = {
     "load_data_records": "simulate",
     "load_equivalences": "simulate",
     "load_flow_metas": "simulate",
-    "load_style_map": "styles",
+    "load_style_map": "drawio",
     "parse_drawio": "drawio",
     "parse_json": "canonical",
     "render_report": "simulate",

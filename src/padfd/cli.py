@@ -41,7 +41,7 @@ if TYPE_CHECKING:
     from datetime import date
 
     from .graph import Diagram
-    from .styles import StyleMap
+    from .drawio import StyleMap
     from .validate import Violation
 
 
@@ -58,13 +58,14 @@ def _style_map(args) -> StyleMap | None:
     path = getattr(args, "styles", None) or os.environ.get("PADFD_STYLES")
     if not path:
         return None
-    from .styles import load_style_map
+    from .drawio import load_style_map
 
     return load_style_map(path)
 
 
-# The format an output's suffix names, in any case; any other suffix is
-# draw.io. A diagram read is told by its content (`_read_diagram`).
+# The format a file's suffix names, in any case; any other suffix is
+# draw.io. It picks an output's format, and an input's where the content
+# does not (`_read_diagram`).
 _SUFFIX_FORMATS = {".json": "json", ".dot": "dot", ".gv": "dot"}
 
 
@@ -72,9 +73,10 @@ def _read_diagram(path_text: str, styles: StyleMap | None) -> Diagram:
     """The diagram in a file, whatever its name. Past every leading byte
     order mark and whitespace, `{` opens JSON, `<` draw.io, and a first
     word `strict`, `graph` or `digraph` Graphviz DOT, which is refused.
-    Other content goes to the reader its name picks, so that reader names
-    the defect. A reader reads one leading mark as none, as in tables, and
-    refuses a second; every ParseError it raises names the file."""
+    Other content is read in the format its name picks, so that reader, or
+    the DOT refusal, names the defect. A reader reads one leading mark as
+    none, as in tables, and refuses a second; every ParseError it raises
+    names the file."""
     with open(path_text, "rb") as handle:
         data = handle.read()
     # The match spans the lead alone, so the input is not copied.
@@ -82,9 +84,10 @@ def _read_diagram(path_text: str, styles: StyleMap | None) -> Diagram:
     first = data[start : start + 1]
     try:
         if first not in (b"{", b"<"):
-            if re.match(rb"(?i)(?:strict|graph|digraph)\b", data[start : start + 8]):
+            fmt = _SUFFIX_FORMATS.get(os.path.splitext(path_text)[1].lower())
+            if fmt == "dot" or re.match(rb"(?i)(?:strict|graph|digraph)\b", data[start : start + 8]):
                 raise ParseError("the input is Graphviz DOT, which padfd writes but does not read")
-            first = b"{" if os.path.splitext(path_text)[1].lower() == ".json" else b"<"
+            first = b"{" if fmt == "json" else b"<"
         if first == b"{":
             from .canonical import parse_json
 

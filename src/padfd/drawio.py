@@ -1,4 +1,4 @@
-"""draw.io (mxGraph) reader and writer.
+"""draw.io (mxGraph) reader and writer, and the style map between them.
 
 A diagram maps onto one mxGraphModel page: vertices become nodes, edges
 become flows, the style string encodes the element type, and a
@@ -8,19 +8,182 @@ and is inferred from content for foreign files. Unrecognised cell
 attributes are kept verbatim and echoed on output. Emission is pure and
 byte-deterministic: elements are written in sorted id order and nothing
 (timestamps, hashes) varies between runs.
+
+A style map types a style string by an ordered list of substring rules,
+the first match winning, and gives each element type one emit style.
+The privacy-aware kinds are written with a ``dfd=<type>;`` marker, so
+their round trips never depend on guessing, while the generic rules after
+the markers accept vanilla draw.io drawings (plain rectangles, ellipses,
+datastore shapes, dashed edges). A map read from a JSON file overlays
+the default for drawings that use other conventions. ElementTree is
+imported only where a drawing is parsed or an extra key's name checked,
+so a style map read for a JSON command loads none of it.
 """
 
 from __future__ import annotations
 
 import math
 import re
-import xml.etree.ElementTree as ET
 
 from . import model
-from .errors import ParseError, SchemaError, decode_utf8
-from .graph import Diagram, Flow, Node, build, format_position
+from .errors import ParseError, SchemaError, decode_json, decode_utf8, read_utf8
+from .graph import Diagram, Flow, Node, Record, build, format_position
 from .model import NODE_LOOKS, FlowType, NodeType, Stage
-from .styles import DEFAULT_STYLE_MAP, StyleMap
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    import os
+    import xml.etree.ElementTree as ET
+
+
+class StyleMap(Record):
+    """Ordered parse rules plus one emit style per element type."""
+
+    def __init__(
+        self, node_rules: tuple[tuple[str, NodeType], ...],
+        edge_rules: tuple[tuple[str, FlowType], ...], node_styles: dict[NodeType, str],
+        edge_styles: dict[FlowType, str],
+    ) -> None:
+        d = self.__dict__
+        d["node_rules"] = node_rules
+        d["edge_rules"] = edge_rules
+        d["node_styles"] = node_styles
+        d["edge_styles"] = edge_styles
+
+    def node_type_for(self, style: str | None) -> NodeType | None:
+        """Type of a vertex style, or None when no rule matches.
+
+        An absent or empty style is draw.io's plain rectangle.
+        """
+        if not style:
+            return NodeType.EXT
+        for pattern, node_type in self.node_rules:
+            if pattern in style:
+                return node_type
+        return None
+
+    def flow_type_for(self, style: str | None) -> FlowType:
+        """Type of an edge style. Unmarked solid edges are plain flows,
+        unmarked dashed edges deletion flows, so this is total."""
+        if style:
+            for pattern, flow_type in self.edge_rules:
+                if pattern in style:
+                    return flow_type
+        return FlowType.PF
+
+
+def _marker(type_value: str) -> str:
+    return f"dfd={type_value};"
+
+
+_EDGE_BASE = "edgeStyle=orthogonalEdgeStyle;rounded=0;html=1;"
+_POLICY_DECOR = "dashed=1;strokeColor=#0066CC;"
+_ADMIN_DECOR = "dashed=1;dashPattern=1 4;strokeColor=#808080;"
+
+
+def _default_edge_styles() -> dict[FlowType, str]:
+    styles = {FlowType.PF: _EDGE_BASE, FlowType.DF: _EDGE_BASE + "dashed=1;"}
+    for flow_type in FlowType:
+        if flow_type in styles:
+            continue
+        decor = ""
+        if flow_type in model.PA_POLICY_FLOW_TYPES:
+            decor = _POLICY_DECOR
+        elif flow_type in model.PA_ADMIN_FLOW_TYPES:
+            decor = _ADMIN_DECOR
+        elif flow_type in model.DELETION_VARIANTS:
+            decor = "dashed=1;"
+        styles[flow_type] = _EDGE_BASE + decor + _marker(flow_type.value)
+    return styles
+
+
+DEFAULT_STYLE_MAP = StyleMap(
+    node_rules=(
+        *((_marker(t.value), t) for t in NodeType),
+        ("shape=datastore", NodeType.DB),
+        ("shape=cylinder", NodeType.DB),
+        ("partialRectangle", NodeType.DB),
+        ("doubleEllipse", NodeType.PROC),
+        ("ellipse", NodeType.PROC),
+        ("rhombus", NodeType.LIMIT),
+        ("rounded=0", NodeType.EXT),
+        ("rounded=1", NodeType.EXT),
+    ),
+    edge_rules=(
+        *((_marker(t.value), t) for t in FlowType if t not in model.RAW_FLOW_TYPES),
+        ("dashed=1", FlowType.DF),
+    ),
+    # Business shapes stay vanilla; privacy additions carry their marker.
+    node_styles={
+        kind: look.drawio_style + ("" if kind in model.BDFD_NODE_TYPES else _marker(kind.value))
+        for kind, look in NODE_LOOKS.items()
+    },
+    edge_styles=_default_edge_styles(),
+)
+
+# The sections of a style map file, in StyleMap field order, and the enum
+# each one's type names are read as.
+_SECTIONS = {
+    "node_rules": NodeType, "edge_rules": FlowType, "node_styles": NodeType, "edge_styles": FlowType
+}
+
+
+def load_style_map(path: str | os.PathLike) -> StyleMap:
+    """Read a style map from a JSON file.
+
+    Recognised keys: ``node_rules`` and ``edge_rules`` (ordered lists of
+    ``[substring, type]`` pairs, tried before the default rules) and
+    ``node_styles`` / ``edge_styles`` (per-type emit styles, merged over
+    the defaults). Every emit style must be XML text that types back to
+    its own kind, so that what is written with the map reads back with
+    it. Every refusal names the file.
+    """
+    source = f"style config {path}"
+    doc = decode_json(read_utf8(path, source), source)
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{source}: top level must be an object")
+    unknown = set(doc) - _SECTIONS.keys()
+    if unknown:
+        raise SchemaError(f"{source}: unknown keys {sorted(unknown)}")
+    fields = []
+    for section, kinds in _SECTIONS.items():
+        rules = section.endswith("_rules")
+        raw = doc.get(section, [] if rules else {})
+        if not isinstance(raw, list if rules else dict):
+            shape = "be a list of [pattern, type] pairs" if rules else "map type names to styles"
+            raise SchemaError(f"{source}: {section} must {shape}")
+        entries = []
+        for entry in raw if rules else raw.items():
+            if rules and not (
+                isinstance(entry, list) and len(entry) == 2 and all(isinstance(p, str) for p in entry)
+            ):
+                raise SchemaError(f"{source}: bad rule {entry!r} in {section}")
+            text, type_name = entry if rules else entry[::-1]
+            if not isinstance(text, str):
+                raise SchemaError(f"{source}: style for {type_name!r} must be a string")
+            try:
+                entries.append((text, kinds(type_name)))
+            except ValueError:
+                raise SchemaError(f"{source}: unknown type {type_name!r} in {section}") from None
+        # A map's entries come before the default's: its rules are tried
+        # first, and its styles win.
+        default = getattr(DEFAULT_STYLE_MAP, section)
+        fields.append((*entries, *default) if rules else {**default, **{k: s for s, k in entries}})
+    style_map = StyleMap(*fields)
+    for section, type_for in (
+        ("node_styles", style_map.node_type_for), ("edge_styles", style_map.flow_type_for)
+    ):
+        for kind, style in getattr(style_map, section).items():
+            try:
+                _escape(style)
+            except SchemaError as exc:
+                raise SchemaError(f"{source}: {section} {kind.value!r}: {exc}") from None
+            back = type_for(style)
+            if back is not kind:
+                found = f"reads back as {back.value!r}" if back else "matches no rule"
+                raise SchemaError(f"{source}: {section} {kind.value!r}: style {style!r} {found}")
+    return style_map
+
 
 # Cell attributes with a modelled meaning; everything else is opaque extra.
 _CONSUMED_ATTRS = frozenset(
@@ -46,6 +209,7 @@ def _inflate_page(text: str) -> ET.Element:
     Only compressed pages reach here, so only they load the codecs."""
     import base64
     import urllib.parse
+    import xml.etree.ElementTree as ET
     import zlib
 
     try:
@@ -160,6 +324,8 @@ def parse_drawio(data: bytes | str, styles: StyleMap | None = None) -> Diagram:
     order mark is read as none: ElementTree drops it, so this reader does
     not, and a second one is not well-formed XML.
     """
+    import xml.etree.ElementTree as ET
+
     styles = styles or DEFAULT_STYLE_MAP
     text = decode_utf8(data) if isinstance(data, bytes) else data
     try:
@@ -278,6 +444,8 @@ def _attribute_name(key: str, prefixes: dict[str, str], kind: str, element_id: s
     ``{uri}local`` becomes ``prefix:local``, and a URI seen for the first
     time gets its prefix recorded in `prefixes`. A key whose written name
     would not read back as the same key is refused."""
+    import xml.etree.ElementTree as ET
+
     if key in _CONSUMED_ATTRS:
         raise SchemaError(
             f"{kind} {element_id!r}: extra key {key!r} is a cell attribute padfd writes itself"

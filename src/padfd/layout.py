@@ -31,6 +31,12 @@ from .validate import read_parts
 GRID_STEP = 80.0
 
 
+def _middle(a: float, b: float) -> float:
+    """Halfway between a and b, by halves where their sum overflows."""
+    middle = (a + b) / 2
+    return middle if math.isfinite(middle) else a / 2 + b / 2
+
+
 def layout_generated(diagram: Diagram) -> Diagram:
     nodes = dict(diagram.nodes)
     # Each occupied spot maps to the y worth trying next in its column:
@@ -100,7 +106,7 @@ def layout_generated(diagram: Diagram) -> Diagram:
         if ends is None:
             return None
         (ax, ay), (bx, by) = ends
-        return (ax + bx) / 2, (ay + by) / 2
+        return _middle(ax, bx), _middle(ay, by)
 
     def beside(request_id: NodeId) -> tuple[float, float] | None:
         limit_id = limit_of.get(request_id)
@@ -109,7 +115,11 @@ def layout_generated(diagram: Diagram) -> Diagram:
             return steps(limit_id, 0, -1)
         (ax, ay), (bx, by) = ends
         dx, dy = bx - ax, by - ay
-        norm = math.hypot(dx, dy) or 1.0
+        norm = math.hypot(dx, dy)
+        if not math.isfinite(norm):  # the hop is longer than a float holds
+            dx, dy = bx / 2 - ax / 2, by / 2 - ay / 2
+            norm = math.hypot(dx, dy)
+        norm = norm or 1.0
         return anchor[0] + dy / norm * GRID_STEP, anchor[1] - dx / norm * GRID_STEP
 
     def steps(anchor_id: NodeId | None, dx: int, dy: int) -> tuple[float, float] | None:

@@ -244,6 +244,28 @@ def test_transform_refuses_coordinates_too_large_to_step(fixtures_dir, tmp_path)
     assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
 
 
+@pytest.mark.parametrize("far_end", [0.0, -1.7e308], ids=["sum-overflows", "difference-overflows"])
+def test_transform_places_a_hop_near_the_float_limit(tmp_path, capsys, far_end):
+    """Nodes at x = 1.5e308 and 1.6e308: the limit between them is placed
+    halfway, though the plain sum of their x overflows, and with the
+    third node across the origin so does the request's hop direction."""
+    raw = build_diagram(
+        Stage.RAW,
+        [
+            Node("a", NodeType.EXT, position=(1.5e308, 0.0)),
+            Node("b", NodeType.PROC, position=(1.6e308, 0.0)),
+            Node("c", NodeType.EXT, position=(far_end, 0.0)),
+        ],
+        [Flow("f", "a", "b", FlowType.PF), Flow("g", "b", "c", FlowType.PF)],
+    )
+    model, out = write_json(tmp_path, "far.json", raw), tmp_path / "pa.drawio.xml"
+    assert main(["transform", str(model), "-o", str(out)]) == 0
+    assert main(["check", str(out)]) == 0
+    assert capsys.readouterr() == ("", "")
+    limits = [n for n in parse_drawio(out.read_bytes()).nodes.values() if n.node_type is NodeType.LIMIT]
+    assert (1.55e308, 0.0) in [limit.position for limit in limits]
+
+
 def test_transform_never_tolerates_flow_problems(fixtures_dir, tmp_path, capsys):
     out = tmp_path / "pa.json"
     code = main(
@@ -543,6 +565,49 @@ def test_styles_environment_variable(fixtures_dir, tmp_path, monkeypatch):
     assert main(argv) == 2  # unknown style without the override
     monkeypatch.setenv("PADFD_STYLES", str(config))
     assert main(argv) == 0
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_style_map_reads_back_what_it_writes(fixtures_dir, tmp_path, capsys):
+    """The map README gives as its example: a drawing transformed with it
+    checks clean with it, the privacy-aware kinds' markers included."""
+    text = README.read_text(encoding="utf-8")
+    config = tmp_path / "house.json"
+    config.write_text(text.split("```json\n", 1)[1].split("```", 1)[0], encoding="utf-8")
+    assert json.loads(config.read_text(encoding="utf-8"))["node_rules"][0] == ["shape=star", "proc"]
+    out = tmp_path / "pa.drawio.xml"
+    source = str(fixtures_dir / "unknown_style.drawio.xml")
+    styles = ["--styles", str(config)]
+    assert main(["transform", source, "--allow-ill-formed", *styles, "-o", str(out)]) == 0
+    assert main(["check", str(out), *styles]) == 0
+    assert b"shape=star;html=1;" in out.read_bytes()
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        (
+            {"node_styles": {"request": "rhombus;whiteSpace=wrap;html=1;"}},
+            "node_styles 'request': style 'rhombus;whiteSpace=wrap;html=1;' reads back as 'limit'",
+        ),
+        (
+            {"node_styles": {"request": "shape=parallelogram;\u0001"}},
+            "node_styles 'request': cannot write 'shape=parallelogram;\\x01' in XML:"
+            " U+0001 is not an XML character",
+        ),
+    ],
+    ids=["request-as-rhombus", "control-character"],
+)
+def test_a_style_map_that_would_not_read_back_is_refused_by_name(tmp_path, capsys, config, message):
+    path = tmp_path / "house.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    out = tmp_path / "pa.drawio.xml"
+    assert main(["transform", str(DEMO_DATA / "estore.drawio.xml"), "--styles", str(path), "-o", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"error: style config {path}: {message}\n")
+    assert not out.exists()
 
 
 # --- simulate ---------------------------------------------------------------------
@@ -1014,6 +1079,22 @@ def test_a_file_of_unknown_suffix_is_refused_as_dot_by_its_first_word(tmp_path, 
     err = capsys.readouterr().err
     assert (err == dot_refusal(model)) is refused
     assert err.startswith(f"error: {model}: not well-formed XML") is not refused
+
+
+@pytest.mark.parametrize("lead", [b"// c\n", b"/* c */ ", b"# c\n"], ids=["line-comment", "block-comment", "hash"])
+@pytest.mark.parametrize("name", ["g.dot", "g.gv", "g.DOT", "g.xml"])
+def test_a_dot_file_that_opens_with_a_comment_is_refused_as_dot(tmp_path, capsys, lead, name):
+    """Only the name tells a DOT file whose first word is a comment: a
+    `.dot` or `.gv` name gets the DOT refusal, any other the draw.io
+    reader's."""
+    model = tmp_path / name
+    model.write_bytes(lead + b"digraph g { a -> b }\n")
+    assert main(["check", str(model)]) == 2
+    err = capsys.readouterr().err
+    if name == "g.xml":
+        assert err.startswith(f"error: {model}: not well-formed XML")
+    else:
+        assert err == dot_refusal(model)
 
 
 def test_check_reads_a_json_suffix_in_any_case_as_json(tmp_path, capsys):

@@ -546,8 +546,8 @@ def test_load_style_map_round_trip(tmp_path):
     path.write_text(json.dumps(config), encoding="utf-8")
     styles = load_style_map(path)
     assert styles.node_type_for("kind=store;fill=blue;") is NodeType.DB
-    # Replaced rule list: the vanilla conventions no longer apply.
-    assert styles.node_type_for("shape=datastore;") is None
+    # The map's rules are tried first: the vanilla conventions still apply.
+    assert styles.node_type_for("shape=datastore;") is NodeType.DB
 
     d = build_diagram(
         Stage.RAW,
@@ -557,25 +557,34 @@ def test_load_style_map_round_trip(tmp_path):
     data = emit_drawio(d, styles=styles)
     assert b"kind=store;fill=blue;" in data
     assert parse_drawio(data, styles=styles) == d
+    # So do the markers: a privacy-aware diagram written with the map reads back.
+    pa = layout_generated(transform(build_all_kinds()))
+    assert parse_drawio(emit_drawio(pa, styles=styles), styles=styles) == pa
 
 
-def test_load_style_map_replaces_edge_rules(tmp_path):
+def test_load_style_map_tries_edge_rules_before_the_defaults(tmp_path):
     path = tmp_path / "dotted.json"
     path.write_text(json.dumps({"edge_rules": [["dotted=1", "delete"]]}), encoding="utf-8")
     styles = load_style_map(path)
-    assert styles.edge_rules == (("dotted=1", FlowType.DELETE),)
+    assert styles.edge_rules == (("dotted=1", FlowType.DELETE), *DEFAULT_STYLE_MAP.edge_rules)
     assert styles.flow_type_for("dotted=1;") is FlowType.DELETE
-    # Replaced rule list: the default markers no longer apply.
-    assert styles.flow_type_for("dfd=reqlim;") is FlowType.PF
+    # The default markers and the dashed deletion flow still apply after it.
+    assert styles.flow_type_for("dfd=reqlim;") is FlowType.REQLIM
     assert styles.node_rules == DEFAULT_STYLE_MAP.node_rules
     assert styles.edge_styles == DEFAULT_STYLE_MAP.edge_styles
+    d = build_diagram(
+        Stage.RAW,
+        [Node("a", NodeType.EXT), Node("s", NodeType.DB)],
+        [Flow("f", "a", "s", FlowType.PF), Flow("g", "s", "a", FlowType.DF)],
+    )
+    assert parse_drawio(emit_drawio(d, styles=styles), styles=styles) == d
 
 
 def test_load_style_map_merges_emit_styles(tmp_path):
     path = tmp_path / "partial.json"
-    path.write_text(json.dumps({"node_styles": {"limit": "myLimit;"}}), encoding="utf-8")
+    path.write_text(json.dumps({"node_styles": {"limit": "rhombus;myLimit;"}}), encoding="utf-8")
     styles = load_style_map(path)
-    assert styles.node_styles[NodeType.LIMIT] == "myLimit;"
+    assert styles.node_styles[NodeType.LIMIT] == "rhombus;myLimit;"
     assert styles.node_styles[NodeType.PROC] == DEFAULT_STYLE_MAP.node_styles[NodeType.PROC]
     assert styles.node_rules == DEFAULT_STYLE_MAP.node_rules
 
@@ -597,6 +606,46 @@ def test_load_style_map_names_what_is_wrong(tmp_path, config, message):
     with pytest.raises(SchemaError) as exc:
         load_style_map(path)
     assert str(exc.value) == message.format(path=path)
+
+
+def test_the_default_style_map_writes_what_it_reads():
+    """The condition load_style_map puts on every map holds for the default:
+    each kind's emit style is XML text that types back to that kind."""
+    styles = DEFAULT_STYLE_MAP
+    assert list(styles.node_styles) == list(NodeType)
+    assert list(styles.edge_styles) == list(FlowType)
+    for kind, style in styles.node_styles.items():
+        assert style.isprintable() and styles.node_type_for(style) is kind
+    for kind, style in styles.edge_styles.items():
+        assert style.isprintable() and styles.flow_type_for(style) is kind
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        (
+            {"node_styles": {"request": "rhombus;whiteSpace=wrap;html=1;"}},
+            "node_styles 'request': style 'rhombus;whiteSpace=wrap;html=1;' reads back as 'limit'",
+        ),
+        ({"node_styles": {"ext": "shape=star;"}}, "node_styles 'ext': style 'shape=star;' matches no rule"),
+        ({"edge_styles": {"in": "dashed=1;"}}, "edge_styles 'in': style 'dashed=1;' reads back as 'df'"),
+        (
+            {"node_rules": [["html=1", "ext"]]},
+            "node_styles 'proc': style 'ellipse;whiteSpace=wrap;html=1;' reads back as 'ext'",
+        ),
+        (
+            {"edge_styles": {"pf": "a\u0001"}},
+            "edge_styles 'pf': cannot write 'a\\x01' in XML: U+0001 is not an XML character",
+        ),
+    ],
+    ids=["request-as-rhombus", "no-rule", "edge", "rule-shadows-a-default", "control-character"],
+)
+def test_load_style_map_refuses_a_style_that_does_not_read_back(tmp_path, config, message):
+    path = tmp_path / "house.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    with pytest.raises(SchemaError) as exc:
+        load_style_map(path)
+    assert str(exc.value) == f"style config {path}: {message}"
 
 
 @pytest.mark.parametrize(

@@ -113,7 +113,6 @@ SIMULATE_JSON_SKIPS = [
     *NEVER_LOADED,
     "xml.etree",
     "padfd.drawio",
-    "padfd.styles",
     "padfd.layout",
     "padfd.dot",
     "padfd.rewrite",
@@ -133,7 +132,7 @@ def test_simulate_of_a_json_model_skips_drawio_and_typing(models, fixtures_dir, 
 
 
 JSON_DIAGRAM_SKIPS = [
-    *NEVER_LOADED, "padfd.drawio", "padfd.styles", "padfd.layout", "padfd.dot", "padfd.simulate", "csv"
+    *NEVER_LOADED, "padfd.drawio", "padfd.layout", "padfd.dot", "padfd.simulate", "csv"
 ]
 
 
@@ -156,6 +155,15 @@ def test_check_of_json_skips_drawio_and_simulate(models, tmp_path, stage):
         assert_none_loaded(loaded, ["padfd.rewrite", "padfd.layout"])
 
 
+def test_check_of_json_reads_a_style_map_without_elementtree(models, tmp_path):
+    """A style map lives in `padfd.drawio`, but reading one parses no XML."""
+    config = tmp_path / "house.json"
+    config.write_text('{"node_rules": [["shape=star", "proc"]]}', encoding="utf-8")
+    loaded = modules_loaded_by(tmp_path, "check", str(models["pa"]), "--styles", str(config))
+    assert {"padfd.canonical", "padfd.validate", "padfd.drawio"} <= loaded
+    assert_none_loaded(loaded, ["xml.etree", "xml", "pyexpat", "padfd.layout", "padfd.simulate"])
+
+
 # draw.io commands write draw.io or DOT through helpers in `padfd.graph`,
 # so they load no JSON codec. Two of their options still do: `check
 # --report json` prints its report with `json`, and a `--styles` file is
@@ -176,7 +184,7 @@ DRAWIO_SKIPS = [*NEVER_LOADED, "padfd.simulate", "csv", "datetime", "padfd.canon
 def test_drawio_commands_skip_simulate_csv_and_datetime(models, tmp_path, argv):
     argv = [str(models["drawio"]) if arg == "DRAWIO" else arg for arg in argv]
     loaded = modules_loaded_by(tmp_path, *argv)
-    assert {"padfd.drawio", "padfd.styles"} <= loaded
+    assert "padfd.drawio" in loaded
     assert_none_loaded(loaded, DRAWIO_SKIPS)
 
 
