@@ -26,7 +26,6 @@ _HOME = {
     "Flow": "graph",
     "FlowMeta": "simulate",
     "FlowType": "model",
-    "LogEntry": "simulate",
     "Node": "graph",
     "NodeType": "model",
     "PadfdError": "errors",
@@ -39,7 +38,6 @@ _HOME = {
     "Stage": "model",
     "StageError": "errors",
     "StageValidity": "validate",
-    "StoredRecord": "simulate",
     "StoreState": "simulate",
     "StyleMap": "drawio",
     "TransformError": "errors",

@@ -10,7 +10,7 @@ from any value. Mutation helpers are pure: they return a new Diagram.
 `Record`, the base of nodes, flows and diagrams, is the base of every
 other padfd value type as well. The text helpers at the end are shared by
 the JSON, draw.io and DOT writers, so that the draw.io and DOT paths need
-not load the JSON codec.
+not load the JSON codec; `printable` by the text outputs.
 """
 
 from __future__ import annotations
@@ -239,3 +239,10 @@ def encode_output(text: str, diagram: Diagram, language: str) -> bytes:
             f"{kind} {element_id!r}: cannot write {held!r} in {language}: "
             f"U+{code:04X} is a lone surrogate"
         ) from None
+
+
+def printable(text: str) -> str:
+    """`text` as a line of text output shows it: as it is if it prints,
+    else in Python's escapes, so that a line break or a tab in an id
+    neither splits nor misaligns the line."""
+    return text if text.isprintable() else repr(text)[1:-1]

@@ -3,12 +3,13 @@
 Each data record arrives on one of the original (now guarded) data flows.
 The gadget's limit forwards it only when the flow carries no personal
 data, or the record's consented purposes cover the flow's purpose and the
-record has not expired at the simulation clock. Every evaluation writes a
-log entry into the gadget's log store; the entry's violation flag is set
-exactly when personal data is withheld, which is the observable a DPO
-audits. Forwarded store-writes deposit the record and a policy snapshot
-in the target store and its policy store; deletion flows remove both; the
-cleaning pass purges expired records wholesale.
+record has not expired at the simulation clock. Each evaluation is one
+`Decision`, which is also the entry the gadget's log store keeps; its
+violation flag is set exactly when personal data is withheld, which is
+the observable a DPO audits. Forwarded store-writes deposit the record
+itself in the target store and the policy the limit saw in its policy
+store; deletion flows remove both; the cleaning pass purges expired
+records wholesale. Everything a run logs or stores, it does at its clock.
 
 The plain business diagram, by contrast, forwards everything. Running
 both semantics side by side shows what the rewrite actually changes.
@@ -28,7 +29,7 @@ from json.encoder import encode_basestring_ascii as _ascii
 from operator import itemgetter
 
 from .errors import SURROGATE, SchemaError, SimulationError, StageError, decode_json, read_utf8
-from .graph import Diagram, Flow, NodeId, Record
+from .graph import Diagram, Flow, NodeId, Record, printable
 from .model import FlowType, NodeType, Stage
 from .validate import read_parts
 
@@ -77,40 +78,23 @@ class PolicySnapshot(Record):
         d["expiry"] = expiry
 
 
-class LogEntry(Record):
-    def __init__(self, d_id: str, flow_id: str, policy: PolicySnapshot, v: bool, clock: date) -> None:
-        d = self.__dict__
-        d["d_id"] = d_id
-        d["flow_id"] = flow_id
-        d["policy"] = policy
-        d["v"] = v
-        d["clock"] = clock
-
-
-class StoredRecord(Record):
-    def __init__(self, record: DataRecord, stored_at: date) -> None:
-        d = self.__dict__
-        d["record"] = record
-        d["stored_at"] = stored_at
-
-
 class CleanEvent(Record):
     """One record purged from one store by the cleaning pass."""
 
-    def __init__(self, store: NodeId, d_id: str, expiry: date, clock: date) -> None:
+    def __init__(self, store: NodeId, d_id: str, expiry: date) -> None:
         d = self.__dict__
         d["store"] = store
         d["d_id"] = d_id
         d["expiry"] = expiry
-        d["clock"] = clock
 
 
 class StoreState(Record):
-    """Data stores, their policy stores, and the pairing between them.
-    Each omitted map is a new empty dict."""
+    """Data stores holding records, their policy stores holding the policy
+    each record was stored under, and the pairing between them. Each
+    omitted map is a new empty dict."""
 
     def __init__(
-        self, data: dict[NodeId, dict[str, StoredRecord]] | None = None,
+        self, data: dict[NodeId, dict[str, DataRecord]] | None = None,
         policies: dict[NodeId, dict[str, PolicySnapshot]] | None = None,
         partners: dict[NodeId, NodeId] | None = None,
     ) -> None:
@@ -121,25 +105,28 @@ class StoreState(Record):
 
 
 class Decision(Record):
-    """Outcome of one evaluation: the business diagram forwards everything,
-    the privacy-aware one only what the policy allows."""
+    """One evaluation by a limit, kept as the entry of its log store; `v`
+    is set exactly when personal data is withheld. The business diagram
+    forwards every record, the privacy-aware one all but the violations."""
 
     def __init__(
-        self, d_id: str, flow_id: str, forwarded_bdfd: bool, forwarded_padfd: bool,
-        entry: LogEntry, propagated: bool = False,
+        self, d_id: str, flow_id: str, policy: PolicySnapshot, v: bool, propagated: bool = False,
     ) -> None:
         d = self.__dict__
         d["d_id"] = d_id
         d["flow_id"] = flow_id
-        d["forwarded_bdfd"] = forwarded_bdfd
-        d["forwarded_padfd"] = forwarded_padfd
-        d["entry"] = entry
+        d["policy"] = policy
+        d["v"] = v
         d["propagated"] = propagated
+
+    @property
+    def forwarded_padfd(self) -> bool:
+        return not self.v
 
 
 class SimulationReport(Record):
     def __init__(
-        self, clock: date, decisions: list[Decision], logs: dict[NodeId, list[LogEntry]],
+        self, clock: date, decisions: list[Decision], logs: dict[NodeId, list[Decision]],
         state: StoreState,
     ) -> None:
         d = self.__dict__
@@ -149,8 +136,8 @@ class SimulationReport(Record):
         d["state"] = state
 
     @property
-    def violations(self) -> list[LogEntry]:
-        return [decision.entry for decision in self.decisions if decision.entry.v]
+    def violations(self) -> list[Decision]:
+        return [decision for decision in self.decisions if decision.v]
 
 
 def _norm(text: str) -> str:
@@ -198,7 +185,9 @@ def run_simulation(
     compatible: Compatibility | None = None,
     multi_hop: bool = False,
 ) -> SimulationReport:
-    """Evaluate every record against the diagram's gadgets.
+    """Evaluate every record against the diagram's gadgets: one
+    `Decision` per evaluation, appended both to the report's decisions and
+    to the log of the flow's gadget.
 
     ``compatible`` tells whether a record's consent covers a flow's
     purpose; by default the purpose must appear among the consented ones,
@@ -228,7 +217,7 @@ def run_simulation(
         if log_db is None:
             raise SimulationError(f"guarded flow {flow_id!r} has no log chain behind its limit")
         log_of[flow_id] = log_db
-    logs: dict[NodeId, list[LogEntry]] = {log_db: [] for log_db in log_of.values()}
+    logs: dict[NodeId, list[Decision]] = {log_db: [] for log_db in log_of.values()}
     outgoing: dict[NodeId, list[str]] = {}
     for flow_id, source in sorted(zip(gadgets["flow"], gadgets["source"])):
         if source is not None and flow_id in meta_by_flow:
@@ -245,9 +234,9 @@ def run_simulation(
     # Each flow id is resolved once, at its first record, to its flow,
     # policy row, log and onward hops (the policy-row flows leaving a
     # limpro flow's process); an unusable flow fails at that record.
-    routes: dict[str, tuple[Flow, FlowMeta, list[LogEntry], list[str]]] = {}
+    routes: dict[str, tuple[Flow, FlowMeta, list[Decision], list[str]]] = {}
 
-    def route(record: DataRecord, flow_id: str) -> tuple[Flow, FlowMeta, list[LogEntry], list[str]]:
+    def route(record: DataRecord, flow_id: str) -> tuple[Flow, FlowMeta, list[Decision], list[str]]:
         flow = diagram.flows.get(flow_id)
         if flow is None:
             raise SimulationError(f"record {record.d_id!r} names unknown flow {flow_id!r}")
@@ -274,9 +263,9 @@ def run_simulation(
             clock <= record.expiry and compatible(meta.purpose, record.consent)
         )
         policy = PolicySnapshot(meta.purpose, record.consent, record.expiry)
-        entry = LogEntry(record.d_id, flow_id, policy, not forwarded, clock)
-        log.append(entry)
-        decisions.append(Decision(record.d_id, flow_id, True, forwarded, entry, propagated))
+        decision = Decision(record.d_id, flow_id, policy, not forwarded, propagated)
+        log.append(decision)
+        decisions.append(decision)
         if not forwarded:
             return None
         if flow.flow_type is FlowType.LIMDB:
@@ -289,8 +278,8 @@ def run_simulation(
                 record = DataRecord(
                     record.d_id, flow_id, record.dsub, record.consent, record.expiry, record.content
                 )
-            state.data[store][record.d_id] = StoredRecord(record, clock)
-            state.policies[state.partners[store]][record.d_id] = entry.policy
+            state.data[store][record.d_id] = record
+            state.policies[state.partners[store]][record.d_id] = policy
         elif flow.flow_type is FlowType.LIMDB_DEL:
             store = flow.target
             state.data.get(store, {}).pop(record.d_id, None)
@@ -331,11 +320,11 @@ def run_clean(state: StoreState, clock: date) -> tuple[StoreState, list[CleanEve
         snapshots = new_policies.get(state.partners.get(store), {})
         for d_id in sorted(state.data[store]):
             snapshot = snapshots.get(d_id)
-            expiry = snapshot.expiry if snapshot is not None else state.data[store][d_id].record.expiry
+            expiry = snapshot.expiry if snapshot is not None else state.data[store][d_id].expiry
             if expiry < clock:
                 del new_data[store][d_id]
                 snapshots.pop(d_id, None)
-                events.append(CleanEvent(store, d_id, expiry, clock))
+                events.append(CleanEvent(store, d_id, expiry))
     return StoreState(new_data, new_policies, dict(state.partners)), events
 
 
@@ -523,13 +512,13 @@ def load_equivalences(path: str | os.PathLike) -> list[tuple[str, str]]:
     if not isinstance(doc, list):
         raise SchemaError(f"{source}: top level must be a list of pairs")
     pairs = []
-    for entry in doc:
+    for index, entry in enumerate(doc):
         if (
             not isinstance(entry, list)
             or len(entry) != 2
             or not all(isinstance(part, str) for part in entry)
         ):
-            raise SchemaError(f"{source}: bad pair {entry!r}")
+            raise SchemaError(f"{source} pair {index}: must be two strings, found {entry!r}")
         pairs.append((entry[0], entry[1]))
     return pairs
 
@@ -552,10 +541,10 @@ def _consent_text(consent: frozenset) -> str:
     return _block(["          " + _ascii(purpose) for purpose in sorted(consent)], "        ", "[]")
 
 
-def _log_text(entries: list[LogEntry]) -> str:
+def _log_text(entries: list[Decision], clock: str) -> str:
     return _block(
         [
-            f'      {{\n        "clock": "{e.clock.isoformat()}",\n'
+            f'      {{\n        "clock": {clock},\n'
             f'        "consent": {_consent_text(e.policy.consent)},\n'
             f'        "d_id": {_ascii(e.d_id)},\n'
             f'        "expiry": "{e.policy.expiry.isoformat()}",\n'
@@ -575,10 +564,6 @@ def _snapshot_text(snap: PolicySnapshot) -> str:
         f'        "expiry": "{snap.expiry.isoformat()}",\n'
         f'        "purpose": {_ascii(snap.purpose)}\n      }}'
     )
-
-
-def _stored_text(stored: StoredRecord) -> str:
-    return f'{{\n        "stored_at": "{stored.stored_at.isoformat()}"\n      }}'
 
 
 def _stores_text(stores: dict, value_text: Callable) -> str:
@@ -601,34 +586,36 @@ def _stores_text(stores: dict, value_text: Callable) -> str:
 def report_json(report: SimulationReport) -> str:
     """The report as JSON text: the clock, each decision, each log store's
     entries with their policy snapshots, and what each policy store and
-    data store holds by record id. The layout is the one
+    data store holds by record id. Every entry was logged, and every
+    record stored, at the report's clock. The layout is the one
     ``json.dumps(..., indent=2, sort_keys=True)`` gives: keys sorted,
     two-space indent, ASCII only, no trailing newline. It is written
     directly, without building a dict."""
+    clock = f'"{report.clock.isoformat()}"'
+    stored = f'{{\n        "stored_at": {clock}\n      }}'
     decisions = _block(
         [
             f'    {{\n      "d_id": {_ascii(d.d_id)},\n'
-            f'      "flow_id": {_ascii(d.flow_id)},\n'
-            f'      "forwarded_bdfd": {"true" if d.forwarded_bdfd else "false"},\n'
-            f'      "forwarded_padfd": {"true" if d.forwarded_padfd else "false"},\n'
+            f'      "flow_id": {_ascii(d.flow_id)},\n      "forwarded_bdfd": true,\n'
+            f'      "forwarded_padfd": {"false" if d.v else "true"},\n'
             f'      "propagated": {"true" if d.propagated else "false"},\n'
-            f'      "violation": {"true" if d.entry.v else "false"}\n    }}'
+            f'      "violation": {"true" if d.v else "false"}\n    }}'
             for d in report.decisions
         ],
         "  ",
         "[]",
     )
     logs = _block(
-        [f"    {_ascii(store)}: {_log_text(entries)}" for store, entries in sorted(report.logs.items())],
+        [f"    {_ascii(store)}: {_log_text(entries, clock)}" for store, entries in sorted(report.logs.items())],
         "  ",
         "{}",
     )
     return (
-        f'{{\n  "clock": "{report.clock.isoformat()}",\n'
+        f'{{\n  "clock": {clock},\n'
         f'  "decisions": {decisions},\n'
         f'  "logs": {logs},\n'
         f'  "policies": {_stores_text(report.state.policies, _snapshot_text)},\n'
-        f'  "stores": {_stores_text(report.state.data, _stored_text)}\n}}'
+        f'  "stores": {_stores_text(report.state.data, lambda record: stored)}\n}}'
     )
 
 
@@ -637,15 +624,22 @@ def report_to_dict(report: SimulationReport) -> dict:
     return json.loads(report_json(report))
 
 
+def _cells(texts: list[str]) -> list[str]:
+    """`texts`, each written as `printable` writes it."""
+    return texts if "".join(texts).isprintable() else list(map(printable, texts))
+
+
 def render_report(report: SimulationReport) -> str:
-    """Human-readable forwarding table plus log and store summaries."""
+    """Human-readable forwarding table plus log and store summaries. An id
+    that does not print is written with Python's escapes, so that every
+    decision and store keeps one line."""
     decisions = report.decisions
     columns = (
-        ["D_id", *[d.d_id for d in decisions]],
-        ["F_id", *[d.flow_id + " (hop)" if d.propagated else d.flow_id for d in decisions]],
-        ["B-DFD", *["yes" if d.forwarded_bdfd else "no" for d in decisions]],
-        ["PA-DFD", *["yes" if d.forwarded_padfd else "no" for d in decisions]],
-        ["Violation", *["v=true" if d.entry.v else "-" for d in decisions]],
+        _cells(["D_id", *[d.d_id for d in decisions]]),
+        _cells(["F_id", *[d.flow_id + " (hop)" if d.propagated else d.flow_id for d in decisions]]),
+        ["B-DFD", *["yes"] * len(decisions)],
+        ["PA-DFD", *["no" if d.v else "yes" for d in decisions]],
+        ["Violation", *["v=true" if d.v else "-" for d in decisions]],
     )
     # Each cell padded to its column's width, but the last, whose cells
     # never end in a blank; the cells are arguments, never read as format.
@@ -653,6 +647,6 @@ def render_report(report: SimulationReport) -> str:
     lines = [f"clock: {report.clock.isoformat()}", *[row % cells for cells in zip(*columns)]]
     lines.append(f"log entries: {len(decisions)} (violations: {columns[4].count('v=true')})")
     for store in sorted(report.state.data):
-        held = ", ".join(sorted(report.state.data[store])) or "-"
-        lines.append(f"store {store}: {held}")
+        held = ", ".join(_cells(sorted(report.state.data[store]))) or "-"
+        lines.append(f"store {printable(store)}: {held}")
     return "\n".join(lines) + "\n"

@@ -38,7 +38,7 @@ from itertools import repeat
 from operator import attrgetter
 
 from . import model
-from .graph import Diagram, Flow, Record
+from .graph import Diagram, Flow, Record, printable
 from .model import FlowType, NodeType, Stage
 
 
@@ -50,7 +50,7 @@ class Violation(Record):
         d["message"] = message
 
     def render(self) -> str:
-        return f"error {self.element} {self.clause}: {self.message}"
+        return f"error {printable(self.element)} {self.clause}: {self.message}"
 
 
 class StageValidity(Record):

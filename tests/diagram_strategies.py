@@ -19,14 +19,12 @@ from padfd import (
     Flow,
     FlowMeta,
     FlowType,
-    LogEntry,
     Node,
     NodeType,
     PolicySnapshot,
     SCHEMA_ID,
     SimulationReport,
     Stage,
-    StoredRecord,
     StoreState,
     add_flow,
     add_node,
@@ -762,7 +760,7 @@ def store_states(draw):
         held = []
         for record_index in range(5):
             record = draw(data_records(f"f{index}", f"d{index}-{record_index}"))
-            held.append((record, draw(dates), draw(st.sampled_from(PURPOSES))))
+            held.append((record, draw(st.sampled_from(PURPOSES))))
         stores.append(held[: draw(st.integers(0, 5))])
     state = StoreState()
     for index, held in enumerate(stores[: draw(st.integers(1, 3))]):
@@ -770,8 +768,8 @@ def store_states(draw):
         state.data[store] = {}
         state.policies[policy_store] = {}
         state.partners[store] = policy_store
-        for record, stored_at, purpose in held:
-            state.data[store][record.d_id] = StoredRecord(record, stored_at)
+        for record, purpose in held:
+            state.data[store][record.d_id] = record
             state.policies[policy_store][record.d_id] = PolicySnapshot(
                 purpose=purpose, consent=record.consent, expiry=record.expiry
             )
@@ -794,16 +792,10 @@ def _snapshot(draw) -> PolicySnapshot:
     return PolicySnapshot(draw(_report_text), consent, draw(dates))
 
 
-def _log_entry(draw) -> LogEntry:
-    return LogEntry(
-        draw(_report_text), draw(_report_text), _snapshot(draw), draw(st.booleans()), draw(dates)
-    )
-
-
 def _decision(draw) -> Decision:
     return Decision(
-        draw(_report_text), draw(_report_text), draw(st.booleans()), draw(st.booleans()),
-        _log_entry(draw), draw(st.booleans()),
+        draw(_report_text), draw(_report_text), _snapshot(draw), draw(st.booleans()),
+        draw(st.booleans()),
     )
 
 
@@ -819,10 +811,10 @@ def simulation_reports(draw) -> SimulationReport:
     records, policy stores and a consent set. Each report takes the same
     number of choices."""
     decisions = _up_to(draw, lambda: _decision(draw))
-    logs = _by_text(draw, lambda: _up_to(draw, lambda: _log_entry(draw)))
+    logs = _by_text(draw, lambda: _up_to(draw, lambda: _decision(draw)))
     record = DataRecord("d", "f", "s", frozenset({"p"}), date(2020, 1, 1), "c")
     state = StoreState(
-        data=_by_text(draw, lambda: _by_text(draw, lambda: StoredRecord(record, draw(dates)))),
+        data=_by_text(draw, lambda: _by_text(draw, lambda: record)),
         policies=_by_text(draw, lambda: _by_text(draw, lambda: _snapshot(draw))),
     )
     return SimulationReport(draw(dates), decisions, logs, state)

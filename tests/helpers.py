@@ -9,11 +9,11 @@ from datetime import date, timedelta
 
 from padfd import (
     DataRecord,
+    Decision,
     Diagram,
     Flow,
     FlowMeta,
     FlowType,
-    LogEntry,
     Node,
     NodeType,
     Stage,
@@ -241,13 +241,13 @@ def payment_pa() -> Diagram:
     return transform(wellformed)
 
 
-def decide(meta: FlowMeta, record: DataRecord, clock: date) -> tuple[bool, LogEntry]:
+def decide(meta: FlowMeta, record: DataRecord, clock: date) -> tuple[bool, Decision]:
     """Whether the limit on the payment system's flow `record.flow_id`
     forwards `record` under the policy row `meta`, and the entry it logs:
     one record run through the whole privacy-aware diagram."""
     report = run_simulation(payment_pa(), [meta], [record], clock)
     (decision,) = report.decisions
-    return decision.forwarded_padfd, decision.entry
+    return decision.forwarded_padfd, decision
 
 
 def build_store_chain() -> Diagram:

@@ -47,7 +47,6 @@ from padfd import (
     Flow,
     FlowMeta,
     FlowType,
-    LogEntry,
     Node,
     NodeType,
     ParseError,
@@ -59,7 +58,6 @@ from padfd import (
     Stage,
     StageError,
     StoreState,
-    StoredRecord,
     compatibility_with_equivalences,
 )
 from padfd import cli, model
@@ -619,7 +617,7 @@ def reference_merge_log_stores(diagram: Diagram) -> Diagram:
     return replace(diagram, nodes=nodes, flows=flows)
 
 
-def _entry_dict(entry) -> dict:
+def _entry_dict(entry, clock) -> dict:
     return {
         "d_id": entry.d_id,
         "flow_id": entry.flow_id,
@@ -627,34 +625,33 @@ def _entry_dict(entry) -> dict:
         "consent": sorted(entry.policy.consent),
         "expiry": entry.policy.expiry.isoformat(),
         "v": entry.v,
-        "clock": entry.clock.isoformat(),
+        "clock": clock.isoformat(),
     }
 
 
 def reference_report_to_dict(report) -> dict:
-    """The report as a JSON-ready dict, built field by field."""
+    """The report as a JSON-ready dict, built field by field. The business
+    diagram forwards every record, and every entry was logged and every
+    record stored at the report's clock."""
     return {
         "clock": report.clock.isoformat(),
         "decisions": [
             {
                 "d_id": d.d_id,
                 "flow_id": d.flow_id,
-                "forwarded_bdfd": d.forwarded_bdfd,
+                "forwarded_bdfd": True,
                 "forwarded_padfd": d.forwarded_padfd,
-                "violation": d.entry.v,
+                "violation": d.v,
                 "propagated": d.propagated,
             }
             for d in report.decisions
         ],
         "logs": {
-            store: [_entry_dict(e) for e in entries]
+            store: [_entry_dict(e, report.clock) for e in entries]
             for store, entries in sorted(report.logs.items())
         },
         "stores": {
-            store: {
-                d_id: {"stored_at": stored.stored_at.isoformat()}
-                for d_id, stored in sorted(records.items())
-            }
+            store: {d_id: {"stored_at": report.clock.isoformat()} for d_id in sorted(records)}
             for store, records in sorted(report.state.data.items())
         },
         "policies": {
@@ -739,11 +736,9 @@ def reference_run_simulation(
             compatible(meta.purpose, record.consent) and clock <= record.expiry
         )
         policy = PolicySnapshot(meta.purpose, record.consent, record.expiry)
-        entry = LogEntry(record.d_id, record.flow_id, policy, not forwarded, clock)
-        log.append(entry)
-        decisions.append(
-            Decision(record.d_id, record.flow_id, True, forwarded, entry, propagated)
-        )
+        decision = Decision(record.d_id, record.flow_id, policy, not forwarded, propagated)
+        log.append(decision)
+        decisions.append(decision)
         if not forwarded:
             return False
         if flow.flow_type is FlowType.LIMDB:
@@ -752,8 +747,8 @@ def reference_run_simulation(
                 raise SimulationError(
                     f"data store {store!r} has no policy store; cannot deposit"
                 )
-            state.data[store][record.d_id] = StoredRecord(record, clock)
-            state.policies[state.partners[store]][record.d_id] = entry.policy
+            state.data[store][record.d_id] = record
+            state.policies[state.partners[store]][record.d_id] = policy
         elif flow.flow_type is FlowType.LIMDB_DEL:
             store = flow.target
             state.data.get(store, {}).pop(record.d_id, None)
@@ -788,18 +783,25 @@ def reference_run_simulation(
     return SimulationReport(clock=clock, decisions=decisions, logs=logs, state=state)
 
 
+def _shown(cell: str) -> str:
+    """A cell as the text report writes it: Python's escapes for a cell
+    that does not print."""
+    return cell if cell.isprintable() else repr(cell)[1:-1]
+
+
 def reference_render_report(report) -> str:
     """`render_report` as it stood before it laid its table out by column:
-    each line is padded cell by cell and stripped of trailing blanks."""
+    each line is padded cell by cell and stripped of trailing blanks. The
+    business diagram forwards every record."""
     rows = [("D_id", "F_id", "B-DFD", "PA-DFD", "Violation")]
     for decision in report.decisions:
         rows.append(
             (
-                decision.d_id,
-                decision.flow_id + (" (hop)" if decision.propagated else ""),
-                "yes" if decision.forwarded_bdfd else "no",
+                _shown(decision.d_id),
+                _shown(decision.flow_id) + (" (hop)" if decision.propagated else ""),
+                "yes",
                 "yes" if decision.forwarded_padfd else "no",
-                "v=true" if decision.entry.v else "-",
+                "v=true" if decision.v else "-",
             )
         )
     widths = [max(len(row[i]) for row in rows) for i in range(5)]
@@ -809,8 +811,8 @@ def reference_render_report(report) -> str:
     total = len(report.decisions)
     lines.append(f"log entries: {total} (violations: {len(report.violations)})")
     for store in sorted(report.state.data):
-        held = ", ".join(sorted(report.state.data[store])) or "-"
-        lines.append(f"store {store}: {held}")
+        held = ", ".join(_shown(d_id) for d_id in sorted(report.state.data[store])) or "-"
+        lines.append(f"store {_shown(store)}: {held}")
     return "\n".join(lines) + "\n"
 
 

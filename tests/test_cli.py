@@ -20,6 +20,7 @@ from padfd import (
     FlowType,
     Node,
     NodeType,
+    SCHEMA_ID,
     Stage,
     add_node,
     compatibility_with_equivalences,
@@ -82,6 +83,23 @@ def test_check_json_report(fixtures_dir, capsys):
     assert [d["rule"] for d in payload["diagnostics"]] == ["pf-no-rule"]
     assert payload["diagnostics"][0]["kind"] == "ill-formed-flow"
     assert payload["diagnostics"][0]["element"] == "link"
+
+
+def test_findings_keep_one_line_for_an_id_that_does_not_print(tmp_path, capsys):
+    """An id holding a line break or a tab is written with Python's
+    escapes, so each finding keeps its one line: on stdout under `check`,
+    on stderr under `transform`."""
+    path = tmp_path / "raw.json"
+    nodes = [{"id": "a\nb", "type": "proc"}, {"id": "c\td", "type": "ext"}]
+    path.write_text(json.dumps({"schema": SCHEMA_ID, "stage": "raw-bdfd", "nodes": nodes}), encoding="utf-8")
+    findings = (
+        "error a\\nb proc-source-target: process 'a\\nb' has no incoming or outgoing flow\n"
+        "error c\\td ext-connected: external entity 'c\\td' has no flows\n"
+    )
+    assert main(["check", str(path)]) == 1
+    assert capsys.readouterr() == (findings, "")
+    assert main(["transform", str(path), "-o", str(tmp_path / "pa.json")]) == 1
+    assert capsys.readouterr() == ("", findings)
 
 
 def test_check_wellformed_json_diagram(fixtures_dir, tmp_path, capsys):
@@ -719,6 +737,43 @@ def test_simulate_json_report_is_the_reference(tmp_path, capsys, extra, rename):
     out = capsys.readouterr().out
     assert out == reference_report_json(report) + "\n"
     assert out.isascii()
+
+
+@pytest.mark.parametrize("suffix", [".csv", ".json"])
+def test_simulate_text_report_keeps_one_line_per_decision(tmp_path, capsys, suffix):
+    """A record id holding a line break, as a quoted CSV field or a JSON
+    string may, or a tab, is written with Python's escapes: each decision
+    and each store keeps its one line, and the columns stay aligned."""
+    tables = tmp_path / "tables"
+    shutil.copytree(DEMO_DATA, tables)
+    with open(tables / "payment_dynamic.csv", newline="", encoding="utf-8") as handle:
+        rows = list(csv.DictReader(handle))
+    renamed = {"d1": "d\n1", "d3": "d\t3"}
+    for row in rows:
+        row["D_id"] = renamed.get(row["D_id"], row["D_id"])
+    dynamic = tables / f"records{suffix}"
+    if suffix == ".csv":
+        with open(dynamic, "w", newline="", encoding="utf-8") as handle:
+            writer = csv.DictWriter(handle, list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)
+    else:
+        dynamic.write_text(json.dumps(rows), encoding="utf-8")
+    argv = simulate_argv(tables, payment_model(tmp_path))
+    argv[argv.index("--dynamic") + 1] = str(dynamic)
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "clock: 2020-06-01",
+        "D_id  F_id  B-DFD  PA-DFD  Violation",
+        "d\\n1  f1    yes    yes     -",
+        "d2    f2    yes    yes     -",
+        "d\\t3  f3    yes    yes     -",
+        "d4    f4    yes    yes     -",
+        "d5    f1    yes    no      v=true",
+        "log entries: 5 (violations: 1)",
+        "store db_bim: -",
+        "store db_project: d\\t3",
+    ]
 
 
 def test_simulate_fail_on_violation(fixtures_dir, tmp_path, capsys):

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import base64
+import contextlib
+import io
 import json
 import random
+import runpy
 import urllib.parse
 import zlib
 from pathlib import Path
@@ -1016,6 +1019,15 @@ def test_transform_shop_demo_outputs_reproduce_byte_for_byte():
     assert emit_json(pa) == (out / "estore_pa.json").read_bytes()
     assert emit_drawio(layout_generated(pa)) == (out / "estore_pa.drawio.xml").read_bytes()
     assert emit_dot(pa) == (out / "estore_pa.dot").read_bytes()
+
+
+def test_simulate_payment_demo_prints_its_golden():
+    """What demos/simulate_payment.py prints, the report, the late run's
+    violations and the clean events, is the committed printout."""
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        runpy.run_path(str(DEMOS / "simulate_payment.py"), run_name="__main__")
+    assert printed.getvalue().encode("utf-8") == (DEMOS / "out" / "simulate_payment.txt").read_bytes()
 
 
 # --- cross-format agreement --------------------------------------------------

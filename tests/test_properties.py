@@ -499,7 +499,6 @@ def test_limit_decisions_are_monotone_in_time(meta, record, clocks):
     for entry, clock in ((entry_early, early), (entry_late, late)):
         assert entry.d_id == record.d_id
         assert entry.flow_id == record.flow_id
-        assert entry.clock == clock
         assert entry.policy.purpose == meta.purpose
         assert entry.policy.consent == record.consent
         assert entry.policy.expiry == record.expiry
@@ -523,18 +522,20 @@ def test_simulation_invariants(scenario, multi_hop):
     report = run_simulation(pa, metas, records, clock, multi_hop=multi_hop)
     meta_by_flow = {meta.flow_id: meta for meta in metas}
 
-    # One log entry per decision, landing in some gadget's log store.
+    # A decision is its log entry: each is one entry of exactly one log
+    # store's list, and the lists hold nothing else.
     assert sum(len(entries) for entries in report.logs.values()) == len(
         report.decisions
     )
+    logged = [id(entry) for entries in report.logs.values() for entry in entries]
+    assert sorted(logged) == sorted(map(id, report.decisions))
+    assert report.violations == [decision for decision in report.decisions if decision.v]
 
     for decision in report.decisions:
-        # The business diagram forwards everything the rewrite still allows.
-        assert decision.forwarded_bdfd is True
+        assert decision.forwarded_padfd is not decision.v
         meta = meta_by_flow[decision.flow_id]
-        assert decision.entry.v == (meta.pd and not decision.forwarded_padfd)
-        if decision.forwarded_padfd:
-            assert not decision.entry.v
+        assert decision.v == (meta.pd and not decision.forwarded_padfd)
+        assert decision.policy.purpose == meta.purpose
 
     # Stores hold only records some forwarded store-write deposited.
     deposited = {
@@ -789,7 +790,7 @@ def test_clean_matches_brute_force(state, clock):
     removed = set()
     for store, held in state.data.items():
         survivors = {
-            d_id for d_id, stored in held.items() if stored.record.expiry >= clock
+            d_id for d_id, stored in held.items() if stored.expiry >= clock
         }
         assert set(cleaned.data[store]) == survivors
         removed |= {(store, d_id) for d_id in set(held) - survivors}
@@ -800,7 +801,7 @@ def test_clean_matches_brute_force(state, clock):
     assert [(e.store, e.d_id) for e in events] == sorted(
         (e.store, e.d_id) for e in events
     )
-    assert all(e.clock == clock for e in events)
+    assert all(e.expiry == state.data[e.store][e.d_id].expiry < clock for e in events)
     # Pure: the input state is untouched.
     assert state == before
 

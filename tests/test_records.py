@@ -26,14 +26,12 @@ from padfd import (
     Flow,
     FlowMeta,
     FlowType,
-    LogEntry,
     Node,
     NodeType,
     PolicySnapshot,
     SimulationReport,
     Stage,
     StageValidity,
-    StoredRecord,
     StoreState,
     StyleMap,
     Violation,
@@ -52,12 +50,8 @@ def snapshot() -> PolicySnapshot:
     return PolicySnapshot("billing", frozenset({"billing"}), DAY)
 
 
-def entry() -> LogEntry:
-    return LogEntry("d1", "f1", snapshot(), False, DAY)
-
-
 def decision() -> Decision:
-    return Decision("d1", "f1", True, True, entry())
+    return Decision("d1", "f1", snapshot(), False)
 
 
 def violation() -> Violation:
@@ -65,21 +59,20 @@ def violation() -> Violation:
 
 
 def state() -> StoreState:
-    return StoreState({"db": {"d1": StoredRecord(record(), DAY)}}, {"pol": {"d1": snapshot()}}, {"db": "pol"})
+    return StoreState({"db": {"d1": record()}}, {"pol": {"d1": snapshot()}}, {"db": "pol"})
 
 
-ENTRY_REPR = (
-    "LogEntry(d_id='d1', flow_id='f1', policy=PolicySnapshot(purpose='billing', "
+DECISION_REPR = (
+    "Decision(d_id='d1', flow_id='f1', policy=PolicySnapshot(purpose='billing', "
     "consent=frozenset({'billing'}), expiry=datetime.date(2020, 6, 1)), v=False, "
-    "clock=datetime.date(2020, 6, 1))"
+    "propagated=False)"
 )
 RECORD_REPR = (
     "DataRecord(d_id='d1', flow_id='f1', dsub='alice', consent=frozenset({'billing'}), "
     "expiry=datetime.date(2020, 6, 1), content='card')"
 )
 STATE_REPR = (
-    f"StoreState(data={{'db': {{'d1': StoredRecord(record={RECORD_REPR}, "
-    "stored_at=datetime.date(2020, 6, 1))}}, policies={'pol': {'d1': PolicySnapshot("
+    f"StoreState(data={{'db': {{'d1': {RECORD_REPR}}}}}, policies={{'pol': {{'d1': PolicySnapshot("
     "purpose='billing', consent=frozenset({'billing'}), expiry=datetime.date(2020, 6, 1))}}, "
     "partners={'db': 'pol'})"
 )
@@ -120,27 +113,16 @@ SAMPLES = {
         "PolicySnapshot(purpose='billing', consent=frozenset({'billing'}), "
         "expiry=datetime.date(2020, 6, 1))",
     ),
-    "LogEntry": (entry, ENTRY_REPR),
-    "StoredRecord": (
-        lambda: StoredRecord(record(), DAY),
-        f"StoredRecord(record={RECORD_REPR}, stored_at=datetime.date(2020, 6, 1))",
-    ),
     "CleanEvent": (
-        lambda: CleanEvent("db", "d1", DAY, date(2021, 1, 1)),
-        "CleanEvent(store='db', d_id='d1', expiry=datetime.date(2020, 6, 1), "
-        "clock=datetime.date(2021, 1, 1))",
+        lambda: CleanEvent("db", "d1", DAY),
+        "CleanEvent(store='db', d_id='d1', expiry=datetime.date(2020, 6, 1))",
     ),
-    "Decision": (
-        decision,
-        f"Decision(d_id='d1', flow_id='f1', forwarded_bdfd=True, forwarded_padfd=True, "
-        f"entry={ENTRY_REPR}, propagated=False)",
-    ),
+    "Decision": (decision, DECISION_REPR),
     "StoreState": (state, STATE_REPR),
     "SimulationReport": (
-        lambda: SimulationReport(DAY, [decision()], {"log": [entry()]}, state()),
-        f"SimulationReport(clock=datetime.date(2020, 6, 1), decisions=[Decision(d_id='d1', "
-        f"flow_id='f1', forwarded_bdfd=True, forwarded_padfd=True, entry={ENTRY_REPR}, "
-        f"propagated=False)], logs={{'log': [{ENTRY_REPR}]}}, state={STATE_REPR})",
+        lambda: SimulationReport(DAY, [decision()], {"log": [decision()]}, state()),
+        f"SimulationReport(clock=datetime.date(2020, 6, 1), decisions=[{DECISION_REPR}], "
+        f"logs={{'log': [{DECISION_REPR}]}}, state={STATE_REPR})",
     ),
     "StyleMap": (
         lambda: StyleMap((("ellipse", NodeType.PROC),), (), {NodeType.PROC: "ellipse;"}, {}),
@@ -196,7 +178,7 @@ def test_equality_needs_the_same_type():
     assert node != ("a", None, None, None, None, {})
     assert node != Flow("a", "a", "a")
     assert violation() != ("comp-loop", "f1", "flow from a process to itself")
-    assert PolicySnapshot("p", frozenset(), DAY) != CleanEvent("p", "d", DAY, DAY)
+    assert PolicySnapshot("p", frozenset(), DAY) != CleanEvent("p", "d", DAY)
 
     class Subnode(Node):
         pass
@@ -210,7 +192,7 @@ def test_a_differing_field_makes_records_unequal():
     assert Node("a") != Node("a", extra={"k": "v"})
     assert Flow("f", "a", "b") != Flow("f", "b", "a")
     assert Diagram() != Diagram(Stage.PA)
-    assert entry() != replace(entry(), v=True)
+    assert decision() != replace(decision(), v=True)
     assert decision() != replace(decision(), propagated=True)
 
 
@@ -242,7 +224,17 @@ def test_fields_may_be_given_by_keyword():
     assert Node(id="a", label="A") == Node("a", None, "A")
     assert Flow(target="b", source="a", id="f") == Flow("f", "a", "b")
     assert Diagram(flows={}, stage=Stage.PA) == Diagram(Stage.PA)
-    assert Decision("d1", "f1", True, True, entry(), propagated=True).propagated is True
+    assert Decision("d1", "f1", snapshot(), v=True, propagated=True).propagated is True
+
+
+def test_a_decision_forwards_in_the_privacy_aware_diagram_exactly_without_a_violation():
+    """`forwarded_padfd` is no field: it reads `not v`, and cannot be set."""
+    assert "forwarded_padfd" not in Decision.__match_args__
+    for v in (False, True):
+        made = replace(decision(), v=v)
+        assert made.forwarded_padfd is (not v)
+        with pytest.raises(AttributeError):
+            made.forwarded_padfd = v
 
 
 @pytest.mark.parametrize("name", SAMPLES)

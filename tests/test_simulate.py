@@ -12,7 +12,6 @@ from padfd import (
     Flow,
     FlowMeta,
     FlowType,
-    LogEntry,
     Node,
     NodeType,
     PolicySnapshot,
@@ -22,7 +21,6 @@ from padfd import (
     Stage,
     StageError,
     StoreState,
-    StoredRecord,
     compatibility_with_equivalences,
     load_data_records,
     load_equivalences,
@@ -76,7 +74,7 @@ def test_limit_forwards_with_consent_before_expiry():
     assert forwarded is True
     assert entry.v is False
     assert entry.policy == PolicySnapshot("billing", frozenset({"billing"}), date(2020, 12, 31))
-    assert (entry.d_id, entry.flow_id, entry.clock) == ("d1", "f1", CLOCK)
+    assert (entry.d_id, entry.flow_id, entry.propagated) == ("d1", "f1", False)
 
 
 def test_limit_blocks_unconsented_purpose():
@@ -125,8 +123,10 @@ def test_business_semantics_forward_everything():
     stale = record("f_in", consent=frozenset({"nothing"}), expiry=date(2000, 1, 1))
     report = run_simulation(transform(build_store_chain()), [meta("f_in")], [stale], CLOCK)
     (decision,) = report.decisions
-    assert decision.forwarded_bdfd is True
     assert decision.forwarded_padfd is False
+    # The business diagram forwards it all the same.
+    assert report_to_dict(report)["decisions"][0]["forwarded_bdfd"] is True
+    assert render_report(report).splitlines()[2].split()[2] == "yes"
 
 
 # --- purpose compatibility -----------------------------------------------------
@@ -162,19 +162,15 @@ def test_payment_run_blocks_only_unconsented_record():
         CLOCK,
         compatible=compatibility_with_equivalences(payment_equivalences()),
     )
-    outcomes = {
-        (d.d_id): (d.forwarded_bdfd, d.forwarded_padfd, d.entry.v)
-        for d in report.decisions
-    }
+    outcomes = {(d.d_id): (d.forwarded_padfd, d.v) for d in report.decisions}
     assert outcomes == {
-        "d1": (True, True, False),
-        "d2": (True, True, False),
-        "d3": (True, True, False),
-        "d4": (True, True, False),
-        "d5": (True, False, True),
+        "d1": (True, False),
+        "d2": (True, False),
+        "d3": (True, False),
+        "d4": (True, False),
+        "d5": (False, True),
     }
-    assert len(report.violations) == 1
-    assert report.violations[0].d_id == "d5"
+    assert report.violations == [report.decisions[4]]
     # Every decision is logged, one entry per record, in the right store.
     assert sum(len(entries) for entries in report.logs.values()) == 5
 
@@ -214,17 +210,22 @@ def test_payment_run_expiry_blocks_after_deadline():
 
 
 def test_forwarded_store_write_deposits_record_and_policy():
+    records = payment_records()
     report = run_simulation(
         payment_pa(),
         payment_metas(),
-        payment_records(),
+        records,
         CLOCK,
         compatible=compatibility_with_equivalences(payment_equivalences()),
     )
     stored = report.state.data["db_project"]
     assert set(stored) == {"d3"}
-    assert stored["d3"].record.d_id == "d3"
-    assert stored["d3"].stored_at == CLOCK
+    # The store holds the arriving record itself, and its policy store the
+    # policy its decision logged.
+    (arrived,) = [r for r in records if r.d_id == "d3"]
+    assert stored["d3"] is arrived
+    (decision,) = [d for d in report.decisions if d.d_id == "d3"]
+    assert report.state.policies[report.state.partners["db_project"]]["d3"] is decision.policy
     policy_store = report.state.partners["db_project"]
     snapshot = report.state.policies[policy_store]["d3"]
     assert snapshot.purpose == "Project monitoring"
@@ -448,7 +449,7 @@ def test_multi_hop_enters_every_onward_flow_in_id_order():
     ]
     assert set(report.state.data["db"]) == {"r1", "r3"}
     # The hop that reached the store is the arriving record on the store write.
-    assert report.state.data["db"]["r1"].record == replace(records[0], flow_id="f_b")
+    assert report.state.data["db"]["r1"] == replace(records[0], flow_id="f_b")
     # An onward flow without a policy row is skipped; the other is still entered.
     report = run_simulation(fork_pa(), metas[::2], records[:1], CLOCK, multi_hop=True)
     assert [(d.flow_id, d.propagated) for d in report.decisions] == [
@@ -559,7 +560,7 @@ def test_clean_is_idempotent():
 def test_clean_falls_back_to_record_expiry():
     stale = record("f", expiry=date(2020, 1, 1))
     state = StoreState(
-        data={"db": {"d1": StoredRecord(stale, date(2020, 1, 1))}},
+        data={"db": {"d1": stale}},
         policies={},
         partners={},
     )
@@ -572,21 +573,21 @@ def test_clean_reads_a_missing_partner_policy_store_as_empty():
     """StoreState may omit `policies`; a partnered policy store it lacks
     holds no snapshots, so the record's own expiry decides."""
     stale = record("f", expiry=date(2019, 1, 1))
-    state = StoreState(data={"s": {"d": StoredRecord(stale, date(2019, 1, 1))}}, partners={"s": "p"})
+    state = StoreState(data={"s": {"d": stale}}, partners={"s": "p"})
     cleaned, events = run_clean(state, date(2021, 1, 1))
     assert cleaned.data == {"s": {}} and cleaned.policies == {}
     assert [(e.store, e.d_id, e.expiry) for e in events] == [("s", "d", date(2019, 1, 1))]
-    assert state.data["s"] == {"d": StoredRecord(stale, date(2019, 1, 1))}
+    assert state.data["s"] == {"d": stale}
 
 
 def test_clean_events_sorted_by_store_then_record():
     old = date(2019, 1, 1)
     state = StoreState(
         data={
-            "zeta": {"d2": StoredRecord(record("f", d_id="d2", expiry=old), old)},
+            "zeta": {"d2": record("f", d_id="d2", expiry=old)},
             "alpha": {
-                "d9": StoredRecord(record("f", d_id="d9", expiry=old), old),
-                "d1": StoredRecord(record("f", d_id="d1", expiry=old), old),
+                "d9": record("f", d_id="d9", expiry=old),
+                "d1": record("f", d_id="d1", expiry=old),
             },
         },
         policies={},
@@ -977,14 +978,15 @@ def test_load_equivalences_rejects_bad_shapes(tmp_path):
     path = tmp_path / "eq.json"
     for bad, message in (
         ('{"a": 1}', "top level must be a list of pairs"),
-        ('[["one"]]', "bad pair ['one']"),
-        ('[["a", 2]]', "bad pair ['a', 2]"),
+        ('[["one"]]', "pair 0: must be two strings, found ['one']"),
+        ('[["a", "b"], ["c", 3]]', "pair 1: must be two strings, found ['c', 3]"),
         ("nope", "not valid JSON: Expecting value: line 1 column 1 (char 0)"),
     ):
         path.write_text(bad, encoding="utf-8")
         with pytest.raises(SchemaError) as exc:
             load_equivalences(path)
-        assert str(exc.value) == f"equivalence file {path}: {message}"
+        separator = " " if message.startswith("pair ") else ": "
+        assert str(exc.value) == f"equivalence file {path}{separator}{message}"
 
 
 # --- report rendering ----------------------------------------------------------
@@ -1026,8 +1028,7 @@ def test_render_report_pads_any_text_as_the_reference():
     policy = PolicySnapshot("billing", frozenset({"billing"}), CLOCK)
 
     def decision(d_id, flow_id, forwarded, propagated):
-        entry = LogEntry(d_id, flow_id, policy, not forwarded, CLOCK)
-        return Decision(d_id, flow_id, True, forwarded, entry, propagated)
+        return Decision(d_id, flow_id, policy, not forwarded, propagated)
 
     decisions = [
         decision("{0}", "f {x}", True, False),
@@ -1035,7 +1036,7 @@ def test_render_report_pads_any_text_as_the_reference():
         decision("%s %d", "fl\u00f6w%", True, True),
         decision(" pad ", "\U0001f512", False, False),
     ]
-    state = StoreState(data={"s {1}": {"{0}": StoredRecord(record("f"), CLOCK)}, "t": {}})
+    state = StoreState(data={"s {1}": {"{0}": record("f")}, "t": {}})
     report = SimulationReport(CLOCK, decisions, {}, state)
     text = render_report(report)
     assert text == reference_render_report(report)
@@ -1047,6 +1048,30 @@ def test_render_report_pads_any_text_as_the_reference():
         " pad   \U0001f512            yes    no      v=true",
     ]
     assert text.endswith("log entries: 4 (violations: 2)\nstore s {1}: {0}\nstore t: -\n")
+
+
+def test_render_report_escapes_ids_that_do_not_print():
+    """An id with a line break, a tab or another character that does not
+    print is written with Python's escapes and padded by that length, so
+    each decision and each store keeps its one aligned line."""
+    policy = PolicySnapshot("billing", frozenset({"billing"}), CLOCK)
+    decisions = [
+        Decision("d\n1", "f\t1", policy, False, True),
+        Decision("d2", "f2", policy, True),
+        Decision("d\x003", "f\u2028", policy, False),
+    ]
+    state = StoreState(data={"s\r": {"d\n1": record("f"), "d2": record("f")}})
+    report = SimulationReport(CLOCK, decisions, {}, state)
+    text = render_report(report)
+    assert text == reference_render_report(report)
+    assert text.splitlines()[1:] == [
+        "D_id    F_id        B-DFD  PA-DFD  Violation",
+        "d\\n1    f\\t1 (hop)  yes    yes     -",
+        "d2      f2          yes    no      v=true",
+        "d\\x003  f\\u2028     yes    yes     -",
+        "log entries: 3 (violations: 1)",
+        "store s\\r: d\\n1, d2",
+    ]
 
 
 def test_report_to_dict_is_json_ready():

@@ -461,13 +461,16 @@ FOLDED_NAMES = [
     "evaluate_limit", "exact_compatibility", "infer_flow_type", "merge_log_stores",
     "parse_data_records", "parse_flow_metas", "sources", "targets",
 ]
+# Records of earlier versions: a decision is now its own log entry, and a
+# data store holds the record itself.
+FOLDED_RECORDS = ["LogEntry", "StoredRecord"]
 
 
 # `GRID_STEP` only tests read; it stays `padfd.layout.GRID_STEP`. `NodeId`
 # and `FlowId` only annotate; they stay in `padfd.graph`.
 @pytest.mark.parametrize(
     "name",
-    ["no_such_name", "to_canonical_dict", "cli_main", "GRID_STEP", "NodeId", "FlowId", *FOLDED_NAMES],
+    ["no_such_name", "to_canonical_dict", "cli_main", "GRID_STEP", "NodeId", "FlowId", *FOLDED_NAMES, *FOLDED_RECORDS],
 )
 def test_unknown_names_raise_attribute_error(name):
     with pytest.raises(AttributeError, match=repr(name)):

@@ -11,6 +11,7 @@ from padfd import (
     Node,
     NodeType,
     Stage,
+    Violation,
     transform,
     typecheck,
     validate_pa,
@@ -341,6 +342,20 @@ def test_violation_render_format():
     d = build_diagram(Stage.WELLFORMED, [Node("aa", NodeType.EXT)], [])
     line = validate_wellformed(d).violations[0].render()
     assert line.startswith("error aa ext-connected: ")
+
+
+@pytest.mark.parametrize(
+    "element,shown",
+    [("a b", "a b"), ("f\u00f6\U0001f512", "f\u00f6\U0001f512"), ("a\nb", "a\\nb"),
+     ("a\tb\r", "a\\tb\\r"), ("\u2028'\"\\", "\\u2028\\'\"\\\\")],
+    ids=["blank", "non-ascii", "newline", "tab", "quotes"],
+)
+def test_violation_render_escapes_an_element_that_does_not_print(element, shown):
+    """Printable text is written as it is; other text in Python's escapes,
+    so that the finding keeps its one line."""
+    line = Violation("comp-loop", element, "m").render()
+    assert line == f"error {shown} comp-loop: m"
+    assert len(line.splitlines()) == 1
 
 
 @st.composite
